@@ -6,15 +6,9 @@
 //! fields), that event sequence numbers increase, and that the stream
 //! contains the records the MIRAS pipeline is expected to emit — per-window `window`
 //! events and (when `--require-training` is passed) per-iteration
-//! `iteration` events from Algorithm 2. With `--require-rollout` the window
-//! requirement is replaced by a check for `rollout.bench` throughput events
-//! (the rollout engine benchmark never runs the cluster emulator, so it has
-//! no decision windows). With `--require-distributed` it is instead replaced
-//! by a check for the distributed actor–learner records — `train.worker_steps`
-//! counters, `train.weight_version_lag` / `train.replay_shard_depth` gauges,
-//! `distributed.wave` events, and the `train.worker_restarts` counter the
-//! learner materialises even at zero. With `--require-serve` it is replaced by a check
-//! for the serving loop's records — `serve.decisions` counters, the final
+//! `iteration` events from Algorithm 2. With `--require-serve` the window
+//! requirement is replaced by a check for the serving loop's records —
+//! `serve.decisions` counters, the final
 //! `serve.latency_p99_us` gauge, and the overload counters
 //! (`serve.shed`, `serve.degraded`, `serve.wire_rejected`,
 //! `serve.retries`), which the hardened loop materialises even at zero —
@@ -65,16 +59,13 @@ struct Problem(usize, String);
 fn check(
     text: &str,
     require_training: bool,
-    require_rollout: bool,
     require_serve: bool,
-    require_distributed: bool,
     require_workload: bool,
 ) -> Result<String, Problem> {
     let mut events = 0usize;
     let mut windows = 0usize;
     let mut iterations = 0usize;
     let mut summaries = 0usize;
-    let mut rollouts = 0usize;
     let mut workload_rates = 0usize;
     let mut serve_decisions = 0usize;
     let mut serve_p99 = 0usize;
@@ -88,11 +79,6 @@ fn check(
         "serve.retries",
     ];
     let mut serve_counter_rows = [0usize; SERVE_COUNTERS.len()];
-    let mut worker_steps = 0usize;
-    let mut version_lag = 0usize;
-    let mut shard_depth = 0usize;
-    let mut worker_restarts = 0usize;
-    let mut dist_waves = 0usize;
     let mut desim_pending = 0usize;
     let mut desim_cascades = 0usize;
     let mut last_seq: Option<u64> = None;
@@ -191,34 +177,6 @@ fn check(
                             }
                         }
                     }
-                    "distributed.wave" => {
-                        dist_waves += 1;
-                        for field in ["worker", "wave", "version"] {
-                            if get(data, field).is_none() {
-                                return Err(Problem(
-                                    lineno,
-                                    format!("distributed.wave event missing `{field}`"),
-                                ));
-                            }
-                        }
-                    }
-                    "rollout.bench" => {
-                        rollouts += 1;
-                        for field in ["mode", "lanes", "env_steps", "steps_per_sec"] {
-                            if get(data, field).is_none() {
-                                return Err(Problem(
-                                    lineno,
-                                    format!("rollout.bench event missing `{field}`"),
-                                ));
-                            }
-                        }
-                        if !is_number(get(data, "steps_per_sec").expect("checked above")) {
-                            return Err(Problem(
-                                lineno,
-                                "rollout.bench `steps_per_sec` is not numeric".into(),
-                            ));
-                        }
-                    }
                     _ => {}
                 }
             }
@@ -231,10 +189,6 @@ fn check(
                     ("counter", "desim.wheel_cascades") => desim_cascades += 1,
                     ("counter", "serve.decisions") => serve_decisions += 1,
                     ("gauge", "serve.latency_p99_us") => serve_p99 += 1,
-                    ("counter", "train.worker_steps") => worker_steps += 1,
-                    ("counter", "train.worker_restarts") => worker_restarts += 1,
-                    ("gauge", "train.weight_version_lag") => version_lag += 1,
-                    ("gauge", "train.replay_shard_depth") => shard_depth += 1,
                     ("counter", _) => {
                         if let Some(i) = SERVE_COUNTERS.iter().position(|c| *c == name) {
                             serve_counter_rows[i] += 1;
@@ -272,29 +226,7 @@ fn check(
             other => return Err(Problem(lineno, format!("unknown record type `{other}`"))),
         }
     }
-    if require_distributed {
-        for (rows, what) in [
-            (worker_steps, "`train.worker_steps` counter"),
-            (version_lag, "`train.weight_version_lag` gauge"),
-            (shard_depth, "`train.replay_shard_depth` gauge"),
-            (dist_waves, "`distributed.wave` event"),
-            (
-                worker_restarts,
-                "`train.worker_restarts` counter (the learner must materialise it even at zero)",
-            ),
-        ] {
-            if rows == 0 {
-                return Err(Problem(0, format!("stream contains no {what}")));
-            }
-        }
-    } else if require_rollout {
-        if rollouts == 0 {
-            return Err(Problem(
-                0,
-                "stream contains no `rollout.bench` events".into(),
-            ));
-        }
-    } else if require_serve {
+    if require_serve {
         if serve_decisions == 0 {
             return Err(Problem(
                 0,
@@ -349,7 +281,6 @@ fn check(
     }
     Ok(format!(
         "{events} events ({windows} window, {iterations} iteration, {summaries} summary, \
-         {rollouts} rollout records, {dist_waves} distributed waves, \
          {serve_decisions} serve-decision counters, {workload_rates} workload rates)"
     ))
 }
@@ -357,23 +288,19 @@ fn check(
 fn main() -> ExitCode {
     let mut path = None;
     let mut require_training = false;
-    let mut require_rollout = false;
     let mut require_serve = false;
-    let mut require_distributed = false;
     let mut require_workload = false;
     for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--require-training" => require_training = true,
-            "--require-rollout" => require_rollout = true,
             "--require-serve" => require_serve = true,
-            "--require-distributed" => require_distributed = true,
             "--require-workload" => require_workload = true,
             other if path.is_none() => path = Some(other.to_string()),
             other => {
                 eprintln!(
                     "unexpected argument {other}; usage: \
-                     telemetry_check FILE [--require-training] [--require-rollout] \
-                     [--require-serve] [--require-distributed] [--require-workload]"
+                     telemetry_check FILE [--require-training] [--require-serve] \
+                     [--require-workload]"
                 );
                 return ExitCode::FAILURE;
             }
@@ -381,8 +308,8 @@ fn main() -> ExitCode {
     }
     let Some(path) = path else {
         eprintln!(
-            "usage: telemetry_check FILE [--require-training] [--require-rollout] \
-             [--require-serve] [--require-distributed] [--require-workload]"
+            "usage: telemetry_check FILE [--require-training] [--require-serve] \
+             [--require-workload]"
         );
         return ExitCode::FAILURE;
     };
@@ -393,14 +320,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    match check(
-        &text,
-        require_training,
-        require_rollout,
-        require_serve,
-        require_distributed,
-        require_workload,
-    ) {
+    match check(&text, require_training, require_serve, require_workload) {
         Ok(report) => {
             println!("telemetry_check: {path} OK — {report}");
             ExitCode::SUCCESS

@@ -77,72 +77,6 @@ where
         .collect()
 }
 
-/// Builds the drain-dynamics dataset (`s' = max(0, s − 2a) + 1`) the
-/// throughput benches train their environment model on; the model's
-/// accuracy is irrelevant to them, only its shape and cost.
-#[must_use]
-pub fn drain_dataset(j: usize, seed: u64) -> miras_core::TransitionDataset {
-    use rand::Rng;
-    let mut rng = <rand::rngs::SmallRng as rand::SeedableRng>::seed_from_u64(seed);
-    let mut data = miras_core::TransitionDataset::new(j);
-    for _ in 0..600 {
-        let s: Vec<f64> = (0..j).map(|_| rng.gen_range(0.0..20.0)).collect();
-        let a: Vec<f64> = (0..j).map(|_| rng.gen_range(0.0f64..7.0).floor()).collect();
-        let next: Vec<f64> = s
-            .iter()
-            .zip(&a)
-            .map(|(&si, &ai)| (si - 2.0 * ai).max(0.0) + 1.0)
-            .collect();
-        data.push(miras_core::Transition {
-            state: s,
-            action: a,
-            next_state: next,
-        });
-    }
-    data
-}
-
-/// Times the sequential rollout path shared by the throughput benches:
-/// `act_exploratory` → `SyntheticEnv::step` → `observe`, in waves of
-/// `rollout_len` steps with a reset and perturbation resample between waves
-/// (the trainer's structure, minus the gradient updates that are orthogonal
-/// to the rollout engine). One untimed warm-up wave fills the normaliser
-/// scratch, replay ring and recent-state window first so the timed region
-/// sees steady-state costs. Returns `(env_steps, secs)`.
-pub fn time_sequential_rollouts(
-    refined: &miras_core::RefinedModel,
-    data: &miras_core::TransitionDataset,
-    budget: usize,
-    agent: &mut rl::Ddpg,
-    rollout_len: usize,
-    env_steps: usize,
-    telemetry: &Telemetry,
-) -> (usize, f64) {
-    use rl::Environment;
-    let mut env = miras_core::SyntheticEnv::new(refined.clone(), data.clone(), budget, 99);
-    env.set_telemetry(telemetry.clone());
-    let rollouts = (env_steps / rollout_len).max(1);
-    let mut s = env.reset();
-    for _ in 0..rollout_len {
-        let a = agent.act_exploratory(&s);
-        let t = env.step(&a);
-        agent.observe(&s, &a, t.reward, &t.next_state);
-        s = t.next_state;
-    }
-    let start = std::time::Instant::now();
-    for _ in 0..rollouts {
-        let mut s = env.reset();
-        agent.resample_perturbation();
-        for _ in 0..rollout_len {
-            let a = agent.act_exploratory(&s);
-            let t = env.step(&a);
-            agent.observe(&s, &a, t.reward, &t.next_state);
-            s = t.next_state;
-        }
-    }
-    (rollouts * rollout_len, start.elapsed().as_secs_f64())
-}
-
 /// Which workload ensemble to run: the paper's two scientific ensembles
 /// plus the GPU inference-serving ensemble.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

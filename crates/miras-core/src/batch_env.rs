@@ -152,7 +152,7 @@ impl BatchedSyntheticEnv {
 
     /// Attaches a telemetry handle: steps are timed under the
     /// `synth.batch_step` span, lane occupancy is exported as gauges and
-    /// Lend-trigger counts as counters (same names as the sequential env).
+    /// step and Lend-trigger counts as counters.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
     }

@@ -4,33 +4,33 @@ use microsim::ConfigError;
 use rl::{DdpgConfig, Exploration};
 use serde::{Deserialize, Serialize};
 
-/// How the inner policy loop of Algorithm 2 executes its synthetic rollouts.
+/// The rollout engine's `(workers, lanes)` shape in its serialised/config
+/// form (see [`RolloutMode::shape`]). The three variants are kept so v1
+/// checkpoints and configs keep loading; the engine only sees the shape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum RolloutMode {
-    /// One rollout at a time, one model forward per step (the original
-    /// loop). The reference semantics every other mode is measured against.
+    /// One rollout at a time: the inline engine at one lane, consuming
+    /// every RNG stream in the order of the textbook loop.
     #[default]
     Sequential,
     /// `B` rollout lanes stepped in lockstep through batched model and
     /// actor forwards (see
-    /// [`BatchedSyntheticEnv`](crate::BatchedSyntheticEnv)). `Lockstep(1)`
-    /// is bit-identical to [`RolloutMode::Sequential`]; wider batches are
-    /// deterministic but consume exploration randomness in a different
-    /// order, so they are a *throughput* option, not a replay of the
-    /// sequential run.
+    /// [`BatchedSyntheticEnv`](crate::BatchedSyntheticEnv)), inline on the
+    /// calling thread. Bit-stable at any `B`; `B > 1` consumes exploration
+    /// randomness in lane order, so it is a *throughput* option, not a
+    /// replay of the one-lane run.
     Lockstep(usize),
-    /// Actor–learner scale-out: `workers` asynchronous rollout workers,
-    /// each stepping its own `lanes`-lane [`BatchedSyntheticEnv`] under a
-    /// frozen versioned weight snapshot, feed a sharded replay stream that
-    /// the central learner drains in a fixed order (see the
-    /// [`distributed`](crate::distributed) module).
-    ///
-    /// `Distributed { workers: 1, lanes }` degenerates to the lockstep loop
-    /// with the environment hosted on a worker thread and is bit-identical
-    /// to `Lockstep(lanes)`. With `workers ≥ 2` the run is deterministic
-    /// given its recorded version schedule
+    /// `workers ≥ 2`: actor–learner scale-out — asynchronous rollout
+    /// workers, each stepping its own `lanes`-lane [`BatchedSyntheticEnv`]
+    /// under a frozen versioned weight snapshot, feed a sharded replay
+    /// stream that the central learner drains in a fixed order (see the
+    /// [`distributed`](crate::distributed) module). The run is
+    /// deterministic given its recorded version schedule
     /// ([`MirasTrainer::last_version_schedule`](crate::MirasTrainer::last_version_schedule)):
     /// replaying the schedule reproduces the run bit for bit.
+    ///
+    /// `workers = 1` has no second thread to lag behind and runs inline,
+    /// exactly as `Lockstep(lanes)`.
     ///
     /// Built by [`MirasConfig::with_distributed`]; requires parameter-space
     /// or greedy exploration (workers perturb actor weights locally, so
@@ -43,6 +43,20 @@ pub enum RolloutMode {
         /// Lockstep lanes per worker.
         lanes: usize,
     },
+}
+
+impl RolloutMode {
+    /// The `(workers, lanes)` shape the rollout engine runs: `workers ≤ 1`
+    /// is the inline wave loop on the calling thread, `workers ≥ 2` the
+    /// actor–learner path.
+    #[must_use]
+    pub fn shape(self) -> (usize, usize) {
+        match self {
+            RolloutMode::Sequential => (0, 1),
+            RolloutMode::Lockstep(lanes) => (0, lanes),
+            RolloutMode::Distributed { workers, lanes } => (workers, lanes),
+        }
+    }
 }
 
 /// Hyper-parameters of the full MIRAS pipeline (model + policy + loop).
@@ -294,7 +308,8 @@ impl MirasConfig {
 
     /// Returns a copy running the inner loop as `workers` asynchronous
     /// rollout workers of `lanes` lockstep lanes each (actor–learner
-    /// scale-out; see the [`distributed`](crate::distributed) module).
+    /// scale-out at `workers ≥ 2`; see the
+    /// [`distributed`](crate::distributed) module).
     ///
     /// # Panics
     ///
@@ -455,6 +470,17 @@ mod tests {
         assert!(matches!(err, ConfigError::Miras { .. }));
         let ok = MirasConfig::smoke_test(0).try_with_lockstep(4).unwrap();
         assert_eq!(ok.rollout_mode, RolloutMode::Lockstep(4));
+    }
+
+    #[test]
+    fn every_mode_maps_to_one_engine_shape() {
+        assert_eq!(RolloutMode::Sequential.shape(), (0, 1));
+        assert_eq!(RolloutMode::Lockstep(3).shape(), (0, 3));
+        let mode = RolloutMode::Distributed {
+            workers: 2,
+            lanes: 16,
+        };
+        assert_eq!(mode.shape(), (2, 16));
     }
 
     #[test]

@@ -1,17 +1,16 @@
 //! The central learner: ordered shard merge, DDPG updates, version
-//! broadcast — plus the `workers = 1` synchronous base case.
+//! broadcast.
 
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 
-use nn::Matrix;
 use rl::{Ddpg, TrainError, TrainHealth};
 use telemetry::{Telemetry, Value};
 
 use super::replay_shard::{shard_channel, ShardReceiver};
 use super::weights::{VersionSchedule, VersionStore, WaveEntry, WeightVersion};
 use super::worker::{active_lanes, run_rollout_worker, total_waves, WorkerSpec};
-use crate::{BatchedSyntheticEnv, RefinedModel, TransitionDataset};
+use crate::rollout::{RolloutOutcome, RolloutParams, WaveAccounting};
+use crate::{RefinedModel, TransitionDataset};
 
 /// Upper bound on worker respawns per inner loop before the learner gives
 /// up — a worker that keeps dying at the same wave is a bug, not a crash.
@@ -28,307 +27,18 @@ pub struct WorkerFault {
     pub at_wave: usize,
 }
 
-/// Everything one distributed inner loop needs, minus the mutable learner
-/// state ([`run_distributed_rollouts`] borrows the agent and watchdog).
-#[derive(Debug, Clone, Default)]
-pub struct DistributedParams {
-    /// Rollout worker count (`1` selects the synchronous lockstep-exact
-    /// path, `≥ 2` the async frozen-version path).
-    pub workers: usize,
-    /// Lockstep lanes per worker.
-    pub lanes: usize,
-    /// Steps per synthetic rollout.
-    pub rollout_len: usize,
-    /// Rollout budget for the loop.
-    pub rollouts: usize,
-    /// Early-stop patience on completed-rollout returns (0 = off).
-    pub patience: usize,
-    /// Consumer budget `C`.
-    pub consumer_budget: usize,
-    /// The iteration's synthetic-rollout seed.
-    pub synth_seed: u64,
-    /// When false, transitions are observed but no gradient updates run —
-    /// the pure rollout-throughput regime the benches measure.
-    pub train: bool,
-    /// Replay a recorded manifest instead of adopting fresh versions.
-    pub schedule: Option<VersionSchedule>,
-    /// Inject a worker crash (see [`WorkerFault`]).
-    pub fault: Option<WorkerFault>,
-}
-
-/// What one distributed inner loop produced.
-#[derive(Debug, Clone)]
-pub struct DistributedOutcome {
-    /// Per-rollout returns, in merge (= lane-within-wave) order.
-    pub returns: Vec<f64>,
-    /// Rollouts completed (early stop may cut the budget short).
-    pub rollouts_run: usize,
-    /// Lend–Giveback triggers across all waves.
-    pub lend_triggers: u64,
-    /// The recorded run manifest (replaying it reproduces this outcome
-    /// bit for bit).
-    pub schedule: VersionSchedule,
-    /// Total environment steps taken (`Σ waves steps × active`).
-    pub env_steps: u64,
-    /// Worker respawns the learner performed.
-    pub worker_restarts: u64,
-}
-
-/// Runs one inner policy loop of Algorithm 2 across `params.workers`
-/// rollout workers, returning per-rollout returns plus the recorded
-/// version-schedule manifest. See the [module docs](super) for the
-/// architecture and determinism contract.
-///
-/// # Errors
-///
-/// Returns the [`TrainError`] raised by the first unhealthy DDPG update.
-///
-/// # Panics
-///
-/// Panics if `params` is structurally invalid (zero workers/lanes, a
-/// schedule recorded under different workers/lanes, or a schedule that
-/// fails [`VersionSchedule::validate`]), if a worker thread panics, or if
-/// workers keep dying past the respawn budget.
-pub fn run_distributed_rollouts(
+/// The `workers ≥ 2` body of the [rollout engine](crate::rollout): spawn
+/// one rollout worker per shard, merge waves in fixed global order, train
+/// after each merged wave, publish the next weight version, and respawn
+/// workers that die mid-plan.
+pub(crate) fn actor_learner_rollouts(
     agent: &mut Ddpg,
     refined: RefinedModel,
     dataset: &TransitionDataset,
-    params: &DistributedParams,
+    params: &RolloutParams,
     health: &mut TrainHealth,
     telemetry: &Telemetry,
-) -> Result<DistributedOutcome, TrainError> {
-    assert!(params.workers > 0, "need at least one worker");
-    assert!(params.lanes > 0, "need at least one lane");
-    if let Some(schedule) = &params.schedule {
-        assert_eq!(
-            schedule.workers, params.workers,
-            "schedule was recorded with a different worker count"
-        );
-        assert_eq!(
-            schedule.lanes, params.lanes,
-            "schedule was recorded with a different lane count"
-        );
-        schedule
-            .validate()
-            .unwrap_or_else(|e| panic!("invalid version schedule: {e}"));
-        assert!(
-            schedule.entries.len() <= total_waves(params.rollouts, params.lanes),
-            "schedule is longer than the rollout budget"
-        );
-    }
-    if params.workers == 1 {
-        sync_rollouts(agent, refined, dataset, params, health, telemetry)
-    } else {
-        async_rollouts(agent, refined, dataset, params, health, telemetry)
-    }
-}
-
-/// Remote-environment request/reply protocol of the synchronous path.
-enum EnvRequest {
-    Reset { active: usize },
-    Step { actions: Matrix },
-}
-
-struct EnvReply {
-    states: Matrix,
-    rewards: Vec<f64>,
-}
-
-/// The `workers = 1` path: the learner executes the exact lockstep
-/// inner-loop body — live agent acting (normaliser updates, parameter
-/// noise ticking and adapting mid-wave) and per-step train steps — with
-/// the environment hosted on the worker thread behind a request/reply
-/// channel. Bit-identical to `Lockstep(lanes)` by construction.
-fn sync_rollouts(
-    agent: &mut Ddpg,
-    refined: RefinedModel,
-    dataset: &TransitionDataset,
-    params: &DistributedParams,
-    health: &mut TrainHealth,
-    telemetry: &Telemetry,
-) -> Result<DistributedOutcome, TrainError> {
-    let (req_tx, req_rx) = channel::<EnvRequest>();
-    let (rep_tx, rep_rx) = channel::<EnvReply>();
-    let dataset = dataset.clone();
-    let env_telemetry = telemetry.clone();
-    let lanes = params.lanes;
-    let consumer_budget = params.consumer_budget;
-    let synth_seed = params.synth_seed;
-
-    std::thread::scope(|scope| {
-        let env_thread = scope.spawn(move || {
-            env_host(
-                refined,
-                dataset,
-                consumer_budget,
-                synth_seed,
-                lanes,
-                env_telemetry,
-                &req_rx,
-                &rep_tx,
-            )
-        });
-        let result = sync_learner_loop(agent, params, health, telemetry, &req_tx, &rep_rx);
-        // Hang up so the env host exits, then collect its trigger count.
-        drop(req_tx);
-        let lend_triggers = env_thread.join().expect("environment host panicked");
-        result.map(|mut outcome| {
-            outcome.lend_triggers = lend_triggers;
-            outcome
-        })
-    })
-}
-
-/// The environment host thread of the synchronous path: owns the batched
-/// env, serves reset/step requests until the learner hangs up, and returns
-/// the accumulated Lend-trigger count.
-#[allow(clippy::too_many_arguments)]
-fn env_host(
-    refined: RefinedModel,
-    dataset: TransitionDataset,
-    consumer_budget: usize,
-    synth_seed: u64,
-    lanes: usize,
-    telemetry: Telemetry,
-    req_rx: &Receiver<EnvRequest>,
-    rep_tx: &Sender<EnvReply>,
-) -> u64 {
-    nn::threads::with_serial(|| {
-        let mut env =
-            BatchedSyntheticEnv::new(refined, dataset, consumer_budget, synth_seed, lanes);
-        env.set_telemetry(telemetry);
-        while let Ok(req) = req_rx.recv() {
-            let reply = match req {
-                EnvRequest::Reset { active } => {
-                    env.reset(active);
-                    EnvReply {
-                        states: env.states().clone(),
-                        rewards: Vec::new(),
-                    }
-                }
-                EnvRequest::Step { actions } => {
-                    let rewards = env.step(&actions).to_vec();
-                    EnvReply {
-                        states: env.states().clone(),
-                        rewards,
-                    }
-                }
-            };
-            if rep_tx.send(reply).is_err() {
-                break;
-            }
-        }
-        env.lend_triggers()
-    })
-}
-
-fn sync_learner_loop(
-    agent: &mut Ddpg,
-    params: &DistributedParams,
-    health: &mut TrainHealth,
-    telemetry: &Telemetry,
-    req_tx: &Sender<EnvRequest>,
-    rep_rx: &Receiver<EnvReply>,
-) -> Result<DistributedOutcome, TrainError> {
-    let request = |req: EnvRequest| -> EnvReply {
-        req_tx.send(req).expect("environment host hung up");
-        rep_rx.recv().expect("environment host hung up")
-    };
-    let mut returns = Vec::new();
-    let mut best = f64::NEG_INFINITY;
-    let mut stale = 0usize;
-    let mut rollouts_run = 0usize;
-    let mut remaining = params.rollouts;
-    let mut env_steps = 0u64;
-    let mut schedule = VersionSchedule {
-        workers: 1,
-        lanes: params.lanes,
-        entries: Vec::new(),
-    };
-    let mut totals: Vec<f64> = Vec::with_capacity(params.lanes);
-    let mut wave = 0usize;
-    'waves: while remaining > 0 {
-        let active = params.lanes.min(remaining);
-        let mut states = request(EnvRequest::Reset { active }).states;
-        agent.resample_perturbation();
-        totals.clear();
-        totals.resize(active, 0.0);
-        for _ in 0..params.rollout_len {
-            let actions = agent.act_exploratory_batch(&states);
-            let reply = request(EnvRequest::Step {
-                actions: actions.clone(),
-            });
-            agent.observe_batch(&states, &actions, &reply.rewards, &reply.states);
-            for (t, &r) in totals.iter_mut().zip(&reply.rewards) {
-                *t += r;
-            }
-            if params.train {
-                for _ in 0..active {
-                    let _ = agent.try_train_step(health)?;
-                }
-            }
-            states = reply.states;
-        }
-        env_steps += (params.rollout_len * active) as u64;
-        // One worker has nothing to lag behind: every wave uses the
-        // freshest weights, recorded as version = wave for the manifest.
-        schedule.entries.push(WaveEntry {
-            worker: 0,
-            wave,
-            version: wave as u64,
-        });
-        if telemetry.is_enabled() {
-            record_wave_telemetry(
-                telemetry,
-                0,
-                wave,
-                wave as u64,
-                0,
-                params.rollout_len * active,
-            );
-        }
-        wave += 1;
-        for &total in &totals {
-            returns.push(total);
-            rollouts_run += 1;
-            remaining -= 1;
-            if params.patience > 0 {
-                if total > best {
-                    best = total;
-                    stale = 0;
-                } else {
-                    stale += 1;
-                    if stale >= params.patience {
-                        break 'waves;
-                    }
-                }
-            }
-        }
-    }
-    if telemetry.is_enabled() {
-        telemetry.counter("train.worker_restarts", 0);
-    }
-    Ok(DistributedOutcome {
-        returns,
-        rollouts_run,
-        lend_triggers: 0, // filled in by the caller from the env host
-        schedule,
-        env_steps,
-        worker_restarts: 0,
-    })
-}
-
-/// The `workers ≥ 2` path: spawn one rollout worker per shard, merge waves
-/// in fixed global order, train after each merged wave, publish the next
-/// weight version, and respawn workers that die mid-plan.
-fn async_rollouts(
-    agent: &mut Ddpg,
-    refined: RefinedModel,
-    dataset: &TransitionDataset,
-    params: &DistributedParams,
-    health: &mut TrainHealth,
-    telemetry: &Telemetry,
-) -> Result<DistributedOutcome, TrainError> {
+) -> Result<RolloutOutcome, TrainError> {
     let workers = params.workers;
     let planned = match &params.schedule {
         Some(s) => s.entries.len(),
@@ -345,19 +55,13 @@ fn async_rollouts(
     // All versions of one inner loop share the iteration's dynamics model.
     let dynamics = store.latest().dynamics.clone();
     let dataset = Arc::new(dataset.clone());
-    let schedule_in = params.schedule.as_ref();
 
     std::thread::scope(|scope| {
         let spawn = |first_wave: usize, fault_at: Option<usize>| -> ShardReceiver {
             let (tx, rx) = shard_channel();
             let spec = WorkerSpec {
-                worker: first_wave % workers,
-                workers,
-                lanes: params.lanes,
-                rollout_len: params.rollout_len,
-                rollouts: params.rollouts,
-                synth_seed: params.synth_seed,
-                consumer_budget: params.consumer_budget,
+                params,
+                planned,
                 first_wave,
                 fault_at,
             };
@@ -365,7 +69,7 @@ fn async_rollouts(
             let dataset = Arc::clone(&dataset);
             let telemetry = telemetry.clone();
             scope.spawn(move || {
-                run_rollout_worker(&spec, schedule_in, &store, &dataset, &telemetry, &tx);
+                run_rollout_worker(&spec, &store, &dataset, &telemetry, &tx);
             });
             rx
         };
@@ -380,13 +84,8 @@ fn async_rollouts(
             })
             .collect();
 
-        let mut merge = || -> Result<DistributedOutcome, TrainError> {
-            let mut returns = Vec::new();
-            let mut best = f64::NEG_INFINITY;
-            let mut stale = 0usize;
-            let mut rollouts_run = 0usize;
-            let mut env_steps = 0u64;
-            let mut lend_triggers = 0u64;
+        let mut merge = || -> Result<RolloutOutcome, TrainError> {
+            let mut accounting = WaveAccounting::new(params.patience);
             let mut restarts = 0u64;
             let mut schedule = VersionSchedule {
                 workers,
@@ -394,7 +93,7 @@ fn async_rollouts(
                 entries: Vec::new(),
             };
             let mut totals: Vec<f64> = Vec::with_capacity(params.lanes);
-            'merge: for g in 0..planned {
+            for g in 0..planned {
                 let w = g % workers;
                 let wave = loop {
                     match shards[w].recv() {
@@ -439,7 +138,7 @@ fn async_rollouts(
 
                 // Ordered reduction: transitions enter the agent in
                 // step-major, lane-minor order — the same order the
-                // lockstep loop feeds observe_batch.
+                // inline body feeds observe_batch.
                 let j = wave.state_dim;
                 totals.clear();
                 totals.resize(active, 0.0);
@@ -456,28 +155,12 @@ fn async_rollouts(
                         );
                         *total += reward;
                     }
-                    if params.train {
-                        for _ in 0..active {
-                            let _ = agent.try_train_step(health)?;
-                        }
+                    for _ in 0..active {
+                        let _ = agent.try_train_step(health)?;
                     }
                 }
-                env_steps += (wave.steps * active) as u64;
-                lend_triggers += wave.lend_triggers;
-                for &total in &totals {
-                    returns.push(total);
-                    rollouts_run += 1;
-                    if params.patience > 0 {
-                        if total > best {
-                            best = total;
-                            stale = 0;
-                        } else {
-                            stale += 1;
-                            if stale >= params.patience {
-                                break 'merge;
-                            }
-                        }
-                    }
+                if !accounting.record_wave(&totals, wave.lend_triggers) {
+                    break;
                 }
                 store.publish(WeightVersion {
                     version: g as u64 + 1,
@@ -488,14 +171,7 @@ fn async_rollouts(
             if telemetry.is_enabled() {
                 telemetry.counter("train.worker_restarts", restarts);
             }
-            Ok(DistributedOutcome {
-                returns,
-                rollouts_run,
-                lend_triggers,
-                schedule,
-                env_steps,
-                worker_restarts: restarts,
-            })
+            Ok(accounting.into_outcome(Some(schedule)))
         };
         let result = merge();
         // Unblock and drain the workers: closing wakes replay waiters,
@@ -506,9 +182,9 @@ fn async_rollouts(
     })
 }
 
-/// Emits the per-merged-wave telemetry the `--require-distributed` check
-/// validates: worker-step throughput, weight-version lag, and the merged
-/// shard's fill level, plus a structured `distributed.wave` event.
+/// Emits the per-merged-wave telemetry: worker-step throughput,
+/// weight-version lag, and the merged shard's fill level, plus a
+/// structured `distributed.wave` event.
 fn record_wave_telemetry(
     telemetry: &Telemetry,
     worker: usize,

@@ -4,7 +4,7 @@
 //! This module splits the inner policy loop of Algorithm 2 (the
 //! synthetic-rollout + DDPG-update phase driven by
 //! [`MirasTrainer`](crate::MirasTrainer)) into an actor–learner system in
-//! the style of DRPC:
+//! the style of DRPC, selected by `workers ≥ 2`:
 //!
 //! * **N rollout workers** ([`worker`] module) each own a lane-batched
 //!   [`BatchedSyntheticEnv`](crate::BatchedSyntheticEnv) plus a read-only
@@ -47,23 +47,22 @@
 //! same agent weights — regardless of thread timing, and regardless of
 //! whether a worker crashed and was respawned along the way.
 //!
-//! # The `workers = 1` base case
+//! # Relation to the inline engine
 //!
-//! With a single worker there is no version lag to record: the learner
-//! runs the exact lockstep inner-loop body with the environment hosted on
-//! the worker thread behind a request/reply channel. A
-//! `Distributed { workers: 1, lanes }` run is therefore **bit-identical**
-//! to `Lockstep(lanes)` — the same base-case discipline PR 4 used
-//! (`Lockstep(1)` ≡ `Sequential`). With `workers ≥ 2` workers act on
+//! This module is the `workers ≥ 2` body of the
+//! [rollout engine](crate::MirasTrainer::try_run_iteration_scheduled);
+//! `workers ≤ 1` runs the same wave plan inline on the calling thread with
+//! the live agent acting, and records no schedule. Workers here act on
 //! *frozen* per-wave policy snapshots (observation normaliser and
 //! parameter-noise σ included), so results are deterministic-but-different
-//! from lockstep: a throughput regime, not a replay of it.
+//! from the inline body: a throughput regime, not a replay of it.
 
 mod learner;
 mod replay_shard;
 mod weights;
 mod worker;
 
-pub use learner::{run_distributed_rollouts, DistributedOutcome, DistributedParams, WorkerFault};
+pub(crate) use learner::actor_learner_rollouts;
+pub use learner::WorkerFault;
 pub use weights::{VersionSchedule, VersionStore, WaveEntry, WeightVersion};
 pub use worker::{active_lanes, total_waves, wave_seed, WAVE_SEED_STRIDE};

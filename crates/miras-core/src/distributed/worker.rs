@@ -7,7 +7,8 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use super::replay_shard::{ShardSender, WaveResult};
-use super::weights::{VersionSchedule, VersionStore};
+use super::weights::VersionStore;
+use crate::rollout::RolloutParams;
 use crate::{BatchedSyntheticEnv, TransitionDataset};
 
 /// Multiplier applied to the global wave index when deriving a wave's env
@@ -46,26 +47,18 @@ pub fn active_lanes(wave: usize, rollouts: usize, lanes: usize) -> usize {
     lanes.min(rollouts - (wave * lanes).min(rollouts))
 }
 
-/// Everything a (re)spawned worker needs to know about its slice of the
-/// wave plan.
+/// A (re)spawned worker's slice of the engine's wave plan.
 #[derive(Debug, Clone)]
-pub(super) struct WorkerSpec {
-    /// This worker's index (`first_wave mod workers`).
-    pub worker: usize,
-    /// Total worker count — the stride between this worker's waves.
-    pub workers: usize,
-    /// Lanes per wave.
-    pub lanes: usize,
-    /// Steps per rollout.
-    pub rollout_len: usize,
-    /// The iteration's total rollout budget.
-    pub rollouts: usize,
-    /// The iteration's synthetic-rollout seed.
-    pub synth_seed: u64,
-    /// Consumer budget `C` for action discretisation.
-    pub consumer_budget: usize,
-    /// First global wave this (re)spawn generates — `worker` for an
-    /// initial spawn, the crashed wave for a respawn.
+pub(super) struct WorkerSpec<'a> {
+    /// The inner loop's parameters (worker count = the stride between
+    /// this worker's waves).
+    pub params: &'a RolloutParams,
+    /// Waves the learner will merge: the full budget live, the recorded
+    /// ones in replay (an early-stopped run records fewer).
+    pub planned: usize,
+    /// First global wave this (re)spawn generates — the worker's index
+    /// (`first_wave mod workers`) for an initial spawn, the crashed wave
+    /// for a respawn.
     pub first_wave: usize,
     /// Chaos hook: silently exit *instead of* generating this global wave
     /// (models a worker crash; the learner respawns from the gap).
@@ -80,8 +73,7 @@ pub(super) struct WorkerSpec {
 /// Exits when its waves are exhausted, when the learner hangs up (send or
 /// version wait fails), or at the injected fault.
 pub(super) fn run_rollout_worker(
-    spec: &WorkerSpec,
-    schedule: Option<&VersionSchedule>,
+    spec: &WorkerSpec<'_>,
     store: &VersionStore,
     dataset: &Arc<TransitionDataset>,
     telemetry: &telemetry::Telemetry,
@@ -91,30 +83,24 @@ pub(super) fn run_rollout_worker(
     // thread so `workers × NN_NUM_THREADS` nested pools don't oversubscribe
     // the machine. Kernels are bit-identical at any thread count, so this
     // is a scheduling choice, not a numeric one.
-    nn::threads::with_serial(|| run_waves(spec, schedule, store, dataset, telemetry, tx));
+    nn::threads::with_serial(|| run_waves(spec, store, dataset, telemetry, tx));
 }
 
 fn run_waves(
-    spec: &WorkerSpec,
-    schedule: Option<&VersionSchedule>,
+    spec: &WorkerSpec<'_>,
     store: &VersionStore,
     dataset: &Arc<TransitionDataset>,
     telemetry: &telemetry::Telemetry,
     tx: &ShardSender,
 ) {
-    let total = match schedule {
-        // Replay reruns exactly the recorded waves (an early-stopped run
-        // records fewer waves than the full budget).
-        Some(s) => s.entries.len().min(total_waves(spec.rollouts, spec.lanes)),
-        None => total_waves(spec.rollouts, spec.lanes),
-    };
+    let p = spec.params;
     let mut env: Option<BatchedSyntheticEnv> = None;
     let mut g = spec.first_wave;
-    while g < total {
+    while g < spec.planned {
         if spec.fault_at == Some(g) {
             return; // injected crash: drop the sender mid-plan
         }
-        let version = match schedule {
+        let version = match &p.schedule {
             None => store.latest(),
             Some(s) => match store.wait_for(s.entries[g].version) {
                 Some(v) => v,
@@ -128,15 +114,15 @@ fn run_waves(
             let mut env = BatchedSyntheticEnv::new(
                 (*version.dynamics).clone(),
                 (**dataset).clone(),
-                spec.consumer_budget,
+                p.consumer_budget,
                 0,
-                spec.lanes,
+                p.lanes,
             );
             env.set_telemetry(telemetry.clone());
             env
         });
-        let seed = wave_seed(spec.synth_seed, g);
-        let active = active_lanes(g, spec.rollouts, spec.lanes);
+        let seed = wave_seed(p.synth_seed, g);
+        let active = active_lanes(g, p.rollouts, p.lanes);
         env.reseed_lanes(seed);
         env.reset(active);
         let mut noise_rng = SmallRng::seed_from_u64(seed ^ NOISE_STREAM_SALT);
@@ -145,9 +131,9 @@ fn run_waves(
         let j = env.state_dim();
         let lend_before = env.lend_triggers();
         let mut wave =
-            WaveResult::with_capacity(spec.worker, g, version.version, active, j, spec.rollout_len);
+            WaveResult::with_capacity(g % p.workers, g, version.version, active, j, p.rollout_len);
         let mut prev = Matrix::zeros(active, j);
-        for _ in 0..spec.rollout_len {
+        for _ in 0..p.rollout_len {
             prev.as_mut_slice().copy_from_slice(env.states().as_slice());
             let actions = policy.act_batch(&prev);
             env.step(&actions);
@@ -160,7 +146,7 @@ fn run_waves(
         if tx.send(wave).is_err() {
             return; // learner hung up
         }
-        g += spec.workers;
+        g += p.workers;
     }
 }
 

@@ -13,7 +13,8 @@
 //!    Lend–Giveback procedure that fixes the model's behaviour near the
 //!    WIP ≈ 0 boundary.
 //! 3. **Policy learning** (§IV-D): DDPG trained against the learnt model
-//!    wrapped as a synthetic environment ([`SyntheticEnv`]).
+//!    wrapped as a synthetic environment ([`BatchedSyntheticEnv`], with
+//!    [`SyntheticEnv`] as its single-environment reference).
 //! 4. **The iterative loop** (§IV-E, Algorithm 2): [`MirasTrainer`]
 //!    alternates real-environment data collection, model retraining, and
 //!    policy improvement; the result is a [`MirasAgent`] producing consumer
@@ -55,6 +56,7 @@ pub mod distributed;
 mod dynamics;
 mod ensemble_model;
 mod refine;
+mod rollout;
 mod synth_env;
 mod trainer;
 

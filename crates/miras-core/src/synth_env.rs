@@ -4,7 +4,6 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use rl::policy::allocation_largest_remainder;
 use rl::{Environment, Transition as RlTransition};
-use telemetry::Telemetry;
 
 use crate::{RefinedModel, TransitionDataset};
 
@@ -15,6 +14,10 @@ use crate::{RefinedModel, TransitionDataset};
 ///
 /// Initial states are drawn from the collected dataset; rewards follow the
 /// paper's `r = 1 − Σ_j ŵ_j`.
+///
+/// This is the single-environment reference: the trainer's rollout engine
+/// steps a [`BatchedSyntheticEnv`](crate::BatchedSyntheticEnv), whose every
+/// lane the tests hold to this type bit for bit.
 ///
 /// # Examples
 ///
@@ -52,7 +55,6 @@ pub struct SyntheticEnv {
     /// training inside the region where the model is meaningful.
     state_cap: Vec<f64>,
     rng: SmallRng,
-    telemetry: Telemetry,
     lend_triggers: u64,
     /// Reused per-step buffer for the f64 view of the discretised
     /// allocation, so stepping does not allocate it afresh each call.
@@ -102,18 +104,9 @@ impl SyntheticEnv {
             state,
             state_cap,
             rng,
-            telemetry: Telemetry::noop(),
             lend_triggers: 0,
             action_buf: Vec::with_capacity(j),
         }
-    }
-
-    /// Attaches a telemetry handle: each step counts Lend–Giveback
-    /// refinement triggers (`synth.lend_triggers`, the number of state
-    /// dimensions below the refined model's `τ_j` threshold) and the
-    /// overall step count.
-    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.telemetry = telemetry;
     }
 
     /// Number of Lend–Giveback trigger firings observed so far (state
@@ -186,10 +179,6 @@ impl Environment for SyntheticEnv {
         // The prediction is the single materialisation: copy it into the
         // stored state and hand the buffer itself to the caller.
         self.state.copy_from_slice(&next);
-        if self.telemetry.is_enabled() {
-            self.telemetry.counter("synth.steps", 1);
-            self.telemetry.counter("synth.lend_triggers", triggers);
-        }
         RlTransition {
             next_state: next,
             reward,

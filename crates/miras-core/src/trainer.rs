@@ -10,13 +10,10 @@ use rl::{Ddpg, Environment, TrainError, TrainHealth};
 use serde::{Deserialize, Serialize};
 
 use crate::checkpoint::{CheckpointError, CheckpointPayload, CHECKPOINT_VERSION};
-use crate::config::RolloutMode;
-use crate::distributed::{
-    run_distributed_rollouts, DistributedParams, VersionSchedule, WorkerFault,
-};
+use crate::distributed::{VersionSchedule, WorkerFault};
+use crate::rollout::{run_rollouts, RolloutParams};
 use crate::{
-    BatchedSyntheticEnv, ClusterEnvAdapter, DynamicsModel, MirasAgent, MirasConfig, RefinedModel,
-    SyntheticEnv, TransitionDataset,
+    ClusterEnvAdapter, DynamicsModel, MirasAgent, MirasConfig, RefinedModel, TransitionDataset,
 };
 
 /// Why a self-healing training driver ultimately gave up.
@@ -101,10 +98,10 @@ pub struct MirasTrainer {
     rng: SmallRng,
     telemetry: telemetry::Telemetry,
     lend_triggers_total: u64,
-    /// Manifest of the last completed distributed inner loop (see
+    /// Manifest of the last completed inner loop (see
     /// [`MirasTrainer::last_version_schedule`]).
     last_schedule: Option<VersionSchedule>,
-    /// One-shot chaos hook consumed by the next distributed inner loop.
+    /// One-shot chaos hook consumed by the next inner loop.
     worker_fault: Option<WorkerFault>,
 }
 
@@ -233,12 +230,14 @@ impl MirasTrainer {
     }
 
     /// [`try_run_iteration`](MirasTrainer::try_run_iteration) with the
-    /// distributed inner loop forced to replay a recorded
+    /// inner loop's rollout workers forced to replay a recorded
     /// [`VersionSchedule`] instead of adopting fresh weight versions:
     /// given the schedule a previous run recorded
     /// ([`last_version_schedule`](MirasTrainer::last_version_schedule)),
-    /// the iteration reproduces that run bit for bit. Ignored under
-    /// non-distributed rollout modes.
+    /// the iteration reproduces that run bit for bit. Schedules exist only
+    /// for `workers ≥ 2` rollout modes: the inline shapes (`Sequential`,
+    /// `Lockstep`, `Distributed` with one worker) are bit-stable without
+    /// one and reject it.
     ///
     /// # Errors
     ///
@@ -246,8 +245,9 @@ impl MirasTrainer {
     ///
     /// # Panics
     ///
-    /// Panics if `schedule` was recorded under a different worker/lane
-    /// configuration or fails [`VersionSchedule::validate`].
+    /// Panics if `schedule` is passed under an inline rollout mode, was
+    /// recorded under a different worker/lane configuration, or fails
+    /// [`VersionSchedule::validate`].
     pub fn try_run_iteration_scheduled(
         &mut self,
         real_env: &mut ClusterEnvAdapter,
@@ -306,15 +306,28 @@ impl MirasTrainer {
             .seed
             .wrapping_add(0xBEEF)
             .wrapping_add(self.iteration as u64);
-        let (returns, rollouts_run, lend_triggers) = match self.config.rollout_mode {
-            RolloutMode::Sequential => self.inner_loop_sequential(refined, synth_seed, health)?,
-            RolloutMode::Lockstep(lanes) => {
-                self.inner_loop_lockstep(refined, synth_seed, lanes, health)?
-            }
-            RolloutMode::Distributed { workers, lanes } => {
-                self.inner_loop_distributed(refined, synth_seed, workers, lanes, schedule, health)?
-            }
+        let (workers, lanes) = self.config.rollout_mode.shape();
+        let params = RolloutParams {
+            workers,
+            lanes,
+            rollout_len: self.config.rollout_len,
+            rollouts: self.config.rollouts_per_iter,
+            patience: self.config.inner_patience,
+            consumer_budget: self.consumer_budget,
+            synth_seed,
+            schedule: schedule.cloned(),
+            fault: self.worker_fault.take(),
         };
+        let outcome = run_rollouts(
+            &mut self.agent,
+            refined,
+            &self.dataset,
+            &params,
+            health,
+            &self.telemetry,
+        )?;
+        self.last_schedule = outcome.schedule;
+        let (returns, lend_triggers) = (outcome.returns, outcome.lend_triggers);
         let synthetic_return_mean = if returns.is_empty() {
             0.0
         } else {
@@ -332,7 +345,7 @@ impl MirasTrainer {
             dataset_size: self.dataset.len(),
             model_loss,
             synthetic_return_mean,
-            rollouts_run,
+            rollouts_run: returns.len(),
             eval_return,
             exploration_sigma: self.agent.param_noise_sigma(),
         };
@@ -530,184 +543,23 @@ impl MirasTrainer {
         }
     }
 
-    /// The original sequential inner loop: one synthetic rollout at a time,
-    /// one model forward per step. Returns the per-rollout returns, the
-    /// number of rollouts actually run, and the Lend-trigger count.
-    fn inner_loop_sequential(
-        &mut self,
-        refined: RefinedModel,
-        synth_seed: u64,
-        health: &mut TrainHealth,
-    ) -> Result<(Vec<f64>, usize, u64), TrainError> {
-        let mut synth = SyntheticEnv::new(
-            refined,
-            self.dataset.clone(),
-            self.consumer_budget,
-            synth_seed,
-        );
-        synth.set_telemetry(self.telemetry.clone());
-        let mut returns = Vec::new();
-        let mut best = f64::NEG_INFINITY;
-        let mut stale = 0usize;
-        let mut rollouts_run = 0usize;
-        for _ in 0..self.config.rollouts_per_iter {
-            let mut s = synth.reset();
-            self.agent.resample_perturbation();
-            let mut total = 0.0;
-            for _ in 0..self.config.rollout_len {
-                let a = self.agent.act_exploratory(&s);
-                let t = synth.step(&a);
-                self.agent.observe(&s, &a, t.reward, &t.next_state);
-                let _ = self.agent.try_train_step(health)?;
-                total += t.reward;
-                s = t.next_state;
-            }
-            returns.push(total);
-            rollouts_run += 1;
-            // "until performance of the policy stops improving"
-            if self.config.inner_patience > 0 {
-                if total > best {
-                    best = total;
-                    stale = 0;
-                } else {
-                    stale += 1;
-                    if stale >= self.config.inner_patience {
-                        break;
-                    }
-                }
-            }
-        }
-        Ok((returns, rollouts_run, synth.lend_triggers()))
-    }
-
-    /// The lockstep inner loop: the rollout budget is consumed in waves of
-    /// up to `lanes` lanes stepped simultaneously, so each step runs ONE
-    /// batched dynamics forward and ONE batched actor forward for the whole
-    /// wave. Per environment step the agent still performs one train step
-    /// per active lane, preserving the sequential loop's data-to-update
-    /// ratio. Early-stop patience is applied to completed-lane returns in
-    /// lane order. With `lanes == 1` every RNG stream is consumed in the
-    /// sequential order, so the result is bit-identical to
-    /// [`MirasTrainer::inner_loop_sequential`].
-    fn inner_loop_lockstep(
-        &mut self,
-        refined: RefinedModel,
-        synth_seed: u64,
-        lanes: usize,
-        health: &mut TrainHealth,
-    ) -> Result<(Vec<f64>, usize, u64), TrainError> {
-        assert!(lanes > 0, "lockstep rollout mode needs at least one lane");
-        let mut env = BatchedSyntheticEnv::new(
-            refined,
-            self.dataset.clone(),
-            self.consumer_budget,
-            synth_seed,
-            lanes,
-        );
-        env.set_telemetry(self.telemetry.clone());
-        let mut returns = Vec::new();
-        let mut best = f64::NEG_INFINITY;
-        let mut stale = 0usize;
-        let mut rollouts_run = 0usize;
-        let mut remaining = self.config.rollouts_per_iter;
-        let mut prev_states = nn::Matrix::zeros(0, 0);
-        let mut totals: Vec<f64> = Vec::with_capacity(lanes);
-        'waves: while remaining > 0 {
-            let active = lanes.min(remaining);
-            env.reset(active);
-            self.agent.resample_perturbation();
-            totals.clear();
-            totals.resize(active, 0.0);
-            for _ in 0..self.config.rollout_len {
-                // The step swaps the env's state buffers, so keep a copy of
-                // the pre-step states for the replay transitions.
-                prev_states.resize(env.states().rows(), env.states().cols());
-                prev_states
-                    .as_mut_slice()
-                    .copy_from_slice(env.states().as_slice());
-                let actions = self.agent.act_exploratory_batch(&prev_states);
-                env.step(&actions);
-                self.agent
-                    .observe_batch(&prev_states, &actions, env.rewards(), env.states());
-                for (t, &r) in totals.iter_mut().zip(env.rewards()) {
-                    *t += r;
-                }
-                for _ in 0..active {
-                    let _ = self.agent.try_train_step(health)?;
-                }
-            }
-            for &total in &totals {
-                returns.push(total);
-                rollouts_run += 1;
-                remaining -= 1;
-                if self.config.inner_patience > 0 {
-                    if total > best {
-                        best = total;
-                        stale = 0;
-                    } else {
-                        stale += 1;
-                        if stale >= self.config.inner_patience {
-                            break 'waves;
-                        }
-                    }
-                }
-            }
-        }
-        Ok((returns, rollouts_run, env.lend_triggers()))
-    }
-
-    /// The distributed inner loop: delegates to
-    /// [`distributed::run_distributed_rollouts`](crate::distributed::run_distributed_rollouts)
-    /// and records the run's version-schedule manifest.
-    fn inner_loop_distributed(
-        &mut self,
-        refined: RefinedModel,
-        synth_seed: u64,
-        workers: usize,
-        lanes: usize,
-        schedule: Option<&VersionSchedule>,
-        health: &mut TrainHealth,
-    ) -> Result<(Vec<f64>, usize, u64), TrainError> {
-        let params = DistributedParams {
-            workers,
-            lanes,
-            rollout_len: self.config.rollout_len,
-            rollouts: self.config.rollouts_per_iter,
-            patience: self.config.inner_patience,
-            consumer_budget: self.consumer_budget,
-            synth_seed,
-            train: true,
-            schedule: schedule.cloned(),
-            fault: self.worker_fault.take(),
-        };
-        let outcome = run_distributed_rollouts(
-            &mut self.agent,
-            refined,
-            &self.dataset,
-            &params,
-            health,
-            &self.telemetry,
-        )?;
-        self.last_schedule = Some(outcome.schedule);
-        Ok((outcome.returns, outcome.rollouts_run, outcome.lend_triggers))
-    }
-
-    /// The version-schedule manifest recorded by the most recent
-    /// distributed inner loop: which weight version each worker adopted
-    /// for each rollout wave. Replaying it through
+    /// The version-schedule manifest recorded by the most recent inner
+    /// loop: which weight version each worker adopted for each rollout
+    /// wave. Replaying it through
     /// [`try_run_iteration_scheduled`](MirasTrainer::try_run_iteration_scheduled)
     /// (from the same pre-iteration state) reproduces the iteration bit
-    /// for bit. `None` until a distributed iteration has run; persisted in
+    /// for bit. `None` until an iteration has run and under the inline
+    /// rollout modes, which have no worker that can lag; persisted in
     /// checkpoints.
     #[must_use]
     pub fn last_version_schedule(&self) -> Option<&VersionSchedule> {
         self.last_schedule.as_ref()
     }
 
-    /// Arms a one-shot worker crash for the *next* distributed inner loop
+    /// Arms a one-shot worker crash for the *next* inner loop
     /// (chaos/testing hook): the given worker silently dies right before
     /// generating the given global wave, and the learner must respawn it.
-    /// Ignored by non-distributed rollout modes and by `workers = 1` runs.
+    /// Ignored by the inline rollout modes, which spawn no worker.
     pub fn inject_worker_fault(&mut self, fault: WorkerFault) {
         self.worker_fault = Some(fault);
     }
@@ -866,25 +718,6 @@ mod tests {
         assert_eq!(run(10), run(10));
     }
 
-    /// A one-lane lockstep inner loop consumes every RNG stream in the
-    /// sequential order, so whole iterations — reports, agent state, and
-    /// real-environment state — must match the sequential mode bit for bit.
-    #[test]
-    fn lockstep_one_lane_is_bit_identical_to_sequential() {
-        let mut seq_env = real_env(21);
-        let mut seq = MirasTrainer::new(&seq_env, MirasConfig::smoke_test(22));
-        let mut lock_env = real_env(21);
-        let mut lock = MirasTrainer::new(&lock_env, MirasConfig::smoke_test(22).with_lockstep(1));
-        for _ in 0..2 {
-            let r_seq = seq.run_iteration(&mut seq_env);
-            let r_lock = lock.run_iteration(&mut lock_env);
-            assert_eq!(r_seq, r_lock);
-        }
-        assert_eq!(seq.lend_triggers_total(), lock.lend_triggers_total());
-        assert_eq!(seq.agent_mut().snapshot(), lock.agent_mut().snapshot());
-        assert_eq!(seq_env.snapshot(), lock_env.snapshot());
-    }
-
     /// Wide lockstep waves must run the full rollout budget and produce a
     /// healthy report (values differ from sequential by design: exploration
     /// randomness is consumed in lane order).
@@ -915,31 +748,24 @@ mod tests {
         }
     }
 
-    /// A one-worker distributed run hosts the environment on a worker
-    /// thread but executes the exact lockstep learner body, so whole
-    /// iterations must match `Lockstep(lanes)` bit for bit — the same
-    /// base-case discipline as `Lockstep(1)` ≡ `Sequential`.
+    /// One worker has nothing to lag behind: `Distributed {1, B}` runs the
+    /// inline engine, records no manifest, and rejects a schedule instead
+    /// of silently ignoring it.
     #[test]
-    fn distributed_one_worker_is_bit_identical_to_lockstep() {
-        let mut lock_env = real_env(31);
-        let mut lock = MirasTrainer::new(&lock_env, MirasConfig::smoke_test(32).with_lockstep(2));
-        let mut dist_env = real_env(31);
-        let mut dist = MirasTrainer::new(
-            &dist_env,
-            MirasConfig::smoke_test(32).with_distributed(1, 2),
-        );
-        for _ in 0..2 {
-            let r_lock = lock.run_iteration(&mut lock_env);
-            let r_dist = dist.run_iteration(&mut dist_env);
-            assert_eq!(r_lock, r_dist);
-        }
-        assert_eq!(lock.lend_triggers_total(), dist.lend_triggers_total());
-        assert_eq!(lock.agent_mut().snapshot(), dist.agent_mut().snapshot());
-        assert_eq!(lock_env.snapshot(), dist_env.snapshot());
-        // The degenerate manifest: one worker, zero lag everywhere.
-        let schedule = dist.last_version_schedule().unwrap();
-        schedule.validate().unwrap();
-        assert!(schedule.entries.iter().all(|e| e.worker == 0));
+    #[should_panic(expected = "version schedules exist only for workers ≥ 2")]
+    fn schedule_under_an_inline_shape_is_rejected() {
+        let mut env = real_env(31);
+        let mut trainer =
+            MirasTrainer::new(&env, MirasConfig::smoke_test(32).with_distributed(1, 2));
+        let _ = trainer.run_iteration(&mut env);
+        assert_eq!(trainer.last_version_schedule(), None);
+        let schedule = VersionSchedule {
+            workers: 1,
+            lanes: 2,
+            entries: Vec::new(),
+        };
+        let mut health = TrainHealth::default_policy();
+        let _ = trainer.try_run_iteration_scheduled(&mut env, &mut health, Some(&schedule));
     }
 
     /// The version-schedule manifest fully determines an async N-worker

@@ -62,8 +62,9 @@ commands:
              stream/drs, heft, monad)
   train     --ensemble msd|ligo|gpu-serve [--iterations N] [--paper] [--smoke]
             [--seed N] [--out FILE] [--workers N] [--lanes B]
-            (--workers 2+ runs the distributed actor-learner inner loop;
-             --workers 1 is the lockstep loop on a worker thread)
+            (--lanes B steps B synthetic rollouts in lockstep; --workers 2+
+             moves them onto actor-learner worker threads, below that the
+             inner loop runs inline)
   evaluate  --agent FILE [--ensemble msd|ligo|gpu-serve] [--burst N,N,..]
             [--trace FILE] [--windows N] [--seed N]
   allocate  --agent FILE --wip X,X,..
@@ -252,17 +253,23 @@ fn train(flags: &Flags) -> Result<(), String> {
             _ => MirasConfig::msd_fast(seed),
         }
     };
-    // --workers switches the inner loop to the distributed actor-learner
-    // system; --lanes sets the lockstep width of each worker's env.
+    // --workers 2+ hands the inner loop's rollouts to actor-learner worker
+    // threads; --lanes sets the lockstep width of each rollout wave.
     let workers = numeric::<usize>(flags, "workers", 0)?;
     if workers > 0 {
         let lanes = numeric(flags, "lanes", 4usize)?;
         config = config
             .try_with_distributed(workers, lanes)
             .map_err(|e| e.to_string())?;
-        println!("distributed inner loop: {workers} worker(s) x {lanes} lanes");
     } else if flags.contains_key("lanes") {
-        return Err("--lanes needs --workers N".to_string());
+        let lanes = numeric(flags, "lanes", 1usize)?;
+        config = config.try_with_lockstep(lanes).map_err(|e| e.to_string())?;
+    }
+    match config.rollout_mode.shape() {
+        (workers, lanes) if workers >= 2 => {
+            println!("rollout engine: {workers} actor-learner workers x {lanes} lanes");
+        }
+        (_, lanes) => println!("rollout engine: inline, {lanes} lane(s)"),
     }
     let env_config = EnvConfig::for_ensemble(&ensemble).with_seed(seed);
     let mut env = ClusterEnvAdapter::new(MicroserviceEnv::new(ensemble, env_config));
