@@ -1,6 +1,6 @@
 //! The simulation engine: a clock plus an event queue.
 
-use crate::{EventQueue, QueueKind, SimTime};
+use crate::{EventQueue, SimTime};
 use telemetry::Telemetry;
 
 /// A discrete-event simulation engine.
@@ -40,38 +40,18 @@ pub struct Engine<E> {
 }
 
 impl<E> Engine<E> {
-    /// Creates an engine with an empty binary-heap queue and the clock at
+    /// Creates an engine with an empty queue and the clock at
     /// [`SimTime::ZERO`].
     #[must_use]
     pub fn new() -> Self {
-        Engine::with_queue_kind(QueueKind::Heap)
-    }
-
-    /// Creates an engine whose event queue runs on the given backend. Both
-    /// backends deliver the exact same event sequence; see [`QueueKind`].
-    #[must_use]
-    pub fn with_queue_kind(kind: QueueKind) -> Self {
         Engine {
-            queue: EventQueue::with_kind(kind),
+            queue: EventQueue::new(),
             now: SimTime::ZERO,
             processed: 0,
             telemetry: Telemetry::noop(),
             checkpoint_processed: 0,
             checkpoint_cascades: 0,
         }
-    }
-
-    /// Which backend the event queue runs on.
-    #[must_use]
-    pub fn queue_kind(&self) -> QueueKind {
-        self.queue.kind()
-    }
-
-    /// Events cascaded from the wheel's far-future overflow heap so far
-    /// (always 0 on the heap backend).
-    #[must_use]
-    pub fn wheel_cascades(&self) -> u64 {
-        self.queue.cascades()
     }
 
     /// Attaches a telemetry handle. The engine records nothing in the event
@@ -211,7 +191,6 @@ impl<E> Engine<E> {
             processed: self.processed,
             events: self.queue.snapshot_events(),
             next_seq: self.queue.next_seq(),
-            kind: self.queue.kind(),
         }
     }
 
@@ -224,24 +203,18 @@ impl<E> Engine<E> {
             now: self.now,
             processed: self.processed,
             next_seq: self.queue.next_seq(),
-            kind: self.queue.kind(),
             events: self.queue.into_snapshot_events(),
         }
     }
 
     /// Rebuilds an engine from an [`Engine::snapshot`] capture. The restored
     /// engine delivers the exact same event sequence as the original,
-    /// including FIFO ordering of simultaneous events, and runs on the queue
-    /// backend recorded in the snapshot. Telemetry is detached (re-attach
-    /// with [`Engine::set_telemetry`]).
+    /// including FIFO ordering of simultaneous events. Telemetry is detached
+    /// (re-attach with [`Engine::set_telemetry`]).
     #[must_use]
     pub fn from_snapshot(snapshot: EngineSnapshot<E>) -> Self {
         Engine {
-            queue: EventQueue::from_snapshot_with(
-                snapshot.kind,
-                snapshot.events,
-                snapshot.next_seq,
-            ),
+            queue: EventQueue::from_snapshot(snapshot.events, snapshot.next_seq),
             now: snapshot.now,
             processed: snapshot.processed,
             telemetry: Telemetry::noop(),
@@ -266,9 +239,6 @@ pub struct EngineSnapshot<E> {
     pub events: Vec<(SimTime, u64, E)>,
     /// The queue's next FIFO tie-breaking sequence number.
     pub next_seq: u64,
-    /// The queue backend to restore onto. Snapshots are backend-agnostic, so
-    /// restoring onto a different kind still replays the identical sequence.
-    pub kind: QueueKind,
 }
 
 impl<E> Default for Engine<E> {

@@ -36,8 +36,7 @@
 mod engine;
 mod queue;
 mod time;
-mod wheel;
 
 pub use engine::{Engine, EngineSnapshot};
-pub use queue::{EventQueue, QueueKind, ScheduledEvent};
+pub use queue::{EventQueue, ScheduledEvent};
 pub use time::SimTime;

@@ -1,11 +1,39 @@
-//! A stable min-priority queue of timestamped events.
+//! A stable min-priority queue of timestamped events: a calendar-queue
+//! (timing-wheel) scheduler with a far-future overflow heap.
+//!
+//! The wheel keys events on coarse *ticks* of the [`SimTime`] axis
+//! (`tick = micros >> TICK_SHIFT`) and spreads near-future ticks over a
+//! power-of-two ring of slots. Steady-state cost per event is O(1) slot
+//! arithmetic plus a small heapify among the events sharing one tick,
+//! instead of the global `O(log n)` of a binary heap over every pending
+//! event.
+//!
+//! Regions, by tick relative to the wheel cursor `current_tick`:
+//!
+//! * **current** — a small binary heap of events at ticks `<= current_tick`
+//!   (including past-time pushes). Always the pop source; its heap order is
+//!   exactly the [`ScheduledEvent`] `(time, seq)` order, so pops are
+//!   bit-identical to one binary heap over every pending event.
+//! * **wheel** — `slots[tick & SLOT_MASK]` holds events with
+//!   `tick - current_tick` in `[1, NUM_SLOTS)`, unsorted (they are sorted by
+//!   heapifying when their slot becomes current). A two-level occupancy
+//!   bitmap (one summary word over 64 occupancy words) finds the next
+//!   occupied slot without scanning empty ones.
+//! * **far** — a binary heap for everything beyond the wheel horizon.
+//!   When the cursor advances, far events that fall inside the new frame
+//!   *cascade* into the wheel (or straight into `current`).
+//!
+//! Determinism argument: the three regions partition events by tick, and
+//! ticks are monotone in time, so the earliest event overall is always in
+//! the earliest non-empty region; merging equal-tick events from the wheel
+//! slot and the far heap into `current` lets the `(time, seq)` heap order
+//! resolve every remaining tie exactly as one global heap would —
+//! `tests/queue_equivalence.rs` checks that against a `std` heap, operation
+//! for operation.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use serde::{Deserialize, Serialize};
-
-use crate::wheel::TimingWheel;
 use crate::SimTime;
 
 /// An event together with its delivery time and a FIFO tie-breaking sequence
@@ -47,32 +75,19 @@ impl<E> Ord for ScheduledEvent<E> {
     }
 }
 
-/// Which scheduler backs an [`EventQueue`] (or an
-/// [`Engine`](crate::Engine)).
-///
-/// Both backends pop the exact same `(time, seq, event)` sequence — the
-/// choice is purely a performance trade-off. The binary heap costs
-/// `O(log n)` per operation in the total number of pending events; the
-/// timing wheel buckets near-future events by coarse time tick so its cost
-/// scales with the handful of events sharing a tick instead (see
-/// [`crate::wheel`] internals and `DESIGN.md` §13).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum QueueKind {
-    /// A single global binary heap over all pending events.
-    Heap,
-    /// A calendar-queue timing wheel with a far-future overflow heap.
-    #[default]
-    Wheel,
-}
+/// log2 of the tick length in microseconds: 2^13 µs ≈ 8.2 ms per tick.
+const TICK_SHIFT: u32 = 13;
+/// Number of wheel slots (power of two): horizon ≈ 4096 × 8.2 ms ≈ 33.6 s,
+/// which covers a full 30 s decision window of arrivals plus the 5–10 s
+/// container start-up delays without touching the far heap.
+const NUM_SLOTS: u64 = 4096;
+const SLOT_MASK: u64 = NUM_SLOTS - 1;
+/// Occupancy words (64 slots per word) and bits in the summary word.
+const WORDS: usize = (NUM_SLOTS / 64) as usize;
 
-// The wheel variant is large (inline slot headers + occupancy bitmap), but
-// every `EventQueue` holds exactly one backend for its whole lifetime, so
-// boxing would buy nothing except a pointer hop on every push/pop.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone)]
-enum Backend<E> {
-    Heap(BinaryHeap<ScheduledEvent<E>>),
-    Wheel(TimingWheel<E>),
+#[inline]
+fn tick_of(time: SimTime) -> u64 {
+    time.as_micros() >> TICK_SHIFT
 }
 
 /// A min-priority queue of events keyed by [`SimTime`], with stable FIFO
@@ -92,99 +107,229 @@ enum Backend<E> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
-    backend: Backend<E>,
+    /// Events at ticks `<= current_tick`, popped in `(time, seq)` order.
+    current: BinaryHeap<ScheduledEvent<E>>,
+    /// Ring of unsorted buckets for ticks within the wheel horizon.
+    slots: Vec<Vec<ScheduledEvent<E>>>,
+    /// `occupancy[w]` bit `b` set iff `slots[w * 64 + b]` is non-empty.
+    occupancy: [u64; WORDS],
+    /// Bit `w` set iff `occupancy[w] != 0`.
+    summary: u64,
+    /// Events beyond the wheel horizon.
+    far: BinaryHeap<ScheduledEvent<E>>,
+    /// The wheel cursor: every wheel/far event has a tick strictly above it.
+    current_tick: u64,
+    len: usize,
+    /// Events moved from the far heap into the wheel frame so far.
+    cascades: u64,
     next_seq: u64,
 }
 
 impl<E> EventQueue<E> {
-    /// Creates an empty binary-heap queue.
+    /// Creates an empty queue.
     #[must_use]
     pub fn new() -> Self {
-        EventQueue::with_kind(QueueKind::Heap)
-    }
-
-    /// Creates an empty queue on the given backend.
-    #[must_use]
-    pub fn with_kind(kind: QueueKind) -> Self {
-        let backend = match kind {
-            QueueKind::Heap => Backend::Heap(BinaryHeap::new()),
-            QueueKind::Wheel => Backend::Wheel(TimingWheel::new()),
-        };
         EventQueue {
-            backend,
+            current: BinaryHeap::new(),
+            slots: std::iter::repeat_with(Vec::new)
+                .take(NUM_SLOTS as usize)
+                .collect(),
+            occupancy: [0; WORDS],
+            summary: 0,
+            far: BinaryHeap::new(),
+            current_tick: 0,
+            len: 0,
+            cascades: 0,
             next_seq: 0,
         }
     }
 
-    /// Which backend this queue runs on.
-    #[must_use]
-    pub fn kind(&self) -> QueueKind {
-        match &self.backend {
-            Backend::Heap(_) => QueueKind::Heap,
-            Backend::Wheel(_) => QueueKind::Wheel,
-        }
-    }
-
     /// Events moved from the far-future overflow heap into the wheel frame
-    /// so far. Always 0 on the heap backend.
+    /// so far.
     #[must_use]
     pub fn cascades(&self) -> u64 {
-        match &self.backend {
-            Backend::Heap(_) => 0,
-            Backend::Wheel(w) => w.cascades(),
-        }
+        self.cascades
     }
 
     /// Schedules `event` to fire at `time`.
     pub fn push(&mut self, time: SimTime, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let ev = ScheduledEvent { time, seq, event };
-        match &mut self.backend {
-            Backend::Heap(heap) => heap.push(ev),
-            Backend::Wheel(wheel) => wheel.insert(ev),
+        self.insert(ScheduledEvent { time, seq, event });
+    }
+
+    /// Files an event that already carries its sequence number.
+    fn insert(&mut self, ev: ScheduledEvent<E>) {
+        let tick = tick_of(ev.time);
+        if tick <= self.current_tick {
+            self.current.push(ev);
+        } else if tick - self.current_tick < NUM_SLOTS {
+            self.insert_slot(tick, ev);
+        } else {
+            self.far.push(ev);
         }
+        self.len += 1;
+    }
+
+    fn insert_slot(&mut self, tick: u64, ev: ScheduledEvent<E>) {
+        let slot = (tick & SLOT_MASK) as usize;
+        self.slots[slot].push(ev);
+        let word = slot / 64;
+        self.occupancy[word] |= 1 << (slot % 64);
+        self.summary |= 1 << word;
+    }
+
+    /// Cyclic distance (in slots) from `start` to the nearest occupied slot,
+    /// using the summary word to skip empty 64-slot spans.
+    fn next_occupied_distance(&self, start: usize) -> Option<u64> {
+        if self.summary == 0 {
+            return None;
+        }
+        let (w0, b0) = (start / 64, (start % 64) as u32);
+        // Same word, bits at or after the start position.
+        let masked = self.occupancy[w0] & (u64::MAX << b0);
+        if masked != 0 {
+            return Some(u64::from(masked.trailing_zeros() - b0));
+        }
+        // Later words, wrapping once around the ring; the start word is
+        // revisited last for its low bits.
+        for step in 1..=WORDS {
+            let w = (w0 + step) % WORDS;
+            if self.summary & (1 << w) == 0 {
+                continue;
+            }
+            let bits = if w == w0 {
+                self.occupancy[w] & !(u64::MAX << b0)
+            } else {
+                self.occupancy[w]
+            };
+            if bits != 0 {
+                let slot_in_word = u64::from(bits.trailing_zeros());
+                let dist = (step as u64) * 64 + slot_in_word - u64::from(b0);
+                return Some(dist);
+            }
+        }
+        None
+    }
+
+    /// The tick of the earliest wheel event, if any.
+    fn wheel_next_tick(&self) -> Option<u64> {
+        let start = ((self.current_tick + 1) & SLOT_MASK) as usize;
+        self.next_occupied_distance(start)
+            .map(|d| self.current_tick + 1 + d)
+    }
+
+    /// Refills `current` from the earliest of the wheel and far regions,
+    /// advancing the cursor. Far events that fall inside the new wheel frame
+    /// cascade in. No-op when `current` is already non-empty or everything
+    /// is drained.
+    fn advance(&mut self) {
+        if !self.current.is_empty() || self.len == 0 {
+            return;
+        }
+        let wheel_tick = self.wheel_next_tick();
+        let far_tick = self.far.peek().map(|e| tick_of(e.time));
+        let next_tick = match (wheel_tick, far_tick) {
+            (Some(w), Some(f)) => w.min(f),
+            (Some(w), None) => w,
+            (None, Some(f)) => f,
+            (None, None) => unreachable!("len > 0 with all regions empty"),
+        };
+        self.current_tick = next_tick;
+        if wheel_tick == Some(next_tick) {
+            let slot = (next_tick & SLOT_MASK) as usize;
+            let word = slot / 64;
+            self.occupancy[word] &= !(1 << (slot % 64));
+            if self.occupancy[word] == 0 {
+                self.summary &= !(1 << word);
+            }
+            for ev in self.slots[slot].drain(..) {
+                self.current.push(ev);
+            }
+        }
+        // Cascade far events now inside the frame. The far heap pops in
+        // (time, seq) order and ticks are monotone in time, so the first
+        // event beyond the horizon ends the drain.
+        while let Some(top) = self.far.peek() {
+            let tick = tick_of(top.time);
+            if tick <= self.current_tick {
+                let ev = self.far.pop().expect("peeked");
+                self.current.push(ev);
+            } else if tick - self.current_tick < NUM_SLOTS {
+                let ev = self.far.pop().expect("peeked");
+                self.insert_slot(tick, ev);
+            } else {
+                break;
+            }
+            self.cascades += 1;
+        }
+        debug_assert!(!self.current.is_empty());
     }
 
     /// Removes and returns the earliest event, or `None` when empty.
     pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        match &mut self.backend {
-            Backend::Heap(heap) => heap.pop(),
-            Backend::Wheel(wheel) => wheel.pop(),
+        if self.current.is_empty() {
+            self.advance();
         }
+        let ev = self.current.pop()?;
+        self.len -= 1;
+        Some(ev)
     }
 
     /// Returns the delivery time of the earliest pending event.
     #[must_use]
     pub fn peek_time(&self) -> Option<SimTime> {
-        match &self.backend {
-            Backend::Heap(heap) => heap.peek().map(|e| e.time),
-            Backend::Wheel(wheel) => wheel.peek_time(),
+        if let Some(ev) = self.current.peek() {
+            return Some(ev.time);
+        }
+        // Regions hold disjoint tick ranges (current < wheel, far at or
+        // beyond the wheel's ticks), so compare the wheel's earliest slot
+        // minimum with the far minimum; an earlier tick always means an
+        // earlier time.
+        let wheel_min = self.wheel_next_tick().map(|tick| {
+            let slot = (tick & SLOT_MASK) as usize;
+            self.slots[slot]
+                .iter()
+                .map(|e| e.time)
+                .min()
+                .expect("occupied slot is non-empty")
+        });
+        let far_min = self.far.peek().map(|e| e.time);
+        match (wheel_min, far_min) {
+            (Some(w), Some(f)) => Some(w.min(f)),
+            (w, f) => w.or(f),
         }
     }
 
     /// Number of pending events.
     #[must_use]
     pub fn len(&self) -> usize {
-        match &self.backend {
-            Backend::Heap(heap) => heap.len(),
-            Backend::Wheel(wheel) => wheel.len(),
-        }
+        self.len
     }
 
     /// Returns true when no events are pending.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.len == 0
     }
 
     /// Drops all pending events, keeping the sequence counter so ordering
-    /// stays stable across a clear.
+    /// stays stable across a clear. The cursor and cascade counter are kept
+    /// too; slot buffers retain their capacity for reuse.
     pub fn clear(&mut self) {
-        match &mut self.backend {
-            Backend::Heap(heap) => heap.clear(),
-            Backend::Wheel(wheel) => wheel.clear(),
+        self.current.clear();
+        self.far.clear();
+        for word in 0..WORDS {
+            let mut bits = self.occupancy[word];
+            while bits != 0 {
+                let slot = word * 64 + bits.trailing_zeros() as usize;
+                self.slots[slot].clear();
+                bits &= bits - 1;
+            }
+            self.occupancy[word] = 0;
         }
+        self.summary = 0;
+        self.len = 0;
     }
 
     /// The next sequence number that [`EventQueue::push`] would assign.
@@ -201,17 +346,15 @@ impl<E> EventQueue<E> {
     where
         E: Clone,
     {
-        match &self.backend {
-            Backend::Heap(heap) => {
-                let mut events: Vec<(SimTime, u64, E)> = heap
-                    .iter()
-                    .map(|e| (e.time, e.seq, e.event.clone()))
-                    .collect();
-                events.sort_by_key(|(time, seq, _)| (*time, *seq));
-                events
-            }
-            Backend::Wheel(wheel) => wheel.snapshot_events(),
-        }
+        let mut events: Vec<(SimTime, u64, E)> = self
+            .current
+            .iter()
+            .chain(self.slots.iter().flatten())
+            .chain(self.far.iter())
+            .map(|e| (e.time, e.seq, e.event.clone()))
+            .collect();
+        events.sort_by_key(|(time, seq, _)| (*time, *seq));
+        events
     }
 
     /// Consuming variant of [`EventQueue::snapshot_events`]: moves the
@@ -219,50 +362,27 @@ impl<E> EventQueue<E> {
     /// paths where the queue is being discarded anyway.
     #[must_use]
     pub fn into_snapshot_events(self) -> Vec<(SimTime, u64, E)> {
-        match self.backend {
-            Backend::Heap(heap) => {
-                let mut events: Vec<(SimTime, u64, E)> =
-                    heap.into_iter().map(|e| (e.time, e.seq, e.event)).collect();
-                events.sort_by_key(|(time, seq, _)| (*time, *seq));
-                events
-            }
-            Backend::Wheel(wheel) => wheel.into_snapshot_events(),
-        }
+        let mut events: Vec<(SimTime, u64, E)> = self
+            .current
+            .into_iter()
+            .chain(self.slots.into_iter().flatten())
+            .chain(self.far)
+            .map(|e| (e.time, e.seq, e.event))
+            .collect();
+        events.sort_by_key(|(time, seq, _)| (*time, *seq));
+        events
     }
 
-    /// Rebuilds a binary-heap queue from a [`EventQueue::snapshot_events`]
-    /// capture and the matching [`EventQueue::next_seq`], preserving the
-    /// original sequence numbers so simultaneous events still pop in their
-    /// original FIFO order.
+    /// Rebuilds a queue from a [`EventQueue::snapshot_events`] capture and
+    /// the matching [`EventQueue::next_seq`], preserving the original
+    /// sequence numbers so simultaneous events still pop in their original
+    /// FIFO order.
     #[must_use]
     pub fn from_snapshot(events: Vec<(SimTime, u64, E)>, next_seq: u64) -> Self {
-        EventQueue::from_snapshot_with(QueueKind::Heap, events, next_seq)
-    }
-
-    /// [`EventQueue::from_snapshot`] onto an explicit backend. Snapshots are
-    /// backend-agnostic: both backends restore the exact same pop sequence,
-    /// so a heap-era checkpoint can resume on the wheel and vice versa.
-    #[must_use]
-    pub fn from_snapshot_with(
-        kind: QueueKind,
-        events: Vec<(SimTime, u64, E)>,
-        next_seq: u64,
-    ) -> Self {
-        let mut queue = EventQueue::with_kind(kind);
+        let mut queue = EventQueue::new();
         queue.next_seq = next_seq;
-        match &mut queue.backend {
-            Backend::Heap(heap) => {
-                heap.extend(events.into_iter().map(|(time, seq, event)| ScheduledEvent {
-                    time,
-                    seq,
-                    event,
-                }));
-            }
-            Backend::Wheel(wheel) => {
-                for (time, seq, event) in events {
-                    wheel.insert(ScheduledEvent { time, seq, event });
-                }
-            }
+        for (time, seq, event) in events {
+            queue.insert(ScheduledEvent { time, seq, event });
         }
         queue
     }
@@ -278,106 +398,120 @@ impl<E> Default for EventQueue<E> {
 mod tests {
     use super::*;
 
-    /// Runs every queue test against both backends.
-    fn for_both(test: impl Fn(EventQueue<i32>)) {
-        test(EventQueue::with_kind(QueueKind::Heap));
-        test(EventQueue::with_kind(QueueKind::Wheel));
+    fn drain(q: &mut EventQueue<i32>) -> Vec<i32> {
+        std::iter::from_fn(|| q.pop().map(|e| e.event)).collect()
     }
 
     #[test]
     fn pops_in_time_order() {
-        for_both(|mut q| {
-            q.push(SimTime::from_secs(3), 3);
-            q.push(SimTime::from_secs(1), 1);
-            q.push(SimTime::from_secs(2), 2);
-            let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|e| e.event)).collect();
-            assert_eq!(order, vec![1, 2, 3]);
-        });
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_secs(3), 3);
+        q.push(SimTime::from_secs(1), 1);
+        q.push(SimTime::from_secs(2), 2);
+        assert_eq!(drain(&mut q), vec![1, 2, 3]);
     }
 
     #[test]
     fn simultaneous_events_are_fifo() {
-        for_both(|mut q| {
-            let t = SimTime::from_secs(5);
-            for i in 0..100 {
-                q.push(t, i);
-            }
-            let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|e| e.event)).collect();
-            assert_eq!(order, (0..100).collect::<Vec<_>>());
-        });
+        let mut q = EventQueue::new();
+        let t = SimTime::from_secs(5);
+        for i in 0..100 {
+            q.push(t, i);
+        }
+        assert_eq!(drain(&mut q), (0..100).collect::<Vec<_>>());
     }
 
     #[test]
-    fn peek_time_reports_earliest() {
-        for_both(|mut q| {
-            assert_eq!(q.peek_time(), None);
-            q.push(SimTime::from_secs(7), 0);
-            q.push(SimTime::from_secs(4), 0);
-            assert_eq!(q.peek_time(), Some(SimTime::from_secs(4)));
-        });
+    fn pops_across_all_three_regions_in_order() {
+        let mut q = EventQueue::new();
+        let horizon_micros = NUM_SLOTS << TICK_SHIFT;
+        // far, current, wheel — pushed out of order.
+        q.push(SimTime::from_micros(horizon_micros * 3), 30);
+        q.push(SimTime::from_micros(500), 10); // tick 0 → current
+        q.push(SimTime::from_micros(1 << 20), 20); // within the wheel frame
+        assert_eq!(drain(&mut q), vec![10, 20, 30]);
+        assert_eq!(q.len(), 0);
+    }
+
+    #[test]
+    fn equal_tick_far_events_merge_by_seq() {
+        let mut q = EventQueue::new();
+        let t = SimTime::from_micros((NUM_SLOTS + 100) << TICK_SHIFT); // beyond the horizon
+        q.push(t, 1);
+        q.push(t, 2);
+        assert_eq!(drain(&mut q), vec![1, 2]);
+        assert!(q.cascades() >= 1, "far events must have cascaded");
+    }
+
+    #[test]
+    fn wrap_around_the_ring_is_handled() {
+        let mut q = EventQueue::new();
+        // Park the cursor near the end of the ring, then push an event
+        // whose slot index wraps past zero.
+        let near_end = SLOT_MASK - 2;
+        q.push(SimTime::from_micros(near_end << TICK_SHIFT), 1);
+        assert_eq!(q.pop().map(|e| e.event), Some(1));
+        let wrapped = near_end + 10; // slot index (near_end + 10) & MASK < near_end
+        q.push(SimTime::from_micros(wrapped << TICK_SHIFT), 2);
+        assert_eq!(q.pop().map(|e| e.event), Some(2));
+    }
+
+    #[test]
+    fn peek_time_reports_earliest_without_mutating() {
+        let mut q = EventQueue::new();
+        assert_eq!(q.peek_time(), None);
+        q.push(SimTime::from_secs(7), 0);
+        q.push(SimTime::from_secs(4), 0);
+        assert_eq!(q.peek_time(), Some(SimTime::from_secs(4)));
+        assert_eq!(q.len(), 2);
     }
 
     #[test]
     fn clear_empties_but_keeps_fifo_stability() {
-        for_both(|mut q| {
-            q.push(SimTime::ZERO, 1);
-            q.clear();
-            assert!(q.is_empty());
-            let t = SimTime::from_secs(1);
-            q.push(t, 10);
-            q.push(t, 11);
-            assert_eq!(q.pop().unwrap().event, 10);
-            assert_eq!(q.pop().unwrap().event, 11);
-        });
+        let mut q = EventQueue::new();
+        q.push(SimTime::ZERO, 1);
+        q.clear();
+        assert!(q.is_empty());
+        let t = SimTime::from_secs(1);
+        q.push(t, 10);
+        q.push(t, 11);
+        assert_eq!(drain(&mut q), vec![10, 11]);
+    }
+
+    #[test]
+    fn clear_keeps_cursor_and_capacity() {
+        let mut q = EventQueue::new();
+        for i in 0..100 {
+            q.push(SimTime::from_micros(i * 10_000), i as i32);
+        }
+        while q.len() > 50 {
+            q.pop();
+        }
+        q.clear();
+        assert_eq!(q.len(), 0);
+        assert_eq!(q.pop().map(|e| e.event), None);
+        // Past-time pushes after a clear land in `current` and still pop.
+        q.push(SimTime::ZERO, 7);
+        assert_eq!(q.pop().map(|e| e.event), Some(7));
     }
 
     #[test]
     fn snapshot_round_trip_preserves_fifo_ties() {
-        for kind in [QueueKind::Heap, QueueKind::Wheel] {
-            let mut q = EventQueue::with_kind(kind);
-            let t = SimTime::from_secs(2);
-            q.push(SimTime::from_secs(3), 30);
-            for i in 0..10 {
-                q.push(t, i);
-            }
-            let restored = EventQueue::from_snapshot_with(kind, q.snapshot_events(), q.next_seq());
-            let mut a = q;
-            let mut b = restored;
-            loop {
-                match (a.pop(), b.pop()) {
-                    (None, None) => break,
-                    (x, y) => {
-                        let x = x.expect("restored queue too long");
-                        let y = y.expect("restored queue too short");
-                        assert_eq!((x.time, x.seq, x.event), (y.time, y.seq, y.event));
-                    }
-                }
-            }
-            assert_eq!(a.next_seq(), b.next_seq());
+        let mut a = EventQueue::new();
+        let t = SimTime::from_secs(2);
+        a.push(SimTime::from_secs(3), 30);
+        for i in 0..10 {
+            a.push(t, i);
         }
-    }
-
-    #[test]
-    fn snapshots_are_backend_agnostic() {
-        // A heap snapshot restored onto the wheel (and vice versa) pops the
-        // identical sequence.
-        let mut heap = EventQueue::with_kind(QueueKind::Heap);
-        for i in 0..50u32 {
-            heap.push(SimTime::from_millis(u64::from(i % 7) * 9000), i as i32);
-        }
-        let mut wheel = EventQueue::from_snapshot_with(
-            QueueKind::Wheel,
-            heap.snapshot_events(),
-            heap.next_seq(),
-        );
-        assert_eq!(wheel.kind(), QueueKind::Wheel);
+        let mut b = EventQueue::from_snapshot(a.snapshot_events(), a.next_seq());
+        assert_eq!(a.next_seq(), b.next_seq());
         loop {
-            match (heap.pop(), wheel.pop()) {
+            match (a.pop(), b.pop()) {
                 (None, None) => break,
-                (a, b) => {
-                    let a = a.expect("heap ended early");
-                    let b = b.expect("wheel ended early");
-                    assert_eq!((a.time, a.seq, a.event), (b.time, b.seq, b.event));
+                (x, y) => {
+                    let x = x.expect("restored queue too long");
+                    let y = y.expect("restored queue too short");
+                    assert_eq!((x.time, x.seq, x.event), (y.time, y.seq, y.event));
                 }
             }
         }
@@ -385,43 +519,39 @@ mod tests {
 
     #[test]
     fn into_snapshot_events_matches_cloning_snapshot() {
-        for kind in [QueueKind::Heap, QueueKind::Wheel] {
-            let mut q = EventQueue::with_kind(kind);
-            for i in 0..20 {
-                q.push(SimTime::from_millis((i * 37) % 11), i as i32);
-            }
-            let cloned = q.snapshot_events();
-            let consumed = q.into_snapshot_events();
-            assert_eq!(
-                cloned.len(),
-                consumed.len(),
-                "consuming snapshot dropped events"
-            );
-            for (a, b) in cloned.iter().zip(&consumed) {
-                assert_eq!(a, b);
-            }
+        let mut q = EventQueue::new();
+        for i in 0..20 {
+            q.push(SimTime::from_millis((i * 37) % 11), i as i32);
         }
+        let cloned = q.snapshot_events();
+        assert_eq!(cloned.len(), 20, "snapshot dropped events");
+        assert_eq!(cloned, q.into_snapshot_events());
     }
 
     #[test]
     fn len_tracks_push_pop() {
-        for_both(|mut q| {
-            q.push(SimTime::ZERO, 0);
-            q.push(SimTime::ZERO, 0);
-            assert_eq!(q.len(), 2);
-            q.pop();
-            assert_eq!(q.len(), 1);
-        });
+        let mut q = EventQueue::new();
+        q.push(SimTime::ZERO, 0);
+        q.push(SimTime::ZERO, 0);
+        assert_eq!(q.len(), 2);
+        q.pop();
+        assert_eq!(q.len(), 1);
     }
 
     #[test]
-    fn wheel_reports_cascades_for_far_future_events() {
-        let mut q: EventQueue<i32> = EventQueue::with_kind(QueueKind::Wheel);
-        q.push(SimTime::from_secs(3600), 1); // far beyond the wheel horizon
-        assert_eq!(q.cascades(), 0);
-        assert_eq!(q.pop().unwrap().event, 1);
-        assert_eq!(q.cascades(), 1);
-        let heap: EventQueue<i32> = EventQueue::new();
-        assert_eq!(heap.cascades(), 0);
+    fn every_constructor_builds_the_wheel() {
+        // An event beyond the ~33.6 s frame goes to the far heap and
+        // cascades in when popped; a plain heap would report 0.
+        let far = SimTime::from_secs(3600);
+        let mut new = EventQueue::new();
+        new.push(far, 1);
+        let mut default = EventQueue::default();
+        default.push(far, 1);
+        let restored = EventQueue::from_snapshot(vec![(far, 0, 1)], 1);
+        for mut q in [new, default, restored] {
+            assert_eq!(q.cascades(), 0);
+            assert_eq!(q.pop().unwrap().event, 1);
+            assert_eq!(q.cascades(), 1);
+        }
     }
 }

@@ -1,13 +1,76 @@
-//! Differential property tests: the timing-wheel queue must be
-//! operation-for-operation indistinguishable from the binary-heap queue.
+//! Differential property tests: [`EventQueue`] must be operation-for-operation
+//! indistinguishable from the reference model — one `std` binary heap over
+//! every pending [`ScheduledEvent`] plus a sequence counter. The public
+//! `ScheduledEvent` ordering (`(time, seq)`, earliest first) is the spec.
 //!
-//! Both backends are driven with the same random program of pushes
+//! Queue and model are driven with the same random program of pushes
 //! (including simultaneous and far-future times), pops, clears, and
 //! snapshot/restore at random cut points, asserting bitwise-equal
 //! `(time, seq, event)` pop sequences and equal `next_seq` throughout.
 
-use desim::{EventQueue, QueueKind, SimTime};
+use std::collections::BinaryHeap;
+
+use desim::{EventQueue, ScheduledEvent, SimTime};
 use proptest::prelude::*;
+
+type Triple = (SimTime, u64, u32);
+
+/// The reference model.
+#[derive(Default)]
+struct Model {
+    heap: BinaryHeap<ScheduledEvent<u32>>,
+    next_seq: u64,
+}
+
+impl Model {
+    fn push(&mut self, time: SimTime, event: u32) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.heap.push(ScheduledEvent { time, seq, event });
+    }
+
+    fn pop(&mut self) -> Option<Triple> {
+        self.heap.pop().map(triple)
+    }
+
+    /// Pending events in delivery order.
+    fn sorted(&self) -> Vec<Triple> {
+        self.heap
+            .clone()
+            .into_sorted_vec()
+            .into_iter()
+            .rev()
+            .map(triple)
+            .collect()
+    }
+}
+
+fn triple(e: ScheduledEvent<u32>) -> Triple {
+    (e.time, e.seq, e.event)
+}
+
+/// Pushes `times` (payload = index) into a fresh queue and model alike.
+fn filled(times: &[u64]) -> (EventQueue<u32>, Model) {
+    let (mut queue, mut model) = (EventQueue::new(), Model::default());
+    for (i, &t) in times.iter().enumerate() {
+        #[allow(clippy::cast_possible_truncation)]
+        let payload = i as u32;
+        queue.push(SimTime::from_micros(t), payload);
+        model.push(SimTime::from_micros(t), payload);
+    }
+    (queue, model)
+}
+
+/// Drains queue and model together, comparing every pop.
+fn drain_lockstep(queue: &mut EventQueue<u32>, model: &mut Model) -> Result<(), TestCaseError> {
+    loop {
+        let (q, m) = (queue.pop().map(triple), model.pop());
+        prop_assert_eq!(q, m, "drain diverged");
+        if q.is_none() {
+            return Ok(());
+        }
+    }
+}
 
 /// One step of a random queue program.
 #[derive(Debug, Clone, Copy)]
@@ -36,139 +99,93 @@ fn raw_ops() -> impl Strategy<Value = Vec<(u8, u64, u64)>> {
     proptest::collection::vec((0u8..=255, 0u64..50, 0u64..200_000_000), 1..400)
 }
 
-/// Runs the same program against both backends in lockstep, checking each
-/// observable after every step.
+/// Runs the same program against the queue and the model in lockstep,
+/// checking each observable after every step.
 fn run_lockstep(raw: &[(u8, u64, u64)]) -> Result<(), TestCaseError> {
-    let mut heap: EventQueue<u32> = EventQueue::with_kind(QueueKind::Heap);
-    let mut wheel: EventQueue<u32> = EventQueue::with_kind(QueueKind::Wheel);
+    let mut queue: EventQueue<u32> = EventQueue::new();
+    let mut model = Model::default();
     for (i, &(kind, small, big)) in raw.iter().enumerate() {
         #[allow(clippy::cast_possible_truncation)]
         let payload = i as u32;
         match decode(kind, small, big) {
             Op::Push(micros) => {
                 let t = SimTime::from_micros(micros);
-                heap.push(t, payload);
-                wheel.push(t, payload);
+                queue.push(t, payload);
+                model.push(t, payload);
             }
             Op::Pop => {
-                let a = heap.pop();
-                let b = wheel.pop();
-                match (a, b) {
-                    (None, None) => {}
-                    (Some(x), Some(y)) => {
-                        prop_assert_eq!(
-                            (x.time, x.seq, x.event),
-                            (y.time, y.seq, y.event),
-                            "pop diverged at step {}",
-                            i
-                        );
-                    }
-                    (a, b) => {
-                        return Err(TestCaseError::fail(format!(
-                            "pop presence diverged at step {i}: heap={a:?} wheel={b:?}"
-                        )));
-                    }
-                }
+                prop_assert_eq!(
+                    queue.pop().map(triple),
+                    model.pop(),
+                    "pop diverged at step {}",
+                    i
+                );
             }
             Op::Clear => {
-                heap.clear();
-                wheel.clear();
+                queue.clear();
+                model.heap.clear();
             }
             Op::SnapshotRestore => {
-                let hs = heap.snapshot_events();
-                let ws = wheel.snapshot_events();
-                prop_assert_eq!(&hs, &ws, "snapshots diverged at step {}", i);
-                prop_assert_eq!(heap.next_seq(), wheel.next_seq());
-                heap = EventQueue::from_snapshot_with(QueueKind::Heap, hs, heap.next_seq());
-                wheel = EventQueue::from_snapshot_with(QueueKind::Wheel, ws, wheel.next_seq());
+                let events = queue.snapshot_events();
+                prop_assert_eq!(&events, &model.sorted(), "snapshot diverged at step {}", i);
+                queue = EventQueue::from_snapshot(events, queue.next_seq());
             }
         }
-        prop_assert_eq!(heap.len(), wheel.len(), "len diverged at step {}", i);
+        prop_assert_eq!(queue.len(), model.heap.len(), "len diverged at step {}", i);
+        prop_assert_eq!(queue.is_empty(), model.heap.is_empty());
         prop_assert_eq!(
-            heap.peek_time(),
-            wheel.peek_time(),
+            queue.peek_time(),
+            model.heap.peek().map(|e| e.time),
             "peek_time diverged at step {}",
             i
         );
-        prop_assert_eq!(heap.next_seq(), wheel.next_seq());
+        prop_assert_eq!(queue.next_seq(), model.next_seq);
     }
-    // Drain whatever is left and compare the full tail sequence.
-    loop {
-        match (heap.pop(), wheel.pop()) {
-            (None, None) => break,
-            (Some(x), Some(y)) => {
-                prop_assert_eq!((x.time, x.seq, x.event), (y.time, y.seq, y.event));
-            }
-            (a, b) => {
-                return Err(TestCaseError::fail(format!(
-                    "tail drain diverged: heap={a:?} wheel={b:?}"
-                )));
-            }
-        }
-    }
-    Ok(())
+    drain_lockstep(&mut queue, &mut model)
 }
 
 proptest! {
-    /// The wheel pops a bitwise-identical `(time, seq, event)` sequence to
-    /// the heap over arbitrary programs of pushes, pops, clears and
+    /// The queue pops a bitwise-identical `(time, seq, event)` sequence to
+    /// the model over arbitrary programs of pushes, pops, clears and
     /// snapshot/restores.
     #[test]
-    fn wheel_matches_heap_over_random_programs(raw in raw_ops()) {
+    fn queue_matches_reference_heap_over_random_programs(raw in raw_ops()) {
         run_lockstep(&raw)?;
     }
 
-    /// Cross-backend restore: a snapshot taken on one backend and restored
-    /// onto the other drains the identical sequence.
+    /// A snapshot taken at a random cut mid-drain restores to a queue that
+    /// drains — and keeps assigning sequence numbers — exactly as the
+    /// uninterrupted model does.
     #[test]
-    fn cross_backend_restore_is_equivalent(
+    fn restore_at_random_cut_is_equivalent(
         times in proptest::collection::vec(0u64..100_000_000, 0..150),
         cut in 0usize..150,
     ) {
-        let mut heap: EventQueue<u32> = EventQueue::with_kind(QueueKind::Heap);
-        for (i, &t) in times.iter().enumerate() {
-            #[allow(clippy::cast_possible_truncation)]
-            heap.push(SimTime::from_micros(t), i as u32);
-        }
-        // Pop a random prefix before snapshotting so the cut lands mid-drain.
+        let (mut queue, mut model) = filled(&times);
         for _ in 0..cut.min(times.len() / 2) {
-            heap.pop();
+            queue.pop();
+            model.pop();
         }
-        let next_seq = heap.next_seq();
-        let events = heap.snapshot_events();
-        let mut onto_wheel =
-            EventQueue::from_snapshot_with(QueueKind::Wheel, events.clone(), next_seq);
-        let mut onto_heap = EventQueue::from_snapshot_with(QueueKind::Heap, events, next_seq);
-        prop_assert_eq!(onto_wheel.next_seq(), onto_heap.next_seq());
-        loop {
-            match (onto_heap.pop(), onto_wheel.pop()) {
-                (None, None) => break,
-                (Some(x), Some(y)) => {
-                    prop_assert_eq!((x.time, x.seq, x.event), (y.time, y.seq, y.event));
-                }
-                (a, b) => {
-                    return Err(TestCaseError::fail(format!(
-                        "cross-restore diverged: heap={a:?} wheel={b:?}"
-                    )));
-                }
-            }
+        let mut restored = EventQueue::from_snapshot(queue.snapshot_events(), queue.next_seq());
+        prop_assert_eq!(restored.next_seq(), model.next_seq);
+        // A simultaneous push after the restore must still sort behind the
+        // restored events at that instant.
+        if let Some(t) = restored.peek_time() {
+            restored.push(t, u32::MAX);
+            model.push(t, u32::MAX);
         }
+        drain_lockstep(&mut restored, &mut model)?;
     }
 
-    /// A consuming snapshot equals the cloning snapshot on both backends.
+    /// Both snapshot forms list the pending events in the model's delivery
+    /// order.
     #[test]
-    fn into_snapshot_matches_snapshot(
+    fn snapshots_are_in_delivery_order(
         times in proptest::collection::vec(0u64..100_000_000, 0..150),
     ) {
-        for kind in [QueueKind::Heap, QueueKind::Wheel] {
-            let mut q: EventQueue<u32> = EventQueue::with_kind(kind);
-            for (i, &t) in times.iter().enumerate() {
-                #[allow(clippy::cast_possible_truncation)]
-                q.push(SimTime::from_micros(t), i as u32);
-            }
-            let cloned = q.snapshot_events();
-            let consumed = q.into_snapshot_events();
-            prop_assert_eq!(cloned, consumed);
-        }
+        let (queue, model) = filled(&times);
+        let expected = model.sorted();
+        prop_assert_eq!(&queue.snapshot_events(), &expected);
+        prop_assert_eq!(queue.into_snapshot_events(), expected);
     }
 }

@@ -8,7 +8,7 @@
 
 use std::collections::VecDeque;
 
-use desim::{Engine, QueueKind, SimTime};
+use desim::{Engine, SimTime};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rand_distr::{Distribution, LogNormal};
@@ -193,7 +193,7 @@ impl Cluster {
         let audit = config.audit || audit_env_enabled();
         let mut cluster = Cluster {
             ensemble,
-            engine: Engine::with_queue_kind(config.queue),
+            engine: Engine::new(),
             queues: vec![VecDeque::new(); j],
             pools: vec![ConsumerPool::new(); j],
             instances: Slab::new(),
@@ -400,20 +400,6 @@ impl Cluster {
     #[must_use]
     pub fn events_processed(&self) -> u64 {
         self.engine.events_processed()
-    }
-
-    /// Which event-queue backend the engine runs on (see
-    /// [`SimConfig::with_queue_kind`]).
-    #[must_use]
-    pub fn queue_kind(&self) -> QueueKind {
-        self.engine.queue_kind()
-    }
-
-    /// Events cascaded from the timing wheel's far-future overflow heap so
-    /// far (0 on the heap backend).
-    #[must_use]
-    pub fn wheel_cascades(&self) -> u64 {
-        self.engine.wheel_cascades()
     }
 
     /// Number of injected consumer failures so far (independent crashes plus
@@ -914,7 +900,6 @@ impl Cluster {
             processed: snapshot.processed,
             events: snapshot.events,
             next_seq: snapshot.next_seq,
-            kind: snapshot.config.queue,
         });
         fresh.queues = snapshot.queues;
         fresh.pools = snapshot.pools;

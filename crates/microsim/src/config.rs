@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use desim::{QueueKind, SimTime};
+use desim::SimTime;
 use serde::{Deserialize, Serialize};
 use workflow::Ensemble;
 
@@ -113,13 +113,6 @@ pub struct SimConfig {
     /// events instead of panics. Auditing is observation-only: results are
     /// bit-identical with it on or off.
     pub audit: bool,
-    /// Event-queue backend for the cluster's engine (default: the timing
-    /// wheel). Both backends deliver bit-identical event sequences — see
-    /// [`QueueKind`] — so this is purely a performance knob; `Heap` remains
-    /// available as the differential baseline. Absent in older serialized
-    /// configs, which deserialize to the wheel.
-    #[serde(default)]
-    pub queue: QueueKind,
     /// Per-node service-speed multipliers for a heterogeneous cluster.
     /// Empty (the default, and what older serialized configs deserialize
     /// to) means every node runs at nominal speed — bit-identical to the
@@ -150,18 +143,8 @@ impl SimConfig {
             delivery_delay_prob: 0.0,
             delivery_delay_max: SimTime::ZERO,
             audit: false,
-            queue: QueueKind::default(),
             node_speed_factors: Vec::new(),
         }
-    }
-
-    /// Selects the event-queue backend (timing wheel by default; the binary
-    /// heap remains available as the differential baseline). Pop order is
-    /// bit-identical either way, so this never changes a trajectory.
-    #[must_use]
-    pub fn with_queue_kind(mut self, queue: QueueKind) -> Self {
-        self.queue = queue;
-        self
     }
 
     /// Enables runtime invariant auditing: the checks debug builds run via

@@ -1006,14 +1006,36 @@ mod tests {
         env.inject_burst(&BurstSpec::new(vec![5, 5, 5]));
 
         let json = serde_json::to_string(&env.snapshot()).unwrap();
-        let snap: EnvSnapshot = serde_json::from_str(&json).unwrap();
-        let mut restored = MicroserviceEnv::from_snapshot(Ensemble::msd(), snap);
+        // Snapshots written while `SimConfig` still had a `queue` field carry
+        // it in both embedded configs; either value must load and be ignored.
+        let next_field = "\"node_speed_factors\"";
+        assert_eq!(json.matches(next_field).count(), 2);
+        let legacy =
+            |kind: &str| json.replace(next_field, &format!("\"queue\":\"{kind}\",{next_field}"));
+        let mut restored: Vec<MicroserviceEnv> = [json.clone(), legacy("Heap"), legacy("Wheel")]
+            .iter()
+            .map(|form| {
+                let snap: EnvSnapshot = serde_json::from_str(form).unwrap();
+                MicroserviceEnv::from_snapshot(Ensemble::msd(), snap)
+            })
+            .collect();
 
         for k in 0..6 {
             let a = [(k % 4) + 1, 3, 4, 2];
-            assert_eq!(env.step(&a), restored.step(&a), "window {k}");
+            let expected = env.step(&a);
+            let expected_metrics = serde_json::to_string(&expected.metrics).unwrap();
+            for (form, r) in restored.iter_mut().enumerate() {
+                let got = r.step(&a);
+                assert_eq!(got, expected, "window {k}, form {form}");
+                assert_eq!(
+                    serde_json::to_string(&got.metrics).unwrap(),
+                    expected_metrics
+                );
+            }
         }
-        assert_eq!(env.snapshot(), restored.snapshot());
+        for r in &restored {
+            assert_eq!(env.snapshot(), r.snapshot());
+        }
     }
 
     #[test]

@@ -40,11 +40,11 @@ use crate::config::ConfigError;
 
 /// How background arrival rates evolve over a run.
 ///
-/// Serialized with a `kind` tag; all shapes default sensibly so specs can
-/// be written compactly. `Stationary` is the serde default, so configs
-/// recorded before the workload axis existed deserialize unchanged.
+/// Serialized externally tagged under the Rust variant name
+/// (`"Stationary"`, `{"Diurnal":{…}}`) — the form every checkpoint holds.
+/// `Stationary` is the serde default, so configs recorded before the
+/// workload axis existed deserialize unchanged.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
-#[serde(tag = "kind", rename_all = "kebab-case")]
 pub enum WorkloadSpec {
     /// Today's behavior: a homogeneous Poisson process at the base rates.
     /// Bit-identical to the pre-workload arrival stream.
@@ -624,22 +624,34 @@ mod tests {
 
     #[test]
     fn serde_round_trip_and_default() {
-        let specs = [
-            WorkloadSpec::Stationary,
-            WorkloadSpec::parse("diurnal").unwrap(),
-            WorkloadSpec::parse("trending").unwrap(),
-            WorkloadSpec::parse("flash-crowd").unwrap(),
-            WorkloadSpec::TraceReplay {
-                path: "t.jsonl".into(),
-            },
+        // The exact bytes checkpoints hold: externally tagged, Rust variant
+        // names. Changing any of these strands every saved run.
+        let golden = [
+            (WorkloadSpec::Stationary, r#""Stationary""#),
+            (
+                WorkloadSpec::parse("diurnal").unwrap(),
+                r#"{"Diurnal":{"period":600000000,"amplitude":0.8}}"#,
+            ),
+            (
+                WorkloadSpec::parse("trending").unwrap(),
+                r#"{"Trending":{"from_factor":0.5,"to_factor":2.0,"duration":600000000,"exponential":false}}"#,
+            ),
+            (
+                WorkloadSpec::parse("flash-crowd").unwrap(),
+                r#"{"FlashCrowd":{"spike_seed":7,"mean_interval":300000000,"magnitude":4.0,"rise":10000000,"decay":60000000}}"#,
+            ),
+            (
+                WorkloadSpec::TraceReplay {
+                    path: "t.jsonl".into(),
+                },
+                r#"{"TraceReplay":{"path":"t.jsonl"}}"#,
+            ),
         ];
-        for spec in specs {
-            let json = serde_json::to_string(&spec).unwrap();
-            let back: WorkloadSpec = serde_json::from_str(&json).unwrap();
+        for (spec, json) in golden {
+            assert_eq!(serde_json::to_string(&spec).unwrap(), json);
+            let back: WorkloadSpec = serde_json::from_str(json).unwrap();
             assert_eq!(back, spec, "{json}");
         }
         assert_eq!(WorkloadSpec::default(), WorkloadSpec::Stationary);
-        let tagged: WorkloadSpec = serde_json::from_str(r#"{"kind":"stationary"}"#).unwrap();
-        assert_eq!(tagged, WorkloadSpec::Stationary);
     }
 }

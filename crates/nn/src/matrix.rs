@@ -321,8 +321,8 @@ impl Matrix {
     }
 
     /// Reference `self · rhs`: the pre-optimisation triple loop. Kept
-    /// (hidden) so property tests and benches can compare the tiled kernel
-    /// against it in-process.
+    /// (hidden) so property tests can compare the tiled kernel against it
+    /// in-process.
     ///
     /// # Panics
     ///
