@@ -1,0 +1,246 @@
+//! The paper's critic and the minibatch gradient-shard helpers.
+
+use nn::{Activation, Adam, DenseGrads, Matrix, Mlp};
+use serde::{Deserialize, Serialize};
+
+/// Minimum minibatch rows per gradient shard; below this, thread overhead
+/// dominates the matrix work.
+const MIN_SHARD_ROWS: usize = 16;
+
+/// Splits `rows` minibatch rows into contiguous shards, at most one per
+/// configured thread (`NN_NUM_THREADS`). The shard count is a pure function
+/// of `rows` and the thread knob, and shards are always reduced in index
+/// order, so threaded training is bit-reproducible for a fixed knob; with
+/// one shard the computation is identical to the serial path.
+pub(super) fn shard_ranges(rows: usize) -> Vec<(usize, usize)> {
+    let shards = nn::threads::effective_threads()
+        .min(rows / MIN_SHARD_ROWS)
+        .max(1);
+    let base = rows / shards;
+    let extra = rows % shards;
+    let mut ranges = Vec::with_capacity(shards);
+    let mut start = 0;
+    for i in 0..shards {
+        let len = base + usize::from(i < extra);
+        ranges.push((start, start + len));
+        start += len;
+    }
+    ranges
+}
+
+/// Runs `work` over each shard range — on this thread if there is only one
+/// shard, otherwise one scoped thread per shard (each with nested kernel
+/// parallelism disabled) — and returns the results in shard order.
+pub(super) fn run_sharded<T, F>(ranges: &[(usize, usize)], work: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn((usize, usize)) -> T + Sync,
+{
+    if ranges.len() == 1 {
+        return vec![work(ranges[0])];
+    }
+    let mut out: Vec<Option<T>> = ranges.iter().map(|_| None).collect();
+    let work_ref = &work;
+    std::thread::scope(|scope| {
+        for (slot, &range) in out.iter_mut().zip(ranges) {
+            scope.spawn(move || {
+                *slot = Some(nn::threads::with_serial(|| work_ref(range)));
+            });
+        }
+    });
+    out.into_iter()
+        .map(|s| s.expect("shard completed"))
+        .collect()
+}
+
+/// One shard's contribution to a critic update.
+struct CriticShard {
+    /// Unnormalised sum of squared TD errors over the shard's rows.
+    loss_sum: f64,
+    trunk_grads: Vec<DenseGrads>,
+    head_grads: Vec<DenseGrads>,
+}
+
+/// The critic `Q(s, a)` with the paper's architecture: the action is
+/// injected at the *second* hidden layer (§VI-A3 — "we insert one of
+/// Critic's inputs — action — to the second layer").
+///
+/// Internally this is a one-layer trunk over the state followed by a head
+/// over `[trunk(s) ‖ a]`.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Critic {
+    pub(super) trunk: Mlp,
+    pub(super) head: Mlp,
+    action_dim: usize,
+}
+
+impl Critic {
+    /// Creates a critic with hidden widths `hidden` (e.g. `[256, 256, 256]`
+    /// for the paper's MSD critic).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `hidden` is empty or any dimension is zero.
+    #[must_use]
+    pub fn new<R: rand::Rng + ?Sized>(
+        state_dim: usize,
+        action_dim: usize,
+        hidden: &[usize],
+        rng: &mut R,
+    ) -> Self {
+        assert!(!hidden.is_empty(), "critic needs at least one hidden layer");
+        // Trunk: state → first hidden layer.
+        let trunk = Mlp::new(
+            &[state_dim, hidden[0]],
+            Activation::Relu,
+            Activation::Relu,
+            rng,
+        );
+        // Head: [h1 ‖ a] → remaining hidden layers → scalar Q.
+        let mut sizes = vec![hidden[0] + action_dim];
+        sizes.extend_from_slice(&hidden[1..]);
+        sizes.push(1);
+        let head = Mlp::new(&sizes, Activation::Relu, Activation::Linear, rng);
+        Critic {
+            trunk,
+            head,
+            action_dim,
+        }
+    }
+
+    /// Q-values for a batch of `(state, action)` pairs, shape `(batch, 1)`.
+    #[must_use]
+    pub fn q(&self, states: &Matrix, actions: &Matrix) -> Matrix {
+        let h = self.trunk.forward(states);
+        let z = Matrix::hconcat(&[&h, actions]);
+        self.head.forward(&z)
+    }
+
+    /// One MSE training step toward `targets`; returns the loss before the
+    /// update.
+    ///
+    /// The minibatch is split into row shards (see [`shard_ranges`]) whose
+    /// gradients are computed on scoped threads and reduced in shard order,
+    /// then applied once — equivalent to the full-batch update.
+    pub fn train(
+        &mut self,
+        states: &Matrix,
+        actions: &Matrix,
+        targets: &Matrix,
+        trunk_opt: &mut Adam,
+        head_opt: &mut Adam,
+    ) -> f64 {
+        let n = states.rows() as f64;
+        let ranges = shard_ranges(states.rows());
+        let this: &Critic = self;
+        let shards = run_sharded(&ranges, |range| {
+            this.grad_shard(states, actions, targets, range, n)
+        });
+
+        let mut iter = shards.into_iter();
+        let mut acc = iter.next().expect("at least one shard");
+        for s in iter {
+            acc.loss_sum += s.loss_sum;
+            for (a, b) in acc.trunk_grads.iter_mut().zip(&s.trunk_grads) {
+                a.accumulate(b);
+            }
+            for (a, b) in acc.head_grads.iter_mut().zip(&s.head_grads) {
+                a.accumulate(b);
+            }
+        }
+        self.head.apply_gradients(&mut acc.head_grads, head_opt);
+        self.trunk.apply_gradients(&mut acc.trunk_grads, trunk_opt);
+        acc.loss_sum / n
+    }
+
+    /// Forward/backward over rows `[r0, r1)` of the minibatch. The TD-error
+    /// gradient is scaled by the *full* batch size `n`, so summing shard
+    /// gradients reproduces the full-batch gradient exactly.
+    fn grad_shard(
+        &self,
+        states: &Matrix,
+        actions: &Matrix,
+        targets: &Matrix,
+        (r0, r1): (usize, usize),
+        n: f64,
+    ) -> CriticShard {
+        let s = states.rows_range(r0, r1);
+        let a = actions.rows_range(r0, r1);
+        let t = targets.rows_range(r0, r1);
+        let trunk_trace = self.trunk.forward_cached(&s);
+        let z = Matrix::hconcat(&[trunk_trace.output(), &a]);
+        let head_trace = self.head.forward_cached(&z);
+        let mut d_q = head_trace.output() - &t;
+        let loss_sum = d_q.as_slice().iter().map(|&v| v * v).sum::<f64>();
+        d_q.scale_in_place(2.0 / n);
+        let (d_z, head_grads) = self.head.backward(&head_trace, &d_q);
+        let d_h = d_z.columns(0, trunk_trace.output().cols());
+        let (_, trunk_grads) = self.trunk.backward(&trunk_trace, &d_h);
+        CriticShard {
+            loss_sum,
+            trunk_grads,
+            head_grads,
+        }
+    }
+
+    /// `∂Q/∂a` for each sample — the deterministic-policy-gradient term.
+    #[must_use]
+    pub fn action_gradient(&self, states: &Matrix, actions: &Matrix) -> Matrix {
+        let h = self.trunk.forward(states);
+        let z = Matrix::hconcat(&[&h, actions]);
+        let ones = Matrix::from_vec(z.rows(), 1, vec![1.0; z.rows()]);
+        let d_z = self.head.input_gradient(&z, &ones);
+        d_z.columns(h.cols(), self.action_dim)
+    }
+
+    /// Polyak update toward `src`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if architectures differ.
+    pub fn soft_update_from(&mut self, src: &Critic, tau: f64) {
+        self.trunk.soft_update_from(&src.trunk, tau);
+        self.head.soft_update_from(&src.head, tau);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::rngs::SmallRng;
+    use rand::SeedableRng;
+
+    #[test]
+    fn critic_converges_on_fixed_targets() {
+        let mut rng = SmallRng::seed_from_u64(6);
+        let mut critic = Critic::new(2, 2, &[16, 16], &mut rng);
+        let mut t_opt = Adam::new(1e-2);
+        let mut h_opt = Adam::new(1e-2);
+        let s = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]);
+        let a = Matrix::from_rows(&[&[0.3, 0.7], &[0.9, 0.1]]);
+        let y = Matrix::from_rows(&[&[2.0], &[-1.0]]);
+        let mut loss = f64::INFINITY;
+        for _ in 0..500 {
+            loss = critic.train(&s, &a, &y, &mut t_opt, &mut h_opt);
+        }
+        assert!(loss < 1e-2, "loss {loss}");
+    }
+
+    #[test]
+    fn critic_action_gradient_matches_finite_diff() {
+        let mut rng = SmallRng::seed_from_u64(7);
+        let critic = Critic::new(2, 3, &[8, 8], &mut rng);
+        let s = Matrix::from_rows(&[&[0.4, -0.2]]);
+        let a = Matrix::from_rows(&[&[0.2, 0.5, 0.3]]);
+        let grad = critic.action_gradient(&s, &a);
+        let eps = 1e-6;
+        for c in 0..3 {
+            let mut ap = a.clone();
+            let mut am = a.clone();
+            ap.set(0, c, a.get(0, c) + eps);
+            am.set(0, c, a.get(0, c) - eps);
+            let numeric = (critic.q(&s, &ap).get(0, 0) - critic.q(&s, &am).get(0, 0)) / (2.0 * eps);
+            assert!((numeric - grad.get(0, c)).abs() < 1e-5, "dim {c}");
+        }
+    }
+}

@@ -1,552 +1,14 @@
-//! Deep deterministic policy gradient with parameter-space exploration.
+//! The DDPG learner: acting, experience, the minibatch update.
 
-use nn::{Activation, Adam, DenseGrads, Matrix, Mlp};
+use nn::{Activation, Adam, Matrix, Mlp};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use telemetry::Telemetry;
 
+use super::critic::{run_sharded, shard_ranges};
+use super::{Critic, DdpgConfig, Exploration, TrainError, TrainHealth, TrainStats};
 use crate::policy::project_to_simplex;
 use crate::{AdaptiveParamNoise, OrnsteinUhlenbeck, ReplayBuffer, RunningNorm, StoredTransition};
-
-/// Minimum minibatch rows per gradient shard; below this, thread overhead
-/// dominates the matrix work.
-const MIN_SHARD_ROWS: usize = 16;
-
-/// Splits `rows` minibatch rows into contiguous shards, at most one per
-/// configured thread (`NN_NUM_THREADS`). The shard count is a pure function
-/// of `rows` and the thread knob, and shards are always reduced in index
-/// order, so threaded training is bit-reproducible for a fixed knob; with
-/// one shard the computation is identical to the serial path.
-fn shard_ranges(rows: usize) -> Vec<(usize, usize)> {
-    let shards = nn::threads::effective_threads()
-        .min(rows / MIN_SHARD_ROWS)
-        .max(1);
-    let base = rows / shards;
-    let extra = rows % shards;
-    let mut ranges = Vec::with_capacity(shards);
-    let mut start = 0;
-    for i in 0..shards {
-        let len = base + usize::from(i < extra);
-        ranges.push((start, start + len));
-        start += len;
-    }
-    ranges
-}
-
-/// Runs `work` over each shard range — on this thread if there is only one
-/// shard, otherwise one scoped thread per shard (each with nested kernel
-/// parallelism disabled) — and returns the results in shard order.
-fn run_sharded<T, F>(ranges: &[(usize, usize)], work: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn((usize, usize)) -> T + Sync,
-{
-    if ranges.len() == 1 {
-        return vec![work(ranges[0])];
-    }
-    let mut out: Vec<Option<T>> = ranges.iter().map(|_| None).collect();
-    let work_ref = &work;
-    std::thread::scope(|scope| {
-        for (slot, &range) in out.iter_mut().zip(ranges) {
-            scope.spawn(move || {
-                *slot = Some(nn::threads::with_serial(|| work_ref(range)));
-            });
-        }
-    });
-    out.into_iter()
-        .map(|s| s.expect("shard completed"))
-        .collect()
-}
-
-/// One shard's contribution to a critic update.
-struct CriticShard {
-    /// Unnormalised sum of squared TD errors over the shard's rows.
-    loss_sum: f64,
-    trunk_grads: Vec<DenseGrads>,
-    head_grads: Vec<DenseGrads>,
-}
-
-/// The critic `Q(s, a)` with the paper's architecture: the action is
-/// injected at the *second* hidden layer (§VI-A3 — "we insert one of
-/// Critic's inputs — action — to the second layer").
-///
-/// Internally this is a one-layer trunk over the state followed by a head
-/// over `[trunk(s) ‖ a]`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Critic {
-    trunk: Mlp,
-    head: Mlp,
-    action_dim: usize,
-}
-
-impl Critic {
-    /// Creates a critic with hidden widths `hidden` (e.g. `[256, 256, 256]`
-    /// for the paper's MSD critic).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `hidden` is empty or any dimension is zero.
-    #[must_use]
-    pub fn new<R: rand::Rng + ?Sized>(
-        state_dim: usize,
-        action_dim: usize,
-        hidden: &[usize],
-        rng: &mut R,
-    ) -> Self {
-        assert!(!hidden.is_empty(), "critic needs at least one hidden layer");
-        // Trunk: state → first hidden layer.
-        let trunk = Mlp::new(
-            &[state_dim, hidden[0]],
-            Activation::Relu,
-            Activation::Relu,
-            rng,
-        );
-        // Head: [h1 ‖ a] → remaining hidden layers → scalar Q.
-        let mut sizes = vec![hidden[0] + action_dim];
-        sizes.extend_from_slice(&hidden[1..]);
-        sizes.push(1);
-        let head = Mlp::new(&sizes, Activation::Relu, Activation::Linear, rng);
-        Critic {
-            trunk,
-            head,
-            action_dim,
-        }
-    }
-
-    /// Q-values for a batch of `(state, action)` pairs, shape `(batch, 1)`.
-    #[must_use]
-    pub fn q(&self, states: &Matrix, actions: &Matrix) -> Matrix {
-        let h = self.trunk.forward(states);
-        let z = Matrix::hconcat(&[&h, actions]);
-        self.head.forward(&z)
-    }
-
-    /// One MSE training step toward `targets`; returns the loss before the
-    /// update.
-    ///
-    /// The minibatch is split into row shards (see [`shard_ranges`]) whose
-    /// gradients are computed on scoped threads and reduced in shard order,
-    /// then applied once — equivalent to the full-batch update.
-    pub fn train(
-        &mut self,
-        states: &Matrix,
-        actions: &Matrix,
-        targets: &Matrix,
-        trunk_opt: &mut Adam,
-        head_opt: &mut Adam,
-    ) -> f64 {
-        let n = states.rows() as f64;
-        let ranges = shard_ranges(states.rows());
-        let this: &Critic = self;
-        let shards = run_sharded(&ranges, |range| {
-            this.grad_shard(states, actions, targets, range, n)
-        });
-
-        let mut iter = shards.into_iter();
-        let mut acc = iter.next().expect("at least one shard");
-        for s in iter {
-            acc.loss_sum += s.loss_sum;
-            for (a, b) in acc.trunk_grads.iter_mut().zip(&s.trunk_grads) {
-                a.accumulate(b);
-            }
-            for (a, b) in acc.head_grads.iter_mut().zip(&s.head_grads) {
-                a.accumulate(b);
-            }
-        }
-        self.head.apply_gradients(&mut acc.head_grads, head_opt);
-        self.trunk.apply_gradients(&mut acc.trunk_grads, trunk_opt);
-        acc.loss_sum / n
-    }
-
-    /// Forward/backward over rows `[r0, r1)` of the minibatch. The TD-error
-    /// gradient is scaled by the *full* batch size `n`, so summing shard
-    /// gradients reproduces the full-batch gradient exactly.
-    fn grad_shard(
-        &self,
-        states: &Matrix,
-        actions: &Matrix,
-        targets: &Matrix,
-        (r0, r1): (usize, usize),
-        n: f64,
-    ) -> CriticShard {
-        let s = states.rows_range(r0, r1);
-        let a = actions.rows_range(r0, r1);
-        let t = targets.rows_range(r0, r1);
-        let trunk_trace = self.trunk.forward_cached(&s);
-        let z = Matrix::hconcat(&[trunk_trace.output(), &a]);
-        let head_trace = self.head.forward_cached(&z);
-        let mut d_q = head_trace.output() - &t;
-        let loss_sum = d_q.as_slice().iter().map(|&v| v * v).sum::<f64>();
-        d_q.scale_in_place(2.0 / n);
-        let (d_z, head_grads) = self.head.backward(&head_trace, &d_q);
-        let d_h = d_z.columns(0, trunk_trace.output().cols());
-        let (_, trunk_grads) = self.trunk.backward(&trunk_trace, &d_h);
-        CriticShard {
-            loss_sum,
-            trunk_grads,
-            head_grads,
-        }
-    }
-
-    /// `∂Q/∂a` for each sample — the deterministic-policy-gradient term.
-    #[must_use]
-    pub fn action_gradient(&self, states: &Matrix, actions: &Matrix) -> Matrix {
-        let h = self.trunk.forward(states);
-        let z = Matrix::hconcat(&[&h, actions]);
-        let ones = Matrix::from_vec(z.rows(), 1, vec![1.0; z.rows()]);
-        let d_z = self.head.input_gradient(&z, &ones);
-        d_z.columns(h.cols(), self.action_dim)
-    }
-
-    /// Polyak update toward `src`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if architectures differ.
-    pub fn soft_update_from(&mut self, src: &Critic, tau: f64) {
-        self.trunk.soft_update_from(&src.trunk, tau);
-        self.head.soft_update_from(&src.head, tau);
-    }
-}
-
-/// The exploration strategy used while collecting experience.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum Exploration {
-    /// Parameter-space noise (the paper's choice, §IV-D): perturb a copy of
-    /// the actor's weights; adapt the scale so the induced action-space
-    /// distance tracks `delta`.
-    ParamNoise {
-        /// Initial perturbation standard deviation.
-        initial_sigma: f64,
-        /// Target action-space distance.
-        delta: f64,
-        /// Multiplicative adaption factor (> 1).
-        alpha: f64,
-        /// Re-perturb (and adapt) every this many exploratory actions.
-        resample_every: usize,
-    },
-    /// Ornstein–Uhlenbeck noise added to the action, then re-projected onto
-    /// the probability simplex — the classical DDPG exploration the paper
-    /// compares against.
-    ActionNoise {
-        /// Mean-reversion rate.
-        theta: f64,
-        /// Volatility.
-        sigma: f64,
-    },
-    /// No exploration: always act greedily.
-    Greedy,
-}
-
-/// DDPG hyper-parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DdpgConfig {
-    /// Hidden-layer widths shared by actor and critic (paper: `[256; 3]` for
-    /// MSD, `[512; 3]` for LIGO).
-    pub hidden: Vec<usize>,
-    /// Actor learning rate.
-    pub actor_lr: f64,
-    /// Critic learning rate.
-    pub critic_lr: f64,
-    /// Discount factor γ.
-    pub gamma: f64,
-    /// Polyak target-update coefficient τ.
-    pub tau: f64,
-    /// Minibatch size.
-    pub batch_size: usize,
-    /// Replay-buffer capacity.
-    pub buffer_capacity: usize,
-    /// Exploration strategy.
-    pub exploration: Exploration,
-    /// Global gradient-norm clip.
-    pub grad_clip: Option<f64>,
-    /// Rewards are multiplied by this factor before being stored in the
-    /// replay buffer. The paper's reward `1 − Σ w` reaches hundreds in
-    /// magnitude under bursts; scaling keeps critic targets well
-    /// conditioned without changing the optimal policy.
-    pub reward_scale: f64,
-    /// Standardise rewards with running statistics at batch-build time
-    /// (OpenAI Baselines' `normalize_returns` analogue). The WIP reward
-    /// spans two orders of magnitude between steady state and burst
-    /// recovery; a fixed scale cannot condition the critic across both.
-    pub normalize_rewards: bool,
-    /// Train a second, independently initialised critic and use the
-    /// minimum of the two target critics when forming TD targets (the
-    /// clipped double-Q trick of TD3, Fujimoto et al.). Counters the value
-    /// overestimation vanilla DDPG is prone to; off by default to match the
-    /// paper's vanilla actor-critic.
-    pub twin_critic: bool,
-    /// Weight of the entropy bonus added to the actor objective
-    /// (maximise `Q + β·H(π(s))`). A softmax actor that saturates to a
-    /// one-hot vertex has a vanishing Jacobian — exploration noise can no
-    /// longer move it and learning stalls; the entropy term keeps the
-    /// policy off the vertices. Set to 0 to disable.
-    pub entropy_weight: f64,
-    /// RNG seed (weight init, sampling, noise).
-    pub seed: u64,
-}
-
-impl DdpgConfig {
-    /// The paper's configuration scaled to a hidden width (256 for MSD, 512
-    /// for LIGO).
-    #[must_use]
-    pub fn paper(hidden_width: usize, seed: u64) -> Self {
-        DdpgConfig {
-            hidden: vec![hidden_width; 3],
-            actor_lr: 1e-4,
-            critic_lr: 1e-3,
-            gamma: 0.95,
-            tau: 1e-2,
-            batch_size: 64,
-            buffer_capacity: 100_000,
-            exploration: Exploration::ParamNoise {
-                initial_sigma: 0.05,
-                delta: 0.1,
-                alpha: 1.01,
-                resample_every: 25,
-            },
-            grad_clip: Some(10.0),
-            reward_scale: 1.0,
-            normalize_rewards: true,
-            twin_critic: false,
-            entropy_weight: 2.0,
-            seed,
-        }
-    }
-
-    /// A tiny configuration for unit tests and doctests.
-    #[must_use]
-    pub fn small_test(seed: u64) -> Self {
-        DdpgConfig {
-            hidden: vec![16, 16],
-            actor_lr: 1e-3,
-            critic_lr: 1e-2,
-            gamma: 0.9,
-            tau: 0.05,
-            batch_size: 8,
-            buffer_capacity: 1_000,
-            exploration: Exploration::ParamNoise {
-                initial_sigma: 0.05,
-                delta: 0.1,
-                alpha: 1.01,
-                resample_every: 10,
-            },
-            grad_clip: Some(10.0),
-            reward_scale: 1.0,
-            normalize_rewards: false,
-            twin_critic: false,
-            entropy_weight: 0.01,
-            seed,
-        }
-    }
-}
-
-/// Statistics from one training step.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TrainStats {
-    /// Critic MSE before the update.
-    pub critic_loss: f64,
-    /// Mean Q-value of the actor's actions on the minibatch.
-    pub mean_q: f64,
-}
-
-/// A detected training-health failure, raised by
-/// [`Ddpg::try_train_step`] instead of letting a diverged agent keep
-/// training (or a hot-path assertion kill the process). The trainer
-/// boundary turns these into a rollback to the last good checkpoint.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TrainError {
-    /// The critic loss or mean Q of a step came back NaN or ±∞.
-    NonFiniteLoss {
-        /// The agent's lifetime train-step count when the failure occurred.
-        step: u64,
-        /// The offending critic loss.
-        critic_loss: f64,
-        /// The offending mean Q.
-        mean_q: f64,
-    },
-    /// A network weight became NaN or ±∞ (sampled periodically).
-    NonFiniteWeights {
-        /// The agent's lifetime train-step count when the failure occurred.
-        step: u64,
-    },
-    /// The critic loss blew past `factor ×` its exponential moving average —
-    /// the classic shape of a diverging critic before it reaches NaN.
-    CriticBlowup {
-        /// The agent's lifetime train-step count when the failure occurred.
-        step: u64,
-        /// The offending critic loss.
-        critic_loss: f64,
-        /// The EWMA baseline the loss was compared against.
-        ewma: f64,
-        /// The trip threshold multiplier.
-        factor: f64,
-    },
-}
-
-impl std::fmt::Display for TrainError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TrainError::NonFiniteLoss {
-                step,
-                critic_loss,
-                mean_q,
-            } => write!(
-                f,
-                "non-finite training loss at step {step}: critic_loss={critic_loss}, mean_q={mean_q}"
-            ),
-            TrainError::NonFiniteWeights { step } => {
-                write!(f, "non-finite network weights detected at step {step}")
-            }
-            TrainError::CriticBlowup {
-                step,
-                critic_loss,
-                ewma,
-                factor,
-            } => write!(
-                f,
-                "critic loss blow-up at step {step}: {critic_loss} > {factor} x EWMA {ewma}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for TrainError {}
-
-impl TrainError {
-    /// A short machine-readable tag (`non_finite_loss`,
-    /// `non_finite_weights`, `critic_blowup`) used in telemetry `recovery`
-    /// events.
-    #[must_use]
-    pub fn kind(&self) -> &'static str {
-        match self {
-            TrainError::NonFiniteLoss { .. } => "non_finite_loss",
-            TrainError::NonFiniteWeights { .. } => "non_finite_weights",
-            TrainError::CriticBlowup { .. } => "critic_blowup",
-        }
-    }
-}
-
-/// Divergence watchdog over a stream of [`TrainStats`].
-///
-/// Tracks an exponential moving average of the critic loss and trips when a
-/// step's loss is non-finite or exceeds `blowup_factor ×` the EWMA after a
-/// warm-up period (early training legitimately spikes while the critic
-/// finds its scale). The monitor is pure bookkeeping — it never touches the
-/// agent — so checking health cannot perturb training determinism.
-///
-/// # Examples
-///
-/// ```
-/// use rl::{TrainHealth, TrainStats};
-///
-/// let mut health = TrainHealth::new(0.99, 1e4, 8);
-/// for step in 0..20 {
-///     let stats = TrainStats { critic_loss: 1.0, mean_q: 0.0 };
-///     health.check(step, &stats).unwrap();
-/// }
-/// let spike = TrainStats { critic_loss: 1e9, mean_q: 0.0 };
-/// assert!(health.check(20, &spike).is_err());
-/// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TrainHealth {
-    ewma: Option<f64>,
-    beta: f64,
-    blowup_factor: f64,
-    warmup: usize,
-    checked: usize,
-}
-
-impl TrainHealth {
-    /// Creates a watchdog with EWMA smoothing `beta` (0 < beta < 1; higher
-    /// is smoother), trip multiplier `blowup_factor` (> 1) and `warmup`
-    /// checks during which blow-up detection is suppressed (non-finite
-    /// values always trip, even during warm-up).
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range parameters.
-    #[must_use]
-    pub fn new(beta: f64, blowup_factor: f64, warmup: usize) -> Self {
-        assert!(
-            beta > 0.0 && beta < 1.0,
-            "EWMA beta must be strictly inside (0, 1)"
-        );
-        assert!(
-            blowup_factor.is_finite() && blowup_factor > 1.0,
-            "blow-up factor must be finite and exceed 1"
-        );
-        TrainHealth {
-            ewma: None,
-            beta,
-            blowup_factor,
-            warmup,
-            checked: 0,
-        }
-    }
-
-    /// The defaults the MIRAS trainer uses: EWMA beta 0.99, trip at 10⁴×
-    /// the moving average, 100-step warm-up.
-    #[must_use]
-    pub fn default_policy() -> Self {
-        TrainHealth::new(0.99, 1e4, 100)
-    }
-
-    /// The current critic-loss EWMA, if any step has been observed yet.
-    #[must_use]
-    pub fn ewma(&self) -> Option<f64> {
-        self.ewma
-    }
-
-    /// Checks one step's statistics, updating the EWMA on success. `step`
-    /// is the agent's lifetime train-step index, carried into errors for
-    /// diagnostics.
-    ///
-    /// # Errors
-    ///
-    /// [`TrainError::NonFiniteLoss`] when the loss or mean Q is NaN/±∞;
-    /// [`TrainError::CriticBlowup`] when, past warm-up, the loss exceeds
-    /// `blowup_factor ×` the EWMA. On error the EWMA is left at its last
-    /// good value (the caller rolls the agent back anyway).
-    pub fn check(&mut self, step: u64, stats: &TrainStats) -> Result<(), TrainError> {
-        if !stats.critic_loss.is_finite() || !stats.mean_q.is_finite() {
-            return Err(TrainError::NonFiniteLoss {
-                step,
-                critic_loss: stats.critic_loss,
-                mean_q: stats.mean_q,
-            });
-        }
-        if self.checked >= self.warmup {
-            if let Some(ewma) = self.ewma {
-                // The max(EWMA, tiny) floor keeps a near-zero baseline from
-                // tripping on any normal-sized loss.
-                let baseline = ewma.max(1e-6);
-                if stats.critic_loss > self.blowup_factor * baseline {
-                    return Err(TrainError::CriticBlowup {
-                        step,
-                        critic_loss: stats.critic_loss,
-                        ewma,
-                        factor: self.blowup_factor,
-                    });
-                }
-            }
-        }
-        self.ewma = Some(match self.ewma {
-            Some(e) => self.beta * e + (1.0 - self.beta) * stats.critic_loss,
-            None => stats.critic_loss,
-        });
-        self.checked += 1;
-        Ok(())
-    }
-
-    /// Forgets all history (used after a rollback, when the restored agent's
-    /// loss scale may differ from the diverged run's).
-    pub fn reset(&mut self) {
-        self.ewma = None;
-        self.checked = 0;
-    }
-}
 
 /// A DDPG agent (Lillicrap et al.) with the paper's constraint-aware actor
 /// and parameter-space exploration.
@@ -561,33 +23,33 @@ impl TrainHealth {
 /// See the [crate-level example](crate).
 #[derive(Debug, Clone)]
 pub struct Ddpg {
-    actor: Mlp,
-    actor_target: Mlp,
-    perturbed_actor: Mlp,
-    critic: Critic,
-    critic_target: Critic,
-    critic2: Option<Critic>,
-    critic2_target: Option<Critic>,
-    actor_opt: Adam,
-    critic_trunk_opt: Adam,
-    critic_head_opt: Adam,
-    critic2_trunk_opt: Adam,
-    critic2_head_opt: Adam,
-    replay: ReplayBuffer,
-    config: DdpgConfig,
-    param_noise: Option<AdaptiveParamNoise>,
-    action_noise: Option<OrnsteinUhlenbeck>,
-    obs_norm: RunningNorm,
-    reward_norm: RunningNorm,
-    recent_states: Vec<Vec<f64>>,
-    steps_since_resample: usize,
-    rng: SmallRng,
-    telemetry: Telemetry,
-    train_steps_done: u64,
+    pub(super) actor: Mlp,
+    pub(super) actor_target: Mlp,
+    pub(super) perturbed_actor: Mlp,
+    pub(super) critic: Critic,
+    pub(super) critic_target: Critic,
+    pub(super) critic2: Option<Critic>,
+    pub(super) critic2_target: Option<Critic>,
+    pub(super) actor_opt: Adam,
+    pub(super) critic_trunk_opt: Adam,
+    pub(super) critic_head_opt: Adam,
+    pub(super) critic2_trunk_opt: Adam,
+    pub(super) critic2_head_opt: Adam,
+    pub(super) replay: ReplayBuffer,
+    pub(super) config: DdpgConfig,
+    pub(super) param_noise: Option<AdaptiveParamNoise>,
+    pub(super) action_noise: Option<OrnsteinUhlenbeck>,
+    pub(super) obs_norm: RunningNorm,
+    pub(super) reward_norm: RunningNorm,
+    pub(super) recent_states: Vec<Vec<f64>>,
+    pub(super) steps_since_resample: usize,
+    pub(super) rng: SmallRng,
+    pub(super) telemetry: Telemetry,
+    pub(super) train_steps_done: u64,
     /// Reused buffer for the normalised state in [`Ddpg::act_exploratory`],
     /// so single-lane rollouts stop allocating it every step. Pure scratch:
     /// excluded from snapshots and never read across calls.
-    norm_buf: Vec<f64>,
+    pub(super) norm_buf: Vec<f64>,
 }
 
 /// How often (in train steps) the expensive target-network divergence
@@ -1077,70 +539,6 @@ impl Ddpg {
         self.resample_perturbation();
     }
 
-    /// Captures the agent's complete state — networks, target networks,
-    /// optimiser moments, replay buffer, exploration state, normalisers and
-    /// the RNG stream — as a serialisable snapshot. Restoring with
-    /// [`Ddpg::from_snapshot`] resumes training bit-identically.
-    #[must_use]
-    pub fn snapshot(&self) -> DdpgSnapshot {
-        DdpgSnapshot {
-            actor: self.actor.clone(),
-            actor_target: self.actor_target.clone(),
-            perturbed_actor: self.perturbed_actor.clone(),
-            critic: self.critic.clone(),
-            critic_target: self.critic_target.clone(),
-            critic2: self.critic2.clone(),
-            critic2_target: self.critic2_target.clone(),
-            actor_opt: self.actor_opt.clone(),
-            critic_trunk_opt: self.critic_trunk_opt.clone(),
-            critic_head_opt: self.critic_head_opt.clone(),
-            critic2_trunk_opt: self.critic2_trunk_opt.clone(),
-            critic2_head_opt: self.critic2_head_opt.clone(),
-            replay: self.replay.clone(),
-            config: self.config.clone(),
-            param_noise: self.param_noise.clone(),
-            action_noise: self.action_noise.clone(),
-            obs_norm: self.obs_norm.clone(),
-            reward_norm: self.reward_norm.clone(),
-            recent_states: self.recent_states.clone(),
-            steps_since_resample: self.steps_since_resample,
-            rng_state: self.rng.state(),
-            train_steps_done: self.train_steps_done,
-        }
-    }
-
-    /// Rebuilds an agent from a [`Ddpg::snapshot`] capture. Telemetry is
-    /// detached (re-attach with [`Ddpg::set_telemetry`]).
-    #[must_use]
-    pub fn from_snapshot(s: DdpgSnapshot) -> Self {
-        Ddpg {
-            actor: s.actor,
-            actor_target: s.actor_target,
-            perturbed_actor: s.perturbed_actor,
-            critic: s.critic,
-            critic_target: s.critic_target,
-            critic2: s.critic2,
-            critic2_target: s.critic2_target,
-            actor_opt: s.actor_opt,
-            critic_trunk_opt: s.critic_trunk_opt,
-            critic_head_opt: s.critic_head_opt,
-            critic2_trunk_opt: s.critic2_trunk_opt,
-            critic2_head_opt: s.critic2_head_opt,
-            replay: s.replay,
-            config: s.config,
-            param_noise: s.param_noise,
-            action_noise: s.action_noise,
-            obs_norm: s.obs_norm,
-            reward_norm: s.reward_norm,
-            recent_states: s.recent_states,
-            steps_since_resample: s.steps_since_resample,
-            rng: SmallRng::from_state(s.rng_state),
-            telemetry: Telemetry::noop(),
-            train_steps_done: s.train_steps_done,
-            norm_buf: Vec::new(),
-        }
-    }
-
     /// Mean absolute parameter gap between the actor and its Polyak target —
     /// a read-only diagnostic of how far the target network lags.
     #[must_use]
@@ -1264,158 +662,6 @@ impl Ddpg {
         }
         self.resample_perturbation();
     }
-
-    /// A frozen, self-contained copy of the *acting-side* weights: the
-    /// deterministic actor, the observation normaliser it acts through, and
-    /// (under parameter-space exploration) the current noise scale σ.
-    ///
-    /// This is the unit of the distributed trainer's versioned weight
-    /// broadcast: the learner snapshots it after each ordered merge, stamps
-    /// a version number on it, and rollout workers act on the copy without
-    /// ever touching the live agent.
-    #[must_use]
-    pub fn policy_weights(&self) -> PolicyWeights {
-        PolicyWeights {
-            actor: self.actor.clone(),
-            obs_norm: self.obs_norm.clone(),
-            sigma: self.param_noise.as_ref().map(AdaptiveParamNoise::sigma),
-        }
-    }
-}
-
-/// The complete serialisable state of a [`Ddpg`] agent, produced by
-/// [`Ddpg::snapshot`] and consumed by [`Ddpg::from_snapshot`].
-///
-/// Fields are intentionally private: the snapshot is an opaque token whose
-/// only contract is bit-identical resume. It exists as a separate type
-/// (rather than serde on `Ddpg` itself) because the RNG stream and the
-/// telemetry handle need explicit translation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DdpgSnapshot {
-    actor: Mlp,
-    actor_target: Mlp,
-    perturbed_actor: Mlp,
-    critic: Critic,
-    critic_target: Critic,
-    critic2: Option<Critic>,
-    critic2_target: Option<Critic>,
-    actor_opt: Adam,
-    critic_trunk_opt: Adam,
-    critic_head_opt: Adam,
-    critic2_trunk_opt: Adam,
-    critic2_head_opt: Adam,
-    replay: ReplayBuffer,
-    config: DdpgConfig,
-    param_noise: Option<AdaptiveParamNoise>,
-    action_noise: Option<OrnsteinUhlenbeck>,
-    obs_norm: RunningNorm,
-    reward_norm: RunningNorm,
-    recent_states: Vec<Vec<f64>>,
-    steps_since_resample: usize,
-    rng_state: [u64; 4],
-    train_steps_done: u64,
-}
-
-/// The acting-side weights of a [`Ddpg`] agent, frozen at a point in time
-/// (see [`Ddpg::policy_weights`]).
-///
-/// A `PolicyWeights` value is immutable and self-contained — it carries the
-/// actor network, the running observation normaliser, and the
-/// parameter-noise scale σ (when parameter-space exploration is configured).
-/// Turn it into an executable policy with [`PolicyWeights::perturbed`]
-/// (exploration: one fresh weight-space perturbation, as the lockstep loop
-/// draws at each wave boundary) or [`PolicyWeights::greedy`] (no noise).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PolicyWeights {
-    actor: Mlp,
-    obs_norm: RunningNorm,
-    sigma: Option<f64>,
-}
-
-impl PolicyWeights {
-    /// The parameter-noise scale σ carried by this snapshot, if the agent
-    /// explores in parameter space.
-    #[must_use]
-    pub fn sigma(&self) -> Option<f64> {
-        self.sigma
-    }
-
-    /// The frozen actor network.
-    #[must_use]
-    pub fn actor(&self) -> &Mlp {
-        &self.actor
-    }
-
-    /// An executable exploratory policy: a copy of the actor with one
-    /// weight-space perturbation of scale σ drawn from `rng` (the same
-    /// Gaussian perturbation [`Ddpg::resample_perturbation`] applies at a
-    /// rollout boundary, drawn with the ziggurat sampler — this is the hot
-    /// path of distributed rollout workers, which re-perturb at every wave).
-    /// With no σ — greedy exploration — the actor is used as-is and `rng`
-    /// is not consumed.
-    #[must_use]
-    pub fn perturbed<R: rand::Rng + ?Sized>(&self, rng: &mut R) -> FrozenPolicy {
-        let mut actor = self.actor.clone();
-        if let Some(sigma) = self.sigma {
-            actor.add_parameter_noise_fast(sigma, rng);
-        }
-        FrozenPolicy {
-            actor,
-            obs_norm: self.obs_norm.clone(),
-            norm_buf: Vec::new(),
-        }
-    }
-
-    /// The greedy (noise-free) executable policy for these weights.
-    #[must_use]
-    pub fn greedy(&self) -> FrozenPolicy {
-        FrozenPolicy {
-            actor: self.actor.clone(),
-            obs_norm: self.obs_norm.clone(),
-            norm_buf: Vec::new(),
-        }
-    }
-}
-
-/// An immutable executable policy derived from a [`PolicyWeights`]
-/// snapshot: states pass through the frozen observation normaliser and one
-/// (possibly noise-perturbed) actor forward. Unlike
-/// [`Ddpg::act_exploratory_batch`] it keeps **no** clocks, recent-state
-/// window, or RNG — acting on a `FrozenPolicy` is a pure function of the
-/// snapshot, which is what makes distributed rollout waves replayable.
-#[derive(Debug, Clone)]
-pub struct FrozenPolicy {
-    actor: Mlp,
-    obs_norm: RunningNorm,
-    /// Scratch for per-row normalisation; never read across calls.
-    norm_buf: Vec<f64>,
-}
-
-impl FrozenPolicy {
-    /// Actions for a batch of lane states (row `i` of `states` is lane
-    /// `i`'s state, row `i` of the result its action distribution), through
-    /// one batched actor forward.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `states` has no rows or a column count other than the
-    /// normaliser's dimension.
-    #[must_use]
-    pub fn act_batch(&mut self, states: &Matrix) -> Matrix {
-        assert!(states.rows() > 0, "need at least one lane");
-        assert_eq!(
-            states.cols(),
-            self.obs_norm.dim(),
-            "state dimension mismatch"
-        );
-        let mut z = Matrix::zeros(states.rows(), states.cols());
-        for r in 0..states.rows() {
-            self.obs_norm
-                .normalize_into(states.row(r), &mut self.norm_buf);
-            z.row_mut(r).copy_from_slice(&self.norm_buf);
-        }
-        self.actor.forward(&z)
-    }
 }
 
 #[cfg(test)]
@@ -1506,40 +752,6 @@ mod tests {
         }
         let a = agent.act(&s);
         assert!(a[0] > 0.7, "policy did not concentrate: {a:?}");
-    }
-
-    #[test]
-    fn critic_converges_on_fixed_targets() {
-        let mut rng = SmallRng::seed_from_u64(6);
-        let mut critic = Critic::new(2, 2, &[16, 16], &mut rng);
-        let mut t_opt = Adam::new(1e-2);
-        let mut h_opt = Adam::new(1e-2);
-        let s = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]);
-        let a = Matrix::from_rows(&[&[0.3, 0.7], &[0.9, 0.1]]);
-        let y = Matrix::from_rows(&[&[2.0], &[-1.0]]);
-        let mut loss = f64::INFINITY;
-        for _ in 0..500 {
-            loss = critic.train(&s, &a, &y, &mut t_opt, &mut h_opt);
-        }
-        assert!(loss < 1e-2, "loss {loss}");
-    }
-
-    #[test]
-    fn critic_action_gradient_matches_finite_diff() {
-        let mut rng = SmallRng::seed_from_u64(7);
-        let critic = Critic::new(2, 3, &[8, 8], &mut rng);
-        let s = Matrix::from_rows(&[&[0.4, -0.2]]);
-        let a = Matrix::from_rows(&[&[0.2, 0.5, 0.3]]);
-        let grad = critic.action_gradient(&s, &a);
-        let eps = 1e-6;
-        for c in 0..3 {
-            let mut ap = a.clone();
-            let mut am = a.clone();
-            ap.set(0, c, a.get(0, c) + eps);
-            am.set(0, c, a.get(0, c) - eps);
-            let numeric = (critic.q(&s, &ap).get(0, 0) - critic.q(&s, &am).get(0, 0)) / (2.0 * eps);
-            assert!((numeric - grad.get(0, c)).abs() < 1e-5, "dim {c}");
-        }
     }
 
     #[test]
@@ -1668,43 +880,6 @@ mod tests {
     }
 
     #[test]
-    fn health_trips_on_non_finite_loss() {
-        let mut health = TrainHealth::new(0.99, 1e4, 0);
-        let bad = TrainStats {
-            critic_loss: f64::NAN,
-            mean_q: 0.0,
-        };
-        match health.check(7, &bad) {
-            Err(TrainError::NonFiniteLoss { step: 7, .. }) => {}
-            other => panic!("expected NonFiniteLoss, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn health_trips_on_blowup_after_warmup_only() {
-        let mut health = TrainHealth::new(0.99, 100.0, 5);
-        let normal = TrainStats {
-            critic_loss: 1.0,
-            mean_q: 0.0,
-        };
-        let spike = TrainStats {
-            critic_loss: 1e6,
-            mean_q: 0.0,
-        };
-        // During warm-up even a huge finite spike passes.
-        health.check(0, &normal).unwrap();
-        health.check(1, &spike).unwrap();
-        health.reset();
-        for i in 0..5 {
-            health.check(i, &normal).unwrap();
-        }
-        match health.check(5, &spike) {
-            Err(TrainError::CriticBlowup { .. }) => {}
-            other => panic!("expected CriticBlowup, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn poisoned_replay_trips_watchdog_via_try_train_step() {
         let mut agent = Ddpg::new(2, 2, config(22));
         for i in 0..8 {
@@ -1776,51 +951,5 @@ mod tests {
             outs
         };
         assert_eq!(run(42), run(42));
-    }
-
-    /// The greedy frozen policy reproduces [`Ddpg::act`] bit for bit, row
-    /// by row — it is the same normaliser and actor, just detached.
-    #[test]
-    fn frozen_greedy_policy_matches_act() {
-        let mut agent = Ddpg::new(2, 3, config(50));
-        for i in 0..20 {
-            let s = [i as f64 * 0.3, 1.0];
-            let a = agent.act_exploratory(&s);
-            agent.observe(&s, &a, a[0], &s);
-        }
-        let mut frozen = agent.policy_weights().greedy();
-        let rows: Vec<Vec<f64>> = (0..5).map(|i| vec![i as f64, 0.5]).collect();
-        let refs: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
-        let batch = frozen.act_batch(&Matrix::from_rows(&refs));
-        for (i, s) in rows.iter().enumerate() {
-            let expected = agent.act(s);
-            assert_eq!(expected.as_slice(), batch.row(i), "row {i}");
-        }
-    }
-
-    /// Perturbing frozen weights is a pure function of the RNG state: two
-    /// perturbations from identically seeded streams act identically, a
-    /// different stream acts differently.
-    #[test]
-    fn frozen_perturbation_is_deterministic_in_the_rng() {
-        let agent = Ddpg::new(2, 3, config(51));
-        let weights = agent.policy_weights();
-        assert!(weights.sigma().is_some());
-        let s = Matrix::from_rows(&[&[0.4, 0.6], &[5.0, 1.0]]);
-        let mut a = weights
-            .perturbed(&mut SmallRng::seed_from_u64(9))
-            .act_batch(&s);
-        let b = weights
-            .perturbed(&mut SmallRng::seed_from_u64(9))
-            .act_batch(&s);
-        assert_eq!(a.as_slice(), b.as_slice());
-        let c = weights
-            .perturbed(&mut SmallRng::seed_from_u64(10))
-            .act_batch(&s);
-        assert_ne!(a.as_slice(), c.as_slice());
-        // The perturbation never leaks back into the snapshot.
-        a = weights.greedy().act_batch(&s);
-        let d = agent.policy_weights().greedy().act_batch(&s);
-        assert_eq!(a.as_slice(), d.as_slice());
     }
 }

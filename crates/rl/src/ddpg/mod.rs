@@ -1,0 +1,15 @@
+//! Deep deterministic policy gradient with parameter-space exploration.
+
+mod config;
+mod critic;
+mod frozen;
+mod health;
+mod learner;
+mod snapshot;
+
+pub use config::{DdpgConfig, Exploration};
+pub use critic::Critic;
+pub use frozen::{FrozenPolicy, PolicyWeights};
+pub use health::{TrainError, TrainHealth, TrainStats};
+pub use learner::Ddpg;
+pub use snapshot::DdpgSnapshot;
