@@ -25,7 +25,7 @@
 //!
 //! Run: `cargo run --release -p miras-bench --bin serve_chaos -- --smoke`
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -100,12 +100,12 @@ fn checkpoint_fixture(path: &PathBuf) -> Result<(), String> {
 }
 
 /// A hardened service over the checkpoint, fresh counters, watcher armed.
-fn build_service(checkpoint: &PathBuf, ensemble: &Ensemble) -> Result<DecisionService, String> {
+fn build_service(checkpoint: &Path, ensemble: &Ensemble) -> Result<DecisionService, String> {
     let (policy, _version) =
         load_policy(checkpoint).map_err(|e| format!("loading fixture: {e}"))?;
     let cfg = PolicyConfig::new(ensemble);
     Ok(DecisionService::new(policy, Telemetry::noop())
-        .with_watcher(CheckpointWatcher::new_deployed(checkpoint.clone()))
+        .with_watcher(CheckpointWatcher::new_deployed(checkpoint.to_path_buf()))
         .with_deadline(DEADLINE)
         .with_fallback(fallback(&cfg))
         .with_expected_dims(ensemble.num_task_types())
@@ -119,7 +119,7 @@ fn transcript_bytes(outcome: &ChaosOutcome, clients: usize) -> String {
 fn run_seed(
     seed: u64,
     base_lines: &[String],
-    checkpoint: &PathBuf,
+    checkpoint: &Path,
     ensemble: &Ensemble,
 ) -> Result<String, String> {
     let config = ChaosConfig {
@@ -133,7 +133,7 @@ fn run_seed(
     };
     let admission = AdmissionConfig {
         max_inflight: 4,
-        shed: if seed % 2 == 0 {
+        shed: if seed.is_multiple_of(2) {
             ShedPolicy::DropOldest
         } else {
             ShedPolicy::Reject

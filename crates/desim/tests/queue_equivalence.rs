@@ -88,7 +88,7 @@ enum Op {
 /// frame (forcing overflow-heap cascades).
 fn decode(kind: u8, small: u64, big: u64) -> Op {
     match kind % 100 {
-        0..=54 => Op::Push(if kind % 2 == 0 { small } else { big }),
+        0..=54 => Op::Push(if kind.is_multiple_of(2) { small } else { big }),
         55..=84 => Op::Pop,
         85..=89 => Op::Clear,
         _ => Op::SnapshotRestore,

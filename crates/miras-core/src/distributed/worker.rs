@@ -126,7 +126,7 @@ fn run_waves(
         env.reseed_lanes(seed);
         env.reset(active);
         let mut noise_rng = SmallRng::seed_from_u64(seed ^ NOISE_STREAM_SALT);
-        let mut policy = version.policy.perturbed(&mut noise_rng);
+        let policy = version.policy.perturbed(&mut noise_rng);
 
         let j = env.state_dim();
         let lend_before = env.lend_triggers();

@@ -180,11 +180,48 @@ impl Dense {
     ) -> (Matrix, DenseGrads) {
         let mut d_z = d_out.clone();
         self.activation.backward_in_place(output, &mut d_z);
-        // z = x · Wᵀ + b  ⇒  dW = d_zᵀ · x, db = column sums, dx = d_z · W.
-        let d_weights = d_z.transpose_matmul(input);
-        let d_bias = d_z.column_sums();
-        let d_input = d_z.matmul(&self.weights);
-        (d_input, DenseGrads { d_weights, d_bias })
+        (self.input_gradient(&d_z), self.param_gradients(input, &d_z))
+    }
+
+    /// The parameter half of the backward pass: with `z = x · Wᵀ + b` and
+    /// `d_z = ∂L/∂z`, `dW = d_zᵀ · x` and `db` is the column sums of `d_z`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shapes are inconsistent.
+    #[must_use]
+    pub fn param_gradients(&self, input: &Matrix, d_z: &Matrix) -> DenseGrads {
+        DenseGrads {
+            d_weights: d_z.transpose_matmul(input),
+            d_bias: d_z.column_sums(),
+        }
+    }
+
+    /// The input half of the backward pass: `∂L/∂x = d_z · W`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `d_z.cols() != self.fan_out()`.
+    #[must_use]
+    pub fn input_gradient(&self, d_z: &Matrix) -> Matrix {
+        d_z.matmul(&self.weights)
+    }
+
+    /// Columns `[start, start + width)` of [`Dense::input_gradient`],
+    /// computed from those input features' weights alone. Every output
+    /// element of a product is its own ascending-`k` sum, so the result is
+    /// bitwise the slice of the full gradient.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range exceeds `fan_in` or `d_z.cols() != self.fan_out()`.
+    #[must_use]
+    pub fn input_gradient_columns(&self, d_z: &Matrix, start: usize, width: usize) -> Matrix {
+        if start == 0 && width == self.fan_in() {
+            self.input_gradient(d_z)
+        } else {
+            d_z.matmul(&self.weights.columns(start, width))
+        }
     }
 
     /// Immutable views of the parameter buffers: `[weights, bias]`.

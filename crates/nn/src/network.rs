@@ -53,6 +53,16 @@ impl ForwardTrace {
         self.values.last().expect("non-empty trace")
     }
 
+    /// Consumes the trace, keeping only the network output.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the trace is empty (never produced by `forward_cached`).
+    #[must_use]
+    pub fn into_output(mut self) -> Matrix {
+        self.values.pop().expect("non-empty trace")
+    }
+
     /// Layer `i`'s forward input.
     #[must_use]
     pub fn layer_input(&self, i: usize) -> &Matrix {
@@ -224,28 +234,83 @@ impl Mlp {
     /// Panics if the trace does not match the number of layers.
     #[must_use]
     pub fn backward(&self, trace: &ForwardTrace, d_out: &Matrix) -> (Matrix, Vec<DenseGrads>) {
+        self.backprop(trace, d_out, true, Some((0, self.input_dim())))
+    }
+
+    /// The parameter half of [`Mlp::backward`]: the same per-layer
+    /// gradients, without the first layer's input gradient that a training
+    /// step never reads.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the trace does not match the number of layers.
+    #[must_use]
+    pub fn param_gradients(&self, trace: &ForwardTrace, d_out: &Matrix) -> Vec<DenseGrads> {
+        self.backprop(trace, d_out, true, None).1
+    }
+
+    /// The input half of [`Mlp::backward`], for input columns
+    /// `[start, start + width)` only: no layer's `d_zᵀ · x` weight-gradient
+    /// product is formed, and the first layer multiplies by just those
+    /// columns of its weights. Bitwise the matching columns of the full
+    /// input gradient.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the trace does not match the number of layers or the range
+    /// exceeds the input dimension.
+    #[must_use]
+    pub fn input_gradient_columns(
+        &self,
+        trace: &ForwardTrace,
+        d_out: &Matrix,
+        start: usize,
+        width: usize,
+    ) -> Matrix {
+        self.backprop(trace, d_out, false, Some((start, width))).0
+    }
+
+    /// Gradient of `Σ d_out ⊙ f(x)` with respect to the input `x`.
+    #[must_use]
+    pub fn input_gradient(&self, x: &Matrix, d_out: &Matrix) -> Matrix {
+        self.input_gradient_columns(&self.forward_cached(x), d_out, 0, self.input_dim())
+    }
+
+    /// The one backward loop. `d` is layer `i`'s `∂L/∂y` on entry to its
+    /// iteration and its `∂L/∂z` after the activation's in-place backward;
+    /// each half of the layer's gradient is formed only when asked for.
+    /// `input` names the input columns whose gradient to return; with
+    /// `None` the returned matrix is the first layer's `∂L/∂z`, which
+    /// callers discard.
+    fn backprop(
+        &self,
+        trace: &ForwardTrace,
+        d_out: &Matrix,
+        params: bool,
+        input: Option<(usize, usize)>,
+    ) -> (Matrix, Vec<DenseGrads>) {
         assert_eq!(
             trace.num_layers(),
             self.layers.len(),
             "trace length mismatch"
         );
-        let mut grads: Vec<Option<DenseGrads>> = (0..self.layers.len()).map(|_| None).collect();
+        let mut grads = Vec::with_capacity(if params { self.layers.len() } else { 0 });
         let mut d = d_out.clone();
         for (i, layer) in self.layers.iter().enumerate().rev() {
-            let (d_in, g) = layer.backward(trace.layer_input(i), trace.layer_output(i), &d);
-            grads[i] = Some(g);
-            d = d_in;
+            layer
+                .activation()
+                .backward_in_place(trace.layer_output(i), &mut d);
+            if params {
+                grads.push(layer.param_gradients(trace.layer_input(i), &d));
+            }
+            if i > 0 {
+                d = layer.input_gradient(&d);
+            } else if let Some((start, width)) = input {
+                d = layer.input_gradient_columns(&d, start, width);
+            }
         }
-        (d, grads.into_iter().map(|g| g.expect("filled")).collect())
-    }
-
-    /// Gradient of `Σ d_out ⊙ f(x)` with respect to the input `x` —
-    /// used by DDPG to compute `∂Q/∂a` through the critic.
-    #[must_use]
-    pub fn input_gradient(&self, x: &Matrix, d_out: &Matrix) -> Matrix {
-        let trace = self.forward_cached(x);
-        let (d_in, _) = self.backward(&trace, d_out);
-        d_in
+        grads.reverse();
+        (d, grads)
     }
 
     /// Applies parameter gradients with the optimizer, honouring its global
@@ -297,7 +362,7 @@ impl Mlp {
         let loss = d_out.as_slice().iter().map(|&v| v * v).sum::<f64>() / n;
         // d(MSE)/d(pred) = 2 (pred − y) / n
         d_out.scale_in_place(2.0 / n);
-        let (_, mut grads) = self.backward(&trace, &d_out);
+        let mut grads = self.param_gradients(&trace, &d_out);
         self.apply_gradients(&mut grads, opt);
         if let Some(start) = timer {
             let elapsed = start.elapsed().as_secs_f64();
@@ -489,6 +554,44 @@ mod tests {
             };
             let numeric = (f(&xp) - f(&xm)) / (2.0 * eps);
             assert!((numeric - analytic.get(0, c)).abs() < 1e-5);
+        }
+    }
+
+    /// The halves of the backward pass are the full pass minus work: same
+    /// bits, for a batch on the packed-GEMM path and one on the small path.
+    #[test]
+    fn backward_halves_match_full_backward_bitwise() {
+        let net = Mlp::new(
+            &[6, 20, 20, 3],
+            Activation::Relu,
+            Activation::Softmax,
+            &mut rng(30),
+        );
+        let mut r = rng(31);
+        for batch in [1usize, 3, 64] {
+            let random = |cols: usize, r: &mut SmallRng| {
+                let data = (0..batch * cols).map(|_| r.gen_range(-1.0..1.0)).collect();
+                Matrix::from_vec(batch, cols, data)
+            };
+            let (x, d_out) = (random(6, &mut r), random(3, &mut r));
+            let trace = net.forward_cached(&x);
+            let (d_in, grads) = net.backward(&trace, &d_out);
+
+            let params_only = net.param_gradients(&trace, &d_out);
+            assert_eq!(params_only.len(), grads.len());
+            for (a, b) in params_only.iter().zip(&grads) {
+                assert_eq!(a.d_weights, b.d_weights, "batch {batch}");
+                assert_eq!(a.d_bias, b.d_bias, "batch {batch}");
+            }
+
+            assert_eq!(net.input_gradient(&x, &d_out), d_in, "batch {batch}");
+            for (start, width) in [(0, 6), (0, 2), (2, 3), (5, 1)] {
+                assert_eq!(
+                    net.input_gradient_columns(&trace, &d_out, start, width),
+                    d_in.columns(start, width),
+                    "batch {batch}, columns {start}+{width}"
+                );
+            }
         }
     }
 

@@ -30,7 +30,7 @@ proptest! {
     ) {
         let hidden = [Activation::Relu, Activation::Tanh, Activation::Sigmoid][act_pick];
         let mut sizes = vec![input_dim];
-        sizes.extend(std::iter::repeat(hidden_dim).take(depth - 1));
+        sizes.extend(std::iter::repeat_n(hidden_dim, depth - 1));
         sizes.push(output_dim);
         let net = build_net(&sizes, hidden, Activation::Linear, seed);
 

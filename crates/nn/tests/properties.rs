@@ -60,7 +60,7 @@ proptest! {
         for r in 0..y.rows() {
             let sum: f64 = y.row(r).iter().sum();
             prop_assert!((sum - 1.0).abs() < 1e-9);
-            prop_assert!(y.row(r).iter().all(|&p| p >= 0.0 && p <= 1.0));
+            prop_assert!(y.row(r).iter().all(|p| (0.0..=1.0).contains(p)));
         }
     }
 

@@ -1,5 +1,7 @@
 //! The paper's critic and the minibatch gradient-shard helpers.
 
+use std::borrow::Cow;
+
 use nn::{Activation, Adam, DenseGrads, Matrix, Mlp};
 use serde::{Deserialize, Serialize};
 
@@ -51,6 +53,16 @@ where
     out.into_iter()
         .map(|s| s.expect("shard completed"))
         .collect()
+}
+
+/// Rows `[r0, r1)` of `m` for one shard — borrowed, not copied, when the
+/// shard is the whole minibatch.
+pub(super) fn shard_rows(m: &Matrix, (r0, r1): (usize, usize)) -> Cow<'_, Matrix> {
+    if r0 == 0 && r1 == m.rows() {
+        Cow::Borrowed(m)
+    } else {
+        Cow::Owned(m.rows_range(r0, r1))
+    }
 }
 
 /// One shard's contribution to a critic update.
@@ -111,9 +123,12 @@ impl Critic {
     /// Q-values for a batch of `(state, action)` pairs, shape `(batch, 1)`.
     #[must_use]
     pub fn q(&self, states: &Matrix, actions: &Matrix) -> Matrix {
-        let h = self.trunk.forward(states);
-        let z = Matrix::hconcat(&[&h, actions]);
-        self.head.forward(&z)
+        self.head.forward(&self.head_input(states, actions))
+    }
+
+    /// The head's input `[trunk(s) ‖ a]`.
+    fn head_input(&self, states: &Matrix, actions: &Matrix) -> Matrix {
+        Matrix::hconcat(&[&self.trunk.forward(states), actions])
     }
 
     /// One MSE training step toward `targets`; returns the loss before the
@@ -161,21 +176,21 @@ impl Critic {
         states: &Matrix,
         actions: &Matrix,
         targets: &Matrix,
-        (r0, r1): (usize, usize),
+        range: (usize, usize),
         n: f64,
     ) -> CriticShard {
-        let s = states.rows_range(r0, r1);
-        let a = actions.rows_range(r0, r1);
-        let t = targets.rows_range(r0, r1);
+        let s = shard_rows(states, range);
+        let a = shard_rows(actions, range);
+        let t = shard_rows(targets, range);
         let trunk_trace = self.trunk.forward_cached(&s);
         let z = Matrix::hconcat(&[trunk_trace.output(), &a]);
         let head_trace = self.head.forward_cached(&z);
-        let mut d_q = head_trace.output() - &t;
+        let mut d_q = head_trace.output() - &*t;
         let loss_sum = d_q.as_slice().iter().map(|&v| v * v).sum::<f64>();
         d_q.scale_in_place(2.0 / n);
         let (d_z, head_grads) = self.head.backward(&head_trace, &d_q);
         let d_h = d_z.columns(0, trunk_trace.output().cols());
-        let (_, trunk_grads) = self.trunk.backward(&trunk_trace, &d_h);
+        let trunk_grads = self.trunk.param_gradients(&trunk_trace, &d_h);
         CriticShard {
             loss_sum,
             trunk_grads,
@@ -183,14 +198,28 @@ impl Critic {
         }
     }
 
+    /// `Q(s, a)` and `∂Q/∂a` for each sample from one forward pass: the
+    /// head's trace serves both the value and an input-only backward over
+    /// the action columns of `[trunk(s) ‖ a]` (the deterministic policy
+    /// gradient reads neither weight gradients nor `∂Q/∂trunk(s)`).
+    #[must_use]
+    pub fn q_and_action_gradient(&self, states: &Matrix, actions: &Matrix) -> (Matrix, Matrix) {
+        let z = self.head_input(states, actions);
+        let trace = self.head.forward_cached(&z);
+        let ones = Matrix::from_vec(z.rows(), 1, vec![1.0; z.rows()]);
+        let d_actions = self.head.input_gradient_columns(
+            &trace,
+            &ones,
+            z.cols() - self.action_dim,
+            self.action_dim,
+        );
+        (trace.into_output(), d_actions)
+    }
+
     /// `∂Q/∂a` for each sample — the deterministic-policy-gradient term.
     #[must_use]
     pub fn action_gradient(&self, states: &Matrix, actions: &Matrix) -> Matrix {
-        let h = self.trunk.forward(states);
-        let z = Matrix::hconcat(&[&h, actions]);
-        let ones = Matrix::from_vec(z.rows(), 1, vec![1.0; z.rows()]);
-        let d_z = self.head.input_gradient(&z, &ones);
-        d_z.columns(h.cols(), self.action_dim)
+        self.q_and_action_gradient(states, actions).1
     }
 
     /// Polyak update toward `src`.
@@ -224,6 +253,37 @@ mod tests {
             loss = critic.train(&s, &a, &y, &mut t_opt, &mut h_opt);
         }
         assert!(loss < 1e-2, "loss {loss}");
+    }
+
+    /// The fused pass against the route it replaced, written out here: a
+    /// `q` forward, then a second forward and a full head backward whose
+    /// weight gradients and trunk columns are thrown away.
+    #[test]
+    fn fused_q_and_action_gradient_matches_separate_passes_bitwise() {
+        let mut rng = SmallRng::seed_from_u64(17);
+        let critic = Critic::new(4, 4, &[64, 64, 64], &mut rng);
+        for batch in [1usize, 5, 64] {
+            let random = |cols: usize, rng: &mut SmallRng| {
+                use rand::Rng;
+                let data = (0..batch * cols)
+                    .map(|_| rng.gen_range(-1.0..1.0))
+                    .collect();
+                Matrix::from_vec(batch, cols, data)
+            };
+            let (s, a) = (random(4, &mut rng), random(4, &mut rng));
+
+            let h = critic.trunk.forward(&s);
+            let z = Matrix::hconcat(&[&h, &a]);
+            let trace = critic.head.forward_cached(&z);
+            let ones = Matrix::from_vec(batch, 1, vec![1.0; batch]);
+            let (d_z, _weight_grads) = critic.head.backward(&trace, &ones);
+            let old_gradient = d_z.columns(h.cols(), 4);
+
+            let (q, gradient) = critic.q_and_action_gradient(&s, &a);
+            assert_eq!(q, critic.q(&s, &a), "batch {batch}");
+            assert_eq!(gradient, old_gradient, "batch {batch}");
+            assert_eq!(critic.action_gradient(&s, &a), old_gradient);
+        }
     }
 
     #[test]

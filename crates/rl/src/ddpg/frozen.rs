@@ -71,7 +71,6 @@ impl PolicyWeights {
         FrozenPolicy {
             actor,
             obs_norm: self.obs_norm.clone(),
-            norm_buf: Vec::new(),
         }
     }
 
@@ -81,7 +80,6 @@ impl PolicyWeights {
         FrozenPolicy {
             actor: self.actor.clone(),
             obs_norm: self.obs_norm.clone(),
-            norm_buf: Vec::new(),
         }
     }
 }
@@ -96,8 +94,6 @@ impl PolicyWeights {
 pub struct FrozenPolicy {
     actor: Mlp,
     obs_norm: RunningNorm,
-    /// Scratch for per-row normalisation; never read across calls.
-    norm_buf: Vec<f64>,
 }
 
 impl FrozenPolicy {
@@ -110,7 +106,7 @@ impl FrozenPolicy {
     /// Panics if `states` has no rows or a column count other than the
     /// normaliser's dimension.
     #[must_use]
-    pub fn act_batch(&mut self, states: &Matrix) -> Matrix {
+    pub fn act_batch(&self, states: &Matrix) -> Matrix {
         assert!(states.rows() > 0, "need at least one lane");
         assert_eq!(
             states.cols(),
@@ -119,9 +115,7 @@ impl FrozenPolicy {
         );
         let mut z = Matrix::zeros(states.rows(), states.cols());
         for r in 0..states.rows() {
-            self.obs_norm
-                .normalize_into(states.row(r), &mut self.norm_buf);
-            z.row_mut(r).copy_from_slice(&self.norm_buf);
+            self.obs_norm.normalize_slice(states.row(r), z.row_mut(r));
         }
         self.actor.forward(&z)
     }
@@ -148,7 +142,7 @@ mod tests {
             let a = agent.act_exploratory(&s);
             agent.observe(&s, &a, a[0], &s);
         }
-        let mut frozen = agent.policy_weights().greedy();
+        let frozen = agent.policy_weights().greedy();
         let rows: Vec<Vec<f64>> = (0..5).map(|i| vec![i as f64, 0.5]).collect();
         let refs: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
         let batch = frozen.act_batch(&Matrix::from_rows(&refs));

@@ -5,7 +5,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use telemetry::Telemetry;
 
-use super::critic::{run_sharded, shard_ranges};
+use super::critic::{run_sharded, shard_ranges, shard_rows};
 use super::{Critic, DdpgConfig, Exploration, TrainError, TrainHealth, TrainStats};
 use crate::policy::project_to_simplex;
 use crate::{AdaptiveParamNoise, OrnsteinUhlenbeck, ReplayBuffer, RunningNorm, StoredTransition};
@@ -231,12 +231,9 @@ impl Ddpg {
             self.remember_state(states.row(r));
         }
         let mut z = Matrix::zeros(states.rows(), states.cols());
-        let mut buf = std::mem::take(&mut self.norm_buf);
         for r in 0..states.rows() {
-            self.obs_norm.normalize_into(states.row(r), &mut buf);
-            z.row_mut(r).copy_from_slice(&buf);
+            self.obs_norm.normalize_slice(states.row(r), z.row_mut(r));
         }
-        self.norm_buf = buf;
         match &self.config.exploration {
             Exploration::ParamNoise { resample_every, .. } => {
                 let resample_every = *resample_every;
@@ -346,32 +343,24 @@ impl Ddpg {
         }
         let batch = self.replay.sample(b, &mut self.rng);
         // Replay stores raw states; normalise with the *current* running
-        // statistics at batch-build time.
-        let state_rows: Vec<Vec<f64>> = batch
-            .iter()
-            .map(|t| self.obs_norm.normalize(&t.state))
-            .collect();
-        let next_rows: Vec<Vec<f64>> = batch
-            .iter()
-            .map(|t| self.obs_norm.normalize(&t.next_state))
-            .collect();
-        let states = Matrix::from_rows(&state_rows.iter().map(Vec::as_slice).collect::<Vec<_>>());
-        let actions = Matrix::from_rows(
-            &batch
-                .iter()
-                .map(|t| t.action.as_slice())
-                .collect::<Vec<_>>(),
-        );
-        let rewards: Vec<f64> = if self.config.normalize_rewards {
-            batch
-                .iter()
-                .map(|t| self.reward_norm.normalize(&[t.reward])[0])
-                .collect()
-        } else {
-            batch.iter().map(|t| t.reward).collect()
-        };
-        let next_states =
-            Matrix::from_rows(&next_rows.iter().map(Vec::as_slice).collect::<Vec<_>>());
+        // statistics at batch-build time, straight into the batch rows.
+        let mut states = Matrix::zeros(b, self.obs_norm.dim());
+        let mut next_states = Matrix::zeros(b, self.obs_norm.dim());
+        let mut actions = Matrix::zeros(b, batch[0].action.len());
+        // Holds each row's reward until the bootstrap term is added below.
+        let mut targets = Matrix::zeros(b, 1);
+        for (i, t) in batch.iter().enumerate() {
+            self.obs_norm.normalize_slice(&t.state, states.row_mut(i));
+            self.obs_norm
+                .normalize_slice(&t.next_state, next_states.row_mut(i));
+            actions.row_mut(i).copy_from_slice(&t.action);
+            if self.config.normalize_rewards {
+                self.reward_norm
+                    .normalize_slice(&[t.reward], targets.row_mut(i));
+            } else {
+                targets.set(i, 0, t.reward);
+            }
+        }
 
         // Critic target: y = r + γ · Q'(s', μ'(s')); with a twin critic the
         // clipped double-Q minimum of both target critics is used (TD3).
@@ -381,13 +370,12 @@ impl Ddpg {
             .critic2_target
             .as_ref()
             .map(|c| c.q(&next_states, &next_actions));
-        let mut targets = Matrix::zeros(b, 1);
-        for (i, &r) in rewards.iter().enumerate() {
+        for (i, y) in targets.as_mut_slice().iter_mut().enumerate() {
             let mut q = next_q.get(i, 0);
             if let Some(q2) = &next_q2 {
                 q = q.min(q2.get(i, 0));
             }
-            targets.set(i, 0, r + self.config.gamma * q);
+            *y += self.config.gamma * q;
         }
         let critic_loss = self.critic.train(
             &states,
@@ -416,12 +404,12 @@ impl Ddpg {
         let inv_b = 1.0 / b as f64;
         let ranges = shard_ranges(b);
         let (actor, critic) = (&self.actor, &self.critic);
-        let shards = run_sharded(&ranges, |(r0, r1)| {
-            let s = states.rows_range(r0, r1);
+        let shards = run_sharded(&ranges, |range| {
+            let s = shard_rows(&states, range);
             let trace = actor.forward_cached(&s);
             let policy_actions = trace.output();
-            let q_sum: f64 = critic.q(&s, policy_actions).as_slice().iter().sum();
-            let mut d_out = critic.action_gradient(&s, policy_actions);
+            let (q, mut d_out) = critic.q_and_action_gradient(&s, policy_actions);
+            let q_sum: f64 = q.as_slice().iter().sum();
             d_out.scale_in_place(-inv_b);
             if beta > 0.0 {
                 for r in 0..d_out.rows() {
@@ -432,8 +420,7 @@ impl Ddpg {
                     }
                 }
             }
-            let (_, grads) = actor.backward(&trace, &d_out);
-            (q_sum, grads)
+            (q_sum, actor.param_gradients(&trace, &d_out))
         });
         let mut iter = shards.into_iter();
         let (mut q_sum, mut grads) = iter.next().expect("at least one shard");

@@ -84,40 +84,43 @@ impl RunningNorm {
     /// Panics on dimension mismatch.
     #[must_use]
     pub fn normalize(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.mean.len(), "dimension mismatch");
-        if self.count < 2 {
-            return x.to_vec();
-        }
-        let n = self.count as f64;
-        x.iter()
-            .enumerate()
-            .map(|(i, &v)| {
-                let var = self.m2[i] / n;
-                let std = var.sqrt().max(1e-6);
-                ((v - self.mean[i]) / std).clamp(-self.clip, self.clip)
-            })
-            .collect()
+        let mut out = vec![0.0; x.len()];
+        self.normalize_slice(x, &mut out);
+        out
     }
 
-    /// Allocation-free [`RunningNorm::normalize`] into a caller buffer
-    /// (cleared and refilled). Bitwise-identical to `normalize`.
+    /// [`RunningNorm::normalize`] into a caller buffer (cleared and
+    /// refilled). Bitwise-identical to `normalize`.
     ///
     /// # Panics
     ///
     /// Panics on dimension mismatch.
     pub fn normalize_into(&self, x: &[f64], out: &mut Vec<f64>) {
-        assert_eq!(x.len(), self.mean.len(), "dimension mismatch");
         out.clear();
+        out.resize(x.len(), 0.0);
+        self.normalize_slice(x, out);
+    }
+
+    /// [`RunningNorm::normalize`] straight into a slice of the same length
+    /// — e.g. one row of a minibatch matrix. Bitwise-identical to
+    /// `normalize`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on dimension mismatch.
+    pub fn normalize_slice(&self, x: &[f64], out: &mut [f64]) {
+        assert_eq!(x.len(), self.mean.len(), "dimension mismatch");
+        assert_eq!(out.len(), x.len(), "output length mismatch");
         if self.count < 2 {
-            out.extend_from_slice(x);
+            out.copy_from_slice(x);
             return;
         }
         let n = self.count as f64;
-        out.extend(x.iter().enumerate().map(|(i, &v)| {
+        for (i, (o, &v)) in out.iter_mut().zip(x).enumerate() {
             let var = self.m2[i] / n;
             let std = var.sqrt().max(1e-6);
-            ((v - self.mean[i]) / std).clamp(-self.clip, self.clip)
-        }));
+            *o = ((v - self.mean[i]) / std).clamp(-self.clip, self.clip);
+        }
     }
 }
 
