@@ -35,26 +35,6 @@ pub struct DenseGrads {
 }
 
 impl DenseGrads {
-    /// Accumulates another shard's gradients: `self += other`.
-    ///
-    /// Used to reduce per-shard minibatch gradients in a fixed order so
-    /// threaded training stays deterministic.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn accumulate(&mut self, other: &DenseGrads) {
-        self.d_weights.add_in_place(&other.d_weights);
-        assert_eq!(
-            self.d_bias.len(),
-            other.d_bias.len(),
-            "bias length mismatch"
-        );
-        for (a, &b) in self.d_bias.iter_mut().zip(&other.d_bias) {
-            *a += b;
-        }
-    }
-
     /// Scales all gradients in place.
     pub fn scale_in_place(&mut self, s: f64) {
         self.d_weights.scale_in_place(s);
@@ -349,12 +329,11 @@ mod tests {
         let y = layer.infer(&x);
         let d_out = Matrix::from_rows(&[&[1.0, -1.0]]);
         let (_, mut g1) = layer.backward(&x, &y, &d_out);
-        let (_, g2) = layer.backward(&x, &y, &d_out);
-        g1.accumulate(&g2);
         g1.scale_in_place(0.5);
         let (_, g_ref) = layer.backward(&x, &y, &d_out);
-        assert_eq!(g1.d_weights, g_ref.d_weights);
-        assert_eq!(g1.d_bias, g_ref.d_bias);
+        assert_eq!(g1.d_weights, g_ref.d_weights.scale(0.5));
+        let half_bias: Vec<f64> = g_ref.d_bias.iter().map(|b| b * 0.5).collect();
+        assert_eq!(g1.d_bias, half_bias);
     }
 
     #[test]

@@ -448,22 +448,6 @@ impl Matrix {
         }
     }
 
-    /// Adds `rhs` element-wise in place.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn add_in_place(&mut self, rhs: &Matrix) {
-        assert_eq!(
-            (self.rows, self.cols),
-            (rhs.rows, rhs.cols),
-            "shape mismatch"
-        );
-        for (v, &b) in self.data.iter_mut().zip(&rhs.data) {
-            *v += b;
-        }
-    }
-
     /// Adds `bias` (length = cols) to every row.
     ///
     /// # Panics
@@ -571,20 +555,6 @@ impl Matrix {
             out.row_mut(r)
                 .copy_from_slice(&self.row(r)[start..start + width]);
         }
-        out
-    }
-
-    /// Returns a copy of rows `[start, end)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `start > end` or `end > self.rows()`.
-    #[must_use]
-    pub fn rows_range(&self, start: usize, end: usize) -> Matrix {
-        assert!(start <= end && end <= self.rows, "row range out of bounds");
-        let mut out = Matrix::zeros(end - start, self.cols);
-        out.data
-            .copy_from_slice(&self.data[start * self.cols..end * self.cols]);
         out
     }
 }
@@ -755,22 +725,10 @@ mod tests {
     }
 
     #[test]
-    fn rows_range_copies_rows() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
-        assert_eq!(
-            a.rows_range(1, 3),
-            Matrix::from_rows(&[&[3.0, 4.0], &[5.0, 6.0]])
-        );
-        assert_eq!(a.rows_range(1, 1).rows(), 0);
-    }
-
-    #[test]
     fn in_place_ops() {
         let mut a = Matrix::from_rows(&[&[1.0, 2.0]]);
         a.scale_in_place(3.0);
         assert_eq!(a, Matrix::from_rows(&[&[3.0, 6.0]]));
-        a.add_in_place(&Matrix::from_rows(&[&[1.0, -1.0]]));
-        assert_eq!(a, Matrix::from_rows(&[&[4.0, 5.0]]));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Thread-count configuration for the compute kernels.
 //!
-//! The crate parallelises large matrix products and (downstream) ensemble /
-//! minibatch work with `std::thread::scope` — no thread-pool dependency. The
+//! The crate parallelises large matrix products and (downstream) ensemble
+//! members with `std::thread::scope` — no thread-pool dependency. The
 //! degree of parallelism is controlled by the `NN_NUM_THREADS` environment
 //! variable, read once per process:
 //!
@@ -11,9 +11,9 @@
 //!
 //! Kernels are written so that the split across threads never changes the
 //! floating-point reduction order of any output element; a matrix product is
-//! therefore bit-identical for every thread count. Coarser regions (gradient
-//! shards, ensemble members) fix their shard count from this knob, so runs
-//! are bit-reproducible for a fixed `NN_NUM_THREADS`.
+//! therefore bit-identical for every thread count. Coarser regions
+//! (ensemble members) give each unit of work its own seed and reduce in a
+//! fixed order, so `NN_NUM_THREADS` sets speed, never results.
 
 use std::cell::Cell;
 use std::sync::OnceLock;
@@ -41,8 +41,8 @@ thread_local! {
 /// Runs `f` with all kernel-level parallelism disabled on this thread.
 ///
 /// Used by coarse-grained parallel regions (ensemble-member training,
-/// minibatch gradient shards) so their workers do not spawn nested kernel
-/// threads and oversubscribe the machine.
+/// grid cells, actor–learner workers) so their workers do not spawn nested
+/// kernel threads and oversubscribe the machine.
 pub fn with_serial<R>(f: impl FnOnce() -> R) -> R {
     FORCE_SERIAL.with(|flag| {
         let prev = flag.replace(true);

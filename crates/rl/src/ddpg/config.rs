@@ -27,8 +27,6 @@ pub enum Exploration {
         /// Volatility.
         sigma: f64,
     },
-    /// No exploration: always act greedily.
-    Greedy,
 }
 
 /// DDPG hyper-parameters.

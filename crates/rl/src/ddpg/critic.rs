@@ -1,77 +1,7 @@
-//! The paper's critic and the minibatch gradient-shard helpers.
+//! The paper's critic.
 
-use std::borrow::Cow;
-
-use nn::{Activation, Adam, DenseGrads, Matrix, Mlp};
+use nn::{Activation, Adam, Matrix, Mlp};
 use serde::{Deserialize, Serialize};
-
-/// Minimum minibatch rows per gradient shard; below this, thread overhead
-/// dominates the matrix work.
-const MIN_SHARD_ROWS: usize = 16;
-
-/// Splits `rows` minibatch rows into contiguous shards, at most one per
-/// configured thread (`NN_NUM_THREADS`). The shard count is a pure function
-/// of `rows` and the thread knob, and shards are always reduced in index
-/// order, so threaded training is bit-reproducible for a fixed knob; with
-/// one shard the computation is identical to the serial path.
-pub(super) fn shard_ranges(rows: usize) -> Vec<(usize, usize)> {
-    let shards = nn::threads::effective_threads()
-        .min(rows / MIN_SHARD_ROWS)
-        .max(1);
-    let base = rows / shards;
-    let extra = rows % shards;
-    let mut ranges = Vec::with_capacity(shards);
-    let mut start = 0;
-    for i in 0..shards {
-        let len = base + usize::from(i < extra);
-        ranges.push((start, start + len));
-        start += len;
-    }
-    ranges
-}
-
-/// Runs `work` over each shard range — on this thread if there is only one
-/// shard, otherwise one scoped thread per shard (each with nested kernel
-/// parallelism disabled) — and returns the results in shard order.
-pub(super) fn run_sharded<T, F>(ranges: &[(usize, usize)], work: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn((usize, usize)) -> T + Sync,
-{
-    if ranges.len() == 1 {
-        return vec![work(ranges[0])];
-    }
-    let mut out: Vec<Option<T>> = ranges.iter().map(|_| None).collect();
-    let work_ref = &work;
-    std::thread::scope(|scope| {
-        for (slot, &range) in out.iter_mut().zip(ranges) {
-            scope.spawn(move || {
-                *slot = Some(nn::threads::with_serial(|| work_ref(range)));
-            });
-        }
-    });
-    out.into_iter()
-        .map(|s| s.expect("shard completed"))
-        .collect()
-}
-
-/// Rows `[r0, r1)` of `m` for one shard — borrowed, not copied, when the
-/// shard is the whole minibatch.
-pub(super) fn shard_rows(m: &Matrix, (r0, r1): (usize, usize)) -> Cow<'_, Matrix> {
-    if r0 == 0 && r1 == m.rows() {
-        Cow::Borrowed(m)
-    } else {
-        Cow::Owned(m.rows_range(r0, r1))
-    }
-}
-
-/// One shard's contribution to a critic update.
-struct CriticShard {
-    /// Unnormalised sum of squared TD errors over the shard's rows.
-    loss_sum: f64,
-    trunk_grads: Vec<DenseGrads>,
-    head_grads: Vec<DenseGrads>,
-}
 
 /// The critic `Q(s, a)` with the paper's architecture: the action is
 /// injected at the *second* hidden layer (§VI-A3 — "we insert one of
@@ -134,9 +64,8 @@ impl Critic {
     /// One MSE training step toward `targets`; returns the loss before the
     /// update.
     ///
-    /// The minibatch is split into row shards (see [`shard_ranges`]) whose
-    /// gradients are computed on scoped threads and reduced in shard order,
-    /// then applied once — equivalent to the full-batch update.
+    /// One forward/backward over the whole minibatch, then one optimiser
+    /// step per network; the result does not depend on `NN_NUM_THREADS`.
     pub fn train(
         &mut self,
         states: &Matrix,
@@ -146,56 +75,18 @@ impl Critic {
         head_opt: &mut Adam,
     ) -> f64 {
         let n = states.rows() as f64;
-        let ranges = shard_ranges(states.rows());
-        let this: &Critic = self;
-        let shards = run_sharded(&ranges, |range| {
-            this.grad_shard(states, actions, targets, range, n)
-        });
-
-        let mut iter = shards.into_iter();
-        let mut acc = iter.next().expect("at least one shard");
-        for s in iter {
-            acc.loss_sum += s.loss_sum;
-            for (a, b) in acc.trunk_grads.iter_mut().zip(&s.trunk_grads) {
-                a.accumulate(b);
-            }
-            for (a, b) in acc.head_grads.iter_mut().zip(&s.head_grads) {
-                a.accumulate(b);
-            }
-        }
-        self.head.apply_gradients(&mut acc.head_grads, head_opt);
-        self.trunk.apply_gradients(&mut acc.trunk_grads, trunk_opt);
-        acc.loss_sum / n
-    }
-
-    /// Forward/backward over rows `[r0, r1)` of the minibatch. The TD-error
-    /// gradient is scaled by the *full* batch size `n`, so summing shard
-    /// gradients reproduces the full-batch gradient exactly.
-    fn grad_shard(
-        &self,
-        states: &Matrix,
-        actions: &Matrix,
-        targets: &Matrix,
-        range: (usize, usize),
-        n: f64,
-    ) -> CriticShard {
-        let s = shard_rows(states, range);
-        let a = shard_rows(actions, range);
-        let t = shard_rows(targets, range);
-        let trunk_trace = self.trunk.forward_cached(&s);
-        let z = Matrix::hconcat(&[trunk_trace.output(), &a]);
+        let trunk_trace = self.trunk.forward_cached(states);
+        let z = Matrix::hconcat(&[trunk_trace.output(), actions]);
         let head_trace = self.head.forward_cached(&z);
-        let mut d_q = head_trace.output() - &*t;
+        let mut d_q = head_trace.output() - targets;
         let loss_sum = d_q.as_slice().iter().map(|&v| v * v).sum::<f64>();
         d_q.scale_in_place(2.0 / n);
-        let (d_z, head_grads) = self.head.backward(&head_trace, &d_q);
+        let (d_z, mut head_grads) = self.head.backward(&head_trace, &d_q);
         let d_h = d_z.columns(0, trunk_trace.output().cols());
-        let trunk_grads = self.trunk.param_gradients(&trunk_trace, &d_h);
-        CriticShard {
-            loss_sum,
-            trunk_grads,
-            head_grads,
-        }
+        let mut trunk_grads = self.trunk.param_gradients(&trunk_trace, &d_h);
+        self.head.apply_gradients(&mut head_grads, head_opt);
+        self.trunk.apply_gradients(&mut trunk_grads, trunk_opt);
+        loss_sum / n
     }
 
     /// `Q(s, a)` and `∂Q/∂a` for each sample from one forward pass: the

@@ -5,7 +5,6 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use telemetry::Telemetry;
 
-use super::critic::{run_sharded, shard_ranges, shard_rows};
 use super::{Critic, DdpgConfig, Exploration, TrainError, TrainHealth, TrainStats};
 use crate::policy::project_to_simplex;
 use crate::{AdaptiveParamNoise, OrnsteinUhlenbeck, ReplayBuffer, RunningNorm, StoredTransition};
@@ -50,6 +49,15 @@ pub struct Ddpg {
     /// so single-lane rollouts stop allocating it every step. Pure scratch:
     /// excluded from snapshots and never read across calls.
     pub(super) norm_buf: Vec<f64>,
+}
+
+/// One sampled minibatch, normalised for the networks. `targets` holds each
+/// row's reward until [`Ddpg::critic_targets`] adds the bootstrap term.
+struct Minibatch {
+    states: Matrix,
+    next_states: Matrix,
+    actions: Matrix,
+    targets: Matrix,
 }
 
 /// How often (in train steps) the expensive target-network divergence
@@ -117,7 +125,6 @@ impl Ddpg {
             Exploration::ActionNoise { theta, sigma } => {
                 (None, Some(OrnsteinUhlenbeck::new(action_dim, theta, sigma)))
             }
-            Exploration::Greedy => (None, None),
         };
 
         let mut agent = Ddpg {
@@ -197,7 +204,6 @@ impl Ddpg {
                 out.clear();
                 out.extend_from_slice(&projected);
             }
-            Exploration::Greedy => self.actor.forward_one_into(state, out),
         }
         self.norm_buf = z;
     }
@@ -260,13 +266,13 @@ impl Ddpg {
                 }
                 a
             }
-            Exploration::Greedy => self.actor.forward(states),
         }
     }
 
     /// The raw (pre-projection) noisy action for the exploration ablation:
     /// with action noise this may leave the simplex — i.e. violate the
-    /// consumer budget. Returns the greedy action for other strategies.
+    /// consumer budget. Under parameter noise this is
+    /// [`Ddpg::act_exploratory`].
     pub fn act_exploratory_unprojected(&mut self, state: &[f64]) -> Vec<f64> {
         match &self.config.exploration {
             Exploration::ActionNoise { .. } => {
@@ -341,106 +347,11 @@ impl Ddpg {
         if self.replay.len() < b {
             return None;
         }
-        let batch = self.replay.sample(b, &mut self.rng);
-        // Replay stores raw states; normalise with the *current* running
-        // statistics at batch-build time, straight into the batch rows.
-        let mut states = Matrix::zeros(b, self.obs_norm.dim());
-        let mut next_states = Matrix::zeros(b, self.obs_norm.dim());
-        let mut actions = Matrix::zeros(b, batch[0].action.len());
-        // Holds each row's reward until the bootstrap term is added below.
-        let mut targets = Matrix::zeros(b, 1);
-        for (i, t) in batch.iter().enumerate() {
-            self.obs_norm.normalize_slice(&t.state, states.row_mut(i));
-            self.obs_norm
-                .normalize_slice(&t.next_state, next_states.row_mut(i));
-            actions.row_mut(i).copy_from_slice(&t.action);
-            if self.config.normalize_rewards {
-                self.reward_norm
-                    .normalize_slice(&[t.reward], targets.row_mut(i));
-            } else {
-                targets.set(i, 0, t.reward);
-            }
-        }
-
-        // Critic target: y = r + γ · Q'(s', μ'(s')); with a twin critic the
-        // clipped double-Q minimum of both target critics is used (TD3).
-        let next_actions = self.actor_target.forward(&next_states);
-        let next_q = self.critic_target.q(&next_states, &next_actions);
-        let next_q2 = self
-            .critic2_target
-            .as_ref()
-            .map(|c| c.q(&next_states, &next_actions));
-        for (i, y) in targets.as_mut_slice().iter_mut().enumerate() {
-            let mut q = next_q.get(i, 0);
-            if let Some(q2) = &next_q2 {
-                q = q.min(q2.get(i, 0));
-            }
-            *y += self.config.gamma * q;
-        }
-        let critic_loss = self.critic.train(
-            &states,
-            &actions,
-            &targets,
-            &mut self.critic_trunk_opt,
-            &mut self.critic_head_opt,
-        );
-        if let Some(c2) = &mut self.critic2 {
-            let _ = c2.train(
-                &states,
-                &actions,
-                &targets,
-                &mut self.critic2_trunk_opt,
-                &mut self.critic2_head_opt,
-            );
-        }
-
-        // Actor: ascend ∂Q/∂a through the deterministic policy gradient,
-        // plus an entropy bonus that prevents softmax-vertex collapse.
-        // Loss = −Q − β·H(a); with H = −Σ a ln a the output gradient is
-        // −∂Q/∂a + β (ln a + 1), averaged over the batch. Sharded like the
-        // critic update: per-shard gradients scale by the full batch size,
-        // so their ordered sum is the full-batch gradient.
-        let beta = self.config.entropy_weight;
-        let inv_b = 1.0 / b as f64;
-        let ranges = shard_ranges(b);
-        let (actor, critic) = (&self.actor, &self.critic);
-        let shards = run_sharded(&ranges, |range| {
-            let s = shard_rows(&states, range);
-            let trace = actor.forward_cached(&s);
-            let policy_actions = trace.output();
-            let (q, mut d_out) = critic.q_and_action_gradient(&s, policy_actions);
-            let q_sum: f64 = q.as_slice().iter().sum();
-            d_out.scale_in_place(-inv_b);
-            if beta > 0.0 {
-                for r in 0..d_out.rows() {
-                    for c in 0..d_out.cols() {
-                        let a = policy_actions.get(r, c).max(1e-8);
-                        let g = d_out.get(r, c) + beta * (a.ln() + 1.0) * inv_b;
-                        d_out.set(r, c, g);
-                    }
-                }
-            }
-            (q_sum, actor.param_gradients(&trace, &d_out))
-        });
-        let mut iter = shards.into_iter();
-        let (mut q_sum, mut grads) = iter.next().expect("at least one shard");
-        for (q_part, g_part) in iter {
-            q_sum += q_part;
-            for (a, g) in grads.iter_mut().zip(&g_part) {
-                a.accumulate(g);
-            }
-        }
-        let mean_q = q_sum * inv_b;
-        self.actor.apply_gradients(&mut grads, &mut self.actor_opt);
-
-        // Polyak updates.
-        self.actor_target
-            .soft_update_from(&self.actor, self.config.tau);
-        self.critic_target
-            .soft_update_from(&self.critic, self.config.tau);
-        if let (Some(t), Some(c)) = (&mut self.critic2_target, &self.critic2) {
-            t.soft_update_from(c, self.config.tau);
-        }
+        let mut batch = self.assemble_batch(b);
+        self.critic_targets(&mut batch);
+        let critic_loss = self.critic_step(&batch);
+        let mean_q = self.actor_step(&batch.states);
+        self.polyak_update();
 
         self.train_steps_done += 1;
         if self.telemetry.is_enabled() {
@@ -461,6 +372,113 @@ impl Ddpg {
             critic_loss,
             mean_q,
         })
+    }
+
+    /// Samples `b` transitions. Replay stores raw states; they are
+    /// normalised with the *current* running statistics at batch-build
+    /// time, straight into the batch rows.
+    fn assemble_batch(&mut self, b: usize) -> Minibatch {
+        let batch = self.replay.sample(b, &mut self.rng);
+        let mut states = Matrix::zeros(b, self.obs_norm.dim());
+        let mut next_states = Matrix::zeros(b, self.obs_norm.dim());
+        let mut actions = Matrix::zeros(b, batch[0].action.len());
+        let mut targets = Matrix::zeros(b, 1);
+        for (i, t) in batch.iter().enumerate() {
+            self.obs_norm.normalize_slice(&t.state, states.row_mut(i));
+            self.obs_norm
+                .normalize_slice(&t.next_state, next_states.row_mut(i));
+            actions.row_mut(i).copy_from_slice(&t.action);
+            if self.config.normalize_rewards {
+                self.reward_norm
+                    .normalize_slice(&[t.reward], targets.row_mut(i));
+            } else {
+                targets.set(i, 0, t.reward);
+            }
+        }
+        Minibatch {
+            states,
+            next_states,
+            actions,
+            targets,
+        }
+    }
+
+    /// Critic target: y = r + γ · Q'(s', μ'(s')); with a twin critic the
+    /// clipped double-Q minimum of both target critics is used (TD3).
+    fn critic_targets(&self, batch: &mut Minibatch) {
+        let next_actions = self.actor_target.forward(&batch.next_states);
+        let next_q = self.critic_target.q(&batch.next_states, &next_actions);
+        let next_q2 = self
+            .critic2_target
+            .as_ref()
+            .map(|c| c.q(&batch.next_states, &next_actions));
+        for (i, y) in batch.targets.as_mut_slice().iter_mut().enumerate() {
+            let mut q = next_q.get(i, 0);
+            if let Some(q2) = &next_q2 {
+                q = q.min(q2.get(i, 0));
+            }
+            *y += self.config.gamma * q;
+        }
+    }
+
+    /// One MSE step of the critic (and the twin, if any) toward the
+    /// targets; returns the first critic's loss before the update.
+    fn critic_step(&mut self, batch: &Minibatch) -> f64 {
+        let critic_loss = self.critic.train(
+            &batch.states,
+            &batch.actions,
+            &batch.targets,
+            &mut self.critic_trunk_opt,
+            &mut self.critic_head_opt,
+        );
+        if let Some(c2) = &mut self.critic2 {
+            let _ = c2.train(
+                &batch.states,
+                &batch.actions,
+                &batch.targets,
+                &mut self.critic2_trunk_opt,
+                &mut self.critic2_head_opt,
+            );
+        }
+        critic_loss
+    }
+
+    /// Actor: ascend ∂Q/∂a through the deterministic policy gradient, plus
+    /// an entropy bonus that prevents softmax-vertex collapse. Loss =
+    /// −Q − β·H(a); with H = −Σ a ln a the output gradient is
+    /// −∂Q/∂a + β (ln a + 1), averaged over the batch. Returns the mean
+    /// Q(s, μ(s)) before the update.
+    fn actor_step(&mut self, states: &Matrix) -> f64 {
+        let beta = self.config.entropy_weight;
+        let inv_b = 1.0 / states.rows() as f64;
+        let trace = self.actor.forward_cached(states);
+        let policy_actions = trace.output();
+        let (q, mut d_out) = self.critic.q_and_action_gradient(states, policy_actions);
+        let q_sum: f64 = q.as_slice().iter().sum();
+        d_out.scale_in_place(-inv_b);
+        if beta > 0.0 {
+            for r in 0..d_out.rows() {
+                for c in 0..d_out.cols() {
+                    let a = policy_actions.get(r, c).max(1e-8);
+                    let g = d_out.get(r, c) + beta * (a.ln() + 1.0) * inv_b;
+                    d_out.set(r, c, g);
+                }
+            }
+        }
+        let mut grads = self.actor.param_gradients(&trace, &d_out);
+        self.actor.apply_gradients(&mut grads, &mut self.actor_opt);
+        q_sum * inv_b
+    }
+
+    /// Moves every target network a step `tau` toward its online network.
+    fn polyak_update(&mut self) {
+        self.actor_target
+            .soft_update_from(&self.actor, self.config.tau);
+        self.critic_target
+            .soft_update_from(&self.critic, self.config.tau);
+        if let (Some(t), Some(c)) = (&mut self.critic2_target, &self.critic2) {
+            t.soft_update_from(c, self.config.tau);
+        }
     }
 
     /// Runs one minibatch update under the divergence watchdog.

@@ -6,8 +6,7 @@
 //! The update is rewritten for speed under a bit-identity contract: any
 //! reordering of a floating-point sum anywhere below `train_step` — GEMM,
 //! backward pass, Adam, Polyak update, batch assembly — changes these
-//! hashes. Gradient shards change the summation order by design, so the
-//! run is pinned to one shard with `nn::threads::with_serial`.
+//! hashes.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -28,37 +27,35 @@ fn fnv1a(hash: &mut u64, bytes: &[u8]) {
 /// `(FNV-1a of the final snapshot JSON, FNV-1a of every TrainStats bit
 /// pattern in order, number of updates that ran)`.
 fn drive(config: DdpgConfig) -> (u64, u64, usize) {
-    nn::threads::with_serial(|| {
-        let mut world = SmallRng::seed_from_u64(config.seed ^ 0x9e37_79b9_7f4a_7c15);
-        let mut agent = Ddpg::new(STATE_DIM, ACTION_DIM, config);
-        let mut state: Vec<f64> = (0..STATE_DIM).map(|_| world.gen_range(0.0..50.0)).collect();
-        let mut stats_hash = 0xcbf2_9ce4_8422_2325u64;
-        let mut updates = 0;
-        for step in 0..STEPS {
-            let action = agent.act_exploratory(&state);
-            // WIP-like dynamics: arrivals add, the allocated share drains.
-            let next: Vec<f64> = state
-                .iter()
-                .zip(&action)
-                .map(|(&w, &a)| (w + world.gen_range(0.0..6.0) - 20.0 * a).max(0.0))
-                .collect();
-            let reward = 1.0 - next.iter().sum::<f64>();
-            agent.observe(&state, &action, reward, &next);
-            state = next;
-            if let Some(stats) = agent.train_step() {
-                fnv1a(&mut stats_hash, &stats.critic_loss.to_bits().to_le_bytes());
-                fnv1a(&mut stats_hash, &stats.mean_q.to_bits().to_le_bytes());
-                updates += 1;
-            }
-            if (step + 1) % RESAMPLE_EVERY == 0 {
-                agent.resample_perturbation();
-            }
+    let mut world = SmallRng::seed_from_u64(config.seed ^ 0x9e37_79b9_7f4a_7c15);
+    let mut agent = Ddpg::new(STATE_DIM, ACTION_DIM, config);
+    let mut state: Vec<f64> = (0..STATE_DIM).map(|_| world.gen_range(0.0..50.0)).collect();
+    let mut stats_hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut updates = 0;
+    for step in 0..STEPS {
+        let action = agent.act_exploratory(&state);
+        // WIP-like dynamics: arrivals add, the allocated share drains.
+        let next: Vec<f64> = state
+            .iter()
+            .zip(&action)
+            .map(|(&w, &a)| (w + world.gen_range(0.0..6.0) - 20.0 * a).max(0.0))
+            .collect();
+        let reward = 1.0 - next.iter().sum::<f64>();
+        agent.observe(&state, &action, reward, &next);
+        state = next;
+        if let Some(stats) = agent.train_step() {
+            fnv1a(&mut stats_hash, &stats.critic_loss.to_bits().to_le_bytes());
+            fnv1a(&mut stats_hash, &stats.mean_q.to_bits().to_le_bytes());
+            updates += 1;
         }
-        let json = serde_json::to_string(&agent.snapshot()).expect("snapshot serialises");
-        let mut snapshot_hash = 0xcbf2_9ce4_8422_2325u64;
-        fnv1a(&mut snapshot_hash, json.as_bytes());
-        (snapshot_hash, stats_hash, updates)
-    })
+        if (step + 1) % RESAMPLE_EVERY == 0 {
+            agent.resample_perturbation();
+        }
+    }
+    let json = serde_json::to_string(&agent.snapshot()).expect("snapshot serialises");
+    let mut snapshot_hash = 0xcbf2_9ce4_8422_2325u64;
+    fnv1a(&mut snapshot_hash, json.as_bytes());
+    (snapshot_hash, stats_hash, updates)
 }
 
 fn check(name: &str, config: DdpgConfig, snapshot: u64, stats: u64) {
