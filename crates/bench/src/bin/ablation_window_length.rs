@@ -37,9 +37,10 @@ fn main() {
         );
         for window_secs in [5u64, 15, 30] {
             let steps = (horizon_secs / window_secs) as usize;
-            let config = EnvConfig::for_ensemble(&ensemble)
-                .with_seed(args.seed)
-                .with_window(SimTime::from_secs(window_secs));
+            let config = EnvConfig {
+                window: SimTime::from_secs(window_secs),
+                ..EnvConfig::for_ensemble(&ensemble).with_seed(args.seed)
+            };
             let mut env = MicroserviceEnv::new(ensemble.clone(), config);
             env.set_telemetry(telemetry.clone());
             let _ = env.reset();

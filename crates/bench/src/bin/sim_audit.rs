@@ -5,7 +5,7 @@
 //! 1. **Invariant sweep** — runs the resilience benchmark's scenario suite
 //!    (healthy plus consumer crashes, correlated node outages, stragglers,
 //!    delivery-delay spikes) with runtime auditing enabled
-//!    ([`SimConfig::with_audit`]) and reports every recorded
+//!    ([`SimConfig::audit`]) and reports every recorded
 //!    [`microsim::AuditViolation`]. A healthy simulator reports zero across
 //!    all scenarios.
 //! 2. **Analytic differential** — drives a single-task workflow under
@@ -17,7 +17,7 @@
 //!
 //! Usage: `sim_audit [--smoke] [--seed N] [--windows N] [--workload SPEC]`.
 //! `--workload` shapes the invariant sweep's background traffic (stationary,
-//! diurnal, trending, flash-crowd, or trace:<path>), so the audit covers the
+//! diurnal, trending, flash-crowd, or `trace:<path>`), so the audit covers the
 //! non-stationary arrival paths too. Exits non-zero on any violation or
 //! out-of-tolerance differential, so CI can gate on it.
 
@@ -92,9 +92,11 @@ fn run_scenario(
     let ensemble = Ensemble::msd();
     let mut policy =
         by_name("uniform", &PolicyConfig::new(&ensemble)).expect("uniform is registered");
-    let config = EnvConfig::for_ensemble(&ensemble)
-        .with_sim(sim.with_audit())
-        .with_workload(workload.clone());
+    let config = EnvConfig {
+        sim: SimConfig { audit: true, ..sim },
+        workload: workload.clone(),
+        ..EnvConfig::for_ensemble(&ensemble)
+    };
     let mut env = MicroserviceEnv::new(ensemble, config);
     env.set_telemetry(telemetry.clone());
     let _ = env.reset();
@@ -152,14 +154,16 @@ fn run_differential(lambda: f64, mu: f64, c: usize, seed: u64) -> DifferentialRo
         c,
         vec![lambda],
     );
-    let config = EnvConfig::for_ensemble(&ensemble)
-        .with_window(SimTime::from_secs(window_secs))
-        .with_sim(
-            SimConfig::new(0)
-                .with_startup_delay(SimTime::ZERO, SimTime::ZERO)
-                .with_audit(),
-        )
-        .with_seed(seed);
+    let config = EnvConfig {
+        window: SimTime::from_secs(window_secs),
+        sim: SimConfig {
+            startup_min: SimTime::ZERO,
+            startup_max: SimTime::ZERO,
+            audit: true,
+            ..SimConfig::new(seed)
+        },
+        ..EnvConfig::for_ensemble(&ensemble)
+    };
     let mut env = MicroserviceEnv::new(ensemble, config);
     let _ = env.reset();
     let action = vec![c];

@@ -410,7 +410,7 @@ pub fn run_allocator_configured(
     telemetry: &Telemetry,
 ) -> Vec<StepRecord> {
     let ensemble = kind.ensemble();
-    let seed = config.sim().seed;
+    let seed = config.sim.seed;
     let mut env = MicroserviceEnv::new(ensemble, config);
     env.set_telemetry(telemetry.clone());
     telemetry.event(
@@ -757,19 +757,34 @@ pub fn fault_scenarios() -> Vec<FaultScenario> {
         },
         FaultScenario {
             name: "crashes",
-            apply: |s| s.with_failure_rate(20.0),
+            apply: |s| SimConfig {
+                failure_rate_per_hour: 20.0,
+                ..s
+            },
         },
         FaultScenario {
             name: "outages",
-            apply: |s| s.with_node_model(3, 2.0),
+            apply: |s| SimConfig {
+                node_count: 3,
+                node_outage_rate_per_hour: 2.0,
+                ..s
+            },
         },
         FaultScenario {
             name: "stragglers",
-            apply: |s| s.with_stragglers(0.05, 10.0),
+            apply: |s| SimConfig {
+                straggler_prob: 0.05,
+                straggler_factor: 10.0,
+                ..s
+            },
         },
         FaultScenario {
             name: "delays",
-            apply: |s| s.with_delivery_delay_spikes(0.10, SimTime::from_secs(10)),
+            apply: |s| SimConfig {
+                delivery_delay_prob: 0.10,
+                delivery_delay_max: SimTime::from_secs(10),
+                ..s
+            },
         },
     ]
 }
@@ -825,10 +840,11 @@ pub fn run_resilience(
         .with_model_free(model_free.agent().clone());
     let mut tasks: Vec<Box<dyn FnOnce() -> GridCell + Send + '_>> = Vec::new();
     for scenario in &scenarios {
-        let base = EnvConfig::for_ensemble(&ensemble)
-            .with_seed(seed)
-            .with_workload(args.workload.clone());
-        let config = base.clone().with_sim(scenario.apply(base.sim().clone()));
+        let mut config = EnvConfig {
+            workload: args.workload.clone(),
+            ..EnvConfig::for_ensemble(&ensemble).with_seed(seed)
+        };
+        config.sim = scenario.apply(config.sim);
         for &algorithm in algorithms {
             let config = config.clone();
             let policy_cfg = policy_cfg.clone();
@@ -963,9 +979,10 @@ pub fn run_comparison(
     for burst in &bursts {
         for &algorithm in algorithms {
             let policy_cfg = policy_cfg.clone();
-            let config = EnvConfig::for_ensemble(&ensemble)
-                .with_seed(seed)
-                .with_workload(args.workload.clone());
+            let config = EnvConfig {
+                workload: args.workload.clone(),
+                ..EnvConfig::for_ensemble(&ensemble).with_seed(seed)
+            };
             tasks.push(Box::new(move || {
                 let buffer = Arc::new(BufferedRecorder::new());
                 let cell_telemetry = if enabled {
@@ -1127,9 +1144,10 @@ pub fn run_workload_grid(
         .with_model_free(model_free.agent().clone());
     let mut tasks: Vec<Box<dyn FnOnce() -> GridCell + Send + '_>> = Vec::new();
     for workload in workloads {
-        let config = EnvConfig::for_ensemble(&ensemble)
-            .with_seed(seed)
-            .with_workload(workload.clone());
+        let config = EnvConfig {
+            workload: workload.clone(),
+            ..EnvConfig::for_ensemble(&ensemble).with_seed(seed)
+        };
         for &algorithm in algorithms {
             let policy_cfg = policy_cfg.clone();
             let config = config.clone();

@@ -62,8 +62,8 @@ fn fault_scenarios_perturb_the_environment() {
     let scenarios = fault_scenarios();
     let crashes = scenarios.iter().find(|s| s.name == "crashes").unwrap();
     let ensemble = Ensemble::msd();
-    let base = EnvConfig::for_ensemble(&ensemble).with_seed(4);
-    let config = base.clone().with_sim(crashes.apply(base.sim().clone()));
+    let mut config = EnvConfig::for_ensemble(&ensemble).with_seed(4);
+    config.sim = crashes.apply(config.sim);
     let mut env = MicroserviceEnv::new(ensemble, config);
     let _ = env.reset();
     env.inject_burst(&workflow::BurstSpec::new(vec![100, 100, 100]));

@@ -10,7 +10,7 @@
 //! * **debug builds** — the checks run unconditionally as `debug_assert!`s,
 //!   so any violation aborts the offending test with a precise message;
 //! * **release builds** — checks are off by default (zero cost) and opt-in
-//!   via [`SimConfig::with_audit`](crate::SimConfig::with_audit) or the
+//!   via [`SimConfig::audit`](crate::SimConfig::audit) or the
 //!   `MIRAS_AUDIT=1` environment variable. In audit mode a violation does
 //!   *not* panic: it is recorded as a typed [`AuditViolation`], emitted as
 //!   an `audit` telemetry event, and left for the caller to collect through

@@ -164,18 +164,16 @@ impl Cluster {
     ///
     /// # Panics
     ///
-    /// Panics if a task type's service-time parameters cannot form a
+    /// Panics with the [`ConfigError`](crate::ConfigError) text if
+    /// [`SimConfig::validate`] rejects `config`, or if a task type's
+    /// service-time parameters cannot form a
     /// log-normal distribution (guarded upstream by
     /// [`workflow::TaskTypeDef::new`]).
     #[must_use]
     pub fn new(ensemble: Ensemble, config: SimConfig) -> Self {
-        assert!(
-            config.node_speed_factors.is_empty()
-                || config.node_speed_factors.len() == config.node_count,
-            "node_speed_factors must have one entry per node (got {} for {} nodes)",
-            config.node_speed_factors.len(),
-            config.node_count,
-        );
+        if let Err(e) = config.validate() {
+            panic!("{e}");
+        }
         let j = ensemble.num_task_types();
         let service_dists = ensemble
             .task_types()
@@ -296,7 +294,7 @@ impl Cluster {
     /// Advances simulated time to `horizon`, processing all events up to it.
     ///
     /// In debug builds, and in release builds with auditing enabled (see
-    /// [`SimConfig::with_audit`]), the audit layer checks event-time
+    /// [`SimConfig::audit`]), the audit layer checks event-time
     /// monotonicity plus the pool and task-conservation invariants after
     /// every event.
     pub fn run_until(&mut self, horizon: SimTime) {
@@ -423,7 +421,7 @@ impl Cluster {
     }
 
     /// Whether runtime (release-mode) invariant auditing is on for this
-    /// cluster (via [`SimConfig::with_audit`] or `MIRAS_AUDIT=1`).
+    /// cluster (via [`SimConfig::audit`] or `MIRAS_AUDIT=1`).
     #[must_use]
     pub fn audit_enabled(&self) -> bool {
         self.auditor.is_enabled()
@@ -964,7 +962,11 @@ mod tests {
     /// A config with zero start-up delay, for tests that want immediate
     /// capacity.
     fn instant_config(seed: u64) -> SimConfig {
-        SimConfig::new(seed).with_startup_delay(SimTime::ZERO, SimTime::ZERO)
+        SimConfig {
+            startup_min: SimTime::ZERO,
+            startup_max: SimTime::ZERO,
+            ..SimConfig::new(seed)
+        }
     }
 
     #[test]
@@ -1036,8 +1038,11 @@ mod tests {
 
     #[test]
     fn startup_delay_defers_processing() {
-        let cfg =
-            SimConfig::new(6).with_startup_delay(SimTime::from_secs(5), SimTime::from_secs(10));
+        let cfg = SimConfig {
+            startup_min: SimTime::from_secs(5),
+            startup_max: SimTime::from_secs(10),
+            ..SimConfig::new(6)
+        };
         let mut c = Cluster::new(Ensemble::msd(), cfg);
         c.submit(SimTime::ZERO, WorkflowTypeId::new(0));
         c.set_consumers(&[1, 1, 1, 1]);
@@ -1134,7 +1139,10 @@ mod tests {
     fn node_outage_kills_idle_consumers_and_replaces_them() {
         // One node hosting everything, failing roughly every sim-hour: idle
         // consumers die in the outage and replacements are scheduled.
-        let cfg = instant_config(21).with_node_model(1, 1.0);
+        let cfg = SimConfig {
+            node_outage_rate_per_hour: 1.0,
+            ..instant_config(21)
+        };
         let mut c = Cluster::new(Ensemble::msd(), cfg);
         c.set_consumers(&[2, 2, 2, 2]);
         c.run_until(SimTime::from_secs(8 * 3600));
@@ -1153,7 +1161,10 @@ mod tests {
     fn node_outage_interrupts_inflight_work_correlated() {
         // A saturated single-node cluster: requests in flight when the node
         // dies are redelivered, so all submitted workflows still complete.
-        let cfg = instant_config(22).with_node_model(1, 6.0);
+        let cfg = SimConfig {
+            node_outage_rate_per_hour: 6.0,
+            ..instant_config(22)
+        };
         let mut c = Cluster::new(Ensemble::msd(), cfg);
         c.set_consumers(&[3, 3, 3, 3]);
         for s in 0..40 {
@@ -1184,7 +1195,11 @@ mod tests {
                 .sum::<f64>()
         };
         let healthy = run(instant_config(23));
-        let straggly = run(instant_config(23).with_stragglers(0.3, 10.0));
+        let straggly = run(SimConfig {
+            straggler_prob: 0.3,
+            straggler_factor: 10.0,
+            ..instant_config(23)
+        });
         assert!(
             straggly > healthy * 1.5,
             "stragglers must visibly inflate total response time \
@@ -1208,8 +1223,12 @@ mod tests {
                 .sum::<f64>()
         };
         let nominal = run(instant_config(25));
-        let fast = run(instant_config(25).with_node_speeds(vec![4.0]));
-        let slow = run(instant_config(25).with_node_speeds(vec![0.5]));
+        let speeds = |factor| SimConfig {
+            node_speed_factors: vec![factor],
+            ..instant_config(25)
+        };
+        let fast = run(speeds(4.0));
+        let slow = run(speeds(0.5));
         // The speed factor divides each sampled service time after the
         // draw, so the RNG stream is unchanged and — with no queueing at
         // this arrival spacing — total response scales (near) exactly.
@@ -1224,7 +1243,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "node_speed_factors must have one entry per node")]
+    #[should_panic(expected = "node speed factors must have one entry per node")]
     fn mismatched_node_speed_len_panics() {
         let mut cfg = instant_config(26);
         cfg.node_speed_factors = vec![1.0, 2.0]; // node_count is still 1
@@ -1233,7 +1252,11 @@ mod tests {
 
     #[test]
     fn delivery_delay_spikes_defer_but_do_not_lose_work() {
-        let cfg = instant_config(24).with_delivery_delay_spikes(1.0, SimTime::from_secs(60));
+        let cfg = SimConfig {
+            delivery_delay_prob: 1.0,
+            delivery_delay_max: SimTime::from_secs(60),
+            ..instant_config(24)
+        };
         let mut c = Cluster::new(Ensemble::msd(), cfg);
         c.set_consumers(&[2, 2, 2, 2]);
         c.submit(SimTime::ZERO, WorkflowTypeId::new(0));
@@ -1266,10 +1289,11 @@ mod tests {
             (c.wip(), responses)
         };
         let base = run(SimConfig::new(31));
-        let gated = run(SimConfig::new(31)
-            .with_stragglers(0.0, 5.0)
-            .with_delivery_delay_spikes(0.0, SimTime::ZERO)
-            .with_node_model(3, 0.0));
+        let gated = run(SimConfig {
+            straggler_factor: 5.0,
+            node_count: 3,
+            ..SimConfig::new(31)
+        });
         assert_eq!(base, gated);
     }
 
@@ -1284,11 +1308,16 @@ mod tests {
             }
             c.run_until(SimTime::from_secs(to * 7));
         };
-        let cfg = SimConfig::new(55)
-            .with_failure_rate(20.0)
-            .with_node_model(2, 2.0)
-            .with_stragglers(0.1, 5.0)
-            .with_delivery_delay_spikes(0.2, SimTime::from_secs(3));
+        let cfg = SimConfig {
+            failure_rate_per_hour: 20.0,
+            node_count: 2,
+            node_outage_rate_per_hour: 2.0,
+            straggler_prob: 0.1,
+            straggler_factor: 5.0,
+            delivery_delay_prob: 0.2,
+            delivery_delay_max: SimTime::from_secs(3),
+            ..SimConfig::new(55)
+        };
         let mut original = Cluster::new(Ensemble::msd(), cfg);
         original.set_consumers(&[3, 3, 3, 3]);
         drive(&mut original, 0, 40);

@@ -27,7 +27,7 @@ pub fn reward_from_total_wip(total_wip: f64) -> f64 {
 
 /// The result of advancing the environment by one decision window.
 ///
-/// This is the environment-side mirror of [`rl::Transition`]'s
+/// This is the environment-side mirror of `rl::Transition`'s
 /// `(next_state, reward)` pair (the `rl` crate keeps its own copy to stay
 /// independent of the emulator): `state` feeds the agent's next decision and
 /// `reward` is `r(k) = 1 − Σ_j w_j(k+1)` per [`reward_from_total_wip`],
@@ -156,10 +156,15 @@ impl MicroserviceEnv {
     ///
     /// # Panics
     ///
-    /// Panics if `config.arrival_rates.len()` differs from the ensemble's
-    /// number of workflow types.
+    /// Panics with the [`ConfigError`](crate::ConfigError) text if
+    /// [`EnvConfig::validate`] rejects `config`, or if
+    /// `config.arrival_rates.len()` differs from the ensemble's number of
+    /// workflow types.
     #[must_use]
     pub fn new(ensemble: Ensemble, config: EnvConfig) -> Self {
+        if let Err(e) = config.validate() {
+            panic!("{e}");
+        }
         assert_eq!(
             config.arrival_rates.len(),
             ensemble.num_workflow_types(),
@@ -585,10 +590,14 @@ impl MicroserviceEnv {
     ///
     /// # Panics
     ///
-    /// Panics if `ensemble` does not match the snapshot (wrong task-type or
+    /// Panics if the snapshot's config fails [`EnvConfig::validate`] or
+    /// `ensemble` does not match the snapshot (wrong task-type or
     /// workflow-type count for this checkpoint).
     #[must_use]
     pub fn from_snapshot(ensemble: Ensemble, snapshot: EnvSnapshot) -> Self {
+        if let Err(e) = snapshot.config.validate() {
+            panic!("{e}");
+        }
         assert_eq!(
             snapshot.config.arrival_rates.len(),
             ensemble.num_workflow_types(),
@@ -655,9 +664,10 @@ mod tests {
     /// A quiet environment: no background arrivals.
     fn quiet_env(seed: u64) -> MicroserviceEnv {
         let ensemble = Ensemble::msd();
-        let config = EnvConfig::for_ensemble(&ensemble)
-            .with_seed(seed)
-            .with_arrival_rates(vec![0.0; 3]);
+        let config = EnvConfig {
+            arrival_rates: vec![0.0; 3],
+            ..EnvConfig::for_ensemble(&ensemble).with_seed(seed)
+        };
         MicroserviceEnv::new(ensemble, config)
     }
 
@@ -830,9 +840,10 @@ mod tests {
     fn step_survives_extreme_arrival_rates() {
         let ensemble = Ensemble::msd();
         // ~1500 arrivals per 30 s window for type 0.
-        let config = EnvConfig::for_ensemble(&ensemble)
-            .with_seed(13)
-            .with_arrival_rates(vec![50.0, 0.0, 0.0]);
+        let config = EnvConfig {
+            arrival_rates: vec![50.0, 0.0, 0.0],
+            ..EnvConfig::for_ensemble(&ensemble).with_seed(13)
+        };
         let mut env = MicroserviceEnv::new(ensemble, config);
         let out = env.step(&[4, 4, 4, 2]);
         assert!(out.metrics.arrivals[0] > 1000);
@@ -916,9 +927,10 @@ mod tests {
         assert_eq!(trace.len(), original.iter().flatten().sum::<usize>());
 
         let ensemble = Ensemble::msd();
-        let config = EnvConfig::for_ensemble(&ensemble)
-            .with_seed(33)
-            .with_arrival_rates(vec![0.0; 3]);
+        let config = EnvConfig {
+            arrival_rates: vec![0.0; 3],
+            ..EnvConfig::for_ensemble(&ensemble).with_seed(33)
+        };
         let mut replay_env = MicroserviceEnv::new(ensemble, config);
         replay_env.reset();
         replay_env.inject_trace(&trace);
@@ -942,9 +954,10 @@ mod tests {
     #[should_panic(expected = "budget is 14")]
     fn strict_mode_panics_on_violation() {
         let ensemble = Ensemble::msd();
-        let config = EnvConfig::for_ensemble(&ensemble)
-            .with_seed(8)
-            .with_strict_actions();
+        let config = EnvConfig {
+            clamp_actions: false,
+            ..EnvConfig::for_ensemble(&ensemble).with_seed(8)
+        };
         let mut env = MicroserviceEnv::new(ensemble, config);
         let _ = env.step(&[14, 14, 14, 14]);
     }
@@ -993,9 +1006,13 @@ mod tests {
     #[test]
     fn env_snapshot_restore_resumes_bit_identically() {
         let ensemble = Ensemble::msd();
-        let config = EnvConfig::for_ensemble(&ensemble)
-            .with_seed(91)
-            .with_sim(crate::SimConfig::new(91).with_failure_rate(10.0));
+        let config = EnvConfig {
+            sim: crate::SimConfig {
+                failure_rate_per_hour: 10.0,
+                ..crate::SimConfig::new(91)
+            },
+            ..EnvConfig::for_ensemble(&ensemble)
+        };
         let mut env = MicroserviceEnv::new(ensemble, config);
         env.reset();
         for k in 0..4 {

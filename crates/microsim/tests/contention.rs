@@ -6,10 +6,12 @@ use microsim::{Cluster, SimConfig};
 use workflow::{Ensemble, WorkflowTypeId};
 
 fn cluster(seed: u64, cores: Option<f64>) -> Cluster {
-    let mut config = SimConfig::new(seed).with_startup_delay(SimTime::ZERO, SimTime::ZERO);
-    if let Some(c) = cores {
-        config = config.with_total_cores(c);
-    }
+    let config = SimConfig {
+        startup_min: SimTime::ZERO,
+        startup_max: SimTime::ZERO,
+        total_cores: cores,
+        ..SimConfig::new(seed)
+    };
     Cluster::new(Ensemble::msd(), config)
 }
 

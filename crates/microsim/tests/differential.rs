@@ -45,10 +45,15 @@ fn simulate(lambda: f64, mu: f64, c: usize, seed: u64) -> SteadyState {
     let warmup = 20usize;
     let measure = 200usize;
     let ensemble = mmc_ensemble(lambda, mu, c);
-    let config = EnvConfig::for_ensemble(&ensemble)
-        .with_window(SimTime::from_secs(window_secs))
-        .with_sim(SimConfig::new(0).with_startup_delay(SimTime::ZERO, SimTime::ZERO))
-        .with_seed(seed);
+    let config = EnvConfig {
+        window: SimTime::from_secs(window_secs),
+        sim: SimConfig {
+            startup_min: SimTime::ZERO,
+            startup_max: SimTime::ZERO,
+            ..SimConfig::new(seed)
+        },
+        ..EnvConfig::for_ensemble(&ensemble)
+    };
     let mut env = MicroserviceEnv::new(ensemble, config);
     let _ = env.reset();
     let action = vec![c];
@@ -165,14 +170,13 @@ fn golden_trace_msd_seed_2024() {
 fn audit_mode_is_bit_identical() {
     let run = |audit: bool| {
         let ensemble = Ensemble::msd();
-        let sim = if audit {
-            SimConfig::new(0).with_audit()
-        } else {
-            SimConfig::new(0)
+        let config = EnvConfig {
+            sim: SimConfig {
+                audit,
+                ..SimConfig::new(77)
+            },
+            ..EnvConfig::for_ensemble(&ensemble)
         };
-        let config = EnvConfig::for_ensemble(&ensemble)
-            .with_sim(sim)
-            .with_seed(77);
         let mut env = MicroserviceEnv::new(ensemble, config);
         let _ = env.reset();
         (0..12)

@@ -8,9 +8,12 @@ use proptest::prelude::*;
 use workflow::{Ensemble, TaskTypeId, WorkflowTypeId};
 
 fn faulty_cluster(seed: u64, failures_per_hour: f64) -> Cluster {
-    let config = SimConfig::new(seed)
-        .with_startup_delay(SimTime::from_secs(5), SimTime::from_secs(10))
-        .with_failure_rate(failures_per_hour);
+    let config = SimConfig {
+        startup_min: SimTime::from_secs(5),
+        startup_max: SimTime::from_secs(10),
+        failure_rate_per_hour: failures_per_hour,
+        ..SimConfig::new(seed)
+    };
     Cluster::new(Ensemble::msd(), config)
 }
 
@@ -112,18 +115,46 @@ fn failures_slow_processing_down() {
 /// counterpart of the `sim_audit` binary's scenario sweep.
 #[test]
 fn fault_scenarios_run_audit_clean() {
+    let base = SimConfig {
+        audit: true,
+        ..SimConfig::new(9)
+    };
     let scenarios: [(&str, SimConfig); 5] = [
-        ("healthy", SimConfig::new(9)),
-        ("crashes", SimConfig::new(9).with_failure_rate(20.0)),
-        ("outages", SimConfig::new(9).with_node_model(3, 2.0)),
-        ("stragglers", SimConfig::new(9).with_stragglers(0.05, 10.0)),
+        ("healthy", base.clone()),
+        (
+            "crashes",
+            SimConfig {
+                failure_rate_per_hour: 20.0,
+                ..base.clone()
+            },
+        ),
+        (
+            "outages",
+            SimConfig {
+                node_count: 3,
+                node_outage_rate_per_hour: 2.0,
+                ..base.clone()
+            },
+        ),
+        (
+            "stragglers",
+            SimConfig {
+                straggler_prob: 0.05,
+                straggler_factor: 10.0,
+                ..base.clone()
+            },
+        ),
         (
             "delays",
-            SimConfig::new(9).with_delivery_delay_spikes(0.10, SimTime::from_secs(10)),
+            SimConfig {
+                delivery_delay_prob: 0.10,
+                delivery_delay_max: SimTime::from_secs(10),
+                ..base
+            },
         ),
     ];
     for (name, sim) in scenarios {
-        let mut c = Cluster::new(Ensemble::msd(), sim.with_audit());
+        let mut c = Cluster::new(Ensemble::msd(), sim);
         c.set_consumers(&[4, 4, 4, 2]);
         for i in 0..200 {
             c.submit(

@@ -305,7 +305,8 @@ proptest! {
         retargets in proptest::collection::vec(
             (proptest::collection::vec(0usize..5, 4), 0u64..240), 0..8),
     ) {
-        let mut c = Cluster::new(Ensemble::msd(), SimConfig::new(seed).with_audit());
+        let sim = SimConfig { audit: true, ..SimConfig::new(seed) };
+        let mut c = Cluster::new(Ensemble::msd(), sim);
         for &(at, wf) in &submissions {
             c.submit(desim::SimTime::from_secs(at), WorkflowTypeId::new(wf));
         }

@@ -44,7 +44,11 @@ proptest! {
     ) {
         let mut c = Cluster::new(
             Ensemble::msd(),
-            SimConfig::new(seed).with_startup_delay(SimTime::ZERO, SimTime::ZERO),
+            SimConfig {
+                startup_min: SimTime::ZERO,
+                startup_max: SimTime::ZERO,
+                ..SimConfig::new(seed)
+            },
         );
         c.set_consumers(&[50, 50, 50, 50]);
         let total: usize = counts.iter().sum();

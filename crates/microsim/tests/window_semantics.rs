@@ -7,9 +7,10 @@ use workflow::{BurstSpec, Ensemble};
 
 fn env_with_window(window_secs: u64, seed: u64) -> MicroserviceEnv {
     let ensemble = Ensemble::msd();
-    let config = EnvConfig::for_ensemble(&ensemble)
-        .with_seed(seed)
-        .with_window(SimTime::from_secs(window_secs));
+    let config = EnvConfig {
+        window: SimTime::from_secs(window_secs),
+        ..EnvConfig::for_ensemble(&ensemble).with_seed(seed)
+    };
     MicroserviceEnv::new(ensemble, config)
 }
 

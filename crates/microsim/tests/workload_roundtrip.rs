@@ -18,10 +18,14 @@ const ACTION: [usize; 4] = [4, 4, 4, 2]; // MSD budget 14
 
 fn env_with(workload: WorkloadSpec, seed: u64) -> MicroserviceEnv {
     let ensemble = Ensemble::msd();
-    let config = EnvConfig::for_ensemble(&ensemble)
-        .with_seed(seed)
-        .with_sim(SimConfig::new(seed).with_audit())
-        .with_workload(workload);
+    let config = EnvConfig {
+        sim: SimConfig {
+            audit: true,
+            ..SimConfig::new(seed)
+        },
+        workload,
+        ..EnvConfig::for_ensemble(&ensemble)
+    };
     MicroserviceEnv::new(ensemble, config)
 }
 

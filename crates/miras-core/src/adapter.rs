@@ -86,7 +86,7 @@ impl ClusterEnvAdapter {
 
     /// Invariant violations recorded by the wrapped environment's
     /// [`microsim::SimAuditor`] so far. Empty unless auditing was enabled
-    /// via [`microsim::SimConfig::with_audit`] or `MIRAS_AUDIT=1`.
+    /// via [`microsim::SimConfig::audit`] or `MIRAS_AUDIT=1`.
     #[must_use]
     pub fn audit_violations(&self) -> &[microsim::AuditViolation] {
         self.env.audit_violations()

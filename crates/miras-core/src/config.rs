@@ -358,48 +358,25 @@ impl MirasConfig {
         Ok(self)
     }
 
-    /// Returns a copy with Lend–Giveback refinement switched on or off.
-    #[must_use]
-    pub fn with_refinement(mut self, enabled: bool) -> Self {
-        self.refine_enabled = enabled;
-        self
-    }
-
-    /// Returns a copy with refinement disabled (ablation A2).
-    #[must_use]
-    pub fn without_refinement(self) -> Self {
-        self.with_refinement(false)
-    }
-
     /// Returns a copy using action-space instead of parameter-space noise
     /// (ablation A3).
     ///
     /// # Panics
     ///
-    /// Panics on non-finite noise parameters; see
-    /// [`MirasConfig::try_with_action_noise`] for the non-panicking form.
+    /// Panics with a [`ConfigError::Miras`] unless `theta` and `sigma` are
+    /// finite and non-negative — a NaN noise parameter would poison every
+    /// exploration draw.
     #[must_use]
-    pub fn with_action_noise(self, theta: f64, sigma: f64) -> Self {
-        self.try_with_action_noise(theta, sigma)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`MirasConfig::with_action_noise`].
-    ///
-    /// # Errors
-    ///
-    /// [`ConfigError::Miras`] unless `theta` and `sigma` are finite and
-    /// non-negative — a NaN noise parameter would poison every exploration
-    /// draw.
-    pub fn try_with_action_noise(mut self, theta: f64, sigma: f64) -> Result<Self, ConfigError> {
+    pub fn with_action_noise(mut self, theta: f64, sigma: f64) -> Self {
         if !(theta.is_finite() && theta >= 0.0 && sigma.is_finite() && sigma >= 0.0) {
-            return Err(ConfigError::Miras {
+            let err = ConfigError::Miras {
                 field: "ddpg.exploration",
                 reason: "action noise parameters must be finite and non-negative",
-            });
+            };
+            panic!("{err}");
         }
         self.ddpg.exploration = Exploration::ActionNoise { theta, sigma };
-        Ok(self)
+        self
     }
 }
 
@@ -426,8 +403,6 @@ mod tests {
 
     #[test]
     fn ablation_builders() {
-        let c = MirasConfig::msd_paper(0).without_refinement();
-        assert!(!c.refine_enabled);
         let c = MirasConfig::msd_paper(0).with_action_noise(0.15, 0.2);
         assert_eq!(
             c.ddpg.exploration,
@@ -443,10 +418,18 @@ mod tests {
         let c = MirasConfig::msd_paper(0).with_seed(42);
         assert_eq!(c.seed, 42);
         assert_eq!(c.ddpg.seed, 42);
-        let c = MirasConfig::msd_paper(0)
-            .with_refinement(false)
-            .with_refinement(true);
-        assert!(c.refine_enabled);
+        assert!(
+            c.refine_enabled,
+            "refinement is on unless a caller clears it"
+        );
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "invalid MirasConfig.ddpg.exploration: action noise parameters must be finite and non-negative"
+    )]
+    fn nan_action_noise_panics() {
+        let _ = MirasConfig::smoke_test(0).with_action_noise(f64::NAN, 0.2);
     }
 
     #[test]
@@ -463,11 +446,6 @@ mod tests {
             }
         );
         assert!(err.to_string().starts_with("invalid MirasConfig."));
-        let err = MirasConfig::smoke_test(0)
-            .try_with_action_noise(f64::NAN, 0.2)
-            .err()
-            .unwrap();
-        assert!(matches!(err, ConfigError::Miras { .. }));
         let ok = MirasConfig::smoke_test(0).try_with_lockstep(4).unwrap();
         assert_eq!(ok.rollout_mode, RolloutMode::Lockstep(4));
     }

@@ -6,14 +6,14 @@
 //! [`MirasTrainer`](crate::MirasTrainer)) into an actor–learner system in
 //! the style of DRPC, selected by `workers ≥ 2`:
 //!
-//! * **N rollout workers** ([`worker`] module) each own a lane-batched
+//! * **N rollout workers** (`worker` module) each own a lane-batched
 //!   [`BatchedSyntheticEnv`](crate::BatchedSyntheticEnv) plus a read-only
 //!   snapshot of the actor/dynamics weights, generate whole rollout *waves*
 //!   (one `lanes`-wide batch of synthetic rollouts), and push them into a
-//!   **sharded replay stream** ([`replay_shard`] module) — one bounded
+//!   **sharded replay stream** (`replay_shard` module) — one bounded
 //!   channel per worker, so a slow learner applies backpressure instead of
 //!   buffering unboundedly.
-//! * **One central learner** ([`learner`] module) drains the shards in a
+//! * **One central learner** (`learner` module) drains the shards in a
 //!   *fixed visitation order* (wave `g` always comes from shard
 //!   `g mod workers`), feeds every transition to the DDPG agent in a
 //!   deterministic ordered reduction, and after each merged wave broadcasts

@@ -702,7 +702,11 @@ mod tests {
     #[test]
     fn refined_model_reflects_config_flag() {
         let mut env = real_env(8);
-        let mut trainer = MirasTrainer::new(&env, MirasConfig::smoke_test(9).without_refinement());
+        let config = MirasConfig {
+            refine_enabled: false,
+            ..MirasConfig::smoke_test(9)
+        };
+        let mut trainer = MirasTrainer::new(&env, config);
         let _ = trainer.run_iteration(&mut env);
         assert!(!trainer.refined_model().is_enabled());
     }

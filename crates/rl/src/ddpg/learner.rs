@@ -484,7 +484,7 @@ impl Ddpg {
     /// Runs one minibatch update under the divergence watchdog.
     ///
     /// Semantically [`Ddpg::train_step`] followed by `health.check` — plus a
-    /// periodic (every [`WEIGHT_CHECK_EVERY`] steps) scan of all network
+    /// periodic (every `WEIGHT_CHECK_EVERY` steps) scan of all network
     /// weights for non-finite values. Returns `Ok(None)` while the replay
     /// buffer is still filling.
     ///

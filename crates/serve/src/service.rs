@@ -351,7 +351,7 @@ impl DecisionService {
 
     /// Builds the shed reply for a refused window and does the shed
     /// accounting. Admission control itself lives outside the service (see
-    /// [`crate::admission`]); this is the one place shed replies are
+    /// [`AdmissionQueue`](crate::AdmissionQueue)); this is the one place shed replies are
     /// minted, so counting stays consistent across the threaded server and
     /// the chaos executor.
     pub fn shed_reply(&mut self, window: usize) -> DecisionRecord {

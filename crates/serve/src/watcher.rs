@@ -115,7 +115,7 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 /// the window boundary (never mid-decision), so a swap can never drop or
 /// tear a request — the Nth decision comes entirely from the old policy or
 /// entirely from the new one. Change detection is by
-/// `(mtime, len, content checksum)` fingerprint (see [`Fingerprint`]); the
+/// `(mtime, len, content checksum)` fingerprint (see `Fingerprint`); the
 /// PR-3 checkpoint writer is atomic (temp + fsync + rename), so a changed
 /// fingerprint always points at a complete file. Length and checksum are
 /// computed from one open file handle, so a rename racing the probe yields

@@ -55,7 +55,7 @@ impl Histogram {
         }
     }
 
-    /// A histogram over [`DEFAULT_TIME_BOUNDS`].
+    /// A histogram over `DEFAULT_TIME_BOUNDS`.
     #[must_use]
     pub fn default_time() -> Self {
         Histogram::new(DEFAULT_TIME_BOUNDS)

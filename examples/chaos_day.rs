@@ -34,7 +34,10 @@ fn main() {
     );
 
     // A flaky cluster: ~12 crashes per consumer-hour of busy time.
-    let sim = SimConfig::new(7).with_failure_rate(12.0);
+    let sim = SimConfig {
+        failure_rate_per_hour: 12.0,
+        ..SimConfig::new(7)
+    };
     let mut cluster = Cluster::new(ensemble.clone(), sim);
     for arrival in trace.arrivals() {
         cluster.submit(arrival.time, arrival.workflow_type);

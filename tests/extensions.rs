@@ -10,9 +10,11 @@ use miras::prelude::*;
 fn contention_and_failures_compose() {
     // A flaky, CPU-starved cluster still conserves and eventually finishes
     // all work.
-    let config = SimConfig::new(5)
-        .with_total_cores(3.0)
-        .with_failure_rate(20.0);
+    let config = SimConfig {
+        total_cores: Some(3.0),
+        failure_rate_per_hour: 20.0,
+        ..SimConfig::new(5)
+    };
     let mut cluster = Cluster::new(Ensemble::msd(), config);
     cluster.set_consumers(&[4, 4, 4, 2]);
     for i in 0..60 {
@@ -40,9 +42,10 @@ fn modulated_workload_drives_the_env() {
     let mut rng = rand::rngs::SmallRng::seed_from_u64(8);
     let trace = process.generate(SimTime::from_secs(600), &mut rng);
 
-    let config = EnvConfig::for_ensemble(&ensemble)
-        .with_seed(8)
-        .with_arrival_rates(vec![0.0; 3]); // only the injected trace
+    let config = EnvConfig {
+        arrival_rates: vec![0.0; 3], // only the injected trace
+        ..EnvConfig::for_ensemble(&ensemble).with_seed(8)
+    };
     let mut env = MicroserviceEnv::new(ensemble, config);
     let _ = env.reset();
     env.inject_trace(&trace);
@@ -132,7 +135,11 @@ fn twin_critic_miras_trains_end_to_end() {
 fn latency_summary_from_live_completions() {
     let mut cluster = Cluster::new(
         Ensemble::msd(),
-        SimConfig::new(12).with_startup_delay(SimTime::ZERO, SimTime::ZERO),
+        SimConfig {
+            startup_min: SimTime::ZERO,
+            startup_max: SimTime::ZERO,
+            ..SimConfig::new(12)
+        },
     );
     cluster.set_consumers(&[4, 4, 4, 2]);
     for i in 0..100 {

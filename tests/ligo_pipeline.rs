@@ -75,9 +75,10 @@ fn ligo_coire_deferral_is_possible() {
     let ensemble = Ensemble::ligo();
     let coire = ensemble.task_type_by_name("Coire").unwrap();
     let datafind_wf = ensemble.workflow_by_name("DataFind").unwrap();
-    let config = EnvConfig::for_ensemble(&ensemble)
-        .with_seed(4)
-        .with_arrival_rates(vec![0.0; 4]);
+    let config = EnvConfig {
+        arrival_rates: vec![0.0; 4],
+        ..EnvConfig::for_ensemble(&ensemble).with_seed(4)
+    };
     let mut env = MicroserviceEnv::new(ensemble, config);
     let _ = env.reset();
     env.inject_burst(&BurstSpec::new(vec![10, 10, 0, 0]));
