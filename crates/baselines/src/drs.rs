@@ -3,7 +3,7 @@
 
 use workflow::Ensemble;
 
-use crate::{Allocator, Observation};
+use crate::{Observation, Policy};
 
 /// The DRS allocator.
 ///
@@ -24,7 +24,7 @@ use crate::{Allocator, Observation};
 /// # Examples
 ///
 /// ```
-/// use baselines::{Allocator, DrsAllocator, Observation};
+/// use baselines::{DrsAllocator, Observation, Policy};
 /// use workflow::Ensemble;
 ///
 /// let mut drs = DrsAllocator::new(&Ensemble::msd(), 14, 30.0);
@@ -120,7 +120,7 @@ impl DrsAllocator {
     }
 }
 
-impl Allocator for DrsAllocator {
+impl Policy for DrsAllocator {
     fn name(&self) -> &str {
         "stream"
     }
@@ -168,6 +168,10 @@ impl Allocator for DrsAllocator {
 
     fn consumer_budget(&self) -> usize {
         self.budget
+    }
+
+    fn num_task_types(&self) -> usize {
+        self.mu.len()
     }
 }
 

@@ -3,7 +3,7 @@
 use rl::policy::allocation_largest_remainder;
 use workflow::Ensemble;
 
-use crate::{Allocator, Observation};
+use crate::{Observation, Policy};
 
 /// The HEFT adaptation described in §VI-D of the paper.
 ///
@@ -19,7 +19,7 @@ use crate::{Allocator, Observation};
 /// # Examples
 ///
 /// ```
-/// use baselines::{Allocator, HeftAllocator, Observation};
+/// use baselines::{HeftAllocator, Observation, Policy};
 /// use workflow::Ensemble;
 ///
 /// let mut heft = HeftAllocator::new(&Ensemble::msd(), 14);
@@ -70,7 +70,7 @@ impl HeftAllocator {
     }
 }
 
-impl Allocator for HeftAllocator {
+impl Policy for HeftAllocator {
     fn name(&self) -> &str {
         "heft"
     }
@@ -97,6 +97,10 @@ impl Allocator for HeftAllocator {
 
     fn consumer_budget(&self) -> usize {
         self.budget
+    }
+
+    fn num_task_types(&self) -> usize {
+        self.ranks.len()
     }
 }
 

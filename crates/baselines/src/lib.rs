@@ -1,10 +1,10 @@
 //! Baseline resource-allocation algorithms the MIRAS paper compares against
 //! (§VI-D).
 //!
-//! All baselines implement the common [`Allocator`] trait — an
+//! All baselines implement the one decision trait, [`Policy`] — an
 //! [`Observation`] (WIP vector, previous window's metrics, window index) in,
-//! consumer allocation out — so the evaluation harness can run them
-//! interchangeably with MIRAS:
+//! consumer allocation out — as does `miras_core::MirasAgent`, so the
+//! evaluation harness runs them interchangeably with MIRAS:
 //!
 //! * [`DrsAllocator`] — *stream* in the paper's figures: DRS (Fu et al.,
 //!   ICDCS 2015), a Jackson open-queueing-network allocator that picks the
@@ -24,7 +24,7 @@
 //! # Examples
 //!
 //! ```
-//! use baselines::{Allocator, Observation, UniformAllocator};
+//! use baselines::{Observation, Policy, UniformAllocator};
 //!
 //! let mut alloc = UniformAllocator::new(4, 14);
 //! let m = alloc.allocate(&Observation::first(&[10.0, 0.0, 5.0, 2.0]));
@@ -41,15 +41,13 @@ mod monad;
 mod policy;
 pub mod queueing;
 mod statics;
-mod traits;
 
 pub use drs::DrsAllocator;
 pub use heft::HeftAllocator;
 pub use model_free::{train_model_free, ModelFreeDdpg};
 pub use monad::MonadAllocator;
 pub use policy::{
-    by_name, fallback, known_policies, AllocatorPolicy, Decision, Policy, PolicyConfig,
-    PolicyError, FALLBACK_POLICY,
+    by_name, fallback, known_policies, Decision, Observation, Policy, PolicyConfig, PolicyError,
+    FALLBACK_POLICY,
 };
 pub use statics::{UniformAllocator, WipProportionalAllocator};
-pub use traits::{Allocator, Observation};

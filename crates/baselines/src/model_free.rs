@@ -10,10 +10,9 @@ use miras_core::ClusterEnvAdapter;
 use rl::policy::allocation_largest_remainder;
 use rl::{Ddpg, DdpgConfig, Environment};
 
-use crate::{Allocator, Observation};
+use crate::{Observation, Policy};
 
-/// A policy produced by model-free DDPG training, usable as an
-/// [`Allocator`].
+/// A [`Policy`] produced by model-free DDPG training.
 #[derive(Debug)]
 pub struct ModelFreeDdpg {
     agent: Ddpg,
@@ -34,7 +33,7 @@ impl ModelFreeDdpg {
     }
 }
 
-impl Allocator for ModelFreeDdpg {
+impl Policy for ModelFreeDdpg {
     fn name(&self) -> &str {
         "rl"
     }
@@ -45,6 +44,10 @@ impl Allocator for ModelFreeDdpg {
 
     fn consumer_budget(&self) -> usize {
         self.budget
+    }
+
+    fn num_task_types(&self) -> usize {
+        self.agent.actor().input_dim()
     }
 }
 
@@ -62,7 +65,7 @@ impl Allocator for ModelFreeDdpg {
 /// # Examples
 ///
 /// ```
-/// use baselines::{train_model_free, Allocator, Observation};
+/// use baselines::{train_model_free, Observation, Policy};
 /// use microsim::{EnvConfig, MicroserviceEnv};
 /// use miras_core::ClusterEnvAdapter;
 /// use rl::DdpgConfig;

@@ -3,7 +3,7 @@
 
 use microsim::WindowMetrics;
 
-use crate::{Allocator, Observation};
+use crate::{Observation, Policy};
 
 /// The MONAD allocator: one-step model-predictive control over an
 /// online-identified linear performance model.
@@ -24,7 +24,7 @@ use crate::{Allocator, Observation};
 /// # Examples
 ///
 /// ```
-/// use baselines::{Allocator, MonadAllocator, Observation};
+/// use baselines::{MonadAllocator, Observation, Policy};
 ///
 /// let mut monad = MonadAllocator::new(4, 14, 30.0);
 /// let m = monad.allocate(&Observation::first(&[40.0, 5.0, 5.0, 0.0]));
@@ -105,7 +105,7 @@ impl MonadAllocator {
     }
 }
 
-impl Allocator for MonadAllocator {
+impl Policy for MonadAllocator {
     fn name(&self) -> &str {
         "monad"
     }
@@ -142,6 +142,10 @@ impl Allocator for MonadAllocator {
 
     fn consumer_budget(&self) -> usize {
         self.budget
+    }
+
+    fn num_task_types(&self) -> usize {
+        self.inflow.len()
     }
 }
 

@@ -1,13 +1,12 @@
-//! The unified decision surface: the [`Policy`] trait and the string-keyed
-//! policy registry.
+//! The decision surface: the [`Policy`] trait every baseline and
+//! [`MirasAgent`] implement, and the string-keyed policy registry.
 //!
-//! [`Allocator`] is the *algorithm* interface — observation in, consumer
-//! counts out. [`Policy`] is the *deployment* interface layered on top of
-//! it: every decision comes back as a typed [`Decision`] carrying the
-//! allocation, the measured decision latency, and the version of the policy
-//! that produced it. The serving loop (`miras-serve`), the evaluation grid,
-//! the resilience benchmark, and the CLI all construct policies through one
-//! API — [`by_name`] (also reachable as `<dyn Policy>::by_name`) over a
+//! A policy maps an [`Observation`] to consumer counts
+//! ([`Policy::allocate`]). [`Policy::decide`] wraps that in a typed
+//! [`Decision`] carrying the allocation, the measured decision latency, and
+//! the version of the policy that produced it. The serving loop
+//! (`miras-serve`), the evaluation grid, the resilience benchmark, and the
+//! CLI all construct policies through one API — [`by_name`] over a
 //! [`PolicyConfig`] — instead of hand-rolling per-binary `match` arms.
 //!
 //! # Examples
@@ -26,14 +25,68 @@
 use std::fmt;
 use std::time::{Duration, Instant};
 
+use microsim::WindowMetrics;
 use miras_core::MirasAgent;
 use rl::Ddpg;
 use workflow::Ensemble;
 
 use crate::{
-    Allocator, DrsAllocator, HeftAllocator, ModelFreeDdpg, MonadAllocator, Observation,
-    UniformAllocator, WipProportionalAllocator,
+    DrsAllocator, HeftAllocator, ModelFreeDdpg, MonadAllocator, UniformAllocator,
+    WipProportionalAllocator,
 };
+
+/// The decision window the model-predictive baselines (`stream`, `monad`)
+/// plan over: the paper's 30 s.
+const WINDOW_SECS: f64 = 30.0;
+
+/// Everything a policy may observe when making one window's decision.
+///
+/// Bundling the observation into one struct keeps the [`Policy`] trait
+/// stable as new observables are added, and makes the window index available
+/// to policies that warm up or schedule over time. Borrowed fields keep the
+/// struct copy-free: it is built fresh each window from data the harness
+/// already holds.
+///
+/// # Examples
+///
+/// ```
+/// use baselines::Observation;
+///
+/// let wip = [3.0, 1.0];
+/// let obs = Observation::first(&wip);
+/// assert_eq!(obs.window_index, 0);
+/// assert!(obs.previous.is_none());
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct Observation<'a> {
+    /// The current per-task-type work-in-progress vector `w(k)`.
+    pub wip: &'a [f64],
+    /// Metrics of the *previous* window (arrival counts, applied action,
+    /// completions), absent on the very first decision. Adaptive baselines
+    /// use these to update their internal estimates.
+    pub previous: Option<&'a WindowMetrics>,
+    /// Index `k` of the decision window about to start (0-based).
+    pub window_index: usize,
+}
+
+impl<'a> Observation<'a> {
+    /// Builds an observation for window `window_index`.
+    #[must_use]
+    pub fn new(wip: &'a [f64], previous: Option<&'a WindowMetrics>, window_index: usize) -> Self {
+        Observation {
+            wip,
+            previous,
+            window_index,
+        }
+    }
+
+    /// The observation for the very first decision window: no previous
+    /// metrics, index zero.
+    #[must_use]
+    pub fn first(wip: &'a [f64]) -> Self {
+        Observation::new(wip, None, 0)
+    }
+}
 
 /// One typed allocation decision.
 ///
@@ -54,132 +107,94 @@ pub struct Decision {
     pub policy_version: u64,
 }
 
-/// A deployable resource-allocation policy: the object-safe decision
-/// surface every harness (serving loop, evaluation grid, CLI) runs against.
+/// A resource-allocation policy: observation in, consumer counts out.
 ///
-/// Obtain one from the registry with [`by_name`] or wrap any [`Allocator`]
-/// in an [`AllocatorPolicy`].
+/// The one object-safe decision surface every harness (serving loop,
+/// evaluation grid, CLI) runs against. Every baseline and [`MirasAgent`]
+/// implement it directly; obtain one by name from [`by_name`].
+/// Implementations receive an [`Observation`] — the current per-task-type
+/// WIP vector, the previous window's [`WindowMetrics`] (absent on the first
+/// decision), and the window index. Allocations must respect the
+/// implementation's consumer budget.
 pub trait Policy: Send {
-    /// Short name used in reports and decision records (matches
-    /// [`Allocator::name`] for wrapped allocators).
+    /// Short name used in reports and decision records (matches the
+    /// paper's figure legends: `miras`, `stream`, `heft`, `monad`, `rl`, …).
     fn name(&self) -> &str;
 
     /// The total-consumer constraint the policy was configured with.
     fn consumer_budget(&self) -> usize;
 
+    /// The number of task types `J` the policy allocates over: the length
+    /// of the WIP vector it accepts and of every allocation it returns.
+    fn num_task_types(&self) -> usize;
+
+    /// Consumer counts for the next window given the observation.
+    fn allocate(&mut self, obs: &Observation) -> Vec<usize>;
+
     /// The policy's version (0 when unversioned). Checkpoint hot-swap bumps
     /// this, so consumers of a decision stream can attribute every decision
     /// to the policy revision that made it.
-    fn policy_version(&self) -> u64;
-
-    /// Makes one window's decision.
-    fn decide(&mut self, obs: &Observation) -> Decision;
-}
-
-impl dyn Policy {
-    /// Builds a policy from the string-keyed registry — see [`by_name`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PolicyError`] for unknown names or missing artifacts.
-    pub fn by_name(name: &str, config: &PolicyConfig) -> Result<Box<dyn Policy>, PolicyError> {
-        by_name(name, config)
-    }
-}
-
-/// Adapts any [`Allocator`] into a [`Policy`], measuring per-decision
-/// latency and stamping a fixed version.
-#[derive(Debug, Clone)]
-pub struct AllocatorPolicy<A> {
-    inner: A,
-    version: u64,
-}
-
-impl<A: Allocator + Send> AllocatorPolicy<A> {
-    /// Wraps an allocator as an unversioned (version 0) policy.
-    pub fn new(inner: A) -> Self {
-        AllocatorPolicy { inner, version: 0 }
-    }
-
-    /// Sets the version stamped on every decision (e.g. the training
-    /// iteration of the checkpoint the allocator was loaded from).
-    #[must_use]
-    pub fn with_version(mut self, version: u64) -> Self {
-        self.version = version;
-        self
-    }
-
-    /// Read access to the wrapped allocator.
-    pub fn inner(&self) -> &A {
-        &self.inner
-    }
-}
-
-impl<A: Allocator + Send> Policy for AllocatorPolicy<A> {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn consumer_budget(&self) -> usize {
-        self.inner.consumer_budget()
-    }
-
     fn policy_version(&self) -> u64 {
-        self.version
+        0
     }
 
+    /// Makes one window's decision: times [`Policy::allocate`] and stamps
+    /// [`Policy::policy_version`].
     fn decide(&mut self, obs: &Observation) -> Decision {
         let start = Instant::now();
-        let allocations = self.inner.allocate(obs);
+        let allocations = self.allocate(obs);
         Decision {
             allocations,
             latency: start.elapsed(),
-            policy_version: self.version,
+            policy_version: self.policy_version(),
         }
     }
 }
 
-/// Everything the registry may need to construct a policy.
+/// [`MirasAgent`] is itself a policy, so the harness can run MIRAS and the
+/// baselines through one code path. The agent's policy is a pure function
+/// of the WIP state, so the rest of the observation is unused.
+impl Policy for MirasAgent {
+    fn name(&self) -> &str {
+        "miras"
+    }
+
+    fn consumer_budget(&self) -> usize {
+        MirasAgent::consumer_budget(self)
+    }
+
+    fn num_task_types(&self) -> usize {
+        MirasAgent::num_task_types(self)
+    }
+
+    fn allocate(&mut self, obs: &Observation) -> Vec<usize> {
+        MirasAgent::allocate(self, obs.wip)
+    }
+}
+
+/// Everything the registry may need to construct a policy: the ensemble,
+/// plus the trained agents the learned policies run.
 ///
 /// Built once per harness from the ensemble; trained artifacts (the MIRAS
 /// agent, the model-free DDPG agent) are attached only by harnesses that
-/// run the learned policies.
+/// run the learned policies. The consumer budget is the ensemble's default
+/// and the decision window the paper's 30 s.
 #[derive(Debug, Clone)]
 pub struct PolicyConfig {
     ensemble: Ensemble,
-    consumer_budget: usize,
-    window_secs: f64,
     miras_agent: Option<MirasAgent>,
     model_free: Option<Ddpg>,
 }
 
 impl PolicyConfig {
-    /// Configuration for `ensemble` with its default consumer budget and
-    /// the paper's 30 s decision window.
+    /// Configuration for `ensemble`, with no trained agents attached.
     #[must_use]
     pub fn new(ensemble: &Ensemble) -> Self {
         PolicyConfig {
-            consumer_budget: ensemble.default_consumer_budget(),
             ensemble: ensemble.clone(),
-            window_secs: 30.0,
             miras_agent: None,
             model_free: None,
         }
-    }
-
-    /// Overrides the total-consumer constraint `C`.
-    #[must_use]
-    pub fn with_consumer_budget(mut self, budget: usize) -> Self {
-        self.consumer_budget = budget;
-        self
-    }
-
-    /// Overrides the decision-window length the model-predictive baselines
-    /// (`stream`, `monad`) plan over.
-    #[must_use]
-    pub fn with_window_secs(mut self, secs: f64) -> Self {
-        self.window_secs = secs;
-        self
     }
 
     /// Attaches a trained MIRAS agent, enabling the `miras` policy.
@@ -194,18 +209,6 @@ impl PolicyConfig {
     pub fn with_model_free(mut self, agent: Ddpg) -> Self {
         self.model_free = Some(agent);
         self
-    }
-
-    /// The configured consumer budget.
-    #[must_use]
-    pub fn consumer_budget(&self) -> usize {
-        self.consumer_budget
-    }
-
-    /// The configured ensemble.
-    #[must_use]
-    pub fn ensemble(&self) -> &Ensemble {
-        &self.ensemble
     }
 }
 
@@ -293,37 +296,24 @@ pub fn fallback(config: &PolicyConfig) -> Box<dyn Policy> {
 /// [`PolicyError::MissingArtifact`] when a learned policy's agent is
 /// absent.
 pub fn by_name(name: &str, config: &PolicyConfig) -> Result<Box<dyn Policy>, PolicyError> {
-    let j = config.ensemble.num_task_types();
-    let budget = config.consumer_budget;
+    let ensemble = &config.ensemble;
+    let j = ensemble.num_task_types();
+    let budget = ensemble.default_consumer_budget();
     Ok(match name {
-        "miras" => {
-            let agent = config
+        "miras" => Box::new(
+            config
                 .miras_agent
                 .clone()
                 .ok_or(PolicyError::MissingArtifact {
                     policy: "miras",
                     artifact: "a trained MirasAgent (PolicyConfig::with_miras_agent)",
-                })?;
-            Box::new(AllocatorPolicy::new(agent))
-        }
-        "uniform" => Box::new(AllocatorPolicy::new(UniformAllocator::new(j, budget))),
-        "wip" | "wip-proportional" => Box::new(AllocatorPolicy::new(
-            WipProportionalAllocator::new(j, budget),
-        )),
-        "stream" | "drs" => Box::new(AllocatorPolicy::new(DrsAllocator::new(
-            &config.ensemble,
-            budget,
-            config.window_secs,
-        ))),
-        "heft" => Box::new(AllocatorPolicy::new(HeftAllocator::new(
-            &config.ensemble,
-            budget,
-        ))),
-        "monad" => Box::new(AllocatorPolicy::new(MonadAllocator::new(
-            j,
-            budget,
-            config.window_secs,
-        ))),
+                })?,
+        ),
+        "uniform" => Box::new(UniformAllocator::new(j, budget)),
+        "wip" | "wip-proportional" => Box::new(WipProportionalAllocator::new(j, budget)),
+        "stream" | "drs" => Box::new(DrsAllocator::new(ensemble, budget, WINDOW_SECS)),
+        "heft" => Box::new(HeftAllocator::new(ensemble, budget)),
+        "monad" => Box::new(MonadAllocator::new(j, budget, WINDOW_SECS)),
         "rl" => {
             let agent = config
                 .model_free
@@ -332,7 +322,7 @@ pub fn by_name(name: &str, config: &PolicyConfig) -> Result<Box<dyn Policy>, Pol
                     policy: "rl",
                     artifact: "a trained model-free Ddpg (PolicyConfig::with_model_free)",
                 })?;
-            Box::new(AllocatorPolicy::new(ModelFreeDdpg::new(agent, budget)))
+            Box::new(ModelFreeDdpg::new(agent, budget))
         }
         other => {
             return Err(PolicyError::Unknown {
@@ -345,9 +335,31 @@ pub fn by_name(name: &str, config: &PolicyConfig) -> Result<Box<dyn Policy>, Pol
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nn::{Activation, Mlp};
+    use rand::rngs::SmallRng;
+    use rand::SeedableRng;
 
     fn cfg() -> PolicyConfig {
         PolicyConfig::new(&Ensemble::msd())
+    }
+
+    #[test]
+    fn observation_constructors_populate_fields() {
+        let wip = [1.0, 2.0];
+        let metrics = WindowMetrics {
+            window_index: 6,
+            wip: vec![1, 2],
+            reward: 0.0,
+            action_applied: vec![1, 1],
+            constraint_violated: false,
+            arrivals: vec![0],
+            completions: vec![0],
+            mean_response_secs: vec![None],
+        };
+        let obs = Observation::new(&wip, Some(&metrics), 7);
+        assert_eq!(obs.wip, &wip);
+        assert_eq!(obs.previous.unwrap().window_index, 6);
+        assert_eq!(obs.window_index, 7);
     }
 
     #[test]
@@ -370,6 +382,7 @@ mod tests {
             );
             assert_eq!(d.policy_version, 0, "{name}");
             assert_eq!(p.consumer_budget(), 14, "{name}");
+            assert_eq!(p.num_task_types(), 4, "{name}");
         }
     }
 
@@ -409,37 +422,40 @@ mod tests {
 
     #[test]
     fn miras_builds_once_agent_is_attached() {
-        use nn::{Activation, Mlp};
-        use rand::rngs::SmallRng;
-        use rand::SeedableRng;
         let mut rng = SmallRng::seed_from_u64(0);
         let actor = Mlp::new(&[4, 8, 4], Activation::Relu, Activation::Softmax, &mut rng);
         let agent = MirasAgent::new(actor, 14);
         let config = cfg().with_miras_agent(agent.clone());
-        let mut p = <dyn Policy>::by_name("miras", &config).unwrap();
+        let mut p = by_name("miras", &config).unwrap();
         assert_eq!(p.name(), "miras");
+        assert_eq!(p.consumer_budget(), 14);
+        assert_eq!(p.num_task_types(), 4);
         let d = p.decide(&Observation::first(&[1.0, 2.0, 3.0, 4.0]));
         assert_eq!(d.allocations, agent.allocate(&[1.0, 2.0, 3.0, 4.0]));
     }
 
     #[test]
-    fn versioned_wrapper_stamps_decisions() {
-        let mut p = AllocatorPolicy::new(UniformAllocator::new(4, 14)).with_version(7);
-        assert_eq!(p.policy_version(), 7);
-        let d = p.decide(&Observation::first(&[0.0; 4]));
-        assert_eq!(d.policy_version, 7);
+    fn miras_agent_is_a_policy() {
+        let mut rng = SmallRng::seed_from_u64(0);
+        let actor = Mlp::new(&[4, 8, 4], Activation::Relu, Activation::Softmax, &mut rng);
+        let mut agent = MirasAgent::new(actor, 14);
+        let policy: &mut dyn Policy = &mut agent;
+        assert_eq!(policy.name(), "miras");
+        assert_eq!(policy.consumer_budget(), 14);
+        let d = policy.decide(&Observation::first(&[1.0, 2.0, 3.0, 4.0]));
+        assert!(d.allocations.iter().sum::<usize>() <= 14);
     }
 
     #[test]
     fn fallback_is_cheap_deterministic_and_budget_respecting() {
-        let mut fb = fallback(&cfg().with_consumer_budget(10));
+        let mut fb = fallback(&cfg());
         assert_eq!(fb.name(), FALLBACK_POLICY);
-        assert_eq!(fb.consumer_budget(), 10);
+        assert_eq!(fb.consumer_budget(), 14);
         let wip = [8.0, 0.0, 1.0, 1.0];
         let a = fb.decide(&Observation::first(&wip));
         let b = fb.decide(&Observation::first(&wip));
         assert_eq!(a.allocations, b.allocations, "fallback is deterministic");
-        assert!(a.allocations.iter().sum::<usize>() <= 10);
+        assert!(a.allocations.iter().sum::<usize>() <= 14);
     }
 
     #[test]

@@ -2,14 +2,14 @@
 
 use rl::policy::{allocation_largest_remainder, distribution_from_allocation};
 
-use crate::{Allocator, Observation};
+use crate::{Observation, Policy};
 
 /// Splits the budget evenly across task types, ignoring the observed state.
 ///
 /// # Examples
 ///
 /// ```
-/// use baselines::{Allocator, Observation, UniformAllocator};
+/// use baselines::{Observation, Policy, UniformAllocator};
 ///
 /// let mut u = UniformAllocator::new(4, 14);
 /// let m = u.allocate(&Observation::first(&[0.0; 4]));
@@ -37,7 +37,7 @@ impl UniformAllocator {
     }
 }
 
-impl Allocator for UniformAllocator {
+impl Policy for UniformAllocator {
     fn name(&self) -> &str {
         "uniform"
     }
@@ -50,6 +50,10 @@ impl Allocator for UniformAllocator {
     fn consumer_budget(&self) -> usize {
         self.budget
     }
+
+    fn num_task_types(&self) -> usize {
+        self.num_task_types
+    }
 }
 
 /// Allocates consumers proportionally to each queue's share of total WIP —
@@ -59,7 +63,7 @@ impl Allocator for UniformAllocator {
 /// # Examples
 ///
 /// ```
-/// use baselines::{Allocator, Observation, WipProportionalAllocator};
+/// use baselines::{Observation, Policy, WipProportionalAllocator};
 ///
 /// let mut p = WipProportionalAllocator::new(2, 10);
 /// let m = p.allocate(&Observation::first(&[30.0, 10.0]));
@@ -87,7 +91,7 @@ impl WipProportionalAllocator {
     }
 }
 
-impl Allocator for WipProportionalAllocator {
+impl Policy for WipProportionalAllocator {
     fn name(&self) -> &str {
         "wip-proportional"
     }
@@ -102,6 +106,10 @@ impl Allocator for WipProportionalAllocator {
 
     fn consumer_budget(&self) -> usize {
         self.budget
+    }
+
+    fn num_task_types(&self) -> usize {
+        self.num_task_types
     }
 }
 

@@ -9,10 +9,10 @@
 //!
 //! Run: `cargo run -p miras-bench --release --bin ablation_window_length`
 
-use baselines::{Allocator, Observation, WipProportionalAllocator};
+use baselines::WipProportionalAllocator;
 use desim::SimTime;
-use microsim::{EnvConfig, MicroserviceEnv};
-use miras_bench::BenchArgs;
+use microsim::EnvConfig;
+use miras_bench::{run_allocator_configured, BenchArgs};
 
 fn main() {
     let args = BenchArgs::parse();
@@ -41,34 +41,20 @@ fn main() {
                 window: SimTime::from_secs(window_secs),
                 ..EnvConfig::for_ensemble(&ensemble).with_seed(args.seed)
             };
-            let mut env = MicroserviceEnv::new(ensemble.clone(), config);
-            env.set_telemetry(telemetry.clone());
-            let _ = env.reset();
-            env.inject_burst(&burst);
-            let mut alloc =
-                WipProportionalAllocator::new(ensemble.num_task_types(), env.consumer_budget());
-            let mut completions = 0usize;
-            let mut resp_sum = 0.0;
-            let mut resp_n = 0usize;
-            let mut final_wip = 0usize;
-            let mut prev = None;
-            for step in 0..steps {
-                let wip = env.state();
-                let m = alloc.allocate(&Observation::new(&wip, prev.as_ref(), step));
-                let out = env.step(&m);
-                completions += out.metrics.completions.iter().sum::<usize>();
-                if let Some(r) = out.metrics.overall_mean_response_secs() {
-                    resp_sum += r;
-                    resp_n += 1;
-                }
-                final_wip = out.metrics.total_wip();
-                prev = Some(out.metrics);
-            }
-            let mean_resp = if resp_n > 0 {
-                resp_sum / resp_n as f64
-            } else {
+            let mut alloc = WipProportionalAllocator::new(
+                ensemble.num_task_types(),
+                ensemble.default_consumer_budget(),
+            );
+            let records =
+                run_allocator_configured(kind, config, Some(&burst), steps, &mut alloc, &telemetry);
+            let completions: usize = records.iter().map(|r| r.completions).sum();
+            let responses: Vec<f64> = records.iter().filter_map(|r| r.response_secs).collect();
+            let mean_resp = if responses.is_empty() {
                 0.0
+            } else {
+                responses.iter().sum::<f64>() / responses.len() as f64
             };
+            let final_wip = records.last().map_or(0, |r| r.total_wip);
             println!(
                 "{window_secs:>9} {steps:>7} {completions:>13} {mean_resp:>14.1} \
                  {final_wip:>11} {steps:>10}"

@@ -361,7 +361,7 @@ pub struct StepRecord {
 /// Summary statistics over a run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunSummary {
-    /// Allocator name.
+    /// Policy name.
     pub algorithm: String,
     /// Mean response time over windows that had completions.
     pub mean_response_secs: f64,
@@ -376,31 +376,18 @@ pub struct RunSummary {
     pub final_wip: usize,
 }
 
-/// Runs `policy` against a fresh environment for `steps` windows,
-/// injecting `burst` at the start (plus the ensemble's default Poisson
-/// background), and returns the per-window records.
+/// Runs `policy` against a fresh environment built from `config` for
+/// `steps` windows, injecting `burst` at the start (plus the ensemble's
+/// default Poisson background), and returns the per-window records. The
+/// configuration lets callers inject faults (consumer crashes, node
+/// outages, stragglers, delivery-delay spikes) or otherwise reshape the
+/// cluster, as the resilience benchmark does.
 ///
 /// The environment is wired to `telemetry`, so each window emits a `window`
 /// event at source (see `microsim`); the run itself is announced with one
 /// `bench.run` event naming the algorithm, which lets stream consumers
 /// attribute the window records that follow. Each decision's latency is
 /// observed under `bench.decision_latency`.
-pub fn run_allocator(
-    kind: EnsembleKind,
-    seed: u64,
-    burst: Option<&BurstSpec>,
-    steps: usize,
-    policy: &mut dyn Policy,
-    telemetry: &Telemetry,
-) -> Vec<StepRecord> {
-    let config = EnvConfig::for_ensemble(&kind.ensemble()).with_seed(seed);
-    run_allocator_configured(kind, config, burst, steps, policy, telemetry)
-}
-
-/// Like [`run_allocator`] but with an explicit environment configuration,
-/// so callers can inject faults (consumer crashes, node outages,
-/// stragglers, delivery-delay spikes) or otherwise reshape the cluster.
-/// Used by the resilience benchmark.
 pub fn run_allocator_configured(
     kind: EnsembleKind,
     config: EnvConfig,
@@ -650,9 +637,9 @@ mod tests {
     fn run_allocator_produces_full_series() {
         let mut policy =
             by_name("uniform", &PolicyConfig::new(&EnsembleKind::Msd.ensemble())).unwrap();
-        let records = run_allocator(
+        let records = run_allocator_configured(
             EnsembleKind::Msd,
-            7,
+            EnvConfig::for_ensemble(&EnsembleKind::Msd.ensemble()).with_seed(7),
             None,
             5,
             policy.as_mut(),
@@ -812,33 +799,14 @@ pub fn run_resilience(
 
     // Train MIRAS (or load the cached agent) and the model-free baseline on
     // the healthy environment, exactly as the comparison figures do.
-    let (_, miras_agent) = train_miras(kind, args, !args.no_cache, true, telemetry);
-    let miras_cfg = args.miras_config(kind);
-    let interaction_budget =
-        args.resolved_iterations() * (miras_cfg.real_steps_per_iter + miras_cfg.eval_steps);
-    let env_config = EnvConfig::for_ensemble(&ensemble).with_seed(seed.wrapping_add(7));
-    let mut mf_env = ClusterEnvAdapter::new(MicroserviceEnv::new(ensemble.clone(), env_config));
-    mf_env.set_telemetry(telemetry.clone());
-    let model_free = baselines::train_model_free(
-        &mut mf_env,
-        interaction_budget,
-        miras_cfg.reset_every,
-        miras_cfg.ddpg.clone(),
-        miras_cfg.collect_burst_max.as_deref(),
-    );
+    let policy_cfg = learned_policies(kind, args, telemetry);
 
-    // Fan the scenario × algorithm grid out across worker threads. Every
-    // cell builds its own allocator and environment from cloned inputs and
-    // records into a private buffer, so the numbers are identical to a
-    // sequential sweep; buffers are replayed in cell order afterwards, so
-    // the telemetry stream is too.
+    // Fan the scenario × algorithm grid out across worker threads; see
+    // `grid_cell` for the determinism contract.
     let scenarios = fault_scenarios();
     let algorithms = RESILIENCE_ALGORITHMS;
     let enabled = telemetry.is_enabled();
-    let policy_cfg = PolicyConfig::new(&ensemble)
-        .with_miras_agent(miras_agent)
-        .with_model_free(model_free.agent().clone());
-    let mut tasks: Vec<Box<dyn FnOnce() -> GridCell + Send + '_>> = Vec::new();
+    let mut tasks = Vec::new();
     for scenario in &scenarios {
         let mut config = EnvConfig {
             workload: args.workload.clone(),
@@ -846,54 +814,23 @@ pub fn run_resilience(
         };
         config.sim = scenario.apply(config.sim);
         for &algorithm in algorithms {
-            let config = config.clone();
-            let policy_cfg = policy_cfg.clone();
-            let burst = &burst;
-            tasks.push(Box::new(move || {
-                let buffer = Arc::new(BufferedRecorder::new());
-                let cell_telemetry = if enabled {
-                    Telemetry::new(buffer.clone())
-                } else {
-                    Telemetry::noop()
-                };
-                let mut policy =
-                    by_name(algorithm, &policy_cfg).expect("grid algorithms are registered");
-                let records = run_allocator_configured(
-                    kind,
-                    config,
-                    Some(burst),
-                    steps,
-                    policy.as_mut(),
-                    &cell_telemetry,
-                );
-                GridCell {
-                    name: algorithm.to_string(),
-                    records,
-                    buffer,
-                }
-            }));
+            tasks.push(grid_cell(
+                kind,
+                algorithm,
+                policy_cfg.clone(),
+                config.clone(),
+                Some(&burst),
+                steps,
+                enabled,
+            ));
         }
     }
     let cells = run_grid(tasks);
 
     let mut results = Vec::new();
     for (scenario, row) in scenarios.iter().zip(cells.chunks(algorithms.len())) {
-        let mut summaries = Vec::new();
-        for cell in row {
-            cell.buffer.replay(telemetry);
-            summaries.push(summarize(&cell.name, &cell.records));
-        }
-        if telemetry.is_enabled() {
-            for summary in &summaries {
-                if let Ok(Value::Object(mut fields)) = serde::value::to_value(summary) {
-                    fields.push((
-                        "scenario".to_string(),
-                        Value::String(scenario.name.to_string()),
-                    ));
-                    telemetry.event_struct("bench.summary", &Value::Object(fields));
-                }
-            }
-        }
+        let tag = Value::String(scenario.name.to_string());
+        let summaries = summarize_row(row, "scenario", &tag, telemetry);
 
         println!(
             "\n=== {} resilience — scenario `{}` (burst {:?}, {} windows) ===",
@@ -915,7 +852,7 @@ pub fn run_resilience(
 }
 
 /// The algorithm roster of the resilience grid, in output order. The names
-/// are the allocators' own [`Allocator::name`] values.
+/// are the policies' own [`Policy::name`] values.
 const RESILIENCE_ALGORITHMS: &[&str] = &["miras", "uniform", "stream", "heft", "monad", "rl"];
 
 /// The algorithm roster of the comparison grid (Figs. 7–8), in output order.
@@ -927,6 +864,94 @@ struct GridCell {
     name: String,
     records: Vec<StepRecord>,
     buffer: Arc<BufferedRecorder>,
+}
+
+/// A grid cell as a deferred task: builds `algorithm` from the registry,
+/// runs it on a fresh environment from `config`, and records into a private
+/// buffer. Cells share nothing, so a grid's numbers are identical to a
+/// sequential sweep; callers replay the buffers in cell order afterwards,
+/// so the telemetry stream is too.
+fn grid_cell<'a>(
+    kind: EnsembleKind,
+    algorithm: &'static str,
+    policy_cfg: PolicyConfig,
+    config: EnvConfig,
+    burst: Option<&'a BurstSpec>,
+    steps: usize,
+    enabled: bool,
+) -> Box<dyn FnOnce() -> GridCell + Send + 'a> {
+    Box::new(move || {
+        let buffer = Arc::new(BufferedRecorder::new());
+        let cell_telemetry = if enabled {
+            Telemetry::new(buffer.clone())
+        } else {
+            Telemetry::noop()
+        };
+        let mut policy = by_name(algorithm, &policy_cfg).expect("grid algorithms are registered");
+        let records =
+            run_allocator_configured(kind, config, burst, steps, policy.as_mut(), &cell_telemetry);
+        GridCell {
+            name: algorithm.to_string(),
+            records,
+            buffer,
+        }
+    })
+}
+
+/// Replays a grid row's buffered telemetry in cell order, then summarises
+/// each cell and emits the summaries as `bench.summary` events carrying
+/// the row's `key: tag` field.
+fn summarize_row(
+    row: &[GridCell],
+    key: &str,
+    tag: &Value,
+    telemetry: &Telemetry,
+) -> Vec<RunSummary> {
+    for cell in row {
+        cell.buffer.replay(telemetry);
+    }
+    let summaries: Vec<RunSummary> = row
+        .iter()
+        .map(|cell| summarize(&cell.name, &cell.records))
+        .collect();
+    if telemetry.is_enabled() {
+        for summary in &summaries {
+            if let Ok(Value::Object(mut fields)) = serde::value::to_value(summary) {
+                fields.push((key.to_string(), tag.clone()));
+                telemetry.event_struct("bench.summary", &Value::Object(fields));
+            }
+        }
+    }
+    summaries
+}
+
+/// Trains (or loads) MIRAS, then trains the model-free DDPG baseline with
+/// the same number of real interactions (§VI-D), and returns the registry
+/// config with both agents attached.
+fn learned_policies(kind: EnsembleKind, args: &BenchArgs, telemetry: &Telemetry) -> PolicyConfig {
+    let ensemble = kind.ensemble();
+    let (_, miras_agent) = train_miras(kind, args, !args.no_cache, true, telemetry);
+    let miras_cfg = args.miras_config(kind);
+    let interaction_budget =
+        args.resolved_iterations() * (miras_cfg.real_steps_per_iter + miras_cfg.eval_steps);
+    eprintln!(
+        "[train {}] model-free DDPG with {} real interactions",
+        kind.name(),
+        interaction_budget
+    );
+    let env_config = EnvConfig::for_ensemble(&ensemble).with_seed(args.seed.wrapping_add(7));
+    let mut mf_env = ClusterEnvAdapter::new(MicroserviceEnv::new(ensemble.clone(), env_config));
+    mf_env.set_telemetry(telemetry.clone());
+    let model_free = baselines::train_model_free(
+        &mut mf_env,
+        interaction_budget,
+        miras_cfg.reset_every,
+        miras_cfg.ddpg.clone(),
+        miras_cfg.collect_burst_max.as_deref(),
+    );
+    PolicyConfig::new(&ensemble)
+        .with_miras_agent(miras_agent)
+        .with_model_free(model_free.agent().clone())
 }
 
 /// Runs the paper's five-algorithm comparison (Figs. 7 and 8) for one
@@ -944,68 +969,30 @@ pub fn run_comparison(
     let ensemble = kind.ensemble();
     let steps = args.comparison_steps(kind);
 
-    // MIRAS: train (or load) the model-based agent.
-    let (_, miras_agent) = train_miras(kind, args, !args.no_cache, true, telemetry);
-
-    // Model-free DDPG with the same number of real interactions (§VI-D).
-    let miras_cfg = args.miras_config(kind);
-    let interaction_budget =
-        args.resolved_iterations() * (miras_cfg.real_steps_per_iter + miras_cfg.eval_steps);
-    eprintln!(
-        "[train {}] model-free DDPG with {} real interactions",
-        kind.name(),
-        interaction_budget
-    );
-    let env_config = EnvConfig::for_ensemble(&ensemble).with_seed(seed.wrapping_add(7));
-    let mut mf_env = ClusterEnvAdapter::new(MicroserviceEnv::new(ensemble.clone(), env_config));
-    mf_env.set_telemetry(telemetry.clone());
-    let model_free = baselines::train_model_free(
-        &mut mf_env,
-        interaction_budget,
-        miras_cfg.reset_every,
-        miras_cfg.ddpg.clone(),
-        miras_cfg.collect_burst_max.as_deref(),
-    );
+    // MIRAS, and model-free DDPG with the same number of real interactions.
+    let policy_cfg = learned_policies(kind, args, telemetry);
 
     // Fan the burst-scenario × algorithm grid out across worker threads;
-    // see `run_resilience` for the determinism contract.
+    // see `grid_cell` for the determinism contract.
     let bursts = kind.burst_scenarios();
     let algorithms = COMPARISON_ALGORITHMS;
     let enabled = telemetry.is_enabled();
-    let policy_cfg = PolicyConfig::new(&ensemble)
-        .with_miras_agent(miras_agent)
-        .with_model_free(model_free.agent().clone());
-    let mut tasks: Vec<Box<dyn FnOnce() -> GridCell + Send + '_>> = Vec::new();
+    let config = EnvConfig {
+        workload: args.workload.clone(),
+        ..EnvConfig::for_ensemble(&ensemble).with_seed(seed)
+    };
+    let mut tasks = Vec::new();
     for burst in &bursts {
         for &algorithm in algorithms {
-            let policy_cfg = policy_cfg.clone();
-            let config = EnvConfig {
-                workload: args.workload.clone(),
-                ..EnvConfig::for_ensemble(&ensemble).with_seed(seed)
-            };
-            tasks.push(Box::new(move || {
-                let buffer = Arc::new(BufferedRecorder::new());
-                let cell_telemetry = if enabled {
-                    Telemetry::new(buffer.clone())
-                } else {
-                    Telemetry::noop()
-                };
-                let mut policy =
-                    by_name(algorithm, &policy_cfg).expect("grid algorithms are registered");
-                let records = run_allocator_configured(
-                    kind,
-                    config,
-                    Some(burst),
-                    steps,
-                    policy.as_mut(),
-                    &cell_telemetry,
-                );
-                GridCell {
-                    name: algorithm.to_string(),
-                    records,
-                    buffer,
-                }
-            }));
+            tasks.push(grid_cell(
+                kind,
+                algorithm,
+                policy_cfg.clone(),
+                config.clone(),
+                Some(burst),
+                steps,
+                enabled,
+            ));
         }
     }
     let cells = run_grid(tasks);
@@ -1016,21 +1003,11 @@ pub fn run_comparison(
         .zip(cells.chunks(algorithms.len()))
         .enumerate()
     {
-        let mut series: Vec<(String, Vec<StepRecord>)> = Vec::new();
-        let mut summaries = Vec::new();
-        for cell in row {
-            cell.buffer.replay(telemetry);
-            summaries.push(summarize(&cell.name, &cell.records));
-            series.push((cell.name.clone(), cell.records.clone()));
-        }
-        if telemetry.is_enabled() {
-            for summary in &summaries {
-                if let Ok(Value::Object(mut fields)) = serde::value::to_value(summary) {
-                    fields.push(("scenario".to_string(), Value::UInt(scenario as u64)));
-                    telemetry.event_struct("bench.summary", &Value::Object(fields));
-                }
-            }
-        }
+        let summaries = summarize_row(row, "scenario", &Value::UInt(scenario as u64), telemetry);
+        let series: Vec<(String, Vec<StepRecord>)> = row
+            .iter()
+            .map(|cell| (cell.name.clone(), cell.records.clone()))
+            .collect();
 
         print_response_table(
             &format!(
@@ -1120,82 +1097,36 @@ pub fn run_workload_grid(
     let ensemble = kind.ensemble();
     let steps = args.comparison_steps(kind);
 
-    let (_, miras_agent) = train_miras(kind, args, !args.no_cache, true, telemetry);
-    let miras_cfg = args.miras_config(kind);
-    let interaction_budget =
-        args.resolved_iterations() * (miras_cfg.real_steps_per_iter + miras_cfg.eval_steps);
-    let env_config = EnvConfig::for_ensemble(&ensemble).with_seed(seed.wrapping_add(7));
-    let mut mf_env = ClusterEnvAdapter::new(MicroserviceEnv::new(ensemble.clone(), env_config));
-    mf_env.set_telemetry(telemetry.clone());
-    let model_free = baselines::train_model_free(
-        &mut mf_env,
-        interaction_budget,
-        miras_cfg.reset_every,
-        miras_cfg.ddpg.clone(),
-        miras_cfg.collect_burst_max.as_deref(),
-    );
+    let policy_cfg = learned_policies(kind, args, telemetry);
 
     // Fan the workload × algorithm grid out across worker threads; see
-    // `run_resilience` for the determinism contract.
+    // `grid_cell` for the determinism contract.
     let algorithms = COMPARISON_ALGORITHMS;
     let enabled = telemetry.is_enabled();
-    let policy_cfg = PolicyConfig::new(&ensemble)
-        .with_miras_agent(miras_agent)
-        .with_model_free(model_free.agent().clone());
-    let mut tasks: Vec<Box<dyn FnOnce() -> GridCell + Send + '_>> = Vec::new();
+    let mut tasks = Vec::new();
     for workload in workloads {
         let config = EnvConfig {
             workload: workload.clone(),
             ..EnvConfig::for_ensemble(&ensemble).with_seed(seed)
         };
         for &algorithm in algorithms {
-            let policy_cfg = policy_cfg.clone();
-            let config = config.clone();
-            tasks.push(Box::new(move || {
-                let buffer = Arc::new(BufferedRecorder::new());
-                let cell_telemetry = if enabled {
-                    Telemetry::new(buffer.clone())
-                } else {
-                    Telemetry::noop()
-                };
-                let mut policy =
-                    by_name(algorithm, &policy_cfg).expect("grid algorithms are registered");
-                let records = run_allocator_configured(
-                    kind,
-                    config,
-                    None,
-                    steps,
-                    policy.as_mut(),
-                    &cell_telemetry,
-                );
-                GridCell {
-                    name: algorithm.to_string(),
-                    records,
-                    buffer,
-                }
-            }));
+            tasks.push(grid_cell(
+                kind,
+                algorithm,
+                policy_cfg.clone(),
+                config.clone(),
+                None,
+                steps,
+                enabled,
+            ));
         }
     }
     let cells = run_grid(tasks);
 
     let mut results = Vec::new();
     for (workload, row) in workloads.iter().zip(cells.chunks(algorithms.len())) {
-        let mut summaries = Vec::new();
-        for cell in row {
-            cell.buffer.replay(telemetry);
-            summaries.push(summarize(&cell.name, &cell.records));
-        }
-        if telemetry.is_enabled() {
-            for summary in &summaries {
-                if let Ok(Value::Object(mut fields)) = serde::value::to_value(summary) {
-                    fields.push((
-                        "workload".to_string(),
-                        Value::String(workload.name().to_string()),
-                    ));
-                    telemetry.event_struct("bench.summary", &Value::Object(fields));
-                }
-            }
-        }
+        let tag = Value::String(workload.name().to_string());
+        let summaries = summarize_row(row, "workload", &tag, telemetry);
 
         println!(
             "\n=== {} workload `{}` ({} windows, no burst) ===",

@@ -30,7 +30,8 @@
 //!   polled between windows and the policy swapped atomically — no
 //!   request is ever dropped or split across policies; change detection
 //!   is by `(mtime, len, content checksum)`, so same-length rewrites
-//!   within the mtime granularity are still caught.
+//!   within the mtime granularity are still caught. A file whose policy
+//!   has a different task-type count is refused like a corrupt one.
 //! * **Scrape endpoint** ([`spawn_metrics_endpoint`]): the telemetry
 //!   subsystem rendered as a plaintext `/metrics` page.
 //! * **Shadow mode / determinism proof** ([`replay_stream`]): decision

@@ -12,12 +12,12 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
 
-use baselines::{Observation, Policy};
+use baselines::Policy;
 use telemetry::{Telemetry, Value};
 use workflow::{BurstSpec, Ensemble};
 
 use crate::admission::ServeCounters;
-use crate::watcher::{CheckpointWatcher, SwapOutcome};
+use crate::watcher::{CheckpointWatcher, LoadError, SwapOutcome};
 use crate::wire::{parse_observation_line, DecisionRecord, WindowObservation, MAX_LINE_BYTES};
 
 /// A fatal serving-loop error (I/O on the transport, not bad input — bad
@@ -114,7 +114,6 @@ pub struct DecisionService {
     counters: Arc<ServeCounters>,
     latencies_us: Vec<f64>,
     swaps: u64,
-    swap_failures: u64,
     injected_stall: Option<Duration>,
     expected_dims: Option<usize>,
     max_line_bytes: usize,
@@ -134,7 +133,6 @@ impl DecisionService {
             counters: Arc::new(ServeCounters::default()),
             latencies_us: Vec::new(),
             swaps: 0,
-            swap_failures: 0,
             injected_stall: None,
             expected_dims: None,
             max_line_bytes: MAX_LINE_BYTES,
@@ -142,7 +140,9 @@ impl DecisionService {
     }
 
     /// Attaches a checkpoint watcher; every subsequent window boundary
-    /// polls it and atomically swaps the policy when the file changes.
+    /// polls it and atomically swaps the policy when the file changes. A
+    /// file whose policy has a different [`Policy::num_task_types`] than
+    /// the serving one is a failed swap: the old policy keeps serving.
     #[must_use]
     pub fn with_watcher(mut self, watcher: CheckpointWatcher) -> Self {
         self.watcher = Some(watcher);
@@ -255,6 +255,19 @@ impl DecisionService {
                 "serve.retries",
             );
         }
+        // A policy over a different task-type count would panic on its
+        // first decision: refuse it like any other unusable file.
+        let outcome = match outcome {
+            Some(SwapOutcome::Swapped { policy, .. })
+                if policy.num_task_types() != self.policy.num_task_types() =>
+            {
+                Some(SwapOutcome::Failed(LoadError::TaskTypeMismatch {
+                    serving: self.policy.num_task_types(),
+                    loaded: policy.num_task_types(),
+                }))
+            }
+            other => other,
+        };
         match outcome {
             Some(SwapOutcome::Swapped { policy, version }) => {
                 self.policy = policy;
@@ -270,7 +283,6 @@ impl DecisionService {
                 );
             }
             Some(SwapOutcome::Failed(e)) => {
-                self.swap_failures += 1;
                 self.telemetry.counter("serve.swap_failures", 1);
                 self.telemetry.event(
                     "serve.swap_failed",
@@ -288,11 +300,7 @@ impl DecisionService {
     /// enforcement, telemetry. Always returns exactly one record.
     pub fn handle(&mut self, obs: &WindowObservation) -> DecisionRecord {
         self.poll_watcher(obs.window);
-        let decision = self.policy.decide(&Observation::new(
-            &obs.wip,
-            obs.metrics.as_ref(),
-            obs.window,
-        ));
+        let decision = self.policy.decide(&obs.observation());
         let mut effective = decision.latency;
         if let Some(stall) = self.injected_stall.take() {
             effective = effective.saturating_add(stall);
@@ -304,11 +312,7 @@ impl DecisionService {
         let missed = self.deadline.is_some_and(|d| effective > d);
         if missed {
             if let Some(fallback) = &mut self.fallback {
-                let fb = fallback.decide(&Observation::new(
-                    &obs.wip,
-                    obs.metrics.as_ref(),
-                    obs.window,
-                ));
+                let fb = fallback.decide(&obs.observation());
                 ServeCounters::bump(
                     &self.counters.degraded,
                     1,
@@ -447,11 +451,7 @@ pub fn replay_stream(policy: &mut dyn Policy, text: &str) -> Vec<DecisionRecord>
         let Ok(Some(obs)) = parse_observation_line(line, MAX_LINE_BYTES, None) else {
             continue;
         };
-        let decision = policy.decide(&Observation::new(
-            &obs.wip,
-            obs.metrics.as_ref(),
-            obs.window,
-        ));
+        let decision = policy.decide(&obs.observation());
         records.push(DecisionRecord::normal(
             obs.window,
             policy.name(),
@@ -491,11 +491,7 @@ pub fn record_stream(
             wip: env.state(),
             metrics: previous,
         };
-        let decision = policy.decide(&Observation::new(
-            &obs.wip,
-            obs.metrics.as_ref(),
-            obs.window,
-        ));
+        let decision = policy.decide(&obs.observation());
         let out = env.step(&decision.allocations);
         previous = Some(out.metrics);
         observations.push(obs);
@@ -598,7 +594,7 @@ mod tests {
 
         // The degraded allocation is the fallback's own answer.
         let mut bare = baselines::fallback(&cfg);
-        let expect = bare.decide(&Observation::new(&obs.wip, None, obs.window));
+        let expect = bare.decide(&obs.observation());
         assert_eq!(degraded.allocations, expect.allocations);
 
         // Degraded windows stay out of the p99 gate's sample set.

@@ -5,7 +5,7 @@ use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::time::SystemTime;
 
-use baselines::{AllocatorPolicy, Policy};
+use baselines::{Observation, Policy};
 use miras_core::{CheckpointError, CheckpointPayload, MirasAgent};
 
 use crate::retry::{io_transient, retry_with, RetryPolicy};
@@ -30,6 +30,15 @@ pub enum LoadError {
         /// What the raw-agent parser said.
         agent: String,
     },
+    /// The file loaded, but its policy allocates over a different number
+    /// of task types than the one serving (e.g. a LIGO agent swapped in
+    /// under an MSD stream), so its first decision would panic.
+    TaskTypeMismatch {
+        /// Task types of the policy currently serving.
+        serving: usize,
+        /// Task types of the policy the file holds.
+        loaded: usize,
+    },
 }
 
 impl fmt::Display for LoadError {
@@ -44,11 +53,44 @@ impl fmt::Display for LoadError {
                 f,
                 "file is neither a checkpoint ({checkpoint}) nor a raw agent ({agent})"
             ),
+            LoadError::TaskTypeMismatch { serving, loaded } => write!(
+                f,
+                "policy controls {loaded} task types but the serving policy controls {serving}"
+            ),
         }
     }
 }
 
 impl std::error::Error for LoadError {}
+
+/// A checkpoint-loaded agent: the one versioned policy. Every decision is
+/// stamped with the iteration the checkpoint was saved after.
+struct CheckpointPolicy {
+    agent: MirasAgent,
+    version: u64,
+}
+
+impl Policy for CheckpointPolicy {
+    fn name(&self) -> &str {
+        self.agent.name()
+    }
+
+    fn consumer_budget(&self) -> usize {
+        self.agent.consumer_budget()
+    }
+
+    fn num_task_types(&self) -> usize {
+        self.agent.num_task_types()
+    }
+
+    fn allocate(&mut self, obs: &Observation) -> Vec<usize> {
+        self.agent.allocate(obs.wip)
+    }
+
+    fn policy_version(&self) -> u64 {
+        self.version
+    }
+}
 
 /// Loads a deployable policy from `path`.
 ///
@@ -66,17 +108,14 @@ pub fn load_policy(path: &Path) -> Result<(Box<dyn Policy>, u64), LoadError> {
         Ok(payload) => {
             let version = payload.iteration() as u64;
             let agent = payload.deployable_agent();
-            return Ok((
-                Box::new(AllocatorPolicy::new(agent).with_version(version)),
-                version,
-            ));
+            return Ok((Box::new(CheckpointPolicy { agent, version }), version));
         }
         Err(CheckpointError::Io(e)) => return Err(LoadError::Io(e)),
         Err(e) => e.to_string(),
     };
     let json = std::fs::read_to_string(path).map_err(LoadError::Io)?;
     match serde_json::from_str::<MirasAgent>(&json) {
-        Ok(agent) => Ok((Box::new(AllocatorPolicy::new(agent)), 0)),
+        Ok(agent) => Ok((Box::new(agent), 0)),
         Err(e) => Err(LoadError::Unusable {
             checkpoint: checkpoint_err,
             agent: e.to_string(),
@@ -132,7 +171,6 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 pub struct CheckpointWatcher {
     path: PathBuf,
     fingerprint: Option<Fingerprint>,
-    retry: RetryPolicy,
     retries: u64,
 }
 
@@ -145,23 +183,13 @@ pub enum SwapOutcome {
         /// Its version (checkpoint iteration, or 0 for raw agents).
         version: u64,
     },
-    /// The path changed but could not be loaded; the old policy stays.
+    /// The path changed but could not be loaded (or, as judged by the
+    /// service, holds a policy over the wrong task types); the old policy
+    /// stays.
     Failed(LoadError),
 }
 
 impl CheckpointWatcher {
-    /// Watches `path`. The file need not exist yet; the first poll after it
-    /// appears performs the initial load.
-    #[must_use]
-    pub fn new(path: PathBuf) -> Self {
-        CheckpointWatcher {
-            path,
-            fingerprint: None,
-            retry: RetryPolicy::default(),
-            retries: 0,
-        }
-    }
-
     /// Watches `path`, treating the currently present file as already
     /// deployed (only *subsequent* changes trigger swaps). Used when the
     /// service loads its initial policy from the same path at startup.
@@ -171,22 +199,8 @@ impl CheckpointWatcher {
         CheckpointWatcher {
             path,
             fingerprint,
-            retry: RetryPolicy::default(),
             retries: 0,
         }
-    }
-
-    /// Overrides the transient-failure retry policy for filesystem probes.
-    #[must_use]
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
-    /// The watched path.
-    #[must_use]
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// Drains the count of transient-probe retries performed since the last
@@ -220,7 +234,7 @@ impl CheckpointWatcher {
     pub fn poll(&mut self) -> Option<SwapOutcome> {
         let retries = &mut self.retries;
         let probed = retry_with(
-            self.retry,
+            RetryPolicy::default(),
             "watcher_fingerprint",
             io_transient,
             |_| *retries += 1,

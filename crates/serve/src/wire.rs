@@ -21,6 +21,7 @@ use std::io::{self, BufRead};
 
 use serde::{Deserialize, Serialize};
 
+use baselines::Observation;
 use microsim::WindowMetrics;
 
 /// Default upper bound on one wire line, in bytes. A window observation at
@@ -262,6 +263,14 @@ pub struct WindowObservation {
     /// (serialized as `null` when absent).
     #[serde(default)]
     pub metrics: Option<WindowMetrics>,
+}
+
+impl WindowObservation {
+    /// The [`Observation`] a policy decides this window on.
+    #[must_use]
+    pub fn observation(&self) -> Observation<'_> {
+        Observation::new(&self.wip, self.metrics.as_ref(), self.window)
+    }
 }
 
 /// Why a [`DecisionRecord`] carries no usable allocation.

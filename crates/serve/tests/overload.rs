@@ -11,7 +11,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, TcpStream};
 use std::time::Duration;
 
-use baselines::{by_name, Decision, Observation, Policy, PolicyConfig};
+use baselines::{by_name, Observation, Policy, PolicyConfig};
 use serve::{
     record_stream, replay_stream, AdmissionConfig, DecisionService, Listener, ServerConfig,
     ShedPolicy,
@@ -33,12 +33,12 @@ impl Policy for SlowPolicy {
     fn consumer_budget(&self) -> usize {
         self.inner.consumer_budget()
     }
-    fn policy_version(&self) -> u64 {
-        self.inner.policy_version()
+    fn num_task_types(&self) -> usize {
+        self.inner.num_task_types()
     }
-    fn decide(&mut self, obs: &Observation) -> Decision {
+    fn allocate(&mut self, obs: &Observation) -> Vec<usize> {
         std::thread::sleep(self.delay);
-        self.inner.decide(obs)
+        self.inner.allocate(obs)
     }
 }
 

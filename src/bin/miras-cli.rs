@@ -177,11 +177,7 @@ fn run_policy(
     let mut total_completions = 0usize;
     for w in 0..windows {
         let wip = env.state();
-        let decision = policy.decide(&miras::baselines::Observation::new(
-            &wip,
-            previous.as_ref(),
-            w,
-        ));
+        let decision = policy.decide(&Observation::new(&wip, previous.as_ref(), w));
         let m = decision.allocations;
         let out = env.step(&m);
         total_reward += out.reward;
@@ -296,7 +292,7 @@ fn load_agent(flags: &Flags) -> Result<MirasAgent, String> {
 }
 
 fn evaluate(flags: &Flags) -> Result<(), String> {
-    let agent = load_agent(flags)?;
+    let mut agent = load_agent(flags)?;
     let ensemble = ensemble_from(flags)?;
     if agent.num_task_types() != ensemble.num_task_types() {
         return Err(format!(
@@ -314,8 +310,7 @@ fn evaluate(flags: &Flags) -> Result<(), String> {
         ensemble.name()
     );
     let trace = flags.get("trace").map(String::as_str);
-    let mut policy = AllocatorPolicy::new(agent);
-    run_policy(ensemble, seed, burst, trace, windows, &mut policy)
+    run_policy(ensemble, seed, burst, trace, windows, &mut agent)
 }
 
 fn gen_trace(flags: &Flags) -> Result<(), String> {

@@ -150,6 +150,15 @@ fn build_policy(
             let path = std::path::PathBuf::from(path);
             let (policy, _version) =
                 load_policy(&path).map_err(|e| format!("loading {}: {e}", path.display()))?;
+            if policy.num_task_types() != ensemble.num_task_types() {
+                return Err(format!(
+                    "{}: the checkpoint's agent controls {} task types but {} has {}",
+                    path.display(),
+                    policy.num_task_types(),
+                    ensemble.name(),
+                    ensemble.num_task_types()
+                ));
+            }
             let watcher = CheckpointWatcher::new_deployed(path);
             Ok((policy, Some(watcher)))
         }

@@ -52,9 +52,8 @@ pub use workflow;
 /// Commonly used types, importable in one line.
 pub mod prelude {
     pub use baselines::{
-        Allocator, AllocatorPolicy, Decision, DrsAllocator, HeftAllocator, ModelFreeDdpg,
-        MonadAllocator, Observation, Policy, PolicyConfig, PolicyError, UniformAllocator,
-        WipProportionalAllocator,
+        Decision, DrsAllocator, HeftAllocator, ModelFreeDdpg, MonadAllocator, Observation, Policy,
+        PolicyConfig, PolicyError, UniformAllocator, WipProportionalAllocator,
     };
     pub use desim::SimTime;
     pub use microsim::{

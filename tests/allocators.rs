@@ -1,16 +1,22 @@
-//! Integration tests for every allocator against the real emulator, on both
-//! ensembles, under burst and steady-state workloads.
+//! Integration tests for every policy against the real emulator, on every
+//! ensemble, under burst and steady-state workloads.
 
+use baselines::{by_name, known_policies};
+use miras::nn::{Activation, Mlp};
 use miras::prelude::*;
+use rand::SeedableRng;
 
-/// Runs an allocator for `steps` windows; returns (final WIP, completions).
+/// Runs a policy for `steps` windows; returns (final WIP, completions).
+/// Every decision must allocate over all `J` task types, stay within the
+/// policy's budget, and never trip the emulator's constraint check.
 fn drive(
     ensemble: Ensemble,
     seed: u64,
     burst: Option<BurstSpec>,
     steps: usize,
-    allocator: &mut dyn Allocator,
+    allocator: &mut dyn Policy,
 ) -> (usize, usize) {
+    let j = ensemble.num_task_types();
     let config = EnvConfig::for_ensemble(&ensemble).with_seed(seed);
     let mut env = MicroserviceEnv::new(ensemble, config);
     let _ = env.reset();
@@ -22,7 +28,10 @@ fn drive(
     let mut final_wip = 0;
     for step in 0..steps {
         let wip = env.state();
-        let m = allocator.allocate(&Observation::new(&wip, prev.as_ref(), step));
+        let m = allocator
+            .decide(&Observation::new(&wip, prev.as_ref(), step))
+            .allocations;
+        assert_eq!(m.len(), j, "{} allocation length", allocator.name());
         let total: usize = m.iter().sum();
         assert!(
             total <= allocator.consumer_budget(),
@@ -38,16 +47,45 @@ fn drive(
     (final_wip, completions)
 }
 
-fn all_allocators(ensemble: &Ensemble) -> Vec<Box<dyn Allocator>> {
+/// Every registered policy for `ensemble`, in registry order, the learned
+/// ones with freshly built (untrained) agents attached.
+fn registry(ensemble: &Ensemble) -> Vec<Box<dyn Policy>> {
     let j = ensemble.num_task_types();
-    let budget = ensemble.default_consumer_budget();
-    vec![
-        Box::new(DrsAllocator::new(ensemble, budget, 30.0)),
-        Box::new(HeftAllocator::new(ensemble, budget)),
-        Box::new(MonadAllocator::new(j, budget, 30.0)),
-        Box::new(UniformAllocator::new(j, budget)),
-        Box::new(WipProportionalAllocator::new(j, budget)),
-    ]
+    let mut rng = rand::rngs::SmallRng::seed_from_u64(23);
+    let actor = Mlp::new(&[j, 16, j], Activation::Relu, Activation::Softmax, &mut rng);
+    let config = PolicyConfig::new(ensemble)
+        .with_miras_agent(MirasAgent::new(actor, ensemble.default_consumer_budget()))
+        .with_model_free(Ddpg::new(j, j, DdpgConfig::small_test(23)));
+    known_policies()
+        .iter()
+        .map(|name| by_name(name, &config).unwrap())
+        .collect()
+}
+
+/// The static baselines: the registry minus the learned policies.
+fn all_allocators(ensemble: &Ensemble) -> impl Iterator<Item = Box<dyn Policy>> {
+    registry(ensemble)
+        .into_iter()
+        .filter(|p| !matches!(p.name(), "miras" | "rl"))
+}
+
+#[test]
+fn every_registered_policy_conforms_on_every_ensemble() {
+    for ensemble in [Ensemble::msd(), Ensemble::ligo(), Ensemble::gpu_serve()] {
+        let burst = BurstSpec::new(vec![20; ensemble.num_workflow_types()]);
+        let policies = registry(&ensemble);
+        assert_eq!(policies.len(), known_policies().len());
+        for mut policy in policies {
+            assert_eq!(policy.num_task_types(), ensemble.num_task_types());
+            drive(
+                ensemble.clone(),
+                23,
+                Some(burst.clone()),
+                6,
+                policy.as_mut(),
+            );
+        }
+    }
 }
 
 #[test]
