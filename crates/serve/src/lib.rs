@@ -28,10 +28,14 @@
 //!   retry with exponential backoff ([`RetryPolicy`]).
 //! * **Checkpoint hot-swap** ([`CheckpointWatcher`]): the watched path is
 //!   polled between windows and the policy swapped atomically — no
-//!   request is ever dropped or split across policies; change detection
-//!   is by `(mtime, len, content checksum)`, so same-length rewrites
-//!   within the mtime granularity are still caught. A file whose policy
-//!   has a different task-type count is refused like a corrupt one.
+//!   request is ever dropped or split across policies. A poll is one
+//!   `stat`: only a changed `(len, mtime, ctime, inode, device)` key
+//!   triggers the full `(mtime, len, content checksum)` probe and the
+//!   load, on the decision thread. A background verifier re-hashes the
+//!   file about once a second and forces a re-probe when the content
+//!   changed, so same-length rewrites within one timestamp tick are still
+//!   caught. A file whose policy has a different task-type count is
+//!   refused like a corrupt one.
 //! * **Scrape endpoint** ([`spawn_metrics_endpoint`]): the telemetry
 //!   subsystem rendered as a plaintext `/metrics` page.
 //! * **Shadow mode / determinism proof** ([`replay_stream`]): decision

@@ -10,7 +10,7 @@
 
 use std::fmt;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use baselines::Policy;
 use telemetry::{Telemetry, Value};
@@ -96,9 +96,11 @@ impl LatencyStats {
 /// hot-swap, and optional deadline-bounded degradation.
 ///
 /// [`DecisionService::handle`] is the entire per-window hot path: poll the
-/// watcher (swap happens here, *between* windows, so no request is ever
-/// dropped or split across policies), run the policy, enforce the decision
-/// deadline, record telemetry, return the wire record. Everything a
+/// watcher (one `stat` while the checkpoint is unchanged; a swap happens
+/// here, *between* windows, so no request is ever dropped or split across
+/// policies), run the policy, enforce the decision deadline, record
+/// telemetry, return the wire record. The watcher's content hash runs on
+/// its own verifier thread, never in `handle`. Everything a
 /// *normal* record contains is a pure function of the observation and the
 /// policy — latency lives only in telemetry — which is what makes shadow
 /// output byte-identical to batch replay. Degradation (deadline
@@ -140,9 +142,12 @@ impl DecisionService {
     }
 
     /// Attaches a checkpoint watcher; every subsequent window boundary
-    /// polls it and atomically swaps the policy when the file changes. A
-    /// file whose policy has a different [`Policy::num_task_types`] than
-    /// the serving one is a failed swap: the old policy keeps serving.
+    /// polls it (a `stat`, see [`CheckpointWatcher::poll`]) and atomically
+    /// swaps the policy when the file changes. The load runs on the
+    /// decision thread, so the first window after a write is served by the
+    /// new policy. A file whose policy has a different
+    /// [`Policy::num_task_types`] than the serving one is a failed swap:
+    /// the old policy keeps serving.
     #[must_use]
     pub fn with_watcher(mut self, watcher: CheckpointWatcher) -> Self {
         self.watcher = Some(watcher);
@@ -245,7 +250,10 @@ impl DecisionService {
         let Some(watcher) = &mut self.watcher else {
             return;
         };
+        let started = Instant::now();
         let outcome = watcher.poll();
+        // Probe + load time on the decision thread, reported with a swap.
+        let load_ms = started.elapsed().as_secs_f64() * 1e3;
         let watcher_retries = watcher.take_retries();
         if watcher_retries > 0 {
             ServeCounters::bump(
@@ -279,6 +287,7 @@ impl DecisionService {
                     &[
                         ("window", Value::UInt(window as u64)),
                         ("policy_version", Value::UInt(version)),
+                        ("load_ms", Value::Float(load_ms)),
                     ],
                 );
             }
@@ -289,6 +298,7 @@ impl DecisionService {
                     &[
                         ("window", Value::UInt(window as u64)),
                         ("error", Value::String(e.to_string())),
+                        ("load_ms", Value::Float(load_ms)),
                     ],
                 );
             }
@@ -298,6 +308,12 @@ impl DecisionService {
 
     /// Processes one admitted window: hot-swap check, decision, deadline
     /// enforcement, telemetry. Always returns exactly one record.
+    ///
+    /// The hot-swap check is a `stat` of the watched checkpoint and an
+    /// atomic load. Only a changed file (or one the watcher's background
+    /// verifier flagged) costs a read, hash and load here; the
+    /// `serve.swap` / `serve.swap_failed` events report that time as
+    /// `load_ms`.
     pub fn handle(&mut self, obs: &WindowObservation) -> DecisionRecord {
         self.poll_watcher(obs.window);
         let decision = self.policy.decide(&obs.observation());

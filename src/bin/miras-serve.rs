@@ -37,6 +37,7 @@
 
 use std::collections::HashMap;
 use std::io::{BufRead, Write};
+use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
@@ -138,16 +139,16 @@ fn ensemble_from(flags: &Flags) -> Result<Ensemble, String> {
     }
 }
 
-/// Builds the policy and, for checkpoint-backed policies, the hot-swap
-/// watcher over the same path.
+/// Builds the policy and, for checkpoint-backed policies, returns the
+/// checkpoint path the hot-swap watcher should watch.
 fn build_policy(
     flags: &Flags,
     ensemble: &Ensemble,
-) -> Result<(Box<dyn Policy>, Option<CheckpointWatcher>), String> {
+) -> Result<(Box<dyn Policy>, Option<PathBuf>), String> {
     match (flags.get("checkpoint"), flags.get("policy")) {
         (Some(_), Some(_)) => Err("--checkpoint and --policy are mutually exclusive".to_string()),
         (Some(path), None) => {
-            let path = std::path::PathBuf::from(path);
+            let path = PathBuf::from(path);
             let (policy, _version) =
                 load_policy(&path).map_err(|e| format!("loading {}: {e}", path.display()))?;
             if policy.num_task_types() != ensemble.num_task_types() {
@@ -159,8 +160,7 @@ fn build_policy(
                     ensemble.num_task_types()
                 ));
             }
-            let watcher = CheckpointWatcher::new_deployed(path);
-            Ok((policy, Some(watcher)))
+            Ok((policy, Some(path)))
         }
         (None, name) => {
             let name = name.map_or("uniform", String::as_str);
@@ -220,7 +220,7 @@ fn record(flags: &Flags, windows: usize) -> Result<(), String> {
     let ensemble = ensemble_from(flags)?;
     let seed = numeric(flags, "seed", 42u64)?;
     let burst = burst_from(flags, &ensemble)?;
-    let (mut policy, _watcher) = build_policy(flags, &ensemble)?;
+    let (mut policy, _) = build_policy(flags, &ensemble)?;
     let observations = record_stream(&ensemble, seed, windows, burst.as_ref(), policy.as_mut());
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
@@ -320,7 +320,7 @@ fn run_chaos(mut svc: DecisionService, flags: &Flags, spec: &str) -> Result<(), 
     };
     let schedule = generate_schedule(&config, &base_lines, svc.max_line_bytes());
     let admission = admission_from(flags)?;
-    let checkpoint = flags.get("checkpoint").map(std::path::PathBuf::from);
+    let checkpoint = flags.get("checkpoint").map(PathBuf::from);
     let outcome = run_schedule(&mut svc, admission, &schedule, checkpoint.as_deref());
     let verdict = verify(&outcome);
     let summary = format!(
@@ -391,16 +391,16 @@ fn run(flags: &Flags) -> Result<(), String> {
 
     let shadow = flags.contains_key("shadow");
     let ensemble = ensemble_from(flags)?;
-    let (policy, watcher) = build_policy(flags, &ensemble)?;
+    let (policy, checkpoint) = build_policy(flags, &ensemble)?;
     let telemetry = build_telemetry(flags, shadow)?;
     let mut svc = DecisionService::new(policy, telemetry);
     // Replay is a batch reference run: the checkpoint is pinned, never
-    // swapped mid-stream.
+    // swapped mid-stream, so it gets no watcher.
     let replaying = flags.contains_key("replay");
     let chaos = flags.get("chaos").cloned();
-    if let Some(watcher) = watcher {
+    if let Some(path) = checkpoint {
         if !replaying {
-            svc = svc.with_watcher(watcher);
+            svc = svc.with_watcher(CheckpointWatcher::new_deployed(path));
         }
     }
     svc = harden(svc, flags, &ensemble, shadow || replaying)?;
