@@ -18,7 +18,10 @@
 //!   `tick - current_tick` in `[1, NUM_SLOTS)`, unsorted (they are sorted by
 //!   heapifying when their slot becomes current). A two-level occupancy
 //!   bitmap (one summary word over 64 occupancy words) finds the next
-//!   occupied slot without scanning empty ones.
+//!   occupied slot without scanning empty ones. A slot owns a buffer only
+//!   while it is occupied: the cursor takes the buffer when it drains the
+//!   slot, so the wheel's memory follows its pending events, not the
+//!   largest batch each slot held on any earlier lap of the frame.
 //! * **far** — a binary heap for everything beyond the wheel horizon.
 //!   When the cursor advances, far events that fall inside the new frame
 //!   *cascade* into the wheel (or straight into `current`).
@@ -109,7 +112,8 @@ fn tick_of(time: SimTime) -> u64 {
 pub struct EventQueue<E> {
     /// Events at ticks `<= current_tick`, popped in `(time, seq)` order.
     current: BinaryHeap<ScheduledEvent<E>>,
-    /// Ring of unsorted buckets for ticks within the wheel horizon.
+    /// Ring of unsorted buckets for ticks within the wheel horizon. Only
+    /// occupied slots own a buffer; draining a slot releases it.
     slots: Vec<Vec<ScheduledEvent<E>>>,
     /// `occupancy[w]` bit `b` set iff `slots[w * 64 + b]` is non-empty.
     occupancy: [u64; WORDS],
@@ -173,9 +177,14 @@ impl<E> EventQueue<E> {
 
     fn insert_slot(&mut self, tick: u64, ev: ScheduledEvent<E>) {
         let slot = (tick & SLOT_MASK) as usize;
-        self.slots[slot].push(ev);
         let word = slot / 64;
-        self.occupancy[word] |= 1 << (slot % 64);
+        let bit = 1 << (slot % 64);
+        debug_assert!(
+            self.occupancy[word] & bit != 0 || self.slots[slot].capacity() == 0,
+            "unoccupied slot {slot} owns a buffer"
+        );
+        self.slots[slot].push(ev);
+        self.occupancy[word] |= bit;
         self.summary |= 1 << word;
     }
 
@@ -243,9 +252,12 @@ impl<E> EventQueue<E> {
             if self.occupancy[word] == 0 {
                 self.summary &= !(1 << word);
             }
-            for ev in self.slots[slot].drain(..) {
-                self.current.push(ev);
-            }
+            // `current` is empty here, so the slot's buffer becomes the heap
+            // (heapified in place) and the drained slot owns no memory: the
+            // wheel's footprint follows its pending events instead of the
+            // largest batch each slot ever held.
+            self.current = BinaryHeap::from(std::mem::take(&mut self.slots[slot]));
+            debug_assert_eq!(self.slots[slot].capacity(), 0, "drained slot owns a buffer");
         }
         // Cascade far events now inside the frame. The far heap pops in
         // (time, seq) order and ticks are monotone in time, so the first
@@ -315,7 +327,7 @@ impl<E> EventQueue<E> {
 
     /// Drops all pending events, keeping the sequence counter so ordering
     /// stays stable across a clear. The cursor and cascade counter are kept
-    /// too; slot buffers retain their capacity for reuse.
+    /// too; every occupied slot releases its buffer, as a drained slot does.
     pub fn clear(&mut self) {
         self.current.clear();
         self.far.clear();
@@ -323,7 +335,7 @@ impl<E> EventQueue<E> {
             let mut bits = self.occupancy[word];
             while bits != 0 {
                 let slot = word * 64 + bits.trailing_zeros() as usize;
-                self.slots[slot].clear();
+                self.slots[slot] = Vec::new();
                 bits &= bits - 1;
             }
             self.occupancy[word] = 0;
@@ -478,8 +490,12 @@ mod tests {
         assert_eq!(drain(&mut q), vec![10, 11]);
     }
 
+    fn slot_capacity(q: &EventQueue<i32>) -> usize {
+        q.slots.iter().map(Vec::capacity).sum()
+    }
+
     #[test]
-    fn clear_keeps_cursor_and_capacity() {
+    fn clear_keeps_cursor() {
         let mut q = EventQueue::new();
         for i in 0..100 {
             q.push(SimTime::from_micros(i * 10_000), i as i32);
@@ -489,10 +505,32 @@ mod tests {
         }
         q.clear();
         assert_eq!(q.len(), 0);
+        assert_eq!(slot_capacity(&q), 0, "a cleared slot kept its buffer");
         assert_eq!(q.pop().map(|e| e.event), None);
         // Past-time pushes after a clear land in `current` and still pop.
         q.push(SimTime::ZERO, 7);
         assert_eq!(q.pop().map(|e| e.event), Some(7));
+    }
+
+    #[test]
+    fn drained_slots_release_their_buffers() {
+        // Bursts of same-tick events at shifting offsets over many laps of
+        // the frame: every slot the cursor drains must give its buffer back,
+        // or the wheel keeps the largest batch each slot ever held.
+        let mut q = EventQueue::new();
+        let frame = NUM_SLOTS << TICK_SHIFT;
+        for lap in 0..10u64 {
+            for burst in 0..16u64 {
+                let offset = (burst * 257 + lap * 61) % NUM_SLOTS;
+                let t = SimTime::from_micros(lap * frame + (offset << TICK_SHIFT));
+                for i in 0..64 {
+                    q.push(t, i);
+                }
+            }
+            while q.pop().is_some() {}
+        }
+        assert!(q.is_empty());
+        assert_eq!(slot_capacity(&q), 0, "drained slots kept their buffers");
     }
 
     #[test]

@@ -16,7 +16,7 @@
 
 use desim::SimTime;
 use microsim::{EnvConfig, MicroserviceEnv, SimConfig};
-use workflow::{Dag, Ensemble, TaskTypeDef, TaskTypeId, WorkflowDef};
+use workflow::{BurstSpec, Dag, Ensemble, TaskTypeDef, TaskTypeId, WorkflowDef};
 
 /// One workflow type consisting of a single task with mean service time
 /// `1/mu` seconds at CV 1, arriving Poisson at `lambda` requests/s.
@@ -162,6 +162,67 @@ fn golden_trace_msd_seed_2024() {
         assert_eq!(o.metrics.completions, completions, "window {window}");
         assert!((o.reward - reward).abs() < 1e-12, "window {window}");
     }
+}
+
+/// FNV-1a over little-endian 64-bit words.
+fn fnv1a(hash: u64, word: u64) -> u64 {
+    word.to_le_bytes().iter().fold(hash, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Runs `episodes` × (`reset` + `inject_burst` + 25 windows) at a fixed
+/// allocation and returns the events processed and an FNV-1a digest of
+/// every window's WIP, completions and reward bits.
+fn multi_episode_digest(
+    ensemble: Ensemble,
+    seed: u64,
+    burst: &BurstSpec,
+    action: &[usize],
+    episodes: usize,
+) -> (u64, u64) {
+    let config = EnvConfig::for_ensemble(&ensemble).with_seed(seed);
+    let mut env = MicroserviceEnv::new(ensemble, config);
+    let mut hash = 0xcbf2_9ce4_8422_2325;
+    for _ in 0..episodes {
+        env.reset();
+        env.inject_burst(burst);
+        for _ in 0..25 {
+            let m = env.step(action).metrics;
+            for &n in m.wip.iter().chain(&m.completions) {
+                hash = fnv1a(hash, n as u64);
+            }
+            hash = fnv1a(hash, m.reward.to_bits());
+        }
+    }
+    (env.cluster().events_processed(), hash)
+}
+
+/// Golden trace over many laps of the event queue's 33.6 s wheel frame:
+/// each episode is a reset plus 25 × 30 s windows, so the cursor wraps the
+/// frame ~24 times per episode and refills slots it drained on earlier
+/// laps, while each burst loads the cluster with hundreds of requests.
+/// The single-episode golden above never laps the frame. Regenerate the
+/// literals only for a deliberate behaviour change, and say why in the
+/// commit message.
+#[test]
+fn golden_multi_episode_bursts_lap_the_wheel() {
+    let msd = multi_episode_digest(
+        Ensemble::msd(),
+        2024,
+        &BurstSpec::new(vec![300, 200, 300]),
+        &[4, 4, 4, 2],
+        6,
+    );
+    assert_eq!(msd, (35_884, 15_576_776_439_705_293_878), "MSD");
+    let ligo = multi_episode_digest(
+        Ensemble::ligo(),
+        2024,
+        &BurstSpec::new(vec![60, 40, 60, 40]),
+        &[4, 3, 3, 4, 3, 3, 4, 3, 3],
+        6,
+    );
+    assert_eq!(ligo, (33_891, 15_951_489_991_639_663_769), "LIGO");
 }
 
 /// Auditing must be observation-only: the exact same seed with auditing on
