@@ -62,12 +62,6 @@ impl HeftAllocator {
         }
         HeftAllocator { ranks, budget }
     }
-
-    /// The upward rank of each task type.
-    #[must_use]
-    pub fn ranks(&self) -> &[f64] {
-        &self.ranks
-    }
 }
 
 impl Policy for HeftAllocator {
@@ -112,7 +106,7 @@ mod tests {
     fn upstream_tasks_have_higher_rank() {
         // In a chain A → B → C, rank(A) > rank(B) > rank(C).
         let heft = HeftAllocator::new(&Ensemble::msd(), 14);
-        let ranks = heft.ranks();
+        let ranks = heft.ranks;
         // Task A (0) starts both Type1 (A→B→C) and Type2 (A→C→D).
         // Its rank must exceed C's (2), which is near the end everywhere.
         assert!(ranks[0] > ranks[2], "{ranks:?}");
@@ -121,7 +115,7 @@ mod tests {
     #[test]
     fn ligo_entry_stages_outrank_coire() {
         let heft = HeftAllocator::new(&Ensemble::ligo(), 30);
-        let ranks = heft.ranks();
+        let ranks = heft.ranks;
         // DataFind (0) heads two long chains; Coire (7) is terminal.
         assert!(ranks[0] > ranks[7], "{ranks:?}");
     }

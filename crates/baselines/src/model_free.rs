@@ -22,7 +22,7 @@ pub struct ModelFreeDdpg {
 impl ModelFreeDdpg {
     /// Wraps a trained agent.
     #[must_use]
-    pub fn new(agent: Ddpg, budget: usize) -> Self {
+    pub(crate) fn new(agent: Ddpg, budget: usize) -> Self {
         ModelFreeDdpg { agent, budget }
     }
 

@@ -63,18 +63,6 @@ impl MonadAllocator {
         }
     }
 
-    /// The current per-queue inflow estimates (tasks per window).
-    #[must_use]
-    pub fn inflow_estimates(&self) -> &[f64] {
-        &self.inflow
-    }
-
-    /// The current per-consumer drain estimates (tasks per window).
-    #[must_use]
-    pub fn drain_estimates(&self) -> &[f64] {
-        &self.drain
-    }
-
     /// Predicted next-window cost of one queue under `m` consumers.
     fn queue_cost(&self, j: usize, wip: f64, m: usize) -> f64 {
         let predicted = (wip + self.inflow[j] - self.drain[j] * m as f64).max(0.0);
@@ -186,12 +174,12 @@ mod tests {
     #[test]
     fn drain_estimate_adapts_to_observations() {
         let mut monad = MonadAllocator::new(1, 4, 30.0);
-        let initial_drain = monad.drain_estimates()[0];
+        let initial_drain = monad.drain[0];
         // Previous window: WIP 20 with 2 consumers; now WIP 16 → the pair
         // drained ~4, i.e. 2 per consumer — slower than the prior of 7.5.
         let prev = metrics(vec![20], vec![2]);
         let _ = monad.allocate(&Observation::new(&[16.0], Some(&prev), 1));
-        assert!(monad.drain_estimates()[0] < initial_drain);
+        assert!(monad.drain[0] < initial_drain);
     }
 
     #[test]
@@ -200,7 +188,7 @@ mod tests {
         // No consumers, queue grew from 0 to 12: inflow must rise.
         let prev = metrics(vec![0], vec![0]);
         let _ = monad.allocate(&Observation::new(&[12.0], Some(&prev), 1));
-        assert!(monad.inflow_estimates()[0] > 0.0);
+        assert!(monad.inflow[0] > 0.0);
     }
 
     #[test]

@@ -25,7 +25,7 @@
 
 /// Server utilisation `ρ = λ / (c·μ)`, or infinity when `c = 0`.
 #[must_use]
-pub fn utilisation(lambda: f64, mu: f64, c: usize) -> f64 {
+pub(crate) fn utilisation(lambda: f64, mu: f64, c: usize) -> f64 {
     if c == 0 {
         return f64::INFINITY;
     }
@@ -36,7 +36,7 @@ pub fn utilisation(lambda: f64, mu: f64, c: usize) -> f64 {
 /// Erlangs on `c` servers, via the numerically stable recursion
 /// `B(0) = 1`, `B(k) = a·B(k−1) / (k + a·B(k−1))`.
 #[must_use]
-pub fn erlang_b(offered_load: f64, c: usize) -> f64 {
+pub(crate) fn erlang_b(offered_load: f64, c: usize) -> f64 {
     let a = offered_load;
     let mut b = 1.0;
     for k in 1..=c {
@@ -48,7 +48,7 @@ pub fn erlang_b(offered_load: f64, c: usize) -> f64 {
 /// Erlang-C probability that an arrival must queue,
 /// `C = B / (1 − ρ·(1 − B))`. Returns 1.0 for an unstable queue (`ρ ≥ 1`).
 #[must_use]
-pub fn erlang_c(lambda: f64, mu: f64, c: usize) -> f64 {
+pub(crate) fn erlang_c(lambda: f64, mu: f64, c: usize) -> f64 {
     let rho = utilisation(lambda, mu, c);
     if rho >= 1.0 {
         return 1.0;
@@ -60,7 +60,7 @@ pub fn erlang_c(lambda: f64, mu: f64, c: usize) -> f64 {
 /// Mean time spent waiting in queue, `W_q = C / (c·μ − λ)`. Zero when
 /// `λ ≤ 0`; infinite when the queue is unstable.
 #[must_use]
-pub fn mmc_mean_wait(lambda: f64, mu: f64, c: usize) -> f64 {
+pub(crate) fn mmc_mean_wait(lambda: f64, mu: f64, c: usize) -> f64 {
     if lambda <= 0.0 {
         return 0.0;
     }
@@ -78,7 +78,7 @@ pub fn mmc_mean_response(lambda: f64, mu: f64, c: usize) -> f64 {
 
 /// Mean queue length (excluding in-service requests), `L_q = λ·W_q`.
 #[must_use]
-pub fn mmc_mean_queue_len(lambda: f64, mu: f64, c: usize) -> f64 {
+pub(crate) fn mmc_mean_queue_len(lambda: f64, mu: f64, c: usize) -> f64 {
     lambda * mmc_mean_wait(lambda, mu, c)
 }
 

@@ -160,7 +160,7 @@ impl EnsembleKind {
 
     /// Parses `"msd"` / `"ligo"` / `"gpu-serve"`.
     #[must_use]
-    pub fn parse(s: &str) -> Option<Self> {
+    pub(crate) fn parse(s: &str) -> Option<Self> {
         match s.to_ascii_lowercase().as_str() {
             "msd" => Some(EnsembleKind::Msd),
             "ligo" => Some(EnsembleKind::Ligo),
@@ -294,7 +294,7 @@ impl BenchArgs {
     /// The evaluation horizon for the comparison figures: 6 windows under
     /// `--smoke`, otherwise the ensemble's paper horizon.
     #[must_use]
-    pub fn comparison_steps(&self, kind: EnsembleKind) -> usize {
+    pub(crate) fn comparison_steps(&self, kind: EnsembleKind) -> usize {
         if self.smoke {
             6
         } else {
@@ -554,7 +554,7 @@ fn store_cached_agent(path: &PathBuf, agent: &MirasAgent) {
 
 /// Prints per-step response-time series for several algorithms as an
 /// aligned text table (one row per window, one column per algorithm).
-pub fn print_response_table(title: &str, series: &[(String, Vec<StepRecord>)]) {
+pub(crate) fn print_response_table(title: &str, series: &[(String, Vec<StepRecord>)]) {
     println!("\n=== {title} ===");
     print!("{:>5}", "step");
     for (name, _) in series {
@@ -575,7 +575,7 @@ pub fn print_response_table(title: &str, series: &[(String, Vec<StepRecord>)]) {
 }
 
 /// Prints run summaries as an aligned text table.
-pub fn print_summaries(summaries: &[RunSummary]) {
+pub(crate) fn print_summaries(summaries: &[RunSummary]) {
     println!(
         "{:>12} {:>14} {:>14} {:>12} {:>14} {:>10}",
         "algorithm", "mean_resp(s)", "tail_resp(s)", "completions", "total_reward", "final_wip"
@@ -792,46 +792,33 @@ pub fn run_resilience(
     args: &BenchArgs,
     telemetry: &Telemetry,
 ) -> Vec<(String, String, Vec<StepRecord>)> {
-    let seed = args.seed;
     let ensemble = kind.ensemble();
     let steps = args.comparison_steps(kind);
     let burst = kind.burst_scenarios().remove(0);
-
-    // Train MIRAS (or load the cached agent) and the model-free baseline on
-    // the healthy environment, exactly as the comparison figures do.
-    let policy_cfg = learned_policies(kind, args, telemetry);
-
-    // Fan the scenario × algorithm grid out across worker threads; see
-    // `grid_cell` for the determinism contract.
     let scenarios = fault_scenarios();
-    let algorithms = RESILIENCE_ALGORITHMS;
-    let enabled = telemetry.is_enabled();
-    let mut tasks = Vec::new();
-    for scenario in &scenarios {
-        let mut config = EnvConfig {
-            workload: args.workload.clone(),
-            ..EnvConfig::for_ensemble(&ensemble).with_seed(seed)
-        };
-        config.sim = scenario.apply(config.sim);
-        for &algorithm in algorithms {
-            tasks.push(grid_cell(
-                kind,
-                algorithm,
-                policy_cfg.clone(),
-                config.clone(),
-                Some(&burst),
-                steps,
-                enabled,
-            ));
-        }
-    }
-    let cells = run_grid(tasks);
+    let rows = scenarios
+        .iter()
+        .map(|scenario| {
+            let mut config = EnvConfig {
+                workload: args.workload.clone(),
+                ..EnvConfig::for_ensemble(&ensemble).with_seed(args.seed)
+            };
+            config.sim = scenario.apply(config.sim);
+            let tag = Value::String(scenario.name.to_string());
+            (tag, config, Some(&burst))
+        })
+        .collect();
+    let grid = run_rows(
+        kind,
+        args,
+        telemetry,
+        RESILIENCE_ALGORITHMS,
+        "scenario",
+        rows,
+    );
 
     let mut results = Vec::new();
-    for (scenario, row) in scenarios.iter().zip(cells.chunks(algorithms.len())) {
-        let tag = Value::String(scenario.name.to_string());
-        let summaries = summarize_row(row, "scenario", &tag, telemetry);
-
+    for (scenario, row) in scenarios.iter().zip(grid) {
         println!(
             "\n=== {} resilience — scenario `{}` (burst {:?}, {} windows) ===",
             kind.name().to_uppercase(),
@@ -839,13 +826,9 @@ pub fn run_resilience(
             burst.counts(),
             steps
         );
-        print_summaries(&summaries);
-        for cell in row {
-            results.push((
-                scenario.name.to_string(),
-                cell.name.clone(),
-                cell.records.clone(),
-            ));
+        print_summaries(&row.summaries);
+        for cell in row.cells {
+            results.push((scenario.name.to_string(), cell.name, cell.records));
         }
     }
     results
@@ -925,6 +908,53 @@ fn summarize_row(
     summaries
 }
 
+/// One finished grid row: its cells in algorithm order and their summaries.
+struct GridRow {
+    cells: Vec<GridCell>,
+    summaries: Vec<RunSummary>,
+}
+
+/// The evaluation loop the comparison, resilience and workload grids share:
+/// trains (or loads) the learned policies, fans every row × `algorithms`
+/// cell out across worker threads (see `grid_cell` for the determinism
+/// contract), then summarises the rows in order, tagging each row's
+/// `bench.summary` events with `key: tag`. A row is its tag, environment
+/// config and optional burst.
+fn run_rows(
+    kind: EnsembleKind,
+    args: &BenchArgs,
+    telemetry: &Telemetry,
+    algorithms: &[&'static str],
+    key: &str,
+    rows: Vec<(Value, EnvConfig, Option<&BurstSpec>)>,
+) -> Vec<GridRow> {
+    let policy_cfg = learned_policies(kind, args, telemetry);
+    let steps = args.comparison_steps(kind);
+    let enabled = telemetry.is_enabled();
+    let mut tasks = Vec::new();
+    for (_, config, burst) in &rows {
+        for &algorithm in algorithms {
+            tasks.push(grid_cell(
+                kind,
+                algorithm,
+                policy_cfg.clone(),
+                config.clone(),
+                *burst,
+                steps,
+                enabled,
+            ));
+        }
+    }
+    let mut cells = run_grid(tasks).into_iter();
+    rows.iter()
+        .map(|(tag, _, _)| {
+            let cells: Vec<GridCell> = cells.by_ref().take(algorithms.len()).collect();
+            let summaries = summarize_row(&cells, key, tag, telemetry);
+            GridRow { cells, summaries }
+        })
+        .collect()
+}
+
 /// Trains (or loads) MIRAS, then trains the model-free DDPG baseline with
 /// the same number of real interactions (§VI-D), and returns the registry
 /// config with both agents attached.
@@ -965,50 +995,33 @@ pub fn run_comparison(
     args: &BenchArgs,
     telemetry: &Telemetry,
 ) -> Vec<(usize, String, Vec<StepRecord>)> {
-    let seed = args.seed;
     let ensemble = kind.ensemble();
-    let steps = args.comparison_steps(kind);
-
-    // MIRAS, and model-free DDPG with the same number of real interactions.
-    let policy_cfg = learned_policies(kind, args, telemetry);
-
-    // Fan the burst-scenario × algorithm grid out across worker threads;
-    // see `grid_cell` for the determinism contract.
-    let bursts = kind.burst_scenarios();
-    let algorithms = COMPARISON_ALGORITHMS;
-    let enabled = telemetry.is_enabled();
     let config = EnvConfig {
         workload: args.workload.clone(),
-        ..EnvConfig::for_ensemble(&ensemble).with_seed(seed)
+        ..EnvConfig::for_ensemble(&ensemble).with_seed(args.seed)
     };
-    let mut tasks = Vec::new();
-    for burst in &bursts {
-        for &algorithm in algorithms {
-            tasks.push(grid_cell(
-                kind,
-                algorithm,
-                policy_cfg.clone(),
-                config.clone(),
-                Some(burst),
-                steps,
-                enabled,
-            ));
-        }
-    }
-    let cells = run_grid(tasks);
+    let bursts = kind.burst_scenarios();
+    let rows = bursts
+        .iter()
+        .enumerate()
+        .map(|(scenario, burst)| (Value::UInt(scenario as u64), config.clone(), Some(burst)))
+        .collect();
+    let grid = run_rows(
+        kind,
+        args,
+        telemetry,
+        COMPARISON_ALGORITHMS,
+        "scenario",
+        rows,
+    );
 
     let mut results = Vec::new();
-    for (scenario, (burst, row)) in bursts
-        .iter()
-        .zip(cells.chunks(algorithms.len()))
-        .enumerate()
-    {
-        let summaries = summarize_row(row, "scenario", &Value::UInt(scenario as u64), telemetry);
+    for (scenario, (burst, row)) in bursts.iter().zip(grid).enumerate() {
         let series: Vec<(String, Vec<StepRecord>)> = row
-            .iter()
-            .map(|cell| (cell.name.clone(), cell.records.clone()))
+            .cells
+            .into_iter()
+            .map(|cell| (cell.name, cell.records))
             .collect();
-
         print_response_table(
             &format!(
                 "{} burst {} {:?} — mean response time (s) per 30 s window",
@@ -1019,7 +1032,7 @@ pub fn run_comparison(
             &series,
         );
         println!();
-        print_summaries(&summaries);
+        print_summaries(&row.summaries);
         for (name, records) in series {
             results.push((scenario, name, records));
         }
@@ -1093,54 +1106,38 @@ pub fn run_workload_grid(
     workloads: &[WorkloadSpec],
     telemetry: &Telemetry,
 ) -> Vec<(String, String, Vec<StepRecord>)> {
-    let seed = args.seed;
     let ensemble = kind.ensemble();
     let steps = args.comparison_steps(kind);
-
-    let policy_cfg = learned_policies(kind, args, telemetry);
-
-    // Fan the workload × algorithm grid out across worker threads; see
-    // `grid_cell` for the determinism contract.
-    let algorithms = COMPARISON_ALGORITHMS;
-    let enabled = telemetry.is_enabled();
-    let mut tasks = Vec::new();
-    for workload in workloads {
-        let config = EnvConfig {
-            workload: workload.clone(),
-            ..EnvConfig::for_ensemble(&ensemble).with_seed(seed)
-        };
-        for &algorithm in algorithms {
-            tasks.push(grid_cell(
-                kind,
-                algorithm,
-                policy_cfg.clone(),
-                config.clone(),
-                None,
-                steps,
-                enabled,
-            ));
-        }
-    }
-    let cells = run_grid(tasks);
+    let rows = workloads
+        .iter()
+        .map(|workload| {
+            let config = EnvConfig {
+                workload: workload.clone(),
+                ..EnvConfig::for_ensemble(&ensemble).with_seed(args.seed)
+            };
+            (Value::String(workload.name().to_string()), config, None)
+        })
+        .collect();
+    let grid = run_rows(
+        kind,
+        args,
+        telemetry,
+        COMPARISON_ALGORITHMS,
+        "workload",
+        rows,
+    );
 
     let mut results = Vec::new();
-    for (workload, row) in workloads.iter().zip(cells.chunks(algorithms.len())) {
-        let tag = Value::String(workload.name().to_string());
-        let summaries = summarize_row(row, "workload", &tag, telemetry);
-
+    for (workload, row) in workloads.iter().zip(grid) {
         println!(
             "\n=== {} workload `{}` ({} windows, no burst) ===",
             kind.name().to_uppercase(),
             workload.name(),
             steps
         );
-        print_summaries(&summaries);
-        for cell in row {
-            results.push((
-                workload.name().to_string(),
-                cell.name.clone(),
-                cell.records.clone(),
-            ));
+        print_summaries(&row.summaries);
+        for cell in row.cells {
+            results.push((workload.name().to_string(), cell.name, cell.records));
         }
     }
     results

@@ -152,30 +152,12 @@ impl<E> Engine<E> {
         }
     }
 
-    /// The timestamp of the next pending event, if any.
-    #[must_use]
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.queue.peek_time()
-    }
-
-    /// Drains every event with `handler` until the queue is empty.
-    pub fn run<F: FnMut(SimTime, E)>(&mut self, mut handler: F) {
-        while let Some((t, e)) = self.pop() {
-            handler(t, e);
-        }
-    }
-
     /// Drains events up to and including `horizon`, then advances the clock
     /// to `horizon`.
     pub fn run_until<F: FnMut(SimTime, E)>(&mut self, horizon: SimTime, mut handler: F) {
         while let Some((t, e)) = self.pop_until(horizon) {
             handler(t, e);
         }
-    }
-
-    /// Discards all pending events without advancing the clock.
-    pub fn clear_pending(&mut self) {
-        self.queue.clear();
     }
 
     /// Captures the engine's dynamic state for a checkpoint: the clock, the
@@ -191,19 +173,6 @@ impl<E> Engine<E> {
             processed: self.processed,
             events: self.queue.snapshot_events(),
             next_seq: self.queue.next_seq(),
-        }
-    }
-
-    /// Consuming variant of [`Engine::snapshot`]: moves the pending events
-    /// out instead of cloning them. Use on snapshot-then-drop paths where
-    /// the engine is being discarded anyway.
-    #[must_use]
-    pub fn into_snapshot(self) -> EngineSnapshot<E> {
-        EngineSnapshot {
-            now: self.now,
-            processed: self.processed,
-            next_seq: self.queue.next_seq(),
-            events: self.queue.into_snapshot_events(),
         }
     }
 
@@ -317,7 +286,7 @@ mod tests {
             e.schedule(SimTime::from_millis(s * 10), s);
         }
         let mut n = 0;
-        e.run(|_, _| n += 1);
+        e.run_until(SimTime::from_micros(u64::MAX), |_, _| n += 1);
         assert_eq!(n, 100);
         assert_eq!(e.pending(), 0);
     }
@@ -363,16 +332,5 @@ mod tests {
         original.schedule(SimTime::from_secs(4), 40);
         restored.schedule(SimTime::from_secs(4), 40);
         assert_eq!(original.pop(), restored.pop());
-    }
-
-    #[test]
-    fn clear_pending_keeps_clock() {
-        let mut e = Engine::new();
-        e.schedule(SimTime::from_secs(1), ());
-        e.pop();
-        e.schedule(SimTime::from_secs(9), ());
-        e.clear_pending();
-        assert_eq!(e.pending(), 0);
-        assert_eq!(e.now(), SimTime::from_secs(1));
     }
 }

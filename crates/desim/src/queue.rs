@@ -151,7 +151,7 @@ impl<E> EventQueue<E> {
     /// Events moved from the far-future overflow heap into the wheel frame
     /// so far.
     #[must_use]
-    pub fn cascades(&self) -> u64 {
+    pub(crate) fn cascades(&self) -> u64 {
         self.cascades
     }
 

@@ -36,8 +36,6 @@ pub struct SimTime(u64);
 impl SimTime {
     /// The origin of the simulated timeline.
     pub const ZERO: SimTime = SimTime(0);
-    /// The farthest representable instant; useful as an "infinity" sentinel.
-    pub const MAX: SimTime = SimTime(u64::MAX);
 
     /// Creates a time from whole microseconds.
     #[must_use]
@@ -73,27 +71,21 @@ impl SimTime {
         self.0
     }
 
-    /// Returns the number of whole milliseconds since the origin (truncated).
-    #[must_use]
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// Returns this time as fractional seconds.
     #[must_use]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e6
     }
 
-    /// Saturating addition: `SimTime::MAX` acts as an absorbing "never".
+    /// Saturating addition: the largest instant acts as an absorbing "never".
     #[must_use]
-    pub const fn saturating_add(self, rhs: SimTime) -> SimTime {
+    pub(crate) const fn saturating_add(self, rhs: SimTime) -> SimTime {
         SimTime(self.0.saturating_add(rhs.0))
     }
 
     /// Saturating subtraction; returns [`SimTime::ZERO`] when `rhs > self`.
     #[must_use]
-    pub const fn saturating_sub(self, rhs: SimTime) -> SimTime {
+    pub(crate) const fn saturating_sub(self, rhs: SimTime) -> SimTime {
         SimTime(self.0.saturating_sub(rhs.0))
     }
 
@@ -166,7 +158,10 @@ mod tests {
         assert_eq!(SimTime::from_secs_f64(-1.0), SimTime::ZERO);
         assert_eq!(SimTime::from_secs_f64(f64::NAN), SimTime::ZERO);
         assert_eq!(SimTime::from_secs_f64(f64::NEG_INFINITY), SimTime::ZERO);
-        assert_eq!(SimTime::from_secs_f64(f64::INFINITY), SimTime::MAX);
+        assert_eq!(
+            SimTime::from_secs_f64(f64::INFINITY),
+            SimTime::from_micros(u64::MAX)
+        );
     }
 
     #[test]
@@ -179,7 +174,8 @@ mod tests {
 
     #[test]
     fn addition_saturates_at_max() {
-        assert_eq!(SimTime::MAX + SimTime::from_secs(1), SimTime::MAX);
+        let max = SimTime::from_micros(u64::MAX);
+        assert_eq!(max + SimTime::from_secs(1), max);
     }
 
     #[test]

@@ -154,7 +154,7 @@ impl std::error::Error for AuditViolation {}
 /// also emitted as structured `audit` events so JSONL streams carry the
 /// full diagnosis alongside the run they poisoned.
 #[derive(Debug, Default)]
-pub struct SimAuditor {
+pub(crate) struct SimAuditor {
     enabled: bool,
     violations: Vec<AuditViolation>,
     last_event_time: SimTime,
@@ -165,7 +165,7 @@ impl SimAuditor {
     /// Creates an auditor; `enabled` turns on runtime (release-mode)
     /// checking.
     #[must_use]
-    pub fn new(enabled: bool) -> Self {
+    pub(crate) fn new(enabled: bool) -> Self {
         SimAuditor {
             enabled,
             violations: Vec::new(),
@@ -176,23 +176,23 @@ impl SimAuditor {
 
     /// Whether runtime checking is on.
     #[must_use]
-    pub fn is_enabled(&self) -> bool {
+    pub(crate) fn is_enabled(&self) -> bool {
         self.enabled
     }
 
     /// Attaches a telemetry handle for `audit` events.
-    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
+    pub(crate) fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
     }
 
     /// Records a violation (and emits it as an `audit` telemetry event).
-    pub fn record(&mut self, violation: AuditViolation) {
+    pub(crate) fn record(&mut self, violation: AuditViolation) {
         self.telemetry.event_struct("audit", &violation);
         self.violations.push(violation);
     }
 
     /// Checks event-time monotonicity against the last event seen.
-    pub fn check_event_time(&mut self, at: SimTime) {
+    pub(crate) fn check_event_time(&mut self, at: SimTime) {
         if at < self.last_event_time {
             let violation = AuditViolation::TimeRegression {
                 event_time: at,
@@ -207,12 +207,12 @@ impl SimAuditor {
 
     /// Violations recorded so far.
     #[must_use]
-    pub fn violations(&self) -> &[AuditViolation] {
+    pub(crate) fn violations(&self) -> &[AuditViolation] {
         &self.violations
     }
 
     /// Removes and returns the violations recorded so far.
-    pub fn take_violations(&mut self) -> Vec<AuditViolation> {
+    pub(crate) fn take_violations(&mut self) -> Vec<AuditViolation> {
         std::mem::take(&mut self.violations)
     }
 }
@@ -220,7 +220,7 @@ impl SimAuditor {
 /// Whether the `MIRAS_AUDIT` environment variable requests runtime
 /// auditing (`1`, `true`, or `on`, case-insensitive).
 #[must_use]
-pub fn audit_env_enabled() -> bool {
+pub(crate) fn audit_env_enabled() -> bool {
     std::env::var("MIRAS_AUDIT")
         .map(|v| {
             let v = v.trim().to_ascii_lowercase();

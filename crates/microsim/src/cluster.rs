@@ -165,7 +165,7 @@ impl Cluster {
     /// # Panics
     ///
     /// Panics with the [`ConfigError`](crate::ConfigError) text if
-    /// [`SimConfig::validate`] rejects `config`, or if a task type's
+    /// `SimConfig::validate` rejects `config`, or if a task type's
     /// service-time parameters cannot form a
     /// log-normal distribution (guarded upstream by
     /// [`workflow::TaskTypeDef::new`]).
@@ -279,7 +279,7 @@ impl Cluster {
     /// # Panics
     ///
     /// Panics if `targets.len()` differs from the number of task types.
-    pub fn force_consumers(&mut self, targets: &[usize]) {
+    pub(crate) fn force_consumers(&mut self, targets: &[usize]) {
         assert_eq!(targets.len(), self.pools.len());
         for (j, &target) in targets.iter().enumerate() {
             let retarget = self.pools[j].retarget(target);
@@ -327,12 +327,6 @@ impl Cluster {
         self.wip().iter().sum()
     }
 
-    /// Consumers currently active per microservice.
-    #[must_use]
-    pub fn active_consumers(&self) -> Vec<usize> {
-        self.pools.iter().map(ConsumerPool::active).collect()
-    }
-
     /// The consumer pool of task type `j` (for inspection).
     ///
     /// # Panics
@@ -353,20 +347,20 @@ impl Cluster {
     /// leaving the internal buffer (and its capacity) in place. The
     /// allocation-free sibling of [`Cluster::drain_completions`] for
     /// callers that poll every decision window.
-    pub fn drain_completions_into(&mut self, into: &mut Vec<CompletionRecord>) {
+    pub(crate) fn drain_completions_into(&mut self, into: &mut Vec<CompletionRecord>) {
         into.append(&mut self.completions);
     }
 
     /// Attaches a telemetry handle to the underlying event engine and the
     /// audit layer (violations emit structured `audit` events).
-    pub fn set_telemetry(&mut self, telemetry: telemetry::Telemetry) {
+    pub(crate) fn set_telemetry(&mut self, telemetry: telemetry::Telemetry) {
         self.auditor.set_telemetry(telemetry.clone());
         self.engine.set_telemetry(telemetry);
     }
 
     /// Publishes event-engine progress (see
     /// [`desim::Engine::telemetry_checkpoint`]).
-    pub fn telemetry_checkpoint(&mut self) {
+    pub(crate) fn telemetry_checkpoint(&mut self) {
         self.engine.telemetry_checkpoint();
     }
 
@@ -376,22 +370,10 @@ impl Cluster {
         &self.workflows_submitted
     }
 
-    /// Number of task requests completed so far, per task type.
-    #[must_use]
-    pub fn tasks_completed(&self) -> &[u64] {
-        &self.tasks_completed
-    }
-
     /// Number of workflow requests still in flight.
     #[must_use]
     pub fn workflows_in_flight(&self) -> usize {
         self.instances.len()
-    }
-
-    /// Number of events still pending in the engine's queue.
-    #[must_use]
-    pub fn pending_events(&self) -> usize {
-        self.engine.pending()
     }
 
     /// Total simulation events processed so far.
@@ -405,19 +387,6 @@ impl Cluster {
     #[must_use]
     pub fn consumer_failures(&self) -> u64 {
         self.consumer_failures
-    }
-
-    /// Number of injected correlated node outages so far.
-    #[must_use]
-    pub fn node_outages(&self) -> u64 {
-        self.node_outages
-    }
-
-    /// Number of workflow requests completed so far, per type (cumulative;
-    /// unaffected by [`Cluster::drain_completions`]).
-    #[must_use]
-    pub fn workflows_completed(&self) -> &[u64] {
-        &self.workflows_completed
     }
 
     /// Whether runtime (release-mode) invariant auditing is on for this
@@ -436,7 +405,7 @@ impl Cluster {
     }
 
     /// Removes and returns the invariant violations recorded so far.
-    pub fn take_audit_violations(&mut self) -> Vec<AuditViolation> {
+    pub(crate) fn take_audit_violations(&mut self) -> Vec<AuditViolation> {
         self.auditor.take_violations()
     }
 
@@ -485,7 +454,7 @@ impl Cluster {
     /// window; external harnesses driving a bare cluster can call it at
     /// their own boundaries. A no-op in release builds unless runtime
     /// auditing is enabled.
-    pub fn audit_window(&mut self) {
+    pub(crate) fn audit_window(&mut self) {
         if !(cfg!(debug_assertions) || self.auditor.is_enabled()) {
             return;
         }
@@ -837,7 +806,7 @@ impl Cluster {
     /// stored — only a structural fingerprint — because the workload
     /// definition is static configuration the caller re-supplies at restore.
     #[must_use]
-    pub fn snapshot(&self) -> ClusterSnapshot {
+    pub(crate) fn snapshot(&self) -> ClusterSnapshot {
         let engine = self.engine.snapshot();
         // Slab iteration is already in slot order (deterministic).
         let instances: Vec<(InstanceId, WorkflowInstance)> = self
@@ -881,7 +850,7 @@ impl Cluster {
     /// Panics if `ensemble`'s structure does not match the fingerprint
     /// recorded in the snapshot (wrong workload for this checkpoint).
     #[must_use]
-    pub fn from_snapshot(ensemble: Ensemble, snapshot: ClusterSnapshot) -> Self {
+    pub(crate) fn from_snapshot(ensemble: Ensemble, snapshot: ClusterSnapshot) -> Self {
         assert_eq!(
             ensemble.num_task_types(),
             snapshot.num_task_types,
@@ -925,7 +894,7 @@ impl Cluster {
 /// state, so two clusters that share a snapshot replay identical event
 /// trajectories.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ClusterSnapshot {
+pub(crate) struct ClusterSnapshot {
     num_task_types: usize,
     num_workflow_types: usize,
     now: SimTime,
@@ -1018,7 +987,7 @@ mod tests {
         let done = c.drain_completions();
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].workflow_type, WorkflowTypeId::new(2));
-        assert_eq!(c.tasks_completed().iter().sum::<u64>(), 3);
+        assert_eq!(c.tasks_completed.iter().sum::<u64>(), 3);
     }
 
     #[test]
@@ -1032,7 +1001,7 @@ mod tests {
         c.run_until(SimTime::from_secs(3600));
         let done = c.drain_completions();
         assert_eq!(done.len(), 1);
-        assert_eq!(c.tasks_completed().iter().sum::<u64>(), 8);
+        assert_eq!(c.tasks_completed.iter().sum::<u64>(), 8);
         assert_eq!(c.workflows_in_flight(), 0);
     }
 
@@ -1072,7 +1041,7 @@ mod tests {
                 .iter()
                 .map(|r| (r.completion - r.arrival).as_micros())
                 .collect();
-            (c.wip(), responses, c.tasks_completed().to_vec())
+            (c.wip(), responses, c.tasks_completed.to_vec())
         };
         assert_eq!(run(77), run(77));
         // ...and a different seed gives a different trajectory.
@@ -1146,9 +1115,9 @@ mod tests {
         let mut c = Cluster::new(Ensemble::msd(), cfg);
         c.set_consumers(&[2, 2, 2, 2]);
         c.run_until(SimTime::from_secs(8 * 3600));
-        assert!(c.node_outages() > 0, "an outage should have fired");
+        assert!(c.node_outages > 0, "an outage should have fired");
         assert!(
-            c.consumer_failures() >= c.node_outages(),
+            c.consumer_failures() >= c.node_outages,
             "each outage kills the idle consumers it finds"
         );
         // Replacements keep the pools at their targets.
@@ -1174,7 +1143,7 @@ mod tests {
             );
         }
         c.run_until(SimTime::from_secs(4 * 3600));
-        assert!(c.node_outages() > 0);
+        assert!(c.node_outages > 0);
         assert_eq!(c.drain_completions().len(), 40, "redelivery loses no work");
         assert_eq!(c.workflows_in_flight(), 0);
     }

@@ -11,7 +11,7 @@ use crate::workload::WorkloadSpec;
 /// Why a configuration value was rejected.
 ///
 /// One typed error across the whole config surface:
-/// [`SimConfig::validate`], [`EnvConfig::validate`] and `MirasConfig`'s
+/// `SimConfig::validate`, `EnvConfig::validate` and `MirasConfig`'s
 /// validating builders in `miras-core` (which re-exports this type) all
 /// return it, and the constructors that check a config panic with its
 /// [`Display`](fmt::Display) rendering.
@@ -61,7 +61,7 @@ impl std::error::Error for ConfigError {}
 ///
 /// Plain data: start from [`SimConfig::new`] and set fields directly.
 /// [`Cluster::new`](crate::Cluster::new) checks the result once with
-/// [`SimConfig::validate`].
+/// `SimConfig::validate`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SimConfig {
     /// Minimum container start-up delay.
@@ -157,7 +157,7 @@ impl SimConfig {
     /// # Errors
     ///
     /// [`ConfigError::Sim`] naming the first field out of range.
-    pub fn validate(&self) -> Result<(), ConfigError> {
+    pub(crate) fn validate(&self) -> Result<(), ConfigError> {
         let err =
             |field: &'static str, reason: &'static str| Err(ConfigError::Sim { field, reason });
         let probability = |p: f64| p.is_finite() && (0.0..=1.0).contains(&p);
@@ -235,7 +235,7 @@ impl Default for SimConfig {
 /// Plain data: start from [`EnvConfig::for_ensemble`] and set fields
 /// directly (struct-update syntax or field writes).
 /// [`MicroserviceEnv::new`](crate::MicroserviceEnv::new) checks the result
-/// once with [`EnvConfig::validate`] and panics on the first invalid field,
+/// once with `EnvConfig::validate` and panics on the first invalid field,
 /// however the config was built or deserialized.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EnvConfig {
@@ -302,7 +302,7 @@ impl EnvConfig {
     /// # Errors
     ///
     /// The first [`ConfigError`] found, naming its field.
-    pub fn validate(&self) -> Result<(), ConfigError> {
+    pub(crate) fn validate(&self) -> Result<(), ConfigError> {
         let err =
             |field: &'static str, reason: &'static str| Err(ConfigError::Env { field, reason });
         if self.window.is_zero() {

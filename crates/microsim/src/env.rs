@@ -42,16 +42,6 @@ pub struct StepOutcome {
     pub metrics: WindowMetrics,
 }
 
-impl StepOutcome {
-    /// Total work-in-progress across task types at the end of the window,
-    /// `Σ_j w_j(k+1)` — the quantity the reward penalises:
-    /// `reward == reward_from_total_wip(out.wip_total())`.
-    #[must_use]
-    pub fn wip_total(&self) -> f64 {
-        self.state.iter().sum()
-    }
-}
-
 /// The microservice workflow system viewed as a reinforcement-learning
 /// environment (paper §IV-B).
 ///
@@ -157,7 +147,7 @@ impl MicroserviceEnv {
     /// # Panics
     ///
     /// Panics with the [`ConfigError`](crate::ConfigError) text if
-    /// [`EnvConfig::validate`] rejects `config`, or if
+    /// `EnvConfig::validate` rejects `config`, or if
     /// `config.arrival_rates.len()` differs from the ensemble's number of
     /// workflow types.
     #[must_use]
@@ -215,12 +205,6 @@ impl MicroserviceEnv {
         self.config.consumer_budget
     }
 
-    /// The decision-window length.
-    #[must_use]
-    pub fn window(&self) -> SimTime {
-        self.config.window
-    }
-
     /// The current state `w(k)` as floats.
     #[must_use]
     pub fn state(&self) -> Vec<f64> {
@@ -231,12 +215,6 @@ impl MicroserviceEnv {
     #[must_use]
     pub fn cluster(&self) -> &Cluster {
         &self.cluster
-    }
-
-    /// The environment's configuration.
-    #[must_use]
-    pub fn config(&self) -> &EnvConfig {
-        &self.config
     }
 
     /// Index of the next decision window.
@@ -590,7 +568,7 @@ impl MicroserviceEnv {
     ///
     /// # Panics
     ///
-    /// Panics if the snapshot's config fails [`EnvConfig::validate`] or
+    /// Panics if the snapshot's config fails `EnvConfig::validate` or
     /// `ensemble` does not match the snapshot (wrong task-type or
     /// workflow-type count for this checkpoint).
     #[must_use]
@@ -685,7 +663,7 @@ mod tests {
         let mut env = msd_env(2);
         let out = env.step(&[4, 4, 4, 2]);
         assert!((out.reward - (1.0 - out.metrics.total_wip() as f64)).abs() < 1e-12);
-        assert_eq!(out.reward, reward_from_total_wip(out.wip_total()));
+        assert_eq!(out.reward, reward_from_total_wip(out.state.iter().sum()));
     }
 
     #[test]

@@ -52,8 +52,8 @@ mod pool;
 mod slab;
 mod workload;
 
-pub use audit::{audit_env_enabled, AuditViolation, SimAuditor};
-pub use cluster::{Cluster, ClusterSnapshot, CompletionRecord};
+pub use audit::AuditViolation;
+pub use cluster::{Cluster, CompletionRecord};
 pub use config::{ConfigError, EnvConfig, SimConfig};
 pub use env::{reward_from_total_wip, EnvSnapshot, MicroserviceEnv, StepOutcome};
 pub use metrics::{LatencySummary, WindowMetrics};

@@ -46,7 +46,7 @@ impl WindowMetrics {
     /// `completions` and `mean_response_secs` must have one entry per
     /// workflow type each; a length mismatch would silently drop the excess
     /// types from the weighted mean, so it is rejected in debug builds (and
-    /// flagged by the [`crate::SimAuditor`] when auditing is enabled).
+    /// flagged by the simulation auditor when auditing is enabled).
     #[must_use]
     pub fn overall_mean_response_secs(&self) -> Option<f64> {
         debug_assert_eq!(

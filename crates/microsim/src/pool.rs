@@ -102,7 +102,7 @@ impl ConsumerPool {
 
     /// Consumers currently processing a request.
     #[must_use]
-    pub fn busy(&self) -> usize {
+    pub(crate) fn busy(&self) -> usize {
         self.busy
     }
 
@@ -114,7 +114,7 @@ impl ConsumerPool {
     /// (`busy > active`); see [`ConsumerPool::checked_idle`] for the
     /// non-panicking form.
     #[must_use]
-    pub fn idle(&self) -> usize {
+    pub(crate) fn idle(&self) -> usize {
         self.checked_idle()
             .unwrap_or_else(|e| panic!("consumer pool {e}"))
     }
@@ -125,7 +125,7 @@ impl ConsumerPool {
     ///
     /// Panics with a full counter dump when the counters have desynced
     /// (`cancel_starting > starting`); see
-    /// [`ConsumerPool::checked_starting`] for the non-panicking form.
+    /// `ConsumerPool::checked_starting` for the non-panicking form.
     #[must_use]
     pub fn starting(&self) -> usize {
         self.checked_starting()
@@ -139,7 +139,7 @@ impl ConsumerPool {
     ///
     /// Panics with a full counter dump when the counters have desynced
     /// (`pending_retire > active` or `cancel_starting > starting`); see
-    /// [`ConsumerPool::checked_effective_target`] for the non-panicking
+    /// `ConsumerPool::checked_effective_target` for the non-panicking
     /// form.
     #[must_use]
     pub fn effective_target(&self) -> usize {
@@ -150,21 +150,21 @@ impl ConsumerPool {
     /// [`ConsumerPool::idle`] through checked subtraction: a typed
     /// [`PoolDesync`] (naming the violated relation and dumping every
     /// counter) instead of a `usize`-underflow panic when `busy > active`.
-    pub fn checked_idle(&self) -> Result<usize, PoolDesync> {
+    pub(crate) fn checked_idle(&self) -> Result<usize, PoolDesync> {
         self.active
             .checked_sub(self.busy)
             .ok_or_else(|| self.desync("busy <= active"))
     }
 
     /// [`ConsumerPool::starting`] through checked subtraction.
-    pub fn checked_starting(&self) -> Result<usize, PoolDesync> {
+    pub(crate) fn checked_starting(&self) -> Result<usize, PoolDesync> {
         self.starting
             .checked_sub(self.cancel_starting)
             .ok_or_else(|| self.desync("cancel_starting <= starting"))
     }
 
     /// [`ConsumerPool::effective_target`] through checked subtraction.
-    pub fn checked_effective_target(&self) -> Result<usize, PoolDesync> {
+    pub(crate) fn checked_effective_target(&self) -> Result<usize, PoolDesync> {
         let unretired = self
             .active
             .checked_sub(self.pending_retire)

@@ -231,18 +231,13 @@ impl WorkloadSpec {
         }
     }
 
-    /// Whether this spec replays a recorded trace instead of sampling
-    /// background arrivals.
-    #[must_use]
-    pub fn is_trace_replay(&self) -> bool {
-        matches!(self, WorkloadSpec::TraceReplay { .. })
-    }
-
     /// The instantaneous rate multiplier at time `t` (time measured from
-    /// the start of the run). Mostly useful for tests and plots; the
-    /// environment consumes [`mean_factor`](WorkloadSpec::mean_factor).
+    /// the start of the run): the reference the tests integrate to check
+    /// [`mean_factor`](WorkloadSpec::mean_factor), which the environment
+    /// consumes.
+    #[cfg(test)]
     #[must_use]
-    pub fn factor(&self, t: SimTime) -> f64 {
+    pub(crate) fn factor(&self, t: SimTime) -> f64 {
         let t = t.as_secs_f64();
         match self {
             WorkloadSpec::Stationary => 1.0,
@@ -302,7 +297,7 @@ impl WorkloadSpec {
     ///
     /// Panics if `end <= start` (debug builds).
     #[must_use]
-    pub fn mean_factor(&self, start: SimTime, end: SimTime) -> f64 {
+    pub(crate) fn mean_factor(&self, start: SimTime, end: SimTime) -> f64 {
         debug_assert!(end > start, "window must have positive length");
         let (s, e) = (start.as_secs_f64(), end.as_secs_f64());
         let len = e - s;
@@ -372,7 +367,7 @@ impl WorkloadSpec {
     ///
     /// [`FlashCrowd`]: WorkloadSpec::FlashCrowd
     #[must_use]
-    pub fn spike_times(&self) -> Vec<f64> {
+    pub(crate) fn spike_times(&self) -> Vec<f64> {
         let WorkloadSpec::FlashCrowd {
             spike_seed,
             mean_interval,
@@ -447,7 +442,6 @@ mod tests {
         };
         let (s, e) = win(0, 30);
         assert_eq!(spec.mean_factor(s, e), 0.0);
-        assert!(spec.is_trace_replay());
     }
 
     #[test]

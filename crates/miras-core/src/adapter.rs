@@ -85,7 +85,7 @@ impl ClusterEnvAdapter {
     }
 
     /// Invariant violations recorded by the wrapped environment's
-    /// [`microsim::SimAuditor`] so far. Empty unless auditing was enabled
+    /// simulation auditor so far. Empty unless auditing was enabled
     /// via [`microsim::SimConfig::audit`] or `MIRAS_AUDIT=1`.
     #[must_use]
     pub fn audit_violations(&self) -> &[microsim::AuditViolation] {
@@ -132,7 +132,7 @@ impl ClusterEnvAdapter {
     /// Panics if `ensemble` does not match the snapshot (see
     /// [`MicroserviceEnv::from_snapshot`]).
     #[must_use]
-    pub fn from_snapshot(ensemble: Ensemble, snapshot: AdapterSnapshot) -> Self {
+    pub(crate) fn from_snapshot(ensemble: Ensemble, snapshot: AdapterSnapshot) -> Self {
         ClusterEnvAdapter {
             env: MicroserviceEnv::from_snapshot(ensemble, snapshot.env),
             pending: snapshot.pending,
@@ -145,7 +145,7 @@ impl ClusterEnvAdapter {
 /// Serializable checkpoint of a [`ClusterEnvAdapter`]'s full dynamic state.
 ///
 /// An opaque token: its only contract is that
-/// [`ClusterEnvAdapter::from_snapshot`] resumes bit-identically.
+/// `ClusterEnvAdapter::from_snapshot` resumes bit-identically.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AdapterSnapshot {
     env: EnvSnapshot,

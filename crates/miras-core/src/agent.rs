@@ -58,21 +58,11 @@ impl MirasAgent {
         }
     }
 
-    /// Uses the paper's literal floor rule `m_j = ⌊C · a_j⌋` instead of the
-    /// default largest-remainder discretisation. The floor rule discards up
-    /// to `J − 1` consumers per window, which is systematic once the actor
-    /// is entropy-regularised (DESIGN.md §4b).
-    #[must_use]
-    pub fn with_strict_floor(mut self) -> Self {
-        self.strict_floor = true;
-        self
-    }
-
     /// Attaches the observation normaliser the actor was trained with.
     /// Without it, raw WIP magnitudes would be far outside the input
     /// distribution the network saw during training.
     #[must_use]
-    pub fn with_normalizer(mut self, norm: RunningNorm) -> Self {
+    pub(crate) fn with_normalizer(mut self, norm: RunningNorm) -> Self {
         assert_eq!(
             norm.dim(),
             self.actor.input_dim(),
@@ -109,9 +99,9 @@ impl MirasAgent {
     }
 
     /// Consumer counts for `state`: the largest-remainder discretisation of
-    /// `C · a` (or the paper's literal floor when
-    /// [`MirasAgent::with_strict_floor`] was set). Either way
-    /// `Σ_j m_j ≤ C` holds.
+    /// `C · a` (or the paper's literal floor `m_j = ⌊C · a_j⌋` for an agent
+    /// deserialized with `strict_floor` set). Either way `Σ_j m_j ≤ C`
+    /// holds.
     ///
     /// # Panics
     ///
@@ -124,12 +114,6 @@ impl MirasAgent {
         } else {
             allocation_largest_remainder(&dist, self.consumer_budget)
         }
-    }
-
-    /// Read access to the underlying actor network.
-    #[must_use]
-    pub fn actor(&self) -> &Mlp {
-        &self.actor
     }
 }
 

@@ -72,17 +72,13 @@ pub struct BatchedSyntheticEnv {
     active: usize,
     telemetry: Telemetry,
     lend_triggers: u64,
-    /// Per-lane Lend-trigger counts (indexed by lane, summed over steps).
-    lane_lend_triggers: Vec<u64>,
-    /// Per-lane counts of clamped state dimensions (indexed by lane).
-    lane_clamps: Vec<u64>,
 }
 
 impl BatchedSyntheticEnv {
     /// Multiplier applied to the lane index when splitting the synth seed
     /// into per-lane streams (the golden-ratio Weyl increment). Lane 0 gets
     /// the unmodified seed, so it replays the sequential env's stream.
-    pub const LANE_SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
+    pub(crate) const LANE_SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
 
     /// Creates a `lanes`-lane environment. Mirroring the sequential
     /// [`SyntheticEnv::new`](crate::SyntheticEnv::new), each lane samples an
@@ -145,33 +141,19 @@ impl BatchedSyntheticEnv {
             active: lanes,
             telemetry: Telemetry::noop(),
             lend_triggers: 0,
-            lane_lend_triggers: vec![0; lanes],
-            lane_clamps: vec![0; lanes],
         }
     }
 
     /// Attaches a telemetry handle: steps are timed under the
     /// `synth.batch_step` span, lane occupancy is exported as gauges and
     /// step and Lend-trigger counts as counters.
-    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
+    pub(crate) fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
-    }
-
-    /// Configured lane count `B`.
-    #[must_use]
-    pub fn lanes(&self) -> usize {
-        self.rngs.len()
-    }
-
-    /// Lanes live since the last reset.
-    #[must_use]
-    pub fn active(&self) -> usize {
-        self.active
     }
 
     /// State dimensionality `J`.
     #[must_use]
-    pub fn state_dim(&self) -> usize {
+    pub(crate) fn state_dim(&self) -> usize {
         self.init_states.state_dim()
     }
 
@@ -183,32 +165,14 @@ impl BatchedSyntheticEnv {
 
     /// Per-lane rewards from the latest [`BatchedSyntheticEnv::step`].
     #[must_use]
-    pub fn rewards(&self) -> &[f64] {
+    pub(crate) fn rewards(&self) -> &[f64] {
         &self.rewards
     }
 
     /// Total Lend–Giveback trigger firings across all lanes and steps.
     #[must_use]
-    pub fn lend_triggers(&self) -> u64 {
+    pub(crate) fn lend_triggers(&self) -> u64 {
         self.lend_triggers
-    }
-
-    /// Per-lane Lend-trigger counts (indexed by lane).
-    #[must_use]
-    pub fn lane_lend_triggers(&self) -> &[u64] {
-        &self.lane_lend_triggers
-    }
-
-    /// Per-lane counts of state dimensions clipped by the state cap.
-    #[must_use]
-    pub fn lane_clamps(&self) -> &[u64] {
-        &self.lane_clamps
-    }
-
-    /// The wrapped refined model.
-    #[must_use]
-    pub fn model(&self) -> &RefinedModel {
-        &self.model
     }
 
     /// Re-derives every lane's RNG stream from `seed` (lane `i` gets
@@ -220,7 +184,7 @@ impl BatchedSyntheticEnv {
     /// the wave becomes a pure function of `(weights, seed)` — independent
     /// of every wave before it, which is what makes a restarted worker able
     /// to resume mid-iteration without replaying history.
-    pub fn reseed_lanes(&mut self, seed: u64) {
+    pub(crate) fn reseed_lanes(&mut self, seed: u64) {
         for (i, rng) in self.rngs.iter_mut().enumerate() {
             *rng = SmallRng::seed_from_u64(
                 seed.wrapping_add((i as u64).wrapping_mul(Self::LANE_SEED_STRIDE)),
@@ -286,7 +250,6 @@ impl BatchedSyntheticEnv {
                 .zip(self.model.tau())
                 .filter(|(s, tau)| *s < tau)
                 .count() as u64;
-            self.lane_lend_triggers[i] += triggers;
             triggers_total += triggers;
         }
         self.lend_triggers += triggers_total;
@@ -301,15 +264,10 @@ impl BatchedSyntheticEnv {
         self.rewards.clear();
         for i in 0..self.active {
             let row = self.next_states.row_mut(i);
-            let mut clamped = 0u64;
             for (v, &cap) in row.iter_mut().zip(&self.state_cap) {
-                if *v > cap {
-                    clamped += 1;
-                }
                 // Same expression as the sequential env (NaN-robust `min`).
                 *v = v.min(cap);
             }
-            self.lane_clamps[i] += clamped;
             self.rewards
                 .push(microsim::reward_from_total_wip(row.iter().sum::<f64>()));
         }
@@ -429,10 +387,6 @@ mod tests {
         }
         let seq_triggers: u64 = seqs.iter().map(SyntheticEnv::lend_triggers).sum();
         assert_eq!(seq_triggers, batched.lend_triggers());
-        assert_eq!(
-            batched.lane_lend_triggers().iter().sum::<u64>(),
-            batched.lend_triggers()
-        );
     }
 
     /// Partial waves step only the active prefix of lanes.
@@ -441,7 +395,6 @@ mod tests {
         let (refined, data) = fixture(2);
         let mut env = BatchedSyntheticEnv::new(refined, data, 14, 3, 8);
         env.reset(3);
-        assert_eq!(env.active(), 3);
         assert_eq!(env.states().rows(), 3);
         let actions = Matrix::from_vec(3, 2, vec![0.5; 6]);
         let rewards = env.step(&actions).to_vec();
@@ -478,9 +431,6 @@ mod tests {
             assert_eq!(a, b, "step {step}");
             assert_eq!(used.states().as_slice(), other.states().as_slice());
         }
-        // Counters are cumulative across reseeds (they track the env's
-        // lifetime, not the wave), so only the deltas must agree.
-        assert_eq!(used.active(), other.active());
     }
 
     #[test]

@@ -29,7 +29,7 @@ use crate::{DynamicsModel, MirasAgent, MirasConfig, TransitionDataset};
 
 /// Format version written into every checkpoint; bumped whenever the
 /// payload layout changes incompatibly.
-pub const CHECKPOINT_VERSION: u32 = 1;
+pub(crate) const CHECKPOINT_VERSION: u32 = 1;
 
 /// Why a checkpoint could not be saved or loaded.
 #[derive(Debug)]
@@ -103,7 +103,7 @@ impl CheckpointPayload {
     /// Returns [`CheckpointError::Io`] if any filesystem operation fails and
     /// [`CheckpointError::Corrupt`] if serialization itself fails (which
     /// indicates a bug, e.g. a NaN smuggled into a field that rejects it).
-    pub fn save(&self, path: &Path) -> Result<(), CheckpointError> {
+    pub(crate) fn save(&self, path: &Path) -> Result<(), CheckpointError> {
         let json = serde_json::to_string(self)
             .map_err(|e| CheckpointError::Corrupt(format!("serialization failed: {e}")))?;
         let tmp = format!("{}.tmp", path.display());
@@ -123,25 +123,12 @@ impl CheckpointPayload {
         Ok(())
     }
 
-    /// The checkpoint's format version (always [`CHECKPOINT_VERSION`] for a
-    /// payload this build loaded).
-    #[must_use]
-    pub fn version(&self) -> u32 {
-        self.version
-    }
-
     /// The outer-loop iteration the checkpoint was taken at. Monotone over
     /// a training run, which makes it the natural `policy_version` for
     /// serving: a hot-swapped later checkpoint always carries a larger one.
     #[must_use]
     pub fn iteration(&self) -> usize {
         self.iteration
-    }
-
-    /// The total-consumer constraint `C` the agent was trained under.
-    #[must_use]
-    pub fn consumer_budget(&self) -> usize {
-        self.consumer_budget
     }
 
     /// Extracts the greedy policy as a deployable [`MirasAgent`] — the same
@@ -165,7 +152,7 @@ impl CheckpointPayload {
     /// [`CheckpointError::Corrupt`] if it does not parse as a checkpoint
     /// (e.g. it was truncated by a crash that beat the atomic-rename
     /// protocol's temp file into place), and [`CheckpointError::Mismatch`]
-    /// if its format version differs from [`CHECKPOINT_VERSION`].
+    /// if its format version differs from `CHECKPOINT_VERSION`.
     pub fn load(path: &Path) -> Result<Self, CheckpointError> {
         let mut json = String::new();
         File::open(path)?.read_to_string(&mut json)?;

@@ -24,15 +24,15 @@ pub enum RolloutMode {
     /// workers, each stepping its own `lanes`-lane [`BatchedSyntheticEnv`]
     /// under a frozen versioned weight snapshot, feed a sharded replay
     /// stream that the central learner drains in a fixed order (see the
-    /// [`distributed`](crate::distributed) module). The run is
-    /// deterministic given its recorded version schedule
-    /// ([`MirasTrainer::last_version_schedule`](crate::MirasTrainer::last_version_schedule)):
-    /// replaying the schedule reproduces the run bit for bit.
+    /// `distributed` module). The run is
+    /// deterministic given its recorded version schedule (kept by the
+    /// trainer and in its checkpoints): replaying the schedule reproduces
+    /// the run bit for bit.
     ///
     /// `workers = 1` has no second thread to lag behind and runs inline,
     /// exactly as `Lockstep(lanes)`.
     ///
-    /// Built by [`MirasConfig::with_distributed`]; requires parameter-space
+    /// Built by [`MirasConfig::try_with_distributed`]; requires parameter-space
     /// or greedy exploration (workers perturb actor weights locally, so
     /// there is no per-step action-noise stream to distribute).
     ///
@@ -267,29 +267,8 @@ impl MirasConfig {
         }
     }
 
-    /// Returns a copy with the master seed (and the DDPG agent's seed)
-    /// replaced — the same knob every other config exposes as `with_seed`.
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self.ddpg.seed = seed;
-        self
-    }
-
     /// Returns a copy running the inner loop as `lanes` lockstep rollout
     /// lanes (batched model and actor forwards).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` is zero; see [`MirasConfig::try_with_lockstep`]
-    /// for the non-panicking form.
-    #[must_use]
-    pub fn with_lockstep(self, lanes: usize) -> Self {
-        self.try_with_lockstep(lanes)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`MirasConfig::with_lockstep`].
     ///
     /// # Errors
     ///
@@ -308,21 +287,7 @@ impl MirasConfig {
 
     /// Returns a copy running the inner loop as `workers` asynchronous
     /// rollout workers of `lanes` lockstep lanes each (actor–learner
-    /// scale-out at `workers ≥ 2`; see the
-    /// [`distributed`](crate::distributed) module).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers` or `lanes` is zero, or if exploration is
-    /// action-space noise; see [`MirasConfig::try_with_distributed`] for
-    /// the non-panicking form.
-    #[must_use]
-    pub fn with_distributed(self, workers: usize, lanes: usize) -> Self {
-        self.try_with_distributed(workers, lanes)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`MirasConfig::with_distributed`].
+    /// scale-out at `workers ≥ 2`).
     ///
     /// # Errors
     ///
@@ -415,7 +380,7 @@ mod tests {
 
     #[test]
     fn seed_and_refinement_builders() {
-        let c = MirasConfig::msd_paper(0).with_seed(42);
+        let c = MirasConfig::msd_paper(42);
         assert_eq!(c.seed, 42);
         assert_eq!(c.ddpg.seed, 42);
         assert!(

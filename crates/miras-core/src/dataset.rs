@@ -18,7 +18,7 @@ pub struct Transition {
 
 /// Per-dimension standardisation statistics.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Standardizer {
+pub(crate) struct Standardizer {
     mean: Vec<f64>,
     std: Vec<f64>,
 }
@@ -31,7 +31,7 @@ impl Standardizer {
     ///
     /// Panics if `rows` is empty.
     #[must_use]
-    pub fn fit(rows: &[Vec<f64>]) -> Self {
+    pub(crate) fn fit(rows: &[Vec<f64>]) -> Self {
         assert!(!rows.is_empty(), "cannot fit on an empty dataset");
         let dim = rows[0].len();
         let n = rows.len() as f64;
@@ -62,7 +62,7 @@ impl Standardizer {
     ///
     /// Panics if `x.len()` differs from the fitted dimensionality.
     #[must_use]
-    pub fn transform(&self, x: &[f64]) -> Vec<f64> {
+    pub(crate) fn transform(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.mean.len(), "dimension mismatch");
         x.iter()
             .zip(&self.mean)
@@ -77,7 +77,7 @@ impl Standardizer {
     ///
     /// Panics if `z.len()` differs from the fitted dimensionality.
     #[must_use]
-    pub fn inverse(&self, z: &[f64]) -> Vec<f64> {
+    pub(crate) fn inverse(&self, z: &[f64]) -> Vec<f64> {
         assert_eq!(z.len(), self.mean.len(), "dimension mismatch");
         z.iter()
             .zip(&self.mean)
@@ -93,7 +93,7 @@ impl Standardizer {
     ///
     /// Panics if `x.len()` or `out.len()` differ from the fitted
     /// dimensionality.
-    pub fn transform_into(&self, x: &[f64], out: &mut [f64]) {
+    pub(crate) fn transform_into(&self, x: &[f64], out: &mut [f64]) {
         assert_eq!(x.len(), self.mean.len(), "dimension mismatch");
         assert_eq!(out.len(), self.mean.len(), "output dimension mismatch");
         for (((o, &v), &m), &s) in out.iter_mut().zip(x).zip(&self.mean).zip(&self.std) {
@@ -107,7 +107,7 @@ impl Standardizer {
     /// # Panics
     ///
     /// Panics if `z.len()` differs from the fitted dimensionality.
-    pub fn inverse_in_place(&self, z: &mut [f64]) {
+    pub(crate) fn inverse_in_place(&self, z: &mut [f64]) {
         assert_eq!(z.len(), self.mean.len(), "dimension mismatch");
         for ((v, &m), &s) in z.iter_mut().zip(&self.mean).zip(&self.std) {
             *v = *v * s + m;
@@ -149,7 +149,7 @@ impl TransitionDataset {
 
     /// State (and action) dimensionality `J`.
     #[must_use]
-    pub fn state_dim(&self) -> usize {
+    pub(crate) fn state_dim(&self) -> usize {
         self.state_dim
     }
 
@@ -183,7 +183,7 @@ impl TransitionDataset {
 
     /// The stored transitions.
     #[must_use]
-    pub fn transitions(&self) -> &[Transition] {
+    pub(crate) fn transitions(&self) -> &[Transition] {
         &self.transitions
     }
 
@@ -195,7 +195,7 @@ impl TransitionDataset {
     /// Panics if the dataset is empty, `j` is out of range, or `p` is
     /// outside `[0, 100]`.
     #[must_use]
-    pub fn state_percentile(&self, j: usize, p: f64) -> f64 {
+    pub(crate) fn state_percentile(&self, j: usize, p: f64) -> f64 {
         assert!(!self.is_empty(), "percentile of empty dataset");
         assert!(j < self.state_dim, "dimension out of range");
         assert!((0.0..=100.0).contains(&p), "percentile out of range");
@@ -213,7 +213,9 @@ impl TransitionDataset {
     ///
     /// Panics if the dataset is empty.
     #[must_use]
-    pub fn training_matrices(&self) -> (Matrix, Matrix, Standardizer, Standardizer, Standardizer) {
+    pub(crate) fn training_matrices(
+        &self,
+    ) -> (Matrix, Matrix, Standardizer, Standardizer, Standardizer) {
         assert!(!self.is_empty(), "cannot build matrices from empty dataset");
         let states: Vec<Vec<f64>> = self.transitions.iter().map(|t| t.state.clone()).collect();
         let actions: Vec<Vec<f64>> = self.transitions.iter().map(|t| t.action.clone()).collect();
@@ -246,7 +248,7 @@ impl TransitionDataset {
     ///
     /// Panics if the dataset is empty.
     #[must_use]
-    pub fn sample_state<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<f64> {
+    pub(crate) fn sample_state<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<f64> {
         assert!(!self.is_empty(), "cannot sample from empty dataset");
         self.transitions[rng.gen_range(0..self.len())].state.clone()
     }

@@ -20,7 +20,7 @@ const MAX_WORKER_RESTARTS: u64 = 8;
 /// global wave `at_wave`, so crash/restart recovery can be exercised
 /// deterministically in tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WorkerFault {
+pub(crate) struct WorkerFault {
     /// Worker index to kill.
     pub worker: usize,
     /// Global wave index the worker dies at (it never generates this wave).

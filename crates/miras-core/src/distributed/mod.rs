@@ -62,7 +62,8 @@ mod replay_shard;
 mod weights;
 mod worker;
 
-pub(crate) use learner::actor_learner_rollouts;
-pub use learner::WorkerFault;
-pub use weights::{VersionSchedule, VersionStore, WaveEntry, WeightVersion};
-pub use worker::{active_lanes, total_waves, wave_seed, WAVE_SEED_STRIDE};
+pub(crate) use learner::{actor_learner_rollouts, WorkerFault};
+pub(crate) use weights::VersionSchedule;
+#[cfg(test)]
+pub(crate) use weights::WaveEntry;
+pub(crate) use worker::{active_lanes, total_waves};

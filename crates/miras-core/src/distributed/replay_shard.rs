@@ -46,7 +46,7 @@ pub(super) struct WaveResult {
 
 impl WaveResult {
     /// An empty wave with buffers sized for `steps × active` transitions.
-    pub fn with_capacity(
+    pub(crate) fn with_capacity(
         worker: usize,
         wave: usize,
         version: u64,
@@ -99,7 +99,7 @@ impl ShardSender {
     // The large Err is deliberate: like `std::sync::mpsc::SendError`, it
     // returns the unsent wave to the caller instead of dropping it.
     #[allow(clippy::result_large_err)]
-    pub fn send(&self, wave: WaveResult) -> Result<(), WaveResult> {
+    pub(crate) fn send(&self, wave: WaveResult) -> Result<(), WaveResult> {
         // Count the wave before the (possibly blocking) send so the gauge
         // includes the in-flight wave a stalled worker is holding.
         self.depth.fetch_add(1, Ordering::Relaxed);
@@ -122,14 +122,14 @@ impl ShardReceiver {
     /// worker exited (fault or schedule end) *and* the buffer is drained —
     /// `mpsc` receivers hand out everything buffered before reporting the
     /// hangup, so no completed wave is ever lost to a crash.
-    pub fn recv(&self) -> Result<WaveResult, RecvError> {
+    pub(crate) fn recv(&self) -> Result<WaveResult, RecvError> {
         let wave = self.rx.recv()?;
         self.depth.fetch_sub(1, Ordering::Relaxed);
         Ok(wave)
     }
 
     /// Waves currently buffered or blocked in-flight on the worker side.
-    pub fn depth(&self) -> usize {
+    pub(crate) fn depth(&self) -> usize {
         self.depth.load(Ordering::Relaxed)
     }
 }

@@ -18,7 +18,7 @@ use crate::RefinedModel;
 /// at outer-iteration boundaries, so all versions of one inner loop share
 /// the same `dynamics` `Arc`.
 #[derive(Debug, Clone)]
-pub struct WeightVersion {
+pub(crate) struct WeightVersion {
     /// Monotone version number (see type docs for the numbering).
     pub version: u64,
     /// Frozen policy weights captured from the learner's agent.
@@ -44,7 +44,7 @@ struct StoreState {
 /// or block for an exact recorded version ([`VersionStore::wait_for`],
 /// replay mode).
 #[derive(Debug)]
-pub struct VersionStore {
+pub(crate) struct VersionStore {
     inner: Mutex<StoreState>,
     published: Condvar,
 }
@@ -63,7 +63,7 @@ impl VersionStore {
     /// `keep_history` every published version stays reachable by number —
     /// required for schedule replay, wasteful otherwise.
     #[must_use]
-    pub fn new(initial: WeightVersion, keep_history: bool) -> Self {
+    pub(crate) fn new(initial: WeightVersion, keep_history: bool) -> Self {
         let latest = Arc::new(initial);
         let history = keep_history.then(|| vec![Arc::clone(&latest)]);
         VersionStore {
@@ -83,7 +83,7 @@ impl VersionStore {
     /// Panics if `next.version` is not exactly one past the current
     /// version — out-of-order publishes would break the schedule-replay
     /// availability guarantee.
-    pub fn publish(&self, next: WeightVersion) {
+    pub(crate) fn publish(&self, next: WeightVersion) {
         let mut st = self.inner.lock().unwrap();
         assert_eq!(
             next.version,
@@ -101,7 +101,7 @@ impl VersionStore {
 
     /// The freshest published version (what live-mode workers adopt).
     #[must_use]
-    pub fn latest(&self) -> Arc<WeightVersion> {
+    pub(crate) fn latest(&self) -> Arc<WeightVersion> {
         Arc::clone(&self.inner.lock().unwrap().latest)
     }
 
@@ -115,7 +115,7 @@ impl VersionStore {
     /// without history — exact historical versions only exist in replay
     /// mode.
     #[must_use]
-    pub fn wait_for(&self, version: u64) -> Option<Arc<WeightVersion>> {
+    pub(crate) fn wait_for(&self, version: u64) -> Option<Arc<WeightVersion>> {
         let mut st = self.inner.lock().unwrap();
         loop {
             if st.latest.version == version {
@@ -138,7 +138,7 @@ impl VersionStore {
     /// Marks the store closed and wakes all waiters; subsequent or pending
     /// [`wait_for`](VersionStore::wait_for) calls for unpublished versions
     /// return `None`.
-    pub fn close(&self) {
+    pub(crate) fn close(&self) {
         self.inner.lock().unwrap().closed = true;
         self.published.notify_all();
     }
@@ -147,7 +147,7 @@ impl VersionStore {
 /// One line of the run manifest: worker `worker` generated global wave
 /// `wave` using weight version `version`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct WaveEntry {
+pub(crate) struct WaveEntry {
     /// Worker index in `0..workers`.
     pub worker: usize,
     /// Global wave index (waves partition the iteration's rollout budget
@@ -166,7 +166,7 @@ pub struct WaveEntry {
 /// replays the run bit for bit. Serialized inside checkpoints and (by the
 /// CLI) as a standalone JSON manifest.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct VersionSchedule {
+pub(crate) struct VersionSchedule {
     /// Worker count the schedule was recorded with.
     pub workers: usize,
     /// Lanes per worker the schedule was recorded with.
@@ -186,7 +186,7 @@ impl VersionSchedule {
     /// # Errors
     ///
     /// Returns a description of the first violated invariant.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.workers == 0 {
             return Err("schedule has zero workers".to_string());
         }

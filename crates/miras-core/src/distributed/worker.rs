@@ -16,7 +16,7 @@ use crate::{BatchedSyntheticEnv, TransitionDataset};
 /// a second Weyl-style stream, orthogonal to the per-lane
 /// [`LANE_SEED_STRIDE`](crate::BatchedSyntheticEnv::LANE_SEED_STRIDE)
 /// split applied on top of it).
-pub const WAVE_SEED_STRIDE: u64 = 0xBF58_476D_1CE4_E5B9;
+pub(crate) const WAVE_SEED_STRIDE: u64 = 0xBF58_476D_1CE4_E5B9;
 
 /// XOR salt separating a wave's exploration-noise stream from its env
 /// stream (another odd 64-bit mixing constant).
@@ -28,14 +28,14 @@ const NOISE_STREAM_SALT: u64 = 0x94D0_49BB_1331_11EB;
 /// distinct streams for all practical wave/lane counts (both strides are
 /// odd, so collisions need ≈ 2⁶⁴-scale indices).
 #[must_use]
-pub fn wave_seed(synth_seed: u64, wave: usize) -> u64 {
+pub(crate) fn wave_seed(synth_seed: u64, wave: usize) -> u64 {
     synth_seed.wrapping_add((wave as u64).wrapping_mul(WAVE_SEED_STRIDE))
 }
 
 /// Number of waves a rollout budget of `rollouts` takes at `lanes` lanes
 /// per wave (the last wave may be narrower).
 #[must_use]
-pub fn total_waves(rollouts: usize, lanes: usize) -> usize {
+pub(crate) fn total_waves(rollouts: usize, lanes: usize) -> usize {
     assert!(lanes > 0, "need at least one lane");
     rollouts.div_ceil(lanes)
 }
@@ -43,7 +43,7 @@ pub fn total_waves(rollouts: usize, lanes: usize) -> usize {
 /// Lanes active in global wave `wave`: full waves of `lanes`, except a
 /// narrower final wave when `lanes` does not divide `rollouts`.
 #[must_use]
-pub fn active_lanes(wave: usize, rollouts: usize, lanes: usize) -> usize {
+pub(crate) fn active_lanes(wave: usize, rollouts: usize, lanes: usize) -> usize {
     lanes.min(rollouts - (wave * lanes).min(rollouts))
 }
 

@@ -78,14 +78,8 @@ impl DynamicsModel {
 
     /// State dimensionality `J`.
     #[must_use]
-    pub fn state_dim(&self) -> usize {
+    pub(crate) fn state_dim(&self) -> usize {
         self.state_dim
-    }
-
-    /// Whether the model has been trained at least once (scalers fitted).
-    #[must_use]
-    pub fn is_trained(&self) -> bool {
-        self.state_scaler.is_some()
     }
 
     /// Trains on the dataset for `epochs` epochs with the given minibatch
@@ -191,7 +185,7 @@ impl DynamicsModel {
     ///
     /// Panics if the model is untrained, the two input batches disagree on
     /// row count, or either has the wrong width.
-    pub fn predict_batch_into(&self, states: &Matrix, actions: &Matrix, out: &mut Matrix) {
+    pub(crate) fn predict_batch_into(&self, states: &Matrix, actions: &Matrix, out: &mut Matrix) {
         let j = self.state_dim;
         assert_eq!(states.cols(), j, "state dimension mismatch");
         assert_eq!(actions.cols(), j, "action dimension mismatch");
@@ -216,27 +210,15 @@ impl DynamicsModel {
         }
     }
 
-    /// Allocating convenience wrapper around
-    /// [`DynamicsModel::predict_batch_into`].
-    ///
-    /// # Panics
-    ///
-    /// See [`DynamicsModel::predict_batch_into`].
-    #[must_use]
-    pub fn predict_batch(&self, states: &Matrix, actions: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.predict_batch_into(states, actions, &mut out);
-        out
-    }
-
     /// Mean squared one-step prediction error on a held-out dataset, in raw
     /// (de-standardised) WIP units.
     ///
     /// # Panics
     ///
     /// Panics if the model is untrained or `data` is empty.
+    #[cfg(test)]
     #[must_use]
-    pub fn evaluate(&self, data: &TransitionDataset) -> f64 {
+    pub(crate) fn evaluate(&self, data: &TransitionDataset) -> f64 {
         assert!(!data.is_empty(), "cannot evaluate on empty dataset");
         let mut total = 0.0;
         for t in data.transitions() {

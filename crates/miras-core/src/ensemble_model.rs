@@ -10,11 +10,9 @@
 //! extension; the `ablation_model_ensemble` benchmark measures how much it
 //! narrows the iterative-prediction gap of Fig. 5.
 
-use nn::Matrix;
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::{DynamicsModel, MirasConfig, RefinedModel, TransitionDataset};
+use crate::{DynamicsModel, MirasConfig, TransitionDataset};
 
 /// An ensemble of independently initialised environment models.
 ///
@@ -59,31 +57,6 @@ impl EnsembleDynamics {
             })
             .collect();
         EnsembleDynamics { members, state_dim }
-    }
-
-    /// Number of ensemble members.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    /// Whether the ensemble has no members (never true for constructed
-    /// ensembles; provided for API completeness).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
-    }
-
-    /// State dimensionality `J`.
-    #[must_use]
-    pub fn state_dim(&self) -> usize {
-        self.state_dim
-    }
-
-    /// The individual members.
-    #[must_use]
-    pub fn members(&self) -> &[DynamicsModel] {
-        &self.members
     }
 
     /// Trains every member on the dataset; returns the mean of the members'
@@ -140,42 +113,6 @@ impl EnsembleDynamics {
         acc.into_iter().map(|v| v / n).collect()
     }
 
-    /// Batched [`EnsembleDynamics::predict_mean`]: one forward per member
-    /// for a whole row-batch, accumulated in member order and scaled by
-    /// `1/n`, so row `i` is bitwise-equal to
-    /// `predict_mean(states.row(i), actions.row(i))`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any member is untrained or dimensions mismatch.
-    pub fn predict_mean_batch_into(&self, states: &Matrix, actions: &Matrix, out: &mut Matrix) {
-        out.resize(states.rows(), self.state_dim);
-        let mut member_out = Matrix::zeros(0, 0);
-        for m in &self.members {
-            m.predict_batch_into(states, actions, &mut member_out);
-            for (a, &v) in out.as_mut_slice().iter_mut().zip(member_out.as_slice()) {
-                *a += v;
-            }
-        }
-        let n = self.members.len() as f64;
-        for v in out.as_mut_slice() {
-            *v /= n;
-        }
-    }
-
-    /// Allocating convenience wrapper around
-    /// [`EnsembleDynamics::predict_mean_batch_into`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if any member is untrained or dimensions mismatch.
-    #[must_use]
-    pub fn predict_mean_batch(&self, states: &Matrix, actions: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.predict_mean_batch_into(states, actions, &mut out);
-        out
-    }
-
     /// One member's prediction (e.g. for trajectory-sampling schemes that
     /// pick a random member per rollout).
     ///
@@ -185,18 +122,6 @@ impl EnsembleDynamics {
     #[must_use]
     pub fn predict_member(&self, member: usize, state: &[f64], action: &[f64]) -> Vec<f64> {
         self.members[member].predict(state, action)
-    }
-
-    /// Samples a uniformly random member's prediction — the TS1
-    /// trajectory-sampling propagation of Chua et al.
-    pub fn predict_sampled<R: Rng + ?Sized>(
-        &self,
-        state: &[f64],
-        action: &[f64],
-        rng: &mut R,
-    ) -> Vec<f64> {
-        let idx = rng.gen_range(0..self.members.len());
-        self.predict_member(idx, state, action)
     }
 
     /// Epistemic disagreement: the mean (over dimensions) standard deviation
@@ -223,20 +148,6 @@ impl EnsembleDynamics {
         }
         total / self.state_dim as f64
     }
-
-    /// Wraps every member with Lend–Giveback refinement fitted on `data`,
-    /// returning the refined models (for ensemble synthetic environments).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data` is empty or `p` is outside `(0, 50)`.
-    #[must_use]
-    pub fn refined(&self, data: &TransitionDataset, p: f64) -> Vec<RefinedModel> {
-        self.members
-            .iter()
-            .map(|m| RefinedModel::fit(m.clone(), data, p))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -244,7 +155,7 @@ mod tests {
     use super::*;
     use crate::Transition;
     use rand::rngs::SmallRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn toy_dataset(n: usize, seed: u64) -> TransitionDataset {
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -316,19 +227,6 @@ mod tests {
     }
 
     #[test]
-    fn sampled_prediction_comes_from_a_member() {
-        let data = toy_dataset(200, 6);
-        let mut ens = EnsembleDynamics::new(2, &MirasConfig::smoke_test(7), 3);
-        let _ = ens.train(&data, 10, 32);
-        let mut rng = SmallRng::seed_from_u64(8);
-        let s = [5.0, 5.0];
-        let a = [1.0, 1.0];
-        let sampled = ens.predict_sampled(&s, &a, &mut rng);
-        let members: Vec<Vec<f64>> = (0..3).map(|m| ens.predict_member(m, &s, &a)).collect();
-        assert!(members.contains(&sampled));
-    }
-
-    #[test]
     fn train_is_deterministic_with_threads() {
         // Two identical seeded runs must produce bitwise-identical losses and
         // equal trained members, even when member training fans out across
@@ -344,16 +242,6 @@ mod tests {
         let (loss_b, ens_b) = run();
         assert_eq!(loss_a.to_bits(), loss_b.to_bits());
         assert_eq!(ens_a, ens_b);
-    }
-
-    #[test]
-    fn refined_wraps_every_member() {
-        let data = toy_dataset(200, 9);
-        let mut ens = EnsembleDynamics::new(2, &MirasConfig::smoke_test(10), 3);
-        let _ = ens.train(&data, 10, 32);
-        let refined = ens.refined(&data, 10.0);
-        assert_eq!(refined.len(), 3);
-        assert!(refined.iter().all(RefinedModel::is_enabled));
     }
 
     #[test]

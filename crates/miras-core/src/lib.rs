@@ -52,7 +52,7 @@ mod batch_env;
 mod checkpoint;
 mod config;
 mod dataset;
-pub mod distributed;
+pub(crate) mod distributed;
 mod dynamics;
 mod ensemble_model;
 mod refine;
@@ -63,10 +63,9 @@ mod trainer;
 pub use adapter::{AdapterSnapshot, ClusterEnvAdapter};
 pub use agent::MirasAgent;
 pub use batch_env::BatchedSyntheticEnv;
-pub use checkpoint::{CheckpointError, CheckpointPayload, CHECKPOINT_VERSION};
+pub use checkpoint::{CheckpointError, CheckpointPayload};
 pub use config::{MirasConfig, RolloutMode};
-pub use dataset::{Standardizer, Transition, TransitionDataset};
-pub use distributed::{VersionSchedule, WaveEntry, WeightVersion, WorkerFault};
+pub use dataset::{Transition, TransitionDataset};
 pub use dynamics::DynamicsModel;
 pub use ensemble_model::EnsembleDynamics;
 pub use microsim::ConfigError;

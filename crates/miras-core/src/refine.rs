@@ -81,7 +81,7 @@ impl RefinedModel {
     /// Wraps `model` with refinement disabled — predictions pass through
     /// the raw network (ablation A2).
     #[must_use]
-    pub fn unrefined(model: DynamicsModel) -> Self {
+    pub(crate) fn unrefined(model: DynamicsModel) -> Self {
         let j = model.state_dim();
         RefinedModel {
             model,
@@ -92,8 +92,8 @@ impl RefinedModel {
     }
 
     /// Whether Lend–Giveback is active.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_enabled(&self) -> bool {
         self.enabled
     }
 
@@ -103,22 +103,10 @@ impl RefinedModel {
         &self.tau
     }
 
-    /// The upper thresholds ω.
-    #[must_use]
-    pub fn omega(&self) -> &[f64] {
-        &self.omega
-    }
-
     /// The wrapped raw model.
     #[must_use]
-    pub fn model(&self) -> &DynamicsModel {
+    pub(crate) fn model(&self) -> &DynamicsModel {
         &self.model
-    }
-
-    /// Consumes the wrapper, returning the raw model.
-    #[must_use]
-    pub fn into_model(self) -> DynamicsModel {
-        self.model
     }
 
     /// Predicts `ŝ(k+1)` with per-dimension Lend–Giveback (Algorithm 1).
@@ -166,7 +154,7 @@ impl RefinedModel {
     ///
     /// Panics if the wrapped model is untrained, dimensions mismatch, or
     /// `rngs.len() != states.rows()`.
-    pub fn predict_batch_into<R: Rng>(
+    pub(crate) fn predict_batch_into<R: Rng>(
         &self,
         states: &Matrix,
         actions: &Matrix,
@@ -262,11 +250,11 @@ mod tests {
         let model = trained_model(&data, 1);
         let refined = RefinedModel::fit(model, &data, 10.0);
         for j in 0..2 {
-            assert!(refined.tau()[j] < refined.omega()[j]);
+            assert!(refined.tau()[j] < refined.omega[j]);
             assert!(refined.tau()[j] >= 0.0);
             // 10th percentile of U(0,30) is around 3.
             assert!(refined.tau()[j] < 8.0);
-            assert!(refined.omega()[j] > 20.0);
+            assert!(refined.omega[j] > 20.0);
         }
     }
 

@@ -80,7 +80,7 @@ pub(crate) struct WaveAccounting {
 }
 
 impl WaveAccounting {
-    pub fn new(patience: usize) -> Self {
+    pub(crate) fn new(patience: usize) -> Self {
         WaveAccounting {
             patience,
             best: f64::NEG_INFINITY,
@@ -96,7 +96,7 @@ impl WaveAccounting {
     /// `patience` consecutive rollouts (0 disables the rule) that did not
     /// beat the best return so far. The rule can fire mid-wave; the lanes
     /// after the one that exhausted it are not booked.
-    pub fn record_wave(&mut self, totals: &[f64], lend_triggers: u64) -> bool {
+    pub(crate) fn record_wave(&mut self, totals: &[f64], lend_triggers: u64) -> bool {
         self.lend_triggers += lend_triggers;
         for &total in totals {
             self.returns.push(total);
@@ -116,7 +116,7 @@ impl WaveAccounting {
         true
     }
 
-    pub fn into_outcome(self, schedule: Option<VersionSchedule>) -> RolloutOutcome {
+    pub(crate) fn into_outcome(self, schedule: Option<VersionSchedule>) -> RolloutOutcome {
         RolloutOutcome {
             returns: self.returns,
             lend_triggers: self.lend_triggers,

@@ -112,33 +112,10 @@ impl SyntheticEnv {
     /// Number of Lend–Giveback trigger firings observed so far (state
     /// dimensions entering a step below their `τ_j` refinement threshold,
     /// summed over steps). Zero for an unrefined model.
+    #[cfg(test)]
     #[must_use]
-    pub fn lend_triggers(&self) -> u64 {
+    pub(crate) fn lend_triggers(&self) -> u64 {
         self.lend_triggers
-    }
-
-    /// The per-dimension clamp applied to predicted states.
-    #[must_use]
-    pub fn state_cap(&self) -> &[f64] {
-        &self.state_cap
-    }
-
-    /// The wrapped refined model.
-    #[must_use]
-    pub fn model(&self) -> &RefinedModel {
-        &self.model
-    }
-
-    /// The consumer budget used to discretise actions.
-    #[must_use]
-    pub fn consumer_budget(&self) -> usize {
-        self.consumer_budget
-    }
-
-    /// The current (predicted) state.
-    #[must_use]
-    pub fn state(&self) -> &[f64] {
-        &self.state
     }
 }
 

@@ -98,8 +98,10 @@ pub struct MirasTrainer {
     rng: SmallRng,
     telemetry: telemetry::Telemetry,
     lend_triggers_total: u64,
-    /// Manifest of the last completed inner loop (see
-    /// [`MirasTrainer::last_version_schedule`]).
+    /// Version-schedule manifest of the last completed inner loop: which
+    /// weight version each worker adopted for each rollout wave. `None`
+    /// before the first iteration and under the inline rollout modes;
+    /// persisted in checkpoints.
     last_schedule: Option<VersionSchedule>,
     /// One-shot chaos hook consumed by the next inner loop.
     worker_fault: Option<WorkerFault>,
@@ -145,24 +147,6 @@ impl MirasTrainer {
         &self.dataset
     }
 
-    /// The current environment model.
-    #[must_use]
-    pub fn model(&self) -> &DynamicsModel {
-        &self.model
-    }
-
-    /// The configuration in use.
-    #[must_use]
-    pub fn config(&self) -> &MirasConfig {
-        &self.config
-    }
-
-    /// Number of completed outer iterations.
-    #[must_use]
-    pub fn iterations_run(&self) -> usize {
-        self.iteration
-    }
-
     /// Snapshot of the current greedy policy as a deployable agent,
     /// including the observation normaliser it was trained with.
     #[must_use]
@@ -178,7 +162,7 @@ impl MirasTrainer {
     ///
     /// Panics if no data has been collected yet.
     #[must_use]
-    pub fn refined_model(&self) -> RefinedModel {
+    pub(crate) fn refined_model(&self) -> RefinedModel {
         if self.config.refine_enabled {
             RefinedModel::fit(
                 self.model.clone(),
@@ -193,9 +177,8 @@ impl MirasTrainer {
     /// Runs one outer iteration of Algorithm 2 against the real environment.
     ///
     /// Divergence checks run with the default watchdog policy but treat a
-    /// detection as fatal; use
-    /// [`try_run_iteration`](MirasTrainer::try_run_iteration) (or the
-    /// self-healing [`run_iteration_recovering`](MirasTrainer::run_iteration_recovering))
+    /// detection as fatal; use the self-healing
+    /// [`run_iteration_recovering`](MirasTrainer::run_iteration_recovering)
     /// to handle divergence as a recoverable error instead.
     ///
     /// # Panics
@@ -221,7 +204,7 @@ impl MirasTrainer {
     /// # Errors
     ///
     /// Returns the [`TrainError`] raised by the first unhealthy DDPG update.
-    pub fn try_run_iteration(
+    pub(crate) fn try_run_iteration(
         &mut self,
         real_env: &mut ClusterEnvAdapter,
         health: &mut TrainHealth,
@@ -232,12 +215,11 @@ impl MirasTrainer {
     /// [`try_run_iteration`](MirasTrainer::try_run_iteration) with the
     /// inner loop's rollout workers forced to replay a recorded
     /// [`VersionSchedule`] instead of adopting fresh weight versions:
-    /// given the schedule a previous run recorded
-    /// ([`last_version_schedule`](MirasTrainer::last_version_schedule)),
-    /// the iteration reproduces that run bit for bit. Schedules exist only
-    /// for `workers ≥ 2` rollout modes: the inline shapes (`Sequential`,
-    /// `Lockstep`, `Distributed` with one worker) are bit-stable without
-    /// one and reject it.
+    /// given the schedule a previous run recorded (persisted in its
+    /// checkpoints), the iteration reproduces that run bit for bit.
+    /// Schedules exist only for `workers ≥ 2` rollout modes: the inline
+    /// shapes (`Sequential`, `Lockstep`, `Distributed` with one worker) are
+    /// bit-stable without one and reject it.
     ///
     /// # Errors
     ///
@@ -248,7 +230,7 @@ impl MirasTrainer {
     /// Panics if `schedule` is passed under an inline rollout mode, was
     /// recorded under a different worker/lane configuration, or fails
     /// [`VersionSchedule::validate`].
-    pub fn try_run_iteration_scheduled(
+    pub(crate) fn try_run_iteration_scheduled(
         &mut self,
         real_env: &mut ClusterEnvAdapter,
         health: &mut TrainHealth,
@@ -543,40 +525,12 @@ impl MirasTrainer {
         }
     }
 
-    /// The version-schedule manifest recorded by the most recent inner
-    /// loop: which weight version each worker adopted for each rollout
-    /// wave. Replaying it through
-    /// [`try_run_iteration_scheduled`](MirasTrainer::try_run_iteration_scheduled)
-    /// (from the same pre-iteration state) reproduces the iteration bit
-    /// for bit. `None` until an iteration has run and under the inline
-    /// rollout modes, which have no worker that can lag; persisted in
-    /// checkpoints.
-    #[must_use]
-    pub fn last_version_schedule(&self) -> Option<&VersionSchedule> {
-        self.last_schedule.as_ref()
-    }
-
-    /// Arms a one-shot worker crash for the *next* inner loop
-    /// (chaos/testing hook): the given worker silently dies right before
-    /// generating the given global wave, and the learner must respawn it.
-    /// Ignored by the inline rollout modes, which spawn no worker.
-    pub fn inject_worker_fault(&mut self, fault: WorkerFault) {
-        self.worker_fault = Some(fault);
-    }
-
     /// Mutable access to the underlying DDPG learner. Exposed so
     /// fault-injection tests (and the resilience benchmark) can poison the
     /// replay buffer or inspect optimizer state; production drivers should
     /// not need it.
     pub fn agent_mut(&mut self) -> &mut Ddpg {
         &mut self.agent
-    }
-
-    /// Total Lend–Giveback refinement triggers observed across all
-    /// iterations' synthetic rollouts.
-    #[must_use]
-    pub fn lend_triggers_total(&self) -> u64 {
-        self.lend_triggers_total
     }
 
     /// Injects a random episode-opening burst when collection bursts are
@@ -666,7 +620,6 @@ mod tests {
         assert!(report.eval_return.is_finite());
         assert!(report.rollouts_run >= 1);
         assert!(report.exploration_sigma.is_some());
-        assert_eq!(trainer.iterations_run(), 1);
     }
 
     #[test]
@@ -728,7 +681,10 @@ mod tests {
     #[test]
     fn lockstep_wide_runs_full_budget() {
         let mut env = real_env(23);
-        let mut trainer = MirasTrainer::new(&env, MirasConfig::smoke_test(24).with_lockstep(3));
+        let mut trainer = MirasTrainer::new(
+            &env,
+            MirasConfig::smoke_test(24).try_with_lockstep(3).unwrap(),
+        );
         let report = trainer.run_iteration(&mut env);
         // smoke_test has rollouts_per_iter = 4 and no patience: one full
         // 3-lane wave plus one 1-lane remainder wave.
@@ -759,10 +715,14 @@ mod tests {
     #[should_panic(expected = "version schedules exist only for workers ≥ 2")]
     fn schedule_under_an_inline_shape_is_rejected() {
         let mut env = real_env(31);
-        let mut trainer =
-            MirasTrainer::new(&env, MirasConfig::smoke_test(32).with_distributed(1, 2));
+        let mut trainer = MirasTrainer::new(
+            &env,
+            MirasConfig::smoke_test(32)
+                .try_with_distributed(1, 2)
+                .unwrap(),
+        );
         let _ = trainer.run_iteration(&mut env);
-        assert_eq!(trainer.last_version_schedule(), None);
+        assert_eq!(trainer.last_schedule.as_ref(), None);
         let schedule = VersionSchedule {
             workers: 1,
             lanes: 2,
@@ -778,11 +738,15 @@ mod tests {
     /// bit, however the original worker threads raced.
     #[test]
     fn distributed_replay_of_recorded_schedule_is_bit_identical() {
-        let config = || MirasConfig::smoke_test(34).with_distributed(2, 1);
+        let config = || {
+            MirasConfig::smoke_test(34)
+                .try_with_distributed(2, 1)
+                .unwrap()
+        };
         let mut live_env = real_env(33);
         let mut live = MirasTrainer::new(&live_env, config());
         let live_report = live.run_iteration(&mut live_env);
-        let schedule = live.last_version_schedule().unwrap().clone();
+        let schedule = live.last_schedule.as_ref().unwrap().clone();
         schedule.validate().unwrap();
         // smoke_test: 4 rollouts, 1 lane per wave, no early stop → 4 waves.
         assert_eq!(schedule.entries.len(), 4);
@@ -797,7 +761,7 @@ mod tests {
                 .try_run_iteration_scheduled(&mut env, &mut health, Some(&schedule))
                 .unwrap();
             assert_eq!(report, live_report);
-            assert_eq!(replay.last_version_schedule(), Some(&schedule));
+            assert_eq!(replay.last_schedule.as_ref(), Some(&schedule));
             assert_eq!(replay.agent_mut().snapshot(), live.agent_mut().snapshot());
             assert_eq!(env.snapshot(), live_env.snapshot());
         }
@@ -810,25 +774,29 @@ mod tests {
     #[test]
     fn distributed_worker_crash_resumes_from_checkpoint_byte_identical() {
         let path = temp_checkpoint("distributed_crash");
-        let config = || MirasConfig::smoke_test(36).with_distributed(2, 1);
+        let config = || {
+            MirasConfig::smoke_test(36)
+                .try_with_distributed(2, 1)
+                .unwrap()
+        };
         // Uninterrupted reference: two iterations, checkpoint after the
         // first (the shared rollback point).
         let mut ref_env = real_env(35);
         let mut reference = MirasTrainer::new(&ref_env, config());
         let _ = reference.run_iteration(&mut ref_env);
         reference.save_checkpoint(&ref_env, &path).unwrap();
-        let schedule0 = reference.last_version_schedule().unwrap().clone();
+        let schedule0 = reference.last_schedule.as_ref().unwrap().clone();
         let ref_r2 = reference.run_iteration(&mut ref_env);
-        let schedule1 = reference.last_version_schedule().unwrap().clone();
+        let schedule1 = reference.last_schedule.as_ref().unwrap().clone();
 
         // Crashed run: resume from the checkpoint, arm a crash of worker 1
         // right before its second wave (global wave 3), replay schedule1.
         let (mut resumed, mut env) = MirasTrainer::resume(&path, Ensemble::msd()).unwrap();
         // The manifest of the last completed loop survives the checkpoint.
-        assert_eq!(resumed.last_version_schedule(), Some(&schedule0));
+        assert_eq!(resumed.last_schedule.as_ref(), Some(&schedule0));
         let sink = telemetry::JsonlSink::in_memory();
         resumed.set_telemetry(telemetry::Telemetry::new(sink.clone()));
-        resumed.inject_worker_fault(WorkerFault {
+        resumed.worker_fault = Some(WorkerFault {
             worker: 1,
             at_wave: 3,
         });
@@ -837,7 +805,7 @@ mod tests {
             .try_run_iteration_scheduled(&mut env, &mut health, Some(&schedule1))
             .unwrap();
         assert_eq!(r2, ref_r2);
-        assert_eq!(resumed.last_version_schedule(), Some(&schedule1));
+        assert_eq!(resumed.last_schedule.as_ref(), Some(&schedule1));
         resumed.set_telemetry(telemetry::Telemetry::noop());
         assert_eq!(
             resumed.agent_mut().snapshot(),
@@ -910,11 +878,9 @@ mod tests {
         let _ = trainer.run_iteration(&mut env);
         trainer.save_checkpoint(&env, &path).unwrap();
         let payload = crate::CheckpointPayload::load(&path).unwrap();
-        assert_eq!(payload.version(), crate::CHECKPOINT_VERSION);
         assert_eq!(payload.iteration(), 1);
-        assert_eq!(payload.consumer_budget(), trainer.agent().consumer_budget());
         // The agent extracted straight from the payload is the exact agent
-        // a full resume would deploy.
+        // a full resume would deploy (actor, normaliser and budget).
         assert_eq!(payload.deployable_agent(), trainer.agent());
         std::fs::remove_file(&path).ok();
     }

@@ -34,7 +34,7 @@ impl Activation {
     }
 
     /// Applies the activation in place, turning pre-activations into outputs.
-    pub fn forward_in_place(self, z: &mut Matrix) {
+    pub(crate) fn forward_in_place(self, z: &mut Matrix) {
         for r in 0..z.rows() {
             self.apply_row(z.row_mut(r));
         }
@@ -85,8 +85,9 @@ impl Activation {
     /// # Panics
     ///
     /// Panics if `y` and `d_out` shapes differ.
+    #[cfg(test)]
     #[must_use]
-    pub fn backward(self, y: &Matrix, d_out: &Matrix) -> Matrix {
+    pub(crate) fn backward(self, y: &Matrix, d_out: &Matrix) -> Matrix {
         let mut d = d_out.clone();
         self.backward_in_place(y, &mut d);
         d
@@ -99,7 +100,7 @@ impl Activation {
     /// # Panics
     ///
     /// Panics if `y` and `d` shapes differ.
-    pub fn backward_in_place(self, y: &Matrix, d: &mut Matrix) {
+    pub(crate) fn backward_in_place(self, y: &Matrix, d: &mut Matrix) {
         assert_eq!(
             (y.rows(), y.cols()),
             (d.rows(), d.cols()),

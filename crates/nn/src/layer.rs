@@ -16,7 +16,7 @@ use crate::{Activation, Matrix};
 ///
 /// The forward pass runs as a single fused kernel: the tiled `x · Wᵀ`
 /// product applies the bias broadcast and the activation to each output row
-/// while it is still cache-hot, and [`Dense::infer_into`] reuses the
+/// while it is still cache-hot, and `Dense::infer_into` reuses the
 /// caller's output buffer, so a steady-state forward pass does not allocate.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Dense {
@@ -36,7 +36,7 @@ pub struct DenseGrads {
 
 impl DenseGrads {
     /// Scales all gradients in place.
-    pub fn scale_in_place(&mut self, s: f64) {
+    pub(crate) fn scale_in_place(&mut self, s: f64) {
         self.d_weights.scale_in_place(s);
         for b in &mut self.d_bias {
             *b *= s;
@@ -77,19 +77,19 @@ impl Dense {
 
     /// Input width.
     #[must_use]
-    pub fn fan_in(&self) -> usize {
+    pub(crate) fn fan_in(&self) -> usize {
         self.weights.cols()
     }
 
     /// Output width.
     #[must_use]
-    pub fn fan_out(&self) -> usize {
+    pub(crate) fn fan_out(&self) -> usize {
         self.weights.rows()
     }
 
     /// The layer's activation.
     #[must_use]
-    pub fn activation(&self) -> Activation {
+    pub(crate) fn activation(&self) -> Activation {
         self.activation
     }
 
@@ -107,7 +107,7 @@ impl Dense {
 
     /// Number of trainable parameters.
     #[must_use]
-    pub fn num_params(&self) -> usize {
+    pub(crate) fn num_params(&self) -> usize {
         self.weights.as_slice().len() + self.bias.len()
     }
 
@@ -128,7 +128,7 @@ impl Dense {
     /// # Panics
     ///
     /// Panics if `x.cols() != self.fan_in()`.
-    pub fn infer_into(&self, x: &Matrix, out: &mut Matrix) {
+    pub(crate) fn infer_into(&self, x: &Matrix, out: &mut Matrix) {
         assert_eq!(x.cols(), self.fan_in(), "input width mismatch");
         let bias = &self.bias;
         let activation = self.activation;
@@ -151,8 +151,9 @@ impl Dense {
     /// # Panics
     ///
     /// Panics if the shapes are inconsistent.
+    #[cfg(test)]
     #[must_use]
-    pub fn backward(
+    pub(crate) fn backward(
         &self,
         input: &Matrix,
         output: &Matrix,
@@ -170,7 +171,7 @@ impl Dense {
     ///
     /// Panics if the shapes are inconsistent.
     #[must_use]
-    pub fn param_gradients(&self, input: &Matrix, d_z: &Matrix) -> DenseGrads {
+    pub(crate) fn param_gradients(&self, input: &Matrix, d_z: &Matrix) -> DenseGrads {
         DenseGrads {
             d_weights: d_z.transpose_matmul(input),
             d_bias: d_z.column_sums(),
@@ -183,7 +184,7 @@ impl Dense {
     ///
     /// Panics if `d_z.cols() != self.fan_out()`.
     #[must_use]
-    pub fn input_gradient(&self, d_z: &Matrix) -> Matrix {
+    pub(crate) fn input_gradient(&self, d_z: &Matrix) -> Matrix {
         d_z.matmul(&self.weights)
     }
 
@@ -196,7 +197,12 @@ impl Dense {
     ///
     /// Panics if the range exceeds `fan_in` or `d_z.cols() != self.fan_out()`.
     #[must_use]
-    pub fn input_gradient_columns(&self, d_z: &Matrix, start: usize, width: usize) -> Matrix {
+    pub(crate) fn input_gradient_columns(
+        &self,
+        d_z: &Matrix,
+        start: usize,
+        width: usize,
+    ) -> Matrix {
         if start == 0 && width == self.fan_in() {
             self.input_gradient(d_z)
         } else {
@@ -206,12 +212,12 @@ impl Dense {
 
     /// Immutable views of the parameter buffers: `[weights, bias]`.
     #[must_use]
-    pub fn params(&self) -> [&[f64]; 2] {
+    pub(crate) fn params(&self) -> [&[f64]; 2] {
         [self.weights.as_slice(), &self.bias]
     }
 
     /// Mutable views of the parameter buffers: `[weights, bias]`.
-    pub fn params_mut(&mut self) -> [&mut [f64]; 2] {
+    pub(crate) fn params_mut(&mut self) -> [&mut [f64]; 2] {
         [self.weights.as_mut_slice(), &mut self.bias]
     }
 }

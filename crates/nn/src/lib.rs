@@ -8,7 +8,7 @@
 //!   activations ([`Activation`]),
 //! * multi-layer perceptrons ([`Mlp`]) with forward, backward, and
 //!   mean-squared-error training,
-//! * [`Adam`] and [`Sgd`] optimizers with gradient clipping,
+//! * the [`Adam`] optimizer with global-norm gradient clipping,
 //! * parameter-space utilities used by DDPG: Gaussian parameter
 //!   perturbation ([`Mlp::add_parameter_noise`]) and Polyak soft target
 //!   updates ([`Mlp::soft_update_from`]),
@@ -60,10 +60,10 @@ mod optimizer;
 mod scratch;
 pub mod telemetry;
 pub mod threads;
-pub mod ziggurat;
+pub(crate) mod ziggurat;
 
 pub use activation::Activation;
 pub use layer::{Dense, DenseGrads};
 pub use matrix::Matrix;
 pub use network::{ForwardTrace, Mlp};
-pub use optimizer::{Adam, Optimizer, Sgd};
+pub use optimizer::Adam;

@@ -32,7 +32,7 @@ use crate::scratch;
 /// use nn::Matrix;
 ///
 /// let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-/// let b = Matrix::identity(2);
+/// let b = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]);
 /// assert_eq!(a.matmul(&b), a);
 /// assert_eq!(a.transpose().get(0, 1), 3.0);
 /// ```
@@ -75,16 +75,6 @@ impl Matrix {
             cols,
             data: scratch::take_buffer(rows * cols),
         }
-    }
-
-    /// The `n × n` identity matrix.
-    #[must_use]
-    pub fn identity(n: usize) -> Self {
-        let mut m = Matrix::zeros(n, n);
-        for i in 0..n {
-            m.data[i * n + i] = 1.0;
-        }
-        m
     }
 
     /// Builds a matrix from a flat row-major buffer.
@@ -253,7 +243,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if `self.rows() != rhs.rows()`.
-    pub fn transpose_matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
+    pub(crate) fn transpose_matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
         assert_eq!(self.rows, rhs.rows, "row counts must agree");
         out.resize(self.cols, rhs.cols);
         // Pack selfᵀ once so the driver sees a plain row-major LHS; the
@@ -294,7 +284,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if `self.cols() != rhs.cols()`.
-    pub fn matmul_transpose_into(&self, rhs: &Matrix, out: &mut Matrix) {
+    pub(crate) fn matmul_transpose_into(&self, rhs: &Matrix, out: &mut Matrix) {
         self.matmul_transpose_fused_into(rhs, out, &|_: &mut [f64]| {});
     }
 
@@ -408,7 +398,7 @@ impl Matrix {
 
     /// Applies `f` to every element, returning a new matrix.
     #[must_use]
-    pub fn map(&self, f: impl Fn(f64) -> f64) -> Matrix {
+    pub(crate) fn map(&self, f: impl Fn(f64) -> f64) -> Matrix {
         let mut out = Matrix::zeros(self.rows, self.cols);
         for (o, &x) in out.data.iter_mut().zip(&self.data) {
             *o = f(x);
@@ -416,28 +406,9 @@ impl Matrix {
         out
     }
 
-    /// Element-wise (Hadamard) product.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    #[must_use]
-    pub fn hadamard(&self, rhs: &Matrix) -> Matrix {
-        assert_eq!(
-            (self.rows, self.cols),
-            (rhs.rows, rhs.cols),
-            "shape mismatch"
-        );
-        let mut out = Matrix::zeros(self.rows, self.cols);
-        for ((o, &a), &b) in out.data.iter_mut().zip(&self.data).zip(&rhs.data) {
-            *o = a * b;
-        }
-        out
-    }
-
     /// Scales every element by `s`.
     #[must_use]
-    pub fn scale(&self, s: f64) -> Matrix {
+    pub(crate) fn scale(&self, s: f64) -> Matrix {
         self.map(|x| x * s)
     }
 
@@ -467,14 +438,14 @@ impl Matrix {
 
     /// Column sums as a vector of length `cols`.
     #[must_use]
-    pub fn column_sums(&self) -> Vec<f64> {
+    pub(crate) fn column_sums(&self) -> Vec<f64> {
         let mut sums = vec![0.0; self.cols];
         self.column_sums_into(&mut sums);
         sums
     }
 
     /// Column sums into `out` (resized to `cols`).
-    pub fn column_sums_into(&self, out: &mut Vec<f64>) {
+    pub(crate) fn column_sums_into(&self, out: &mut Vec<f64>) {
         out.clear();
         out.resize(self.cols, 0.0);
         for r in 0..self.rows {
@@ -484,40 +455,11 @@ impl Matrix {
         }
     }
 
-    /// Mean of all elements; zero for an empty matrix.
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        if self.data.is_empty() {
-            0.0
-        } else {
-            self.data.iter().sum::<f64>() / self.data.len() as f64
-        }
-    }
-
     /// The Frobenius norm.
+    #[cfg(test)]
     #[must_use]
-    pub fn frobenius_norm(&self) -> f64 {
+    pub(crate) fn frobenius_norm(&self) -> f64 {
         self.data.iter().map(|&x| x * x).sum::<f64>().sqrt()
-    }
-
-    /// Stacks matrices vertically (same column count).
-    ///
-    /// # Panics
-    ///
-    /// Panics on empty input or mismatched column counts.
-    #[must_use]
-    pub fn vstack(parts: &[&Matrix]) -> Matrix {
-        assert!(!parts.is_empty(), "nothing to stack");
-        let cols = parts[0].cols;
-        let rows = parts.iter().map(|p| p.rows).sum();
-        let mut out = Matrix::zeros(rows, cols);
-        let mut at = 0;
-        for p in parts {
-            assert_eq!(p.cols, cols, "column mismatch in vstack");
-            out.data[at..at + p.data.len()].copy_from_slice(&p.data);
-            at += p.data.len();
-        }
-        out
     }
 
     /// Concatenates matrices horizontally (same row count).
@@ -655,7 +597,8 @@ mod tests {
     #[test]
     fn identity_is_neutral() {
         let a = Matrix::from_rows(&[&[1.5, -2.0, 0.5]]);
-        assert_eq!(a.matmul(&Matrix::identity(3)), a);
+        let identity = Matrix::from_rows(&[&[1.0, 0.0, 0.0], &[0.0, 1.0, 0.0], &[0.0, 0.0, 1.0]]);
+        assert_eq!(a.matmul(&identity), a);
     }
 
     #[test]
@@ -742,14 +685,6 @@ mod tests {
     }
 
     #[test]
-    fn vstack_stacks_rows() {
-        let a = Matrix::row_vector(&[1.0, 2.0]);
-        let b = Matrix::row_vector(&[3.0, 4.0]);
-        let s = Matrix::vstack(&[&a, &b]);
-        assert_eq!(s, Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]));
-    }
-
-    #[test]
     fn broadcast_and_column_sums() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         let biased = a.add_row_broadcast(&[10.0, 20.0]);
@@ -764,14 +699,12 @@ mod tests {
         assert_eq!(&a + &b, Matrix::from_rows(&[&[4.0, 7.0]]));
         assert_eq!(&b - &a, Matrix::from_rows(&[&[2.0, 3.0]]));
         assert_eq!(&a * 2.0, Matrix::from_rows(&[&[2.0, 4.0]]));
-        assert_eq!(a.hadamard(&b), Matrix::from_rows(&[&[3.0, 10.0]]));
     }
 
     #[test]
     fn norms_and_means() {
         let a = Matrix::from_rows(&[&[3.0, 4.0]]);
         assert!((a.frobenius_norm() - 5.0).abs() < 1e-12);
-        assert!((a.mean() - 3.5).abs() < 1e-12);
     }
 
     #[test]

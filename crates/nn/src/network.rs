@@ -4,7 +4,7 @@ use rand::Rng;
 use rand_distr::{Distribution, Normal};
 use serde::{Deserialize, Serialize};
 
-use crate::{Activation, Dense, DenseGrads, Matrix, Optimizer};
+use crate::{Activation, Adam, Dense, DenseGrads, Matrix};
 
 /// A multi-layer perceptron: a stack of [`Dense`] layers.
 ///
@@ -65,19 +65,19 @@ impl ForwardTrace {
 
     /// Layer `i`'s forward input.
     #[must_use]
-    pub fn layer_input(&self, i: usize) -> &Matrix {
+    pub(crate) fn layer_input(&self, i: usize) -> &Matrix {
         &self.values[i]
     }
 
     /// Layer `i`'s forward output.
     #[must_use]
-    pub fn layer_output(&self, i: usize) -> &Matrix {
+    pub(crate) fn layer_output(&self, i: usize) -> &Matrix {
         &self.values[i + 1]
     }
 
     /// Number of layers traced.
     #[must_use]
-    pub fn num_layers(&self) -> usize {
+    pub(crate) fn num_layers(&self) -> usize {
         self.values.len() - 1
     }
 }
@@ -109,26 +109,6 @@ impl Mlp {
         Mlp { layers }
     }
 
-    /// Builds an MLP from explicit layers (used by composite architectures
-    /// such as the paper's critic, which injects the action at a middle
-    /// layer).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `layers` is empty or consecutive widths do not match.
-    #[must_use]
-    pub fn from_layers(layers: Vec<Dense>) -> Self {
-        assert!(!layers.is_empty(), "need at least one layer");
-        for pair in layers.windows(2) {
-            assert_eq!(
-                pair[0].fan_out(),
-                pair[1].fan_in(),
-                "consecutive layer widths must match"
-            );
-        }
-        Mlp { layers }
-    }
-
     /// Input dimensionality.
     #[must_use]
     pub fn input_dim(&self) -> usize {
@@ -141,15 +121,9 @@ impl Mlp {
         self.layers[self.layers.len() - 1].fan_out()
     }
 
-    /// The stacked layers.
-    #[must_use]
-    pub fn layers(&self) -> &[Dense] {
-        &self.layers
-    }
-
     /// Total number of trainable parameters.
     #[must_use]
-    pub fn num_params(&self) -> usize {
+    pub(crate) fn num_params(&self) -> usize {
         self.layers.iter().map(Dense::num_params).sum()
     }
 
@@ -320,7 +294,7 @@ impl Mlp {
     /// # Panics
     ///
     /// Panics if `grads.len()` differs from the number of layers.
-    pub fn apply_gradients<O: Optimizer>(&mut self, grads: &mut [DenseGrads], opt: &mut O) {
+    pub fn apply_gradients(&mut self, grads: &mut [DenseGrads], opt: &mut Adam) {
         assert_eq!(grads.len(), self.layers.len(), "gradient count mismatch");
         if let Some(clip) = opt.clip_norm() {
             let norm_sq: f64 = grads
@@ -352,7 +326,7 @@ impl Mlp {
     ///
     /// Panics if `x` and `y` row counts differ or `y.cols()` differs from
     /// the output dimension.
-    pub fn train_mse<O: Optimizer>(&mut self, x: &Matrix, y: &Matrix, opt: &mut O) -> f64 {
+    pub fn train_mse(&mut self, x: &Matrix, y: &Matrix, opt: &mut Adam) -> f64 {
         assert_eq!(x.rows(), y.rows(), "sample count mismatch");
         assert_eq!(y.cols(), self.output_dim(), "target width mismatch");
         let timer = crate::telemetry::enabled().then(std::time::Instant::now);
@@ -380,8 +354,9 @@ impl Mlp {
     /// # Panics
     ///
     /// Panics if shapes are inconsistent (see [`Mlp::train_mse`]).
+    #[cfg(test)]
     #[must_use]
-    pub fn mse(&self, x: &Matrix, y: &Matrix) -> f64 {
+    pub(crate) fn mse(&self, x: &Matrix, y: &Matrix) -> f64 {
         assert_eq!(x.rows(), y.rows(), "sample count mismatch");
         let pred = self.forward(x);
         let diff = &pred - y;
@@ -406,7 +381,7 @@ impl Mlp {
     }
 
     /// Like [`Mlp::add_parameter_noise`], but draws the Gaussian variates
-    /// with the [ziggurat sampler](crate::ziggurat::standard_normal) — one
+    /// with the ziggurat sampler — one
     /// RNG word, one table lookup, and one compare per variate on the
     /// common path instead of Box–Muller's `ln`/`sqrt`/`cos`, about 5×
     /// cheaper per parameter on scalar hardware. The hot path of the
@@ -673,26 +648,32 @@ mod tests {
 
     #[test]
     fn gradient_clipping_bounds_update() {
-        let mut net = Mlp::new(
-            &[1, 1],
-            Activation::Linear,
-            Activation::Linear,
-            &mut rng(11),
-        );
-        let before = net.flat_params();
-        let mut opt = crate::Sgd::new(1.0).with_clip_norm(1e-3);
-        // Enormous targets produce enormous gradients; the clip bounds them.
-        let x = Matrix::row_vector(&[1.0]);
-        let y = Matrix::row_vector(&[1e9]);
-        let _ = net.train_mse(&x, &y, &mut opt);
-        let after = net.flat_params();
-        let step: f64 = before
-            .iter()
-            .zip(&after)
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum::<f64>()
-            .sqrt();
-        assert!(step <= 1.1e-3, "step = {step}");
+        // Adam moves each parameter by lr·|g|/(|g| + ε) on its first step, so
+        // a gradient clipped to norm `clip` ≪ ε moves the parameters by at
+        // most lr·clip/ε, while an unclipped one moves each by ~lr.
+        let step_with = |opt: &mut crate::Adam| {
+            let mut net = Mlp::new(
+                &[1, 1],
+                Activation::Linear,
+                Activation::Linear,
+                &mut rng(11),
+            );
+            let before = net.flat_params();
+            // Enormous targets produce enormous gradients.
+            let x = Matrix::row_vector(&[1.0]);
+            let y = Matrix::row_vector(&[1e9]);
+            let _ = net.train_mse(&x, &y, opt);
+            before
+                .iter()
+                .zip(&net.flat_params())
+                .map(|(a, b)| (a - b) * (a - b))
+                .sum::<f64>()
+                .sqrt()
+        };
+        let clipped = step_with(&mut crate::Adam::new(1.0).with_clip_norm(1e-9));
+        assert!(clipped <= 1e-9 / 1e-8 * 1.0001, "clipped step = {clipped}");
+        let unclipped = step_with(&mut crate::Adam::new(1.0));
+        assert!(unclipped > 1.0, "unclipped step = {unclipped}");
     }
 
     #[test]
@@ -712,23 +693,6 @@ mod tests {
         }
         let after = net.mse(&x, &y);
         assert!(after < before * 0.1, "before {before}, after {after}");
-    }
-
-    #[test]
-    fn from_layers_validates_widths() {
-        let l1 = Dense::new(2, 4, Activation::Relu, &mut rng(13));
-        let l2 = Dense::new(4, 1, Activation::Linear, &mut rng(14));
-        let net = Mlp::from_layers(vec![l1, l2]);
-        assert_eq!(net.input_dim(), 2);
-        assert_eq!(net.output_dim(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "consecutive layer widths must match")]
-    fn from_layers_rejects_mismatch() {
-        let l1 = Dense::new(2, 4, Activation::Relu, &mut rng(15));
-        let l2 = Dense::new(3, 1, Activation::Linear, &mut rng(16));
-        let _ = Mlp::from_layers(vec![l1, l2]);
     }
 
     #[test]

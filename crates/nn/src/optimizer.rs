@@ -1,98 +1,25 @@
-//! Gradient-descent optimizers.
+//! The Adam gradient-descent optimizer.
 
 use serde::{Deserialize, Serialize};
-
-/// A first-order optimizer that updates parameter buffers in place.
-///
-/// Buffers are identified by a stable `slot` index assigned by the caller
-/// (e.g. layer 0's weights are slot 0, its bias slot 1, …); stateful
-/// optimizers ([`Adam`]) keep per-slot moment estimates.
-pub trait Optimizer {
-    /// Applies one update step to `params` given `grads`.
-    ///
-    /// # Panics
-    ///
-    /// Implementations panic when `params.len() != grads.len()`.
-    fn update(&mut self, slot: usize, params: &mut [f64], grads: &[f64]);
-
-    /// The global norm above which gradients are scaled down, if any.
-    fn clip_norm(&self) -> Option<f64> {
-        None
-    }
-}
-
-/// Plain stochastic gradient descent.
-///
-/// # Examples
-///
-/// ```
-/// use nn::{Optimizer, Sgd};
-///
-/// let mut opt = Sgd::new(0.1);
-/// let mut params = [1.0, 2.0];
-/// opt.update(0, &mut params, &[10.0, -10.0]);
-/// assert_eq!(params, [0.0, 3.0]);
-/// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Sgd {
-    learning_rate: f64,
-    clip: Option<f64>,
-}
-
-impl Sgd {
-    /// Creates SGD with the given learning rate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the learning rate is not positive and finite.
-    #[must_use]
-    pub fn new(learning_rate: f64) -> Self {
-        assert!(
-            learning_rate.is_finite() && learning_rate > 0.0,
-            "learning rate must be positive"
-        );
-        Sgd {
-            learning_rate,
-            clip: None,
-        }
-    }
-
-    /// Enables global-norm gradient clipping.
-    #[must_use]
-    pub fn with_clip_norm(mut self, clip: f64) -> Self {
-        self.clip = Some(clip);
-        self
-    }
-}
-
-impl Optimizer for Sgd {
-    fn update(&mut self, _slot: usize, params: &mut [f64], grads: &[f64]) {
-        assert_eq!(params.len(), grads.len(), "parameter/gradient mismatch");
-        for (p, &g) in params.iter_mut().zip(grads) {
-            *p -= self.learning_rate * g;
-        }
-    }
-
-    fn clip_norm(&self) -> Option<f64> {
-        self.clip
-    }
-}
 
 /// The Adam optimizer (Kingma & Ba) with bias-corrected moment estimates.
 ///
 /// # Examples
 ///
 /// ```
-/// use nn::{Adam, Optimizer};
+/// use nn::{Activation, Adam, Matrix, Mlp};
+/// use rand::{rngs::SmallRng, SeedableRng};
 ///
-/// let mut opt = Adam::new(1e-3);
-/// let mut params = [0.5];
+/// let mut rng = SmallRng::seed_from_u64(0);
+/// let mut net = Mlp::new(&[1, 1], Activation::Linear, Activation::Linear, &mut rng);
+/// let mut opt = Adam::new(1e-2);
+/// let (x, y) = (Matrix::from_vec(1, 1, vec![1.0]), Matrix::from_vec(1, 1, vec![3.0]));
+/// let first = net.train_mse(&x, &y, &mut opt);
+/// let mut last = first;
 /// for _ in 0..100 {
-///     // Gradient of (p - 1)^2 is 2(p - 1): Adam walks p toward 1.
-///     let g = 2.0 * (params[0] - 1.0);
-///     opt.update(0, &mut params, &[g]);
+///     last = net.train_mse(&x, &y, &mut opt);
 /// }
-/// assert!(params[0] > 0.55);
+/// assert!(last < first);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Adam {
@@ -142,21 +69,19 @@ impl Adam {
         self
     }
 
-    /// The configured learning rate.
-    #[must_use]
-    pub fn learning_rate(&self) -> f64 {
-        self.learning_rate
+    /// The global norm above which gradients are scaled down, if any.
+    pub(crate) fn clip_norm(&self) -> Option<f64> {
+        self.clip
     }
 
-    /// Drops all moment state (e.g. when reusing the optimizer for a new
-    /// network).
-    pub fn reset_state(&mut self) {
-        self.state.clear();
-    }
-}
-
-impl Optimizer for Adam {
-    fn update(&mut self, slot: usize, params: &mut [f64], grads: &[f64]) {
+    /// Applies one update step to the parameter buffer identified by the
+    /// caller's stable `slot` index (layer 0's weights are slot 0, its bias
+    /// slot 1, …); each slot keeps its own moment estimates.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `params.len() != grads.len()`.
+    pub(crate) fn update(&mut self, slot: usize, params: &mut [f64], grads: &[f64]) {
         assert_eq!(params.len(), grads.len(), "parameter/gradient mismatch");
         if self.state.len() <= slot {
             self.state.resize_with(slot + 1, AdamSlot::default);
@@ -190,26 +115,11 @@ impl Optimizer for Adam {
             *p -= learning_rate * m_hat / (v_hat.sqrt() + epsilon);
         }
     }
-
-    fn clip_norm(&self) -> Option<f64> {
-        self.clip
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sgd_descends_quadratic() {
-        let mut opt = Sgd::new(0.1);
-        let mut p = [5.0];
-        for _ in 0..200 {
-            let g = 2.0 * p[0];
-            opt.update(0, &mut p, &[g]);
-        }
-        assert!(p[0].abs() < 1e-6);
-    }
 
     #[test]
     fn adam_descends_quadratic() {
@@ -350,17 +260,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "parameter/gradient mismatch")]
-    fn mismatched_lengths_panic() {
-        let mut opt = Sgd::new(0.1);
-        let mut p = [0.0];
-        opt.update(0, &mut p, &[1.0, 2.0]);
-    }
-
-    #[test]
     fn clip_norm_is_exposed() {
-        assert_eq!(Sgd::new(0.1).clip_norm(), None);
-        assert_eq!(Sgd::new(0.1).with_clip_norm(5.0).clip_norm(), Some(5.0));
+        assert_eq!(Adam::new(0.1).clip_norm(), None);
         assert_eq!(Adam::new(0.1).with_clip_norm(1.0).clip_norm(), Some(1.0));
     }
 }

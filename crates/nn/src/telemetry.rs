@@ -20,18 +20,13 @@ static ENABLED: AtomicBool = AtomicBool::new(false);
 static SLOT: RwLock<Option<Telemetry>> = RwLock::new(None);
 
 /// Installs `telemetry` as the crate-global recorder handle. Passing a
-/// disabled handle (or calling [`clear_global`]) turns kernel recording off.
+/// disabled handle turns kernel recording off.
 pub fn set_global(telemetry: Telemetry) {
     let enabled = telemetry.is_enabled();
     if let Ok(mut slot) = SLOT.write() {
         *slot = enabled.then_some(telemetry);
     }
     ENABLED.store(enabled, Ordering::Release);
-}
-
-/// Removes any installed global handle.
-pub fn clear_global() {
-    set_global(Telemetry::noop());
 }
 
 /// Runs `f` with the installed handle, if any. One relaxed atomic load on
@@ -50,6 +45,6 @@ pub(crate) fn with<F: FnOnce(&Telemetry)>(f: F) {
 /// Whether a global handle is installed (for guarding expensive payloads).
 #[inline]
 #[must_use]
-pub fn enabled() -> bool {
+pub(crate) fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }

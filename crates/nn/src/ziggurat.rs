@@ -66,7 +66,7 @@ fn tables() -> &'static Tables {
 }
 
 /// Draws one exact N(0, 1) variate.
-pub fn standard_normal<Rg: Rng + ?Sized>(rng: &mut Rg) -> f64 {
+pub(crate) fn standard_normal<Rg: Rng + ?Sized>(rng: &mut Rg) -> f64 {
     let t = tables();
     loop {
         let bits = rng.next_u64();

@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// Internally this is a one-layer trunk over the state followed by a head
 /// over `[trunk(s) ‖ a]`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Critic {
+pub(crate) struct Critic {
     pub(super) trunk: Mlp,
     pub(super) head: Mlp,
     action_dim: usize,
@@ -24,7 +24,7 @@ impl Critic {
     ///
     /// Panics if `hidden` is empty or any dimension is zero.
     #[must_use]
-    pub fn new<R: rand::Rng + ?Sized>(
+    pub(crate) fn new<R: rand::Rng + ?Sized>(
         state_dim: usize,
         action_dim: usize,
         hidden: &[usize],
@@ -52,7 +52,7 @@ impl Critic {
 
     /// Q-values for a batch of `(state, action)` pairs, shape `(batch, 1)`.
     #[must_use]
-    pub fn q(&self, states: &Matrix, actions: &Matrix) -> Matrix {
+    pub(crate) fn q(&self, states: &Matrix, actions: &Matrix) -> Matrix {
         self.head.forward(&self.head_input(states, actions))
     }
 
@@ -66,7 +66,7 @@ impl Critic {
     ///
     /// One forward/backward over the whole minibatch, then one optimiser
     /// step per network; the result does not depend on `NN_NUM_THREADS`.
-    pub fn train(
+    pub(crate) fn train(
         &mut self,
         states: &Matrix,
         actions: &Matrix,
@@ -94,7 +94,11 @@ impl Critic {
     /// the action columns of `[trunk(s) ‖ a]` (the deterministic policy
     /// gradient reads neither weight gradients nor `∂Q/∂trunk(s)`).
     #[must_use]
-    pub fn q_and_action_gradient(&self, states: &Matrix, actions: &Matrix) -> (Matrix, Matrix) {
+    pub(crate) fn q_and_action_gradient(
+        &self,
+        states: &Matrix,
+        actions: &Matrix,
+    ) -> (Matrix, Matrix) {
         let z = self.head_input(states, actions);
         let trace = self.head.forward_cached(&z);
         let ones = Matrix::from_vec(z.rows(), 1, vec![1.0; z.rows()]);
@@ -107,18 +111,12 @@ impl Critic {
         (trace.into_output(), d_actions)
     }
 
-    /// `∂Q/∂a` for each sample — the deterministic-policy-gradient term.
-    #[must_use]
-    pub fn action_gradient(&self, states: &Matrix, actions: &Matrix) -> Matrix {
-        self.q_and_action_gradient(states, actions).1
-    }
-
     /// Polyak update toward `src`.
     ///
     /// # Panics
     ///
     /// Panics if architectures differ.
-    pub fn soft_update_from(&mut self, src: &Critic, tau: f64) {
+    pub(crate) fn soft_update_from(&mut self, src: &Critic, tau: f64) {
         self.trunk.soft_update_from(&src.trunk, tau);
         self.head.soft_update_from(&src.head, tau);
     }
@@ -173,7 +171,6 @@ mod tests {
             let (q, gradient) = critic.q_and_action_gradient(&s, &a);
             assert_eq!(q, critic.q(&s, &a), "batch {batch}");
             assert_eq!(gradient, old_gradient, "batch {batch}");
-            assert_eq!(critic.action_gradient(&s, &a), old_gradient);
         }
     }
 
@@ -183,7 +180,7 @@ mod tests {
         let critic = Critic::new(2, 3, &[8, 8], &mut rng);
         let s = Matrix::from_rows(&[&[0.4, -0.2]]);
         let a = Matrix::from_rows(&[&[0.2, 0.5, 0.3]]);
-        let grad = critic.action_gradient(&s, &a);
+        let (_, grad) = critic.q_and_action_gradient(&s, &a);
         let eps = 1e-6;
         for c in 0..3 {
             let mut ap = a.clone();

@@ -31,9 +31,9 @@ impl Ddpg {
 /// A `PolicyWeights` value is immutable and self-contained — it carries the
 /// actor network, the running observation normaliser, and the
 /// parameter-noise scale σ (when parameter-space exploration is configured).
-/// Turn it into an executable policy with [`PolicyWeights::perturbed`]
-/// (exploration: one fresh weight-space perturbation, as the lockstep loop
-/// draws at each wave boundary) or [`PolicyWeights::greedy`] (no noise).
+/// Turn it into an executable policy with [`PolicyWeights::perturbed`]:
+/// one fresh weight-space perturbation, as the lockstep loop draws at each
+/// wave boundary (the actor as-is when no σ is configured).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PolicyWeights {
     actor: Mlp,
@@ -42,19 +42,6 @@ pub struct PolicyWeights {
 }
 
 impl PolicyWeights {
-    /// The parameter-noise scale σ carried by this snapshot, if the agent
-    /// explores in parameter space.
-    #[must_use]
-    pub fn sigma(&self) -> Option<f64> {
-        self.sigma
-    }
-
-    /// The frozen actor network.
-    #[must_use]
-    pub fn actor(&self) -> &Mlp {
-        &self.actor
-    }
-
     /// An executable exploratory policy: a copy of the actor with one
     /// weight-space perturbation of scale σ drawn from `rng` (the same
     /// Gaussian perturbation [`Ddpg::resample_perturbation`] applies at a
@@ -75,8 +62,9 @@ impl PolicyWeights {
     }
 
     /// The greedy (noise-free) executable policy for these weights.
+    #[cfg(test)]
     #[must_use]
-    pub fn greedy(&self) -> FrozenPolicy {
+    pub(crate) fn greedy(&self) -> FrozenPolicy {
         FrozenPolicy {
             actor: self.actor.clone(),
             obs_norm: self.obs_norm.clone(),
@@ -159,7 +147,6 @@ mod tests {
     fn frozen_perturbation_is_deterministic_in_the_rng() {
         let agent = Ddpg::new(2, 3, config(51));
         let weights = agent.policy_weights();
-        assert!(weights.sigma().is_some());
         let s = Matrix::from_rows(&[&[0.4, 0.6], &[5.0, 1.0]]);
         let mut a = weights
             .perturbed(&mut SmallRng::seed_from_u64(9))

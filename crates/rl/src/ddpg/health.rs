@@ -154,12 +154,6 @@ impl TrainHealth {
         TrainHealth::new(0.99, 1e4, 100)
     }
 
-    /// The current critic-loss EWMA, if any step has been observed yet.
-    #[must_use]
-    pub fn ewma(&self) -> Option<f64> {
-        self.ewma
-    }
-
     /// Checks one step's statistics, updating the EWMA on success. `step`
     /// is the agent's lifetime train-step index, carried into errors for
     /// diagnostics.

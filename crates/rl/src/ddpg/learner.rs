@@ -177,7 +177,7 @@ impl Ddpg {
     /// [`Ddpg::act_exploratory`] writing into a caller-owned buffer
     /// (cleared and refilled), so tight rollout loops reuse one action
     /// allocation. Bitwise-identical results and RNG consumption.
-    pub fn act_exploratory_into(&mut self, state: &[f64], out: &mut Vec<f64>) {
+    pub(crate) fn act_exploratory_into(&mut self, state: &[f64], out: &mut Vec<f64>) {
         self.remember_state(state);
         let mut z = std::mem::take(&mut self.norm_buf);
         self.obs_norm.normalize_into(state, &mut z);
@@ -513,7 +513,7 @@ impl Ddpg {
     /// finite. A full parameter walk — prefer the sampled check inside
     /// [`Ddpg::try_train_step`] on hot paths.
     #[must_use]
-    pub fn weights_are_finite(&self) -> bool {
+    pub(crate) fn weights_are_finite(&self) -> bool {
         let mlp_ok = |m: &Mlp| m.flat_params().iter().all(|w| w.is_finite());
         let critic_ok = |c: &Critic| mlp_ok(&c.trunk) && mlp_ok(&c.head);
         mlp_ok(&self.actor)
@@ -547,7 +547,7 @@ impl Ddpg {
     /// Mean absolute parameter gap between the actor and its Polyak target —
     /// a read-only diagnostic of how far the target network lags.
     #[must_use]
-    pub fn target_divergence(&self) -> f64 {
+    pub(crate) fn target_divergence(&self) -> f64 {
         let a = self.actor.flat_params();
         let t = self.actor_target.flat_params();
         if a.is_empty() {
@@ -566,12 +566,6 @@ impl Ddpg {
         self.telemetry = telemetry;
     }
 
-    /// Number of transitions currently stored.
-    #[must_use]
-    pub fn replay_len(&self) -> usize {
-        self.replay.len()
-    }
-
     /// The current parameter-noise scale, when parameter noise is active.
     #[must_use]
     pub fn param_noise_sigma(&self) -> Option<f64> {
@@ -582,12 +576,6 @@ impl Ddpg {
     #[must_use]
     pub fn actor(&self) -> &Mlp {
         &self.actor
-    }
-
-    /// Read access to the critic.
-    #[must_use]
-    pub fn critic(&self) -> &Critic {
-        &self.critic
     }
 
     /// The running observation normaliser (fed by [`Ddpg::observe`]).
@@ -932,10 +920,10 @@ mod tests {
         let mut agent = Ddpg::new(2, 2, config(24));
         agent.set_telemetry(Telemetry::new(sink.clone()));
         agent.observe(&[0.0, 0.0], &[0.5, 0.5], f64::NAN, &[1.0, 1.0]);
-        assert_eq!(agent.replay_len(), 0);
+        assert_eq!(agent.replay.len(), 0);
         assert_eq!(agent.obs_normalizer().count(), 0);
         agent.observe(&[0.0, 0.0], &[0.5, 0.5], 1.0, &[1.0, 1.0]);
-        assert_eq!(agent.replay_len(), 1);
+        assert_eq!(agent.replay.len(), 1);
         Recorder::flush(&*sink);
         let text = String::from_utf8(sink.take_output()).unwrap();
         assert!(text.contains("replay.rejected_nonfinite"));

@@ -8,7 +8,7 @@ mod learner;
 mod snapshot;
 
 pub use config::{DdpgConfig, Exploration};
-pub use critic::Critic;
+pub(crate) use critic::Critic;
 pub use frozen::{FrozenPolicy, PolicyWeights};
 pub use health::{TrainError, TrainHealth, TrainStats};
 pub use learner::Ddpg;

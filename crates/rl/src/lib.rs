@@ -9,8 +9,8 @@
 //!   softmax output enforces the consumer-budget constraint by construction
 //!   and a critic that injects the action at its second hidden layer, as the
 //!   paper specifies (§VI-A3),
-//! * [`AdaptiveParamNoise`] — parameter-space exploration (Plappert et al.),
-//!   the paper's exploration mechanism, plus [`OrnsteinUhlenbeck`]
+//! * `AdaptiveParamNoise` — parameter-space exploration (Plappert et al.),
+//!   the paper's exploration mechanism, plus `OrnsteinUhlenbeck`
 //!   action-space noise as the ablation baseline,
 //! * [`policy`] — the mapping between softmax action distributions and
 //!   integer consumer allocations, `m_j = ⌊C · a_j⌋`.
@@ -57,10 +57,10 @@ pub mod policy;
 mod replay;
 
 pub use ddpg::{
-    Critic, Ddpg, DdpgConfig, DdpgSnapshot, Exploration, FrozenPolicy, PolicyWeights, TrainError,
+    Ddpg, DdpgConfig, DdpgSnapshot, Exploration, FrozenPolicy, PolicyWeights, TrainError,
     TrainHealth, TrainStats,
 };
 pub use env::{Environment, Transition};
-pub use noise::{AdaptiveParamNoise, OrnsteinUhlenbeck};
+pub(crate) use noise::{AdaptiveParamNoise, OrnsteinUhlenbeck};
 pub use norm::RunningNorm;
 pub use replay::{ReplayBuffer, StoredTransition};

@@ -10,19 +10,8 @@ use serde::{Deserialize, Serialize};
 /// distance* between the clean and perturbed policies is measured on recent
 /// states; `sigma` is scaled up when the distance falls below the target
 /// `delta` (noise too timid) and down when it exceeds it (noise too wild).
-///
-/// # Examples
-///
-/// ```
-/// use rl::AdaptiveParamNoise;
-///
-/// let mut noise = AdaptiveParamNoise::new(0.1, 0.2, 1.01);
-/// noise.adapt(0.05); // observed distance below target: explore harder
-/// assert!(noise.sigma() > 0.1);
-/// noise.adapt(0.5);  // too wild: back off
-/// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct AdaptiveParamNoise {
+pub(crate) struct AdaptiveParamNoise {
     sigma: f64,
     delta: f64,
     alpha: f64,
@@ -36,7 +25,7 @@ impl AdaptiveParamNoise {
     ///
     /// Panics unless `sigma > 0`, `delta > 0` and `alpha > 1`.
     #[must_use]
-    pub fn new(sigma: f64, delta: f64, alpha: f64) -> Self {
+    pub(crate) fn new(sigma: f64, delta: f64, alpha: f64) -> Self {
         assert!(sigma > 0.0, "sigma must be positive");
         assert!(delta > 0.0, "delta must be positive");
         assert!(alpha > 1.0, "alpha must exceed 1");
@@ -49,19 +38,13 @@ impl AdaptiveParamNoise {
 
     /// The current perturbation scale.
     #[must_use]
-    pub fn sigma(&self) -> f64 {
+    pub(crate) fn sigma(&self) -> f64 {
         self.sigma
-    }
-
-    /// The target action-space distance.
-    #[must_use]
-    pub fn delta(&self) -> f64 {
-        self.delta
     }
 
     /// Updates `sigma` from the observed action-space `distance` between the
     /// clean and perturbed policies.
-    pub fn adapt(&mut self, distance: f64) {
+    pub(crate) fn adapt(&mut self, distance: f64) {
         if distance < self.delta {
             self.sigma *= self.alpha;
         } else {
@@ -76,7 +59,7 @@ impl AdaptiveParamNoise {
     /// # Panics
     ///
     /// Panics unless `factor` is finite and positive.
-    pub fn scale_sigma(&mut self, factor: f64) {
+    pub(crate) fn scale_sigma(&mut self, factor: f64) {
         assert!(
             factor.is_finite() && factor > 0.0,
             "sigma scale factor must be finite and positive"
@@ -89,20 +72,8 @@ impl AdaptiveParamNoise {
 /// (Lillicrap et al.) used here as the ablation baseline the paper argues
 /// against: added directly to actions it frequently violates the consumer
 /// budget (§IV-D).
-///
-/// # Examples
-///
-/// ```
-/// use rl::OrnsteinUhlenbeck;
-/// use rand::SeedableRng;
-///
-/// let mut noise = OrnsteinUhlenbeck::new(2, 0.15, 0.2);
-/// let mut rng = rand::rngs::SmallRng::seed_from_u64(0);
-/// let n1 = noise.sample(&mut rng);
-/// assert_eq!(n1.len(), 2);
-/// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct OrnsteinUhlenbeck {
+pub(crate) struct OrnsteinUhlenbeck {
     theta: f64,
     sigma: f64,
     state: Vec<f64>,
@@ -116,7 +87,7 @@ impl OrnsteinUhlenbeck {
     ///
     /// Panics unless `dim > 0`, `theta >= 0`, and `sigma >= 0`.
     #[must_use]
-    pub fn new(dim: usize, theta: f64, sigma: f64) -> Self {
+    pub(crate) fn new(dim: usize, theta: f64, sigma: f64) -> Self {
         assert!(dim > 0, "dimension must be positive");
         assert!(
             theta >= 0.0 && sigma >= 0.0,
@@ -130,7 +101,7 @@ impl OrnsteinUhlenbeck {
     }
 
     /// Advances the process one step and returns the new noise vector.
-    pub fn sample<R: rand::Rng + ?Sized>(&mut self, rng: &mut R) -> Vec<f64> {
+    pub(crate) fn sample<R: rand::Rng + ?Sized>(&mut self, rng: &mut R) -> Vec<f64> {
         use rand_distr::{Distribution, StandardNormal};
         for x in &mut self.state {
             let dw: f64 = StandardNormal.sample(rng);
@@ -140,7 +111,7 @@ impl OrnsteinUhlenbeck {
     }
 
     /// Resets the process to zero.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.state.iter_mut().for_each(|x| *x = 0.0);
     }
 }

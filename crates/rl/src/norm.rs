@@ -49,8 +49,9 @@ impl RunningNorm {
     }
 
     /// Number of observations folded in so far.
+    #[cfg(test)]
     #[must_use]
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.count
     }
 
@@ -95,7 +96,7 @@ impl RunningNorm {
     /// # Panics
     ///
     /// Panics on dimension mismatch.
-    pub fn normalize_into(&self, x: &[f64], out: &mut Vec<f64>) {
+    pub(crate) fn normalize_into(&self, x: &[f64], out: &mut Vec<f64>) {
         out.clear();
         out.resize(x.len(), 0.0);
         self.normalize_slice(x, out);
@@ -108,7 +109,7 @@ impl RunningNorm {
     /// # Panics
     ///
     /// Panics on dimension mismatch.
-    pub fn normalize_slice(&self, x: &[f64], out: &mut [f64]) {
+    pub(crate) fn normalize_slice(&self, x: &[f64], out: &mut [f64]) {
         assert_eq!(x.len(), self.mean.len(), "dimension mismatch");
         assert_eq!(out.len(), x.len(), "output length mismatch");
         if self.count < 2 {

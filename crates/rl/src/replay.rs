@@ -62,12 +62,6 @@ impl ReplayBuffer {
         }
     }
 
-    /// Maximum number of stored transitions.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Number of stored transitions.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -128,12 +122,6 @@ impl ReplayBuffer {
     /// Iterates over all stored transitions in storage order.
     pub fn iter(&self) -> impl Iterator<Item = &StoredTransition> {
         self.items.iter()
-    }
-
-    /// Removes everything.
-    pub fn clear(&mut self) {
-        self.items.clear();
-        self.write_cursor = 0;
     }
 }
 
@@ -199,16 +187,6 @@ mod tests {
             .map(|x| x.reward as u64)
             .collect();
         assert_eq!(seen.len(), 8);
-    }
-
-    #[test]
-    fn clear_empties() {
-        let mut buf = ReplayBuffer::new(2);
-        buf.push(t(0.0));
-        buf.clear();
-        assert!(buf.is_empty());
-        buf.push(t(1.0));
-        assert_eq!(buf.len(), 1);
     }
 
     #[test]

@@ -121,12 +121,6 @@ impl<T> AdmissionQueue<T> {
         }
     }
 
-    /// The active configuration (after clamping).
-    #[must_use]
-    pub fn config(&self) -> AdmissionConfig {
-        self.config
-    }
-
     fn lock(&self) -> std::sync::MutexGuard<'_, QueueState<T>> {
         self.state
             .lock()
@@ -184,26 +178,26 @@ impl<T> AdmissionQueue<T> {
     }
 
     /// Non-blocking pop (the deterministic chaos executor's primitive).
-    pub fn try_pop(&self) -> Option<T> {
+    pub(crate) fn try_pop(&self) -> Option<T> {
         self.lock().entries.pop_front()
     }
 
     /// Closes the queue: future pushes shed, and poppers drain what remains
     /// then observe the end of the stream.
-    pub fn close(&self) {
+    pub(crate) fn close(&self) {
         self.lock().closed = true;
         self.ready.notify_all();
     }
 
     /// Admitted-but-undecided windows right now.
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.lock().entries.len()
     }
 
     /// Whether the queue is currently empty.
     #[must_use]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 }
@@ -234,7 +228,12 @@ pub struct ServeCounters {
 impl ServeCounters {
     /// Adds `n` to a counter and mirrors the increment into `telemetry`
     /// under `name`.
-    pub fn bump(counter: &AtomicU64, n: u64, telemetry: &telemetry::Telemetry, name: &'static str) {
+    pub(crate) fn bump(
+        counter: &AtomicU64,
+        n: u64,
+        telemetry: &telemetry::Telemetry,
+        name: &'static str,
+    ) {
         counter.fetch_add(n, Ordering::Relaxed);
         telemetry.counter(name, n);
     }
@@ -385,7 +384,7 @@ mod tests {
     #[test]
     fn zero_inflight_clamps_to_one() {
         let q = queue(0, ShedPolicy::Reject);
-        assert_eq!(q.config().max_inflight, 1);
+        assert_eq!(q.config.max_inflight, 1);
         assert!(matches!(q.push(1), PushOutcome::Admitted));
         assert!(matches!(q.push(2), PushOutcome::ShedNew));
     }

@@ -25,19 +25,19 @@ use crate::wire::{parse_observation_line, DecisionRecord};
 /// SplitMix64 — tiny, seedable, excellent diffusion; enough for fault
 /// scheduling and keeps `serve` free of the `rand` dependency.
 #[derive(Debug, Clone)]
-pub struct SplitMix64 {
+pub(crate) struct SplitMix64 {
     state: u64,
 }
 
 impl SplitMix64 {
     /// Seeds the generator.
     #[must_use]
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         SplitMix64 { state: seed }
     }
 
     /// Next raw 64-bit value.
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -46,17 +46,17 @@ impl SplitMix64 {
     }
 
     /// Uniform in `[0, n)` (n >= 1).
-    pub fn below(&mut self, n: u64) -> u64 {
+    pub(crate) fn below(&mut self, n: u64) -> u64 {
         self.next_u64() % n.max(1)
     }
 
     /// Uniform in `[0, 1)`.
-    pub fn unit(&mut self) -> f64 {
+    pub(crate) fn unit(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
 
     /// Bernoulli with probability `p`.
-    pub fn chance(&mut self, p: f64) -> bool {
+    pub(crate) fn chance(&mut self, p: f64) -> bool {
         p > 0.0 && self.unit() < p
     }
 }
@@ -186,7 +186,7 @@ pub struct ChaosSchedule {
 /// `max_line_bytes` is the service's per-line bound; the oversized entry
 /// exceeds it by one byte.
 #[must_use]
-pub fn malformed_corpus(max_line_bytes: usize) -> Vec<String> {
+pub(crate) fn malformed_corpus(max_line_bytes: usize) -> Vec<String> {
     vec![
         "this is not json".to_string(),
         "{\"window\":1,\"wip\":[1.0".to_string(), // truncated mid-list

@@ -84,11 +84,11 @@ pub use admission::{
     AdmissionConfig, AdmissionQueue, CountersSnapshot, PushOutcome, ServeCounters, ShedPolicy,
 };
 pub use net::{spawn_metrics_endpoint, Listener};
-pub use retry::{io_transient, retry_with, RetryExhausted, RetryPolicy};
+pub use retry::RetryPolicy;
 pub use server::{serve_clients, ServerConfig, ServerReport};
 pub use service::{record_stream, replay_stream, DecisionService, LatencyStats, ServeError};
 pub use watcher::{load_policy, CheckpointWatcher, LoadError, SwapOutcome};
 pub use wire::{
-    parse_observation_line, DecisionRecord, DecisionStatus, LineRead, LineReader,
-    WindowObservation, WireError, MAX_LINE_BYTES,
+    parse_observation_line, DecisionRecord, DecisionStatus, WindowObservation, WireError,
+    MAX_LINE_BYTES,
 };

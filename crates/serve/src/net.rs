@@ -65,15 +65,8 @@ impl Listener {
     /// writer halves of the same connection. Both halves are `Send` so the
     /// multi-client server can hand them to reader threads.
     ///
-    /// # Errors
-    ///
-    /// Propagates accept/clone failures.
-    pub fn accept(&self) -> io::Result<(Box<dyn BufRead + Send>, Box<dyn Write + Send>)> {
-        self.accept_timed(None)
-    }
-
-    /// [`Listener::accept`] with an optional per-read timeout on the
-    /// returned connection. A timed-out read surfaces as a transient
+    /// `read_timeout` sets an optional per-read timeout on the returned
+    /// connection. A timed-out read surfaces as a transient
     /// `WouldBlock`/`TimedOut` error, which is what lets reader threads
     /// apply bounded retry instead of hanging forever on a slow-loris
     /// client.
@@ -81,7 +74,7 @@ impl Listener {
     /// # Errors
     ///
     /// Propagates accept/clone/configure failures.
-    pub fn accept_timed(
+    pub(crate) fn accept_timed(
         &self,
         read_timeout: Option<std::time::Duration>,
     ) -> io::Result<(Box<dyn BufRead + Send>, Box<dyn Write + Send>)> {
@@ -176,7 +169,7 @@ mod tests {
             conn.read_to_string(&mut reply).unwrap();
             reply
         });
-        let (mut reader, mut writer) = listener.accept().unwrap();
+        let (mut reader, mut writer) = listener.accept_timed(None).unwrap();
         let mut line = String::new();
         reader.read_line(&mut line).unwrap();
         assert_eq!(line, "hello\n");
@@ -199,7 +192,7 @@ mod tests {
             conn.read_to_string(&mut reply).unwrap();
             reply
         });
-        let (mut reader, mut writer) = listener.accept().unwrap();
+        let (mut reader, mut writer) = listener.accept_timed(None).unwrap();
         let mut line = String::new();
         reader.read_line(&mut line).unwrap();
         assert_eq!(line, "{\"window\":0}\n");

@@ -35,19 +35,10 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy that never retries (single attempt).
-    #[must_use]
-    pub fn none() -> Self {
-        RetryPolicy {
-            attempts: 1,
-            ..RetryPolicy::default()
-        }
-    }
-
     /// The sleep before retry number `k` (0-based), exponentially doubled
     /// from `base` and capped at `max`.
     #[must_use]
-    pub fn backoff(&self, k: u32) -> Duration {
+    pub(crate) fn backoff(&self, k: u32) -> Duration {
         let factor = 1u32.checked_shl(k).unwrap_or(u32::MAX);
         self.base.saturating_mul(factor).min(self.max)
     }
@@ -56,7 +47,7 @@ impl RetryPolicy {
 /// A retried operation ran out of attempts; carries the operation label and
 /// the final underlying error.
 #[derive(Debug)]
-pub struct RetryExhausted<E> {
+pub(crate) struct RetryExhausted<E> {
     /// Stable label of the operation (`"accept"`, `"client_read"`,
     /// `"watcher_fingerprint"`).
     pub op: &'static str,
@@ -81,7 +72,7 @@ impl<E: fmt::Display + fmt::Debug> std::error::Error for RetryExhausted<E> {}
 /// Whether an I/O error is worth retrying: interruptions, timeouts, and
 /// transient connection teardown seen during accept.
 #[must_use]
-pub fn io_transient(e: &io::Error) -> bool {
+pub(crate) fn io_transient(e: &io::Error) -> bool {
     matches!(
         e.kind(),
         io::ErrorKind::Interrupted
@@ -102,7 +93,7 @@ pub fn io_transient(e: &io::Error) -> bool {
 /// # Errors
 ///
 /// [`RetryExhausted`] as described above.
-pub fn retry_with<T, E>(
+pub(crate) fn retry_with<T, E>(
     policy: RetryPolicy,
     op: &'static str,
     transient: impl Fn(&E) -> bool,

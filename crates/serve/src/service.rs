@@ -172,15 +172,6 @@ impl DecisionService {
         self
     }
 
-    /// Shares an externally owned counter block (the multi-client server
-    /// threads its reader-side counters through here so one snapshot covers
-    /// the whole process).
-    #[must_use]
-    pub fn with_counters(mut self, counters: Arc<ServeCounters>) -> Self {
-        self.counters = counters;
-        self
-    }
-
     /// Declares the WIP dimension the serving ensemble uses; observations
     /// of any other dimension are wire-rejected before they can reach a
     /// policy (whose input layer they would otherwise violate).
@@ -223,13 +214,13 @@ impl DecisionService {
 
     /// The telemetry handle (cloneable; reader threads record through it).
     #[must_use]
-    pub fn telemetry(&self) -> Telemetry {
+    pub(crate) fn telemetry(&self) -> Telemetry {
         self.telemetry.clone()
     }
 
     /// The expected WIP dimension, when declared.
     #[must_use]
-    pub fn expected_dims(&self) -> Option<usize> {
+    pub(crate) fn expected_dims(&self) -> Option<usize> {
         self.expected_dims
     }
 
@@ -242,7 +233,7 @@ impl DecisionService {
     /// Chaos hook: adds `stall` to the *next* decision's effective latency
     /// (accounting-only — no real sleep), forcing a deterministic deadline
     /// miss. Consumed by the next [`DecisionService::handle`].
-    pub fn inject_stall(&mut self, stall: Duration) {
+    pub(crate) fn inject_stall(&mut self, stall: Duration) {
         self.injected_stall = Some(stall);
     }
 
@@ -374,13 +365,13 @@ impl DecisionService {
     /// [`AdmissionQueue`](crate::AdmissionQueue)); this is the one place shed replies are
     /// minted, so counting stays consistent across the threaded server and
     /// the chaos executor.
-    pub fn shed_reply(&mut self, window: usize) -> DecisionRecord {
+    pub(crate) fn shed_reply(&mut self, window: usize) -> DecisionRecord {
         ServeCounters::bump(&self.counters.shed, 1, &self.telemetry, "serve.shed");
         DecisionRecord::shed(window, self.policy.name())
     }
 
     /// Records a wire rejection (malformed/oversized/bad-dims input line).
-    pub fn note_wire_rejected(&self, lineno: usize, error: &crate::wire::WireError) {
+    pub(crate) fn note_wire_rejected(&self, lineno: usize, error: &crate::wire::WireError) {
         ServeCounters::bump(
             &self.counters.wire_rejected,
             1,

@@ -336,7 +336,7 @@ impl Drop for Verifier {
 /// keeps the old policy, which is the safe behaviour for a live control
 /// loop. Transient probe failures are retried with bounded exponential
 /// backoff ([`RetryPolicy`]); the retry count is surfaced through
-/// [`CheckpointWatcher::take_retries`] so the service can fold it into the
+/// `CheckpointWatcher::take_retries` so the service can fold it into the
 /// `serve.retries` counter.
 ///
 /// [`poll`]: CheckpointWatcher::poll
@@ -388,7 +388,7 @@ impl CheckpointWatcher {
 
     /// Drains the count of transient-probe retries performed since the last
     /// call (the service folds this into `serve.retries`).
-    pub fn take_retries(&mut self) -> u64 {
+    pub(crate) fn take_retries(&mut self) -> u64 {
         std::mem::take(&mut self.retries)
     }
 

@@ -84,7 +84,7 @@ impl WireError {
     /// Short stable label for telemetry events (`parse`, `oversized`,
     /// `bad_dims`, `non_finite`).
     #[must_use]
-    pub fn kind(&self) -> &'static str {
+    pub(crate) fn kind(&self) -> &'static str {
         match self {
             WireError::Parse { .. } => "parse",
             WireError::Oversized { .. } => "oversized",
@@ -138,7 +138,7 @@ pub fn parse_observation_line(
 
 /// One line produced by [`LineReader::next_line`].
 #[derive(Debug)]
-pub enum LineRead {
+pub(crate) enum LineRead {
     /// A complete line (newline stripped; invalid UTF-8 replaced, which the
     /// JSON parser then rejects as garbage).
     Line(String),
@@ -158,7 +158,7 @@ pub enum LineRead {
 /// A transient read error (e.g. a socket read timeout) leaves the partial
 /// line intact; calling [`LineReader::next_line`] again resumes exactly
 /// where the failed read stopped.
-pub struct LineReader<R> {
+pub(crate) struct LineReader<R> {
     inner: R,
     max_bytes: usize,
     partial: Vec<u8>,
@@ -168,7 +168,7 @@ pub struct LineReader<R> {
 
 impl<R: BufRead> LineReader<R> {
     /// Wraps `inner`, bounding every line at `max_bytes`.
-    pub fn new(inner: R, max_bytes: usize) -> Self {
+    pub(crate) fn new(inner: R, max_bytes: usize) -> Self {
         LineReader {
             inner,
             max_bytes,
@@ -184,7 +184,7 @@ impl<R: BufRead> LineReader<R> {
     ///
     /// Propagates the underlying read error; partial-line state survives
     /// the error, so transient failures (timeouts) are resumable.
-    pub fn next_line(&mut self) -> io::Result<Option<LineRead>> {
+    pub(crate) fn next_line(&mut self) -> io::Result<Option<LineRead>> {
         loop {
             let (consumed, newline_at) = {
                 let chunk = self.inner.fill_buf()?;
@@ -268,7 +268,7 @@ pub struct WindowObservation {
 impl WindowObservation {
     /// The [`Observation`] a policy decides this window on.
     #[must_use]
-    pub fn observation(&self) -> Observation<'_> {
+    pub(crate) fn observation(&self) -> Observation<'_> {
         Observation::new(&self.wip, self.metrics.as_ref(), self.window)
     }
 }
@@ -381,7 +381,7 @@ impl<'de> Deserialize<'de> for DecisionRecord {
 impl DecisionRecord {
     /// A normal decision from the primary policy.
     #[must_use]
-    pub fn normal(
+    pub(crate) fn normal(
         window: usize,
         policy: &str,
         policy_version: u64,
@@ -399,7 +399,7 @@ impl DecisionRecord {
 
     /// A degraded decision: the fallback policy answered for the primary.
     #[must_use]
-    pub fn degraded(
+    pub(crate) fn degraded(
         window: usize,
         policy: &str,
         policy_version: u64,
@@ -419,7 +419,7 @@ impl DecisionRecord {
     /// ran. `policy` names the serving policy for attribution; the version
     /// is 0 because no versioned decision was made.
     #[must_use]
-    pub fn shed(window: usize, policy: &str) -> Self {
+    pub(crate) fn shed(window: usize, policy: &str) -> Self {
         DecisionRecord {
             window,
             policy: policy.to_string(),

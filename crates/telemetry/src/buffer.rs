@@ -53,22 +53,6 @@ impl BufferedRecorder {
         BufferedRecorder::default()
     }
 
-    /// Number of records captured so far.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a recording thread panicked while holding the buffer lock.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.records.lock().expect("buffer poisoned").len()
-    }
-
-    /// Whether nothing has been captured.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Replays every captured record, in capture order, into `target`.
     /// The buffer is left empty.
     ///
@@ -124,11 +108,11 @@ mod tests {
         tel.gauge("b", 2.0);
         tel.observe("c", 3.0);
         tel.event("d", &[("k", Value::Int(4))]);
-        assert_eq!(buf.len(), 4);
+        assert_eq!(buf.records.lock().unwrap().len(), 4);
 
         let sink = JsonlSink::in_memory();
         buf.replay(&Telemetry::new(sink.clone()));
-        assert!(buf.is_empty());
+        assert!(buf.records.lock().unwrap().is_empty());
         sink.try_flush().unwrap();
         let out = String::from_utf8(sink.take_output()).unwrap();
         assert!(out.contains("\"d\""), "event missing from {out}");

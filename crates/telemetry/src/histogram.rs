@@ -5,21 +5,8 @@
 ///
 /// Buckets are *non-cumulative* here (each observation lands in exactly one
 /// bucket); the JSONL sink emits the conventional cumulative `le` form.
-///
-/// # Examples
-///
-/// ```
-/// use telemetry::Histogram;
-///
-/// let mut h = Histogram::new(&[0.1, 1.0, 10.0]);
-/// h.observe(0.1); // boundary value lands in its own bucket (`le` semantics)
-/// h.observe(5.0);
-/// h.observe(100.0); // overflow
-/// assert_eq!(h.bucket_counts(), &[1, 0, 1, 1]);
-/// assert_eq!(h.count(), 3);
-/// ```
 #[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
+pub(crate) struct Histogram {
     bounds: Vec<f64>,
     counts: Vec<u64>,
     count: u64,
@@ -28,7 +15,8 @@ pub struct Histogram {
 
 /// Default bucket bounds, in seconds: span timers across the workspace range
 /// from sub-microsecond GEMM calls to multi-second training iterations.
-pub const DEFAULT_TIME_BOUNDS: &[f64] = &[1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0];
+pub(crate) const DEFAULT_TIME_BOUNDS: &[f64] =
+    &[1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0];
 
 impl Histogram {
     /// Creates a histogram with the given finite, strictly increasing upper
@@ -38,7 +26,7 @@ impl Histogram {
     ///
     /// Panics if the bounds are not finite and strictly increasing.
     #[must_use]
-    pub fn new(bounds: &[f64]) -> Self {
+    pub(crate) fn new(bounds: &[f64]) -> Self {
         assert!(
             bounds.windows(2).all(|w| w[0] < w[1]),
             "histogram bounds must be strictly increasing"
@@ -57,14 +45,14 @@ impl Histogram {
 
     /// A histogram over `DEFAULT_TIME_BOUNDS`.
     #[must_use]
-    pub fn default_time() -> Self {
+    pub(crate) fn default_time() -> Self {
         Histogram::new(DEFAULT_TIME_BOUNDS)
     }
 
     /// Records one observation. A value equal to a bound lands in that
     /// bound's bucket (`value <= bound`, Prometheus `le` semantics); `NaN`
     /// counts into the overflow bucket so totals stay consistent.
-    pub fn observe(&mut self, value: f64) {
+    pub(crate) fn observe(&mut self, value: f64) {
         let idx = self
             .bounds
             .iter()
@@ -77,34 +65,27 @@ impl Histogram {
 
     /// Upper bounds, excluding the implicit `+Inf`.
     #[must_use]
-    pub fn bounds(&self) -> &[f64] {
+    pub(crate) fn bounds(&self) -> &[f64] {
         &self.bounds
     }
 
     /// Per-bucket (non-cumulative) counts; the last entry is the overflow
     /// bucket.
     #[must_use]
-    pub fn bucket_counts(&self) -> &[u64] {
+    pub(crate) fn bucket_counts(&self) -> &[u64] {
         &self.counts
     }
 
     /// Total number of observations.
     #[must_use]
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.count
     }
 
     /// Sum of all observed values.
     #[must_use]
-    pub fn sum(&self) -> f64 {
+    pub(crate) fn sum(&self) -> f64 {
         self.sum
-    }
-
-    /// Mean observed value, or `None` before the first observation.
-    #[must_use]
-    pub fn mean(&self) -> Option<f64> {
-        #[allow(clippy::cast_precision_loss)]
-        (self.count > 0).then(|| self.sum / self.count as f64)
     }
 }
 
@@ -152,15 +133,6 @@ mod tests {
         h.observe(f64::NAN);
         assert_eq!(h.bucket_counts(), &[0, 1]);
         assert_eq!(h.count(), 1);
-    }
-
-    #[test]
-    fn mean_tracks_sum_over_count() {
-        let mut h = Histogram::default_time();
-        assert_eq!(h.mean(), None);
-        h.observe(1.0);
-        h.observe(3.0);
-        assert_eq!(h.mean(), Some(2.0));
     }
 
     #[test]

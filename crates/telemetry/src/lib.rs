@@ -36,7 +36,7 @@ mod scrape;
 mod sink;
 
 pub use buffer::BufferedRecorder;
-pub use histogram::Histogram;
+pub(crate) use histogram::Histogram;
 pub use scrape::ScrapeRecorder;
 pub use sink::JsonlSink;
 
@@ -73,21 +73,6 @@ pub trait Recorder: Send + Sync {
 
     /// Writes out any buffered state. Called at the end of a run.
     fn flush(&self) {}
-}
-
-/// A recorder that discards everything.
-///
-/// [`Telemetry::noop`] does not actually allocate one of these — a disabled
-/// handle holds no recorder at all — but the type is useful where an
-/// `Arc<dyn Recorder>` is required unconditionally.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoopRecorder;
-
-impl Recorder for NoopRecorder {
-    fn counter(&self, _name: &str, _delta: u64) {}
-    fn gauge(&self, _name: &str, _value: f64) {}
-    fn observe(&self, _name: &str, _value: f64) {}
-    fn event(&self, _name: &str, _data: Value) {}
 }
 
 /// Cheap cloneable handle through which instrumented code records.
@@ -187,7 +172,7 @@ impl Telemetry {
     /// (the replay path of [`BufferedRecorder`]; prefer
     /// [`Telemetry::event`] / [`Telemetry::event_struct`] at call sites).
     #[inline]
-    pub fn event_value(&self, name: &str, data: Value) {
+    pub(crate) fn event_value(&self, name: &str, data: Value) {
         if let Some(r) = &self.inner {
             r.event(name, data);
         }
@@ -313,7 +298,7 @@ impl Recorder for FanoutRecorder {
 /// The vendored `serde_json` (like real JSON) rejects `NaN`/`±inf`;
 /// diagnostics containing them (e.g. a diverged loss) must still serialise.
 #[must_use]
-pub fn sanitize(value: Value) -> Value {
+pub(crate) fn sanitize(value: Value) -> Value {
     match value {
         Value::Float(f) if !f.is_finite() => Value::Null,
         Value::Array(items) => Value::Array(items.into_iter().map(sanitize).collect()),

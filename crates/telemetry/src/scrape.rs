@@ -54,17 +54,6 @@ impl ScrapeRecorder {
         })
     }
 
-    /// Overrides the histogram bucket bounds for `name`; must be called
-    /// before the first observation of that histogram (later calls are
-    /// ignored, mirroring [`JsonlSink::set_buckets`](crate::JsonlSink::set_buckets)).
-    pub fn set_buckets(&self, name: &str, bounds: &[f64]) {
-        let mut state = self.lock();
-        state
-            .histograms
-            .entry(name.to_string())
-            .or_insert_with(|| Histogram::new(bounds));
-    }
-
     /// Renders the current aggregates as a Prometheus text-format page.
     ///
     /// Output is deterministic for a given recorder state (sorted by metric
@@ -177,7 +166,10 @@ mod tests {
         tel.counter("serve.decisions", 2);
         tel.counter("serve.decisions", 1);
         tel.gauge("serve.policy_version", 3.0);
-        scrape.set_buckets("serve.latency", &[0.001, 0.01]);
+        scrape
+            .lock()
+            .histograms
+            .insert("serve.latency".into(), Histogram::new(&[0.001, 0.01]));
         tel.observe("serve.latency", 0.0005);
         tel.observe("serve.latency", 0.5);
         tel.event("decision", &[]);

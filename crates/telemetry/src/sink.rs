@@ -45,7 +45,6 @@ pub struct JsonlSink {
 enum Output {
     /// A file plus buffering; flush fsyncs for crash durability.
     File(BufWriter<File>),
-    Writer(Box<dyn Write + Send>),
     Buffer(Vec<u8>),
 }
 
@@ -91,12 +90,6 @@ impl JsonlSink {
         Ok(Self::with_output(Output::File(BufWriter::new(file))))
     }
 
-    /// Creates a sink over an arbitrary writer.
-    #[must_use]
-    pub fn to_writer<W: Write + Send + 'static>(writer: W) -> Arc<Self> {
-        Self::with_output(Output::Writer(Box::new(writer)))
-    }
-
     /// Creates a sink that accumulates its output in memory; retrieve it
     /// with [`JsonlSink::take_output`]. Intended for tests.
     #[must_use]
@@ -106,12 +99,12 @@ impl JsonlSink {
 
     /// Takes the bytes accumulated by an [`JsonlSink::in_memory`] sink
     /// (without flushing first — call [`Recorder::flush`] yourself).
-    /// Returns an empty vector for writer-backed sinks.
+    /// Returns an empty vector for file-backed sinks.
     #[must_use]
     pub fn take_output(&self) -> Vec<u8> {
         match &mut self.lock().out {
             Output::Buffer(buf) => std::mem::take(buf),
-            Output::File(_) | Output::Writer(_) => Vec::new(),
+            Output::File(_) => Vec::new(),
         }
     }
 
@@ -128,7 +121,6 @@ impl JsonlSink {
         let write_res = state.write_lines();
         let sync_res = match &mut state.out {
             Output::File(w) => w.flush().and_then(|()| w.get_ref().sync_all()),
-            Output::Writer(w) => w.flush(),
             Output::Buffer(_) => Ok(()),
         };
         state.dirty = false;
@@ -179,7 +171,6 @@ impl SinkState {
     fn write_lines(&mut self) -> io::Result<()> {
         let out: &mut dyn Write = match &mut self.out {
             Output::File(w) => w,
-            Output::Writer(w) => w,
             Output::Buffer(b) => b,
         };
         let mut result = Ok(());

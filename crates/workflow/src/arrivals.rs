@@ -280,12 +280,6 @@ impl PoissonProcess {
         PoissonProcess { rates_per_sec }
     }
 
-    /// The configured rates.
-    #[must_use]
-    pub fn rates(&self) -> &[f64] {
-        &self.rates_per_sec
-    }
-
     /// Samples arrivals over `[0, horizon)`.
     pub fn generate<R: Rng + ?Sized>(&self, horizon: SimTime, rng: &mut R) -> ArrivalTrace {
         let mut trace = Vec::new();
@@ -344,7 +338,7 @@ impl BurstSpec {
 
     /// Total number of requests across types.
     #[must_use]
-    pub fn total(&self) -> usize {
+    pub(crate) fn total(&self) -> usize {
         self.counts.iter().sum()
     }
 

@@ -179,12 +179,6 @@ impl Dag {
         &self.task_types
     }
 
-    /// The precedence edges as `(from, to)` node pairs.
-    #[must_use]
-    pub fn edges(&self) -> &[(usize, usize)] {
-        &self.edges
-    }
-
     /// Nodes with no predecessors — the tasks released when a workflow
     /// request arrives.
     #[must_use]
@@ -271,15 +265,6 @@ impl Dag {
         out.push_str("}\n");
         out
     }
-
-    /// Iterates over the distinct task types used by this workflow.
-    pub fn distinct_task_types(&self) -> impl Iterator<Item = TaskTypeId> + '_ {
-        let mut seen = std::collections::BTreeSet::new();
-        self.task_types
-            .iter()
-            .copied()
-            .filter(move |t| seen.insert(*t))
-    }
 }
 
 #[cfg(test)]
@@ -365,16 +350,9 @@ mod tests {
             }
             p
         };
-        for &(a, b) in d.edges() {
+        for &(a, b) in &d.edges {
             assert!(pos[a] < pos[b]);
         }
-    }
-
-    #[test]
-    fn distinct_task_types_dedupes() {
-        let d = Dag::new(vec![t(1), t(1), t(2)], vec![(0, 1), (1, 2)]).unwrap();
-        let distinct: Vec<_> = d.distinct_task_types().collect();
-        assert_eq!(distinct, vec![t(1), t(2)]);
     }
 
     #[test]

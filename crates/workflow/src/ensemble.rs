@@ -431,7 +431,11 @@ impl Ensemble {
     }
 
     /// Iterates over the workflow types whose DAG uses task type `j`.
-    pub fn workflows_using(&self, j: TaskTypeId) -> impl Iterator<Item = WorkflowTypeId> + '_ {
+    #[cfg(test)]
+    pub(crate) fn workflows_using(
+        &self,
+        j: TaskTypeId,
+    ) -> impl Iterator<Item = WorkflowTypeId> + '_ {
         self.workflows
             .iter()
             .enumerate()

@@ -10,7 +10,7 @@
 //!   with the paper's two evaluation ensembles, [`Ensemble::msd`] (Material
 //!   Science Data: 3 workflows over 4 task types) and [`Ensemble::ligo`]
 //!   (LIGO inspiral analysis: 4 workflows over 9 task types),
-//! * [`arrivals`] — Poisson request processes, burst injections, and merged
+//! * `arrivals` — Poisson request processes, burst injections, and merged
 //!   arrival traces, mirroring §VI-A1 and §VI-D of the paper.
 //!
 //! The DAG shapes are reconstructions (the paper never prints them); see
@@ -26,14 +26,18 @@
 //! assert_eq!(msd.num_workflow_types(), 3);
 //! // Task type C is shared by all three MSD workflow types.
 //! let c = msd.task_type_by_name("C").unwrap();
-//! let sharing = msd.workflows_using(c).count();
+//! let sharing = msd
+//!     .workflows()
+//!     .iter()
+//!     .filter(|w| w.dag.task_types().contains(&c))
+//!     .count();
 //! assert_eq!(sharing, 3);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod arrivals;
+pub(crate) mod arrivals;
 mod dag;
 mod ensemble;
 mod ids;

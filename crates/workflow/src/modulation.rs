@@ -58,11 +58,11 @@ mod simtime_serde {
     use desim::SimTime;
     use serde::{Deserialize, Deserializer, Serializer};
 
-    pub fn serialize<S: Serializer>(t: &SimTime, s: S) -> Result<S::Ok, S::Error> {
+    pub(crate) fn serialize<S: Serializer>(t: &SimTime, s: S) -> Result<S::Ok, S::Error> {
         s.serialize_u64(t.as_micros())
     }
 
-    pub fn deserialize<'de, D: Deserializer<'de>>(d: D) -> Result<SimTime, D::Error> {
+    pub(crate) fn deserialize<'de, D: Deserializer<'de>>(d: D) -> Result<SimTime, D::Error> {
         Ok(SimTime::from_micros(u64::deserialize(d)?))
     }
 }
@@ -70,7 +70,7 @@ mod simtime_serde {
 impl RatePattern {
     /// The rate multiplier at time `t` (non-negative).
     #[must_use]
-    pub fn factor(&self, t: SimTime) -> f64 {
+    pub(crate) fn factor(&self, t: SimTime) -> f64 {
         match self {
             RatePattern::Constant => 1.0,
             RatePattern::Sine { period, amplitude } => {
@@ -101,7 +101,7 @@ impl RatePattern {
 
     /// An upper bound on the multiplier over all times (used for thinning).
     #[must_use]
-    pub fn max_factor(&self) -> f64 {
+    pub(crate) fn max_factor(&self) -> f64 {
         match self {
             RatePattern::Constant => 1.0,
             RatePattern::Sine { amplitude, .. } => 1.0 + amplitude.abs(),
@@ -156,18 +156,6 @@ impl ModulatedPoisson {
             base_rates,
             pattern,
         }
-    }
-
-    /// The base (unmodulated) rates.
-    #[must_use]
-    pub fn base_rates(&self) -> &[f64] {
-        &self.base_rates
-    }
-
-    /// The modulation pattern.
-    #[must_use]
-    pub fn pattern(&self) -> &RatePattern {
-        &self.pattern
     }
 
     /// Samples arrivals over `[0, horizon)` with Lewis–Shedler thinning.
