@@ -58,18 +58,43 @@ impl MirasAgent {
         }
     }
 
-    /// Attaches the observation normaliser the actor was trained with.
-    /// Without it, raw WIP magnitudes would be far outside the input
-    /// distribution the network saw during training.
-    #[must_use]
-    pub(crate) fn with_normalizer(mut self, norm: RunningNorm) -> Self {
-        assert_eq!(
-            norm.dim(),
-            self.actor.input_dim(),
-            "normaliser dimension mismatch"
-        );
-        self.obs_norm = Some(norm);
-        self
+    /// Wraps a trained actor with the observation normaliser it was
+    /// trained with. Without it, raw WIP magnitudes would be far outside
+    /// the input distribution the network saw during training. Unchecked:
+    /// parts decoded from a file go through [`MirasAgent::validate`].
+    pub(crate) fn from_parts(actor: Mlp, obs_norm: RunningNorm, consumer_budget: usize) -> Self {
+        MirasAgent {
+            actor,
+            obs_norm: Some(obs_norm),
+            consumer_budget,
+            strict_floor: false,
+        }
+    }
+
+    /// Checks that a deserialized agent can decide: a well-formed actor
+    /// mapping `J` task types to `J` allocation shares, and a well-formed
+    /// normaliser over the same `J`. [`MirasAgent::new`] asserts the same;
+    /// a decoded agent bypasses it.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first violation found.
+    pub(crate) fn validate(&self) -> Result<(), String> {
+        self.actor.validate().map_err(|e| format!("actor: {e}"))?;
+        let (input, output) = (self.actor.input_dim(), self.actor.output_dim());
+        if input != output {
+            return Err(format!("actor maps {input} task types to {output}"));
+        }
+        if let Some(norm) = &self.obs_norm {
+            norm.validate().map_err(|e| format!("normaliser: {e}"))?;
+            if norm.dim() != input {
+                return Err(format!(
+                    "normaliser over {} dimensions for {input} task types",
+                    norm.dim()
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// The number of task types `J` this agent controls.

@@ -9,18 +9,28 @@
 //! never interrupted (verified by `trainer::tests` and
 //! `crates/bench/tests/resume.rs`).
 //!
-//! Saves are atomic: the payload is written to a `<path>.tmp` sibling,
+//! A checkpoint file is two lines. The first is the *policy line*: one
+//! compact JSON object holding the deployable agent and its policy version
+//! (the iteration), which is all serving reads ([`decode_policy_line`]);
+//! `head -n 1` of a checkpoint is therefore a servable policy file. The
+//! second is the training state, which only resume reads. Files written
+//! before policy lines existed hold the training state alone, on one line,
+//! and still load both ways.
+//!
+//! Saves are atomic: both lines are written to a `<path>.tmp` sibling,
 //! fsynced, then renamed over the target, so a crash mid-save can never
-//! leave a truncated checkpoint in place of a good one. Loads validate the
-//! format version and reject corrupt or truncated files with
-//! [`CheckpointError::Corrupt`] instead of panicking.
+//! leave a truncated checkpoint in place of a good one, and the two lines
+//! always come from the same save. Loads validate the format version and
+//! reject corrupt or truncated files with [`CheckpointError::Corrupt`]
+//! instead of panicking.
 
 use std::fmt;
 use std::fs::File;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::Path;
 
 use rl::DdpgSnapshot;
+use serde::value::{from_value, Value};
 use serde::{Deserialize, Serialize};
 
 use crate::adapter::AdapterSnapshot;
@@ -94,9 +104,27 @@ pub struct CheckpointPayload {
     pub(crate) last_schedule: Option<VersionSchedule>,
 }
 
+/// The first line of every checkpoint: exactly what
+/// [`CheckpointPayload::deployable_agent`] returns, plus the iteration it
+/// was saved after as the policy version.
+#[derive(Serialize, Deserialize)]
+struct PolicyLine {
+    policy_version: u64,
+    agent: MirasAgent,
+}
+
+fn serialization_failed(e: serde_json::Error) -> CheckpointError {
+    CheckpointError::Corrupt(format!("serialization failed: {e}"))
+}
+
+fn parse_failed(e: serde_json::Error) -> CheckpointError {
+    CheckpointError::Corrupt(format!("parse failed: {e}"))
+}
+
 impl CheckpointPayload {
-    /// Serializes the payload and atomically writes it to `path`
-    /// (temp file + fsync + rename, plus a best-effort directory fsync).
+    /// Serializes the payload behind its policy line and atomically writes
+    /// both to `path` (temp file + fsync + rename, plus a best-effort
+    /// directory fsync).
     ///
     /// # Errors
     ///
@@ -104,12 +132,18 @@ impl CheckpointPayload {
     /// [`CheckpointError::Corrupt`] if serialization itself fails (which
     /// indicates a bug, e.g. a NaN smuggled into a field that rejects it).
     pub(crate) fn save(&self, path: &Path) -> Result<(), CheckpointError> {
-        let json = serde_json::to_string(self)
-            .map_err(|e| CheckpointError::Corrupt(format!("serialization failed: {e}")))?;
+        let policy = PolicyLine {
+            policy_version: self.iteration as u64,
+            agent: self.deployable_agent(),
+        };
+        let policy = serde_json::to_string(&policy).map_err(serialization_failed)?;
+        let state = serde_json::to_string(self).map_err(serialization_failed)?;
         let tmp = format!("{}.tmp", path.display());
         {
             let mut f = File::create(&tmp)?;
-            f.write_all(json.as_bytes())?;
+            f.write_all(policy.as_bytes())?;
+            f.write_all(b"\n")?;
+            f.write_all(state.as_bytes())?;
             f.sync_all()?;
         }
         std::fs::rename(&tmp, path)?;
@@ -135,16 +169,16 @@ impl CheckpointPayload {
     /// actor + observation-normaliser snapshot
     /// [`MirasTrainer::agent`](crate::MirasTrainer::agent) would return
     /// after resuming this checkpoint, without rebuilding the trainer (or
-    /// needing the real environment at all). This is what `miras-serve`
-    /// loads.
+    /// needing the real environment at all). This is what the policy line
+    /// holds.
     #[must_use]
     pub fn deployable_agent(&self) -> MirasAgent {
-        let agent = rl::Ddpg::from_snapshot(self.agent.clone());
-        MirasAgent::new(agent.actor().clone(), self.consumer_budget)
-            .with_normalizer(agent.obs_normalizer().clone())
+        let (actor, obs_norm) = self.agent.greedy_policy();
+        MirasAgent::from_parts(actor.clone(), obs_norm.clone(), self.consumer_budget)
     }
 
-    /// Reads and validates a checkpoint from `path`.
+    /// Reads and validates a checkpoint from `path`, skipping its policy
+    /// line: the training state parses exactly as it was saved.
     ///
     /// # Errors
     ///
@@ -154,18 +188,77 @@ impl CheckpointPayload {
     /// protocol's temp file into place), and [`CheckpointError::Mismatch`]
     /// if its format version differs from `CHECKPOINT_VERSION`.
     pub fn load(path: &Path) -> Result<Self, CheckpointError> {
-        let mut json = String::new();
-        File::open(path)?.read_to_string(&mut json)?;
-        let payload: CheckpointPayload = serde_json::from_str(&json)
-            .map_err(|e| CheckpointError::Corrupt(format!("parse failed: {e}")))?;
-        if payload.version != CHECKPOINT_VERSION {
+        let text = String::from_utf8(std::fs::read(path)?)
+            .map_err(|e| CheckpointError::Corrupt(format!("not UTF-8: {e}")))?;
+        // A file without a newline predates policy lines: all of it is the
+        // training state.
+        let state = text
+            .split_once('\n')
+            .map_or(text.as_str(), |(_, state)| state);
+        serde_json::from_str::<CheckpointPayload>(state)
+            .map_err(parse_failed)?
+            .checked()
+    }
+
+    /// The payload, if its format version is the one this build reads.
+    fn checked(self) -> Result<Self, CheckpointError> {
+        if self.version != CHECKPOINT_VERSION {
             return Err(CheckpointError::Mismatch(format!(
                 "checkpoint version {} (this build reads {})",
-                payload.version, CHECKPOINT_VERSION
+                self.version, CHECKPOINT_VERSION
             )));
         }
-        Ok(payload)
+        Ok(self)
     }
+}
+
+/// Decodes the deployable policy from the first line of a policy file and
+/// returns it with its policy version. The line is parsed once and
+/// dispatched on its shape:
+///
+/// - a policy line, as every checkpoint starts with (or a `head -n 1` copy
+///   of one): the agent and the iteration it was saved after;
+/// - a bare serialized [`MirasAgent`]: version 0;
+/// - a checkpoint saved before policy lines existed, whose one line is the
+///   whole training state: its [`deployable_agent`] and iteration.
+///
+/// Only the last case parses training state; serving a current checkpoint
+/// never does. Whatever the shape, the agent is checked to be able to
+/// decide (well-formed actor and normaliser over one task-type count)
+/// before it is returned.
+///
+/// # Errors
+///
+/// [`CheckpointError::Corrupt`] if the line is not one of those shapes
+/// (e.g. it was cut short) or its agent cannot decide, and
+/// [`CheckpointError::Mismatch`] for a legacy checkpoint of another format
+/// version.
+///
+/// [`deployable_agent`]: CheckpointPayload::deployable_agent
+pub fn decode_policy_line(line: &str) -> Result<(MirasAgent, u64), CheckpointError> {
+    let value: Value = serde_json::from_str(line).map_err(parse_failed)?;
+    let Value::Object(fields) = &value else {
+        return Err(CheckpointError::Corrupt(format!(
+            "expected a JSON object, found {}",
+            value.kind()
+        )));
+    };
+    let has = |key: &str| fields.iter().any(|(k, _)| k == key);
+    let (agent, version) = if has("policy_version") {
+        let line: PolicyLine = from_value(value).map_err(parse_failed)?;
+        (line.agent, line.policy_version)
+    } else if has("actor") {
+        (from_value(value).map_err(parse_failed)?, 0)
+    } else {
+        let payload = from_value::<CheckpointPayload, _>(value)
+            .map_err(parse_failed)?
+            .checked()?;
+        (payload.deployable_agent(), payload.iteration as u64)
+    };
+    agent
+        .validate()
+        .map_err(|e| CheckpointError::Corrupt(format!("unusable agent: {e}")))?;
+    Ok((agent, version))
 }
 
 #[cfg(test)]
@@ -180,6 +273,60 @@ mod tests {
         assert!(e.to_string().contains("incompatible"));
         let e = CheckpointError::Io(std::io::Error::new(std::io::ErrorKind::NotFound, "gone"));
         assert!(e.to_string().contains("I/O"));
+    }
+
+    fn agent_json() -> String {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(0);
+        let actor = nn::Mlp::new(
+            &[4, 8, 4],
+            nn::Activation::Relu,
+            nn::Activation::Softmax,
+            &mut rng,
+        );
+        serde_json::to_string(&MirasAgent::new(actor, 14)).unwrap()
+    }
+
+    #[test]
+    fn agents_that_cannot_decide_are_refused() {
+        let agent = agent_json();
+        let norm = |dim: usize, clip: &str| {
+            let zeros = vec!["0.0"; dim].join(",");
+            format!(
+                "\"obs_norm\":{{\"count\":0,\"mean\":[{zeros}],\"m2\":[{zeros}],\"clip\":{clip}}}"
+            )
+        };
+        // JSON has no infinity, but a number too large for f64 parses as one.
+        let bias = agent.find("\"bias\":[").unwrap() + "\"bias\":[".len();
+        let first_bias_end = bias + agent[bias..].find(',').unwrap();
+        let infinite = format!("{}1e999{}", &agent[..bias], &agent[first_bias_end..]);
+        for (broken, why) in [
+            (infinite, "non-finite parameter"),
+            (
+                agent.replacen("\"rows\":8", "\"rows\":9", 1),
+                "9×4 weight matrix",
+            ),
+            (
+                agent.replacen("\"cols\":4", "\"cols\":8", 1),
+                "holds 32 entries",
+            ),
+            (
+                "{\"actor\":{\"layers\":[]},\"obs_norm\":null,\"consumer_budget\":14}".to_string(),
+                "no layers",
+            ),
+            (
+                agent.replace("\"obs_norm\":null", &norm(3, "5.0")),
+                "3 dimensions",
+            ),
+            (agent.replace("\"obs_norm\":null", &norm(4, "-1.0")), "clip"),
+            ("[1,2]".to_string(), "JSON object"),
+            (agent[..agent.len() / 2].to_string(), "parse failed"),
+        ] {
+            match decode_policy_line(&broken) {
+                Err(CheckpointError::Corrupt(msg)) => assert!(msg.contains(why), "{msg}"),
+                other => panic!("{why}: expected Corrupt, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -63,7 +63,7 @@ mod trainer;
 pub use adapter::{AdapterSnapshot, ClusterEnvAdapter};
 pub use agent::MirasAgent;
 pub use batch_env::BatchedSyntheticEnv;
-pub use checkpoint::{CheckpointError, CheckpointPayload};
+pub use checkpoint::{decode_policy_line, CheckpointError, CheckpointPayload};
 pub use config::{MirasConfig, RolloutMode};
 pub use dataset::{Transition, TransitionDataset};
 pub use dynamics::DynamicsModel;

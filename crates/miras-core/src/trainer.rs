@@ -151,8 +151,11 @@ impl MirasTrainer {
     /// including the observation normaliser it was trained with.
     #[must_use]
     pub fn agent(&self) -> MirasAgent {
-        MirasAgent::new(self.agent.actor().clone(), self.consumer_budget)
-            .with_normalizer(self.agent.obs_normalizer().clone())
+        MirasAgent::from_parts(
+            self.agent.actor().clone(),
+            self.agent.obs_normalizer().clone(),
+            self.consumer_budget,
+        )
     }
 
     /// The refined model built from the current model and dataset (useful
@@ -882,6 +885,24 @@ mod tests {
         // The agent extracted straight from the payload is the exact agent
         // a full resume would deploy (actor, normaliser and budget).
         assert_eq!(payload.deployable_agent(), trainer.agent());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn policy_line_holds_the_deployable_agent_of_the_same_file() {
+        let path = temp_checkpoint("policy_line");
+        let mut env = real_env(23);
+        let mut trainer = MirasTrainer::new(&env, MirasConfig::smoke_test(24));
+        let _ = trainer.run_iteration(&mut env);
+        let _ = trainer.run_iteration(&mut env);
+        trainer.save_checkpoint(&env, &path).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let (line, _) = text.split_once('\n').expect("a policy line");
+        let payload = crate::CheckpointPayload::load(&path).unwrap();
+        assert_eq!(
+            crate::decode_policy_line(line).unwrap(),
+            (payload.deployable_agent(), 2)
+        );
         std::fs::remove_file(&path).ok();
     }
 

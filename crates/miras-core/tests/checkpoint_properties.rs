@@ -1,7 +1,10 @@
 //! Property: checkpointing is invisible. For arbitrary seeds, interposing
 //! save → load between training iterations changes nothing — the resumed
 //! run's reports, agent state, and environment state are bit-identical to
-//! an uninterrupted run's.
+//! an uninterrupted run's. The same holds for checkpoints in the layout
+//! saved before policy lines existed.
+
+use std::path::Path;
 
 use microsim::{EnvConfig, MicroserviceEnv};
 use miras_core::{ClusterEnvAdapter, MirasConfig, MirasTrainer};
@@ -16,6 +19,62 @@ fn fresh(env_seed: u64, train_seed: u64) -> (MirasTrainer, ClusterEnvAdapter) {
     (trainer, env)
 }
 
+/// Rewrites the checkpoint at `path` in the layout saved before policy
+/// lines existed: the training-state line alone.
+fn strip_policy_line(path: &Path) {
+    let text = std::fs::read_to_string(path).unwrap();
+    let (_, state) = text.split_once('\n').expect("a policy line");
+    std::fs::write(path, state).unwrap();
+}
+
+/// Trains 1 + k iterations straight through and, separately, 1 iteration,
+/// save (in the legacy layout when `legacy`), resume, k iterations; the two
+/// must agree bit for bit.
+fn save_load_train_k(
+    env_seed: u64,
+    train_seed: u64,
+    k: usize,
+    legacy: bool,
+) -> Result<(), TestCaseError> {
+    let path = std::env::temp_dir().join(format!(
+        "miras_ckpt_prop_{env_seed}_{train_seed}_{k}_{legacy}.json"
+    ));
+
+    // Uninterrupted run: 1 + k iterations.
+    let (mut ref_trainer, mut ref_env) = fresh(env_seed, train_seed);
+    let _ = ref_trainer.run_iteration(&mut ref_env);
+    let mut ref_reports = Vec::new();
+    for _ in 0..k {
+        ref_reports.push(ref_trainer.run_iteration(&mut ref_env));
+    }
+
+    // Round-tripped run: 1 iteration, save, load, k iterations.
+    let (mut trainer, mut env) = fresh(env_seed, train_seed);
+    let _ = trainer.run_iteration(&mut env);
+    trainer.save_checkpoint(&env, &path).unwrap();
+    if legacy {
+        strip_policy_line(&path);
+    }
+    let (mut resumed, mut resumed_env) = MirasTrainer::resume(&path, Ensemble::msd()).unwrap();
+    let mut reports = Vec::new();
+    for _ in 0..k {
+        reports.push(resumed.run_iteration(&mut resumed_env));
+    }
+
+    prop_assert_eq!(reports, ref_reports);
+    // Bit-exact state comparison through the exact-f64 JSON round trip.
+    prop_assert_eq!(
+        serde_json::to_string(&resumed.agent_mut().snapshot()).unwrap(),
+        serde_json::to_string(&ref_trainer.agent_mut().snapshot()).unwrap()
+    );
+    prop_assert_eq!(
+        serde_json::to_string(&resumed_env.snapshot()).unwrap(),
+        serde_json::to_string(&ref_env.snapshot()).unwrap()
+    );
+    std::fs::remove_file(&path).ok();
+    Ok(())
+}
+
 proptest! {
     // Each case trains several smoke iterations; keep the budget small.
     #![proptest_config(ProptestConfig::with_cases(4))]
@@ -26,38 +85,15 @@ proptest! {
         train_seed in 0u64..1_000_000,
         k in 1usize..3,
     ) {
-        let path = std::env::temp_dir()
-            .join(format!("miras_ckpt_prop_{env_seed}_{train_seed}_{k}.json"));
+        save_load_train_k(env_seed, train_seed, k, false)?;
+    }
 
-        // Uninterrupted run: 1 + k iterations.
-        let (mut ref_trainer, mut ref_env) = fresh(env_seed, train_seed);
-        let _ = ref_trainer.run_iteration(&mut ref_env);
-        let mut ref_reports = Vec::new();
-        for _ in 0..k {
-            ref_reports.push(ref_trainer.run_iteration(&mut ref_env));
-        }
-
-        // Round-tripped run: 1 iteration, save, load, k iterations.
-        let (mut trainer, mut env) = fresh(env_seed, train_seed);
-        let _ = trainer.run_iteration(&mut env);
-        trainer.save_checkpoint(&env, &path).unwrap();
-        let (mut resumed, mut resumed_env) =
-            MirasTrainer::resume(&path, Ensemble::msd()).unwrap();
-        let mut reports = Vec::new();
-        for _ in 0..k {
-            reports.push(resumed.run_iteration(&mut resumed_env));
-        }
-
-        prop_assert_eq!(reports, ref_reports);
-        // Bit-exact state comparison through the exact-f64 JSON round trip.
-        prop_assert_eq!(
-            serde_json::to_string(&resumed.agent_mut().snapshot()).unwrap(),
-            serde_json::to_string(&ref_trainer.agent_mut().snapshot()).unwrap()
-        );
-        prop_assert_eq!(
-            serde_json::to_string(&resumed_env.snapshot()).unwrap(),
-            serde_json::to_string(&ref_env.snapshot()).unwrap()
-        );
-        std::fs::remove_file(&path).ok();
+    #[test]
+    fn legacy_save_load_train_k_is_bit_identical(
+        env_seed in 0u64..1_000_000,
+        train_seed in 0u64..1_000_000,
+        k in 1usize..3,
+    ) {
+        save_load_train_k(env_seed, train_seed, k, true)?;
     }
 }

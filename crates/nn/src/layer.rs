@@ -105,6 +105,35 @@ impl Dense {
         &self.bias
     }
 
+    /// Checks what a deserialized layer must hold before it can run: a
+    /// non-empty `fan_out × fan_in` weight matrix backed by exactly that
+    /// many entries, one bias per output, and only finite parameters.
+    pub(crate) fn validate(&self) -> Result<(), String> {
+        let (rows, cols) = (self.weights.rows(), self.weights.cols());
+        if rows == 0 || cols == 0 {
+            return Err(format!("empty {rows}×{cols} weight matrix"));
+        }
+        if rows.checked_mul(cols) != Some(self.weights.as_slice().len()) {
+            return Err(format!(
+                "{rows}×{cols} weight matrix holds {} entries",
+                self.weights.as_slice().len()
+            ));
+        }
+        if self.bias.len() != rows {
+            return Err(format!("{} biases for {rows} outputs", self.bias.len()));
+        }
+        if !self
+            .weights
+            .as_slice()
+            .iter()
+            .chain(&self.bias)
+            .all(|v| v.is_finite())
+        {
+            return Err("non-finite parameter".to_string());
+        }
+        Ok(())
+    }
+
     /// Number of trainable parameters.
     #[must_use]
     pub(crate) fn num_params(&self) -> usize {

@@ -121,6 +121,32 @@ impl Mlp {
         self.layers[self.layers.len() - 1].fan_out()
     }
 
+    /// Checks that a deserialized network can run: at least one layer,
+    /// every layer well formed with finite parameters, and each layer's
+    /// input as wide as the previous layer's output. [`Mlp::new`] always
+    /// builds such a network; a decoded one may not.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first violation found.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.layers.is_empty() {
+            return Err("network has no layers".to_string());
+        }
+        for (i, layer) in self.layers.iter().enumerate() {
+            layer.validate().map_err(|e| format!("layer {i}: {e}"))?;
+            if i > 0 && layer.fan_in() != self.layers[i - 1].fan_out() {
+                return Err(format!(
+                    "layer {i} takes {} inputs but layer {} gives {}",
+                    layer.fan_in(),
+                    i - 1,
+                    self.layers[i - 1].fan_out()
+                ));
+            }
+        }
+        Ok(())
+    }
+
     /// Total number of trainable parameters.
     #[must_use]
     pub(crate) fn num_params(&self) -> usize {

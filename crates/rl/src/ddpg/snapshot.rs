@@ -41,6 +41,16 @@ pub struct DdpgSnapshot {
     train_steps_done: u64,
 }
 
+impl DdpgSnapshot {
+    /// The greedy actor and the observation normaliser it was trained
+    /// with: all a deployed policy needs, borrowed without restoring the
+    /// agent.
+    #[must_use]
+    pub fn greedy_policy(&self) -> (&Mlp, &RunningNorm) {
+        (&self.actor, &self.obs_norm)
+    }
+}
+
 impl Ddpg {
     /// Captures the agent's complete state — networks, target networks,
     /// optimiser moments, replay buffer, exploration state, normalisers and

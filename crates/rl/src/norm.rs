@@ -61,6 +61,29 @@ impl RunningNorm {
         self.mean.len()
     }
 
+    /// Checks that a deserialized normaliser can run: statistics of one
+    /// positive dimension, all finite, and a non-negative clip.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first violation found.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.mean.is_empty() || self.m2.len() != self.mean.len() {
+            return Err(format!(
+                "{} means and {} second moments",
+                self.mean.len(),
+                self.m2.len()
+            ));
+        }
+        if !self.mean.iter().chain(&self.m2).all(|v| v.is_finite()) {
+            return Err("non-finite statistic".to_string());
+        }
+        if !(self.clip.is_finite() && self.clip >= 0.0) {
+            return Err(format!("clip {} is not a finite bound", self.clip));
+        }
+        Ok(())
+    }
+
     /// Folds one observation into the running statistics.
     ///
     /// # Panics

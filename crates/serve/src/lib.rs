@@ -31,7 +31,9 @@
 //!   request is ever dropped or split across policies. A poll is one
 //!   `stat`: only a changed `(len, mtime, ctime, inode, device)` key
 //!   triggers the full `(mtime, len, content checksum)` probe and the
-//!   load, on the decision thread. A background verifier re-hashes the
+//!   load, on the decision thread. The load ([`load_policy`]) reads only
+//!   the checkpoint's first line, its policy line, never the training
+//!   state behind it. A background verifier re-hashes the
 //!   file about once a second and forces a re-probe when the content
 //!   changed, so same-length rewrites within one timestamp tick are still
 //!   caught. A file whose policy has a different task-type count is

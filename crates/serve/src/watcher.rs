@@ -3,7 +3,7 @@
 //! a second on a verifier thread.
 
 use std::fmt;
-use std::io::Read;
+use std::io::{BufRead, BufReader, Read};
 use std::os::unix::fs::MetadataExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -13,7 +13,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, SystemTime};
 
 use baselines::{Observation, Policy};
-use miras_core::{CheckpointError, CheckpointPayload, MirasAgent};
+use miras_core::{decode_policy_line, CheckpointError, MirasAgent};
 
 use crate::retry::{io_transient, retry_with, RetryPolicy};
 
@@ -30,13 +30,9 @@ pub enum LoadError {
         /// The final attempt's error.
         last: std::io::Error,
     },
-    /// The file parses as neither a full checkpoint nor a raw agent.
-    Unusable {
-        /// What the checkpoint loader said.
-        checkpoint: String,
-        /// What the raw-agent parser said.
-        agent: String,
-    },
+    /// The file's first line is neither a policy line, a legacy
+    /// checkpoint nor a raw agent.
+    Unusable(CheckpointError),
     /// The file loaded, but its policy allocates over a different number
     /// of task types than the one serving (e.g. a LIGO agent swapped in
     /// under an MSD stream), so its first decision would panic.
@@ -56,10 +52,7 @@ impl fmt::Display for LoadError {
                 f,
                 "cannot read policy file after {attempts} attempts: {last}"
             ),
-            LoadError::Unusable { checkpoint, agent } => write!(
-                f,
-                "file is neither a checkpoint ({checkpoint}) nor a raw agent ({agent})"
-            ),
+            LoadError::Unusable(e) => write!(f, "file holds no deployable policy: {e}"),
             LoadError::TaskTypeMismatch { serving, loaded } => write!(
                 f,
                 "policy controls {loaded} task types but the serving policy controls {serving}"
@@ -99,35 +92,30 @@ impl Policy for CheckpointPolicy {
     }
 }
 
-/// Loads a deployable policy from `path`.
+/// Loads a deployable policy from `path`, reading only the file's first
+/// line.
 ///
-/// Accepts either a full PR-3 training checkpoint (the deployable agent is
-/// extracted and the policy is versioned with the checkpoint's iteration)
-/// or a raw serialized [`MirasAgent`] (as cached under `bench_artifacts/`;
-/// versioned 0). Returns the boxed policy and its version.
+/// That line is a checkpoint's policy line; it is also the whole of a
+/// `head -n 1` policy file, of a checkpoint saved before policy lines
+/// existed, and of a raw serialized [`MirasAgent`] (as cached under
+/// `bench_artifacts/`). Checkpoint policies are versioned with the
+/// iteration they were saved after, raw agents with 0. The line is read
+/// once and parsed once ([`decode_policy_line`]); a current checkpoint's
+/// training state is never read. Returns the boxed policy and its version.
 ///
 /// # Errors
 ///
 /// [`LoadError::Io`] if the file cannot be read, [`LoadError::Unusable`]
-/// if it parses as neither format.
+/// if its first line holds no policy (e.g. the file was cut inside it).
 pub fn load_policy(path: &Path) -> Result<(Box<dyn Policy>, u64), LoadError> {
-    let checkpoint_err = match CheckpointPayload::load(path) {
-        Ok(payload) => {
-            let version = payload.iteration() as u64;
-            let agent = payload.deployable_agent();
-            return Ok((Box::new(CheckpointPolicy { agent, version }), version));
-        }
-        Err(CheckpointError::Io(e)) => return Err(LoadError::Io(e)),
-        Err(e) => e.to_string(),
-    };
-    let json = std::fs::read_to_string(path).map_err(LoadError::Io)?;
-    match serde_json::from_str::<MirasAgent>(&json) {
-        Ok(agent) => Ok((Box::new(agent), 0)),
-        Err(e) => Err(LoadError::Unusable {
-            checkpoint: checkpoint_err,
-            agent: e.to_string(),
-        }),
-    }
+    let mut line = Vec::new();
+    BufReader::new(std::fs::File::open(path).map_err(LoadError::Io)?)
+        .read_until(b'\n', &mut line)
+        .map_err(LoadError::Io)?;
+    let line = String::from_utf8(line)
+        .map_err(|e| LoadError::Unusable(CheckpointError::Corrupt(format!("not UTF-8: {e}"))))?;
+    let (agent, version) = decode_policy_line(&line).map_err(LoadError::Unusable)?;
+    Ok((Box::new(CheckpointPolicy { agent, version }), version))
 }
 
 /// How often the verifier thread re-hashes the watched file.

@@ -1,7 +1,10 @@
 //! Checkpoint hot-swap correctness: a mid-stream swap produces exactly the
 //! decisions of stopping the service, cold-restarting on the new
 //! checkpoint, and replaying the remainder — and a corrupt swap never
-//! dislodges the serving policy.
+//! dislodges the serving policy. Each holds for current checkpoints (policy
+//! line first) and for legacy ones (training state alone).
+
+mod common;
 
 use std::path::PathBuf;
 
@@ -22,8 +25,8 @@ fn temp_path(name: &str) -> PathBuf {
 }
 
 /// Trains a smoke-scale MIRAS run and saves checkpoints after iteration 1
-/// (`a`) and iteration 2 (`b`).
-fn two_checkpoints(tag: &str) -> (PathBuf, PathBuf) {
+/// (`a`) and iteration 2 (`b`), in the legacy layout when `legacy`.
+fn two_checkpoints(tag: &str, legacy: bool) -> (PathBuf, PathBuf) {
     let ensemble = Ensemble::msd();
     let env_config = EnvConfig::for_ensemble(&ensemble).with_seed(5);
     let mut env = ClusterEnvAdapter::new(MicroserviceEnv::new(ensemble, env_config));
@@ -34,6 +37,10 @@ fn two_checkpoints(tag: &str) -> (PathBuf, PathBuf) {
     trainer.save_checkpoint(&env, &a).unwrap();
     trainer.run_iteration(&mut env);
     trainer.save_checkpoint(&env, &b).unwrap();
+    if legacy {
+        common::strip_policy_line(&a);
+        common::strip_policy_line(&b);
+    }
     (a, b)
 }
 
@@ -52,10 +59,10 @@ fn lines(records: &[DecisionRecord]) -> Vec<String> {
     records.iter().map(DecisionRecord::to_line).collect()
 }
 
-#[test]
-fn mid_stream_swap_equals_cold_restart_and_replay_of_remainder() {
-    let (ckpt_a, ckpt_b) = two_checkpoints("swap");
-    let serving = temp_path("swap_live");
+/// Serves checkpoint A for four windows, swaps to B between windows and
+/// serves four more; the decisions must equal cold runs of A and then B.
+fn mid_stream_swap(tag: &str, ckpt_a: PathBuf, ckpt_b: PathBuf) {
+    let serving = temp_path(&format!("{tag}_live"));
     std::fs::copy(&ckpt_a, &serving).unwrap();
 
     let text = stream(8);
@@ -92,9 +99,29 @@ fn mid_stream_swap_equals_cold_restart_and_replay_of_remainder() {
 }
 
 #[test]
-fn corrupt_swap_keeps_the_old_policy_until_a_good_one_appears() {
-    let (ckpt_a, ckpt_b) = two_checkpoints("corrupt");
-    let serving = temp_path("corrupt_live");
+fn mid_stream_swap_equals_cold_restart_and_replay_of_remainder() {
+    let (ckpt_a, ckpt_b) = two_checkpoints("swap", false);
+    mid_stream_swap("swap", ckpt_a, ckpt_b);
+}
+
+#[test]
+fn mid_stream_swap_on_legacy_checkpoints() {
+    let (ckpt_a, ckpt_b) = two_checkpoints("swap_legacy", true);
+    mid_stream_swap("swap_legacy", ckpt_a, ckpt_b);
+}
+
+/// An upgrade in place: a server started on a legacy checkpoint swaps to
+/// the next one saved with its policy line.
+#[test]
+fn mid_stream_swap_from_a_legacy_checkpoint_to_a_current_one() {
+    let (ckpt_a, ckpt_b) = two_checkpoints("upgrade", false);
+    common::strip_policy_line(&ckpt_a);
+    mid_stream_swap("upgrade", ckpt_a, ckpt_b);
+}
+
+fn corrupt_swap(tag: &str, legacy: bool) {
+    let (ckpt_a, ckpt_b) = two_checkpoints(tag, legacy);
+    let serving = temp_path(&format!("{tag}_live"));
     std::fs::copy(&ckpt_a, &serving).unwrap();
 
     let text = stream(6);
@@ -124,16 +151,25 @@ fn corrupt_swap_keeps_the_old_policy_until_a_good_one_appears() {
     }
 }
 
+#[test]
+fn corrupt_swap_keeps_the_old_policy_until_a_good_one_appears() {
+    corrupt_swap("corrupt", false);
+}
+
+#[test]
+fn corrupt_swap_keeps_the_old_legacy_policy_until_a_good_one_appears() {
+    corrupt_swap("corrupt_legacy", true);
+}
+
 /// Regression test for the `(mtime, len)` fingerprint race: a checkpoint
 /// rewritten with *different bytes of the same length* and a forced
 /// *identical mtime* must still trigger a swap, because the fingerprint
 /// also hashes the content. Before the checksum, this exact scenario —
 /// two checkpoint saves within the filesystem's mtime granularity, fixed
 /// schema so equal length — left the stale policy serving silently.
-#[test]
-fn same_mtime_same_len_rewrite_still_swaps() {
-    let (ckpt_a, ckpt_b) = two_checkpoints("fingerprint_race");
-    let serving = temp_path("fingerprint_race_live");
+fn same_mtime_same_len_rewrite(tag: &str, legacy: bool) {
+    let (ckpt_a, ckpt_b) = two_checkpoints(tag, legacy);
+    let serving = temp_path(&format!("{tag}_live"));
 
     // Pad both checkpoints with trailing whitespace (JSON-harmless) to the
     // same byte length.
@@ -184,6 +220,16 @@ fn same_mtime_same_len_rewrite_still_swaps() {
     for p in [ckpt_a, ckpt_b, serving] {
         let _ = std::fs::remove_file(p);
     }
+}
+
+#[test]
+fn same_mtime_same_len_rewrite_still_swaps() {
+    same_mtime_same_len_rewrite("fingerprint_race", false);
+}
+
+#[test]
+fn same_mtime_same_len_legacy_rewrite_still_swaps() {
+    same_mtime_same_len_rewrite("fingerprint_race_legacy", true);
 }
 
 #[test]

@@ -1,7 +1,10 @@
 //! A hot swap to an agent over a different number of task types is a failed
 //! swap, not a crash: a LIGO-shaped agent (9 task types) written to the path
 //! an MSD service (4 task types) watches is refused and counted, and the
-//! old policy keeps serving.
+//! old policy keeps serving. Holds for current checkpoints (policy line
+//! first) and for legacy ones (training state alone).
+
+mod common;
 
 use std::path::PathBuf;
 
@@ -21,8 +24,7 @@ fn temp_path(name: &str) -> PathBuf {
     ))
 }
 
-#[test]
-fn swap_to_a_nine_task_checkpoint_under_a_four_task_service_fails_safely() {
+fn nine_task_swap_under_a_four_task_service(tag: &str, legacy: bool) {
     // MSD checkpoints after iterations 1 and 2.
     let ensemble = Ensemble::msd();
     let env_config = EnvConfig::for_ensemble(&ensemble).with_seed(5);
@@ -30,24 +32,27 @@ fn swap_to_a_nine_task_checkpoint_under_a_four_task_service_fails_safely() {
     let mut trainer = MirasTrainer::new(&env, MirasConfig::smoke_test(5));
     let msd: Vec<PathBuf> = ["msd_1", "msd_2"]
         .iter()
-        .map(|tag| {
+        .map(|name| {
             trainer.run_iteration(&mut env);
-            let path = temp_path(tag);
+            let path = temp_path(&format!("{tag}_{name}"));
             trainer.save_checkpoint(&env, &path).unwrap();
+            if legacy {
+                common::strip_policy_line(&path);
+            }
             path
         })
         .collect();
     // An agent file as `miras-cli train --ensemble ligo` writes it.
     let mut rng = rand::rngs::SmallRng::seed_from_u64(9);
     let actor = Mlp::new(&[9, 8, 9], Activation::Relu, Activation::Softmax, &mut rng);
-    let ligo = temp_path("ligo");
+    let ligo = temp_path(&format!("{tag}_ligo"));
     std::fs::write(
         &ligo,
         serde_json::to_string(&MirasAgent::new(actor, 30)).unwrap(),
     )
     .unwrap();
 
-    let serving = temp_path("live");
+    let serving = temp_path(&format!("{tag}_live"));
     std::fs::copy(&msd[0], &serving).unwrap();
     let (policy, version) = load_policy(&serving).unwrap();
     assert_eq!((policy.num_task_types(), version), (4, 1));
@@ -98,4 +103,14 @@ fn swap_to_a_nine_task_checkpoint_under_a_four_task_service_fails_safely() {
     for p in msd.into_iter().chain([ligo, serving]) {
         let _ = std::fs::remove_file(p);
     }
+}
+
+#[test]
+fn swap_to_a_nine_task_checkpoint_under_a_four_task_service_fails_safely() {
+    nine_task_swap_under_a_four_task_service("current", false);
+}
+
+#[test]
+fn swap_to_a_nine_task_agent_under_a_legacy_checkpoint_fails_safely() {
+    nine_task_swap_under_a_four_task_service("legacy", true);
 }

@@ -66,8 +66,11 @@ modes (default: serve observations from stdin, decisions to stdout):
                  seed=42,malformed=0.2,clients=4,burst=5
 
 policy source (default: --policy uniform):
-  --checkpoint FILE  load a training checkpoint (or raw agent JSON) and
-                     hot-swap whenever the file changes between windows
+  --checkpoint FILE  load the policy of a training checkpoint (or raw
+                     agent JSON) and hot-swap whenever the file changes
+                     between windows; only a checkpoint's first line is
+                     read, so `head -n 1 ckpt.json > policy.json` makes
+                     a servable policy file
   --policy NAME      registry policy: uniform, wip-proportional, stream,
                      heft, monad
 
