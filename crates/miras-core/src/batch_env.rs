@@ -151,12 +151,6 @@ impl BatchedSyntheticEnv {
         self.telemetry = telemetry;
     }
 
-    /// State dimensionality `J`.
-    #[must_use]
-    pub(crate) fn state_dim(&self) -> usize {
-        self.init_states.state_dim()
-    }
-
     /// Current per-lane states (`active × J`).
     #[must_use]
     pub fn states(&self) -> &Matrix {
@@ -173,23 +167,6 @@ impl BatchedSyntheticEnv {
     #[must_use]
     pub(crate) fn lend_triggers(&self) -> u64 {
         self.lend_triggers
-    }
-
-    /// Re-derives every lane's RNG stream from `seed` (lane `i` gets
-    /// `seed + i · LANE_SEED_STRIDE`, exactly as construction does), without
-    /// resampling states or touching counters.
-    ///
-    /// This is the distributed trainer's per-wave reseeding discipline: a
-    /// rollout wave reseeds, then [`reset`](BatchedSyntheticEnv::reset)s, so
-    /// the wave becomes a pure function of `(weights, seed)` — independent
-    /// of every wave before it, which is what makes a restarted worker able
-    /// to resume mid-iteration without replaying history.
-    pub(crate) fn reseed_lanes(&mut self, seed: u64) {
-        for (i, rng) in self.rngs.iter_mut().enumerate() {
-            *rng = SmallRng::seed_from_u64(
-                seed.wrapping_add((i as u64).wrapping_mul(Self::LANE_SEED_STRIDE)),
-            );
-        }
     }
 
     /// Starts a new wave: resamples initial states for the first `active`
@@ -400,37 +377,6 @@ mod tests {
         let rewards = env.step(&actions).to_vec();
         assert_eq!(rewards.len(), 3);
         assert!(rewards.iter().all(|r| r.is_finite()));
-    }
-
-    /// `reseed_lanes(s)` + `reset` erases lane-stream history: two envs
-    /// with different seeds and different step histories walk identical
-    /// trajectories once reseeded to the same value. This is what lets a
-    /// restarted rollout worker regenerate a wave without replaying the
-    /// waves before it.
-    #[test]
-    fn reseeded_env_forgets_its_history() {
-        let (refined, data) = fixture(4);
-        let mut used = BatchedSyntheticEnv::new(refined.clone(), data.clone(), 14, 5, 3);
-        // Burn some stream state on one env only.
-        used.reset(3);
-        let burn = Matrix::from_vec(3, 2, vec![0.4; 6]);
-        for _ in 0..4 {
-            used.step(&burn);
-        }
-        let mut other = BatchedSyntheticEnv::new(refined, data, 14, 7, 3);
-
-        used.reseed_lanes(99);
-        used.reset(3);
-        other.reseed_lanes(99);
-        other.reset(3);
-        assert_eq!(used.states().as_slice(), other.states().as_slice());
-        for step in 0..6 {
-            let actions = Matrix::from_vec(3, 2, vec![0.2 + 0.1 * (step % 3) as f64; 6]);
-            let a = used.step(&actions).to_vec();
-            let b = other.step(&actions).to_vec();
-            assert_eq!(a, b, "step {step}");
-            assert_eq!(used.states().as_slice(), other.states().as_slice());
-        }
     }
 
     #[test]

@@ -34,7 +34,6 @@ use serde::value::{from_value, Value};
 use serde::{Deserialize, Serialize};
 
 use crate::adapter::AdapterSnapshot;
-use crate::distributed::VersionSchedule;
 use crate::{DynamicsModel, MirasAgent, MirasConfig, TransitionDataset};
 
 /// Format version written into every checkpoint; bumped whenever the
@@ -50,7 +49,7 @@ pub enum CheckpointError {
     /// or structurally wrong).
     Corrupt(String),
     /// The file is a valid checkpoint but from an incompatible format
-    /// version.
+    /// version, or (on resume) from a run this build cannot continue.
     Mismatch(String),
 }
 
@@ -85,6 +84,9 @@ impl From<std::io::Error> for CheckpointError {
 /// Produced by [`crate::MirasTrainer::save_checkpoint`] and consumed by
 /// [`crate::MirasTrainer::resume`]; the fields are crate-private because
 /// the payload's only contract is bit-identical resume.
+///
+/// Loading skips fields this build no longer reads, such as the
+/// `last_schedule` that builds with an actor–learner engine wrote.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CheckpointPayload {
     pub(crate) version: u32,
@@ -97,11 +99,6 @@ pub struct CheckpointPayload {
     pub(crate) trainer_rng_state: [u64; 4],
     pub(crate) lend_triggers_total: u64,
     pub(crate) adapter: AdapterSnapshot,
-    /// Version-schedule manifest of the last completed distributed inner
-    /// loop, if any. Absent in pre-distributed checkpoints (`default`
-    /// keeps them loadable) and in non-distributed runs.
-    #[serde(default)]
-    pub(crate) last_schedule: Option<VersionSchedule>,
 }
 
 /// The first line of every checkpoint: exactly what

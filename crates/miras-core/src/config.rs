@@ -4,41 +4,34 @@ use microsim::ConfigError;
 use rl::{DdpgConfig, Exploration};
 use serde::{Deserialize, Serialize};
 
-/// The rollout engine's `(workers, lanes)` shape in its serialised/config
-/// form (see [`RolloutMode::shape`]). The three variants are kept so v1
-/// checkpoints and configs keep loading; the engine only sees the shape.
+/// The rollout engine's lane count in its serialised/config form (see
+/// [`RolloutMode::lanes`]). The three variants are kept so every
+/// checkpoint and config ever written keeps loading; the engine only sees
+/// the lane count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum RolloutMode {
-    /// One rollout at a time: the inline engine at one lane, consuming
-    /// every RNG stream in the order of the textbook loop.
+    /// One rollout at a time: the engine at one lane, consuming every RNG
+    /// stream in the order of the textbook loop.
     #[default]
     Sequential,
     /// `B` rollout lanes stepped in lockstep through batched model and
     /// actor forwards (see
-    /// [`BatchedSyntheticEnv`](crate::BatchedSyntheticEnv)), inline on the
-    /// calling thread. Bit-stable at any `B`; `B > 1` consumes exploration
-    /// randomness in lane order, so it is a *throughput* option, not a
-    /// replay of the one-lane run.
+    /// [`BatchedSyntheticEnv`](crate::BatchedSyntheticEnv)). Bit-stable at
+    /// any `B`; `B > 1` consumes exploration randomness in lane order, so
+    /// it is a *throughput* option, not a replay of the one-lane run.
     Lockstep(usize),
-    /// `workers ≥ 2`: actor–learner scale-out — asynchronous rollout
-    /// workers, each stepping its own `lanes`-lane [`BatchedSyntheticEnv`]
-    /// under a frozen versioned weight snapshot, feed a sharded replay
-    /// stream that the central learner drains in a fixed order (see the
-    /// `distributed` module). The run is
-    /// deterministic given its recorded version schedule (kept by the
-    /// trainer and in its checkpoints): replaying the schedule reproduces
-    /// the run bit for bit.
+    /// Decode-only: written by builds that still had an actor–learner
+    /// engine (`workers ≥ 2` asynchronous rollout workers), so that their
+    /// configs and checkpoints keep decoding. Nothing builds it any more
+    /// ([`MirasConfig::try_with_distributed`] returns `Lockstep(lanes)`).
     ///
-    /// `workers = 1` has no second thread to lag behind and runs inline,
-    /// exactly as `Lockstep(lanes)`.
-    ///
-    /// Built by [`MirasConfig::try_with_distributed`]; requires parameter-space
-    /// or greedy exploration (workers perturb actor weights locally, so
-    /// there is no per-step action-noise stream to distribute).
-    ///
-    /// [`BatchedSyntheticEnv`]: crate::BatchedSyntheticEnv
+    /// `workers = 1` always ran inline, exactly as `Lockstep(lanes)`, and
+    /// still does: its checkpoints resume. A `workers ≥ 2` run's results
+    /// depended on a recorded version schedule that no engine can replay
+    /// now, so [`MirasTrainer::resume`](crate::MirasTrainer::resume)
+    /// refuses its checkpoints; their policies still serve.
     Distributed {
-        /// Number of asynchronous rollout workers.
+        /// Number of asynchronous rollout workers the run used.
         workers: usize,
         /// Lockstep lanes per worker.
         lanes: usize,
@@ -46,15 +39,12 @@ pub enum RolloutMode {
 }
 
 impl RolloutMode {
-    /// The `(workers, lanes)` shape the rollout engine runs: `workers ≤ 1`
-    /// is the inline wave loop on the calling thread, `workers ≥ 2` the
-    /// actor–learner path.
+    /// The lane count the rollout engine runs at.
     #[must_use]
-    pub fn shape(self) -> (usize, usize) {
+    pub fn lanes(self) -> usize {
         match self {
-            RolloutMode::Sequential => (0, 1),
-            RolloutMode::Lockstep(lanes) => (0, lanes),
-            RolloutMode::Distributed { workers, lanes } => (workers, lanes),
+            RolloutMode::Sequential => 1,
+            RolloutMode::Lockstep(lanes) | RolloutMode::Distributed { lanes, .. } => lanes,
         }
     }
 }
@@ -285,22 +275,16 @@ impl MirasConfig {
         Ok(self)
     }
 
-    /// Returns a copy running the inner loop as `workers` asynchronous
-    /// rollout workers of `lanes` lockstep lanes each (actor–learner
-    /// scale-out at `workers ≥ 2`).
+    /// Kept for callers written against the retired actor–learner engine:
+    /// refuses a zero worker or lane count as it always did, then returns
+    /// [`try_with_lockstep(lanes)`](MirasConfig::try_with_lockstep).
+    /// `workers` is otherwise ignored: every rollout runs on the calling
+    /// thread, `lanes` wide.
     ///
     /// # Errors
     ///
-    /// [`ConfigError::Miras`] if `workers` or `lanes` is zero, or if the
-    /// DDPG exploration mode is [`Exploration::ActionNoise`]: workers
-    /// explore by perturbing a frozen copy of the actor weights, so a
-    /// per-step Ornstein–Uhlenbeck stream on the learner's agent cannot be
-    /// distributed without changing its draw order.
-    pub fn try_with_distributed(
-        mut self,
-        workers: usize,
-        lanes: usize,
-    ) -> Result<Self, ConfigError> {
+    /// [`ConfigError::Miras`] if `workers` or `lanes` is zero.
+    pub fn try_with_distributed(self, workers: usize, lanes: usize) -> Result<Self, ConfigError> {
         if workers == 0 {
             return Err(ConfigError::Miras {
                 field: "rollout_mode",
@@ -313,14 +297,7 @@ impl MirasConfig {
                 reason: "distributed lane count must be positive",
             });
         }
-        if matches!(self.ddpg.exploration, Exploration::ActionNoise { .. }) {
-            return Err(ConfigError::Miras {
-                field: "rollout_mode",
-                reason: "distributed rollouts require parameter-space or greedy exploration",
-            });
-        }
-        self.rollout_mode = RolloutMode::Distributed { workers, lanes };
-        Ok(self)
+        self.try_with_lockstep(lanes)
     }
 
     /// Returns a copy using action-space instead of parameter-space noise
@@ -417,18 +394,27 @@ mod tests {
 
     #[test]
     fn every_mode_maps_to_one_engine_shape() {
-        assert_eq!(RolloutMode::Sequential.shape(), (0, 1));
-        assert_eq!(RolloutMode::Lockstep(3).shape(), (0, 3));
+        assert_eq!(RolloutMode::Sequential.lanes(), 1);
+        assert_eq!(RolloutMode::Lockstep(3).lanes(), 3);
         let mode = RolloutMode::Distributed {
             workers: 2,
             lanes: 16,
         };
-        assert_eq!(mode.shape(), (2, 16));
+        assert_eq!(mode.lanes(), 16);
     }
 
     #[test]
-    fn distributed_builder_validates_shape_and_exploration() {
-        for (workers, lanes) in [(0, 4), (2, 0)] {
+    fn distributed_builder_is_a_lockstep_shim() {
+        for workers in [1, 2, 4] {
+            for lanes in [1, 3, 16] {
+                assert_eq!(
+                    MirasConfig::smoke_test(0).try_with_distributed(workers, lanes),
+                    MirasConfig::smoke_test(0).try_with_lockstep(lanes),
+                    "workers={workers} lanes={lanes}"
+                );
+            }
+        }
+        for (workers, lanes) in [(0, 4), (2, 0), (0, 0)] {
             let err = MirasConfig::smoke_test(0)
                 .try_with_distributed(workers, lanes)
                 .err()
@@ -444,28 +430,12 @@ mod tests {
                 "expected rollout_mode error for workers={workers} lanes={lanes}, got {err}"
             );
         }
-        // Action-space noise has no distributable exploration stream.
-        let err = MirasConfig::smoke_test(0)
+        // The inline engine explores with action noise per lane, so the
+        // shim takes it like any other exploration mode.
+        let ok = MirasConfig::smoke_test(0)
             .with_action_noise(0.15, 0.2)
             .try_with_distributed(2, 4)
-            .err()
             .unwrap();
-        assert_eq!(
-            err,
-            ConfigError::Miras {
-                field: "rollout_mode",
-                reason: "distributed rollouts require parameter-space or greedy exploration",
-            }
-        );
-        let ok = MirasConfig::smoke_test(0)
-            .try_with_distributed(2, 4)
-            .unwrap();
-        assert_eq!(
-            ok.rollout_mode,
-            RolloutMode::Distributed {
-                workers: 2,
-                lanes: 4
-            }
-        );
+        assert_eq!(ok.rollout_mode, RolloutMode::Lockstep(4));
     }
 }

@@ -52,7 +52,6 @@ mod batch_env;
 mod checkpoint;
 mod config;
 mod dataset;
-pub(crate) mod distributed;
 mod dynamics;
 mod ensemble_model;
 mod refine;

@@ -1,40 +1,29 @@
 //! The rollout engine: the inner policy loop of Algorithm 2 ("train the
-//! policy against the refined model"), parameterised by `(workers, lanes)`.
+//! policy against the refined model"), shaped by its lane count.
 //!
 //! The rollout budget is consumed in *waves* of up to `lanes` synthetic
-//! rollouts stepped in lockstep, so each step runs ONE batched dynamics
-//! forward and ONE batched actor forward for the whole wave, and the agent
-//! performs one train step per active lane per environment step (the
-//! data-to-update ratio of the textbook one-rollout-at-a-time loop).
+//! rollouts stepped in lockstep over a [`BatchedSyntheticEnv`], so each
+//! step runs ONE batched dynamics forward and ONE batched actor forward for
+//! the whole wave, and the agent performs one train step per active lane
+//! per environment step (the data-to-update ratio of the textbook
+//! one-rollout-at-a-time loop). The live agent acts (normaliser updates,
+//! parameter noise ticking and adapting mid-wave) and trains after every
+//! step, on the calling thread.
 //!
-//! * `workers ≤ 1` runs the wave body **inline** on the calling thread over
-//!   a [`BatchedSyntheticEnv`]: the live agent acts (normaliser updates,
-//!   parameter noise ticking and adapting mid-wave) and trains after every
-//!   step. Bit-stable at any lane count; at `lanes = 1` every RNG stream is
-//!   consumed in the order of the textbook loop over a
-//!   [`SyntheticEnv`](crate::SyntheticEnv), which the tests below hold it
-//!   to.
-//! * `workers ≥ 2` hands the waves to the actor–learner system of the
-//!   [`distributed`](crate::distributed) module, replayable through its
-//!   recorded [`VersionSchedule`].
-//!
-//! Both bodies book completed waves into one [`WaveAccounting`].
+//! The engine is bit-stable at any lane count. At `lanes = 1` every RNG
+//! stream is consumed in the order of the textbook loop over a
+//! [`SyntheticEnv`](crate::SyntheticEnv), which the tests below hold it to.
 
 use nn::Matrix;
 use rl::{Ddpg, TrainError, TrainHealth};
 use telemetry::Telemetry;
 
-use crate::distributed::{
-    active_lanes, actor_learner_rollouts, total_waves, VersionSchedule, WorkerFault,
-};
 use crate::{BatchedSyntheticEnv, RefinedModel, TransitionDataset};
 
 /// Everything one inner loop needs, minus the mutable learner state
 /// ([`run_rollouts`] borrows the agent and watchdog).
 #[derive(Debug)]
 pub(crate) struct RolloutParams {
-    /// Rollout worker threads (`≤ 1` runs inline on the calling thread).
-    pub workers: usize,
     /// Lockstep lanes per wave.
     pub lanes: usize,
     /// Steps per synthetic rollout.
@@ -47,11 +36,21 @@ pub(crate) struct RolloutParams {
     pub consumer_budget: usize,
     /// The iteration's synthetic-rollout seed.
     pub synth_seed: u64,
-    /// Replay a recorded manifest instead of adopting fresh versions
-    /// (`workers ≥ 2` only).
-    pub schedule: Option<VersionSchedule>,
-    /// Inject a worker crash (see [`WorkerFault`]; `workers ≥ 2` only).
-    pub fault: Option<WorkerFault>,
+}
+
+/// Number of waves a rollout budget of `rollouts` takes at `lanes` lanes
+/// per wave (the last wave may be narrower).
+#[must_use]
+fn total_waves(rollouts: usize, lanes: usize) -> usize {
+    assert!(lanes > 0, "need at least one lane");
+    rollouts.div_ceil(lanes)
+}
+
+/// Lanes active in wave `wave`: full waves of `lanes`, except a narrower
+/// final wave when `lanes` does not divide `rollouts`.
+#[must_use]
+fn active_lanes(wave: usize, rollouts: usize, lanes: usize) -> usize {
+    lanes.min(rollouts - (wave * lanes).min(rollouts))
 }
 
 /// What one inner loop produced.
@@ -62,16 +61,12 @@ pub(crate) struct RolloutOutcome {
     pub returns: Vec<f64>,
     /// Lend–Giveback triggers across all waves.
     pub lend_triggers: u64,
-    /// The recorded run manifest at `workers ≥ 2` (replaying it reproduces
-    /// this outcome bit for bit); `None` inline, where no worker can lag.
-    pub schedule: Option<VersionSchedule>,
 }
 
-/// The bookkeeping every completed wave goes through, whichever body
-/// produced it: per-rollout returns, the Lend-trigger sum, and the
-/// early-stop patience rule.
+/// The bookkeeping every completed wave goes through: per-rollout
+/// returns, the Lend-trigger sum, and the early-stop patience rule.
 #[derive(Debug)]
-pub(crate) struct WaveAccounting {
+struct WaveAccounting {
     patience: usize,
     best: f64,
     stale: usize,
@@ -80,7 +75,7 @@ pub(crate) struct WaveAccounting {
 }
 
 impl WaveAccounting {
-    pub(crate) fn new(patience: usize) -> Self {
+    fn new(patience: usize) -> Self {
         WaveAccounting {
             patience,
             best: f64::NEG_INFINITY,
@@ -96,7 +91,7 @@ impl WaveAccounting {
     /// `patience` consecutive rollouts (0 disables the rule) that did not
     /// beat the best return so far. The rule can fire mid-wave; the lanes
     /// after the one that exhausted it are not booked.
-    pub(crate) fn record_wave(&mut self, totals: &[f64], lend_triggers: u64) -> bool {
+    fn record_wave(&mut self, totals: &[f64], lend_triggers: u64) -> bool {
         self.lend_triggers += lend_triggers;
         for &total in totals {
             self.returns.push(total);
@@ -116,17 +111,16 @@ impl WaveAccounting {
         true
     }
 
-    pub(crate) fn into_outcome(self, schedule: Option<VersionSchedule>) -> RolloutOutcome {
+    fn into_outcome(self) -> RolloutOutcome {
         RolloutOutcome {
             returns: self.returns,
             lend_triggers: self.lend_triggers,
-            schedule,
         }
     }
 }
 
-/// Runs one inner policy loop of Algorithm 2. See the [module docs](self)
-/// for what each `(workers, lanes)` shape executes.
+/// Runs one inner policy loop of Algorithm 2 (see the
+/// [module docs](self)).
 ///
 /// # Errors
 ///
@@ -134,51 +128,8 @@ impl WaveAccounting {
 ///
 /// # Panics
 ///
-/// Panics if `params` is structurally invalid (zero lanes, a schedule
-/// under an inline shape or recorded under different workers/lanes, or one
-/// that fails [`VersionSchedule::validate`]), if a worker thread panics,
-/// or if workers keep dying past the respawn budget.
+/// Panics if `params.lanes` is zero.
 pub(crate) fn run_rollouts(
-    agent: &mut Ddpg,
-    refined: RefinedModel,
-    dataset: &TransitionDataset,
-    params: &RolloutParams,
-    health: &mut TrainHealth,
-    telemetry: &Telemetry,
-) -> Result<RolloutOutcome, TrainError> {
-    assert!(params.lanes > 0, "need at least one lane");
-    if let Some(schedule) = &params.schedule {
-        assert!(
-            params.workers >= 2,
-            "version schedules exist only for workers ≥ 2: an inline rollout shape \
-             has no worker that can lag, so there is nothing to replay"
-        );
-        assert_eq!(
-            schedule.workers, params.workers,
-            "schedule was recorded with a different worker count"
-        );
-        assert_eq!(
-            schedule.lanes, params.lanes,
-            "schedule was recorded with a different lane count"
-        );
-        schedule
-            .validate()
-            .unwrap_or_else(|e| panic!("invalid version schedule: {e}"));
-        assert!(
-            schedule.entries.len() <= total_waves(params.rollouts, params.lanes),
-            "schedule is longer than the rollout budget"
-        );
-    }
-    if params.workers <= 1 {
-        inline_rollouts(agent, refined, dataset, params, health, telemetry)
-    } else {
-        actor_learner_rollouts(agent, refined, dataset, params, health, telemetry)
-    }
-}
-
-/// The `workers ≤ 1` body: the live agent steps each wave itself and
-/// trains after every environment step.
-fn inline_rollouts(
     agent: &mut Ddpg,
     refined: RefinedModel,
     dataset: &TransitionDataset,
@@ -225,13 +176,12 @@ fn inline_rollouts(
             break;
         }
     }
-    Ok(accounting.into_outcome(None))
+    Ok(accounting.into_outcome())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::distributed::WaveEntry;
     use crate::{DynamicsModel, MirasConfig, SyntheticEnv, Transition};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -261,17 +211,14 @@ mod tests {
         (agent, RefinedModel::fit(model, &data, 10.0), data)
     }
 
-    fn params(workers: usize, lanes: usize, patience: usize) -> RolloutParams {
+    fn params(lanes: usize, patience: usize) -> RolloutParams {
         RolloutParams {
-            workers,
             lanes,
             rollout_len: 6,
             rollouts: 12,
             patience,
             consumer_budget: 14,
             synth_seed: 7,
-            schedule: None,
-            fault: None,
         }
     }
 
@@ -297,7 +244,7 @@ mod tests {
     fn booked(returns: &[f64], patience: usize) -> usize {
         let mut accounting = WaveAccounting::new(patience);
         let _ = accounting.record_wave(returns, 0);
-        accounting.into_outcome(None).returns.len()
+        accounting.into_outcome().returns.len()
     }
 
     /// The engine's reference semantics: at one lane the inline body is the
@@ -307,7 +254,7 @@ mod tests {
     fn inline_one_lane_matches_the_textbook_loop() {
         for seed in [0u64, 1, 2] {
             let fx = fixture(seed);
-            let p = params(0, 1, 0);
+            let p = params(1, 0);
             let (agent, outcome) = run(&fx, &p, &Telemetry::noop());
 
             let (mut reference, refined, data) = fx;
@@ -331,7 +278,6 @@ mod tests {
             assert_eq!(outcome.returns, returns, "seed {seed}");
             assert_eq!(outcome.lend_triggers, synth.lend_triggers(), "seed {seed}");
             assert_eq!(agent.snapshot(), reference.snapshot(), "seed {seed}");
-            assert_eq!(outcome.schedule, None);
         }
     }
 
@@ -352,7 +298,7 @@ mod tests {
         let mut accounting = WaveAccounting::new(2);
         assert!(accounting.record_wave(&[-2.0, -1.0, -1.5], 4));
         assert!(!accounting.record_wave(&[-1.2, -0.5, -0.1], 3));
-        let outcome = accounting.into_outcome(None);
+        let outcome = accounting.into_outcome();
         assert_eq!(outcome.returns, vec![-2.0, -1.0, -1.5, -1.2]);
         assert_eq!(outcome.lend_triggers, 7);
     }
@@ -363,7 +309,7 @@ mod tests {
     #[test]
     fn inline_run_stops_where_the_patience_rule_says() {
         let fx = fixture(1);
-        let (_, full) = run(&fx, &params(0, 3, 0), &Telemetry::noop());
+        let (_, full) = run(&fx, &params(3, 0), &Telemetry::noop());
         assert_eq!(full.returns.len(), 12);
         let stop = booked(&full.returns, 2);
         assert!(
@@ -371,76 +317,26 @@ mod tests {
             "want a mid-wave stop: {stop}"
         );
 
-        let (_, cut) = run(&fx, &params(0, 3, 2), &Telemetry::noop());
+        let (_, cut) = run(&fx, &params(3, 2), &Telemetry::noop());
         assert_eq!(cut.returns, full.returns[..stop]);
     }
 
-    /// The same check on the actor–learner path, pinned by a hand-written
-    /// schedule (each wave one version behind) so no thread race decides
-    /// the returns. The early-stopped replay records the shortened manifest.
     #[test]
-    fn replayed_schedule_stops_where_the_patience_rule_says() {
-        let fx = fixture(4);
-        let schedule = VersionSchedule {
-            workers: 2,
-            lanes: 2,
-            entries: (0..6usize)
-                .map(|g| WaveEntry {
-                    worker: g % 2,
-                    wave: g,
-                    version: g.saturating_sub(1) as u64,
-                })
-                .collect(),
-        };
-        let replay = |patience: usize| {
-            let mut p = params(2, 2, patience);
-            p.schedule = Some(schedule.clone());
-            run(&fx, &p, &Telemetry::noop()).1
-        };
-        let full = replay(0);
-        assert_eq!(full.returns.len(), 12);
-        assert_eq!(full.schedule.as_ref(), Some(&schedule));
-        let stop = booked(&full.returns, 2);
-        assert!(stop < 12, "want an early stop: {stop}");
-
-        let cut = replay(2);
-        assert_eq!(cut.returns, full.returns[..stop]);
-        let recorded = cut.schedule.unwrap();
-        assert_eq!(recorded.entries, schedule.entries[..stop.div_ceil(2)]);
-    }
-
-    /// Every `workers ≥ 2` run reports its workers: per-wave step counts,
-    /// version lag and shard depth, a `distributed.wave` event per merged
-    /// wave, and the respawn counter materialised even at zero.
-    #[test]
-    fn actor_learner_run_emits_the_worker_telemetry_contract() {
-        let sink = telemetry::JsonlSink::in_memory();
-        let telemetry = Telemetry::new(sink.clone());
-        let (_, outcome) = run(&fixture(5), &params(2, 2, 0), &telemetry);
-        assert_eq!(outcome.returns.len(), 12);
-        drop(telemetry);
-        sink.try_flush().unwrap();
-        let out = String::from_utf8(sink.take_output()).unwrap();
-        for (kind, name) in [
-            ("counter", "train.worker_steps"),
-            ("gauge", "train.weight_version_lag"),
-            ("gauge", "train.replay_shard_depth"),
-            ("counter", "train.worker_restarts"),
-        ] {
-            let row = format!("\"t\":\"{kind}\",\"name\":\"{name}\"");
-            assert!(out.contains(&row), "no {name} {kind} in:\n{out}");
+    fn wave_plan_partitions_the_rollout_budget() {
+        assert_eq!(total_waves(10, 4), 3);
+        assert_eq!(active_lanes(0, 10, 4), 4);
+        assert_eq!(active_lanes(1, 10, 4), 4);
+        assert_eq!(active_lanes(2, 10, 4), 2);
+        assert_eq!(total_waves(8, 4), 2);
+        assert_eq!(active_lanes(1, 8, 4), 4);
+        assert_eq!(total_waves(1, 16), 1);
+        assert_eq!(active_lanes(0, 1, 16), 1);
+        // Every wave's active count sums back to the budget.
+        for (rollouts, lanes) in [(10, 4), (64, 16), (5, 8), (7, 1)] {
+            let sum: usize = (0..total_waves(rollouts, lanes))
+                .map(|g| active_lanes(g, rollouts, lanes))
+                .sum();
+            assert_eq!(sum, rollouts, "rollouts={rollouts} lanes={lanes}");
         }
-        let waves: Vec<&str> = out
-            .lines()
-            .filter(|l| l.contains("\"name\":\"distributed.wave\""))
-            .collect();
-        assert_eq!(waves.len(), 6, "one distributed.wave event per merged wave");
-        for field in ["\"worker\":", "\"wave\":", "\"version\":"] {
-            assert!(waves.iter().all(|l| l.contains(field)), "{field} missing");
-        }
-        assert!(
-            out.contains("\"name\":\"train.worker_restarts\",\"value\":0"),
-            "respawn counter not materialised at zero:\n{out}"
-        );
     }
 }

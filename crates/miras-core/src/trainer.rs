@@ -10,10 +10,10 @@ use rl::{Ddpg, Environment, TrainError, TrainHealth};
 use serde::{Deserialize, Serialize};
 
 use crate::checkpoint::{CheckpointError, CheckpointPayload, CHECKPOINT_VERSION};
-use crate::distributed::{VersionSchedule, WorkerFault};
 use crate::rollout::{run_rollouts, RolloutParams};
 use crate::{
-    ClusterEnvAdapter, DynamicsModel, MirasAgent, MirasConfig, RefinedModel, TransitionDataset,
+    ClusterEnvAdapter, DynamicsModel, MirasAgent, MirasConfig, RefinedModel, RolloutMode,
+    TransitionDataset,
 };
 
 /// Why a self-healing training driver ultimately gave up.
@@ -98,13 +98,6 @@ pub struct MirasTrainer {
     rng: SmallRng,
     telemetry: telemetry::Telemetry,
     lend_triggers_total: u64,
-    /// Version-schedule manifest of the last completed inner loop: which
-    /// weight version each worker adopted for each rollout wave. `None`
-    /// before the first iteration and under the inline rollout modes;
-    /// persisted in checkpoints.
-    last_schedule: Option<VersionSchedule>,
-    /// One-shot chaos hook consumed by the next inner loop.
-    worker_fault: Option<WorkerFault>,
 }
 
 impl MirasTrainer {
@@ -126,8 +119,6 @@ impl MirasTrainer {
             config,
             telemetry: telemetry::Telemetry::noop(),
             lend_triggers_total: 0,
-            last_schedule: None,
-            worker_fault: None,
         }
     }
 
@@ -212,33 +203,6 @@ impl MirasTrainer {
         real_env: &mut ClusterEnvAdapter,
         health: &mut TrainHealth,
     ) -> Result<IterationReport, TrainError> {
-        self.try_run_iteration_scheduled(real_env, health, None)
-    }
-
-    /// [`try_run_iteration`](MirasTrainer::try_run_iteration) with the
-    /// inner loop's rollout workers forced to replay a recorded
-    /// [`VersionSchedule`] instead of adopting fresh weight versions:
-    /// given the schedule a previous run recorded (persisted in its
-    /// checkpoints), the iteration reproduces that run bit for bit.
-    /// Schedules exist only for `workers ≥ 2` rollout modes: the inline
-    /// shapes (`Sequential`, `Lockstep`, `Distributed` with one worker) are
-    /// bit-stable without one and reject it.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`TrainError`] raised by the first unhealthy DDPG update.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `schedule` is passed under an inline rollout mode, was
-    /// recorded under a different worker/lane configuration, or fails
-    /// [`VersionSchedule::validate`].
-    pub(crate) fn try_run_iteration_scheduled(
-        &mut self,
-        real_env: &mut ClusterEnvAdapter,
-        health: &mut TrainHealth,
-        schedule: Option<&VersionSchedule>,
-    ) -> Result<IterationReport, TrainError> {
         // 1. Collect real interactions, resetting periodically (§VI-A3).
         //    The first iteration uses random allocations (the untrained
         //    policy's near-constant actions carry no action-response
@@ -291,17 +255,13 @@ impl MirasTrainer {
             .seed
             .wrapping_add(0xBEEF)
             .wrapping_add(self.iteration as u64);
-        let (workers, lanes) = self.config.rollout_mode.shape();
         let params = RolloutParams {
-            workers,
-            lanes,
+            lanes: self.config.rollout_mode.lanes(),
             rollout_len: self.config.rollout_len,
             rollouts: self.config.rollouts_per_iter,
             patience: self.config.inner_patience,
             consumer_budget: self.consumer_budget,
             synth_seed,
-            schedule: schedule.cloned(),
-            fault: self.worker_fault.take(),
         };
         let outcome = run_rollouts(
             &mut self.agent,
@@ -311,7 +271,6 @@ impl MirasTrainer {
             health,
             &self.telemetry,
         )?;
-        self.last_schedule = outcome.schedule;
         let (returns, lend_triggers) = (outcome.returns, outcome.lend_triggers);
         let synthetic_return_mean = if returns.is_empty() {
             0.0
@@ -390,7 +349,6 @@ impl MirasTrainer {
             trainer_rng_state: self.rng.state(),
             lend_triggers_total: self.lend_triggers_total,
             adapter: real_env.snapshot(),
-            last_schedule: self.last_schedule.clone(),
         }
         .save(path)
     }
@@ -406,7 +364,11 @@ impl MirasTrainer {
     /// # Errors
     ///
     /// Returns a [`CheckpointError`] if the file is missing, truncated,
-    /// corrupt, or from an incompatible format version.
+    /// corrupt, or from an incompatible format version, and
+    /// [`CheckpointError::Mismatch`] if it was written by a run on the
+    /// retired actor–learner engine ([`RolloutMode::Distributed`] with two
+    /// or more workers), whose remaining iterations no engine can
+    /// reproduce. Such a checkpoint's policy still serves.
     ///
     /// # Panics
     ///
@@ -416,6 +378,14 @@ impl MirasTrainer {
         ensemble: workflow::Ensemble,
     ) -> Result<(MirasTrainer, ClusterEnvAdapter), CheckpointError> {
         let payload = CheckpointPayload::load(path)?;
+        if let RolloutMode::Distributed { workers, lanes } = payload.config.rollout_mode {
+            if workers >= 2 {
+                return Err(CheckpointError::Mismatch(format!(
+                    "written by the retired actor–learner engine ({workers} workers × {lanes} \
+                     lanes); its policy serves, but its training cannot resume"
+                )));
+            }
+        }
         Ok(Self::restore(payload, ensemble))
     }
 
@@ -435,8 +405,6 @@ impl MirasTrainer {
             rng: SmallRng::from_state(payload.trainer_rng_state),
             telemetry: telemetry::Telemetry::noop(),
             lend_triggers_total: payload.lend_triggers_total,
-            last_schedule: payload.last_schedule,
-            worker_fault: None,
         };
         (trainer, adapter)
     }
@@ -701,144 +669,6 @@ mod tests {
         std::env::temp_dir().join(format!("miras_trainer_test_{name}.json"))
     }
 
-    /// Looks up a key in an object-shaped telemetry JSON value.
-    fn field<'a>(v: &'a serde::value::Value, key: &str) -> Option<&'a serde::value::Value> {
-        match v {
-            serde::value::Value::Object(fields) => {
-                fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-            }
-            _ => None,
-        }
-    }
-
-    /// One worker has nothing to lag behind: `Distributed {1, B}` runs the
-    /// inline engine, records no manifest, and rejects a schedule instead
-    /// of silently ignoring it.
-    #[test]
-    #[should_panic(expected = "version schedules exist only for workers ≥ 2")]
-    fn schedule_under_an_inline_shape_is_rejected() {
-        let mut env = real_env(31);
-        let mut trainer = MirasTrainer::new(
-            &env,
-            MirasConfig::smoke_test(32)
-                .try_with_distributed(1, 2)
-                .unwrap(),
-        );
-        let _ = trainer.run_iteration(&mut env);
-        assert_eq!(trainer.last_schedule.as_ref(), None);
-        let schedule = VersionSchedule {
-            workers: 1,
-            lanes: 2,
-            entries: Vec::new(),
-        };
-        let mut health = TrainHealth::default_policy();
-        let _ = trainer.try_run_iteration_scheduled(&mut env, &mut health, Some(&schedule));
-    }
-
-    /// The version-schedule manifest fully determines an async N-worker
-    /// run: replaying a recorded schedule from the same starting state
-    /// reproduces reports, agent weights, and the real environment bit for
-    /// bit, however the original worker threads raced.
-    #[test]
-    fn distributed_replay_of_recorded_schedule_is_bit_identical() {
-        let config = || {
-            MirasConfig::smoke_test(34)
-                .try_with_distributed(2, 1)
-                .unwrap()
-        };
-        let mut live_env = real_env(33);
-        let mut live = MirasTrainer::new(&live_env, config());
-        let live_report = live.run_iteration(&mut live_env);
-        let schedule = live.last_schedule.as_ref().unwrap().clone();
-        schedule.validate().unwrap();
-        // smoke_test: 4 rollouts, 1 lane per wave, no early stop → 4 waves.
-        assert_eq!(schedule.entries.len(), 4);
-        assert_eq!(live_report.rollouts_run, 4);
-
-        // Replay twice: both runs must equal the recording run exactly.
-        for _ in 0..2 {
-            let mut env = real_env(33);
-            let mut replay = MirasTrainer::new(&env, config());
-            let mut health = TrainHealth::default_policy();
-            let report = replay
-                .try_run_iteration_scheduled(&mut env, &mut health, Some(&schedule))
-                .unwrap();
-            assert_eq!(report, live_report);
-            assert_eq!(replay.last_schedule.as_ref(), Some(&schedule));
-            assert_eq!(replay.agent_mut().snapshot(), live.agent_mut().snapshot());
-            assert_eq!(env.snapshot(), live_env.snapshot());
-        }
-    }
-
-    /// Worker crash/restart: resume from a shared checkpoint, kill a
-    /// worker mid-iteration, and replay the uninterrupted run's recorded
-    /// schedule — the respawned worker regenerates its waves from their
-    /// seeds and the result matches the uninterrupted run byte for byte.
-    #[test]
-    fn distributed_worker_crash_resumes_from_checkpoint_byte_identical() {
-        let path = temp_checkpoint("distributed_crash");
-        let config = || {
-            MirasConfig::smoke_test(36)
-                .try_with_distributed(2, 1)
-                .unwrap()
-        };
-        // Uninterrupted reference: two iterations, checkpoint after the
-        // first (the shared rollback point).
-        let mut ref_env = real_env(35);
-        let mut reference = MirasTrainer::new(&ref_env, config());
-        let _ = reference.run_iteration(&mut ref_env);
-        reference.save_checkpoint(&ref_env, &path).unwrap();
-        let schedule0 = reference.last_schedule.as_ref().unwrap().clone();
-        let ref_r2 = reference.run_iteration(&mut ref_env);
-        let schedule1 = reference.last_schedule.as_ref().unwrap().clone();
-
-        // Crashed run: resume from the checkpoint, arm a crash of worker 1
-        // right before its second wave (global wave 3), replay schedule1.
-        let (mut resumed, mut env) = MirasTrainer::resume(&path, Ensemble::msd()).unwrap();
-        // The manifest of the last completed loop survives the checkpoint.
-        assert_eq!(resumed.last_schedule.as_ref(), Some(&schedule0));
-        let sink = telemetry::JsonlSink::in_memory();
-        resumed.set_telemetry(telemetry::Telemetry::new(sink.clone()));
-        resumed.worker_fault = Some(WorkerFault {
-            worker: 1,
-            at_wave: 3,
-        });
-        let mut health = TrainHealth::default_policy();
-        let r2 = resumed
-            .try_run_iteration_scheduled(&mut env, &mut health, Some(&schedule1))
-            .unwrap();
-        assert_eq!(r2, ref_r2);
-        assert_eq!(resumed.last_schedule.as_ref(), Some(&schedule1));
-        resumed.set_telemetry(telemetry::Telemetry::noop());
-        assert_eq!(
-            resumed.agent_mut().snapshot(),
-            reference.agent_mut().snapshot()
-        );
-        assert_eq!(env.snapshot(), ref_env.snapshot());
-
-        // The crash actually happened: the learner recorded one respawn.
-        sink.try_flush().unwrap();
-        let out = String::from_utf8(sink.take_output()).unwrap();
-        let restarted = out
-            .lines()
-            .filter(|l| !l.trim().is_empty())
-            .filter_map(|l| serde_json::from_str::<serde::value::Value>(l).ok())
-            .any(|v| {
-                matches!(field(&v, "t"), Some(serde::value::Value::String(t)) if t == "counter")
-                    && matches!(
-                        field(&v, "name"),
-                        Some(serde::value::Value::String(n)) if n == "train.worker_restarts"
-                    )
-                    && match field(&v, "value") {
-                        Some(serde::value::Value::UInt(n)) => *n >= 1,
-                        Some(serde::value::Value::Int(n)) => *n >= 1,
-                        _ => false,
-                    }
-            });
-        assert!(restarted, "no worker respawn recorded in telemetry:\n{out}");
-        std::fs::remove_file(&path).ok();
-    }
-
     #[test]
     fn resumed_training_is_bit_identical_to_uninterrupted() {
         let path = temp_checkpoint("bit_identical");
@@ -870,6 +700,88 @@ mod tests {
         );
         // And the two environments are in identical simulator states.
         assert_eq!(env.snapshot(), ref_env.snapshot());
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Rewrites a `Lockstep(lanes)` checkpoint as one written by the
+    /// retired actor–learner engine at `workers` workers: its rollout mode
+    /// becomes `Distributed` and its training state gains the version
+    /// schedule those builds recorded. With `legacy`, the policy line is
+    /// dropped as well, giving the layout saved before policy lines.
+    fn as_actor_learner_checkpoint(
+        text: &str,
+        lanes: usize,
+        workers: usize,
+        legacy: bool,
+    ) -> String {
+        let (policy, state) = text.split_once('\n').expect("a policy line");
+        let mode = format!("\"rollout_mode\":{{\"Lockstep\":{lanes}}}");
+        assert_eq!(
+            state.matches(&mode).count(),
+            1,
+            "one rollout mode in the state"
+        );
+        let state = state.replace(
+            &mode,
+            &format!(
+                "\"rollout_mode\":{{\"Distributed\":{{\"workers\":{workers},\"lanes\":{lanes}}}}}"
+            ),
+        );
+        let state = format!(
+            "{},\"last_schedule\":{{\"workers\":{workers},\"lanes\":{lanes},\"entries\":\
+             [{{\"worker\":0,\"wave\":0,\"version\":0}},{{\"worker\":1,\"wave\":1,\"version\":0}}]}}}}",
+            state.strip_suffix('}').expect("a JSON object")
+        );
+        if legacy {
+            state
+        } else {
+            format!("{policy}\n{state}")
+        }
+    }
+
+    /// Checkpoints from the retired actor–learner engine: one worker always
+    /// ran inline as `Lockstep(lanes)`, so it resumes bit-identically to an
+    /// uninterrupted `Lockstep(lanes)` run; two workers needed a version
+    /// schedule no engine can replay, so resume refuses it with a typed
+    /// error. Both checkpoint layouts, each carrying a `last_schedule`.
+    #[test]
+    fn actor_learner_checkpoints_resume_only_at_one_worker() {
+        let lanes = 2;
+        let config = || {
+            MirasConfig::smoke_test(38)
+                .try_with_lockstep(lanes)
+                .unwrap()
+        };
+        let mut ref_env = real_env(37);
+        let mut reference = MirasTrainer::new(&ref_env, config());
+        let _ = reference.run_iteration(&mut ref_env);
+        let path = temp_checkpoint("actor_learner");
+        reference.save_checkpoint(&ref_env, &path).unwrap();
+        let saved = std::fs::read_to_string(&path).unwrap();
+        let ref_r2 = reference.run_iteration(&mut ref_env);
+
+        for legacy in [false, true] {
+            let refused = as_actor_learner_checkpoint(&saved, lanes, 2, legacy);
+            std::fs::write(&path, refused).unwrap();
+            match MirasTrainer::resume(&path, Ensemble::msd()) {
+                Err(CheckpointError::Mismatch(msg)) => assert!(msg.contains("2 workers"), "{msg}"),
+                other => panic!("legacy={legacy}: expected Mismatch, got {:?}", other.err()),
+            }
+
+            let inline = as_actor_learner_checkpoint(&saved, lanes, 1, legacy);
+            std::fs::write(&path, inline).unwrap();
+            let (mut resumed, mut env) = MirasTrainer::resume(&path, Ensemble::msd()).unwrap();
+            assert_eq!(
+                resumed.config.rollout_mode,
+                RolloutMode::Distributed { workers: 1, lanes }
+            );
+            assert_eq!(resumed.run_iteration(&mut env), ref_r2, "legacy={legacy}");
+            assert_eq!(
+                resumed.agent_mut().snapshot(),
+                reference.agent_mut().snapshot()
+            );
+            assert_eq!(env.snapshot(), ref_env.snapshot());
+        }
         std::fs::remove_file(&path).ok();
     }
 

@@ -60,7 +60,6 @@ mod optimizer;
 mod scratch;
 pub mod telemetry;
 pub mod threads;
-pub(crate) mod ziggurat;
 
 pub use activation::Activation;
 pub use layer::{Dense, DenseGrads};

@@ -406,32 +406,6 @@ impl Mlp {
         }
     }
 
-    /// Like [`Mlp::add_parameter_noise`], but draws the Gaussian variates
-    /// with the ziggurat sampler — one
-    /// RNG word, one table lookup, and one compare per variate on the
-    /// common path instead of Box–Muller's `ln`/`sqrt`/`cos`, about 5×
-    /// cheaper per parameter on scalar hardware. The hot path of the
-    /// distributed rollout workers, which re-perturb a frozen policy at
-    /// every wave boundary.
-    ///
-    /// The variate *stream* differs from [`Mlp::add_parameter_noise`] for
-    /// the same RNG state — that one is pinned by checkpoint-resume
-    /// compatibility (resumed runs must replay the exact historical draw
-    /// pattern), which is why this is a separate entry point rather than a
-    /// drop-in replacement.
-    pub fn add_parameter_noise_fast<R: Rng + ?Sized>(&mut self, sigma: f64, rng: &mut R) {
-        if sigma <= 0.0 {
-            return;
-        }
-        for layer in &mut self.layers {
-            for buf in layer.params_mut() {
-                for p in buf.iter_mut() {
-                    *p += sigma * crate::ziggurat::standard_normal(rng);
-                }
-            }
-        }
-    }
-
     /// Polyak soft update: `θ ← τ·θ_src + (1 − τ)·θ` (DDPG target networks).
     ///
     /// # Panics

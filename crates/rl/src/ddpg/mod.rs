@@ -2,14 +2,12 @@
 
 mod config;
 mod critic;
-mod frozen;
 mod health;
 mod learner;
 mod snapshot;
 
 pub use config::{DdpgConfig, Exploration};
 pub(crate) use critic::Critic;
-pub use frozen::{FrozenPolicy, PolicyWeights};
 pub use health::{TrainError, TrainHealth, TrainStats};
 pub use learner::Ddpg;
 pub use snapshot::DdpgSnapshot;

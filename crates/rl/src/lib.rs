@@ -56,10 +56,7 @@ mod norm;
 pub mod policy;
 mod replay;
 
-pub use ddpg::{
-    Ddpg, DdpgConfig, DdpgSnapshot, Exploration, FrozenPolicy, PolicyWeights, TrainError,
-    TrainHealth, TrainStats,
-};
+pub use ddpg::{Ddpg, DdpgConfig, DdpgSnapshot, Exploration, TrainError, TrainHealth, TrainStats};
 pub use env::{Environment, Transition};
 pub(crate) use noise::{AdaptiveParamNoise, OrnsteinUhlenbeck};
 pub use norm::RunningNorm;

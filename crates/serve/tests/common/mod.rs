@@ -3,8 +3,7 @@
 use std::path::Path;
 
 /// Rewrites the checkpoint at `path` in the layout saved before policy
-/// lines existed: the training-state line alone, which is byte for byte
-/// what a save wrote then.
+/// lines existed: the training-state line alone.
 pub(crate) fn strip_policy_line(path: &Path) {
     let text = std::fs::read_to_string(path).unwrap();
     let (_, state) = text.split_once('\n').expect("a policy line");

@@ -206,3 +206,46 @@ fn checkpoint_policy_line_and_legacy_layout_serve_identically() {
         let _ = std::fs::remove_file(p);
     }
 }
+
+/// Checkpoints written by the retired actor–learner engine, rebuilt from
+/// a real one by editing its text: the rollout mode becomes `Distributed`
+/// and the training state carries the version schedule those builds
+/// recorded. Whatever the worker count, and in both layouts, they serve
+/// byte-identically to the unedited file.
+#[test]
+fn actor_learner_checkpoints_still_serve() {
+    let (checkpoint, _) = checkpoints();
+    let text = std::str::from_utf8(checkpoint).unwrap();
+    let full = temp_path("actor_learner_reference");
+    std::fs::write(&full, checkpoint).unwrap();
+    let reference = served(&full);
+
+    let mode = "\"rollout_mode\":\"Sequential\"";
+    assert_eq!(text.matches(mode).count(), 1, "one rollout mode");
+    for workers in [1, 2] {
+        let edited = text.replace(
+            mode,
+            &format!("\"rollout_mode\":{{\"Distributed\":{{\"workers\":{workers},\"lanes\":1}}}}"),
+        );
+        let edited = format!(
+            "{},\"last_schedule\":{{\"workers\":{workers},\"lanes\":1,\"entries\":\
+             [{{\"worker\":0,\"wave\":0,\"version\":0}}]}}}}",
+            edited.strip_suffix('}').expect("a JSON object")
+        );
+        let current = temp_path(&format!("actor_learner_{workers}"));
+        std::fs::write(&current, &edited).unwrap();
+        let legacy = temp_path(&format!("actor_learner_{workers}_legacy"));
+        std::fs::write(&legacy, &edited).unwrap();
+        common::strip_policy_line(&legacy);
+        assert!(std::fs::read_to_string(&legacy)
+            .unwrap()
+            .contains("\"Distributed\""));
+
+        assert_eq!(served(&current), reference, "workers={workers}");
+        assert_eq!(served(&legacy), reference, "workers={workers} legacy");
+        for p in [current, legacy] {
+            let _ = std::fs::remove_file(p);
+        }
+    }
+    let _ = std::fs::remove_file(full);
+}

@@ -28,20 +28,9 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let flags = match parse_flags(rest) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let result = match command.as_str() {
-        "simulate" => simulate(&flags),
-        "train" => train(&flags),
-        "evaluate" => evaluate(&flags),
-        "allocate" => allocate(&flags),
-        "gen-trace" => gen_trace(&flags),
-        other => Err(format!("unknown command '{other}'")),
+    let result = match COMMANDS.iter().find(|(name, ..)| name == command) {
+        Some((_, accepted, run)) => parse_flags(command, accepted, rest).and_then(|f| run(&f)),
+        None => Err(format!("unknown command '{command}'")),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -61,10 +50,8 @@ commands:
             (NAME is any registry policy: uniform, wip-proportional,
              stream/drs, heft, monad)
   train     --ensemble msd|ligo|gpu-serve [--iterations N] [--paper] [--smoke]
-            [--seed N] [--out FILE] [--workers N] [--lanes B]
-            (--lanes B steps B synthetic rollouts in lockstep; --workers 2+
-             moves them onto actor-learner worker threads, below that the
-             inner loop runs inline)
+            [--seed N] [--out FILE] [--lanes B]
+            (--lanes B steps B synthetic rollouts in lockstep)
   evaluate  --agent FILE [--ensemble msd|ligo|gpu-serve] [--burst N,N,..]
             [--trace FILE] [--windows N] [--seed N]
   allocate  --agent FILE --wip X,X,..
@@ -74,13 +61,62 @@ commands:
 
 type Flags = HashMap<String, String>;
 
-fn parse_flags(args: &[String]) -> Result<Flags, String> {
+type Command = fn(&Flags) -> Result<(), String>;
+
+/// Every subcommand with the flags it reads; any other flag is an error,
+/// so a misspelt one cannot be silently ignored.
+const COMMANDS: &[(&str, &[&str], Command)] = &[
+    (
+        "simulate",
+        &["ensemble", "policy", "burst", "trace", "windows", "seed"],
+        simulate,
+    ),
+    (
+        "train",
+        &[
+            "ensemble",
+            "iterations",
+            "paper",
+            "smoke",
+            "seed",
+            "out",
+            "lanes",
+        ],
+        train,
+    ),
+    (
+        "evaluate",
+        &["agent", "ensemble", "burst", "trace", "windows", "seed"],
+        evaluate,
+    ),
+    ("allocate", &["agent", "wip"], allocate),
+    (
+        "gen-trace",
+        &[
+            "ensemble",
+            "out",
+            "horizon",
+            "seed",
+            "pattern",
+            "period",
+            "amplitude",
+            "factor",
+            "at",
+        ],
+        gen_trace,
+    ),
+];
+
+fn parse_flags(command: &str, accepted: &[&str], args: &[String]) -> Result<Flags, String> {
     let mut flags = Flags::new();
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         let Some(name) = flag.strip_prefix("--") else {
             return Err(format!("expected a --flag, found '{flag}'"));
         };
+        if !accepted.contains(&name) {
+            return Err(format!("'{command}' does not take --{name}"));
+        }
         if name == "paper" || name == "smoke" {
             flags.insert(name.to_string(), "true".to_string());
             continue;
@@ -249,24 +285,14 @@ fn train(flags: &Flags) -> Result<(), String> {
             _ => MirasConfig::msd_fast(seed),
         }
     };
-    // --workers 2+ hands the inner loop's rollouts to actor-learner worker
-    // threads; --lanes sets the lockstep width of each rollout wave.
-    let workers = numeric::<usize>(flags, "workers", 0)?;
-    if workers > 0 {
-        let lanes = numeric(flags, "lanes", 4usize)?;
-        config = config
-            .try_with_distributed(workers, lanes)
-            .map_err(|e| e.to_string())?;
-    } else if flags.contains_key("lanes") {
+    if flags.contains_key("lanes") {
         let lanes = numeric(flags, "lanes", 1usize)?;
         config = config.try_with_lockstep(lanes).map_err(|e| e.to_string())?;
     }
-    match config.rollout_mode.shape() {
-        (workers, lanes) if workers >= 2 => {
-            println!("rollout engine: {workers} actor-learner workers x {lanes} lanes");
-        }
-        (_, lanes) => println!("rollout engine: inline, {lanes} lane(s)"),
-    }
+    println!(
+        "rollout engine: inline, {} lane(s)",
+        config.rollout_mode.lanes()
+    );
     let env_config = EnvConfig::for_ensemble(&ensemble).with_seed(seed);
     let mut env = ClusterEnvAdapter::new(MicroserviceEnv::new(ensemble, env_config));
     let mut trainer = MirasTrainer::new(&env, config);
