@@ -75,15 +75,7 @@ fn main() {
     println!("Ablation A3 — exploration strategy (seed {})\n", args.seed);
 
     println!("raw-action constraint-violation rate (2000 exploratory actions):");
-    let param = violation_rate(
-        Exploration::ParamNoise {
-            initial_sigma: 0.05,
-            delta: 0.1,
-            alpha: 1.01,
-            resample_every: 25,
-        },
-        args.seed,
-    );
+    let param = violation_rate(Exploration::ParamNoise { resample_every: 25 }, args.seed);
     let action = violation_rate(
         Exploration::ActionNoise {
             theta: 0.15,

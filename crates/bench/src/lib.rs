@@ -16,7 +16,9 @@ use std::sync::Arc;
 use baselines::{by_name, Observation, Policy, PolicyConfig};
 use desim::SimTime;
 use microsim::{EnvConfig, MicroserviceEnv, SimConfig, WorkloadSpec};
-use miras_core::{ClusterEnvAdapter, IterationReport, MirasAgent, MirasConfig, MirasTrainer};
+use miras_core::{
+    decode_policy_line, ClusterEnvAdapter, IterationReport, MirasAgent, MirasConfig, MirasTrainer,
+};
 use serde::{Deserialize, Serialize};
 use telemetry::{BufferedRecorder, JsonlSink, Telemetry, Value};
 use workflow::{BurstSpec, Ensemble};
@@ -533,9 +535,13 @@ fn cache_path(kind: EnsembleKind, seed: u64, iterations: usize, paper: bool) -> 
     ))
 }
 
+/// The cached agent at `path`, if it is there and decodes to an agent that
+/// can decide.
 fn load_cached_agent(path: &PathBuf) -> Option<MirasAgent> {
     let text = fs::read_to_string(path).ok()?;
-    serde_json::from_str(&text).ok()
+    decode_policy_line(text.lines().next()?)
+        .ok()
+        .map(|(agent, _)| agent)
 }
 
 fn store_cached_agent(path: &PathBuf, agent: &MirasAgent) {

@@ -248,18 +248,6 @@ pub struct EnvConfig {
     pub arrival_rates: Vec<f64>,
     /// Emulator parameters.
     pub sim: SimConfig,
-    /// When true (default), actions whose consumer total exceeds the budget
-    /// are scaled down proportionally instead of rejected; the violation is
-    /// recorded in the step's [`WindowMetrics`](crate::WindowMetrics).
-    pub clamp_actions: bool,
-    /// Capacity multiple used during [`reset`](crate::MicroserviceEnv::reset)
-    /// ("provision sufficient consumers of each microservice to reduce WIP
-    /// close to 0", §VI-A3); must be positive.
-    pub reset_capacity_factor: usize,
-    /// Maximum number of windows a reset may run before giving up.
-    pub reset_max_windows: usize,
-    /// Reset finishes once total WIP is at or below this threshold.
-    pub reset_wip_threshold: usize,
     /// How the background arrival rates evolve over the run (the workload
     /// scenario zoo). Defaults to [`WorkloadSpec::Stationary`], which is
     /// bit-identical to the pre-workload arrival stream; configs recorded
@@ -278,10 +266,6 @@ impl EnvConfig {
             consumer_budget: ensemble.default_consumer_budget(),
             arrival_rates: ensemble.default_arrival_rates().to_vec(),
             sim: SimConfig::default(),
-            clamp_actions: true,
-            reset_capacity_factor: 5,
-            reset_max_windows: 40,
-            reset_wip_threshold: 0,
             workload: WorkloadSpec::Stationary,
         }
     }
@@ -316,12 +300,6 @@ impl EnvConfig {
             return err(
                 "arrival_rates",
                 "arrival rates must be finite and non-negative",
-            );
-        }
-        if self.reset_capacity_factor == 0 {
-            return err(
-                "reset_capacity_factor",
-                "reset capacity factor must be positive",
             );
         }
         self.sim.validate()?;
@@ -376,8 +354,6 @@ mod tests {
             => "invalid EnvConfig.arrival_rates: arrival rates must be finite and non-negative";
         negative_arrival_rate_panics: |c| c.arrival_rates = vec![-0.5, 0.0, 0.0]
             => "invalid EnvConfig.arrival_rates: arrival rates must be finite and non-negative";
-        zero_reset_capacity_factor_panics: |c| c.reset_capacity_factor = 0
-            => "invalid EnvConfig.reset_capacity_factor: reset capacity factor must be positive";
         zero_workload_period_panics: |c| c.workload = WorkloadSpec::Diurnal {
                 period: SimTime::ZERO,
                 amplitude: 0.5,
@@ -487,7 +463,6 @@ mod tests {
         let env = EnvConfig {
             window: SimTime::from_secs(5),
             arrival_rates: vec![0.1, 0.2],
-            reset_capacity_factor: 2,
             workload: WorkloadSpec::parse("diurnal").unwrap(),
             sim,
             ..EnvConfig::for_ensemble(&Ensemble::msd())

@@ -1,7 +1,7 @@
 //! The deployable MIRAS agent: state in, consumer allocation out.
 
 use nn::Mlp;
-use rl::policy::{allocation_floor, allocation_largest_remainder};
+use rl::policy::allocation_largest_remainder;
 use rl::RunningNorm;
 use serde::{Deserialize, Serialize};
 
@@ -9,8 +9,9 @@ use serde::{Deserialize, Serialize};
 ///
 /// This is what gets deployed after training: the greedy actor network plus
 /// the consumer budget. [`MirasAgent::allocate`] maps an observed WIP vector
-/// to consumer counts with the paper's `m_j = ⌊C · a_j⌋` rule, so the
-/// allocation always satisfies the budget.
+/// to consumer counts with the largest-remainder rule (the paper's
+/// `m_j = ⌊C · a_j⌋` floor, plus the consumers the floor would discard), so
+/// the allocation always satisfies the budget.
 ///
 /// Agents serialize with serde for checkpointing.
 ///
@@ -32,8 +33,6 @@ pub struct MirasAgent {
     actor: Mlp,
     obs_norm: Option<RunningNorm>,
     consumer_budget: usize,
-    #[serde(default)]
-    strict_floor: bool,
 }
 
 impl MirasAgent {
@@ -54,7 +53,6 @@ impl MirasAgent {
             actor,
             obs_norm: None,
             consumer_budget,
-            strict_floor: false,
         }
     }
 
@@ -67,7 +65,6 @@ impl MirasAgent {
             actor,
             obs_norm: Some(obs_norm),
             consumer_budget,
-            strict_floor: false,
         }
     }
 
@@ -124,21 +121,14 @@ impl MirasAgent {
     }
 
     /// Consumer counts for `state`: the largest-remainder discretisation of
-    /// `C · a` (or the paper's literal floor `m_j = ⌊C · a_j⌋` for an agent
-    /// deserialized with `strict_floor` set). Either way `Σ_j m_j ≤ C`
-    /// holds.
+    /// `C · a`, so `Σ_j m_j ≤ C` holds.
     ///
     /// # Panics
     ///
     /// Panics if `state.len()` differs from the number of task types.
     #[must_use]
     pub fn allocate(&self, state: &[f64]) -> Vec<usize> {
-        let dist = self.distribution(state);
-        if self.strict_floor {
-            allocation_floor(&dist, self.consumer_budget)
-        } else {
-            allocation_largest_remainder(&dist, self.consumer_budget)
-        }
+        allocation_largest_remainder(&self.distribution(state), self.consumer_budget)
     }
 }
 

@@ -23,6 +23,12 @@
 //! always come from the same save. Loads validate the format version and
 //! reject corrupt or truncated files with [`CheckpointError::Corrupt`]
 //! instead of panicking.
+//!
+//! Some config fields older builds wrote are now constants (see
+//! [`RETIRED_KEYS`]). Loading skips them like any unknown field, but a file
+//! that stores one with a value other than the constant was trained under
+//! behaviour this build no longer has, so it is refused with
+//! [`CheckpointError::Mismatch`] naming the key.
 
 use std::fmt;
 use std::fs::File;
@@ -39,6 +45,51 @@ use crate::{DynamicsModel, MirasAgent, MirasConfig, TransitionDataset};
 /// Format version written into every checkpoint; bumped whenever the
 /// payload layout changes incompatibly.
 pub(crate) const CHECKPOINT_VERSION: u32 = 1;
+
+/// Config fields that older builds let a caller set and this build runs
+/// as constants: each key's dotted path from the root of a training state
+/// (or of a serialized [`MirasAgent`]), with the constant as those builds
+/// serialized it. The agent snapshot's copy of the DDPG config is not
+/// listed: a trainer always built it from `config.ddpg`.
+const RETIRED_KEYS: [(&str, &str); 12] = [
+    ("config.model_lr", "0.003"),
+    ("config.ddpg.grad_clip", "10.0"),
+    ("config.ddpg.reward_scale", "1.0"),
+    ("config.ddpg.twin_critic", "false"),
+    ("config.ddpg.exploration.ParamNoise.initial_sigma", "0.05"),
+    ("config.ddpg.exploration.ParamNoise.delta", "0.1"),
+    ("config.ddpg.exploration.ParamNoise.alpha", "1.01"),
+    ("adapter.env.config.clamp_actions", "true"),
+    ("adapter.env.config.reset_capacity_factor", "5"),
+    ("adapter.env.config.reset_max_windows", "40"),
+    ("adapter.env.config.reset_wip_threshold", "0"),
+    ("strict_floor", "false"),
+];
+
+/// The value at `key` of a JSON object, if `value` is one and has it.
+fn field<'a>(value: &'a Value, key: &str) -> Option<&'a Value> {
+    match value {
+        Value::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+        _ => None,
+    }
+}
+
+/// Refuses `root` if it stores any of [`RETIRED_KEYS`] with a value other
+/// than the constant this build runs with. An absent key passes.
+fn check_retired(root: &Value) -> Result<(), CheckpointError> {
+    for (path, constant) in RETIRED_KEYS {
+        let Some(found) = path.split('.').try_fold(root, field) else {
+            continue;
+        };
+        let found = serde_json::to_string(found).unwrap_or_default();
+        if found != constant {
+            return Err(CheckpointError::Mismatch(format!(
+                "`{path}` is {found}, but this build only runs with {constant}"
+            )));
+        }
+    }
+    Ok(())
+}
 
 /// Why a checkpoint could not be saved or loaded.
 #[derive(Debug)]
@@ -183,7 +234,8 @@ impl CheckpointPayload {
     /// [`CheckpointError::Corrupt`] if it does not parse as a checkpoint
     /// (e.g. it was truncated by a crash that beat the atomic-rename
     /// protocol's temp file into place), and [`CheckpointError::Mismatch`]
-    /// if its format version differs from `CHECKPOINT_VERSION`.
+    /// if its format version differs from `CHECKPOINT_VERSION` or it stores
+    /// a retired config key with a value other than its constant.
     pub fn load(path: &Path) -> Result<Self, CheckpointError> {
         let text = String::from_utf8(std::fs::read(path)?)
             .map_err(|e| CheckpointError::Corrupt(format!("not UTF-8: {e}")))?;
@@ -192,7 +244,9 @@ impl CheckpointPayload {
         let state = text
             .split_once('\n')
             .map_or(text.as_str(), |(_, state)| state);
-        serde_json::from_str::<CheckpointPayload>(state)
+        let value: Value = serde_json::from_str(state).map_err(parse_failed)?;
+        check_retired(&value)?;
+        from_value::<CheckpointPayload, _>(value)
             .map_err(parse_failed)?
             .checked()
     }
@@ -229,24 +283,31 @@ impl CheckpointPayload {
 /// [`CheckpointError::Corrupt`] if the line is not one of those shapes
 /// (e.g. it was cut short) or its agent cannot decide, and
 /// [`CheckpointError::Mismatch`] for a legacy checkpoint of another format
-/// version.
+/// version, or for an agent stored with a retired key at a value other
+/// than its constant (`"strict_floor":true`).
 ///
 /// [`deployable_agent`]: CheckpointPayload::deployable_agent
 pub fn decode_policy_line(line: &str) -> Result<(MirasAgent, u64), CheckpointError> {
     let value: Value = serde_json::from_str(line).map_err(parse_failed)?;
-    let Value::Object(fields) = &value else {
+    if !matches!(value, Value::Object(_)) {
         return Err(CheckpointError::Corrupt(format!(
             "expected a JSON object, found {}",
             value.kind()
         )));
-    };
-    let has = |key: &str| fields.iter().any(|(k, _)| k == key);
+    }
+    let has = |key: &str| field(&value, key).is_some();
     let (agent, version) = if has("policy_version") {
+        if let Some(agent) = field(&value, "agent") {
+            check_retired(agent)?;
+        }
         let line: PolicyLine = from_value(value).map_err(parse_failed)?;
         (line.agent, line.policy_version)
     } else if has("actor") {
+        check_retired(&value)?;
         (from_value(value).map_err(parse_failed)?, 0)
     } else {
+        // The deployable agent is rebuilt from the actor and normaliser
+        // alone, so no retired training key changes what it decides.
         let payload = from_value::<CheckpointPayload, _>(value)
             .map_err(parse_failed)?
             .checked()?;
@@ -322,6 +383,31 @@ mod tests {
             match decode_policy_line(&broken) {
                 Err(CheckpointError::Corrupt(msg)) => assert!(msg.contains(why), "{msg}"),
                 other => panic!("{why}: expected Corrupt, got {other:?}"),
+            }
+        }
+    }
+
+    /// Agents saved before the literal-floor option went: `false` decodes
+    /// as the current agent, `true` is refused naming the key, both as a
+    /// bare agent and inside a policy line.
+    #[test]
+    fn agents_stored_with_strict_floor_decode_only_at_false() {
+        let agent = agent_json();
+        let current = decode_policy_line(&agent).unwrap();
+        for floor in [false, true] {
+            let stored = format!(
+                "{},\"strict_floor\":{floor}}}",
+                agent.strip_suffix('}').unwrap()
+            );
+            let line = format!("{{\"policy_version\":3,\"agent\":{stored}}}");
+            for (text, version) in [(stored, 0), (line, 3)] {
+                match decode_policy_line(&text) {
+                    Ok(decoded) if !floor => assert_eq!(decoded, (current.0.clone(), version)),
+                    Err(CheckpointError::Mismatch(msg)) if floor => {
+                        assert!(msg.contains("`strict_floor` is true"), "{msg}");
+                    }
+                    other => panic!("strict_floor={floor}: got {other:?}"),
+                }
             }
         }
     }

@@ -61,8 +61,6 @@ pub struct MirasConfig {
     /// Hidden-layer widths of the environment model (paper: `[20; 3]` for
     /// MSD, `[20]` for LIGO — the smaller LIGO model avoids overfitting).
     pub model_hidden: Vec<usize>,
-    /// Learning rate for the environment model.
-    pub model_lr: f64,
     /// Environment-model training epochs per outer iteration.
     pub model_epochs: usize,
     /// Minibatch size for model training.
@@ -124,7 +122,6 @@ impl MirasConfig {
     pub fn msd_paper(seed: u64) -> Self {
         MirasConfig {
             model_hidden: vec![20, 20, 20],
-            model_lr: 3e-3,
             model_epochs: 60,
             model_batch: 64,
             refine_percentile: 10.0,
@@ -149,7 +146,6 @@ impl MirasConfig {
     pub fn ligo_paper(seed: u64) -> Self {
         MirasConfig {
             model_hidden: vec![20],
-            model_lr: 3e-3,
             model_epochs: 60,
             model_batch: 64,
             refine_percentile: 10.0,
@@ -228,16 +224,8 @@ impl MirasConfig {
     /// A miniature configuration for unit tests and doctests.
     #[must_use]
     pub fn smoke_test(seed: u64) -> Self {
-        let mut ddpg = DdpgConfig::small_test(seed);
-        ddpg.exploration = Exploration::ParamNoise {
-            initial_sigma: 0.05,
-            delta: 0.1,
-            alpha: 1.01,
-            resample_every: 10,
-        };
         MirasConfig {
             model_hidden: vec![16],
-            model_lr: 3e-3,
             model_epochs: 8,
             model_batch: 16,
             refine_percentile: 10.0,
@@ -251,7 +239,7 @@ impl MirasConfig {
             initial_random_collection: true,
             random_action_fraction: 0.1,
             collect_burst_max: None,
-            ddpg,
+            ddpg: DdpgConfig::small_test(seed),
             rollout_mode: RolloutMode::Sequential,
             seed,
         }

@@ -51,13 +51,16 @@ pub struct DynamicsModel {
     seed: u64,
 }
 
+/// Adam learning rate of the environment model.
+const MODEL_LR: f64 = 3e-3;
+
 fn default_adam() -> Adam {
     Adam::new(1e-3)
 }
 
 impl DynamicsModel {
     /// Creates an untrained model for `state_dim`-dimensional systems using
-    /// the hidden sizes and learning rate from `config`.
+    /// the hidden sizes from `config`.
     #[must_use]
     pub fn new(state_dim: usize, config: &MirasConfig) -> Self {
         let mut rng = SmallRng::seed_from_u64(config.seed.wrapping_add(0x5EED));
@@ -71,7 +74,7 @@ impl DynamicsModel {
             state_scaler: None,
             action_scaler: None,
             target_scaler: None,
-            optimizer: Adam::new(config.model_lr).with_clip_norm(10.0),
+            optimizer: Adam::new(MODEL_LR).with_clip_norm(10.0),
             seed: config.seed,
         }
     }

@@ -7,14 +7,9 @@ use serde::{Deserialize, Serialize};
 pub enum Exploration {
     /// Parameter-space noise (the paper's choice, §IV-D): perturb a copy of
     /// the actor's weights; adapt the scale so the induced action-space
-    /// distance tracks `delta`.
+    /// distance tracks a fixed target (initial σ 0.05, target distance 0.1,
+    /// adaption factor 1.01).
     ParamNoise {
-        /// Initial perturbation standard deviation.
-        initial_sigma: f64,
-        /// Target action-space distance.
-        delta: f64,
-        /// Multiplicative adaption factor (> 1).
-        alpha: f64,
         /// Re-perturb (and adapt) every this many exploratory actions.
         resample_every: usize,
     },
@@ -49,24 +44,11 @@ pub struct DdpgConfig {
     pub buffer_capacity: usize,
     /// Exploration strategy.
     pub exploration: Exploration,
-    /// Global gradient-norm clip.
-    pub grad_clip: Option<f64>,
-    /// Rewards are multiplied by this factor before being stored in the
-    /// replay buffer. The paper's reward `1 − Σ w` reaches hundreds in
-    /// magnitude under bursts; scaling keeps critic targets well
-    /// conditioned without changing the optimal policy.
-    pub reward_scale: f64,
     /// Standardise rewards with running statistics at batch-build time
     /// (OpenAI Baselines' `normalize_returns` analogue). The WIP reward
     /// spans two orders of magnitude between steady state and burst
     /// recovery; a fixed scale cannot condition the critic across both.
     pub normalize_rewards: bool,
-    /// Train a second, independently initialised critic and use the
-    /// minimum of the two target critics when forming TD targets (the
-    /// clipped double-Q trick of TD3, Fujimoto et al.). Counters the value
-    /// overestimation vanilla DDPG is prone to; off by default to match the
-    /// paper's vanilla actor-critic.
-    pub twin_critic: bool,
     /// Weight of the entropy bonus added to the actor objective
     /// (maximise `Q + β·H(π(s))`). A softmax actor that saturates to a
     /// one-hot vertex has a vanishing Jacobian — exploration noise can no
@@ -90,16 +72,8 @@ impl DdpgConfig {
             tau: 1e-2,
             batch_size: 64,
             buffer_capacity: 100_000,
-            exploration: Exploration::ParamNoise {
-                initial_sigma: 0.05,
-                delta: 0.1,
-                alpha: 1.01,
-                resample_every: 25,
-            },
-            grad_clip: Some(10.0),
-            reward_scale: 1.0,
+            exploration: Exploration::ParamNoise { resample_every: 25 },
             normalize_rewards: true,
-            twin_critic: false,
             entropy_weight: 2.0,
             seed,
         }
@@ -116,16 +90,8 @@ impl DdpgConfig {
             tau: 0.05,
             batch_size: 8,
             buffer_capacity: 1_000,
-            exploration: Exploration::ParamNoise {
-                initial_sigma: 0.05,
-                delta: 0.1,
-                alpha: 1.01,
-                resample_every: 10,
-            },
-            grad_clip: Some(10.0),
-            reward_scale: 1.0,
+            exploration: Exploration::ParamNoise { resample_every: 10 },
             normalize_rewards: false,
-            twin_critic: false,
             entropy_weight: 0.01,
             seed,
         }

@@ -27,13 +27,9 @@ pub struct Ddpg {
     pub(super) perturbed_actor: Mlp,
     pub(super) critic: Critic,
     pub(super) critic_target: Critic,
-    pub(super) critic2: Option<Critic>,
-    pub(super) critic2_target: Option<Critic>,
     pub(super) actor_opt: Adam,
     pub(super) critic_trunk_opt: Adam,
     pub(super) critic_head_opt: Adam,
-    pub(super) critic2_trunk_opt: Adam,
-    pub(super) critic2_head_opt: Adam,
     pub(super) replay: ReplayBuffer,
     pub(super) config: DdpgConfig,
     pub(super) param_noise: Option<AdaptiveParamNoise>,
@@ -73,6 +69,18 @@ const RECENT_STATES_CAP: usize = 128;
 /// loss on the very next minibatch that touches it.
 const WEIGHT_CHECK_EVERY: u64 = 50;
 
+/// Global gradient-norm clip of every Adam optimiser.
+const GRAD_CLIP_NORM: f64 = 10.0;
+
+/// Initial parameter-noise standard deviation.
+const PARAM_NOISE_INITIAL_SIGMA: f64 = 0.05;
+
+/// Action-space distance the parameter-noise scale is adapted to track.
+const PARAM_NOISE_DELTA: f64 = 0.1;
+
+/// Multiplicative parameter-noise adaption factor (> 1).
+const PARAM_NOISE_ALPHA: f64 = 1.01;
+
 impl Ddpg {
     /// Creates an agent for `state_dim`-dimensional states and
     /// `action_dim`-dimensional (simplex) actions.
@@ -98,28 +106,19 @@ impl Ddpg {
             &mut rng,
         );
         let critic = Critic::new(state_dim, action_dim, &config.hidden, &mut rng);
-        let critic2 = config
-            .twin_critic
-            .then(|| Critic::new(state_dim, action_dim, &config.hidden, &mut rng));
         let actor_target = actor.clone();
         let critic_target = critic.clone();
-        let critic2_target = critic2.clone();
         let perturbed_actor = actor.clone();
 
-        let clip = config.grad_clip;
-        let mk = |lr: f64| match clip {
-            Some(c) => Adam::new(lr).with_clip_norm(c),
-            None => Adam::new(lr),
-        };
+        let mk = |lr: f64| Adam::new(lr).with_clip_norm(GRAD_CLIP_NORM);
 
         let (param_noise, action_noise) = match config.exploration {
-            Exploration::ParamNoise {
-                initial_sigma,
-                delta,
-                alpha,
-                ..
-            } => (
-                Some(AdaptiveParamNoise::new(initial_sigma, delta, alpha)),
+            Exploration::ParamNoise { .. } => (
+                Some(AdaptiveParamNoise::new(
+                    PARAM_NOISE_INITIAL_SIGMA,
+                    PARAM_NOISE_DELTA,
+                    PARAM_NOISE_ALPHA,
+                )),
                 None,
             ),
             Exploration::ActionNoise { theta, sigma } => {
@@ -131,16 +130,12 @@ impl Ddpg {
             actor_opt: mk(config.actor_lr),
             critic_trunk_opt: mk(config.critic_lr),
             critic_head_opt: mk(config.critic_lr),
-            critic2_trunk_opt: mk(config.critic_lr),
-            critic2_head_opt: mk(config.critic_lr),
             replay: ReplayBuffer::new(config.buffer_capacity),
             actor,
             actor_target,
             perturbed_actor,
             critic,
             critic_target,
-            critic2,
-            critic2_target,
             param_noise,
             action_noise,
             obs_norm: RunningNorm::new(state_dim),
@@ -291,26 +286,24 @@ impl Ddpg {
         }
     }
 
-    /// Records a transition in the replay buffer. The reward is scaled by
-    /// the configured `reward_scale` before storage.
+    /// Records a transition in the replay buffer.
     ///
     /// Transitions containing non-finite values are rejected by the buffer
     /// (see [`ReplayBuffer::push`]); each rejection increments the
     /// `replay.rejected_nonfinite` telemetry counter so poisoned inputs are
     /// visible instead of silently corrupting later minibatches.
     pub fn observe(&mut self, state: &[f64], action: &[f64], reward: f64, next_state: &[f64]) {
-        let scaled = reward * self.config.reward_scale;
         let stored = self.replay.push(StoredTransition {
             state: state.to_vec(),
             action: action.to_vec(),
-            reward: scaled,
+            reward,
             next_state: next_state.to_vec(),
         });
         if stored {
             // Running statistics are only fed accepted data, so a poisoned
             // observation cannot corrupt the normalisers either.
             self.obs_norm.update(state);
-            self.reward_norm.update(&[scaled]);
+            self.reward_norm.update(&[reward]);
         } else {
             self.telemetry.counter("replay.rejected_nonfinite", 1);
         }
@@ -403,44 +396,25 @@ impl Ddpg {
         }
     }
 
-    /// Critic target: y = r + γ · Q'(s', μ'(s')); with a twin critic the
-    /// clipped double-Q minimum of both target critics is used (TD3).
+    /// Critic target: y = r + γ · Q'(s', μ'(s')).
     fn critic_targets(&self, batch: &mut Minibatch) {
         let next_actions = self.actor_target.forward(&batch.next_states);
         let next_q = self.critic_target.q(&batch.next_states, &next_actions);
-        let next_q2 = self
-            .critic2_target
-            .as_ref()
-            .map(|c| c.q(&batch.next_states, &next_actions));
         for (i, y) in batch.targets.as_mut_slice().iter_mut().enumerate() {
-            let mut q = next_q.get(i, 0);
-            if let Some(q2) = &next_q2 {
-                q = q.min(q2.get(i, 0));
-            }
-            *y += self.config.gamma * q;
+            *y += self.config.gamma * next_q.get(i, 0);
         }
     }
 
-    /// One MSE step of the critic (and the twin, if any) toward the
-    /// targets; returns the first critic's loss before the update.
+    /// One MSE step of the critic toward the targets; returns its loss
+    /// before the update.
     fn critic_step(&mut self, batch: &Minibatch) -> f64 {
-        let critic_loss = self.critic.train(
+        self.critic.train(
             &batch.states,
             &batch.actions,
             &batch.targets,
             &mut self.critic_trunk_opt,
             &mut self.critic_head_opt,
-        );
-        if let Some(c2) = &mut self.critic2 {
-            let _ = c2.train(
-                &batch.states,
-                &batch.actions,
-                &batch.targets,
-                &mut self.critic2_trunk_opt,
-                &mut self.critic2_head_opt,
-            );
-        }
-        critic_loss
+        )
     }
 
     /// Actor: ascend ∂Q/∂a through the deterministic policy gradient, plus
@@ -476,9 +450,6 @@ impl Ddpg {
             .soft_update_from(&self.actor, self.config.tau);
         self.critic_target
             .soft_update_from(&self.critic, self.config.tau);
-        if let (Some(t), Some(c)) = (&mut self.critic2_target, &self.critic2) {
-            t.soft_update_from(c, self.config.tau);
-        }
     }
 
     /// Runs one minibatch update under the divergence watchdog.
@@ -509,7 +480,7 @@ impl Ddpg {
         Ok(Some(stats))
     }
 
-    /// Whether every weight of every network (actor, critics, targets) is
+    /// Whether every weight of every network (actor, critic, targets) is
     /// finite. A full parameter walk — prefer the sampled check inside
     /// [`Ddpg::try_train_step`] on hot paths.
     #[must_use]
@@ -520,8 +491,6 @@ impl Ddpg {
             && mlp_ok(&self.actor_target)
             && critic_ok(&self.critic)
             && critic_ok(&self.critic_target)
-            && self.critic2.as_ref().is_none_or(critic_ok)
-            && self.critic2_target.as_ref().is_none_or(critic_ok)
     }
 
     /// Halves the parameter-noise scale (no-op under other exploration
@@ -814,36 +783,23 @@ mod tests {
 
     #[test]
     fn twin_critic_trains_and_converges_toward_true_value() {
-        // Constant reward 1 with γ = 0.9: the true Q is 10 everywhere.
-        // Both variants must converge near it; the twin (clipped double-Q)
-        // estimate must not exceed the single-critic estimate at the same
-        // training step count.
-        let run = |twin: bool| {
-            let mut cfg = config(13);
-            cfg.twin_critic = twin;
-            let mut agent = Ddpg::new(2, 2, cfg);
-            // A 32-state ring with constant reward: every next state is
-            // itself an observed state, so the observation normaliser covers
-            // the whole bootstrap domain.
-            for i in 0..32u32 {
-                let s = [f64::from(i), f64::from(i % 4)];
-                let next = [f64::from((i + 1) % 32), f64::from((i + 1) % 4)];
-                agent.observe(&s, &[0.5, 0.5], 1.0, &next);
-            }
-            let mut last = None;
-            for _ in 0..400 {
-                last = agent.train_step();
-            }
-            last.unwrap().mean_q
-        };
-        let q_single = run(false);
-        let q_twin = run(true);
-        assert!((q_single - 10.0).abs() < 3.0, "single Q {q_single}");
-        assert!((q_twin - 10.0).abs() < 3.0, "twin Q {q_twin}");
-        assert!(
-            q_twin <= q_single + 0.5,
-            "twin Q {q_twin} vs single Q {q_single}"
-        );
+        // Constant reward 1 with γ = 0.9: the true Q is 10 everywhere, and
+        // the critic must converge near it.
+        let mut agent = Ddpg::new(2, 2, config(13));
+        // A 32-state ring with constant reward: every next state is itself
+        // an observed state, so the observation normaliser covers the whole
+        // bootstrap domain.
+        for i in 0..32u32 {
+            let s = [f64::from(i), f64::from(i % 4)];
+            let next = [f64::from((i + 1) % 32), f64::from((i + 1) % 4)];
+            agent.observe(&s, &[0.5, 0.5], 1.0, &next);
+        }
+        let mut last = None;
+        for _ in 0..400 {
+            last = agent.train_step();
+        }
+        let q = last.unwrap().mean_q;
+        assert!((q - 10.0).abs() < 3.0, "Q {q}");
     }
 
     #[test]

@@ -22,13 +22,9 @@ pub struct DdpgSnapshot {
     perturbed_actor: Mlp,
     critic: Critic,
     critic_target: Critic,
-    critic2: Option<Critic>,
-    critic2_target: Option<Critic>,
     actor_opt: Adam,
     critic_trunk_opt: Adam,
     critic_head_opt: Adam,
-    critic2_trunk_opt: Adam,
-    critic2_head_opt: Adam,
     replay: ReplayBuffer,
     config: DdpgConfig,
     param_noise: Option<AdaptiveParamNoise>,
@@ -64,13 +60,9 @@ impl Ddpg {
             perturbed_actor: self.perturbed_actor.clone(),
             critic: self.critic.clone(),
             critic_target: self.critic_target.clone(),
-            critic2: self.critic2.clone(),
-            critic2_target: self.critic2_target.clone(),
             actor_opt: self.actor_opt.clone(),
             critic_trunk_opt: self.critic_trunk_opt.clone(),
             critic_head_opt: self.critic_head_opt.clone(),
-            critic2_trunk_opt: self.critic2_trunk_opt.clone(),
-            critic2_head_opt: self.critic2_head_opt.clone(),
             replay: self.replay.clone(),
             config: self.config.clone(),
             param_noise: self.param_noise.clone(),
@@ -94,13 +86,9 @@ impl Ddpg {
             perturbed_actor: s.perturbed_actor,
             critic: s.critic,
             critic_target: s.critic_target,
-            critic2: s.critic2,
-            critic2_target: s.critic2_target,
             actor_opt: s.actor_opt,
             critic_trunk_opt: s.critic_trunk_opt,
             critic_head_opt: s.critic_head_opt,
-            critic2_trunk_opt: s.critic2_trunk_opt,
-            critic2_head_opt: s.critic2_head_opt,
             replay: s.replay,
             config: s.config,
             param_noise: s.param_noise,

@@ -25,7 +25,7 @@
 //! * **Multi-client serving** ([`serve_clients`]): N concurrent
 //!   connections, per-client reader threads, one decision thread,
 //!   graceful drain on shutdown; transient socket failures get bounded
-//!   retry with exponential backoff ([`RetryPolicy`]).
+//!   retry with exponential backoff.
 //! * **Checkpoint hot-swap** ([`CheckpointWatcher`]): the watched path is
 //!   polled between windows and the policy swapped atomically — no
 //!   request is ever dropped or split across policies. A poll is one
@@ -86,7 +86,6 @@ pub use admission::{
     AdmissionConfig, AdmissionQueue, CountersSnapshot, PushOutcome, ServeCounters, ShedPolicy,
 };
 pub use net::{spawn_metrics_endpoint, Listener};
-pub use retry::RetryPolicy;
 pub use server::{serve_clients, ServerConfig, ServerReport};
 pub use service::{record_stream, replay_stream, DecisionService, LatencyStats, ServeError};
 pub use watcher::{load_policy, CheckpointWatcher, LoadError, SwapOutcome};

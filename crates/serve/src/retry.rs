@@ -15,7 +15,7 @@ use std::time::Duration;
 /// Bounded exponential backoff: `attempts` tries, sleeping
 /// `base * 2^k` (capped at `max`) between consecutive tries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
+pub(crate) struct RetryPolicy {
     /// Total attempts (>= 1); 1 means "no retry".
     pub attempts: u32,
     /// Sleep before the first retry.

@@ -56,10 +56,6 @@ pub struct ServerConfig {
     /// Per-read socket timeout for client connections. `None` means reads
     /// block forever — fine for trusted peers, unwise under chaos.
     pub read_timeout: Option<std::time::Duration>,
-    /// Bounded-retry policy for transient accept/read failures (a read
-    /// timeout counts as one transient failure; exhaustion disconnects the
-    /// client).
-    pub retry: RetryPolicy,
 }
 
 impl Default for ServerConfig {
@@ -68,7 +64,6 @@ impl Default for ServerConfig {
             admission: AdmissionConfig::default(),
             clients: 1,
             read_timeout: None,
-            retry: RetryPolicy::default(),
         }
     }
 }
@@ -112,7 +107,9 @@ fn write_reply(
 }
 
 /// Per-client reader loop: bounded line reading, wire validation,
-/// admission push, immediate shed replies. Runs on its own thread.
+/// admission push, immediate shed replies. Runs on its own thread. A read
+/// timeout counts as one transient failure under the default
+/// [`RetryPolicy`]; exhaustion disconnects the client.
 #[allow(clippy::too_many_arguments)]
 fn read_client(
     client_id: usize,
@@ -122,7 +119,6 @@ fn read_client(
     counters: &ServeCounters,
     telemetry: &telemetry::Telemetry,
     policy_name: &str,
-    retry: RetryPolicy,
     max_line_bytes: usize,
     expected_dims: Option<usize>,
 ) {
@@ -130,7 +126,7 @@ fn read_client(
     let mut lineno = 0usize;
     loop {
         let read = retry_with(
-            retry,
+            RetryPolicy::default(),
             "client_read",
             io_transient,
             |_| ServeCounters::bump(&counters.retries, 1, telemetry, "serve.retries"),
@@ -247,7 +243,7 @@ pub fn serve_clients(
             let mut readers = Vec::with_capacity(clients);
             for client_id in 0..clients {
                 let conn = retry_with(
-                    config.retry,
+                    RetryPolicy::default(),
                     "accept",
                     io_transient,
                     |_| ServeCounters::bump(&counters.retries, 1, telemetry, "serve.retries"),
@@ -276,7 +272,6 @@ pub fn serve_clients(
                 };
                 accepted.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 let writer: ClientWriter = Arc::new(Mutex::new(writer));
-                let retry = config.retry;
                 readers.push(scope.spawn(move || {
                     read_client(
                         client_id,
@@ -286,7 +281,6 @@ pub fn serve_clients(
                         counters,
                         telemetry,
                         policy_name,
-                        retry,
                         max_line_bytes,
                         expected_dims,
                     );

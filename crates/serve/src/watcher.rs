@@ -323,7 +323,7 @@ impl Drop for Verifier {
 /// its stat key changes or the verifier sees new content; the service
 /// keeps the old policy, which is the safe behaviour for a live control
 /// loop. Transient probe failures are retried with bounded exponential
-/// backoff ([`RetryPolicy`]); the retry count is surfaced through
+/// backoff; the retry count is surfaced through
 /// `CheckpointWatcher::take_retries` so the service can fold it into the
 /// `serve.retries` counter.
 ///

@@ -249,3 +249,84 @@ fn actor_learner_checkpoints_still_serve() {
     }
     let _ = std::fs::remove_file(full);
 }
+
+/// Checkpoints from builds whose configs still had the fields now run as
+/// constants, rebuilt from a real one by editing its text. With every
+/// retired key at its constant, the file resumes bit-identically. With a
+/// twin critic or strict budget mode, resume refuses it, naming the key.
+/// Either way, in both layouts, it serves byte-identically to the unedited
+/// file: the policy depends on none of these keys.
+#[test]
+fn checkpoints_with_retired_keys_resume_only_at_the_constants_and_serve() {
+    let (first, second) = checkpoints();
+    let original = temp_path("retired_original");
+    std::fs::write(&original, first).unwrap();
+    let reference = served(&original);
+
+    let (policy, state) = std::str::from_utf8(first)
+        .unwrap()
+        .split_once('\n')
+        .unwrap();
+    let policy = format!(
+        "{},\"strict_floor\":false}}}}",
+        policy.strip_suffix("}}").unwrap()
+    );
+    let mut state = state.to_string();
+    for (anchor, count, retired) in [
+        ("\"model_hidden\":", 1, "\"model_lr\":0.003,"),
+        (
+            "\"normalize_rewards\":",
+            2,
+            "\"grad_clip\":10.0,\"reward_scale\":1.0,\"twin_critic\":false,",
+        ),
+        (
+            "\"resample_every\":",
+            2,
+            "\"initial_sigma\":0.05,\"delta\":0.1,\"alpha\":1.01,",
+        ),
+        (
+            "\"workload\":",
+            1,
+            "\"clamp_actions\":true,\"reset_capacity_factor\":5,\"reset_max_windows\":40,\
+             \"reset_wip_threshold\":0,",
+        ),
+    ] {
+        assert_eq!(state.matches(anchor).count(), count, "{anchor}");
+        state = state.replace(anchor, &format!("{retired}{anchor}"));
+    }
+    let current = temp_path("retired_current");
+    std::fs::write(&current, format!("{policy}\n{state}")).unwrap();
+    assert_eq!(served(&current), reference);
+    let (mut trainer, mut env) = MirasTrainer::resume(&current, Ensemble::msd()).unwrap();
+    trainer.run_iteration(&mut env);
+    trainer.save_checkpoint(&env, &current).unwrap();
+    assert_eq!(&std::fs::read(&current).unwrap(), second, "resume diverged");
+
+    let legacy = temp_path("retired_legacy");
+    for (constant, other, key) in [
+        (
+            "\"twin_critic\":false",
+            "\"twin_critic\":true",
+            "config.ddpg.twin_critic",
+        ),
+        (
+            "\"clamp_actions\":true",
+            "\"clamp_actions\":false",
+            "adapter.env.config.clamp_actions",
+        ),
+    ] {
+        let edited = state.replacen(constant, other, 1);
+        std::fs::write(&current, format!("{policy}\n{edited}")).unwrap();
+        std::fs::write(&legacy, &edited).unwrap();
+        for path in [&current, &legacy] {
+            assert_eq!(served(path), reference, "{key}");
+            match MirasTrainer::resume(path, Ensemble::msd()) {
+                Err(CheckpointError::Mismatch(msg)) => assert!(msg.contains(key), "{msg}"),
+                other => panic!("{key}: expected Mismatch, got {:?}", other.err()),
+            }
+        }
+    }
+    for p in [original, current, legacy] {
+        let _ = std::fs::remove_file(p);
+    }
+}

@@ -311,10 +311,16 @@ fn train(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
+/// The policy in `--agent FILE`: a saved agent, a policy line or a
+/// training checkpoint (of which only the first line is read), checked to
+/// be able to decide before it is used.
 fn load_agent(flags: &Flags) -> Result<MirasAgent, String> {
     let path = flags.get("agent").ok_or("--agent FILE is required")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    serde_json::from_str(&text).map_err(|e| format!("parsing {path}: {e}"))
+    let line = text.lines().next().unwrap_or_default();
+    miras::miras_core::decode_policy_line(line)
+        .map(|(agent, _)| agent)
+        .map_err(|e| format!("loading {path}: {e}"))
 }
 
 fn evaluate(flags: &Flags) -> Result<(), String> {

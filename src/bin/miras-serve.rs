@@ -437,7 +437,6 @@ fn run(flags: &Flags) -> Result<(), String> {
                 0 => None,
                 ms => Some(Duration::from_millis(ms)),
             },
-            retry: serve::RetryPolicy::default(),
         };
         if !shadow {
             let where_ = listener

@@ -1,6 +1,6 @@
 //! Integration tests for the beyond-the-paper features, exercised together
 //! through the public API: CPU contention, failure injection, time-varying
-//! workloads, model ensembles, and the twin critic.
+//! workloads and model ensembles.
 
 use miras::microsim::{Cluster, SimConfig};
 use miras::miras_core::EnsembleDynamics;
@@ -115,20 +115,6 @@ fn ensemble_model_learns_the_real_emulator() {
         mean_mae <= worst_member + 1e-9,
         "ensemble mean {mean_mae} vs worst member {worst_member}"
     );
-}
-
-#[test]
-fn twin_critic_miras_trains_end_to_end() {
-    let ensemble = Ensemble::msd();
-    let config = EnvConfig::for_ensemble(&ensemble).with_seed(11);
-    let mut env = ClusterEnvAdapter::new(MicroserviceEnv::new(ensemble, config));
-    let mut miras_config = MirasConfig::smoke_test(11);
-    miras_config.ddpg.twin_critic = true;
-    let mut trainer = MirasTrainer::new(&env, miras_config);
-    let report = trainer.run_iteration(&mut env);
-    assert!(report.model_loss.is_finite());
-    let m = trainer.agent().allocate(&[4.0, 4.0, 4.0, 4.0]);
-    assert!(m.iter().sum::<usize>() <= 14);
 }
 
 #[test]
