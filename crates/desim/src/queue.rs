@@ -14,14 +14,16 @@
 //!   (including past-time pushes). Always the pop source; its heap order is
 //!   exactly the [`ScheduledEvent`] `(time, seq)` order, so pops are
 //!   bit-identical to one binary heap over every pending event.
-//! * **wheel** — `slots[tick & SLOT_MASK]` holds events with
+//! * **wheel** — slot `tick & SLOT_MASK` holds events with
 //!   `tick - current_tick` in `[1, NUM_SLOTS)`, unsorted (they are sorted by
 //!   heapifying when their slot becomes current). A two-level occupancy
 //!   bitmap (one summary word over 64 occupancy words) finds the next
-//!   occupied slot without scanning empty ones. A slot owns a buffer only
-//!   while it is occupied: the cursor takes the buffer when it drains the
-//!   slot, so the wheel's memory follows its pending events, not the
-//!   largest batch each slot held on any earlier lap of the frame.
+//!   occupied slot without scanning empty ones. Only occupied slots own a
+//!   buffer: the buffers sit in a dense `buckets` list, and a `u32` index
+//!   per slot (16 KiB for the whole ring) names a slot's bucket. The cursor
+//!   takes the buffer when it drains the slot, so the wheel's memory
+//!   follows its pending events, not the number of slots nor the largest
+//!   batch each slot held on any earlier lap of the frame.
 //! * **far** — a binary heap for everything beyond the wheel horizon.
 //!   When the cursor advances, far events that fall inside the new frame
 //!   *cascade* into the wheel (or straight into `current`).
@@ -87,6 +89,8 @@ const NUM_SLOTS: u64 = 4096;
 const SLOT_MASK: u64 = NUM_SLOTS - 1;
 /// Occupancy words (64 slots per word) and bits in the summary word.
 const WORDS: usize = (NUM_SLOTS / 64) as usize;
+/// `slot_bucket` entry of a slot that owns no bucket.
+const NIL: u32 = u32::MAX;
 
 #[inline]
 fn tick_of(time: SimTime) -> u64 {
@@ -112,10 +116,17 @@ fn tick_of(time: SimTime) -> u64 {
 pub struct EventQueue<E> {
     /// Events at ticks `<= current_tick`, popped in `(time, seq)` order.
     current: BinaryHeap<ScheduledEvent<E>>,
-    /// Ring of unsorted buckets for ticks within the wheel horizon. Only
-    /// occupied slots own a buffer; draining a slot releases it.
-    slots: Vec<Vec<ScheduledEvent<E>>>,
-    /// `occupancy[w]` bit `b` set iff `slots[w * 64 + b]` is non-empty.
+    /// Per wheel slot, the index of its bucket in `buckets`, or [`NIL`]
+    /// when the slot is empty.
+    slot_bucket: Vec<u32>,
+    /// The occupied slots' unsorted event buffers, in no particular order.
+    /// Draining a slot removes its bucket, so only occupied slots own one.
+    buckets: Vec<Vec<ScheduledEvent<E>>>,
+    /// `bucket_slot[b]` is the slot that owns `buckets[b]`, so a drain can
+    /// `swap_remove` its bucket and re-point the slot of the bucket that
+    /// moved into the hole.
+    bucket_slot: Vec<u32>,
+    /// `occupancy[w]` bit `b` set iff slot `w * 64 + b` is non-empty.
     occupancy: [u64; WORDS],
     /// Bit `w` set iff `occupancy[w] != 0`.
     summary: u64,
@@ -135,9 +146,9 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             current: BinaryHeap::new(),
-            slots: std::iter::repeat_with(Vec::new)
-                .take(NUM_SLOTS as usize)
-                .collect(),
+            slot_bucket: vec![NIL; NUM_SLOTS as usize],
+            buckets: Vec::new(),
+            bucket_slot: Vec::new(),
             occupancy: [0; WORDS],
             summary: 0,
             far: BinaryHeap::new(),
@@ -177,15 +188,51 @@ impl<E> EventQueue<E> {
 
     fn insert_slot(&mut self, tick: u64, ev: ScheduledEvent<E>) {
         let slot = (tick & SLOT_MASK) as usize;
-        let word = slot / 64;
-        let bit = 1 << (slot % 64);
-        debug_assert!(
-            self.occupancy[word] & bit != 0 || self.slots[slot].capacity() == 0,
-            "unoccupied slot {slot} owns a buffer"
+        self.debug_check_slot(slot);
+        let bucket = self.slot_bucket[slot];
+        if bucket == NIL {
+            let word = slot / 64;
+            self.slot_bucket[slot] = self.buckets.len() as u32;
+            self.bucket_slot.push(slot as u32);
+            // The capacity a first push onto an empty `Vec` reserves.
+            let mut events = Vec::with_capacity(4);
+            events.push(ev);
+            self.buckets.push(events);
+            self.occupancy[word] |= 1 << (slot % 64);
+            self.summary |= 1 << word;
+        } else {
+            self.buckets[bucket as usize].push(ev);
+        }
+        self.debug_check_slot(slot);
+    }
+
+    /// Debug-checks the wheel index at `slot`: the slot owns a bucket
+    /// exactly when its occupancy bit is set, that bucket points back at
+    /// the slot, and there is one bucket per occupied slot.
+    fn debug_check_slot(&self, slot: usize) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        let occupied = self.occupancy[slot / 64] & (1 << (slot % 64)) != 0;
+        let bucket = self.slot_bucket[slot];
+        debug_assert_eq!(
+            bucket != NIL,
+            occupied,
+            "slot {slot}: index and bitmap disagree"
         );
-        self.slots[slot].push(ev);
-        self.occupancy[word] |= bit;
-        self.summary |= 1 << word;
+        if bucket != NIL {
+            debug_assert_eq!(
+                self.bucket_slot[bucket as usize] as usize, slot,
+                "bucket {bucket} does not point back at slot {slot}"
+            );
+        }
+        let occupied_slots: u32 = self.occupancy.iter().map(|w| w.count_ones()).sum();
+        debug_assert_eq!(self.buckets.len(), occupied_slots as usize, "bucket count");
+        debug_assert_eq!(
+            self.bucket_slot.len(),
+            self.buckets.len(),
+            "back-pointer count"
+        );
     }
 
     /// Cyclic distance (in slots) from `start` to the nearest occupied slot,
@@ -255,9 +302,17 @@ impl<E> EventQueue<E> {
             // `current` is empty here, so the slot's buffer becomes the heap
             // (heapified in place) and the drained slot owns no memory: the
             // wheel's footprint follows its pending events instead of the
-            // largest batch each slot ever held.
-            self.current = BinaryHeap::from(std::mem::take(&mut self.slots[slot]));
-            debug_assert_eq!(self.slots[slot].capacity(), 0, "drained slot owns a buffer");
+            // largest batch each slot ever held. The last bucket moves into
+            // the hole, so its slot's index is re-pointed.
+            let bucket = std::mem::replace(&mut self.slot_bucket[slot], NIL) as usize;
+            let events = self.buckets.swap_remove(bucket);
+            self.bucket_slot.swap_remove(bucket);
+            if let Some(&moved) = self.bucket_slot.get(bucket) {
+                self.slot_bucket[moved as usize] = bucket as u32;
+                self.debug_check_slot(moved as usize);
+            }
+            self.debug_check_slot(slot);
+            self.current = BinaryHeap::from(events);
         }
         // Cascade far events now inside the frame. The far heap pops in
         // (time, seq) order and ticks are monotone in time, so the first
@@ -299,8 +354,8 @@ impl<E> EventQueue<E> {
         // minimum with the far minimum; an earlier tick always means an
         // earlier time.
         let wheel_min = self.wheel_next_tick().map(|tick| {
-            let slot = (tick & SLOT_MASK) as usize;
-            self.slots[slot]
+            let bucket = self.slot_bucket[(tick & SLOT_MASK) as usize];
+            self.buckets[bucket as usize]
                 .iter()
                 .map(|e| e.time)
                 .min()
@@ -331,15 +386,12 @@ impl<E> EventQueue<E> {
     pub fn clear(&mut self) {
         self.current.clear();
         self.far.clear();
-        for word in 0..WORDS {
-            let mut bits = self.occupancy[word];
-            while bits != 0 {
-                let slot = word * 64 + bits.trailing_zeros() as usize;
-                self.slots[slot] = Vec::new();
-                bits &= bits - 1;
-            }
-            self.occupancy[word] = 0;
+        for &slot in &self.bucket_slot {
+            self.slot_bucket[slot as usize] = NIL;
         }
+        self.buckets.clear();
+        self.bucket_slot.clear();
+        self.occupancy = [0; WORDS];
         self.summary = 0;
         self.len = 0;
     }
@@ -361,7 +413,7 @@ impl<E> EventQueue<E> {
         let mut events: Vec<(SimTime, u64, E)> = self
             .current
             .iter()
-            .chain(self.slots.iter().flatten())
+            .chain(self.buckets.iter().flatten())
             .chain(self.far.iter())
             .map(|e| (e.time, e.seq, e.event.clone()))
             .collect();
@@ -377,7 +429,7 @@ impl<E> EventQueue<E> {
         let mut events: Vec<(SimTime, u64, E)> = self
             .current
             .into_iter()
-            .chain(self.slots.into_iter().flatten())
+            .chain(self.buckets.into_iter().flatten())
             .chain(self.far)
             .map(|e| (e.time, e.seq, e.event))
             .collect();
@@ -490,8 +542,24 @@ mod tests {
         assert_eq!(drain(&mut q), vec![10, 11]);
     }
 
+    /// Event capacity owned by wheel buckets (the dense list's own
+    /// headers excluded).
     fn slot_capacity(q: &EventQueue<i32>) -> usize {
-        q.slots.iter().map(Vec::capacity).sum()
+        q.buckets.iter().map(Vec::capacity).sum()
+    }
+
+    #[test]
+    fn fresh_queue_owns_only_the_slot_index() {
+        let q = EventQueue::<i32>::new();
+        assert_eq!(q.slot_bucket.len(), NUM_SLOTS as usize);
+        assert!(q.slot_bucket.iter().all(|&b| b == NIL));
+        assert_eq!(q.buckets.capacity(), 0, "a fresh wheel owns a bucket list");
+        assert_eq!(
+            q.bucket_slot.capacity(),
+            0,
+            "a fresh wheel owns back-pointers"
+        );
+        assert_eq!(q.current.capacity() + q.far.capacity(), 0);
     }
 
     #[test]

@@ -79,9 +79,20 @@ enum Event {
     },
 }
 
-/// Bookkeeping for one in-flight workflow request.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// Bookkeeping for one in-flight workflow request. Its per-node
+/// predecessor counts live in [`Cluster::remaining_preds`], at its slab key.
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct WorkflowInstance {
+    workflow_type: WorkflowTypeId,
+    arrival: SimTime,
+    /// Number of DAG nodes that have not completed yet.
+    remaining_nodes: usize,
+}
+
+/// Checkpoint form of one in-flight workflow request: the live record
+/// together with its predecessor counts.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+struct InstanceSnapshot {
     workflow_type: WorkflowTypeId,
     arrival: SimTime,
     /// Per-DAG-node count of predecessors that have not completed yet.
@@ -128,9 +139,13 @@ pub struct Cluster {
     queues: Vec<VecDeque<PendingTask>>,
     pools: Vec<ConsumerPool>,
     instances: Slab<WorkflowInstance>,
-    /// Recycled `remaining_preds` buffers from completed workflows, so a
+    /// Per-DAG-node count of predecessors that have not completed yet, for
+    /// every instance slot: slot `key` owns the `preds_stride` entries from
+    /// `key * preds_stride`. Grows with the slab's peak population, so a
     /// steady-state arrival allocates nothing.
-    preds_pool: Vec<Vec<usize>>,
+    remaining_preds: Vec<u32>,
+    /// Node count of the ensemble's largest DAG.
+    preds_stride: usize,
     /// Reusable scratch for the `(task, node)` releases of one event.
     scratch_release: Vec<(TaskTypeId, usize)>,
     service_dists: Vec<LogNormal<f64>>,
@@ -188,6 +203,17 @@ impl Cluster {
             })
             .collect();
         let n = ensemble.num_workflow_types();
+        let preds_stride = ensemble
+            .workflows()
+            .iter()
+            .map(|w| w.dag.num_nodes())
+            .max()
+            .unwrap_or(0);
+        // A node's fan-in is below the DAG's node count, so it fits a u32.
+        assert!(
+            u32::try_from(preds_stride).is_ok(),
+            "a workflow DAG has more than u32::MAX nodes"
+        );
         let audit = config.audit || audit_env_enabled();
         let mut cluster = Cluster {
             ensemble,
@@ -195,7 +221,8 @@ impl Cluster {
             queues: vec![VecDeque::new(); j],
             pools: vec![ConsumerPool::new(); j],
             instances: Slab::new(),
-            preds_pool: Vec::new(),
+            remaining_preds: Vec::new(),
+            preds_stride,
             scratch_release: Vec::new(),
             service_dists,
             rng: SmallRng::seed_from_u64(config.seed),
@@ -577,21 +604,26 @@ impl Cluster {
 
     fn handle_arrival(&mut self, wf: WorkflowTypeId) {
         self.workflows_submitted[wf.index()] += 1;
-        // Recycled buffers: a steady-state arrival allocates nothing.
-        let mut remaining_preds = self.preds_pool.pop().unwrap_or_default();
         let mut entries = std::mem::take(&mut self.scratch_release);
         let dag = &self.ensemble.workflow(wf).dag;
         let num_nodes = dag.num_nodes();
-        remaining_preds.clear();
-        remaining_preds.extend((0..num_nodes).map(|n| dag.fan_in(n)));
-        entries.clear();
-        entries.extend(dag.entry_nodes().iter().map(|&n| (dag.task_type(n), n)));
         let id = self.instances.insert(WorkflowInstance {
             workflow_type: wf,
             arrival: self.engine.now(),
-            remaining_preds,
             remaining_nodes: num_nodes,
         });
+        let base = id as usize * self.preds_stride;
+        if self.remaining_preds.len() < base + self.preds_stride {
+            self.remaining_preds.resize(base + self.preds_stride, 0);
+        }
+        for (n, count) in self.remaining_preds[base..][..num_nodes]
+            .iter_mut()
+            .enumerate()
+        {
+            *count = dag.fan_in(n) as u32;
+        }
+        entries.clear();
+        entries.extend(dag.entry_nodes().iter().map(|&n| (dag.task_type(n), n)));
         for &(task, node) in &entries {
             self.enqueue_task(task, id, node);
         }
@@ -758,9 +790,10 @@ impl Cluster {
         released.clear();
         if let Some(inst) = self.instances.get_mut(instance) {
             let dag = &self.ensemble.workflow(inst.workflow_type).dag;
+            let preds = &mut self.remaining_preds[instance as usize * self.preds_stride..];
             for &succ in dag.successors(node) {
-                inst.remaining_preds[succ] -= 1;
-                if inst.remaining_preds[succ] == 0 {
+                preds[succ] -= 1;
+                if preds[succ] == 0 {
                     released.push((dag.task_type(succ), succ));
                 }
             }
@@ -779,11 +812,7 @@ impl Cluster {
         self.scratch_release = released;
 
         if let Some((wf, arrival)) = finished_workflow {
-            if let Some(done) = self.instances.remove(instance) {
-                let mut preds = done.remaining_preds;
-                preds.clear();
-                self.preds_pool.push(preds);
-            }
+            self.instances.remove(instance);
             self.workflows_completed[wf.index()] += 1;
             self.completions.push(CompletionRecord {
                 workflow_type: wf,
@@ -809,10 +838,20 @@ impl Cluster {
     pub(crate) fn snapshot(&self) -> ClusterSnapshot {
         let engine = self.engine.snapshot();
         // Slab iteration is already in slot order (deterministic).
-        let instances: Vec<(InstanceId, WorkflowInstance)> = self
+        let instances: Vec<(InstanceId, InstanceSnapshot)> = self
             .instances
             .iter()
-            .map(|(id, inst)| (id, inst.clone()))
+            .map(|(id, inst)| {
+                let num_nodes = self.ensemble.workflow(inst.workflow_type).dag.num_nodes();
+                let preds = &self.remaining_preds[id as usize * self.preds_stride..][..num_nodes];
+                let record = InstanceSnapshot {
+                    workflow_type: inst.workflow_type,
+                    arrival: inst.arrival,
+                    remaining_preds: preds.iter().map(|&p| p as usize).collect(),
+                    remaining_nodes: inst.remaining_nodes,
+                };
+                (id, record)
+            })
             .collect();
         ClusterSnapshot {
             num_task_types: self.ensemble.num_task_types(),
@@ -848,7 +887,9 @@ impl Cluster {
     /// # Panics
     ///
     /// Panics if `ensemble`'s structure does not match the fingerprint
-    /// recorded in the snapshot (wrong workload for this checkpoint).
+    /// recorded in the snapshot (wrong workload for this checkpoint), or if
+    /// an in-flight instance's predecessor counts do not match its
+    /// workflow's DAG.
     #[must_use]
     pub(crate) fn from_snapshot(ensemble: Ensemble, snapshot: ClusterSnapshot) -> Self {
         assert_eq!(
@@ -870,7 +911,41 @@ impl Cluster {
         });
         fresh.queues = snapshot.queues;
         fresh.pools = snapshot.pools;
-        fresh.instances = Slab::from_parts(snapshot.instances, snapshot.free_instances);
+        let slots = snapshot.instances.len() + snapshot.free_instances.len();
+        let stride = fresh.preds_stride;
+        let mut remaining_preds = vec![0; slots * stride];
+        let mut instances = Vec::with_capacity(snapshot.instances.len());
+        for (id, record) in snapshot.instances {
+            let num_nodes = fresh
+                .ensemble
+                .workflow(record.workflow_type)
+                .dag
+                .num_nodes();
+            assert_eq!(
+                record.remaining_preds.len(),
+                num_nodes,
+                "snapshot instance {id} has the wrong number of predecessor counts"
+            );
+            let base = usize::try_from(id)
+                .ok()
+                .filter(|&i| i < slots)
+                .map(|i| i * stride)
+                .unwrap_or_else(|| panic!("slab snapshot has out-of-range key {id}"));
+            for (count, &p) in remaining_preds[base..]
+                .iter_mut()
+                .zip(&record.remaining_preds)
+            {
+                *count = u32::try_from(p).expect("predecessor count fits u32");
+            }
+            let inst = WorkflowInstance {
+                workflow_type: record.workflow_type,
+                arrival: record.arrival,
+                remaining_nodes: record.remaining_nodes,
+            };
+            instances.push((id, inst));
+        }
+        fresh.instances = Slab::from_parts(instances, snapshot.free_instances);
+        fresh.remaining_preds = remaining_preds;
         fresh.rng = SmallRng::from_state(snapshot.rng_state);
         fresh.config = snapshot.config;
         fresh.completions = snapshot.completions;
@@ -903,7 +978,7 @@ pub(crate) struct ClusterSnapshot {
     next_seq: u64,
     queues: Vec<VecDeque<PendingTask>>,
     pools: Vec<ConsumerPool>,
-    instances: Vec<(InstanceId, WorkflowInstance)>,
+    instances: Vec<(InstanceId, InstanceSnapshot)>,
     /// The instance slab's free list (most recently freed last), so a
     /// restored cluster reuses instance slots in the exact same order.
     free_instances: Vec<InstanceId>,
@@ -1300,6 +1375,36 @@ mod tests {
         drive(&mut restored, 40, 120);
         assert_eq!(original.snapshot(), restored.snapshot());
         assert_eq!(original.drain_completions(), restored.drain_completions());
+    }
+
+    #[test]
+    fn predecessor_counts_reuse_freed_instance_slots() {
+        // One workflow at a time: every arrival reuses slot 0, so the flat
+        // counter array holds exactly one stride however many complete.
+        let mut c = Cluster::new(Ensemble::msd(), instant_config(14));
+        c.set_consumers(&[2, 2, 2, 2]);
+        for k in 0..20u64 {
+            c.submit(
+                SimTime::from_secs(k * 300),
+                WorkflowTypeId::new((k % 3) as usize),
+            );
+            c.run_until(SimTime::from_secs(k * 300 + 299));
+        }
+        assert_eq!(c.drain_completions().len(), 20);
+        assert_eq!(c.preds_stride, 3, "every MSD workflow has three tasks");
+        assert_eq!(c.remaining_preds.len(), c.preds_stride);
+    }
+
+    #[test]
+    #[should_panic(expected = "wrong number of predecessor counts")]
+    fn snapshot_restore_rejects_predecessor_counts_of_the_wrong_length() {
+        let mut c = msd_cluster(15);
+        c.set_consumers(&[1, 1, 1, 1]);
+        c.submit(SimTime::ZERO, WorkflowTypeId::new(0));
+        c.run_until(SimTime::from_secs(1));
+        let mut snap = c.snapshot();
+        snap.instances[0].1.remaining_preds.pop();
+        let _ = Cluster::from_snapshot(Ensemble::msd(), snap);
     }
 
     #[test]

@@ -782,7 +782,7 @@ mod tests {
     }
 
     #[test]
-    fn twin_critic_trains_and_converges_toward_true_value() {
+    fn critic_converges_toward_true_value() {
         // Constant reward 1 with γ = 0.9: the true Q is 10 everywhere, and
         // the critic must converge near it.
         let mut agent = Ddpg::new(2, 2, config(13));
