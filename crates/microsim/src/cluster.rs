@@ -25,24 +25,54 @@ use crate::SimConfig;
 /// only meaningful while its workflow is in flight — which is the only time
 /// the simulator ever references one (every pending event naming an
 /// instance keeps it alive through its `remaining_nodes` count).
-type InstanceId = u64;
+type InstanceId = u32;
 
-/// One completed workflow request: who it was and how long it took.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CompletionRecord {
-    /// The workflow type of the completed request.
-    pub workflow_type: WorkflowTypeId,
-    /// When the request arrived.
-    pub arrival: SimTime,
-    /// When its last task finished.
-    pub completion: SimTime,
+/// Index of a node within its workflow's DAG, as events and queues store
+/// it. [`Cluster::new`] checks that every DAG's node count fits.
+type NodeId = u32;
+
+/// Narrows a DAG node index to a [`NodeId`].
+fn node_id(node: usize) -> NodeId {
+    NodeId::try_from(node).expect("DAG node index fits u32")
 }
 
-impl CompletionRecord {
-    /// The request's end-to-end response time in seconds.
+/// Per-workflow-type totals of the workflow requests completed since the
+/// totals were last cleared. A decision window reads nothing else about
+/// its completions, so the cluster adds each one up as it finishes instead
+/// of keeping a record per request: its memory follows the workflows in
+/// flight, not a window's throughput.
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+pub struct CompletionTotals {
+    /// Requests completed, per workflow type.
+    pub count: Vec<usize>,
+    /// Sum of those requests' end-to-end response times in seconds, per
+    /// workflow type, added in completion order.
+    pub response_secs_sum: Vec<f64>,
+}
+
+impl CompletionTotals {
+    fn zeroed(num_workflow_types: usize) -> Self {
+        CompletionTotals {
+            count: vec![0; num_workflow_types],
+            response_secs_sum: vec![0.0; num_workflow_types],
+        }
+    }
+
+    /// Requests completed across all workflow types.
     #[must_use]
-    pub fn response_secs(&self) -> f64 {
-        (self.completion - self.arrival).as_secs_f64()
+    pub fn total(&self) -> usize {
+        self.count.iter().sum()
+    }
+
+    /// Mean response time in seconds per workflow type; `None` where no
+    /// request of that type completed.
+    #[must_use]
+    pub fn mean_response_secs(&self) -> Vec<Option<f64>> {
+        self.count
+            .iter()
+            .zip(&self.response_secs_sum)
+            .map(|(&c, &s)| (c > 0).then(|| s / c as f64))
+            .collect()
     }
 }
 
@@ -56,14 +86,14 @@ enum Event {
     TaskComplete {
         task: TaskTypeId,
         instance: InstanceId,
-        node: usize,
+        node: NodeId,
     },
     /// A consumer of the given task type crashed while processing the
     /// request for workflow `instance`, DAG node `node` (failure injection).
     ConsumerFailed {
         task: TaskTypeId,
         instance: InstanceId,
-        node: usize,
+        node: NodeId,
     },
     /// A container of the given task type finished starting up.
     ConsumerUp(TaskTypeId),
@@ -75,7 +105,7 @@ enum Event {
     Deliver {
         task: TaskTypeId,
         instance: InstanceId,
-        node: usize,
+        node: NodeId,
     },
 }
 
@@ -105,8 +135,13 @@ struct InstanceSnapshot {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 struct PendingTask {
     instance: InstanceId,
-    node: usize,
+    node: NodeId,
 }
+
+// Every pending event and queued task pays these sizes; a wider field must
+// not regrow them unnoticed.
+const _: () = assert!(std::mem::size_of::<desim::ScheduledEvent<Event>>() == 32);
+const _: () = assert!(std::mem::size_of::<PendingTask>() == 8);
 
 /// The emulated microservice workflow system.
 ///
@@ -114,8 +149,8 @@ struct PendingTask {
 /// workflow requests ([`Cluster::submit`]), set per-microservice consumer
 /// counts ([`Cluster::set_consumers`]), advance simulated time
 /// ([`Cluster::run_until`]), and observe per-microservice work-in-progress
-/// ([`Cluster::wip`]) plus completed-workflow response times
-/// ([`Cluster::drain_completions`]).
+/// ([`Cluster::wip`]) plus per-type totals of completed-workflow response
+/// times ([`Cluster::completion_totals`]).
 ///
 /// # Examples
 ///
@@ -128,9 +163,9 @@ struct PendingTask {
 /// cluster.set_consumers(&[4, 4, 4, 2]);
 /// cluster.submit(SimTime::ZERO, WorkflowTypeId::new(0));
 /// cluster.run_until(SimTime::from_secs(120));
-/// let done = cluster.drain_completions();
-/// assert_eq!(done.len(), 1);
-/// assert!(done[0].response_secs() > 0.0);
+/// let done = cluster.completion_totals();
+/// assert_eq!(done.count, vec![1, 0, 0]);
+/// assert!(done.response_secs_sum[0] > 0.0);
 /// ```
 #[derive(Debug)]
 pub struct Cluster {
@@ -147,16 +182,16 @@ pub struct Cluster {
     /// Node count of the ensemble's largest DAG.
     preds_stride: usize,
     /// Reusable scratch for the `(task, node)` releases of one event.
-    scratch_release: Vec<(TaskTypeId, usize)>,
+    scratch_release: Vec<(TaskTypeId, NodeId)>,
     service_dists: Vec<LogNormal<f64>>,
     rng: SmallRng,
     config: SimConfig,
-    completions: Vec<CompletionRecord>,
+    completion_totals: CompletionTotals,
     tasks_completed: Vec<u64>,
     workflows_submitted: Vec<u64>,
     /// Workflow requests completed so far, per workflow type (cumulative —
-    /// unlike `completions`, never drained; the audit layer's conservation
-    /// checks depend on it).
+    /// unlike `completion_totals`, never cleared; the audit layer's
+    /// conservation checks depend on it).
     workflows_completed: Vec<u64>,
     /// Task requests released into the delivery system so far, per task
     /// type (cumulative; counts each DAG-node release exactly once —
@@ -209,7 +244,8 @@ impl Cluster {
             .map(|w| w.dag.num_nodes())
             .max()
             .unwrap_or(0);
-        // A node's fan-in is below the DAG's node count, so it fits a u32.
+        // Node indices and fan-ins are below the DAG's node count, so both
+        // fit a u32.
         assert!(
             u32::try_from(preds_stride).is_ok(),
             "a workflow DAG has more than u32::MAX nodes"
@@ -227,7 +263,7 @@ impl Cluster {
             service_dists,
             rng: SmallRng::seed_from_u64(config.seed),
             config,
-            completions: Vec::new(),
+            completion_totals: CompletionTotals::zeroed(n),
             tasks_completed: vec![0; j],
             workflows_submitted: vec![0; n],
             workflows_completed: vec![0; n],
@@ -364,18 +400,21 @@ impl Cluster {
         &self.pools[j.index()]
     }
 
-    /// Removes and returns the workflow completions recorded since the last
-    /// drain, in completion order.
-    pub fn drain_completions(&mut self) -> Vec<CompletionRecord> {
-        std::mem::take(&mut self.completions)
+    /// Per-type totals of the workflow requests completed since the
+    /// environment last took them (for a bare cluster: since construction).
+    #[must_use]
+    pub fn completion_totals(&self) -> &CompletionTotals {
+        &self.completion_totals
     }
 
-    /// Appends the completions recorded since the last drain to `into`,
-    /// leaving the internal buffer (and its capacity) in place. The
-    /// allocation-free sibling of [`Cluster::drain_completions`] for
-    /// callers that poll every decision window.
-    pub(crate) fn drain_completions_into(&mut self, into: &mut Vec<CompletionRecord>) {
-        into.append(&mut self.completions);
+    /// Returns the completion counts and mean response times per workflow
+    /// type, then zeroes the totals for the next window.
+    pub(crate) fn take_window_completions(&mut self) -> (Vec<usize>, Vec<Option<f64>>) {
+        let totals = &mut self.completion_totals;
+        let taken = (totals.count.clone(), totals.mean_response_secs());
+        totals.count.fill(0);
+        totals.response_secs_sum.fill(0.0);
+        taken
     }
 
     /// Attaches a telemetry handle to the underlying event engine and the
@@ -623,7 +662,11 @@ impl Cluster {
             *count = dag.fan_in(n) as u32;
         }
         entries.clear();
-        entries.extend(dag.entry_nodes().iter().map(|&n| (dag.task_type(n), n)));
+        entries.extend(
+            dag.entry_nodes()
+                .iter()
+                .map(|&n| (dag.task_type(n), node_id(n))),
+        );
         for &(task, node) in &entries {
             self.enqueue_task(task, id, node);
         }
@@ -631,7 +674,7 @@ impl Cluster {
         self.scratch_release = entries;
     }
 
-    fn enqueue_task(&mut self, task: TaskTypeId, instance: InstanceId, node: usize) {
+    fn enqueue_task(&mut self, task: TaskTypeId, instance: InstanceId, node: NodeId) {
         self.tasks_released[task.index()] += 1;
         // Delivery-delay spikes: with configured probability the broker
         // delivers the request only after a uniform delay in (0, max].
@@ -761,7 +804,7 @@ impl Cluster {
     /// A consumer crashed mid-request: redeliver the request to the front
     /// of its queue (at-least-once semantics) and let the orchestrator
     /// start a replacement container.
-    fn handle_consumer_failed(&mut self, task: TaskTypeId, instance: InstanceId, node: usize) {
+    fn handle_consumer_failed(&mut self, task: TaskTypeId, instance: InstanceId, node: NodeId) {
         let j = task.index();
         self.consumer_failures += 1;
         let replace = self.pools[j].fail_busy();
@@ -778,7 +821,7 @@ impl Cluster {
         self.dispatch(task);
     }
 
-    fn handle_task_complete(&mut self, task: TaskTypeId, instance: InstanceId, node: usize) {
+    fn handle_task_complete(&mut self, task: TaskTypeId, instance: InstanceId, node: NodeId) {
         let j = task.index();
         self.tasks_completed[j] += 1;
         let stays = self.pools[j].finish_work();
@@ -791,10 +834,10 @@ impl Cluster {
         if let Some(inst) = self.instances.get_mut(instance) {
             let dag = &self.ensemble.workflow(inst.workflow_type).dag;
             let preds = &mut self.remaining_preds[instance as usize * self.preds_stride..];
-            for &succ in dag.successors(node) {
+            for &succ in dag.successors(node as usize) {
                 preds[succ] -= 1;
                 if preds[succ] == 0 {
-                    released.push((dag.task_type(succ), succ));
+                    released.push((dag.task_type(succ), node_id(succ)));
                 }
             }
             inst.remaining_nodes -= 1;
@@ -813,12 +856,11 @@ impl Cluster {
 
         if let Some((wf, arrival)) = finished_workflow {
             self.instances.remove(instance);
-            self.workflows_completed[wf.index()] += 1;
-            self.completions.push(CompletionRecord {
-                workflow_type: wf,
-                arrival,
-                completion: self.engine.now(),
-            });
+            let i = wf.index();
+            self.workflows_completed[i] += 1;
+            self.completion_totals.count[i] += 1;
+            self.completion_totals.response_secs_sum[i] +=
+                (self.engine.now() - arrival).as_secs_f64();
         }
 
         if stays {
@@ -866,7 +908,7 @@ impl Cluster {
             free_instances: self.instances.free_list().to_vec(),
             rng_state: self.rng.state(),
             config: self.config.clone(),
-            completions: self.completions.clone(),
+            completion_totals: self.completion_totals.clone(),
             tasks_completed: self.tasks_completed.clone(),
             workflows_submitted: self.workflows_submitted.clone(),
             workflows_completed: self.workflows_completed.clone(),
@@ -948,7 +990,18 @@ impl Cluster {
         fresh.remaining_preds = remaining_preds;
         fresh.rng = SmallRng::from_state(snapshot.rng_state);
         fresh.config = snapshot.config;
-        fresh.completions = snapshot.completions;
+        // Files written before the totals existed carry none; they held a
+        // per-request record list instead, always empty at a window
+        // boundary, which is where an environment takes its snapshots.
+        if !snapshot.completion_totals.count.is_empty() {
+            let n = fresh.ensemble.num_workflow_types();
+            assert!(
+                snapshot.completion_totals.count.len() == n
+                    && snapshot.completion_totals.response_secs_sum.len() == n,
+                "snapshot completion totals need one entry per workflow type"
+            );
+            fresh.completion_totals = snapshot.completion_totals;
+        }
         fresh.tasks_completed = snapshot.tasks_completed;
         fresh.workflows_submitted = snapshot.workflows_submitted;
         fresh.workflows_completed = snapshot.workflows_completed;
@@ -984,7 +1037,8 @@ pub(crate) struct ClusterSnapshot {
     free_instances: Vec<InstanceId>,
     rng_state: [u64; 4],
     config: SimConfig,
-    completions: Vec<CompletionRecord>,
+    #[serde(default)]
+    completion_totals: CompletionTotals,
     tasks_completed: Vec<u64>,
     workflows_submitted: Vec<u64>,
     workflows_completed: Vec<u64>,
@@ -1003,6 +1057,16 @@ mod tests {
         Cluster::new(Ensemble::msd(), SimConfig::new(seed))
     }
 
+    /// Runs `c` in 1 ms steps until `n` workflows have completed in total
+    /// (or `limit` passes), returning the response-time sum at that point.
+    fn run_until_completed(c: &mut Cluster, n: usize, limit: SimTime) -> f64 {
+        while c.completion_totals().total() < n && c.now() < limit {
+            c.run_until(c.now() + SimTime::from_millis(1));
+        }
+        assert_eq!(c.completion_totals().total(), n);
+        c.completion_totals().response_secs_sum.iter().sum()
+    }
+
     /// A config with zero start-up delay, for tests that want immediate
     /// capacity.
     fn instant_config(seed: u64) -> SimConfig {
@@ -1019,10 +1083,10 @@ mod tests {
         c.set_consumers(&[2, 2, 2, 2]);
         c.submit(SimTime::ZERO, WorkflowTypeId::new(0));
         c.run_until(SimTime::from_secs(600));
-        let done = c.drain_completions();
-        assert_eq!(done.len(), 1);
-        assert_eq!(done[0].workflow_type, WorkflowTypeId::new(0));
-        assert!(done[0].response_secs() > 0.0);
+        let done = c.completion_totals();
+        assert_eq!(done.total(), 1);
+        assert_eq!(done.count, vec![1, 0, 0]);
+        assert!(done.response_secs_sum[0] > 0.0);
         assert_eq!(c.total_wip(), 0);
         assert_eq!(c.workflows_in_flight(), 0);
     }
@@ -1032,7 +1096,7 @@ mod tests {
         let mut c = msd_cluster(2);
         c.submit(SimTime::ZERO, WorkflowTypeId::new(0));
         c.run_until(SimTime::from_secs(300));
-        assert!(c.drain_completions().is_empty());
+        assert_eq!(c.completion_totals().total(), 0);
         // Type1 = A → B → C: only A's queue holds work.
         assert_eq!(c.wip(), vec![1, 0, 0, 0]);
     }
@@ -1045,10 +1109,10 @@ mod tests {
         c.set_consumers(&[1, 1, 1, 1]);
         c.submit(SimTime::ZERO, WorkflowTypeId::new(0));
         c.submit(SimTime::ZERO, WorkflowTypeId::new(0));
-        c.run_until(SimTime::from_secs(600));
-        let done = c.drain_completions();
-        assert_eq!(done.len(), 2);
-        assert!(done[1].response_secs() > done[0].response_secs());
+        let limit = SimTime::from_secs(600);
+        let first = run_until_completed(&mut c, 1, limit);
+        let second = run_until_completed(&mut c, 2, limit) - first;
+        assert!(second > first);
     }
 
     #[test]
@@ -1059,9 +1123,9 @@ mod tests {
         c.set_consumers(&[1, 1, 1, 1]);
         c.submit(SimTime::ZERO, WorkflowTypeId::new(2));
         c.run_until(SimTime::from_secs(600));
-        let done = c.drain_completions();
-        assert_eq!(done.len(), 1);
-        assert_eq!(done[0].workflow_type, WorkflowTypeId::new(2));
+        let done = c.completion_totals();
+        assert_eq!(done.total(), 1);
+        assert_eq!(done.count, vec![0, 0, 1]);
         assert_eq!(c.tasks_completed.iter().sum::<u64>(), 3);
     }
 
@@ -1074,8 +1138,7 @@ mod tests {
         c.set_consumers(&[1; 9]);
         c.submit(SimTime::ZERO, full);
         c.run_until(SimTime::from_secs(3600));
-        let done = c.drain_completions();
-        assert_eq!(done.len(), 1);
+        assert_eq!(c.completion_totals().total(), 1);
         assert_eq!(c.tasks_completed.iter().sum::<u64>(), 8);
         assert_eq!(c.workflows_in_flight(), 0);
     }
@@ -1111,12 +1174,11 @@ mod tests {
                 );
             }
             c.run_until(SimTime::from_secs(1000));
-            let responses: Vec<u64> = c
-                .drain_completions()
-                .iter()
-                .map(|r| (r.completion - r.arrival).as_micros())
-                .collect();
-            (c.wip(), responses, c.tasks_completed.to_vec())
+            (
+                c.wip(),
+                c.completion_totals().clone(),
+                c.tasks_completed.to_vec(),
+            )
         };
         assert_eq!(run(77), run(77));
         // ...and a different seed gives a different trajectory.
@@ -1219,7 +1281,11 @@ mod tests {
         }
         c.run_until(SimTime::from_secs(4 * 3600));
         assert!(c.node_outages > 0);
-        assert_eq!(c.drain_completions().len(), 40, "redelivery loses no work");
+        assert_eq!(
+            c.completion_totals().total(),
+            40,
+            "redelivery loses no work"
+        );
         assert_eq!(c.workflows_in_flight(), 0);
     }
 
@@ -1232,11 +1298,9 @@ mod tests {
                 c.submit(SimTime::from_secs(s * 60), WorkflowTypeId::new(0));
             }
             c.run_until(SimTime::from_secs(3600));
-            let done = c.drain_completions();
-            assert_eq!(done.len(), 30);
-            done.iter()
-                .map(CompletionRecord::response_secs)
-                .sum::<f64>()
+            let done = c.completion_totals();
+            assert_eq!(done.total(), 30);
+            done.response_secs_sum.iter().sum::<f64>()
         };
         let healthy = run(instant_config(23));
         let straggly = run(SimConfig {
@@ -1260,11 +1324,9 @@ mod tests {
                 c.submit(SimTime::from_secs(s * 60), WorkflowTypeId::new(0));
             }
             c.run_until(SimTime::from_secs(3600));
-            let done = c.drain_completions();
-            assert_eq!(done.len(), 30);
-            done.iter()
-                .map(CompletionRecord::response_secs)
-                .sum::<f64>()
+            let done = c.completion_totals();
+            assert_eq!(done.total(), 30);
+            done.response_secs_sum.iter().sum::<f64>()
         };
         let nominal = run(instant_config(25));
         let speeds = |factor| SimConfig {
@@ -1308,7 +1370,7 @@ mod tests {
         c.run_until(SimTime::from_millis(1));
         assert_eq!(c.total_wip(), 0, "delivery is still in flight");
         c.run_until(SimTime::from_secs(600));
-        assert_eq!(c.drain_completions().len(), 1);
+        assert_eq!(c.completion_totals().total(), 1);
     }
 
     #[test]
@@ -1325,12 +1387,7 @@ mod tests {
                 );
             }
             c.run_until(SimTime::from_secs(500));
-            let responses: Vec<u64> = c
-                .drain_completions()
-                .iter()
-                .map(|r| (r.completion - r.arrival).as_micros())
-                .collect();
-            (c.wip(), responses)
+            (c.wip(), c.completion_totals().clone())
         };
         let base = run(SimConfig::new(31));
         let gated = run(SimConfig {
@@ -1374,7 +1431,7 @@ mod tests {
         drive(&mut original, 40, 120);
         drive(&mut restored, 40, 120);
         assert_eq!(original.snapshot(), restored.snapshot());
-        assert_eq!(original.drain_completions(), restored.drain_completions());
+        assert_eq!(original.completion_totals(), restored.completion_totals());
     }
 
     #[test]
@@ -1390,7 +1447,7 @@ mod tests {
             );
             c.run_until(SimTime::from_secs(k * 300 + 299));
         }
-        assert_eq!(c.drain_completions().len(), 20);
+        assert_eq!(c.completion_totals().total(), 20);
         assert_eq!(c.preds_stride, 3, "every MSD workflow has three tasks");
         assert_eq!(c.remaining_preds.len(), c.preds_stride);
     }

@@ -84,9 +84,6 @@ pub struct MicroserviceEnv {
     /// Injected (burst/trace) arrivals not yet attributed to a window's
     /// metrics, sorted by arrival time.
     injected_schedule: VecDeque<(SimTime, usize)>,
-    /// Reusable buffer for draining the cluster's completion records each
-    /// window without a fresh allocation.
-    completion_buf: Vec<crate::CompletionRecord>,
     /// In-flight trace recording (observation-only; not part of
     /// [`EnvSnapshot`]). See [`MicroserviceEnv::record_trace`].
     trace_recorder: Option<TraceRecorder>,
@@ -179,7 +176,6 @@ impl MicroserviceEnv {
             arrival_rng,
             window_index: 0,
             injected_schedule: VecDeque::new(),
-            completion_buf: Vec::new(),
             trace_recorder: None,
             telemetry: Telemetry::noop(),
         }
@@ -396,7 +392,7 @@ impl MicroserviceEnv {
         let wip = self.cluster.wip();
         #[allow(clippy::cast_precision_loss)]
         let reward = reward_from_total_wip(wip.iter().sum::<usize>() as f64);
-        let (completions, mean_response_secs) = self.summarise_completions();
+        let (completions, mean_response_secs) = self.cluster.take_window_completions();
         let metrics = WindowMetrics {
             window_index: self.window_index,
             wip: wip.clone(),
@@ -469,7 +465,7 @@ impl MicroserviceEnv {
         self.cluster.set_consumers(&zeros);
         // Reset-period completions are not part of any window's metrics;
         // injected arrivals overtaken by the reset drop out of attribution.
-        let _ = self.cluster.drain_completions();
+        let _ = self.cluster.take_window_completions();
         let now = self.cluster.now();
         while matches!(self.injected_schedule.front(), Some(&(t, _)) if t <= now) {
             self.injected_schedule.pop_front();
@@ -592,32 +588,9 @@ impl MicroserviceEnv {
             arrival_rng: SmallRng::from_state(snapshot.arrival_rng_state),
             window_index: snapshot.window_index,
             injected_schedule: snapshot.injected_schedule,
-            completion_buf: Vec::new(),
             trace_recorder: None,
             telemetry: Telemetry::noop(),
         }
-    }
-
-    fn summarise_completions(&mut self) -> (Vec<usize>, Vec<Option<f64>>) {
-        let n = self.num_workflow_types();
-        let mut counts = vec![0usize; n];
-        let mut sums = vec![0.0f64; n];
-        let mut records = std::mem::take(&mut self.completion_buf);
-        records.clear();
-        self.cluster.drain_completions_into(&mut records);
-        for record in &records {
-            let i = record.workflow_type.index();
-            counts[i] += 1;
-            sums[i] += record.response_secs();
-        }
-        records.clear();
-        self.completion_buf = records;
-        let means = counts
-            .iter()
-            .zip(&sums)
-            .map(|(&c, &s)| (c > 0).then(|| s / c as f64))
-            .collect();
-        (counts, means)
     }
 }
 

@@ -53,7 +53,7 @@ mod slab;
 mod workload;
 
 pub use audit::AuditViolation;
-pub use cluster::{Cluster, CompletionRecord};
+pub use cluster::{Cluster, CompletionTotals};
 pub use config::{ConfigError, EnvConfig, SimConfig};
 pub use env::{reward_from_total_wip, EnvSnapshot, MicroserviceEnv, StepOutcome};
 pub use metrics::{LatencySummary, WindowMetrics};

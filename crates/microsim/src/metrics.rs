@@ -138,16 +138,6 @@ impl LatencySummary {
             max: sorted[sorted.len() - 1],
         })
     }
-
-    /// Summarises a batch of completion records.
-    #[must_use]
-    pub fn from_completions(records: &[crate::CompletionRecord]) -> Option<Self> {
-        let secs: Vec<f64> = records
-            .iter()
-            .map(crate::CompletionRecord::response_secs)
-            .collect();
-        LatencySummary::from_secs(&secs)
-    }
 }
 
 #[cfg(test)]

@@ -23,7 +23,7 @@ fn completions(seed: u64, cores: Option<f64>, consumers: usize) -> usize {
         c.submit(SimTime::ZERO, WorkflowTypeId::new(i % 3));
     }
     c.run_until(SimTime::from_secs(600));
-    c.drain_completions().len()
+    c.completion_totals().total()
 }
 
 #[test]
@@ -68,6 +68,6 @@ fn contention_preserves_work_conservation() {
         c.submit(SimTime::from_secs(i), WorkflowTypeId::new((i % 3) as usize));
     }
     c.run_until(SimTime::from_secs(30_000));
-    assert_eq!(c.drain_completions().len() + c.workflows_in_flight(), 80);
+    assert_eq!(c.completion_totals().total() + c.workflows_in_flight(), 80);
     assert_eq!(c.workflows_in_flight(), 0, "everything drains eventually");
 }

@@ -55,7 +55,7 @@ fn no_work_is_lost_under_failures() {
         c.submit(SimTime::from_secs(i as u64), WorkflowTypeId::new(i % 3));
     }
     c.run_until(SimTime::from_secs(20_000));
-    let done = c.drain_completions().len();
+    let done = c.completion_totals().total();
     assert!(
         c.consumer_failures() > 0,
         "test needs failures to be meaningful"
@@ -98,7 +98,7 @@ fn failures_slow_processing_down() {
         // Horizon short enough that the backlog is still draining: the
         // throughput difference is visible mid-flight.
         c.run_until(SimTime::from_secs(300));
-        c.drain_completions().len()
+        c.completion_totals().total()
     };
     let healthy = run(0.0);
     let degraded = run(240.0);
@@ -189,7 +189,7 @@ proptest! {
             c.submit(SimTime::from_secs(i as u64), WorkflowTypeId::new(i % 3));
         }
         c.run_until(SimTime::from_secs(5_000));
-        let done = c.drain_completions().len();
+        let done = c.completion_totals().total();
         prop_assert_eq!(n, done + c.workflows_in_flight());
     }
 }

@@ -30,7 +30,7 @@ proptest! {
             c.set_consumers(targets);
         }
         c.run_until(horizon + SimTime::from_secs(400));
-        let completed = c.drain_completions().len();
+        let completed = c.completion_totals().total();
         let submitted: u64 = c.workflows_submitted().iter().sum();
         prop_assert_eq!(submitted as usize, completed + c.workflows_in_flight());
     }
@@ -58,7 +58,7 @@ proptest! {
             }
         }
         c.run_until(SimTime::from_secs(3_000));
-        prop_assert_eq!(c.drain_completions().len(), total);
+        prop_assert_eq!(c.completion_totals().total(), total);
         prop_assert_eq!(c.total_wip(), 0);
         prop_assert_eq!(c.workflows_in_flight(), 0);
     }

@@ -7,6 +7,12 @@
 //! mid-burst, with workflows in flight and events pending, so every part of
 //! the cluster's state is non-trivial. Regenerate the literals only for a
 //! deliberate format change, and say why in the commit message.
+//!
+//! Deliberate format changes so far: the cluster's per-request
+//! `"completions":[]` list became `"completion_totals":{"count":[0,..],
+//! "response_secs_sum":[0.0,..]}`, one entry per workflow type. Every other
+//! byte stayed the same, and files holding the old key still resume (see
+//! `window_metrics_golden.rs`).
 
 use microsim::{EnvConfig, EnvSnapshot, MicroserviceEnv};
 use workflow::{BurstSpec, Ensemble};
@@ -59,7 +65,7 @@ fn msd_mid_burst_snapshot_bytes_are_pinned() {
     );
     assert_eq!(
         (json.len(), fnv1a(json.as_bytes())),
-        (99_993, 10_071_879_058_486_764_964)
+        (100_048, 2_829_045_533_375_339_958)
     );
 }
 
@@ -73,6 +79,6 @@ fn ligo_mid_burst_snapshot_bytes_are_pinned() {
     );
     assert_eq!(
         (json.len(), fnv1a(json.as_bytes())),
-        (32_807, 10_944_976_970_198_157_576)
+        (32_868, 1_009_198_521_042_176_050)
     );
 }

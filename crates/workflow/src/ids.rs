@@ -8,7 +8,9 @@ use serde::{Deserialize, Serialize};
 ///
 /// The MIRAS paper indexes task types `1 ≤ j ≤ J`; we use zero-based indices.
 /// Newtyping prevents mixing task-type and workflow-type indices — the two
-/// index spaces overlap numerically but mean different things.
+/// index spaces overlap numerically but mean different things. The index is
+/// stored as a `u32`, which keeps the simulator's pending events small; it
+/// serialises as a plain number.
 ///
 /// # Examples
 ///
@@ -22,19 +24,27 @@ use serde::{Deserialize, Serialize};
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
 )]
-pub struct TaskTypeId(usize);
+pub struct TaskTypeId(u32);
 
 impl TaskTypeId {
     /// Wraps a zero-based task-type index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` exceeds `u32::MAX`.
     #[must_use]
     pub const fn new(index: usize) -> Self {
-        TaskTypeId(index)
+        assert!(
+            index <= u32::MAX as usize,
+            "task-type index exceeds u32::MAX"
+        );
+        TaskTypeId(index as u32)
     }
 
     /// The underlying zero-based index.
     #[must_use]
     pub const fn index(self) -> usize {
-        self.0
+        self.0 as usize
     }
 }
 
@@ -46,14 +56,14 @@ impl fmt::Display for TaskTypeId {
 
 impl From<TaskTypeId> for usize {
     fn from(id: TaskTypeId) -> usize {
-        id.0
+        id.index()
     }
 }
 
 /// Index of a workflow type within an ensemble.
 ///
 /// The MIRAS paper indexes workflow types `1 ≤ i ≤ N`; we use zero-based
-/// indices.
+/// indices, stored as a `u32` like [`TaskTypeId`]'s.
 ///
 /// # Examples
 ///
@@ -67,19 +77,27 @@ impl From<TaskTypeId> for usize {
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
 )]
-pub struct WorkflowTypeId(usize);
+pub struct WorkflowTypeId(u32);
 
 impl WorkflowTypeId {
     /// Wraps a zero-based workflow-type index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` exceeds `u32::MAX`.
     #[must_use]
     pub const fn new(index: usize) -> Self {
-        WorkflowTypeId(index)
+        assert!(
+            index <= u32::MAX as usize,
+            "workflow-type index exceeds u32::MAX"
+        );
+        WorkflowTypeId(index as u32)
     }
 
     /// The underlying zero-based index.
     #[must_use]
     pub const fn index(self) -> usize {
-        self.0
+        self.0 as usize
     }
 }
 
@@ -91,7 +109,7 @@ impl fmt::Display for WorkflowTypeId {
 
 impl From<WorkflowTypeId> for usize {
     fn from(id: WorkflowTypeId) -> usize {
-        id.0
+        id.index()
     }
 }
 
@@ -115,6 +133,20 @@ mod tests {
         assert!(a < b);
         let set: HashSet<_> = [a, b, a].into_iter().collect();
         assert_eq!(set.len(), 2);
+    }
+
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    #[should_panic(expected = "task-type index exceeds u32::MAX")]
+    fn ids_reject_indices_beyond_u32() {
+        let _ = TaskTypeId::new(u32::MAX as usize + 1);
+    }
+
+    #[test]
+    fn ids_serialise_as_plain_numbers() {
+        assert_eq!(serde_json::to_string(&TaskTypeId::new(7)).unwrap(), "7");
+        let back: WorkflowTypeId = serde_json::from_str("3").unwrap();
+        assert_eq!(back, WorkflowTypeId::new(3));
     }
 
     #[test]

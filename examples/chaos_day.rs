@@ -64,7 +64,7 @@ fn main() {
     ]);
     cluster.run_until(horizon + SimTime::from_secs(1_200));
 
-    let completed = cluster.drain_completions().len();
+    let completed = cluster.completion_totals().total();
     let submitted: u64 = cluster.workflows_submitted().iter().sum();
     println!("submitted  : {submitted}");
     println!("completed  : {completed}");

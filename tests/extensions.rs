@@ -21,7 +21,7 @@ fn contention_and_failures_compose() {
         cluster.submit(SimTime::from_secs(i), WorkflowTypeId::new((i % 3) as usize));
     }
     cluster.run_until(SimTime::from_secs(40_000));
-    assert_eq!(cluster.drain_completions().len(), 60);
+    assert_eq!(cluster.completion_totals().total(), 60);
     assert!(cluster.consumer_failures() > 0);
 }
 
@@ -119,25 +119,27 @@ fn ensemble_model_learns_the_real_emulator() {
 
 #[test]
 fn latency_summary_from_live_completions() {
-    let mut cluster = Cluster::new(
-        Ensemble::msd(),
-        SimConfig {
-            startup_min: SimTime::ZERO,
-            startup_max: SimTime::ZERO,
-            ..SimConfig::new(12)
-        },
-    );
-    cluster.set_consumers(&[4, 4, 4, 2]);
-    for i in 0..100 {
-        cluster.submit(
-            SimTime::from_secs(i / 3),
-            WorkflowTypeId::new((i % 3) as usize),
-        );
+    // The cluster keeps per-type totals, not a record per request, so the
+    // live samples are the per-window mean response times of a burst.
+    let ensemble = Ensemble::msd();
+    let config = EnvConfig {
+        arrival_rates: vec![0.0; 3],
+        ..EnvConfig::for_ensemble(&ensemble).with_seed(12)
+    };
+    let mut env = MicroserviceEnv::new(ensemble, config);
+    env.reset();
+    env.inject_burst(&BurstSpec::new(vec![34, 33, 33]));
+    let mut completed = 0;
+    let mut means = Vec::new();
+    for _ in 0..40 {
+        let m = env.step(&[4, 4, 4, 2]).metrics;
+        completed += m.completions.iter().sum::<usize>();
+        means.extend(m.overall_mean_response_secs());
     }
-    cluster.run_until(SimTime::from_secs(2_000));
-    let completions = cluster.drain_completions();
-    let summary = miras::microsim::LatencySummary::from_completions(&completions).unwrap();
-    assert_eq!(summary.count, 100);
+    assert_eq!(completed, 100);
+    let summary = miras::microsim::LatencySummary::from_secs(&means).unwrap();
+    assert_eq!(summary.count, means.len());
+    assert!(summary.count > 1);
     assert!(summary.min > 0.0);
     assert!(summary.min <= summary.p50 && summary.p50 <= summary.p95);
     assert!(summary.p95 <= summary.p99 && summary.p99 <= summary.max);
