@@ -1057,12 +1057,13 @@ pub fn workload_zoo() -> Vec<WorkloadSpec> {
         .collect()
 }
 
-/// Records `steps` decision windows of the ensemble's stationary Poisson
-/// background and writes the arrivals as a JSONL trace under `results/`,
-/// for replay via [`WorkloadSpec::TraceReplay`]. Background arrivals are
-/// policy-independent (the arrival RNG never sees allocations), so a trace
-/// recorded under any allocator replays identically under all of them.
-/// Returns the trace path.
+/// Writes `steps` decision windows of the ensemble's stationary Poisson
+/// background as a JSONL trace under `results/`, for replay via
+/// [`WorkloadSpec::TraceReplay`]. The trace is
+/// [`microsim::background_trace`], the arrivals an environment at `seed`
+/// would record: background arrivals are policy-independent (the arrival
+/// RNG never sees allocations), so the trace replays identically under
+/// every allocator. Returns the trace path.
 ///
 /// # Errors
 ///
@@ -1072,18 +1073,8 @@ pub fn record_background_trace(
     seed: u64,
     steps: usize,
 ) -> std::io::Result<PathBuf> {
-    let ensemble = kind.ensemble();
-    let budget = ensemble.default_consumer_budget();
-    let j = ensemble.num_task_types();
-    let config = EnvConfig::for_ensemble(&ensemble).with_seed(seed);
-    let mut env = MicroserviceEnv::new(ensemble, config);
-    let _ = env.reset();
-    env.record_trace();
-    let action = vec![(budget / j).max(1); j];
-    for _ in 0..steps {
-        let _ = env.step(&action);
-    }
-    let trace = env.take_recorded_trace();
+    let config = EnvConfig::for_ensemble(&kind.ensemble()).with_seed(seed);
+    let trace = microsim::background_trace(&config, steps);
     let dir = PathBuf::from("results");
     fs::create_dir_all(&dir)?;
     let path = dir.join(format!("workload_trace_{}.jsonl", kind.name()));

@@ -147,6 +147,83 @@ fn checked_poisson_count(mean: f64, rng: &mut SmallRng) -> usize {
     }
 }
 
+/// The arrival stream of an environment over `config`: derived from the
+/// simulation seed but distinct from it, so that arrival sampling and
+/// service-time sampling do not interleave.
+fn arrival_rng(config: &EnvConfig) -> SmallRng {
+    SmallRng::seed_from_u64(config.sim.seed.wrapping_add(0x9E37_79B9))
+}
+
+/// Samples one window's background arrivals, handing each to `sink` in
+/// draw order, and returns the window's mean workload factor.
+///
+/// The workload's modulation is integrated analytically over the window:
+/// one Poisson draw per (type, window) whatever the shape, then one
+/// uniform offset per arrival. `Stationary` yields exactly 1.0 and
+/// `x * 1.0 == x` for finite x, so the stationary RNG stream is
+/// bit-identical to the pre-workload code; `TraceReplay` yields 0.0 and
+/// samples nothing. The sink is generic, not `dyn`: a large ensemble
+/// pushes ~128k arrivals a window through it.
+fn sample_window<F: FnMut(SimTime, WorkflowTypeId)>(
+    config: &EnvConfig,
+    window_start: SimTime,
+    rng: &mut SmallRng,
+    mut sink: F,
+) -> f64 {
+    let window_secs = config.window.as_secs_f64();
+    let factor = config
+        .workload
+        .mean_factor(window_start, window_start + config.window);
+    for (i, &rate) in config.arrival_rates.iter().enumerate() {
+        let mean = rate * window_secs * factor;
+        if mean <= 0.0 {
+            continue;
+        }
+        let n = checked_poisson_count(mean, rng);
+        for _ in 0..n {
+            let offset = rng.gen_range(0.0..window_secs);
+            sink(
+                window_start + SimTime::from_secs_f64(offset),
+                WorkflowTypeId::new(i),
+            );
+        }
+    }
+    factor
+}
+
+/// The background arrivals of the first `windows` decision windows of a
+/// fresh environment over `config`, with trace time 0 at the start of the
+/// first window.
+///
+/// This is exactly what [`MicroserviceEnv::record_trace`] captures from a
+/// new, never-reset environment at the same config stepped `windows` times
+/// with no injections, under any allocation: background arrivals never see
+/// the allocation. It needs no cluster, so it is the cheap way to write a
+/// trace for [`WorkloadSpec::TraceReplay`].
+///
+/// # Panics
+///
+/// Panics with the [`ConfigError`](crate::ConfigError) text if
+/// `EnvConfig::validate` rejects `config`.
+#[must_use]
+pub fn background_trace(config: &EnvConfig, windows: usize) -> ArrivalTrace {
+    if let Err(e) = config.validate() {
+        panic!("{e}");
+    }
+    let mut rng = arrival_rng(config);
+    let mut arrivals = Vec::new();
+    let mut window_start = SimTime::ZERO;
+    for _ in 0..windows {
+        sample_window(config, window_start, &mut rng, |at, wf| {
+            arrivals.push(Arrival::new(at, wf));
+        });
+        window_start += config.window;
+    }
+    // A stable sort of the draw order, as `ArrivalTrace::push` does one
+    // arrival at a time for a recording.
+    arrivals.into_iter().collect()
+}
+
 impl MicroserviceEnv {
     /// Creates an environment over a fresh cluster.
     ///
@@ -166,9 +243,7 @@ impl MicroserviceEnv {
             ensemble.num_workflow_types(),
             "one arrival rate per workflow type"
         );
-        // Derive a distinct stream for arrivals so that arrival sampling and
-        // service-time sampling do not interleave.
-        let arrival_rng = SmallRng::seed_from_u64(config.sim.seed.wrapping_add(0x9E37_79B9));
+        let arrival_rng = arrival_rng(&config);
         let cluster = Cluster::new(ensemble, config.sim.clone());
         MicroserviceEnv {
             cluster,
@@ -268,11 +343,7 @@ impl MicroserviceEnv {
         let WorkloadSpec::TraceReplay { path } = &self.config.workload else {
             return Ok(0);
         };
-        let trace = if path.ends_with(".json") {
-            ArrivalTrace::load_json(path)?
-        } else {
-            ArrivalTrace::load_jsonl(path)?
-        };
+        let trace = ArrivalTrace::load(path)?;
         self.inject_trace(&trace);
         Ok(trace.len())
     }
@@ -362,32 +433,22 @@ impl MicroserviceEnv {
             arrivals[wf] += 1;
             self.injected_schedule.pop_front();
         }
-        let window_secs = self.config.window.as_secs_f64();
-        // Integrate the workload modulation analytically over the window:
-        // one Poisson draw per (type, window) whatever the shape.
-        // `Stationary` yields exactly 1.0 and `x * 1.0 == x` for finite x,
-        // so the stationary RNG stream is bit-identical to the
-        // pre-workload code; `TraceReplay` yields 0.0 and samples nothing.
-        let workload_factor = self.config.workload.mean_factor(window_start, window_end);
-        for (i, &rate) in self.config.arrival_rates.iter().enumerate() {
-            let mean = rate * window_secs * workload_factor;
-            if mean <= 0.0 {
-                continue;
-            }
-            let n = checked_poisson_count(mean, &mut self.arrival_rng);
-            for _ in 0..n {
-                let offset = self.arrival_rng.gen_range(0.0..window_secs);
-                let at = window_start + SimTime::from_secs_f64(offset);
-                self.cluster.submit(at, WorkflowTypeId::new(i));
-                if let Some(rec) = &mut self.trace_recorder {
-                    rec.trace
-                        .push(Arrival::new(at - rec.origin, WorkflowTypeId::new(i)));
+        let cluster = &mut self.cluster;
+        let recorder = &mut self.trace_recorder;
+        let workload_factor = sample_window(
+            &self.config,
+            window_start,
+            &mut self.arrival_rng,
+            |at, wf| {
+                cluster.submit(at, wf);
+                if let Some(rec) = recorder {
+                    rec.trace.push(Arrival::new(at - rec.origin, wf));
                 }
-            }
-            arrivals[i] += n;
-        }
+                arrivals[wf.index()] += 1;
+            },
+        );
 
-        self.cluster.run_until(window_start + self.config.window);
+        self.cluster.run_until(window_end);
 
         let wip = self.cluster.wip();
         #[allow(clippy::cast_precision_loss)]
@@ -896,6 +957,50 @@ mod tests {
         assert_eq!(replayed, original);
         // Taking again yields an empty trace; recording is one-shot.
         assert!(env.take_recorded_trace().is_empty());
+    }
+
+    /// An MSD config with the given background rates.
+    fn rates_config(rates: Vec<f64>, seed: u64) -> EnvConfig {
+        EnvConfig {
+            arrival_rates: rates,
+            ..EnvConfig::for_ensemble(&Ensemble::msd()).with_seed(seed)
+        }
+    }
+
+    #[test]
+    fn background_trace_rate_zero_emits_nothing() {
+        let trace = background_trace(&rates_config(vec![0.0, 2.0, 0.0], 1), 2);
+        let counts = trace.counts(3);
+        assert_eq!((counts[0], counts[2]), (0, 0));
+        assert!(counts[1] > 0);
+    }
+
+    #[test]
+    fn background_trace_is_deterministic_for_fixed_seed() {
+        let config = rates_config(vec![0.7, 0.3, 0.0], 42);
+        assert_eq!(background_trace(&config, 7), background_trace(&config, 7));
+        assert_ne!(
+            background_trace(&config, 7),
+            background_trace(&rates_config(vec![0.7, 0.3, 0.0], 43), 7)
+        );
+        // A shorter trace is a prefix of a longer one.
+        let long = background_trace(&config, 7);
+        let short = background_trace(&config, 3);
+        assert_eq!(short.arrivals(), &long.arrivals()[..short.len()]);
+    }
+
+    #[test]
+    fn background_trace_mean_is_close_to_rate() {
+        let windows = 66; // 1 980 s
+        let n = background_trace(&rates_config(vec![2.0, 0.0, 0.0], 9), windows).len() as f64;
+        let expected = 2.0 * 30.0 * windows as f64;
+        assert!((n - expected).abs() < 4.0 * expected.sqrt() + 1.0, "n={n}");
+    }
+
+    #[test]
+    #[should_panic(expected = "arrival rates must be finite and non-negative")]
+    fn background_trace_panics_on_a_negative_rate() {
+        let _ = background_trace(&rates_config(vec![-1.0, 0.0, 0.0], 1), 1);
     }
 
     #[test]

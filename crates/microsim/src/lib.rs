@@ -55,7 +55,7 @@ mod workload;
 pub use audit::AuditViolation;
 pub use cluster::{Cluster, CompletionTotals};
 pub use config::{ConfigError, EnvConfig, SimConfig};
-pub use env::{reward_from_total_wip, EnvSnapshot, MicroserviceEnv, StepOutcome};
-pub use metrics::{LatencySummary, WindowMetrics};
+pub use env::{background_trace, reward_from_total_wip, EnvSnapshot, MicroserviceEnv, StepOutcome};
+pub use metrics::WindowMetrics;
 pub use pool::{ConsumerPool, PoolCounters, PoolDesync};
 pub use workload::WorkloadSpec;

@@ -23,13 +23,14 @@
 //! [`MicroserviceEnv::inject_trace`](crate::MicroserviceEnv::inject_trace)
 //! instead.
 //!
-//! Rather than thinning per-arrival (as `workflow::modulation` does), the
-//! environment integrates the modulation analytically over each decision
-//! window: the window's Poisson mean is
-//! `rate × window_secs × mean_factor(window_start, window_end)`. This keeps
-//! one RNG draw per (type, window) regardless of the modulation — the same
-//! draw count as the stationary path — which is what makes the
-//! bit-identity guarantee possible.
+//! Rather than thinning per arrival, the environment integrates the
+//! modulation analytically over each decision window: the window's Poisson
+//! mean is `rate × window_secs × mean_factor(window_start, window_end)`.
+//! This keeps one RNG draw per (type, window) regardless of the modulation
+//! — the same draw count as the stationary path — which is what makes the
+//! bit-identity guarantee possible. This is the crate's only arrival
+//! sampler: [`MicroserviceEnv::step`](crate::MicroserviceEnv::step) and
+//! [`background_trace`](crate::background_trace) both call it.
 
 use desim::SimTime;
 use rand::rngs::SmallRng;
@@ -97,8 +98,9 @@ pub enum WorkloadSpec {
     /// [`MicroserviceEnv::inject_trace`](crate::MicroserviceEnv::inject_trace);
     /// background sampling is fully suppressed (factor 0, no RNG draws).
     TraceReplay {
-        /// Path to the trace file (`.jsonl` one arrival per line, or the
-        /// legacy `.json` array format).
+        /// Path to the trace file, in either layout
+        /// `workflow::ArrivalTrace::load` reads: JSONL, one arrival per
+        /// line, or the older `{"arrivals":[…]}` document.
         path: String,
     },
 }
@@ -261,15 +263,16 @@ impl WorkloadSpec {
                 }
             }
             WorkloadSpec::FlashCrowd {
+                spike_seed,
+                mean_interval,
                 magnitude,
                 rise,
                 decay,
-                ..
             } => {
                 let rise_s = rise.as_secs_f64();
                 let decay_s = decay.as_secs_f64();
                 let mut f = 1.0;
-                for spike in self.spike_times() {
+                for spike in spike_times(*spike_seed, *mean_interval) {
                     if t < spike {
                         break;
                     }
@@ -343,15 +346,16 @@ impl WorkloadSpec {
                 integral / len
             }
             WorkloadSpec::FlashCrowd {
+                spike_seed,
+                mean_interval,
                 magnitude,
                 rise,
                 decay,
-                ..
             } => {
                 let rise_s = rise.as_secs_f64();
                 let decay_s = decay.as_secs_f64();
                 let mut integral = len; // the baseline 1.0
-                for spike in self.spike_times() {
+                for spike in spike_times(*spike_seed, *mean_interval) {
                     if spike >= e {
                         break;
                     }
@@ -361,36 +365,25 @@ impl WorkloadSpec {
             }
         }
     }
+}
 
-    /// The deterministic spike-start schedule of a [`FlashCrowd`] spec
-    /// (empty for every other kind), sorted ascending.
-    ///
-    /// [`FlashCrowd`]: WorkloadSpec::FlashCrowd
-    #[must_use]
-    pub(crate) fn spike_times(&self) -> Vec<f64> {
-        let WorkloadSpec::FlashCrowd {
-            spike_seed,
-            mean_interval,
-            ..
-        } = self
-        else {
-            return Vec::new();
-        };
-        let mean = mean_interval.as_secs_f64();
-        let mut rng = SmallRng::seed_from_u64(*spike_seed);
-        let mut times = Vec::new();
-        let mut t = 0.0;
-        loop {
-            // Exponential gap via inverse CDF; gen_range is in [0, 1) so
-            // 1 − u is in (0, 1] and the log is finite.
-            let u: f64 = rng.gen_range(0.0..1.0);
-            t += -mean * (1.0 - u).ln();
-            if t > FLASH_CROWD_HORIZON_SECS {
-                return times;
-            }
-            times.push(t);
-        }
-    }
+/// The deterministic spike-start schedule of a
+/// [`FlashCrowd`](WorkloadSpec::FlashCrowd) spec, ascending and drawn
+/// lazily out to a one-week horizon: a caller that stops at its window end
+/// pays only for the spikes before it, and a prefix of the schedule never
+/// depends on how far it is read.
+fn spike_times(spike_seed: u64, mean_interval: SimTime) -> impl Iterator<Item = f64> {
+    let mean = mean_interval.as_secs_f64();
+    let mut rng = SmallRng::seed_from_u64(spike_seed);
+    let mut t = 0.0;
+    std::iter::from_fn(move || {
+        // Exponential gap via inverse CDF; gen_range is in [0, 1) so
+        // 1 − u is in (0, 1] and the log is finite.
+        let u: f64 = rng.gen_range(0.0..1.0);
+        t += -mean * (1.0 - u).ln();
+        Some(t)
+    })
+    .take_while(|&t| t <= FLASH_CROWD_HORIZON_SECS)
 }
 
 /// `∫ g(t) dt` over `[a, b]` for one unit-magnitude spike starting at
@@ -514,18 +507,13 @@ mod tests {
 
     #[test]
     fn flash_crowd_schedule_is_seed_deterministic() {
-        let make = |seed| WorkloadSpec::FlashCrowd {
-            spike_seed: seed,
-            mean_interval: SimTime::from_secs(300),
-            magnitude: 4.0,
-            rise: SimTime::from_secs(10),
-            decay: SimTime::from_secs(60),
-        };
-        assert_eq!(make(7).spike_times(), make(7).spike_times());
-        assert_ne!(make(7).spike_times(), make(8).spike_times());
-        assert!(!make(7).spike_times().is_empty());
-        let times = make(7).spike_times();
+        let schedule = |seed| spike_times(seed, SimTime::from_secs(300)).collect::<Vec<_>>();
+        assert_eq!(schedule(7), schedule(7));
+        assert_ne!(schedule(7), schedule(8));
+        let times = schedule(7);
+        assert!(!times.is_empty());
         assert!(times.windows(2).all(|w| w[0] < w[1]), "sorted ascending");
+        assert!(*times.last().unwrap() <= FLASH_CROWD_HORIZON_SECS);
     }
 
     #[test]

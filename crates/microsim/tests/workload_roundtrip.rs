@@ -1,6 +1,8 @@
 //! Workload-generator correctness: every generator kind survives a
-//! record → trace-replay round trip byte-identically, and arbitrary
-//! workload specs keep the simulator audit-clean and deterministic.
+//! record → trace-replay round trip byte-identically, `background_trace`
+//! is exactly what a fresh environment records, arbitrary workload specs
+//! keep the simulator audit-clean and deterministic, and a damaged trace
+//! file loads or fails with a typed error.
 //!
 //! The round trip is the strongest arrival-path check we have: it proves
 //! that window-by-window Poisson sampling (generator mode) and pre-queued
@@ -8,10 +10,12 @@
 //! trajectory — same per-window metrics, same audit stream — which pins
 //! down the window-boundary attribution semantics fixed in this change.
 
+use std::sync::OnceLock;
+
 use desim::SimTime;
-use microsim::{EnvConfig, MicroserviceEnv, SimConfig, WorkloadSpec};
+use microsim::{background_trace, EnvConfig, MicroserviceEnv, SimConfig, WorkloadSpec};
 use proptest::prelude::*;
-use workflow::{BurstSpec, Ensemble};
+use workflow::{ArrivalTrace, BurstSpec, Ensemble};
 
 const WINDOWS: usize = 4;
 const ACTION: [usize; 4] = [4, 4, 4, 2]; // MSD budget 14
@@ -94,6 +98,36 @@ fn every_generator_kind_round_trips_through_trace_replay() {
             "{name}: replayed trajectory diverges from the recorded one"
         );
         let _ = std::fs::remove_file(&path);
+    }
+}
+
+/// The equivalence that lets `background_trace` stand in for a recorded
+/// run: for every generator shape on MSD and LIGO, a fresh environment
+/// (no `reset`, so time 0 lines up) recording its first `N` windows under
+/// an allocation that changes every window captures exactly
+/// `background_trace(&config, N)`, arrival for arrival.
+#[test]
+fn background_trace_equals_a_fresh_env_recording() {
+    const N: usize = 20; // the presets' 600 s diurnal period and ramp
+    for ensemble in [Ensemble::msd(), Ensemble::ligo()] {
+        for name in ["stationary", "diurnal", "trending", "flash-crowd"] {
+            let config = EnvConfig {
+                workload: WorkloadSpec::parse(name).unwrap(),
+                ..EnvConfig::for_ensemble(&ensemble).with_seed(2024)
+            };
+            let mut env = MicroserviceEnv::new(ensemble.clone(), config.clone());
+            env.record_trace();
+            let j = ensemble.num_task_types();
+            for k in 0..N {
+                let mut action = vec![1; j];
+                action[k % j] = config.consumer_budget - (j - 1);
+                let _ = env.step(&action);
+            }
+            let recorded = env.take_recorded_trace();
+            let label = format!("{} {name}", ensemble.name());
+            assert!(!recorded.is_empty(), "{label}: recorded nothing");
+            assert_eq!(recorded, background_trace(&config, N), "{label}");
+        }
     }
 }
 
@@ -201,5 +235,101 @@ proptest! {
         let json = serde_json::to_string(&spec).expect("spec serialises");
         let back: WorkloadSpec = serde_json::from_str(&json).expect("spec parses");
         prop_assert_eq!(spec, back);
+    }
+}
+
+/// A real trace's bytes in both layouts: JSONL as `save_jsonl` writes it,
+/// and the older single-document `{"arrivals":[…]}` layout.
+fn trace_layouts() -> &'static [Vec<u8>; 2] {
+    static LAYOUTS: OnceLock<[Vec<u8>; 2]> = OnceLock::new();
+    LAYOUTS.get_or_init(|| {
+        let config = EnvConfig {
+            workload: WorkloadSpec::parse("flash-crowd").unwrap(),
+            ..EnvConfig::for_ensemble(&Ensemble::msd()).with_seed(5)
+        };
+        let trace = background_trace(&config, 3);
+        assert!(trace.len() > 10, "a trace worth damaging");
+        let path = temp_path("layout.jsonl");
+        trace.save_jsonl(&path).unwrap();
+        let jsonl = std::fs::read(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        let document = serde_json::to_string(&trace).unwrap().into_bytes();
+        for bytes in [&jsonl, &document] {
+            assert_eq!(load_bytes(bytes, "intact").unwrap(), trace);
+        }
+        [jsonl, document]
+    })
+}
+
+fn temp_path(name: &str) -> std::path::PathBuf {
+    std::env::temp_dir().join(format!("miras_trace_decoder_{}_{name}", std::process::id()))
+}
+
+fn load_bytes(bytes: &[u8], name: &str) -> std::io::Result<ArrivalTrace> {
+    let path = temp_path(name);
+    std::fs::write(&path, bytes).unwrap();
+    let loaded = ArrivalTrace::load(&path);
+    let _ = std::fs::remove_file(&path);
+    loaded
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `background_trace` is time-sorted, inside its windows, and names
+    /// only configured workflow types, for any shape, rates and seed.
+    #[test]
+    fn background_traces_sorted_and_bounded(
+        spec in arbitrary_workload(),
+        seed in 0u64..1000,
+        rates in proptest::collection::vec(0.0f64..2.0, 1..4),
+        windows in 0usize..8,
+    ) {
+        let config = EnvConfig {
+            arrival_rates: rates.clone(),
+            workload: spec,
+            ..EnvConfig::for_ensemble(&Ensemble::msd()).with_seed(seed)
+        };
+        let trace = background_trace(&config, windows);
+        let horizon = SimTime::from_secs(30 * windows as u64);
+        for pair in trace.arrivals().windows(2) {
+            prop_assert!(pair[0].time <= pair[1].time);
+        }
+        for a in trace.arrivals() {
+            prop_assert!(a.time < horizon);
+            prop_assert!(a.workflow_type.index() < rates.len());
+        }
+    }
+
+    /// A real trace in either layout, cut at any byte or with any byte
+    /// flipped, loads or fails with `InvalidData`: `ArrivalTrace::load`
+    /// never panics and never reports a damaged file as another kind of
+    /// error.
+    #[test]
+    fn cut_or_flipped_traces_load_or_fail_as_invalid_data(
+        kind in 0u8..4,
+        at in 0u64..1_000_000,
+        mask in 1u8..=255,
+    ) {
+        // Even kinds damage the JSONL layout, odd kinds the document.
+        let intact = &trace_layouts()[usize::from(kind % 2)];
+        let at = (at as usize) * intact.len() / 1_000_000;
+        let bytes = if kind < 2 {
+            intact[..at].to_vec()
+        } else {
+            let mut flipped = intact.clone();
+            flipped[at] ^= mask;
+            flipped
+        };
+        match load_bytes(&bytes, "damaged") {
+            Ok(trace) => {
+                // Only the empty cut of the document is a (blank) trace.
+                prop_assert!(kind != 1 || at == 0, "a cut document loaded");
+                for pair in trace.arrivals().windows(2) {
+                    prop_assert!(pair[0].time <= pair[1].time);
+                }
+            }
+            Err(e) => prop_assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{}", e),
+        }
     }
 }

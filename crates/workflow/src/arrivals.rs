@@ -1,15 +1,16 @@
-//! Workload generation: Poisson request processes, bursts, arrival traces.
+//! Workload description: bursts and arrival traces.
 //!
 //! The paper drives its evaluation with (a) continuous workflow requests
 //! sampled from a Poisson process (§VI-A1) and (b) request bursts injected at
-//! the beginning of each evaluation run (§VI-D). [`PoissonProcess`] and
-//! [`BurstSpec`] model those two generators; both produce an
-//! [`ArrivalTrace`], a time-sorted list of workflow-request arrivals that the
-//! emulator replays.
+//! the beginning of each evaluation run (§VI-D). [`BurstSpec`] models the
+//! bursts; the Poisson background is sampled by the emulator (`microsim`),
+//! which can also write it out as an [`ArrivalTrace`], a time-sorted list of
+//! workflow-request arrivals that the emulator replays.
+
+use std::io;
+use std::path::Path;
 
 use desim::SimTime;
-use rand::Rng;
-use rand_distr::{Distribution, Exp};
 use serde::{Deserialize, Serialize};
 
 use crate::WorkflowTypeId;
@@ -64,8 +65,8 @@ impl<'de> Deserialize<'de> for Arrival {
 /// A time-sorted sequence of workflow-request arrivals.
 ///
 /// Traces are the common currency between workload generators and the
-/// emulator: Poisson background and burst front-loads are generated
-/// separately and [merged](ArrivalTrace::merge) before a run.
+/// emulator: a recorded or sampled background and a burst front-load can be
+/// [merged](ArrivalTrace::merge) before a run.
 ///
 /// # Examples
 ///
@@ -140,42 +141,16 @@ impl ArrivalTrace {
         self.arrivals.sort_by_key(|a| a.time);
     }
 
-    /// Saves the trace as JSON.
+    /// Saves the trace as JSONL: one arrival object per line, which streams
+    /// and diffs well for large recorded runs. [`ArrivalTrace::load`] reads
+    /// it back.
     ///
     /// # Errors
     ///
     /// Returns any I/O error from writing the file.
-    pub fn save_json<P: AsRef<std::path::Path>>(&self, path: P) -> std::io::Result<()> {
-        let json = serde_json::to_string(self).expect("traces always serialise");
-        std::fs::write(path, json)
-    }
-
-    /// Loads a trace previously written by [`ArrivalTrace::save_json`].
-    /// Arrivals are re-sorted defensively in case the file was edited.
-    ///
-    /// # Errors
-    ///
-    /// Returns an I/O error when the file cannot be read, or an
-    /// `InvalidData` error when it does not parse as a trace.
-    pub fn load_json<P: AsRef<std::path::Path>>(path: P) -> std::io::Result<Self> {
-        let text = std::fs::read_to_string(path)?;
-        let mut trace: ArrivalTrace = serde_json::from_str(&text)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-        trace.arrivals.sort_by_key(|a| a.time);
-        Ok(trace)
-    }
-
-    /// Saves the trace as JSONL: one arrival object per line. The line
-    /// format streams and diffs better than the JSON array for large
-    /// recorded runs and is what the workload zoo's trace-replay mode
-    /// consumes.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from writing the file.
-    pub fn save_jsonl<P: AsRef<std::path::Path>>(&self, path: P) -> std::io::Result<()> {
+    pub fn save_jsonl<P: AsRef<Path>>(&self, path: P) -> io::Result<()> {
         use std::io::Write;
-        let mut w = std::io::BufWriter::new(std::fs::File::create(path)?);
+        let mut w = io::BufWriter::new(std::fs::File::create(path)?);
         for a in &self.arrivals {
             let line = serde_json::to_string(a).expect("arrivals always serialise");
             w.write_all(line.as_bytes())?;
@@ -184,18 +159,31 @@ impl ArrivalTrace {
         w.flush()
     }
 
-    /// Loads a trace previously written by [`ArrivalTrace::save_jsonl`].
-    /// Blank lines are skipped and arrivals are re-sorted (stably), so an
-    /// out-of-order or hand-edited file replays identically to its sorted
-    /// form.
+    /// Loads a trace in either of its two layouts: JSONL, one arrival
+    /// object per line (what [`ArrivalTrace::save_jsonl`] writes), or the
+    /// older single document `{"arrivals":[…]}`, so traces written before
+    /// the JSONL layout keep loading. The layout is read from the content,
+    /// not the file name: a document whose first key is `"arrivals"` is the
+    /// older layout. Blank lines are skipped and arrivals are re-sorted
+    /// (stably), so an out-of-order or hand-edited file replays identically
+    /// to its sorted form.
     ///
     /// # Errors
     ///
     /// Returns an I/O error when the file cannot be read, or an
-    /// `InvalidData` error (naming the line) when a line does not parse as
-    /// an arrival.
-    pub fn load_jsonl<P: AsRef<std::path::Path>>(path: P) -> std::io::Result<Self> {
+    /// `InvalidData` error when it is not UTF-8 or does not parse as a
+    /// trace (naming the line, for JSONL).
+    pub fn load<P: AsRef<Path>>(path: P) -> io::Result<Self> {
         let text = std::fs::read_to_string(path)?;
+        let is_document = text
+            .trim_start()
+            .strip_prefix('{')
+            .is_some_and(|rest| rest.trim_start().starts_with("\"arrivals\""));
+        if is_document {
+            // `Deserialize` re-sorts, see above.
+            return serde_json::from_str(&text)
+                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e));
+        }
         let mut arrivals = Vec::new();
         for (lineno, line) in text.lines().enumerate() {
             let line = line.trim();
@@ -203,15 +191,14 @@ impl ArrivalTrace {
                 continue;
             }
             let arrival: Arrival = serde_json::from_str(line).map_err(|e| {
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
+                io::Error::new(
+                    io::ErrorKind::InvalidData,
                     format!("line {}: {e}", lineno + 1),
                 )
             })?;
             arrivals.push(arrival);
         }
-        arrivals.sort_by_key(|a| a.time);
-        Ok(ArrivalTrace { arrivals })
+        Ok(arrivals.into_iter().collect())
     }
 
     /// Counts arrivals per workflow type, given the number of types.
@@ -237,68 +224,6 @@ impl Extend<Arrival> for ArrivalTrace {
     fn extend<I: IntoIterator<Item = Arrival>>(&mut self, iter: I) {
         self.arrivals.extend(iter);
         self.arrivals.sort_by_key(|a| a.time);
-    }
-}
-
-/// Independent Poisson request processes, one per workflow type.
-///
-/// This emulates the paper's continuous background workload: "We use Poisson
-/// process to emulate request traces for both workflow datasets" (§VI-A1).
-///
-/// # Examples
-///
-/// ```
-/// use desim::SimTime;
-/// use rand::SeedableRng;
-/// use workflow::PoissonProcess;
-///
-/// let process = PoissonProcess::new(vec![1.0, 0.5]);
-/// let mut rng = rand::rngs::SmallRng::seed_from_u64(7);
-/// let trace = process.generate(SimTime::from_secs(100), &mut rng);
-/// let counts = trace.counts(2);
-/// // Rates 1.0/s and 0.5/s over 100 s: roughly 100 and 50 arrivals.
-/// assert!(counts[0] > 60 && counts[0] < 140);
-/// assert!(counts[1] > 25 && counts[1] < 80);
-/// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PoissonProcess {
-    rates_per_sec: Vec<f64>,
-}
-
-impl PoissonProcess {
-    /// Creates a process with the given per-workflow-type rates
-    /// (requests per second). A rate of `0.0` disables that type.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any rate is negative or non-finite.
-    #[must_use]
-    pub fn new(rates_per_sec: Vec<f64>) -> Self {
-        for &r in &rates_per_sec {
-            assert!(r.is_finite() && r >= 0.0, "arrival rate must be >= 0");
-        }
-        PoissonProcess { rates_per_sec }
-    }
-
-    /// Samples arrivals over `[0, horizon)`.
-    pub fn generate<R: Rng + ?Sized>(&self, horizon: SimTime, rng: &mut R) -> ArrivalTrace {
-        let mut trace = Vec::new();
-        for (i, &rate) in self.rates_per_sec.iter().enumerate() {
-            if rate <= 0.0 {
-                continue;
-            }
-            let exp = Exp::new(rate).expect("validated rate");
-            let mut t = 0.0f64;
-            loop {
-                t += exp.sample(rng);
-                let at = SimTime::from_secs_f64(t);
-                if at >= horizon {
-                    break;
-                }
-                trace.push(Arrival::new(at, WorkflowTypeId::new(i)));
-            }
-        }
-        trace.into_iter().collect()
     }
 }
 
@@ -364,8 +289,6 @@ impl BurstSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
 
     #[test]
     fn trace_push_keeps_sorted() {
@@ -395,39 +318,6 @@ mod tests {
     }
 
     #[test]
-    fn poisson_rate_zero_emits_nothing() {
-        let p = PoissonProcess::new(vec![0.0, 2.0]);
-        let mut rng = SmallRng::seed_from_u64(1);
-        let trace = p.generate(SimTime::from_secs(50), &mut rng);
-        assert_eq!(trace.counts(2)[0], 0);
-        assert!(trace.counts(2)[1] > 0);
-    }
-
-    #[test]
-    fn poisson_is_deterministic_for_fixed_seed() {
-        let p = PoissonProcess::new(vec![0.7, 0.3]);
-        let t1 = p.generate(SimTime::from_secs(200), &mut SmallRng::seed_from_u64(42));
-        let t2 = p.generate(SimTime::from_secs(200), &mut SmallRng::seed_from_u64(42));
-        assert_eq!(t1, t2);
-    }
-
-    #[test]
-    fn poisson_mean_is_close_to_rate() {
-        let p = PoissonProcess::new(vec![2.0]);
-        let mut rng = SmallRng::seed_from_u64(9);
-        let horizon = SimTime::from_secs(2_000);
-        let n = p.generate(horizon, &mut rng).len() as f64;
-        let expected = 2.0 * 2_000.0;
-        assert!((n - expected).abs() < 4.0 * expected.sqrt() + 1.0, "n={n}");
-    }
-
-    #[test]
-    #[should_panic(expected = "arrival rate must be >= 0")]
-    fn negative_rate_panics() {
-        let _ = PoissonProcess::new(vec![-1.0]);
-    }
-
-    #[test]
     fn burst_counts_and_interleave() {
         let b = BurstSpec::new(vec![3, 1, 2]);
         let trace = b.trace();
@@ -454,11 +344,20 @@ mod tests {
         }
         let dir = std::env::temp_dir().join("miras_trace_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("trace.json");
-        t.save_json(&path).unwrap();
-        let back = ArrivalTrace::load_json(&path).unwrap();
-        assert_eq!(t, back);
-        std::fs::remove_file(&path).ok();
+        // The older single-document layout, as its writer wrote it and
+        // spread over lines by hand; `load` reads it whatever the file name.
+        let document = serde_json::to_string(&t).unwrap();
+        assert!(document.starts_with("{\"arrivals\":["), "{document}");
+        for (name, text) in [
+            ("trace.json", document.clone()),
+            ("legacy.jsonl", format!(" \n{{\n  {}\n", &document[1..])),
+        ] {
+            let path = dir.join(name);
+            std::fs::write(&path, text).unwrap();
+            let back = ArrivalTrace::load(&path).unwrap();
+            assert_eq!(t, back, "{name}");
+            std::fs::remove_file(&path).ok();
+        }
     }
 
     #[test]
@@ -473,7 +372,7 @@ mod tests {
         t.save_jsonl(&path).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text.lines().count(), 4, "one arrival per line");
-        let back = ArrivalTrace::load_jsonl(&path).unwrap();
+        let back = ArrivalTrace::load(&path).unwrap();
         assert_eq!(t, back);
         std::fs::remove_file(&path).ok();
     }
@@ -489,14 +388,14 @@ mod tests {
              {\"time_micros\":5000000,\"workflow_type\":0}\n",
         )
         .unwrap();
-        let t = ArrivalTrace::load_jsonl(&path).unwrap();
+        let t = ArrivalTrace::load(&path).unwrap();
         assert_eq!(t.len(), 2);
         assert_eq!(t.arrivals()[0].time, SimTime::from_secs(5));
         assert_eq!(t.arrivals()[1].time, SimTime::from_secs(45));
 
         std::fs::write(&path, "{\"time_micros\":1}\nnot json\n").unwrap();
-        let err = ArrivalTrace::load_jsonl(&path).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        let err = ArrivalTrace::load(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("line 1"), "{err}");
         std::fs::remove_file(&path).ok();
     }
@@ -524,8 +423,11 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("garbage.json");
         std::fs::write(&path, "not json").unwrap();
-        let err = ArrivalTrace::load_json(&path).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        let err = ArrivalTrace::load(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        std::fs::write(&path, "{\"arrivals\":[{\"time_micros\":1}]}").unwrap();
+        let err = ArrivalTrace::load(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         std::fs::remove_file(&path).ok();
     }
 

@@ -10,8 +10,9 @@
 //!   with the paper's two evaluation ensembles, [`Ensemble::msd`] (Material
 //!   Science Data: 3 workflows over 4 task types) and [`Ensemble::ligo`]
 //!   (LIGO inspiral analysis: 4 workflows over 9 task types),
-//! * `arrivals` — Poisson request processes, burst injections, and merged
-//!   arrival traces, mirroring §VI-A1 and §VI-D of the paper.
+//! * [`BurstSpec`] and [`ArrivalTrace`] — the paper's §VI-D request bursts
+//!   and time-sorted arrival traces; the §VI-A1 Poisson background is
+//!   sampled by the emulator (`microsim`), which writes it out as a trace.
 //!
 //! The DAG shapes are reconstructions (the paper never prints them); see
 //! `DESIGN.md` §3 for the rationale.
@@ -41,10 +42,8 @@ pub(crate) mod arrivals;
 mod dag;
 mod ensemble;
 mod ids;
-mod modulation;
 
-pub use arrivals::{Arrival, ArrivalTrace, BurstSpec, PoissonProcess};
+pub use arrivals::{Arrival, ArrivalTrace, BurstSpec};
 pub use dag::{Dag, DagError};
 pub use ensemble::{Ensemble, TaskTypeDef, WorkflowDef};
 pub use ids::{TaskTypeId, WorkflowTypeId};
-pub use modulation::{ModulatedPoisson, RatePattern};

@@ -1,10 +1,8 @@
-//! Property-based tests for DAG construction and workload generation.
+//! Property-based tests for DAG construction, bursts and arrival traces.
 
 use desim::SimTime;
 use proptest::prelude::*;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
-use workflow::{Arrival, ArrivalTrace, BurstSpec, Dag, PoissonProcess, TaskTypeId, WorkflowTypeId};
+use workflow::{Arrival, ArrivalTrace, BurstSpec, Dag, TaskTypeId, WorkflowTypeId};
 
 /// Generates a random DAG by sampling forward edges over `n` nodes
 /// (edges only go from lower to higher indices, so acyclicity holds by
@@ -81,26 +79,6 @@ proptest! {
         let trace = burst.trace();
         prop_assert_eq!(trace.counts(counts.len()), counts);
         prop_assert!(trace.arrivals().iter().all(|a| a.time.is_zero()));
-    }
-
-    /// Poisson traces are time-sorted and fall within the horizon.
-    #[test]
-    fn poisson_traces_sorted_and_bounded(
-        seed in 0u64..1000,
-        rates in proptest::collection::vec(0.0f64..2.0, 1..4),
-        horizon_secs in 1u64..200,
-    ) {
-        let process = PoissonProcess::new(rates.clone());
-        let horizon = SimTime::from_secs(horizon_secs);
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let trace = process.generate(horizon, &mut rng);
-        for pair in trace.arrivals().windows(2) {
-            prop_assert!(pair[0].time <= pair[1].time);
-        }
-        for a in trace.arrivals() {
-            prop_assert!(a.time < horizon);
-            prop_assert!(a.workflow_type.index() < rates.len());
-        }
     }
 
     /// Merging traces preserves all arrivals and global time order.

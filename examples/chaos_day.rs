@@ -2,31 +2,31 @@
 //!
 //! The paper motivates MIRAS with dynamic workloads and an infrastructure
 //! that keeps requests safe across container churn. This example stresses
-//! both at once: a sinusoidal ("diurnal") arrival wave is replayed into the
-//! MSD cluster while consumers crash at a configurable rate, and an adaptive
-//! allocator keeps re-planning. At the end, the at-least-once guarantee is
+//! both at once: a sinusoidal ("diurnal") arrival wave, sampled by the
+//! emulator's workload model, is replayed into the MSD cluster while
+//! consumers crash at a configurable rate, and an adaptive allocator keeps
+//! re-planning. At the end, the at-least-once guarantee is
 //! checked: nothing submitted was lost.
 //!
 //! Run: `cargo run --release --example chaos_day`
 
 use miras::microsim::{Cluster, SimConfig};
 use miras::prelude::*;
-use rand::SeedableRng;
 
 fn main() {
     let ensemble = Ensemble::msd();
     let horizon = SimTime::from_secs(3_600); // one simulated hour
 
     // A load wave: base rates swinging ±80% over a 20-minute period.
-    let wave = ModulatedPoisson::new(
-        ensemble.default_arrival_rates().to_vec(),
-        RatePattern::Sine {
+    let wave = EnvConfig {
+        workload: WorkloadSpec::Diurnal {
             period: SimTime::from_secs(1_200),
             amplitude: 0.8,
         },
-    );
-    let mut rng = rand::rngs::SmallRng::seed_from_u64(99);
-    let trace = wave.generate(horizon, &mut rng);
+        ..EnvConfig::for_ensemble(&ensemble).with_seed(99)
+    };
+    let window = wave.window; // 30 s: 120 windows make the hour
+    let trace = background_trace(&wave, 120);
     println!(
         "generated {} arrivals over {} (diurnal wave)",
         trace.len(),
@@ -46,7 +46,6 @@ fn main() {
     // Re-plan every 30 s with the WIP-proportional heuristic.
     let mut policy =
         miras::baselines::by_name("wip-proportional", &PolicyConfig::new(&ensemble)).unwrap();
-    let window = SimTime::from_secs(30);
     let mut t = SimTime::ZERO;
     let mut peak_wip = 0usize;
     while t < horizon {

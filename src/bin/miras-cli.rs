@@ -6,7 +6,10 @@
 //!   print per-window metrics,
 //! * `train`    — run the MIRAS training loop and save the agent as JSON,
 //! * `evaluate` — replay a saved agent against a workload,
-//! * `allocate` — one-shot: WIP vector in, consumer allocation out.
+//! * `allocate` — one-shot: WIP vector in, consumer allocation out,
+//! * `gen-trace` — sample an ensemble's background arrivals under a
+//!   workload shape and write them as a JSONL trace, which `--trace` (and
+//!   `--workload trace:FILE` in the bench binaries) replays.
 //!
 //! Examples:
 //!
@@ -15,6 +18,8 @@
 //! miras-cli train --ensemble msd --iterations 12 --out agent.json
 //! miras-cli evaluate --agent agent.json --burst 500,500,500 --windows 25
 //! miras-cli allocate --agent agent.json --wip 12,3,40,7
+//! miras-cli gen-trace --ensemble msd --workload diurnal --windows 40 --out t.jsonl
+//! miras-cli simulate --ensemble msd --trace t.jsonl --windows 40
 //! ```
 
 use std::collections::HashMap;
@@ -55,9 +60,10 @@ commands:
   evaluate  --agent FILE [--ensemble msd|ligo|gpu-serve] [--burst N,N,..]
             [--trace FILE] [--windows N] [--seed N]
   allocate  --agent FILE --wip X,X,..
-  gen-trace --ensemble msd|ligo|gpu-serve --out FILE [--horizon SECS] [--seed N]
-            [--pattern constant|sine|ramp|step] [--period SECS]
-            [--amplitude X] [--factor X] [--at SECS]";
+  gen-trace --ensemble msd|ligo|gpu-serve --out FILE [--workload SHAPE]
+            [--windows N] [--seed N]
+            (SHAPE: stationary, diurnal, trending or flash-crowd; the
+             trace is JSONL, the layout --trace reads)";
 
 type Flags = HashMap<String, String>;
 
@@ -92,17 +98,7 @@ const COMMANDS: &[(&str, &[&str], Command)] = &[
     ("allocate", &["agent", "wip"], allocate),
     (
         "gen-trace",
-        &[
-            "ensemble",
-            "out",
-            "horizon",
-            "seed",
-            "pattern",
-            "period",
-            "amplitude",
-            "factor",
-            "at",
-        ],
+        &["ensemble", "out", "workload", "windows", "seed"],
         gen_trace,
     ),
 ];
@@ -200,7 +196,7 @@ fn run_policy(
         env.inject_burst(&BurstSpec::new(counts));
     }
     if let Some(path) = trace_path {
-        let trace = ArrivalTrace::load_json(path).map_err(|e| format!("loading {path}: {e}"))?;
+        let trace = ArrivalTrace::load(path).map_err(|e| format!("loading {path}: {e}"))?;
         println!("replaying {} arrivals from {path}", trace.len());
         env.inject_trace(&trace);
     }
@@ -345,38 +341,32 @@ fn evaluate(flags: &Flags) -> Result<(), String> {
     run_policy(ensemble, seed, burst, trace, windows, &mut agent)
 }
 
+/// Writes the background arrivals an environment over `--ensemble` and
+/// `--workload` samples in its first `--windows` windows at `--seed`: the
+/// trace a `record_trace` of that run would capture.
 fn gen_trace(flags: &Flags) -> Result<(), String> {
-    use miras::workflow::{ModulatedPoisson, RatePattern};
-    use rand::SeedableRng;
     let ensemble = ensemble_from(flags)?;
     let seed = numeric(flags, "seed", 42u64)?;
-    let horizon_secs = numeric(flags, "horizon", 3_600u64)?;
+    let windows = numeric(flags, "windows", 120usize)?;
     let out = flags.get("out").ok_or("--out FILE is required")?;
-    let pattern = match flags.get("pattern").map(String::as_str) {
-        Some("constant") | None => RatePattern::Constant,
-        Some("sine") => RatePattern::Sine {
-            period: SimTime::from_secs(numeric(flags, "period", 1_200u64)?),
-            amplitude: numeric(flags, "amplitude", 0.5f64)?,
-        },
-        Some("ramp") => RatePattern::Ramp {
-            from_factor: 1.0,
-            to_factor: numeric(flags, "factor", 2.0f64)?,
-            duration: SimTime::from_secs(horizon_secs),
-        },
-        Some("step") => RatePattern::Step {
-            at: SimTime::from_secs(numeric(flags, "at", horizon_secs / 2)?),
-            factor: numeric(flags, "factor", 2.0f64)?,
-        },
-        Some(other) => return Err(format!("unknown pattern '{other}'")),
+    let name = flags.get("workload").map_or("stationary", String::as_str);
+    let workload = match WorkloadSpec::parse(name) {
+        Some(WorkloadSpec::TraceReplay { .. }) => {
+            return Err("gen-trace samples a workload shape; a trace has nothing to sample".into())
+        }
+        Some(spec) => spec,
+        None => return Err(format!("unknown workload '{name}'")),
     };
-    let process = ModulatedPoisson::new(ensemble.default_arrival_rates().to_vec(), pattern);
-    let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
-    let trace = process.generate(SimTime::from_secs(horizon_secs), &mut rng);
+    let config = EnvConfig {
+        workload,
+        ..EnvConfig::for_ensemble(&ensemble).with_seed(seed)
+    };
+    let trace = background_trace(&config, windows);
     trace
-        .save_json(out)
+        .save_jsonl(out)
         .map_err(|e| format!("writing {out}: {e}"))?;
     println!(
-        "wrote {} arrivals over {horizon_secs}s to {out} (counts per type: {:?})",
+        "wrote {} {name} arrivals over {windows} windows to {out} (counts per type: {:?})",
         trace.len(),
         trace.counts(ensemble.num_workflow_types())
     );

@@ -6,10 +6,10 @@
 //!
 //! This facade crate re-exports the workspace's public API:
 //!
-//! * [`workflow`] — workflow DAGs, the MSD and LIGO ensembles, workload
-//!   generators,
+//! * [`workflow`] — workflow DAGs, the MSD and LIGO ensembles, request
+//!   bursts and arrival traces,
 //! * [`microsim`] — the discrete-event microservice-cluster emulator (the
-//!   "real environment"),
+//!   "real environment") and its arrival-traffic model,
 //! * [`nn`] — the neural-network library (MLPs, Adam, parameter noise),
 //! * [`rl`] — DDPG with parameter-space exploration,
 //! * [`miras_core`] — the MIRAS pipeline: dynamics model, Lend–Giveback
@@ -57,15 +57,13 @@ pub mod prelude {
     };
     pub use desim::SimTime;
     pub use microsim::{
-        Cluster, ConfigError, EnvConfig, MicroserviceEnv, SimConfig, WindowMetrics,
+        background_trace, Cluster, ConfigError, EnvConfig, MicroserviceEnv, SimConfig,
+        WindowMetrics, WorkloadSpec,
     };
     pub use miras_core::{
         ClusterEnvAdapter, DynamicsModel, EnsembleDynamics, MirasAgent, MirasConfig, MirasTrainer,
         RefinedModel, SyntheticEnv, TransitionDataset,
     };
     pub use rl::{Ddpg, DdpgConfig, Environment, Exploration};
-    pub use workflow::{
-        ArrivalTrace, BurstSpec, Dag, Ensemble, ModulatedPoisson, PoissonProcess, RatePattern,
-        TaskTypeId, WorkflowTypeId,
-    };
+    pub use workflow::{ArrivalTrace, BurstSpec, Dag, Ensemble, TaskTypeId, WorkflowTypeId};
 }

@@ -1,5 +1,6 @@
 //! The real `miras-cli` binary refuses a flag its subcommand does not
-//! read, naming it, instead of silently ignoring it.
+//! read, naming it, instead of silently ignoring it, and its subcommands
+//! read the files its other subcommands write.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -111,4 +112,52 @@ fn agent_files_go_through_the_policy_decoder() {
     for p in [checkpoint, head, malformed] {
         let _ = std::fs::remove_file(p);
     }
+}
+
+/// `gen-trace` writes the emulator's own background sample as JSONL and
+/// `simulate --trace` replays it (it used to read only the older
+/// single-document layout); the retired shape flags are refused by name.
+#[test]
+fn gen_trace_writes_a_trace_simulate_replays() {
+    use miras::prelude::*;
+
+    let trace = std::env::temp_dir().join(format!(
+        "miras_cli_flags_trace_{}.jsonl",
+        std::process::id()
+    ));
+    let path = trace.to_str().unwrap();
+    let out = miras_cli(&[
+        "gen-trace",
+        "--workload",
+        "diurnal",
+        "--windows",
+        "20",
+        "--out",
+        path,
+    ]);
+    assert!(out.status.success(), "{out:?}");
+    let written = ArrivalTrace::load(&trace).unwrap();
+    let config = EnvConfig {
+        workload: WorkloadSpec::parse("diurnal").unwrap(),
+        ..EnvConfig::for_ensemble(&Ensemble::msd()).with_seed(42)
+    };
+    assert_eq!(written, background_trace(&config, 20));
+
+    let out = miras_cli(&["simulate", "--trace", path, "--windows", "3"]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let replaying = format!("replaying {} arrivals from {path}", written.len());
+    assert!(String::from_utf8_lossy(&out.stdout).contains(&replaying));
+
+    let out = miras_cli(&["gen-trace", "--pattern", "sine", "--out", path]);
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("'gen-trace' does not take --pattern"),
+        "{stderr}"
+    );
+    let _ = std::fs::remove_file(trace);
 }
