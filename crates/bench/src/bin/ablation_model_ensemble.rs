@@ -11,36 +11,12 @@
 //! Run: `cargo run -p miras-bench --release --bin ablation_model_ensemble`
 
 use microsim::{EnvConfig, MicroserviceEnv};
-use miras_bench::BenchArgs;
+use miras_bench::{collect_random_transitions, BenchArgs};
 use miras_core::{
     ClusterEnvAdapter, DynamicsModel, EnsembleDynamics, Transition, TransitionDataset,
 };
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-use rl::policy::project_to_simplex;
-use rl::Environment;
-
-fn collect(
-    env: &mut ClusterEnvAdapter,
-    steps: usize,
-    reset_every: usize,
-    rng: &mut SmallRng,
-) -> Vec<Transition> {
-    let j = env.state_dim();
-    let _ = env.reset();
-    let mut current = vec![1.0 / j as f64; j];
-    for step in 0..steps {
-        if reset_every > 0 && step > 0 && step % reset_every == 0 {
-            let _ = env.reset();
-        }
-        if step % 4 == 0 {
-            let raw: Vec<f64> = (0..j).map(|_| rng.gen_range(0.0..1.0)).collect();
-            current = project_to_simplex(&raw);
-        }
-        let _ = env.step(&current);
-    }
-    env.take_transitions()
-}
+use rand::SeedableRng;
 
 /// Mean absolute error of one-step and open-loop predictions over a test
 /// trace, for an arbitrary predictor.
@@ -90,12 +66,17 @@ fn main() {
         let mut env = ClusterEnvAdapter::new(MicroserviceEnv::new(ensemble.clone(), env_config));
         env.set_telemetry(telemetry.clone());
         let mut dataset = TransitionDataset::new(j);
-        dataset.extend(collect(&mut env, 2_000, config.reset_every, &mut rng));
+        dataset.extend(collect_random_transitions(
+            &mut env,
+            2_000,
+            config.reset_every,
+            &mut rng,
+        ));
 
         let test_config = EnvConfig::for_ensemble(&ensemble).with_seed(args.seed + 1);
         let mut test_env =
             ClusterEnvAdapter::new(MicroserviceEnv::new(ensemble.clone(), test_config));
-        let test = collect(&mut test_env, 100, 0, &mut rng);
+        let test = collect_random_transitions(&mut test_env, 100, 0, &mut rng);
 
         let mut single = DynamicsModel::new(j, &config);
         let _ = single.train_with_telemetry(

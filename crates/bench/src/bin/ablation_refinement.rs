@@ -13,34 +13,10 @@
 //! Run: `cargo run -p miras-bench --release --bin ablation_refinement`
 
 use microsim::{EnvConfig, MicroserviceEnv};
-use miras_bench::{BenchArgs, EnsembleKind};
+use miras_bench::{collect_random_transitions, BenchArgs, EnsembleKind};
 use miras_core::{ClusterEnvAdapter, DynamicsModel, MirasTrainer, RefinedModel, TransitionDataset};
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-use rl::policy::project_to_simplex;
-use rl::Environment;
-
-fn collect(
-    env: &mut ClusterEnvAdapter,
-    steps: usize,
-    reset_every: usize,
-    rng: &mut SmallRng,
-) -> Vec<miras_core::Transition> {
-    let j = env.state_dim();
-    let _ = env.reset();
-    let mut current = vec![1.0 / j as f64; j];
-    for step in 0..steps {
-        if reset_every > 0 && step > 0 && step % reset_every == 0 {
-            let _ = env.reset();
-        }
-        if step % 4 == 0 {
-            let raw: Vec<f64> = (0..j).map(|_| rng.gen_range(0.0..1.0)).collect();
-            current = project_to_simplex(&raw);
-        }
-        let _ = env.step(&current);
-    }
-    env.take_transitions()
-}
+use rand::SeedableRng;
 
 fn model_level(kind: EnsembleKind, seed: u64) {
     let ensemble = kind.ensemble();
@@ -51,11 +27,16 @@ fn model_level(kind: EnsembleKind, seed: u64) {
     let env_config = EnvConfig::for_ensemble(&ensemble).with_seed(seed);
     let mut env = ClusterEnvAdapter::new(MicroserviceEnv::new(ensemble.clone(), env_config));
     let mut dataset = TransitionDataset::new(j);
-    dataset.extend(collect(&mut env, 1500, config.reset_every, &mut rng));
+    dataset.extend(collect_random_transitions(
+        &mut env,
+        1500,
+        config.reset_every,
+        &mut rng,
+    ));
 
     let test_config = EnvConfig::for_ensemble(&ensemble).with_seed(seed + 1);
     let mut test_env = ClusterEnvAdapter::new(MicroserviceEnv::new(ensemble.clone(), test_config));
-    let test = collect(&mut test_env, 400, config.reset_every, &mut rng);
+    let test = collect_random_transitions(&mut test_env, 400, config.reset_every, &mut rng);
 
     let mut model = DynamicsModel::new(j, &config);
     let _ = model.train(&dataset, config.model_epochs, config.model_batch);

@@ -19,36 +19,10 @@
 //! (add `--paper` for full scale, `--ensemble msd|ligo` to restrict).
 
 use microsim::{EnvConfig, MicroserviceEnv};
-use miras_bench::{BenchArgs, EnsembleKind};
-use miras_core::{ClusterEnvAdapter, DynamicsModel, Transition, TransitionDataset};
+use miras_bench::{collect_random_transitions, BenchArgs, EnsembleKind};
+use miras_core::{ClusterEnvAdapter, DynamicsModel, TransitionDataset};
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-use rl::policy::project_to_simplex;
-use rl::Environment;
-
-/// Collects `steps` transitions under random actions varied every 4 steps,
-/// resetting the environment every `reset_every` steps (unless 0).
-fn collect_random_trace(
-    env: &mut ClusterEnvAdapter,
-    steps: usize,
-    reset_every: usize,
-    rng: &mut SmallRng,
-) -> Vec<Transition> {
-    let j = env.state_dim();
-    let _ = env.reset();
-    let mut current = vec![1.0 / j as f64; j];
-    for step in 0..steps {
-        if reset_every > 0 && step > 0 && step % reset_every == 0 {
-            let _ = env.reset();
-        }
-        if step % 4 == 0 {
-            let raw: Vec<f64> = (0..j).map(|_| rng.gen_range(0.0..1.0)).collect();
-            current = project_to_simplex(&raw);
-        }
-        let _ = env.step(&current);
-    }
-    env.take_transitions()
-}
+use rand::SeedableRng;
 
 fn mean_abs_error(truth: &[f64], pred: &[f64]) -> f64 {
     truth
@@ -105,7 +79,7 @@ fn run_for(kind: EnsembleKind, args: &BenchArgs, telemetry: &telemetry::Telemetr
     env.set_telemetry(telemetry.clone());
     let mut rng = SmallRng::seed_from_u64(seed.wrapping_add(0xF15));
     let mut dataset = TransitionDataset::new(j);
-    dataset.extend(collect_random_trace(
+    dataset.extend(collect_random_transitions(
         &mut env,
         collect_steps,
         config.reset_every,
@@ -117,7 +91,7 @@ fn run_for(kind: EnsembleKind, args: &BenchArgs, telemetry: &telemetry::Telemetr
     let test_env_config = EnvConfig::for_ensemble(&ensemble).with_seed(seed.wrapping_add(1));
     let mut test_env =
         ClusterEnvAdapter::new(MicroserviceEnv::new(ensemble.clone(), test_env_config));
-    let test_trace = collect_random_trace(&mut test_env, test_steps, 0, &mut rng);
+    let test_trace = collect_random_transitions(&mut test_env, test_steps, 0, &mut rng);
 
     // Train the environment model (paper-faithful architecture per §VI-A3).
     let mut model = DynamicsModel::new(j, &config);

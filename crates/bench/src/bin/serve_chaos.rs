@@ -25,13 +25,13 @@
 //!
 //! Run: `cargo run --release -p miras-bench --bin serve_chaos -- --smoke`
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::ExitCode;
 use std::time::Duration;
 
 use baselines::{by_name, fallback, PolicyConfig};
 use microsim::{EnvConfig, MicroserviceEnv};
-use miras_core::{ClusterEnvAdapter, MirasConfig, MirasTrainer};
+use miras_core::{save_policy, ClusterEnvAdapter, MirasConfig, MirasTrainer};
 use serve::chaos::{generate_schedule, run_schedule, verify, ChaosConfig, ChaosOutcome};
 use serve::{
     load_policy, record_stream, replay_stream, AdmissionConfig, CheckpointWatcher, DecisionService,
@@ -89,14 +89,13 @@ fn parse_args() -> Result<Args, String> {
     })
 }
 
-fn checkpoint_fixture(path: &PathBuf) -> Result<(), String> {
+fn checkpoint_fixture(path: &Path) -> Result<(), String> {
     let ensemble = Ensemble::msd();
     let env_config = EnvConfig::for_ensemble(&ensemble).with_seed(9);
     let mut env = ClusterEnvAdapter::new(MicroserviceEnv::new(ensemble, env_config));
     let mut trainer = MirasTrainer::new(&env, MirasConfig::smoke_test(9));
     trainer.run_iteration(&mut env);
-    let json = serde_json::to_string(&trainer.agent()).map_err(|e| e.to_string())?;
-    std::fs::write(path, json).map_err(|e| e.to_string())
+    save_policy(path, &trainer.agent(), 1).map_err(|e| e.to_string())
 }
 
 /// A hardened service over the checkpoint, fresh counters, watcher armed.

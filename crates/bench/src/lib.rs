@@ -10,15 +10,19 @@
 #![warn(missing_docs)]
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use baselines::{by_name, Observation, Policy, PolicyConfig};
 use desim::SimTime;
 use microsim::{EnvConfig, MicroserviceEnv, SimConfig, WorkloadSpec};
 use miras_core::{
-    decode_policy_line, ClusterEnvAdapter, IterationReport, MirasAgent, MirasConfig, MirasTrainer,
+    decode_policy_line, read_policy_line, save_policy, ClusterEnvAdapter, IterationReport,
+    MirasAgent, MirasConfig, MirasTrainer, Transition,
 };
+use rand::Rng;
+use rl::policy::project_to_simplex;
+use rl::Environment;
 use serde::{Deserialize, Serialize};
 use telemetry::{BufferedRecorder, JsonlSink, Telemetry, Value};
 use workflow::{BurstSpec, Ensemble};
@@ -522,7 +526,7 @@ pub fn train_miras(
     }
     let agent = trainer.agent();
     if write_cache && !args.smoke {
-        store_cached_agent(&cache, &agent);
+        store_cached_agent(&cache, &agent, iterations);
     }
     (reports, agent)
 }
@@ -537,25 +541,45 @@ fn cache_path(kind: EnsembleKind, seed: u64, iterations: usize, paper: bool) -> 
 
 /// The cached agent at `path`, if it is there and decodes to an agent that
 /// can decide.
-fn load_cached_agent(path: &PathBuf) -> Option<MirasAgent> {
-    let text = fs::read_to_string(path).ok()?;
-    decode_policy_line(text.lines().next()?)
-        .ok()
-        .map(|(agent, _)| agent)
+fn load_cached_agent(path: &Path) -> Option<MirasAgent> {
+    let line = read_policy_line(&fs::File::open(path).ok()?).ok()?;
+    decode_policy_line(&line).ok().map(|(agent, _)| agent)
 }
 
-fn store_cached_agent(path: &PathBuf, agent: &MirasAgent) {
+/// Caches `agent`, trained for `iterations`, as a policy file.
+fn store_cached_agent(path: &Path, agent: &MirasAgent, iterations: usize) {
     if let Some(dir) = path.parent() {
         let _ = fs::create_dir_all(dir);
     }
-    match serde_json::to_string(agent) {
-        Ok(json) => {
-            if let Err(e) = fs::write(path, json) {
-                eprintln!("[cache] could not write {}: {e}", path.display());
-            }
-        }
-        Err(e) => eprintln!("[cache] could not serialise agent: {e}"),
+    if let Err(e) = save_policy(path, agent, iterations as u64) {
+        eprintln!("[cache] could not write {}: {e}", path.display());
     }
+}
+
+/// Collects `steps` transitions from `env` under the paper's §VI-B data
+/// policy: a uniformly random point of the action simplex, drawn from
+/// `rng` and held for 4 steps. The environment is reset first and then
+/// every `reset_every` steps (never again when 0).
+pub fn collect_random_transitions(
+    env: &mut ClusterEnvAdapter,
+    steps: usize,
+    reset_every: usize,
+    rng: &mut impl Rng,
+) -> Vec<Transition> {
+    let j = env.state_dim();
+    let _ = env.reset();
+    let mut current = vec![1.0 / j as f64; j];
+    for step in 0..steps {
+        if reset_every > 0 && step > 0 && step % reset_every == 0 {
+            let _ = env.reset();
+        }
+        if step % 4 == 0 {
+            let raw: Vec<f64> = (0..j).map(|_| rng.gen_range(0.0..1.0)).collect();
+            current = project_to_simplex(&raw);
+        }
+        let _ = env.step(&current);
+    }
+    env.take_transitions()
 }
 
 /// Prints per-step response-time series for several algorithms as an

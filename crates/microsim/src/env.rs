@@ -92,8 +92,8 @@ pub struct MicroserviceEnv {
 
 /// State of an in-progress trace recording: arrivals are stored relative
 /// to `origin`, so the trace replays with
-/// [`MicroserviceEnv::inject_trace`] (which offsets by the instant of
-/// injection).
+/// [`MicroserviceEnv::load_workload_trace`] (which offsets by the instant
+/// of injection).
 #[derive(Debug)]
 struct TraceRecorder {
     origin: SimTime,
@@ -317,8 +317,11 @@ impl MicroserviceEnv {
     /// Injects a pre-generated arrival trace, offset so that trace time 0 is
     /// the current instant. The trace's sorted order is preserved: equal
     /// offsets keep their trace order, and the attribution schedule stays
-    /// time-sorted even if the trace was built out of order.
-    pub fn inject_trace(&mut self, trace: &ArrivalTrace) {
+    /// time-sorted even if the trace was built out of order. Every
+    /// workflow type must be one of the ensemble's
+    /// ([`load_workload_trace`](MicroserviceEnv::load_workload_trace)
+    /// checks that before it calls this).
+    pub(crate) fn inject_trace(&mut self, trace: &ArrivalTrace) {
         let now = self.cluster.now();
         for arrival in trace.arrivals() {
             let at = now + arrival.time;
@@ -338,12 +341,20 @@ impl MicroserviceEnv {
     ///
     /// # Errors
     ///
-    /// Propagates I/O and parse errors from loading the trace file.
+    /// Propagates I/O and parse errors from loading the trace file, and
+    /// returns [`std::io::ErrorKind::InvalidData`] if an arrival names a
+    /// workflow type the ensemble does not have; nothing is injected then.
     pub fn load_workload_trace(&mut self) -> std::io::Result<usize> {
         let WorkloadSpec::TraceReplay { path } = &self.config.workload else {
             return Ok(0);
         };
         let trace = ArrivalTrace::load(path)?;
+        let types = self.num_workflow_types();
+        let mut named = trace.arrivals().iter().map(|a| a.workflow_type);
+        if let Some(bad) = named.find(|t| t.index() >= types) {
+            let msg = format!("{bad} is not one of the ensemble's {types} workflow types");
+            return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, msg));
+        }
         self.inject_trace(&trace);
         Ok(trace.len())
     }
@@ -354,9 +365,9 @@ impl MicroserviceEnv {
     /// [`EnvSnapshot`]); fetch the result with
     /// [`take_recorded_trace`](MicroserviceEnv::take_recorded_trace).
     ///
-    /// Replaying the recorded trace from the same post-reset state via
-    /// [`inject_trace`](MicroserviceEnv::inject_trace) under a
-    /// [`WorkloadSpec::TraceReplay`] (or zero-rate) configuration
+    /// Saving the recorded trace and replaying it from the same post-reset
+    /// state under a [`WorkloadSpec::TraceReplay`] configuration
+    /// ([`load_workload_trace`](MicroserviceEnv::load_workload_trace))
     /// reproduces the original run byte-identically; see DESIGN.md §17 for
     /// the determinism contract and its measure-zero boundary caveat.
     pub fn record_trace(&mut self) {

@@ -20,7 +20,7 @@
 //! reproduces today's arrival stream bit-for-bit (the golden traces pin
 //! this). [`WorkloadSpec::TraceReplay`] suppresses background sampling
 //! entirely (factor 0, no RNG draws) and feeds arrivals through
-//! [`MicroserviceEnv::inject_trace`](crate::MicroserviceEnv::inject_trace)
+//! [`MicroserviceEnv::load_workload_trace`](crate::MicroserviceEnv::load_workload_trace)
 //! instead.
 //!
 //! Rather than thinning per arrival, the environment integrates the
@@ -95,7 +95,7 @@ pub enum WorkloadSpec {
     },
     /// Replay a recorded JSONL arrival trace instead of sampling
     /// background arrivals. The trace is injected through
-    /// [`MicroserviceEnv::inject_trace`](crate::MicroserviceEnv::inject_trace);
+    /// [`MicroserviceEnv::load_workload_trace`](crate::MicroserviceEnv::load_workload_trace);
     /// background sampling is fully suppressed (factor 0, no RNG draws).
     TraceReplay {
         /// Path to the trace file, in either layout

@@ -17,11 +17,15 @@
 //! before policy lines existed hold the training state alone, on one line,
 //! and still load both ways.
 //!
-//! Saves are atomic: both lines are written to a `<path>.tmp` sibling,
+//! [`save_policy`] writes a trained agent as a policy line alone, and
+//! [`read_policy_line`] is the one reader of that line in any of these
+//! files: it stops at the first `\n`.
+//!
+//! Saves are atomic: the file is written to a `<path>.tmp` sibling,
 //! fsynced, then renamed over the target, so a crash mid-save can never
-//! leave a truncated checkpoint in place of a good one, and the two lines
-//! always come from the same save. Loads validate the format version and
-//! reject corrupt or truncated files with [`CheckpointError::Corrupt`]
+//! leave a truncated file in place of a good one, and a checkpoint's two
+//! lines always come from the same save. Loads validate the format version
+//! and reject corrupt or truncated files with [`CheckpointError::Corrupt`]
 //! instead of panicking.
 //!
 //! Some config fields older builds wrote are now constants (see
@@ -32,7 +36,7 @@
 
 use std::fmt;
 use std::fs::File;
-use std::io::Write;
+use std::io::{BufRead, BufReader, Write};
 use std::path::Path;
 
 use rl::DdpgSnapshot;
@@ -169,10 +173,75 @@ fn parse_failed(e: serde_json::Error) -> CheckpointError {
     CheckpointError::Corrupt(format!("parse failed: {e}"))
 }
 
+/// The one atomic writer of policy and checkpoint files: the policy line
+/// of `agent` at `policy_version`, a `\n`, then `rest`, written to a
+/// `<path>.tmp` sibling, fsynced and renamed over `path`; then a
+/// best-effort fsync of the directory (not every platform allows one).
+fn write_atomic(
+    path: &Path,
+    agent: MirasAgent,
+    policy_version: u64,
+    rest: &[u8],
+) -> Result<(), CheckpointError> {
+    let line = PolicyLine {
+        policy_version,
+        agent,
+    };
+    let line = serde_json::to_string(&line).map_err(serialization_failed)?;
+    let tmp = format!("{}.tmp", path.display());
+    {
+        let mut f = File::create(&tmp)?;
+        f.write_all(line.as_bytes())?;
+        f.write_all(b"\n")?;
+        f.write_all(rest)?;
+        f.sync_all()?;
+    }
+    std::fs::rename(&tmp, path)?;
+    if let Some(dir) = path.parent() {
+        if let Ok(d) = File::open(dir) {
+            let _ = d.sync_all();
+        }
+    }
+    Ok(())
+}
+
+/// Atomically writes `agent` to `path` as a policy file: exactly the first
+/// line, `{"policy_version":N,"agent":{...}}` and its `\n`, of a checkpoint
+/// saved after iteration `N`, so it serves and hot-swaps like one.
+///
+/// # Errors
+///
+/// [`CheckpointError::Io`] if a filesystem operation fails,
+/// [`CheckpointError::Corrupt`] if the agent does not serialize.
+pub fn save_policy(
+    path: &Path,
+    agent: &MirasAgent,
+    policy_version: u64,
+) -> Result<(), CheckpointError> {
+    write_atomic(path, agent.clone(), policy_version, b"")
+}
+
+/// Reads line one of a policy file, without its `\n`: the whole deployable
+/// policy of every layout [`decode_policy_line`] accepts, so nothing that
+/// serves or evaluates a file reads past it. Takes an open file so that a
+/// caller can `stat` the handle it reads.
+///
+/// # Errors
+///
+/// Any error reading the file.
+pub fn read_policy_line(file: &File) -> std::io::Result<Vec<u8>> {
+    let mut line = Vec::new();
+    BufReader::new(file).read_until(b'\n', &mut line)?;
+    if line.last() == Some(&b'\n') {
+        line.pop();
+    }
+    Ok(line)
+}
+
 impl CheckpointPayload {
-    /// Serializes the payload behind its policy line and atomically writes
-    /// both to `path` (temp file + fsync + rename, plus a best-effort
-    /// directory fsync).
+    /// Serializes the payload behind its policy line and writes both to
+    /// `path` through the one atomic writer (temp file + fsync + rename,
+    /// plus a best-effort directory fsync).
     ///
     /// # Errors
     ///
@@ -180,29 +249,9 @@ impl CheckpointPayload {
     /// [`CheckpointError::Corrupt`] if serialization itself fails (which
     /// indicates a bug, e.g. a NaN smuggled into a field that rejects it).
     pub(crate) fn save(&self, path: &Path) -> Result<(), CheckpointError> {
-        let policy = PolicyLine {
-            policy_version: self.iteration as u64,
-            agent: self.deployable_agent(),
-        };
-        let policy = serde_json::to_string(&policy).map_err(serialization_failed)?;
         let state = serde_json::to_string(self).map_err(serialization_failed)?;
-        let tmp = format!("{}.tmp", path.display());
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(policy.as_bytes())?;
-            f.write_all(b"\n")?;
-            f.write_all(state.as_bytes())?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, path)?;
-        // Best-effort: persist the rename itself. Not all platforms allow
-        // fsync on a directory handle, so failures are ignored.
-        if let Some(dir) = path.parent() {
-            if let Ok(d) = File::open(dir) {
-                let _ = d.sync_all();
-            }
-        }
-        Ok(())
+        let version = self.iteration as u64;
+        write_atomic(path, self.deployable_agent(), version, state.as_bytes())
     }
 
     /// The outer-loop iteration the checkpoint was taken at. Monotone over
@@ -263,9 +312,9 @@ impl CheckpointPayload {
     }
 }
 
-/// Decodes the deployable policy from the first line of a policy file and
-/// returns it with its policy version. The line is parsed once and
-/// dispatched on its shape:
+/// Decodes the deployable policy from the first line of a policy file (as
+/// [`read_policy_line`] returns it) and returns it with its policy version.
+/// The line is parsed once and dispatched on its shape:
 ///
 /// - a policy line, as every checkpoint starts with (or a `head -n 1` copy
 ///   of one): the agent and the iteration it was saved after;
@@ -280,14 +329,16 @@ impl CheckpointPayload {
 ///
 /// # Errors
 ///
-/// [`CheckpointError::Corrupt`] if the line is not one of those shapes
-/// (e.g. it was cut short) or its agent cannot decide, and
+/// [`CheckpointError::Corrupt`] if the line is not UTF-8 or not one of
+/// those shapes (e.g. it was cut short) or its agent cannot decide, and
 /// [`CheckpointError::Mismatch`] for a legacy checkpoint of another format
 /// version, or for an agent stored with a retired key at a value other
 /// than its constant (`"strict_floor":true`).
 ///
 /// [`deployable_agent`]: CheckpointPayload::deployable_agent
-pub fn decode_policy_line(line: &str) -> Result<(MirasAgent, u64), CheckpointError> {
+pub fn decode_policy_line(line: &[u8]) -> Result<(MirasAgent, u64), CheckpointError> {
+    let line = std::str::from_utf8(line)
+        .map_err(|e| CheckpointError::Corrupt(format!("not UTF-8: {e}")))?;
     let value: Value = serde_json::from_str(line).map_err(parse_failed)?;
     if !matches!(value, Value::Object(_)) {
         return Err(CheckpointError::Corrupt(format!(
@@ -380,7 +431,7 @@ mod tests {
             ("[1,2]".to_string(), "JSON object"),
             (agent[..agent.len() / 2].to_string(), "parse failed"),
         ] {
-            match decode_policy_line(&broken) {
+            match decode_policy_line(broken.as_bytes()) {
                 Err(CheckpointError::Corrupt(msg)) => assert!(msg.contains(why), "{msg}"),
                 other => panic!("{why}: expected Corrupt, got {other:?}"),
             }
@@ -393,7 +444,7 @@ mod tests {
     #[test]
     fn agents_stored_with_strict_floor_decode_only_at_false() {
         let agent = agent_json();
-        let current = decode_policy_line(&agent).unwrap();
+        let current = decode_policy_line(agent.as_bytes()).unwrap();
         for floor in [false, true] {
             let stored = format!(
                 "{},\"strict_floor\":{floor}}}",
@@ -401,7 +452,7 @@ mod tests {
             );
             let line = format!("{{\"policy_version\":3,\"agent\":{stored}}}");
             for (text, version) in [(stored, 0), (line, 3)] {
-                match decode_policy_line(&text) {
+                match decode_policy_line(text.as_bytes()) {
                     Ok(decoded) if !floor => assert_eq!(decoded, (current.0.clone(), version)),
                     Err(CheckpointError::Mismatch(msg)) if floor => {
                         assert!(msg.contains("`strict_floor` is true"), "{msg}");

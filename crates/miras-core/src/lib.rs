@@ -62,7 +62,9 @@ mod trainer;
 pub use adapter::{AdapterSnapshot, ClusterEnvAdapter};
 pub use agent::MirasAgent;
 pub use batch_env::BatchedSyntheticEnv;
-pub use checkpoint::{decode_policy_line, CheckpointError, CheckpointPayload};
+pub use checkpoint::{
+    decode_policy_line, read_policy_line, save_policy, CheckpointError, CheckpointPayload,
+};
 pub use config::{MirasConfig, RolloutMode};
 pub use dataset::{Transition, TransitionDataset};
 pub use dynamics::DynamicsModel;

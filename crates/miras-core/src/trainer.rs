@@ -812,10 +812,18 @@ mod tests {
         let (line, _) = text.split_once('\n').expect("a policy line");
         let payload = crate::CheckpointPayload::load(&path).unwrap();
         assert_eq!(
-            crate::decode_policy_line(line).unwrap(),
+            crate::decode_policy_line(line.as_bytes()).unwrap(),
             (payload.deployable_agent(), 2)
         );
+        // A policy file of the same agent is exactly that line.
+        let policy = temp_checkpoint("policy_file");
+        crate::save_policy(&policy, &trainer.agent(), 2).unwrap();
+        assert_eq!(
+            std::fs::read_to_string(&policy).unwrap(),
+            format!("{line}\n")
+        );
         std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&policy).ok();
     }
 
     #[test]

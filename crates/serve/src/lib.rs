@@ -30,14 +30,16 @@
 //!   polled between windows and the policy swapped atomically — no
 //!   request is ever dropped or split across policies. A poll is one
 //!   `stat`: only a changed `(len, mtime, ctime, inode, device)` key
-//!   triggers the full `(mtime, len, content checksum)` probe and the
-//!   load, on the decision thread. The load ([`load_policy`]) reads only
-//!   the checkpoint's first line, its policy line, never the training
-//!   state behind it. A background verifier re-hashes the
-//!   file about once a second and forces a re-probe when the content
-//!   changed, so same-length rewrites within one timestamp tick are still
-//!   caught. A file whose policy has a different task-type count is
-//!   refused like a corrupt one.
+//!   triggers the full probe, on the decision thread. The probe reads the
+//!   file's first line, its policy line, and fingerprints it (FNV-1a);
+//!   only a new fingerprint decodes that same buffer into the new policy,
+//!   so a swap opens the file once and never reads the training state
+//!   behind the line. A rewrite of the training state alone, or a
+//!   `touch`, does not swap. [`load_policy`] reads the same line. A
+//!   background verifier re-hashes the policy line about once a second
+//!   and forces a re-probe when it changed, so same-length rewrites within
+//!   one timestamp tick are still caught. A file whose policy has a
+//!   different task-type count is refused like a corrupt one.
 //! * **Scrape endpoint** ([`spawn_metrics_endpoint`]): the telemetry
 //!   subsystem rendered as a plaintext `/metrics` page.
 //! * **Shadow mode / determinism proof** ([`replay_stream`]): decision

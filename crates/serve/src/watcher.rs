@@ -1,19 +1,19 @@
 //! Checkpoint hot-swap: watch a path, load new policies between windows.
-//! A `stat` per window on the decision thread, a content re-hash about once
-//! a second on a verifier thread.
+//! A `stat` per window on the decision thread, a re-hash of the policy line
+//! about once a second on a verifier thread.
 
 use std::fmt;
-use std::io::{BufRead, BufReader, Read};
+use std::fs::File;
 use std::os::unix::fs::MetadataExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
-use std::time::{Duration, SystemTime};
+use std::time::Duration;
 
 use baselines::{Observation, Policy};
-use miras_core::{decode_policy_line, CheckpointError, MirasAgent};
+use miras_core::{decode_policy_line, read_policy_line, CheckpointError, MirasAgent};
 
 use crate::retry::{io_transient, retry_with, RetryPolicy};
 
@@ -97,36 +97,31 @@ impl Policy for CheckpointPolicy {
 ///
 /// That line is a checkpoint's policy line; it is also the whole of a
 /// `head -n 1` policy file, of a checkpoint saved before policy lines
-/// existed, and of a raw serialized [`MirasAgent`] (as cached under
-/// `bench_artifacts/`). Checkpoint policies are versioned with the
-/// iteration they were saved after, raw agents with 0. The line is read
-/// once and parsed once ([`decode_policy_line`]); a current checkpoint's
-/// training state is never read. Returns the boxed policy and its version.
+/// existed, of a raw serialized [`MirasAgent`], and of the policy file
+/// `miras-cli train --out` and the `bench_artifacts/` cache write
+/// ([`miras_core::save_policy`]). Checkpoint and policy files are versioned
+/// with the iteration they were saved after, raw agents with 0. The line
+/// is read once ([`read_policy_line`]) and parsed once
+/// ([`decode_policy_line`]); a current checkpoint's training state is never
+/// read. Returns the boxed policy and its version.
 ///
 /// # Errors
 ///
 /// [`LoadError::Io`] if the file cannot be read, [`LoadError::Unusable`]
 /// if its first line holds no policy (e.g. the file was cut inside it).
 pub fn load_policy(path: &Path) -> Result<(Box<dyn Policy>, u64), LoadError> {
-    let mut line = Vec::new();
-    BufReader::new(std::fs::File::open(path).map_err(LoadError::Io)?)
-        .read_until(b'\n', &mut line)
-        .map_err(LoadError::Io)?;
-    let line = String::from_utf8(line)
-        .map_err(|e| LoadError::Unusable(CheckpointError::Corrupt(format!("not UTF-8: {e}"))))?;
-    let (agent, version) = decode_policy_line(&line).map_err(LoadError::Unusable)?;
+    let file = File::open(path).map_err(LoadError::Io)?;
+    decode(&read_policy_line(&file).map_err(LoadError::Io)?)
+}
+
+/// The policy a policy line holds, boxed for serving, and its version.
+fn decode(line: &[u8]) -> Result<(Box<dyn Policy>, u64), LoadError> {
+    let (agent, version) = decode_policy_line(line).map_err(LoadError::Unusable)?;
     Ok((Box::new(CheckpointPolicy { agent, version }), version))
 }
 
-/// How often the verifier thread re-hashes the watched file.
+/// How often the verifier thread re-hashes the watched file's policy line.
 const VERIFY_INTERVAL: Duration = Duration::from_secs(1);
-
-/// Read size for streaming a file through FNV-1a: the probe and the
-/// verifier never hold more than this much of the checkpoint at once.
-const HASH_CHUNK: usize = 64 * 1024;
-
-/// FNV-1a 64-bit offset basis (the hash of the empty input).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// The cheap change key: everything one `stat` call says about the file
 /// that a rewrite, a `touch` or a rename-over moves. `ctime` cannot be set
@@ -159,97 +154,64 @@ impl StatKey {
     }
 }
 
-/// Change-detection fingerprint: `(mtime, len, content checksum)`. A swap
-/// happens only when this differs from the last probed one.
-///
-/// The checksum (FNV-1a over the file bytes) closes the classic
-/// `(mtime, len)` race: a rewrite that lands within the filesystem's mtime
-/// granularity *and* happens to produce the same byte length — entirely
-/// plausible for fixed-schema checkpoints written twice in quick
-/// succession — is still detected, because the bytes differ.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Fingerprint {
-    mtime: SystemTime,
-    len: u64,
-    checksum: u64,
+/// The change-detection fingerprint: FNV-1a 64-bit over the policy line,
+/// the bytes serving reads. A swap happens only when it differs from the
+/// deployed one, so a rewrite of a checkpoint's training state alone, or a
+/// `touch`, swaps nothing: serving would load the same policy. A rewrite
+/// of the policy line is caught even when it keeps the file's length and
+/// lands within the filesystem's mtime granularity, because the bytes
+/// differ. Cheap, dependency-free and stable across platforms.
+fn fnv1a64(line: &[u8]) -> u64 {
+    line.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
-/// Continues an FNV-1a 64-bit hash over `bytes` — cheap, dependency-free,
-/// and stable across platforms.
-fn fnv1a64_extend(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-/// Streams `reader` through FNV-1a in [`HASH_CHUNK`] pieces: `(bytes read,
-/// checksum)`, equal to hashing the whole content in one slice.
-fn hash_stream(reader: &mut impl Read) -> std::io::Result<(u64, u64)> {
-    let mut buf = [0u8; HASH_CHUNK];
-    let (mut len, mut hash) = (0u64, FNV_OFFSET);
-    loop {
-        match reader.read(&mut buf) {
-            Ok(0) => return Ok((len, hash)),
-            Ok(n) => {
-                hash = fnv1a64_extend(hash, &buf[..n]);
-                len += n as u64;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-/// One full probe: open, stat (same handle, so the key, mtime and bytes are
-/// the same inode even mid-rename), stream the bytes through the checksum.
-/// The key is taken *before* the read, so a write racing the read moves
-/// the file's key away from the stored one and the next poll probes again.
-/// `Ok(None)` when the file does not exist.
-fn probe(path: &Path) -> std::io::Result<Option<(StatKey, Fingerprint)>> {
-    let mut file = match std::fs::File::open(path) {
+/// One full probe: open, stat (same handle, so the key and the line come
+/// from the same inode even mid-rename), read the policy line. The key is
+/// taken *before* the read, so a write racing the read moves the file's
+/// key away from the stored one and the next poll probes again. `Ok(None)`
+/// when the file does not exist.
+fn probe(path: &Path) -> std::io::Result<Option<(StatKey, Vec<u8>)>> {
+    let file = match File::open(path) {
         Ok(f) => f,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(e),
     };
-    let meta = file.metadata()?;
-    let (len, checksum) = hash_stream(&mut file)?;
-    let fingerprint = Fingerprint {
-        mtime: meta.modified()?,
-        len,
-        checksum,
-    };
-    Ok(Some((StatKey::of(&meta), fingerprint)))
+    let key = StatKey::of(&file.metadata()?);
+    Ok(Some((key, read_policy_line(&file)?)))
 }
 
 /// State the decision thread shares with its verifier.
 #[derive(Debug, Default)]
 struct Shared {
-    /// Set by the verifier when the file's content no longer matches
-    /// `checksum`; makes the next poll run the full probe.
+    /// Set by the verifier when the file's policy line no longer matches
+    /// `fingerprint`; makes the next poll run the full probe.
     dirty: AtomicBool,
-    /// Checksum of the last probed content (`None` before the first).
-    checksum: Mutex<Option<u64>>,
+    /// Fingerprint of the last probed policy line (`None` before the
+    /// first). Only the decision thread writes it.
+    fingerprint: Mutex<Option<u64>>,
 }
 
 impl Shared {
-    fn checksum(&self) -> MutexGuard<'_, Option<u64>> {
-        self.checksum.lock().unwrap_or_else(PoisonError::into_inner)
+    fn fingerprint(&self) -> MutexGuard<'_, Option<u64>> {
+        self.fingerprint
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 }
 
-/// One verifier pass: re-hash the file and flag a re-probe when its content
-/// differs from the last probed checksum. A missing or unreadable file
-/// flags nothing; the stat check owns those. A stale comparison (the
+/// One verifier pass: re-read the policy line and flag a re-probe when its
+/// fingerprint differs from the last probed one. A missing or unreadable
+/// file flags nothing; the stat check owns those. A stale comparison (the
 /// decision thread probed a newer file mid-pass) only costs one extra
-/// probe: swaps are still decided by the full fingerprint.
+/// probe: swaps are still decided by the decision thread's own probe.
 fn verify(path: &Path, shared: &Shared) {
-    let Some(expected) = *shared.checksum() else {
+    let Some(expected) = *shared.fingerprint() else {
         return;
     };
-    if let Ok(Some((_, fingerprint))) = probe(path) {
-        if fingerprint.checksum != expected {
+    if let Ok(Some((_, line))) = probe(path) {
+        if fnv1a64(&line) != expected {
             shared.dirty.store(true, Ordering::Relaxed);
         }
     }
@@ -301,22 +263,27 @@ impl Drop for Verifier {
 /// costs one `stat` and one atomic load: it compares the file's
 /// `(len, mtime, ctime, inode, device)` with the key stored at the last
 /// probe, and checks a `dirty` flag. Only when either says "changed" does
-/// it run the full probe (open, stat, stream the bytes through an FNV-1a
-/// checksum) and, if the `(mtime, len, checksum)` fingerprint differs,
-/// load the file — synchronously, so the first window polled after a write
-/// is served by the new policy. Off the decision thread, a verifier thread
-/// owned by the watcher re-hashes the file about once a second and sets
-/// `dirty` when the content no longer matches the last probed checksum.
-/// That catches a same-length rewrite landing within one timestamp tick,
-/// which no stat field shows. The flag only forces a re-probe; a swap
-/// still needs the full fingerprint to differ, so a racing or half-read
-/// verifier pass can never swap. Dropping the watcher stops the verifier
-/// at once.
+/// it run the full probe: open, stat, read the policy line (line one, the
+/// only bytes serving reads) and FNV-1a-hash it. If that fingerprint
+/// differs from the deployed one, the same buffer is decoded into the new
+/// policy, so a swap opens the file once. All of it runs synchronously, so
+/// the first window polled after a write is served by the new policy. A
+/// rewrite that keeps the policy line — new training state behind the
+/// same policy, or a `touch` — re-probes but never swaps.
 ///
-/// The PR-3 checkpoint writer is atomic (temp + fsync + rename), so a
-/// changed fingerprint always points at a complete file. Key, length and
-/// checksum come from one open file handle, so a rename racing the probe
-/// yields a self-consistent fingerprint of one version or the other.
+/// Off the decision thread, a verifier thread owned by the watcher
+/// re-reads and re-hashes the policy line about once a second and sets
+/// `dirty` when it no longer matches the deployed fingerprint. That
+/// catches a same-length rewrite landing within one timestamp tick, which
+/// no stat field shows. The flag only forces a re-probe; a swap still
+/// needs the decision thread's own probe to see a new fingerprint, so a
+/// racing or half-read verifier pass can never swap. Dropping the watcher
+/// stops the verifier at once.
+///
+/// Every writer of policy and checkpoint files is atomic (temp + fsync +
+/// rename), so a changed fingerprint always points at a complete line. Key
+/// and line come from one open file handle, so a rename racing the probe
+/// yields a self-consistent probe of one version or the other.
 ///
 /// A file that fails to load (e.g. hand-corrupted), or cannot be read at
 /// all, is reported once via [`SwapOutcome::Failed`] and not retried until
@@ -333,7 +300,6 @@ pub struct CheckpointWatcher {
     path: PathBuf,
     /// Stat key as of the last full probe (or failed probe attempt).
     key: Option<StatKey>,
-    fingerprint: Option<Fingerprint>,
     shared: Arc<Shared>,
     retries: u64,
     _verifier: Verifier,
@@ -363,12 +329,11 @@ impl CheckpointWatcher {
     pub fn new_deployed(path: PathBuf) -> Self {
         let probed = probe(&path).ok().flatten();
         let shared = Arc::new(Shared::default());
-        *shared.checksum() = probed.map(|(_, fp)| fp.checksum);
+        *shared.fingerprint() = probed.as_ref().map(|(_, line)| fnv1a64(line));
         CheckpointWatcher {
             _verifier: Verifier::spawn(path.clone(), Arc::clone(&shared)),
             path,
             key: probed.map(|(key, _)| key),
-            fingerprint: probed.map(|(_, fp)| fp),
             shared,
             retries: 0,
         }
@@ -382,7 +347,7 @@ impl CheckpointWatcher {
 
     /// Checks the path. `None` means no change since the last poll: the
     /// stat key is unchanged and the verifier has not flagged new content,
-    /// or the full probe found the same fingerprint, or the file is gone
+    /// or the full probe found the same policy line, or the file is gone
     /// (the old policy keeps serving). `Some(Swapped)` carries the new
     /// policy. `Some(Failed)` means the changed file could not be read
     /// (after bounded retry of transient errors, as
@@ -409,10 +374,10 @@ impl CheckpointWatcher {
             |_| *retries += 1,
             || probe(&self.path),
         );
-        let current = match probed {
-            Ok(Some((key, fp))) => {
+        let line = match probed {
+            Ok(Some((key, line))) => {
                 self.key = Some(key);
-                fp
+                line
             }
             Ok(None) => return None,
             Err(exhausted) => {
@@ -424,15 +389,14 @@ impl CheckpointWatcher {
                 }));
             }
         };
-        if self.fingerprint == Some(current) {
+        let current = Some(fnv1a64(&line));
+        if std::mem::replace(&mut *self.shared.fingerprint(), current) == current {
             return None;
         }
-        self.fingerprint = Some(current);
-        *self.shared.checksum() = Some(current.checksum);
-        match load_policy(&self.path) {
-            Ok((policy, version)) => Some(SwapOutcome::Swapped { policy, version }),
-            Err(e) => Some(SwapOutcome::Failed(e)),
-        }
+        Some(match decode(&line) {
+            Ok((policy, version)) => SwapOutcome::Swapped { policy, version },
+            Err(e) => SwapOutcome::Failed(e),
+        })
     }
 }
 
@@ -443,11 +407,6 @@ mod tests {
     use nn::{Activation, Mlp};
     use rand::SeedableRng;
     use std::time::Instant;
-
-    /// FNV-1a 64-bit over `bytes` in one slice.
-    fn fnv1a64(bytes: &[u8]) -> u64 {
-        fnv1a64_extend(FNV_OFFSET, bytes)
-    }
 
     fn temp_path(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("miras_watch_{name}_{}.json", std::process::id()))
@@ -471,12 +430,13 @@ mod tests {
     #[test]
     fn probe_distinguishes_same_length_content() {
         let path = temp_path("probe");
-        std::fs::write(&path, b"AAAA").unwrap();
+        std::fs::write(&path, b"AAAA\nstate").unwrap();
         let (_, a) = probe(&path).unwrap().unwrap();
-        std::fs::write(&path, b"BBBB").unwrap();
-        let (_, b) = probe(&path).unwrap().unwrap();
-        assert_eq!(a.len, b.len);
-        assert_ne!(a.checksum, b.checksum, "same length, different bytes");
+        std::fs::write(&path, b"BBBB\nstate").unwrap();
+        let (key, b) = probe(&path).unwrap().unwrap();
+        assert_eq!((a.as_slice(), b.as_slice()), (&b"AAAA"[..], &b"BBBB"[..]));
+        assert_ne!(fnv1a64(&a), fnv1a64(&b), "same length, different bytes");
+        assert_eq!(Some(key), StatKey::current(&path));
         let _ = std::fs::remove_file(&path);
     }
 
@@ -486,19 +446,52 @@ mod tests {
         assert!(probe(&path).unwrap().is_none());
     }
 
+    /// Two files with the same policy line and different training states
+    /// have one fingerprint, so rewriting only the training state (here
+    /// to a different length, so the stat key moves) swaps nothing.
     #[test]
-    fn streamed_probe_matches_whole_file_hash() {
-        let path = temp_path("streamed");
-        // Three and a bit chunks, with a byte pattern that is not periodic
-        // in the chunk size.
-        let bytes: Vec<u8> = (0..3 * HASH_CHUNK + 1234)
-            .map(|i| (i * 31 % 251) as u8)
-            .collect();
-        std::fs::write(&path, &bytes).unwrap();
-        let (key, fp) = probe(&path).unwrap().unwrap();
-        let whole = std::fs::read(&path).unwrap();
-        assert_eq!((fp.len, fp.checksum), (whole.len() as u64, fnv1a64(&whole)));
-        assert_eq!(Some(key), StatKey::current(&path));
+    fn a_new_training_state_behind_the_same_policy_line_does_not_swap() {
+        let path = temp_path("same_line");
+        let other = temp_path("same_line_other");
+        let line = agent_json(1);
+        std::fs::write(&path, format!("{line}\n{{\"state\":1}}")).unwrap();
+        std::fs::write(&other, format!("{line}\n{{\"state\":[2,3,4]}}")).unwrap();
+        let (_, a) = probe(&path).unwrap().unwrap();
+        let (_, b) = probe(&other).unwrap().unwrap();
+        assert_eq!(fnv1a64(&a), fnv1a64(&b));
+
+        let mut watcher = CheckpointWatcher::new_deployed(path.clone());
+        std::fs::rename(&other, &path).unwrap();
+        assert_ne!(watcher.key, StatKey::current(&path), "the stat key moved");
+        assert!(watcher.poll().is_none(), "same policy line, no swap");
+        assert_eq!(watcher.key, StatKey::current(&path), "re-probed once");
+
+        // The policy line itself changing still swaps.
+        std::fs::write(&path, format!("{}\n{{\"state\":1}}", agent_json(2))).unwrap();
+        assert!(matches!(
+            watcher.poll(),
+            Some(SwapOutcome::Swapped { version: 0, .. })
+        ));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// A `touch`: the mtime (and ctime) move, the content does not, and the
+    /// policy is not reloaded.
+    #[test]
+    fn touching_an_unchanged_file_does_not_swap() {
+        let path = temp_path("touch");
+        std::fs::write(&path, agent_json(1)).unwrap();
+        let mut watcher = CheckpointWatcher::new_deployed(path.clone());
+        let stamp = std::time::SystemTime::UNIX_EPOCH + Duration::from_secs(1_700_000_000);
+        File::options()
+            .append(true)
+            .open(&path)
+            .unwrap()
+            .set_modified(stamp)
+            .unwrap();
+        assert_ne!(watcher.key, StatKey::current(&path), "the stat key moved");
+        assert!(watcher.poll().is_none());
+        assert!(watcher.poll().is_none());
         let _ = std::fs::remove_file(&path);
     }
 

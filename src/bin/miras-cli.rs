@@ -4,7 +4,8 @@
 //!
 //! * `simulate` — run a baseline allocator against the emulated cluster and
 //!   print per-window metrics,
-//! * `train`    — run the MIRAS training loop and save the agent as JSON,
+//! * `train`    — run the MIRAS training loop and save the agent as a
+//!   one-line policy file (what a checkpoint's first line holds),
 //! * `evaluate` — replay a saved agent against a workload,
 //! * `allocate` — one-shot: WIP vector in, consumer allocation out,
 //! * `gen-trace` — sample an ensemble's background arrivals under a
@@ -22,9 +23,12 @@
 //! miras-cli simulate --ensemble msd --trace t.jsonl --windows 40
 //! ```
 
-use std::collections::HashMap;
+use std::fs::File;
+use std::path::Path;
 use std::process::ExitCode;
 
+use miras::flags::{burst_from, ensemble_from, list, numeric, parse_flags, Flags};
+use miras::miras_core::{decode_policy_line, read_policy_line, save_policy};
 use miras::prelude::*;
 
 fn main() -> ExitCode {
@@ -34,7 +38,9 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     };
     let result = match COMMANDS.iter().find(|(name, ..)| name == command) {
-        Some((_, accepted, run)) => parse_flags(command, accepted, rest).and_then(|f| run(&f)),
+        Some((_, accepted, run)) => {
+            parse_flags(&format!("'{command}'"), accepted, rest).and_then(|f| run(&f))
+        }
         None => Err(format!("unknown command '{command}'")),
     };
     match result {
@@ -65,140 +71,60 @@ commands:
             (SHAPE: stationary, diurnal, trending or flash-crowd; the
              trace is JSONL, the layout --trace reads)";
 
-type Flags = HashMap<String, String>;
-
 type Command = fn(&Flags) -> Result<(), String>;
 
-/// Every subcommand with the flags it reads; any other flag is an error,
-/// so a misspelt one cannot be silently ignored.
-const COMMANDS: &[(&str, &[&str], Command)] = &[
+/// Every subcommand with the flags it reads, space-separated; any other
+/// flag is an error, so a misspelt one cannot be silently ignored.
+const COMMANDS: &[(&str, &str, Command)] = &[
     (
         "simulate",
-        &["ensemble", "policy", "burst", "trace", "windows", "seed"],
+        "ensemble policy burst trace windows seed",
         simulate,
     ),
     (
         "train",
-        &[
-            "ensemble",
-            "iterations",
-            "paper",
-            "smoke",
-            "seed",
-            "out",
-            "lanes",
-        ],
+        "ensemble iterations paper smoke seed out lanes",
         train,
     ),
     (
         "evaluate",
-        &["agent", "ensemble", "burst", "trace", "windows", "seed"],
+        "agent ensemble burst trace windows seed",
         evaluate,
     ),
-    ("allocate", &["agent", "wip"], allocate),
-    (
-        "gen-trace",
-        &["ensemble", "out", "workload", "windows", "seed"],
-        gen_trace,
-    ),
+    ("allocate", "agent wip", allocate),
+    ("gen-trace", "ensemble out workload windows seed", gen_trace),
 ];
-
-fn parse_flags(command: &str, accepted: &[&str], args: &[String]) -> Result<Flags, String> {
-    let mut flags = Flags::new();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let Some(name) = flag.strip_prefix("--") else {
-            return Err(format!("expected a --flag, found '{flag}'"));
-        };
-        if !accepted.contains(&name) {
-            return Err(format!("'{command}' does not take --{name}"));
-        }
-        if name == "paper" || name == "smoke" {
-            flags.insert(name.to_string(), "true".to_string());
-            continue;
-        }
-        let value = it.next().ok_or_else(|| format!("--{name} needs a value"))?;
-        flags.insert(name.to_string(), value.clone());
-    }
-    Ok(flags)
-}
-
-fn ensemble_from(flags: &Flags) -> Result<Ensemble, String> {
-    match flags.get("ensemble").map(String::as_str) {
-        Some("msd") | None => Ok(Ensemble::msd()),
-        Some("ligo") => Ok(Ensemble::ligo()),
-        Some("gpu-serve") => Ok(Ensemble::gpu_serve()),
-        Some(other) => Err(format!(
-            "unknown ensemble '{other}' (msd, ligo, or gpu-serve)"
-        )),
-    }
-}
-
-fn numeric<T: std::str::FromStr>(flags: &Flags, name: &str, default: T) -> Result<T, String> {
-    match flags.get(name) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("--{name} expects a number, got '{v}'")),
-    }
-}
-
-fn list(flags: &Flags, name: &str) -> Result<Option<Vec<usize>>, String> {
-    match flags.get(name) {
-        None => Ok(None),
-        Some(v) => v
-            .split(',')
-            .map(|part| {
-                part.trim()
-                    .parse()
-                    .map_err(|_| format!("--{name} expects comma-separated integers"))
-            })
-            .collect::<Result<Vec<usize>, String>>()
-            .map(Some),
-    }
-}
-
-fn float_list(flags: &Flags, name: &str) -> Result<Option<Vec<f64>>, String> {
-    match flags.get(name) {
-        None => Ok(None),
-        Some(v) => v
-            .split(',')
-            .map(|part| {
-                part.trim()
-                    .parse()
-                    .map_err(|_| format!("--{name} expects comma-separated numbers"))
-            })
-            .collect::<Result<Vec<f64>, String>>()
-            .map(Some),
-    }
-}
 
 /// Runs an allocation policy against the emulator, printing one row per
 /// decision window.
 fn run_policy(
     ensemble: Ensemble,
     seed: u64,
-    burst: Option<Vec<usize>>,
+    burst: Option<BurstSpec>,
     trace_path: Option<&str>,
     windows: usize,
     policy: &mut dyn Policy,
 ) -> Result<(), String> {
-    let config = EnvConfig::for_ensemble(&ensemble).with_seed(seed);
+    let mut config = EnvConfig::for_ensemble(&ensemble).with_seed(seed);
+    if let Some(path) = trace_path {
+        if path.is_empty() {
+            return Err("--trace needs a file name".to_string());
+        }
+        // The trace is the whole workload: no background is sampled.
+        config.workload = WorkloadSpec::TraceReplay {
+            path: path.to_string(),
+        };
+    }
     let mut env = MicroserviceEnv::new(ensemble, config);
     let _ = env.reset();
-    if let Some(counts) = burst {
-        if counts.len() != env.num_workflow_types() {
-            return Err(format!(
-                "--burst needs {} comma-separated counts",
-                env.num_workflow_types()
-            ));
-        }
-        env.inject_burst(&BurstSpec::new(counts));
+    if let Some(burst) = burst {
+        env.inject_burst(&burst);
     }
     if let Some(path) = trace_path {
-        let trace = ArrivalTrace::load(path).map_err(|e| format!("loading {path}: {e}"))?;
-        println!("replaying {} arrivals from {path}", trace.len());
-        env.inject_trace(&trace);
+        let replayed = env
+            .load_workload_trace()
+            .map_err(|e| format!("loading {path}: {e}"))?;
+        println!("replaying {replayed} arrivals from {path}");
     }
     println!(
         "{:>6} {:>10} {:>9} {:>13} {:>12} {:>24}",
@@ -238,7 +164,7 @@ fn simulate(flags: &Flags) -> Result<(), String> {
     let ensemble = ensemble_from(flags)?;
     let seed = numeric(flags, "seed", 42u64)?;
     let windows = numeric(flags, "windows", 25usize)?;
-    let burst = list(flags, "burst")?;
+    let burst = burst_from(flags, &ensemble)?;
     let policy_name = flags
         .get("policy")
         .cloned()
@@ -300,9 +226,8 @@ fn train(flags: &Flags) -> Result<(), String> {
             r.iteration, r.model_loss, r.eval_return, r.dataset_size
         );
     }
-    let agent = trainer.agent();
-    let json = serde_json::to_string(&agent).map_err(|e| e.to_string())?;
-    std::fs::write(&out, json).map_err(|e| format!("writing {out}: {e}"))?;
+    save_policy(Path::new(&out), &trainer.agent(), iterations as u64)
+        .map_err(|e| format!("writing {out}: {e}"))?;
     println!("agent saved to {out}");
     Ok(())
 }
@@ -312,9 +237,10 @@ fn train(flags: &Flags) -> Result<(), String> {
 /// be able to decide before it is used.
 fn load_agent(flags: &Flags) -> Result<MirasAgent, String> {
     let path = flags.get("agent").ok_or("--agent FILE is required")?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let line = text.lines().next().unwrap_or_default();
-    miras::miras_core::decode_policy_line(line)
+    let line = File::open(path)
+        .and_then(|file| read_policy_line(&file))
+        .map_err(|e| format!("reading {path}: {e}"))?;
+    decode_policy_line(&line)
         .map(|(agent, _)| agent)
         .map_err(|e| format!("loading {path}: {e}"))
 }
@@ -332,7 +258,7 @@ fn evaluate(flags: &Flags) -> Result<(), String> {
     }
     let seed = numeric(flags, "seed", 42u64)?;
     let windows = numeric(flags, "windows", 25usize)?;
-    let burst = list(flags, "burst")?;
+    let burst = burst_from(flags, &ensemble)?;
     println!(
         "evaluating saved agent on {} (seed {seed}, {windows} windows)",
         ensemble.name()
@@ -375,7 +301,7 @@ fn gen_trace(flags: &Flags) -> Result<(), String> {
 
 fn allocate(flags: &Flags) -> Result<(), String> {
     let agent = load_agent(flags)?;
-    let wip = float_list(flags, "wip")?.ok_or("--wip X,X,.. is required")?;
+    let wip: Vec<f64> = list(flags, "wip")?.ok_or("--wip X,X,.. is required")?;
     if wip.len() != agent.num_task_types() {
         return Err(format!(
             "agent expects {} WIP values, got {}",

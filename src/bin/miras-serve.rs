@@ -35,7 +35,6 @@
 //! miras-serve --checkpoint ckpt.json --chaos seed=42 --stream stream.jsonl
 //! ```
 
-use std::collections::HashMap;
 use std::io::{BufRead, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -43,7 +42,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use miras::baselines::{by_name, fallback, Policy, PolicyConfig, FALLBACK_POLICY};
-use miras::prelude::{BurstSpec, Ensemble};
+use miras::flags::{burst_from, ensemble_from, numeric, parse_flags, Flags};
+use miras::prelude::Ensemble;
 use miras::telemetry::{FanoutRecorder, JsonlSink, Recorder, ScrapeRecorder, Telemetry};
 use serve::chaos::{generate_schedule, run_schedule, verify, ChaosConfig};
 use serve::{
@@ -66,11 +66,12 @@ modes (default: serve observations from stdin, decisions to stdout):
                  seed=42,malformed=0.2,clients=4,burst=5
 
 policy source (default: --policy uniform):
-  --checkpoint FILE  load the policy of a training checkpoint (or raw
-                     agent JSON) and hot-swap whenever the file changes
-                     between windows; only a checkpoint's first line is
-                     read, so `head -n 1 ckpt.json > policy.json` makes
-                     a servable policy file
+  --checkpoint FILE  load the policy of a training checkpoint (or a
+                     `miras-cli train --out` policy file, or raw agent
+                     JSON) and hot-swap whenever its first line changes
+                     between windows; only that line is read, so
+                     `head -n 1 ckpt.json > policy.json` makes a
+                     servable policy file
   --policy NAME      registry policy: uniform, wip-proportional, stream,
                      heft, monad
 
@@ -103,44 +104,10 @@ flags:
   --max-p99-us N        exit nonzero if p99 decision latency (admitted,
                         non-degraded windows) exceeds N";
 
-type Flags = HashMap<String, String>;
-
-fn parse_flags(args: &[String]) -> Result<Flags, String> {
-    let mut flags = Flags::new();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let Some(name) = flag.strip_prefix("--") else {
-            return Err(format!("expected a --flag, found '{flag}'"));
-        };
-        if name == "shadow" {
-            flags.insert(name.to_string(), "true".to_string());
-            continue;
-        }
-        let value = it.next().ok_or_else(|| format!("--{name} needs a value"))?;
-        flags.insert(name.to_string(), value.clone());
-    }
-    Ok(flags)
-}
-
-fn numeric<T: std::str::FromStr>(flags: &Flags, name: &str, default: T) -> Result<T, String> {
-    match flags.get(name) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("--{name} expects a number, got '{v}'")),
-    }
-}
-
-fn ensemble_from(flags: &Flags) -> Result<Ensemble, String> {
-    match flags.get("ensemble").map(String::as_str) {
-        Some("msd") | None => Ok(Ensemble::msd()),
-        Some("ligo") => Ok(Ensemble::ligo()),
-        Some("gpu-serve") => Ok(Ensemble::gpu_serve()),
-        Some(other) => Err(format!(
-            "unknown ensemble '{other}' (msd, ligo, or gpu-serve)"
-        )),
-    }
-}
+/// Every flag `miras-serve` reads; any other is refused by name.
+const FLAGS: &str = "record replay chaos checkpoint policy ensemble seed burst shadow \
+    listen clients max-inflight shed-policy deadline-us fallback read-timeout-ms stream \
+    metrics telemetry max-p99-us";
 
 /// Builds the policy and, for checkpoint-backed policies, returns the
 /// checkpoint path the hot-swap watcher should watch.
@@ -195,27 +162,6 @@ fn build_telemetry(flags: &Flags, shadow: bool) -> Result<Telemetry, String> {
         1 => Telemetry::new(recorders.remove(0)),
         _ => Telemetry::new(FanoutRecorder::new(recorders)),
     })
-}
-
-fn burst_from(flags: &Flags, ensemble: &Ensemble) -> Result<Option<BurstSpec>, String> {
-    let Some(v) = flags.get("burst") else {
-        return Ok(None);
-    };
-    let counts: Vec<usize> = v
-        .split(',')
-        .map(|part| {
-            part.trim()
-                .parse()
-                .map_err(|_| "--burst expects comma-separated integers".to_string())
-        })
-        .collect::<Result<_, String>>()?;
-    if counts.len() != ensemble.num_workflow_types() {
-        return Err(format!(
-            "--burst needs {} comma-separated counts",
-            ensemble.num_workflow_types()
-        ));
-    }
-    Ok(Some(BurstSpec::new(counts)))
 }
 
 /// `--record N`: drive the emulator and print the observation stream.
@@ -469,7 +415,7 @@ fn main() -> ExitCode {
         println!("{USAGE}");
         return ExitCode::SUCCESS;
     }
-    let flags = match parse_flags(&args) {
+    let flags = match parse_flags("miras-serve", FLAGS, &args) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("error: {e}\n{USAGE}");

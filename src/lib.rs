@@ -40,6 +40,8 @@
 
 #![forbid(unsafe_code)]
 
+pub mod flags;
+
 pub use baselines;
 pub use desim;
 pub use microsim;

@@ -68,9 +68,11 @@ fn train_smoke_at_three_lanes_still_succeeds() {
         stdout.starts_with("rollout engine: inline, 3 lane(s)\n"),
         "{stdout}"
     );
-    assert!(std::fs::read_to_string(&agent)
-        .unwrap()
-        .contains("\"actor\""));
+    // A policy file: one line, stamped with the iterations run.
+    let saved = std::fs::read_to_string(&agent).unwrap();
+    assert!(saved.starts_with("{\"policy_version\":1,\"agent\":{\"actor\""));
+    assert_eq!(saved.lines().count(), 1);
+    assert!(saved.ends_with("}\n"));
     let _ = std::fs::remove_file(agent);
 }
 
@@ -159,5 +161,53 @@ fn gen_trace_writes_a_trace_simulate_replays() {
         stderr.contains("'gen-trace' does not take --pattern"),
         "{stderr}"
     );
+    let _ = std::fs::remove_file(trace);
+}
+
+/// `simulate --trace` replays the file as the whole workload, with no
+/// background sampled on top: replaying `gen-trace`'s sample of a seed
+/// prints the same table as plain `simulate` at that seed.
+#[test]
+fn a_generated_trace_replays_to_the_plain_simulation() {
+    let trace = std::env::temp_dir().join(format!(
+        "miras_cli_flags_roundtrip_{}.jsonl",
+        std::process::id()
+    ));
+    let path = trace.to_str().unwrap();
+    let run = ["--seed", "42", "--windows", "6"];
+    let out = miras_cli(&[&["gen-trace", "--out", path][..], &run].concat());
+    assert!(out.status.success(), "{out:?}");
+    let plain = miras_cli(&[&["simulate"][..], &run].concat());
+    let replayed = miras_cli(&[&["simulate", "--trace", path][..], &run].concat());
+    assert!(replayed.status.success(), "{replayed:?}");
+    let replayed = String::from_utf8(replayed.stdout).unwrap();
+    let (banner, rest) = replayed.split_once('\n').unwrap();
+    let (replaying, table) = rest.split_once('\n').unwrap();
+    assert!(replaying.starts_with("replaying "), "{replaying}");
+    assert_eq!(
+        format!("{banner}\n{table}"),
+        String::from_utf8(plain.stdout).unwrap()
+    );
+    let _ = std::fs::remove_file(trace);
+}
+
+/// A trace naming a workflow type the ensemble does not have is bad input:
+/// exit 1 with an error naming the file, not a panic.
+#[test]
+fn a_trace_with_an_unknown_workflow_type_is_refused() {
+    let trace = std::env::temp_dir().join(format!(
+        "miras_cli_flags_bad_type_{}.jsonl",
+        std::process::id()
+    ));
+    std::fs::write(&trace, "{\"time_micros\":1000000,\"workflow_type\":7}\n").unwrap();
+    let path = trace.to_str().unwrap();
+    let out = miras_cli(&["simulate", "--trace", path, "--windows", "1"]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains(&format!("error: loading {path}: ")),
+        "{stderr}"
+    );
+    assert!(stderr.contains("workflow#7 is not one of"), "{stderr}");
     let _ = std::fs::remove_file(trace);
 }

@@ -1,6 +1,7 @@
 //! The real `miras-serve` binary decides identically from a checkpoint,
 //! from its first line alone (`head -n 1 ckpt.json`), and from the same
-//! checkpoint in the layout saved before policy lines existed.
+//! checkpoint in the layout saved before policy lines existed; it refuses a
+//! flag it does not read.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -72,4 +73,19 @@ fn replay_from_a_checkpoint_its_first_line_and_its_legacy_layout_is_byte_identic
     for p in [checkpoint, head, legacy, stream] {
         let _ = std::fs::remove_file(p);
     }
+}
+
+#[test]
+fn unknown_flags_are_refused_by_name() {
+    let out = Command::new(env!("CARGO_BIN_EXE_miras-serve"))
+        .args(["--bogus", "1", "--shadow"])
+        .output()
+        .expect("running miras-serve");
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("miras-serve does not take --bogus"),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty());
 }
