@@ -40,10 +40,6 @@ use serve::{
 use telemetry::Telemetry;
 use workflow::Ensemble;
 
-/// Per-line byte bound for the harness — small, so the oversized corpus
-/// entry stays cheap to generate and definitely trips the guard.
-const MAX_LINE_BYTES: usize = 4096;
-
 /// Deadline for the chaotic runs: far above any real smoke-agent decision
 /// (so wall-clock noise cannot flip a record between the two determinism
 /// runs) and far below every injected stall (>= 1s), so degradation is a
@@ -107,8 +103,7 @@ fn build_service(checkpoint: &Path, ensemble: &Ensemble) -> Result<DecisionServi
         .with_watcher(CheckpointWatcher::new_deployed(checkpoint.to_path_buf()))
         .with_deadline(DEADLINE)
         .with_fallback(fallback(&cfg))
-        .with_expected_dims(ensemble.num_task_types())
-        .with_max_line_bytes(MAX_LINE_BYTES))
+        .with_expected_dims(ensemble.num_task_types()))
 }
 
 fn transcript_bytes(outcome: &ChaosOutcome, clients: usize) -> String {
@@ -138,7 +133,7 @@ fn run_seed(
             ShedPolicy::Reject
         },
     };
-    let schedule = generate_schedule(&config, base_lines, MAX_LINE_BYTES);
+    let schedule = generate_schedule(&config, base_lines);
 
     // Run 1: invariants.
     let mut svc = build_service(checkpoint, ensemble)?;
@@ -165,11 +160,10 @@ fn run_seed(
     // degradation would hinge on wall-clock noise, which is exactly what
     // the byte-identity claim excludes.
     let quiet = ChaosConfig::quiet(seed);
-    let quiet_schedule = generate_schedule(&quiet, base_lines, MAX_LINE_BYTES);
+    let quiet_schedule = generate_schedule(&quiet, base_lines);
     let (policy, _version) = load_policy(checkpoint).map_err(|e| e.to_string())?;
     let mut control = DecisionService::new(policy, Telemetry::noop())
-        .with_expected_dims(ensemble.num_task_types())
-        .with_max_line_bytes(MAX_LINE_BYTES);
+        .with_expected_dims(ensemble.num_task_types());
     let control_outcome = run_schedule(
         &mut control,
         AdmissionConfig::default(),

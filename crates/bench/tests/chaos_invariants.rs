@@ -20,8 +20,6 @@ use serve::{
 use telemetry::Telemetry;
 use workflow::Ensemble;
 
-const MAX_LINE_BYTES: usize = 4096;
-
 fn temp_checkpoint(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!(
         "miras_chaos_invariants_{tag}_{}.json",
@@ -56,7 +54,7 @@ fn checkpoint_corruption_under_chaos_never_breaks_the_service() {
         corrupt: 0.30,
         burst: 3,
     };
-    let schedule = generate_schedule(&config, &base_lines, MAX_LINE_BYTES);
+    let schedule = generate_schedule(&config, &base_lines);
     assert!(
         schedule.events.contains(&ChaosEvent::CorruptCheckpoint),
         "a 30% corruption rate over 40 windows must schedule corruption"
@@ -68,8 +66,7 @@ fn checkpoint_corruption_under_chaos_never_breaks_the_service() {
         .with_watcher(CheckpointWatcher::new_deployed(ckpt.clone()))
         .with_deadline(std::time::Duration::from_millis(100))
         .with_fallback(fallback(&cfg))
-        .with_expected_dims(ensemble.num_task_types())
-        .with_max_line_bytes(MAX_LINE_BYTES);
+        .with_expected_dims(ensemble.num_task_types());
 
     let admission = AdmissionConfig {
         max_inflight: 4,
@@ -81,7 +78,7 @@ fn checkpoint_corruption_under_chaos_never_breaks_the_service() {
 
     // The service survived corruption on a *policy that still works*: it
     // answers a fresh window non-degraded (no stall pending).
-    let probe = serve::parse_observation_line(&base_lines[0], MAX_LINE_BYTES, None)
+    let probe = serve::parse_observation_line(&base_lines[0], serve::MAX_LINE_BYTES, None)
         .unwrap()
         .unwrap();
     let record = svc.handle(&probe);

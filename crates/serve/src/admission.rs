@@ -97,9 +97,9 @@ struct QueueState<T> {
     closed: bool,
 }
 
-/// The bounded inbound queue. `T` is the entry payload — the server uses
-/// `(client handle, observation)`, the chaos harness `(client id,
-/// observation)`.
+/// The bounded inbound queue. `T` is the entry payload — the server and
+/// the chaos harness queue an observation with its client (a writer
+/// handle, or a client id).
 pub struct AdmissionQueue<T> {
     state: Mutex<QueueState<T>>,
     ready: Condvar,

@@ -6,7 +6,8 @@
 //! deliveries, malformed lines, disconnects, stalls, queue pops and
 //! checkpoint corruption — and [`run_schedule`] executes that sequence
 //! single-threaded against the *production* components
-//! ([`AdmissionQueue`], [`DecisionService`]). Because the schedule fixes
+//! ([`AdmissionQueue`], [`DecisionService`], the serving intake and its
+//! line bound). Because the schedule fixes
 //! the interleaving, every run of a given seed is byte-identical, which
 //! turns "no panic under chaos" and "exactly one reply per admitted
 //! window" from flaky observations into deterministic properties.
@@ -18,9 +19,10 @@
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use crate::admission::{AdmissionConfig, AdmissionQueue, CountersSnapshot, PushOutcome};
+use crate::admission::{AdmissionConfig, AdmissionQueue, CountersSnapshot};
+use crate::intake::Admitted;
 use crate::service::DecisionService;
-use crate::wire::{parse_observation_line, DecisionRecord};
+use crate::wire::{DecisionRecord, LineRead, MAX_LINE_BYTES};
 
 /// SplitMix64 — tiny, seedable, excellent diffusion; enough for fault
 /// scheduling and keeps `serve` free of the `rand` dependency.
@@ -183,10 +185,10 @@ pub struct ChaosSchedule {
 }
 
 /// The malformed-line corpus: every wire-rejection class the parser knows.
-/// `max_line_bytes` is the service's per-line bound; the oversized entry
-/// exceeds it by one byte.
+/// The oversized entry exceeds the serving bound, [`MAX_LINE_BYTES`], by
+/// one byte.
 #[must_use]
-pub(crate) fn malformed_corpus(max_line_bytes: usize) -> Vec<String> {
+pub(crate) fn malformed_corpus() -> Vec<String> {
     vec![
         "this is not json".to_string(),
         "{\"window\":1,\"wip\":[1.0".to_string(), // truncated mid-list
@@ -196,7 +198,7 @@ pub(crate) fn malformed_corpus(max_line_bytes: usize) -> Vec<String> {
         // 1e999 parses to +inf: valid JSON, non-finite WIP.
         "{\"window\":3,\"wip\":[1e999,1.0,1.0,1.0]}".to_string(),
         "\u{fffd}\u{0}binary\u{1}garbage".to_string(),
-        "x".repeat(max_line_bytes + 1),
+        "x".repeat(MAX_LINE_BYTES + 1),
         "[1,2,3]".to_string(), // valid JSON, wrong shape
     ]
 }
@@ -204,13 +206,9 @@ pub(crate) fn malformed_corpus(max_line_bytes: usize) -> Vec<String> {
 /// Expands `base_lines` (a clean JSONL observation stream, one line per
 /// window) into a seeded fault schedule per `config`.
 #[must_use]
-pub fn generate_schedule(
-    config: &ChaosConfig,
-    base_lines: &[String],
-    max_line_bytes: usize,
-) -> ChaosSchedule {
+pub fn generate_schedule(config: &ChaosConfig, base_lines: &[String]) -> ChaosSchedule {
     let mut rng = SplitMix64::new(config.seed);
-    let corpus = malformed_corpus(max_line_bytes);
+    let corpus = malformed_corpus();
     let mut events = Vec::with_capacity(base_lines.len() * 2);
     let mut since_pop = 0usize;
     for line in base_lines {
@@ -332,53 +330,35 @@ pub fn run_schedule(
     schedule: &ChaosSchedule,
     checkpoint: Option<&Path>,
 ) -> ChaosOutcome {
-    let queue: AdmissionQueue<(usize, crate::wire::WindowObservation)> =
-        AdmissionQueue::new(admission);
+    let intake = service.intake();
+    let queue: AdmissionQueue<Admitted<usize>> = AdmissionQueue::new(admission);
     let clients = schedule.config.clients.max(1);
     let mut alive = vec![true; clients];
+    let mut lines_read = vec![0usize; clients];
     let mut replies = Vec::new();
     let mut delivered_valid = 0u64;
     let mut delivered_rejected = 0u64;
-    let mut lineno = 0usize;
     let original: Option<(PathBuf, Vec<u8>)> =
         checkpoint.and_then(|p| std::fs::read(p).ok().map(|bytes| (p.to_path_buf(), bytes)));
 
-    fn reply(
-        service: &mut DecisionService,
-        replies: &mut Vec<ChaosReply>,
-        client: usize,
-        record: DecisionRecord,
-        alive: &[bool],
-    ) {
+    // An undeliverable reply is counted by the intake, never fatal.
+    let reply = |replies: &mut Vec<ChaosReply>, alive: &[bool], client: usize, record| {
         let delivered = alive[client];
         if !delivered {
-            // Mirror the threaded server: an undeliverable reply is
-            // counted, never fatal.
-            crate::admission::ServeCounters::bump(
-                &service.counters().dropped_replies,
-                1,
-                &service.telemetry(),
-                "serve.dropped_replies",
-            );
+            intake.dropped_reply();
         }
         replies.push(ChaosReply {
             client,
             record,
             delivered,
         });
-    }
-
-    fn pop_one(
-        queue: &AdmissionQueue<(usize, crate::wire::WindowObservation)>,
-        service: &mut DecisionService,
-        replies: &mut Vec<ChaosReply>,
-        alive: &[bool],
-    ) {
-        if let Some((client, obs)) = queue.try_pop() {
+    };
+    let pop_one = |service: &mut DecisionService, replies: &mut Vec<ChaosReply>, alive: &[bool]| {
+        if let Some(Admitted { obs, client }) = queue.try_pop() {
             let record = service.handle(&obs);
-            reply(service, replies, client, record, alive);
+            reply(replies, alive, client, record);
         }
-    }
+    };
 
     for event in &schedule.events {
         match event {
@@ -387,50 +367,29 @@ pub fn run_schedule(
                 if !alive[client] {
                     continue;
                 }
-                lineno += 1;
-                match parse_observation_line(
-                    line,
-                    service.max_line_bytes(),
-                    service.expected_dims(),
-                ) {
+                lines_read[client] += 1;
+                match intake.admit(client, lines_read[client], LineRead::Line(line.clone())) {
                     Ok(Some(obs)) => {
                         delivered_valid += 1;
-                        let window = obs.window;
-                        match queue.push((client, obs)) {
-                            PushOutcome::Admitted => {}
-                            PushOutcome::ShedNew => {
-                                let record = service.shed_reply(window);
-                                reply(service, &mut replies, client, record, &alive);
-                            }
-                            PushOutcome::ShedOldest((victim_client, victim_obs)) => {
-                                let record = service.shed_reply(victim_obs.window);
-                                reply(service, &mut replies, victim_client, record, &alive);
-                            }
+                        if let Some((victim, record)) = intake.push(&queue, obs, client) {
+                            reply(&mut replies, &alive, victim, record);
                         }
                     }
                     Ok(None) => {}
-                    Err(e) => {
-                        delivered_rejected += 1;
-                        service.note_wire_rejected(lineno, &e);
-                    }
+                    Err(_) => delivered_rejected += 1,
                 }
             }
             ChaosEvent::Disconnect { client } => {
                 let client = *client % clients;
                 if alive[client] {
                     alive[client] = false;
-                    crate::admission::ServeCounters::bump(
-                        &service.counters().disconnects,
-                        1,
-                        &service.telemetry(),
-                        "serve.disconnects",
-                    );
+                    intake.disconnect(client, "scheduled disconnect");
                 }
             }
             ChaosEvent::Stall { micros } => {
                 service.inject_stall(Duration::from_micros(*micros));
             }
-            ChaosEvent::Pop => pop_one(&queue, service, &mut replies, &alive),
+            ChaosEvent::Pop => pop_one(service, &mut replies, &alive),
             ChaosEvent::CorruptCheckpoint => {
                 if let Some((path, _)) = &original {
                     let _ = std::fs::write(path, b"{\"corrupt\":tru");
@@ -445,7 +404,7 @@ pub fn run_schedule(
     }
     // Graceful shutdown: decide everything admitted.
     while !queue.is_empty() {
-        pop_one(&queue, service, &mut replies, &alive);
+        pop_one(service, &mut replies, &alive);
     }
     // Leave the checkpoint as we found it even if the schedule ended
     // mid-corruption.
@@ -571,10 +530,10 @@ mod tests {
             seed: 11,
             ..ChaosConfig::default()
         };
-        let a = generate_schedule(&config, &lines, 4096);
-        let b = generate_schedule(&config, &lines, 4096);
+        let a = generate_schedule(&config, &lines);
+        let b = generate_schedule(&config, &lines);
         assert_eq!(a, b);
-        let other = generate_schedule(&ChaosConfig { seed: 12, ..config }, &lines, 4096);
+        let other = generate_schedule(&ChaosConfig { seed: 12, ..config }, &lines);
         assert_ne!(a, other);
     }
 
@@ -583,7 +542,7 @@ mod tests {
         let lines: Vec<String> = (0..5)
             .map(|w| format!("{{\"window\":{w},\"wip\":[1.0,1.0,1.0,1.0]}}"))
             .collect();
-        let schedule = generate_schedule(&ChaosConfig::quiet(1), &lines, 4096);
+        let schedule = generate_schedule(&ChaosConfig::quiet(1), &lines);
         // Strict Deliver/Pop alternation: no faults, no overload.
         assert_eq!(schedule.events.len(), 10);
         for (i, event) in schedule.events.iter().enumerate() {
@@ -597,10 +556,10 @@ mod tests {
 
     #[test]
     fn corpus_covers_every_rejection_kind() {
-        let corpus = malformed_corpus(64);
+        let corpus = malformed_corpus();
         let kinds: std::collections::BTreeSet<&'static str> = corpus
             .iter()
-            .filter_map(|line| parse_observation_line(line, 64, Some(4)).err())
+            .filter_map(|line| crate::parse_observation_line(line, MAX_LINE_BYTES, Some(4)).err())
             .map(|e| e.kind())
             .collect();
         for want in ["parse", "oversized", "non_finite"] {

@@ -8,7 +8,9 @@
 //!
 //! * **Wire format** ([`WindowObservation`] in, [`DecisionRecord`] out):
 //!   JSON Lines over stdin/stdout, a TCP socket, or a Unix socket
-//!   ([`Listener`]). Malformed, oversized, or wrong-shape lines are
+//!   ([`Listener`]). One intake serves every mode (sockets, stdin,
+//!   `--replay`, chaos): lines are bounded at [`MAX_LINE_BYTES`] while
+//!   read, and malformed, non-UTF-8, oversized, or wrong-shape lines are
 //!   skipped and counted ([`WireError`], `serve.wire_rejected`) — one bad
 //!   line never aborts a stream.
 //! * **Decision loop** ([`DecisionService`]): wraps any registry-built
@@ -77,6 +79,7 @@
 
 mod admission;
 pub mod chaos;
+mod intake;
 mod net;
 mod retry;
 mod server;

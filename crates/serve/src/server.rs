@@ -6,7 +6,7 @@
 //!
 //! ```text
 //!   accept thread ──spawns──▶ reader thread per client
-//!        │                        │  parse + admission push
+//!        │                        │  intake (read, bound, parse) + push
 //!        │                        ▼
 //!        │                 AdmissionQueue (bounded, shed on overflow)
 //!        │                        │
@@ -25,25 +25,15 @@
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 
-use telemetry::Value;
-
-use crate::admission::{AdmissionConfig, AdmissionQueue, PushOutcome, ServeCounters};
+use crate::admission::{AdmissionConfig, AdmissionQueue};
+use crate::intake::{Admitted, Intake};
 use crate::net::Listener;
 use crate::retry::{io_transient, retry_with, RetryPolicy};
 use crate::service::{DecisionService, ServeError};
-use crate::wire::{
-    parse_observation_line, DecisionRecord, LineRead, LineReader, WindowObservation,
-};
 
 /// A client's writer half, shared between its reader thread (shed replies)
 /// and the decision thread (normal/degraded replies).
 type ClientWriter = Arc<Mutex<Box<dyn Write + Send>>>;
-
-/// One admitted window waiting for the decision thread.
-struct Entry {
-    obs: WindowObservation,
-    reply: ClientWriter,
-}
 
 /// Multi-client server configuration.
 #[derive(Debug, Clone, Copy)]
@@ -77,125 +67,28 @@ pub struct ServerReport {
     pub decided: u64,
 }
 
-/// Writes one record line to a client; returns whether the client was
-/// still there. A vanished client costs a `dropped_replies` count, never a
-/// crash — the decision itself already happened and its telemetry stands.
-fn write_reply(
-    writer: &ClientWriter,
-    record: &DecisionRecord,
-    counters: &ServeCounters,
-    telemetry: &telemetry::Telemetry,
-) -> bool {
-    let mut guard = writer
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    let line = record.to_line();
-    let ok = guard
-        .write_all(line.as_bytes())
-        .and_then(|()| guard.write_all(b"\n"))
-        .and_then(|()| guard.flush())
-        .is_ok();
-    if !ok {
-        ServeCounters::bump(
-            &counters.dropped_replies,
-            1,
-            telemetry,
-            "serve.dropped_replies",
-        );
-    }
-    ok
-}
-
-/// Per-client reader loop: bounded line reading, wire validation,
-/// admission push, immediate shed replies. Runs on its own thread. A read
-/// timeout counts as one transient failure under the default
-/// [`RetryPolicy`]; exhaustion disconnects the client.
-#[allow(clippy::too_many_arguments)]
+/// Per-client reader loop: the intake reads, bounds and validates lines;
+/// observations are pushed into admission and refused ones answered with
+/// a shed reply at once. Runs on its own thread. A read timeout counts as
+/// one transient failure under the default [`RetryPolicy`]; exhaustion
+/// disconnects the client.
 fn read_client(
+    intake: &Intake,
     client_id: usize,
     reader: Box<dyn std::io::BufRead + Send>,
     writer: ClientWriter,
-    queue: &AdmissionQueue<Entry>,
-    counters: &ServeCounters,
-    telemetry: &telemetry::Telemetry,
-    policy_name: &str,
-    max_line_bytes: usize,
-    expected_dims: Option<usize>,
+    queue: &AdmissionQueue<Admitted<ClientWriter>>,
 ) {
-    let mut lines = LineReader::new(reader, max_line_bytes);
-    let mut lineno = 0usize;
-    loop {
-        let read = retry_with(
-            RetryPolicy::default(),
-            "client_read",
-            io_transient,
-            |_| ServeCounters::bump(&counters.retries, 1, telemetry, "serve.retries"),
-            || lines.next_line(),
-        );
-        let line = match read {
-            Ok(Some(LineRead::Line(line))) => {
-                lineno += 1;
-                line
+    for obs in intake.observations(client_id, reader) {
+        match obs {
+            Ok(obs) => {
+                if let Some((victim, record)) = intake.push(queue, obs, writer.clone()) {
+                    intake.write_reply(&victim, &record);
+                }
             }
-            Ok(Some(LineRead::Oversized { bytes })) => {
-                lineno += 1;
-                ServeCounters::bump(&counters.wire_rejected, 1, telemetry, "serve.wire_rejected");
-                telemetry.event(
-                    "serve.wire_rejected",
-                    &[
-                        ("client", Value::UInt(client_id as u64)),
-                        ("line", Value::UInt(lineno as u64)),
-                        ("kind", Value::String("oversized".to_string())),
-                        ("bytes", Value::UInt(bytes as u64)),
-                    ],
-                );
-                continue;
-            }
-            Ok(None) => return, // clean EOF
             Err(exhausted) => {
-                ServeCounters::bump(&counters.disconnects, 1, telemetry, "serve.disconnects");
-                telemetry.event(
-                    "serve.disconnect",
-                    &[
-                        ("client", Value::UInt(client_id as u64)),
-                        ("error", Value::String(exhausted.to_string())),
-                    ],
-                );
+                intake.disconnect(client_id, &exhausted.to_string());
                 return;
-            }
-        };
-        let obs = match parse_observation_line(&line, max_line_bytes, expected_dims) {
-            Ok(Some(obs)) => obs,
-            Ok(None) => continue, // blank keepalive
-            Err(e) => {
-                ServeCounters::bump(&counters.wire_rejected, 1, telemetry, "serve.wire_rejected");
-                telemetry.event(
-                    "serve.wire_rejected",
-                    &[
-                        ("client", Value::UInt(client_id as u64)),
-                        ("line", Value::UInt(lineno as u64)),
-                        ("kind", Value::String(e.kind().to_string())),
-                        ("error", Value::String(e.to_string())),
-                    ],
-                );
-                continue;
-            }
-        };
-        let window = obs.window;
-        match queue.push(Entry {
-            obs,
-            reply: writer.clone(),
-        }) {
-            PushOutcome::Admitted => {}
-            PushOutcome::ShedNew => {
-                ServeCounters::bump(&counters.shed, 1, telemetry, "serve.shed");
-                let record = DecisionRecord::shed(window, policy_name);
-                write_reply(&writer, &record, counters, telemetry);
-            }
-            PushOutcome::ShedOldest(victim) => {
-                ServeCounters::bump(&counters.shed, 1, telemetry, "serve.shed");
-                let record = DecisionRecord::shed(victim.obs.window, policy_name);
-                write_reply(&victim.reply, &record, counters, telemetry);
             }
         }
     }
@@ -222,11 +115,7 @@ pub fn serve_clients(
     config: &ServerConfig,
 ) -> Result<ServerReport, ServeError> {
     let queue = AdmissionQueue::new(config.admission);
-    let counters = service.counters();
-    let telemetry = service.telemetry();
-    let policy_name = service.policy_name().to_string();
-    let max_line_bytes = service.max_line_bytes();
-    let expected_dims = service.expected_dims();
+    let intake = service.intake();
     let clients = config.clients.max(1);
     let accept_error: Mutex<Option<ServeError>> = Mutex::new(None);
     let accepted = std::sync::atomic::AtomicUsize::new(0);
@@ -234,9 +123,7 @@ pub fn serve_clients(
     let mut decided = 0u64;
     std::thread::scope(|scope| {
         let queue = &queue;
-        let counters = counters.as_ref();
-        let telemetry = &telemetry;
-        let policy_name = policy_name.as_str();
+        let intake = &intake;
         let accept_error = &accept_error;
         let accepted = &accepted;
         scope.spawn(move || {
@@ -246,7 +133,7 @@ pub fn serve_clients(
                     RetryPolicy::default(),
                     "accept",
                     io_transient,
-                    |_| ServeCounters::bump(&counters.retries, 1, telemetry, "serve.retries"),
+                    |_| intake.retried(),
                     || listener.accept_timed(config.read_timeout),
                 );
                 let (reader, writer) = match conn {
@@ -273,17 +160,7 @@ pub fn serve_clients(
                 accepted.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 let writer: ClientWriter = Arc::new(Mutex::new(writer));
                 readers.push(scope.spawn(move || {
-                    read_client(
-                        client_id,
-                        reader,
-                        writer,
-                        queue,
-                        counters,
-                        telemetry,
-                        policy_name,
-                        max_line_bytes,
-                        expected_dims,
-                    );
+                    read_client(intake, client_id, reader, writer, queue);
                 }));
             }
             for handle in readers {
@@ -297,7 +174,7 @@ pub fn serve_clients(
         while let Some(entry) = queue.pop_wait() {
             let record = service.handle(&entry.obs);
             decided += 1;
-            write_reply(&entry.reply, &record, counters, telemetry);
+            intake.write_reply(&entry.client, &record);
         }
     });
 

@@ -9,6 +9,7 @@
 //! policy and never aborts one over a malformed line.
 
 use std::fmt;
+use std::io::{self, BufRead};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -17,6 +18,7 @@ use telemetry::{Telemetry, Value};
 use workflow::{BurstSpec, Ensemble};
 
 use crate::admission::ServeCounters;
+use crate::intake::Intake;
 use crate::watcher::{CheckpointWatcher, LoadError, SwapOutcome};
 use crate::wire::{parse_observation_line, DecisionRecord, WindowObservation, MAX_LINE_BYTES};
 
@@ -106,7 +108,7 @@ impl LatencyStats {
 /// output byte-identical to batch replay. Degradation (deadline
 /// enforcement with a fallback policy) is opt-in via
 /// [`DecisionService::with_deadline`] + [`DecisionService::with_fallback`];
-/// without both, behaviour is exactly the pre-hardening service.
+/// without both, every decision is the policy's own, however late.
 pub struct DecisionService {
     policy: Box<dyn Policy>,
     fallback: Option<Box<dyn Policy>>,
@@ -118,7 +120,6 @@ pub struct DecisionService {
     swaps: u64,
     injected_stall: Option<Duration>,
     expected_dims: Option<usize>,
-    max_line_bytes: usize,
 }
 
 impl DecisionService {
@@ -137,7 +138,6 @@ impl DecisionService {
             swaps: 0,
             injected_stall: None,
             expected_dims: None,
-            max_line_bytes: MAX_LINE_BYTES,
         }
     }
 
@@ -181,13 +181,6 @@ impl DecisionService {
         self
     }
 
-    /// Overrides the per-line byte bound (default [`MAX_LINE_BYTES`]).
-    #[must_use]
-    pub fn with_max_line_bytes(mut self, max: usize) -> Self {
-        self.max_line_bytes = max;
-        self
-    }
-
     /// The active policy's name.
     #[must_use]
     pub fn policy_name(&self) -> &str {
@@ -212,22 +205,16 @@ impl DecisionService {
         self.counters.clone()
     }
 
-    /// The telemetry handle (cloneable; reader threads record through it).
-    #[must_use]
-    pub(crate) fn telemetry(&self) -> Telemetry {
-        self.telemetry.clone()
-    }
-
-    /// The expected WIP dimension, when declared.
-    #[must_use]
-    pub(crate) fn expected_dims(&self) -> Option<usize> {
-        self.expected_dims
-    }
-
-    /// The per-line byte bound.
-    #[must_use]
-    pub fn max_line_bytes(&self) -> usize {
-        self.max_line_bytes
+    /// The intake this service's wire lines go through: its counters,
+    /// telemetry, expected WIP dimension and policy name (which shed
+    /// replies carry), detached so reader threads can share them.
+    pub(crate) fn intake(&self) -> Intake {
+        Intake {
+            counters: self.counters.clone(),
+            telemetry: self.telemetry.clone(),
+            expected_dims: self.expected_dims,
+            policy_name: self.policy.name().to_string(),
+        }
     }
 
     /// Chaos hook: adds `stall` to the *next* decision's effective latency
@@ -360,57 +347,41 @@ impl DecisionService {
         )
     }
 
-    /// Builds the shed reply for a refused window and does the shed
-    /// accounting. Admission control itself lives outside the service (see
-    /// [`AdmissionQueue`](crate::AdmissionQueue)); this is the one place shed replies are
-    /// minted, so counting stays consistent across the threaded server and
-    /// the chaos executor.
-    pub(crate) fn shed_reply(&mut self, window: usize) -> DecisionRecord {
-        ServeCounters::bump(&self.counters.shed, 1, &self.telemetry, "serve.shed");
-        DecisionRecord::shed(window, self.policy.name())
-    }
-
-    /// Records a wire rejection (malformed/oversized/bad-dims input line).
-    pub(crate) fn note_wire_rejected(&self, lineno: usize, error: &crate::wire::WireError) {
-        ServeCounters::bump(
-            &self.counters.wire_rejected,
-            1,
-            &self.telemetry,
-            "serve.wire_rejected",
-        );
-        self.telemetry.event(
-            "serve.wire_rejected",
-            &[
-                ("line", Value::UInt(lineno as u64)),
-                ("kind", Value::String(error.kind().to_string())),
-                ("error", Value::String(error.to_string())),
-            ],
-        );
-    }
-
-    /// Parses and handles one wire line: `Some(record)` for an observation,
-    /// `None` for blank lines and for malformed lines (which are skipped
-    /// and counted under `serve.wire_rejected` — one bad line never aborts
-    /// a stream).
-    pub fn handle_line(&mut self, line: &str, lineno: usize) -> Option<DecisionRecord> {
-        match parse_observation_line(line, self.max_line_bytes, self.expected_dims) {
-            Ok(Some(obs)) => Some(self.handle(&obs)),
-            Ok(None) => None,
-            Err(e) => {
-                self.note_wire_rejected(lineno, &e);
-                None
-            }
+    /// Serves one line stream in lockstep: reads a line, decides it,
+    /// hands the record to `emit`, then reads the next. Lines go through
+    /// the same intake as socket clients (this stream is client 0), so a
+    /// line is bounded at [`MAX_LINE_BYTES`] while it is read, and blank,
+    /// malformed, non-UTF-8 or oversized lines are skipped and counted,
+    /// never fatal. Nothing is queued, so nothing is shed.
+    ///
+    /// # Errors
+    ///
+    /// The first error `emit` returns, or a read error that outlasted the
+    /// bounded retry.
+    pub fn lockstep(
+        &mut self,
+        input: impl BufRead,
+        mut emit: impl FnMut(DecisionRecord) -> io::Result<()>,
+    ) -> io::Result<()> {
+        let intake = self.intake();
+        for obs in intake.observations(0, input) {
+            let obs = obs.map_err(|exhausted| exhausted.last)?;
+            emit(self.handle(&obs))?;
         }
+        Ok(())
     }
 
-    /// Runs a whole JSONL stream through [`DecisionService::handle_line`],
-    /// returning one record per parseable observation line. Malformed
-    /// lines are skipped and counted, never fatal.
+    /// Runs a whole JSONL stream through [`DecisionService::lockstep`],
+    /// returning one record per observation line. Malformed lines are
+    /// skipped and counted, never fatal.
     pub fn handle_stream(&mut self, text: &str) -> Vec<DecisionRecord> {
-        text.lines()
-            .enumerate()
-            .filter_map(|(idx, line)| self.handle_line(line, idx + 1))
-            .collect()
+        let mut records = Vec::new();
+        self.lockstep(text.as_bytes(), |record| {
+            records.push(record);
+            Ok(())
+        })
+        .expect("an in-memory stream reads and collects without error");
+        records
     }
 
     /// Latency aggregates over every non-degraded decision so far (`None`
@@ -628,16 +599,6 @@ mod tests {
             "no fallback attached, late decision served"
         );
         assert_eq!(record.policy, "uniform");
-    }
-
-    #[test]
-    fn shed_reply_counts_and_carries_the_policy_name() {
-        let mut svc = DecisionService::new(uniform(), Telemetry::noop());
-        let shed = svc.shed_reply(9);
-        assert!(!shed.is_actionable());
-        assert_eq!(shed.policy, "uniform");
-        assert!(shed.allocations.is_empty());
-        assert_eq!(svc.counters().shed.load(Ordering::Relaxed), 1);
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //! (`serve.wire_rejected`) instead of aborting the stream: one bad client
 //! line must never take down a multi-client control loop. [`LineReader`]
 //! additionally bounds per-line memory, so a slow-loris client feeding an
-//! endless unterminated line cannot exhaust the server.
+//! endless unterminated line cannot exhaust the server; every serving
+//! input (sockets, stdin, `--replay`) reads through it.
 
 use std::fmt;
 use std::io::{self, BufRead};

@@ -14,9 +14,6 @@ use serve::{replay_stream, AdmissionConfig, DecisionService, ShedPolicy};
 use telemetry::Telemetry;
 use workflow::Ensemble;
 
-/// Small bound so the oversized corpus entry is cheap to build per case.
-const MAX_LINE_BYTES: usize = 2048;
-
 /// Far above real wip-proportional latency, far below injected stalls
 /// (>= 1s) — degradation is a pure function of the schedule.
 const DEADLINE: Duration = Duration::from_millis(100);
@@ -42,7 +39,6 @@ fn hardened_service() -> DecisionService {
     .with_deadline(DEADLINE)
     .with_fallback(fallback(&cfg))
     .with_expected_dims(Ensemble::msd().num_task_types())
-    .with_max_line_bytes(MAX_LINE_BYTES)
 }
 
 fn chaos_config(seed: u64, clients: usize, burst: usize, rates: (f64, f64, f64)) -> ChaosConfig {
@@ -88,7 +84,7 @@ proptest! {
     ) {
         let drop_oldest = drop_oldest_bit == 1;
         let config = chaos_config(seed, clients, burst, (malformed, disconnect, stall));
-        let schedule = generate_schedule(&config, base_lines(), MAX_LINE_BYTES);
+        let schedule = generate_schedule(&config, base_lines());
         let mut svc = hardened_service();
         let outcome = run_schedule(&mut svc, admission(max_inflight, drop_oldest), &schedule, None);
         if let Err(violation) = verify(&outcome) {
@@ -108,7 +104,7 @@ proptest! {
     ) {
         let drop_oldest = drop_oldest_bit == 1;
         let config = chaos_config(seed, clients, burst, (0.15, 0.05, 0.10));
-        let schedule = generate_schedule(&config, base_lines(), MAX_LINE_BYTES);
+        let schedule = generate_schedule(&config, base_lines());
         let adm = admission(max_inflight, drop_oldest);
 
         let mut first = hardened_service();
@@ -137,7 +133,7 @@ proptest! {
         // every reply is either a clean decision or a typed shed.
         let drop_oldest = drop_oldest_bit == 1;
         let config = chaos_config(seed, 2, burst, (0.0, 0.0, 0.0));
-        let schedule = generate_schedule(&config, base_lines(), MAX_LINE_BYTES);
+        let schedule = generate_schedule(&config, base_lines());
         let mut svc = hardened_service();
         let outcome = run_schedule(&mut svc, admission(max_inflight, drop_oldest), &schedule, None);
 

@@ -24,6 +24,7 @@
 //! ```
 
 use std::fs::File;
+use std::io::Write;
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -37,9 +38,13 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
+    let mut stdout = std::io::stdout().lock();
     let result = match COMMANDS.iter().find(|(name, ..)| name == command) {
         Some((_, accepted, run)) => {
-            parse_flags(&format!("'{command}'"), accepted, rest).and_then(|f| run(&f))
+            parse_flags(&format!("'{command}'"), accepted, rest).and_then(|f| run(&f, &mut stdout))
+        }
+        None if command == "--help" || command == "-h" => {
+            writeln!(stdout, "{USAGE}").map_err(|e| e.to_string())
         }
         None => Err(format!("unknown command '{command}'")),
     };
@@ -71,7 +76,8 @@ commands:
             (SHAPE: stationary, diurnal, trending or flash-crowd; the
              trace is JSONL, the layout --trace reads)";
 
-type Command = fn(&Flags) -> Result<(), String>;
+/// A subcommand: its flags in, its report written to `stdout`.
+type Command = fn(&Flags, &mut dyn Write) -> Result<(), String>;
 
 /// Every subcommand with the flags it reads, space-separated; any other
 /// flag is an error, so a misspelt one cannot be silently ignored.
@@ -104,6 +110,7 @@ fn run_policy(
     trace_path: Option<&str>,
     windows: usize,
     policy: &mut dyn Policy,
+    stdout: &mut dyn Write,
 ) -> Result<(), String> {
     let mut config = EnvConfig::for_ensemble(&ensemble).with_seed(seed);
     if let Some(path) = trace_path {
@@ -124,12 +131,14 @@ fn run_policy(
         let replayed = env
             .load_workload_trace()
             .map_err(|e| format!("loading {path}: {e}"))?;
-        println!("replaying {replayed} arrivals from {path}");
+        writeln!(stdout, "replaying {replayed} arrivals from {path}").map_err(|e| e.to_string())?;
     }
-    println!(
+    writeln!(
+        stdout,
         "{:>6} {:>10} {:>9} {:>13} {:>12} {:>24}",
         "window", "total_wip", "reward", "completions", "resp_secs", "allocation"
-    );
+    )
+    .map_err(|e| e.to_string())?;
     let mut previous: Option<WindowMetrics> = None;
     let mut total_reward = 0.0;
     let mut total_completions = 0usize;
@@ -145,7 +154,8 @@ fn run_policy(
             .metrics
             .overall_mean_response_secs()
             .map_or("-".to_string(), |r| format!("{r:.1}"));
-        println!(
+        writeln!(
+            stdout,
             "{:>6} {:>10} {:>9.0} {:>13} {:>12} {:>24}",
             w,
             out.metrics.total_wip(),
@@ -153,14 +163,19 @@ fn run_policy(
             completions,
             resp,
             format!("{m:?}")
-        );
+        )
+        .map_err(|e| e.to_string())?;
         previous = Some(out.metrics);
     }
-    println!("\ntotal reward {total_reward:.0}, total completions {total_completions}");
+    writeln!(
+        stdout,
+        "\ntotal reward {total_reward:.0}, total completions {total_completions}"
+    )
+    .map_err(|e| e.to_string())?;
     Ok(())
 }
 
-fn simulate(flags: &Flags) -> Result<(), String> {
+fn simulate(flags: &Flags, stdout: &mut dyn Write) -> Result<(), String> {
     let ensemble = ensemble_from(flags)?;
     let seed = numeric(flags, "seed", 42u64)?;
     let windows = numeric(flags, "windows", 25usize)?;
@@ -171,16 +186,26 @@ fn simulate(flags: &Flags) -> Result<(), String> {
         .unwrap_or_else(|| "drs".to_string());
     let mut policy = miras::baselines::by_name(&policy_name, &PolicyConfig::new(&ensemble))
         .map_err(|e| e.to_string())?;
-    println!(
+    writeln!(
+        stdout,
         "simulating {} under '{}' (seed {seed}, {windows} windows)",
         ensemble.name(),
         policy.name()
-    );
+    )
+    .map_err(|e| e.to_string())?;
     let trace = flags.get("trace").map(String::as_str);
-    run_policy(ensemble, seed, burst, trace, windows, policy.as_mut())
+    run_policy(
+        ensemble,
+        seed,
+        burst,
+        trace,
+        windows,
+        policy.as_mut(),
+        stdout,
+    )
 }
 
-fn train(flags: &Flags) -> Result<(), String> {
+fn train(flags: &Flags, stdout: &mut dyn Write) -> Result<(), String> {
     let ensemble = ensemble_from(flags)?;
     let seed = numeric(flags, "seed", 42u64)?;
     let iterations = numeric(flags, "iterations", 12usize)?;
@@ -211,24 +236,28 @@ fn train(flags: &Flags) -> Result<(), String> {
         let lanes = numeric(flags, "lanes", 1usize)?;
         config = config.try_with_lockstep(lanes).map_err(|e| e.to_string())?;
     }
-    println!(
+    writeln!(
+        stdout,
         "rollout engine: inline, {} lane(s)",
         config.rollout_mode.lanes()
-    );
+    )
+    .map_err(|e| e.to_string())?;
     let env_config = EnvConfig::for_ensemble(&ensemble).with_seed(seed);
     let mut env = ClusterEnvAdapter::new(MicroserviceEnv::new(ensemble, env_config));
     let mut trainer = MirasTrainer::new(&env, config);
-    println!("training MIRAS for {iterations} iterations…");
+    writeln!(stdout, "training MIRAS for {iterations} iterations…").map_err(|e| e.to_string())?;
     for _ in 0..iterations {
         let r = trainer.run_iteration(&mut env);
-        println!(
+        writeln!(
+            stdout,
             "iteration {:>2}: model_loss {:.4}, eval_return {:>10.1}, dataset {}",
             r.iteration, r.model_loss, r.eval_return, r.dataset_size
-        );
+        )
+        .map_err(|e| e.to_string())?;
     }
     save_policy(Path::new(&out), &trainer.agent(), iterations as u64)
         .map_err(|e| format!("writing {out}: {e}"))?;
-    println!("agent saved to {out}");
+    writeln!(stdout, "agent saved to {out}").map_err(|e| e.to_string())?;
     Ok(())
 }
 
@@ -245,7 +274,7 @@ fn load_agent(flags: &Flags) -> Result<MirasAgent, String> {
         .map_err(|e| format!("loading {path}: {e}"))
 }
 
-fn evaluate(flags: &Flags) -> Result<(), String> {
+fn evaluate(flags: &Flags, stdout: &mut dyn Write) -> Result<(), String> {
     let mut agent = load_agent(flags)?;
     let ensemble = ensemble_from(flags)?;
     if agent.num_task_types() != ensemble.num_task_types() {
@@ -259,18 +288,20 @@ fn evaluate(flags: &Flags) -> Result<(), String> {
     let seed = numeric(flags, "seed", 42u64)?;
     let windows = numeric(flags, "windows", 25usize)?;
     let burst = burst_from(flags, &ensemble)?;
-    println!(
+    writeln!(
+        stdout,
         "evaluating saved agent on {} (seed {seed}, {windows} windows)",
         ensemble.name()
-    );
+    )
+    .map_err(|e| e.to_string())?;
     let trace = flags.get("trace").map(String::as_str);
-    run_policy(ensemble, seed, burst, trace, windows, &mut agent)
+    run_policy(ensemble, seed, burst, trace, windows, &mut agent, stdout)
 }
 
 /// Writes the background arrivals an environment over `--ensemble` and
 /// `--workload` samples in its first `--windows` windows at `--seed`: the
 /// trace a `record_trace` of that run would capture.
-fn gen_trace(flags: &Flags) -> Result<(), String> {
+fn gen_trace(flags: &Flags, stdout: &mut dyn Write) -> Result<(), String> {
     let ensemble = ensemble_from(flags)?;
     let seed = numeric(flags, "seed", 42u64)?;
     let windows = numeric(flags, "windows", 120usize)?;
@@ -291,15 +322,17 @@ fn gen_trace(flags: &Flags) -> Result<(), String> {
     trace
         .save_jsonl(out)
         .map_err(|e| format!("writing {out}: {e}"))?;
-    println!(
+    writeln!(
+        stdout,
         "wrote {} {name} arrivals over {windows} windows to {out} (counts per type: {:?})",
         trace.len(),
         trace.counts(ensemble.num_workflow_types())
-    );
+    )
+    .map_err(|e| e.to_string())?;
     Ok(())
 }
 
-fn allocate(flags: &Flags) -> Result<(), String> {
+fn allocate(flags: &Flags, stdout: &mut dyn Write) -> Result<(), String> {
     let agent = load_agent(flags)?;
     let wip: Vec<f64> = list(flags, "wip")?.ok_or("--wip X,X,.. is required")?;
     if wip.len() != agent.num_task_types() {
@@ -311,11 +344,13 @@ fn allocate(flags: &Flags) -> Result<(), String> {
     }
     let dist = agent.distribution(&wip);
     let m = agent.allocate(&wip);
-    println!("distribution: {dist:?}");
-    println!(
+    writeln!(stdout, "distribution: {dist:?}").map_err(|e| e.to_string())?;
+    writeln!(
+        stdout,
         "allocation:   {m:?} (total {}, budget {})",
         m.iter().sum::<usize>(),
         agent.consumer_budget()
-    );
+    )
+    .map_err(|e| e.to_string())?;
     Ok(())
 }

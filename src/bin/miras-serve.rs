@@ -35,7 +35,8 @@
 //! miras-serve --checkpoint ckpt.json --chaos seed=42 --stream stream.jsonl
 //! ```
 
-use std::io::{BufRead, Write};
+use std::fs::File;
+use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -58,7 +59,8 @@ modes (default: serve observations from stdin, decisions to stdout):
   --record N     drive the emulator for N windows and print the
                  observation stream (input for the other modes)
   --replay FILE  batch-replay a recorded stream (the determinism
-                 reference for shadow mode)
+                 reference for shadow mode); noisy lines are skipped
+                 and counted as in live mode
   --chaos SPEC   replay a seeded fault schedule (malformed lines,
                  disconnects, overload, stalls, checkpoint corruption)
                  against the serving stack and verify the robustness
@@ -223,30 +225,6 @@ fn harden(
     Ok(svc)
 }
 
-/// Runs the service over a line source, emitting decisions as they are
-/// made (flushed per line so a socket peer sees each decision promptly).
-/// Malformed lines are skipped and counted, never fatal.
-fn serve_lines(
-    svc: &mut DecisionService,
-    reader: &mut dyn BufRead,
-    writer: &mut dyn Write,
-) -> Result<(), String> {
-    let mut line = String::new();
-    let mut lineno = 0usize;
-    loop {
-        line.clear();
-        let n = reader.read_line(&mut line).map_err(|e| e.to_string())?;
-        if n == 0 {
-            return Ok(());
-        }
-        lineno += 1;
-        if let Some(record) = svc.handle_line(&line, lineno) {
-            writeln!(writer, "{}", record.to_line()).map_err(|e| e.to_string())?;
-            writer.flush().map_err(|e| e.to_string())?;
-        }
-    }
-}
-
 /// `--chaos SPEC`: replay a seeded fault schedule and verify invariants.
 fn run_chaos(mut svc: DecisionService, flags: &Flags, spec: &str) -> Result<(), String> {
     let config = ChaosConfig::from_spec(spec)?;
@@ -267,7 +245,7 @@ fn run_chaos(mut svc: DecisionService, flags: &Flags, spec: &str) -> Result<(), 
                 .collect::<Result<_, _>>()?
         }
     };
-    let schedule = generate_schedule(&config, &base_lines, svc.max_line_bytes());
+    let schedule = generate_schedule(&config, &base_lines);
     let admission = admission_from(flags)?;
     let checkpoint = flags.get("checkpoint").map(PathBuf::from);
     let outcome = run_schedule(&mut svc, admission, &schedule, checkpoint.as_deref());
@@ -286,7 +264,7 @@ fn run_chaos(mut svc: DecisionService, flags: &Flags, spec: &str) -> Result<(), 
         outcome.swaps,
         verdict.is_ok(),
     );
-    println!("{summary}");
+    writeln!(std::io::stdout(), "{summary}").map_err(|e| e.to_string())?;
     svc.finish();
     verdict.map_err(|v| format!("chaos invariant violated (seed {}): {v}", config.seed))
 }
@@ -366,15 +344,7 @@ fn run(flags: &Flags) -> Result<(), String> {
         );
     }
 
-    if let Some(path) = flags.get("replay") {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-        let records = svc.handle_stream(&text);
-        let stdout = std::io::stdout();
-        let mut out = stdout.lock();
-        for record in &records {
-            writeln!(out, "{}", record.to_line()).map_err(|e| e.to_string())?;
-        }
-    } else if let Some(spec) = flags.get("listen") {
+    if let Some(spec) = flags.get("listen").filter(|_| !replaying) {
         let listener = Listener::bind(spec).map_err(|e| format!("binding {spec}: {e}"))?;
         let config = ServerConfig {
             admission: admission_from(flags)?,
@@ -401,9 +371,29 @@ fn run(flags: &Flags) -> Result<(), String> {
             );
         }
     } else {
-        let stdin = std::io::stdin();
-        let stdout = std::io::stdout();
-        serve_lines(&mut svc, &mut stdin.lock(), &mut stdout.lock())?;
+        // stdin and --replay share one lockstep loop; each decision is
+        // flushed as it is made so a peer sees it promptly.
+        let (source, input): (&str, Box<dyn BufRead>) = match flags.get("replay") {
+            Some(path) => {
+                let file = File::open(path).map_err(|e| format!("reading {path}: {e}"))?;
+                (path, Box::new(BufReader::new(file)))
+            }
+            None => ("stdin", Box::new(std::io::stdin().lock())),
+        };
+        let mut out = std::io::stdout().lock();
+        let mut write_failed = false;
+        svc.lockstep(input, |record| {
+            let written = writeln!(out, "{}", record.to_line()).and_then(|()| out.flush());
+            write_failed = written.is_err();
+            written
+        })
+        .map_err(|e| {
+            if write_failed {
+                e.to_string()
+            } else {
+                format!("reading {source}: {e}")
+            }
+        })?;
     }
 
     finish(&svc, flags)
@@ -411,18 +401,14 @@ fn run(flags: &Flags) -> Result<(), String> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{USAGE}");
-        return ExitCode::SUCCESS;
-    }
-    let flags = match parse_flags("miras-serve", FLAGS, &args) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
+    let result = if args.iter().any(|a| a == "--help" || a == "-h") {
+        writeln!(std::io::stdout(), "{USAGE}").map_err(|e| e.to_string())
+    } else {
+        parse_flags("miras-serve", FLAGS, &args)
+            .map_err(|e| format!("{e}\n{USAGE}"))
+            .and_then(|flags| run(&flags))
     };
-    match run(&flags) {
+    match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");

@@ -1,9 +1,10 @@
 //! The real `miras-cli` binary refuses a flag its subcommand does not
 //! read, naming it, instead of silently ignoring it, and its subcommands
-//! read the files its other subcommands write.
+//! read the files its other subcommands write. `--help` prints the usage;
+//! a closed stdout ends a run with an error, not a panic.
 
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn temp_path(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!(
@@ -210,4 +211,33 @@ fn a_trace_with_an_unknown_workflow_type_is_refused() {
     );
     assert!(stderr.contains("workflow#7 is not one of"), "{stderr}");
     let _ = std::fs::remove_file(trace);
+}
+
+#[test]
+fn help_prints_the_usage_and_exits_0() {
+    for flag in ["--help", "-h"] {
+        let out = miras_cli(&[flag]);
+        assert!(out.status.success(), "{flag}: {out:?}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.starts_with("usage: miras-cli <command>"), "{stdout}");
+        assert!(out.stderr.is_empty(), "{flag}: {out:?}");
+    }
+}
+
+#[test]
+fn a_closed_stdout_ends_the_run_with_an_error_not_a_panic() {
+    for args in [&["simulate", "--windows", "40"][..], &["--help"]] {
+        let (reader, writer) = std::io::pipe().unwrap();
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_miras-cli"))
+            .args(args)
+            .stdout(writer)
+            .stderr(Stdio::piped())
+            .output()
+            .expect("running miras-cli");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(stderr.contains("error: Broken pipe"), "{args:?}: {stderr}");
+    }
 }

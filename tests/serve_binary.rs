@@ -1,10 +1,12 @@
 //! The real `miras-serve` binary decides identically from a checkpoint,
 //! from its first line alone (`head -n 1 ckpt.json`), and from the same
 //! checkpoint in the layout saved before policy lines existed; it refuses a
-//! flag it does not read.
+//! flag it does not read; it serves a noisy stream from stdin exactly as
+//! `--replay` does; and a closed stdout ends it with an error, not a panic.
 
+use std::fs::File;
 use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 use miras::prelude::*;
 
@@ -88,4 +90,79 @@ fn unknown_flags_are_refused_by_name() {
         "{stderr}"
     );
     assert!(out.stdout.is_empty());
+}
+
+#[test]
+fn noisy_streams_are_served_identically_from_stdin_and_replay() {
+    let recorded = miras_serve(&["--record", "10", "--ensemble", "msd", "--seed", "7"]);
+    let lines: Vec<&str> = recorded.lines().collect();
+    assert_eq!(lines.len(), 10);
+    let mut noisy = Vec::new();
+    for (i, line) in lines.iter().enumerate() {
+        noisy.extend_from_slice(line.as_bytes());
+        noisy.push(b'\n');
+        match i {
+            2 => noisy.extend_from_slice(b"\xff\xfe\n"),
+            5 => {
+                noisy.extend(std::iter::repeat_n(b'x', serve::MAX_LINE_BYTES + 1));
+                noisy.push(b'\n');
+            }
+            7 => noisy.extend_from_slice(b"{\"window\":99,\"wip\":[1.0]}\n"),
+            _ => {}
+        }
+    }
+    let stream = temp_path("noisy");
+    std::fs::write(&stream, &noisy).unwrap();
+
+    let shadow = Command::new(env!("CARGO_BIN_EXE_miras-serve"))
+        .arg("--shadow")
+        .stdin(File::open(&stream).unwrap())
+        .output()
+        .expect("running miras-serve --shadow");
+    let replay = Command::new(env!("CARGO_BIN_EXE_miras-serve"))
+        .args(["--replay", stream.to_str().unwrap()])
+        .output()
+        .expect("running miras-serve --replay");
+    let _ = std::fs::remove_file(&stream);
+
+    for (mode, out) in [("--shadow", &shadow), ("--replay", &replay)] {
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{mode}: {stderr}");
+        assert!(stderr.contains(" 3 wire-rejected,"), "{mode}: {stderr}");
+    }
+    assert_eq!(shadow.stdout, replay.stdout);
+    let decided = String::from_utf8(shadow.stdout).unwrap();
+    let windows: Vec<&str> = decided
+        .lines()
+        .map(|l| l.split(',').next().unwrap())
+        .collect();
+    let expected: Vec<String> = (0..10).map(|w| format!("{{\"window\":{w}")).collect();
+    assert_eq!(windows, expected);
+}
+
+#[test]
+fn a_closed_stdout_ends_the_run_with_an_error_not_a_panic() {
+    let stream = temp_path("closed_stdout");
+    std::fs::write(
+        &stream,
+        miras_serve(&["--record", "5", "--ensemble", "msd", "--seed", "7"]),
+    )
+    .unwrap();
+    let replay = ["--replay", stream.to_str().unwrap()];
+    for args in [&["--help"][..], &["--record", "5"], &replay, &["--shadow"]] {
+        let (reader, writer) = std::io::pipe().unwrap();
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_miras-serve"))
+            .args(args)
+            .stdin(File::open(&stream).unwrap())
+            .stdout(writer)
+            .stderr(Stdio::piped())
+            .output()
+            .expect("running miras-serve");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(stderr.contains("error: Broken pipe"), "{args:?}: {stderr}");
+    }
+    let _ = std::fs::remove_file(stream);
 }
