@@ -21,6 +21,10 @@
 //! * [`UniformAllocator`] / [`WipProportionalAllocator`] — static
 //!   references.
 //!
+//! [`run_episode`] is the one closed-loop episode (reset, burst, trace,
+//! then a decision per window) that the CLI, the bench harness, the audit
+//! and the serving recorder all run a policy through.
+//!
 //! # Examples
 //!
 //! ```
@@ -35,6 +39,7 @@
 #![warn(missing_docs)]
 
 mod drs;
+mod episode;
 mod heft;
 mod model_free;
 mod monad;
@@ -43,6 +48,7 @@ pub mod queueing;
 mod statics;
 
 pub use drs::DrsAllocator;
+pub use episode::run_episode;
 pub use heft::HeftAllocator;
 pub use model_free::{train_model_free, ModelFreeDdpg};
 pub use monad::MonadAllocator;

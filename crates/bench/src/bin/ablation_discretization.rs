@@ -43,7 +43,7 @@ fn replay(kind: EnsembleKind, agent: &MirasAgent, seed: u64, floor: bool) -> (f6
 }
 
 fn main() {
-    let args = BenchArgs::parse();
+    let args = BenchArgs::parse("ensemble seed paper smoke iterations no-cache");
     let (telemetry, _sink) = miras_bench::init_telemetry("ablation_discretization");
     println!(
         "Ablation A5 — floor vs largest-remainder discretisation (seed {})\n",

@@ -69,7 +69,7 @@ fn training_quality(
 }
 
 fn main() {
-    let args = BenchArgs::parse();
+    let args = BenchArgs::parse("ensemble seed iterations");
     let (telemetry, _sink) = miras_bench::init_telemetry("ablation_exploration");
     let iterations = args.iterations.unwrap_or(6);
     println!("Ablation A3 — exploration strategy (seed {})\n", args.seed);

@@ -50,7 +50,7 @@ fn accuracy(
 }
 
 fn main() {
-    let args = BenchArgs::parse();
+    let args = BenchArgs::parse("ensemble seed paper");
     let (telemetry, _sink) = miras_bench::init_telemetry("ablation_model_ensemble");
     println!(
         "Ablation A6 — single model vs deep ensemble (seed {})\n",

@@ -110,7 +110,7 @@ fn policy_level(
 }
 
 fn main() {
-    let args = BenchArgs::parse();
+    let args = BenchArgs::parse("ensemble seed iterations");
     let (telemetry, _sink) = miras_bench::init_telemetry("ablation_refinement");
     let iterations = args.iterations.unwrap_or(6);
     println!(

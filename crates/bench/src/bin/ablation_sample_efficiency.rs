@@ -55,7 +55,7 @@ fn evaluate(
 }
 
 fn main() {
-    let args = BenchArgs::parse();
+    let args = BenchArgs::parse("ensemble seed paper steady");
     let (telemetry, _sink) = miras_bench::init_telemetry("ablation_sample_efficiency");
     println!(
         "Ablation A4 — sample efficiency (seed {}, {} evaluation)\n",

@@ -9,13 +9,13 @@
 //!
 //! Run: `cargo run -p miras-bench --release --bin ablation_window_length`
 
-use baselines::WipProportionalAllocator;
+use baselines::{Policy, WipProportionalAllocator};
 use desim::SimTime;
 use microsim::EnvConfig;
-use miras_bench::{run_allocator_configured, BenchArgs};
+use miras_bench::{run_allocator_configured, summarize, BenchArgs};
 
 fn main() {
-    let args = BenchArgs::parse();
+    let args = BenchArgs::parse("ensemble seed");
     let (telemetry, _sink) = miras_bench::init_telemetry("ablation_window_length");
     println!(
         "Ablation A1 — decision-window length (seed {})\n",
@@ -47,17 +47,10 @@ fn main() {
             );
             let records =
                 run_allocator_configured(kind, config, Some(&burst), steps, &mut alloc, &telemetry);
-            let completions: usize = records.iter().map(|r| r.completions).sum();
-            let responses: Vec<f64> = records.iter().filter_map(|r| r.response_secs).collect();
-            let mean_resp = if responses.is_empty() {
-                0.0
-            } else {
-                responses.iter().sum::<f64>() / responses.len() as f64
-            };
-            let final_wip = records.last().map_or(0, |r| r.total_wip);
+            let s = summarize(alloc.name(), &records);
             println!(
-                "{window_secs:>9} {steps:>7} {completions:>13} {mean_resp:>14.1} \
-                 {final_wip:>11} {steps:>10}"
+                "{window_secs:>9} {steps:>7} {:>13} {:>14.1} {:>11} {steps:>10}",
+                s.total_completions, s.mean_response_secs, s.final_wip
             );
         }
         println!(

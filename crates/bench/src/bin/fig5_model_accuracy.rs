@@ -166,7 +166,7 @@ fn run_for(kind: EnsembleKind, args: &BenchArgs, telemetry: &telemetry::Telemetr
 }
 
 fn main() {
-    let args = BenchArgs::parse();
+    let args = BenchArgs::parse("ensemble seed paper smoke");
     let (telemetry, _sink) = miras_bench::init_telemetry("fig5_model_accuracy");
     println!(
         "Fig. 5 reproduction — predictive model accuracy (seed {})",

@@ -13,14 +13,14 @@
 use miras_bench::{train_miras, BenchArgs};
 
 fn main() {
-    let args = BenchArgs::parse();
+    let args = BenchArgs::parse("ensemble seed paper smoke iterations");
     let (telemetry, _sink) = miras_bench::init_telemetry("fig6_training_trace");
     let iterations = args.resolved_iterations();
     println!(
         "Fig. 6 reproduction — training traces (seed {}, {} iterations, {} scale)",
         args.seed,
         iterations,
-        if args.paper { "paper" } else { "fast" }
+        args.scale()
     );
     for kind in args.ensembles() {
         println!(

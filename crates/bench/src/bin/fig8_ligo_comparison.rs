@@ -15,12 +15,12 @@
 use miras_bench::{run_comparison, BenchArgs, EnsembleKind};
 
 fn main() {
-    let args = BenchArgs::parse();
+    let args = BenchArgs::parse("seed paper smoke iterations no-cache workload");
     let (telemetry, _sink) = miras_bench::init_telemetry("fig8_ligo_comparison");
     println!(
         "Fig. 8 reproduction — LIGO comparison (seed {}, {} scale)",
         args.seed,
-        if args.paper { "paper" } else { "fast" }
+        args.scale()
     );
     let _ = run_comparison(EnsembleKind::Ligo, &args, &telemetry);
     telemetry.flush();

@@ -20,18 +20,12 @@
 use miras_bench::{run_resilience, BenchArgs};
 
 fn main() {
-    let args = BenchArgs::parse();
+    let args = BenchArgs::parse("ensemble seed paper smoke iterations no-cache workload");
     let (telemetry, _sink) = miras_bench::init_telemetry("resilience_comparison");
     println!(
         "Resilience benchmark (seed {}, {} scale)",
         args.seed,
-        if args.smoke {
-            "smoke"
-        } else if args.paper {
-            "paper"
-        } else {
-            "fast"
-        }
+        args.scale()
     );
     for kind in args.ensembles() {
         let _ = run_resilience(kind, &args, &telemetry);

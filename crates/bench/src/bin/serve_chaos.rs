@@ -31,6 +31,8 @@ use std::time::Duration;
 
 use baselines::{by_name, fallback, PolicyConfig};
 use microsim::{EnvConfig, MicroserviceEnv};
+use miras::flags::numeric;
+use miras_bench::command_line;
 use miras_core::{save_policy, ClusterEnvAdapter, MirasConfig, MirasTrainer};
 use serve::chaos::{generate_schedule, run_schedule, verify, ChaosConfig, ChaosOutcome};
 use serve::{
@@ -46,43 +48,15 @@ use workflow::Ensemble;
 /// pure function of the schedule.
 const DEADLINE: Duration = Duration::from_millis(100);
 
-struct Args {
-    seeds: Vec<u64>,
-    windows: usize,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut seeds: Option<Vec<u64>> = None;
-    let mut windows = 80usize;
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => {
-                seeds = Some(vec![1, 2, 3]);
-                windows = 40;
-            }
-            "--seeds" => {
-                let v = it.next().ok_or("--seeds needs a count")?;
-                let n: u64 = v.parse().map_err(|_| format!("--seeds: bad count '{v}'"))?;
-                seeds = Some((1..=n).collect());
-            }
-            "--windows" => {
-                let v = it.next().ok_or("--windows needs a count")?;
-                windows = v
-                    .parse()
-                    .map_err(|_| format!("--windows: bad count '{v}'"))?;
-            }
-            other => {
-                return Err(format!(
-                    "unknown argument '{other}' (--smoke | --seeds N | --windows N)"
-                ))
-            }
-        }
-    }
-    Ok(Args {
-        seeds: seeds.unwrap_or_else(|| vec![1, 2, 3, 4, 5]),
-        windows,
-    })
+/// The seeds and stream length to run: `--seeds N` runs seeds 1..=N
+/// (default 5, or 3 under `--smoke`); `--windows` defaults to 80, or 40
+/// under `--smoke`.
+fn parse_args() -> Result<(Vec<u64>, usize), String> {
+    let flags = command_line("smoke seeds windows")?;
+    let smoke = flags.contains_key("smoke");
+    let seeds: u64 = numeric(&flags, "seeds", if smoke { 3 } else { 5 })?;
+    let windows = numeric(&flags, "windows", if smoke { 40 } else { 80 })?;
+    Ok(((1..=seeds).collect(), windows))
 }
 
 fn checkpoint_fixture(path: &Path) -> Result<(), String> {
@@ -199,17 +173,17 @@ fn run_seed(
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
+    let (seeds, windows) = match parse_args() {
+        Ok(parsed) => parsed,
         Err(e) => {
-            eprintln!("serve_chaos: {e}");
+            eprintln!("error: {e}");
             return ExitCode::FAILURE;
         }
     };
 
     let ensemble = Ensemble::msd();
     let mut driver = by_name("uniform", &PolicyConfig::new(&ensemble)).expect("uniform exists");
-    let base_lines: Vec<String> = record_stream(&ensemble, 7, args.windows, None, driver.as_mut())
+    let base_lines: Vec<String> = record_stream(&ensemble, 7, windows, None, driver.as_mut())
         .iter()
         .map(|obs| serde_json::to_string(obs).expect("observations serialize"))
         .collect();
@@ -224,7 +198,7 @@ fn main() -> ExitCode {
     }
 
     let mut failed = false;
-    for &seed in &args.seeds {
+    for &seed in &seeds {
         match run_seed(seed, &base_lines, &checkpoint, &ensemble) {
             Ok(summary) => println!("{summary}"),
             Err(e) => {
@@ -239,8 +213,8 @@ fn main() -> ExitCode {
     } else {
         eprintln!(
             "serve_chaos: {} seeds x {} windows: all invariants held, chaos replay deterministic, chaos-off control byte-identical to replay",
-            args.seeds.len(),
-            args.windows
+            seeds.len(),
+            windows
         );
         ExitCode::SUCCESS
     }

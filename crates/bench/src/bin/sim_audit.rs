@@ -23,63 +23,12 @@
 
 use std::process::ExitCode;
 
-use baselines::{by_name, queueing, Observation, PolicyConfig};
+use baselines::{by_name, queueing, run_episode, PolicyConfig};
 use desim::SimTime;
 use microsim::{EnvConfig, MicroserviceEnv, SimConfig, WorkloadSpec};
-use miras_bench::{fault_scenarios, init_telemetry};
+use miras::flags::numeric;
+use miras_bench::{command_line, fault_scenarios, init_telemetry, BenchArgs};
 use workflow::{Dag, Ensemble, TaskTypeDef, TaskTypeId, WorkflowDef};
-
-struct Args {
-    seed: u64,
-    /// Decision windows per invariant-sweep scenario.
-    windows: usize,
-    smoke: bool,
-    /// Background-traffic shape for the invariant sweep.
-    workload: WorkloadSpec,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        seed: 42,
-        windows: 0, // resolved after flags are read
-        smoke: false,
-        workload: WorkloadSpec::Stationary,
-    };
-    let mut windows = None;
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--seed" => {
-                args.seed = it
-                    .next()
-                    .expect("--seed needs a value")
-                    .parse()
-                    .expect("seed must be an integer");
-            }
-            "--windows" => {
-                windows = Some(
-                    it.next()
-                        .expect("--windows needs a value")
-                        .parse()
-                        .expect("windows must be an integer"),
-                );
-            }
-            "--workload" => {
-                let v = it.next().expect("--workload needs a value");
-                args.workload = WorkloadSpec::parse(&v).expect(
-                    "workload must be stationary, diurnal, trending, flash-crowd or trace:<path>",
-                );
-            }
-            "--smoke" => args.smoke = true,
-            other => panic!(
-                "unknown flag {other}; usage: [--smoke] [--seed N] [--windows N] \
-                 [--workload stationary|diurnal|trending|flash-crowd|trace:<path>]"
-            ),
-        }
-    }
-    args.windows = windows.unwrap_or(if args.smoke { 8 } else { 50 });
-    args
-}
 
 /// Runs one fault scenario with auditing on; returns the violation count.
 fn run_scenario(
@@ -88,7 +37,7 @@ fn run_scenario(
     windows: usize,
     workload: &WorkloadSpec,
     telemetry: &telemetry::Telemetry,
-) -> usize {
+) -> std::io::Result<usize> {
     let ensemble = Ensemble::msd();
     let mut policy =
         by_name("uniform", &PolicyConfig::new(&ensemble)).expect("uniform is registered");
@@ -99,22 +48,12 @@ fn run_scenario(
     };
     let mut env = MicroserviceEnv::new(ensemble, config);
     env.set_telemetry(telemetry.clone());
-    let _ = env.reset();
-    let _ = env
-        .load_workload_trace()
-        .expect("workload trace file loads");
-    let mut previous = None;
-    for window in 0..windows {
-        let wip = env.state();
-        let decision = policy.decide(&Observation::new(&wip, previous.as_ref(), window));
-        let out = env.step(&decision.allocations);
-        previous = Some(out.metrics);
-    }
+    run_episode(&mut env, None, windows, policy.as_mut(), |_, _, _| {})?;
     let violations = env.take_audit_violations();
     for v in &violations {
         eprintln!("  [{name}] {v}");
     }
-    violations.len()
+    Ok(violations.len())
 }
 
 struct DifferentialRow {
@@ -208,20 +147,37 @@ fn run_differential(lambda: f64, mu: f64, c: usize, seed: u64) -> DifferentialRo
 }
 
 fn main() -> ExitCode {
-    let args = parse_args();
+    let parsed = command_line("smoke seed windows workload").and_then(|flags| {
+        let args = BenchArgs::from_flags(&flags)?;
+        let windows = numeric(&flags, "windows", if args.smoke { 8 } else { 50 })?;
+        Ok((args, windows))
+    });
+    let (args, windows) = match parsed {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let (telemetry, sink) = init_telemetry("sim_audit");
     let mut failures = 0usize;
 
     println!(
         "=== invariant sweep (MSD, {} windows per scenario, seed {}, workload {}) ===",
-        args.windows,
+        windows,
         args.seed,
         args.workload.name()
     );
     println!("{:>12} {:>12}", "scenario", "violations");
     for scenario in fault_scenarios() {
         let sim = scenario.apply(SimConfig::new(args.seed));
-        let count = run_scenario(scenario.name, sim, args.windows, &args.workload, &telemetry);
+        let count = match run_scenario(scenario.name, sim, windows, &args.workload, &telemetry) {
+            Ok(count) => count,
+            Err(e) => {
+                eprintln!("error: loading the workload trace: {e}");
+                return ExitCode::FAILURE;
+            }
+        };
         println!("{:>12} {:>12}", scenario.name, count);
         failures += count;
     }

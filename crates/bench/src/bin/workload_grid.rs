@@ -17,12 +17,12 @@ use microsim::WorkloadSpec;
 use miras_bench::{record_background_trace, run_workload_grid, workload_zoo, BenchArgs};
 
 fn main() {
-    let args = BenchArgs::parse();
+    let args = BenchArgs::parse("ensemble seed paper smoke iterations no-cache workload");
     let (telemetry, _sink) = miras_bench::init_telemetry("workload_grid");
     println!(
         "Workload grid — scenario zoo comparison (seed {}, {} scale)",
         args.seed,
-        if args.paper { "paper" } else { "fast" }
+        args.scale()
     );
     for kind in args.ensembles() {
         // An explicit non-stationary `--workload` narrows the sweep to that

@@ -2,9 +2,11 @@
 //!
 //! Every figure in the MIRAS paper's evaluation has a binary in
 //! `src/bin/` (see `DESIGN.md` §5 for the index); this library holds the
-//! pieces they share: ensemble selection, the evaluation loop that runs a
-//! registry-built [`Policy`] against the emulated cluster, MIRAS training
-//! with on-disk caching of the trained agent, and plain-text table output.
+//! pieces they share: command-line parsing through `miras::flags`,
+//! ensemble selection, the evaluation grid that runs registry-built
+//! [`Policy`] episodes ([`run_episode`]) against the emulated cluster,
+//! MIRAS training with on-disk caching of the trained agent, and
+//! plain-text table output.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -13,9 +15,10 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use baselines::{by_name, Observation, Policy, PolicyConfig};
+use baselines::{by_name, run_episode, Policy, PolicyConfig};
 use desim::SimTime;
 use microsim::{EnvConfig, MicroserviceEnv, SimConfig, WorkloadSpec};
+use miras::flags::{ensemble_choice, numeric, parse_flags, usage, workload_from, Flags, ENSEMBLES};
 use miras_core::{
     decode_policy_line, read_policy_line, save_policy, ClusterEnvAdapter, IterationReport,
     MirasAgent, MirasConfig, MirasTrainer, Transition,
@@ -84,7 +87,9 @@ where
 }
 
 /// Which workload ensemble to run: the paper's two scientific ensembles
-/// plus the GPU inference-serving ensemble.
+/// plus the GPU inference-serving ensemble. Declared in the order of
+/// [`miras::flags::ENSEMBLES`], whose entry gives each kind its name and
+/// ensemble.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EnsembleKind {
     /// Material Science Data: 3 workflows, 4 task types, C = 14.
@@ -97,37 +102,35 @@ pub enum EnsembleKind {
 }
 
 impl EnsembleKind {
+    /// Every kind, in [`ENSEMBLES`] order.
+    const ALL: [EnsembleKind; 3] = [
+        EnsembleKind::Msd,
+        EnsembleKind::Ligo,
+        EnsembleKind::GpuServe,
+    ];
+
     /// Builds the ensemble definition.
     #[must_use]
     pub fn ensemble(self) -> Ensemble {
-        match self {
-            EnsembleKind::Msd => Ensemble::msd(),
-            EnsembleKind::Ligo => Ensemble::ligo(),
-            EnsembleKind::GpuServe => Ensemble::gpu_serve(),
-        }
+        let (_, build, ..) = ENSEMBLES[self as usize];
+        build()
     }
 
-    /// Lower-case name used in output and cache paths.
+    /// The `--ensemble` name, also used in output and cache paths.
     #[must_use]
     pub fn name(self) -> &'static str {
-        match self {
-            EnsembleKind::Msd => "msd",
-            EnsembleKind::Ligo => "ligo",
-            EnsembleKind::GpuServe => "gpu-serve",
-        }
+        ENSEMBLES[self as usize].0
     }
 
     /// The MIRAS configuration: paper-scale when `paper` is set, otherwise
     /// the proportionally scaled-down fast variant.
     #[must_use]
     pub fn miras_config(self, seed: u64, paper: bool) -> MirasConfig {
-        match (self, paper) {
-            (EnsembleKind::Msd, true) => MirasConfig::msd_paper(seed),
-            (EnsembleKind::Msd, false) => MirasConfig::msd_fast(seed),
-            (EnsembleKind::Ligo, true) => MirasConfig::ligo_paper(seed),
-            (EnsembleKind::Ligo, false) => MirasConfig::ligo_fast(seed),
-            (EnsembleKind::GpuServe, true) => MirasConfig::gpu_serve_paper(seed),
-            (EnsembleKind::GpuServe, false) => MirasConfig::gpu_serve_fast(seed),
+        let (_, _, fast, full) = ENSEMBLES[self as usize];
+        if paper {
+            full(seed)
+        } else {
+            fast(seed)
         }
     }
 
@@ -163,17 +166,6 @@ impl EnsembleKind {
             EnsembleKind::GpuServe => 25,
         }
     }
-
-    /// Parses `"msd"` / `"ligo"` / `"gpu-serve"`.
-    #[must_use]
-    pub(crate) fn parse(s: &str) -> Option<Self> {
-        match s.to_ascii_lowercase().as_str() {
-            "msd" => Some(EnsembleKind::Msd),
-            "ligo" => Some(EnsembleKind::Ligo),
-            "gpu-serve" | "gpu_serve" | "gpuserve" => Some(EnsembleKind::GpuServe),
-            _ => None,
-        }
-    }
 }
 
 /// Command-line arguments shared by the figure binaries.
@@ -203,69 +195,53 @@ pub struct BenchArgs {
 }
 
 impl BenchArgs {
-    /// Parses `std::env::args()`: `[--ensemble msd|ligo|gpu-serve]
-    /// [--seed N] [--paper] [--iterations N] [--no-cache] [--steady]
-    /// [--smoke] [--workload SPEC]` where SPEC is one of `stationary`,
-    /// `diurnal`, `trending`, `flash-crowd`, or `trace:<path>`.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a usage message on malformed arguments.
+    /// Parses the command line of a bench binary that reads exactly the
+    /// `accepted` flags; on an unread, misspelt or malformed flag it prints
+    /// `error: …` and exits with status 1, before anything runs.
     #[must_use]
-    pub fn parse() -> Self {
-        let mut args = BenchArgs {
-            ensemble: None,
-            seed: 42,
-            paper: false,
-            iterations: None,
-            no_cache: false,
-            steady: false,
-            smoke: false,
-            workload: WorkloadSpec::Stationary,
-        };
-        let mut it = std::env::args().skip(1);
-        while let Some(flag) = it.next() {
-            match flag.as_str() {
-                "--ensemble" => {
-                    let v = it.next().expect("--ensemble needs a value");
-                    args.ensemble = Some(
-                        EnsembleKind::parse(&v).expect("ensemble must be msd, ligo or gpu-serve"),
-                    );
-                }
-                "--workload" => {
-                    let v = it.next().expect("--workload needs a value");
-                    args.workload = WorkloadSpec::parse(&v).expect(
-                        "workload must be stationary, diurnal, trending, flash-crowd \
-                         or trace:<path>",
-                    );
-                }
-                "--seed" => {
-                    args.seed = it
-                        .next()
-                        .expect("--seed needs a value")
-                        .parse()
-                        .expect("seed must be an integer");
-                }
-                "--iterations" => {
-                    args.iterations = Some(
-                        it.next()
-                            .expect("--iterations needs a value")
-                            .parse()
-                            .expect("iterations must be an integer"),
-                    );
-                }
-                "--paper" => args.paper = true,
-                "--no-cache" => args.no_cache = true,
-                "--steady" => args.steady = true,
-                "--smoke" => args.smoke = true,
-                other => panic!(
-                    "unknown flag {other}; usage: [--ensemble msd|ligo|gpu-serve] [--seed N] \
-                     [--paper] [--iterations N] [--no-cache] [--steady] [--smoke] \
-                     [--workload stationary|diurnal|trending|flash-crowd|trace:<path>]"
-                ),
+    pub fn parse(accepted: &str) -> Self {
+        match command_line(accepted).and_then(|flags| Self::from_flags(&flags)) {
+            Ok(args) => args,
+            Err(e) => {
+                eprintln!("error: {e}");
+                std::process::exit(1);
             }
         }
-        args
+    }
+
+    /// The arguments `flags` set, one field per flag of the same name;
+    /// absent flags keep their defaults (seed 42).
+    ///
+    /// # Errors
+    ///
+    /// A message naming a flag whose value does not parse.
+    pub fn from_flags(flags: &Flags) -> Result<Self, String> {
+        Ok(BenchArgs {
+            ensemble: ensemble_choice(flags)?.map(|i| EnsembleKind::ALL[i]),
+            seed: numeric(flags, "seed", 42)?,
+            paper: flags.contains_key("paper"),
+            iterations: flags
+                .contains_key("iterations")
+                .then(|| numeric(flags, "iterations", 0))
+                .transpose()?,
+            no_cache: flags.contains_key("no-cache"),
+            steady: flags.contains_key("steady"),
+            smoke: flags.contains_key("smoke"),
+            workload: workload_from(flags)?,
+        })
+    }
+
+    /// The budget scale these arguments run: `smoke`, `paper` or `fast`,
+    /// for banners and cache paths.
+    #[must_use]
+    pub fn scale(&self) -> &'static str {
+        if self.smoke {
+            "smoke"
+        } else if self.paper {
+            "paper"
+        } else {
+            "fast"
+        }
     }
 
     /// The ensembles selected (both when unspecified).
@@ -307,6 +283,22 @@ impl BenchArgs {
             kind.comparison_steps()
         }
     }
+}
+
+/// The process's command line, parsed by [`parse_flags`] against the
+/// `accepted` flags; errors name the program as it was invoked.
+///
+/// # Errors
+///
+/// The flag error, followed by the program's usage line.
+pub fn command_line(accepted: &str) -> Result<Flags, String> {
+    let args: Vec<String> = std::env::args().collect();
+    let program = args
+        .first()
+        .and_then(|p| Path::new(p).file_stem()?.to_str());
+    let who = program.unwrap_or("bench");
+    let flags = args.get(1..).unwrap_or_default();
+    parse_flags(who, accepted, flags).map_err(|e| format!("{e}\n{}", usage(who, accepted)))
 }
 
 /// Opens the standard telemetry stream for a figure binary: a buffered
@@ -383,8 +375,9 @@ pub struct RunSummary {
 }
 
 /// Runs `policy` against a fresh environment built from `config` for
-/// `steps` windows, injecting `burst` at the start (plus the ensemble's
-/// default Poisson background), and returns the per-window records. The
+/// `steps` windows through [`run_episode`]: `burst` is injected at the
+/// start, then a trace-replay workload's trace; any other workload is
+/// sampled window by window. Returns the per-window records. The
 /// configuration lets callers inject faults (consumer crashes, node
 /// outages, stragglers, delivery-delay spikes) or otherwise reshape the
 /// cluster, as the resilience benchmark does.
@@ -394,6 +387,10 @@ pub struct RunSummary {
 /// `bench.run` event naming the algorithm, which lets stream consumers
 /// attribute the window records that follow. Each decision's latency is
 /// observed under `bench.decision_latency`.
+///
+/// # Panics
+///
+/// If a trace-replay workload's trace file does not load.
 pub fn run_allocator_configured(
     kind: EnsembleKind,
     config: EnvConfig,
@@ -402,9 +399,8 @@ pub fn run_allocator_configured(
     policy: &mut dyn Policy,
     telemetry: &Telemetry,
 ) -> Vec<StepRecord> {
-    let ensemble = kind.ensemble();
     let seed = config.sim.seed;
-    let mut env = MicroserviceEnv::new(ensemble, config);
+    let mut env = MicroserviceEnv::new(kind.ensemble(), config);
     env.set_telemetry(telemetry.clone());
     telemetry.event(
         "bench.run",
@@ -415,37 +411,21 @@ pub fn run_allocator_configured(
             ("seed", Value::UInt(seed)),
         ],
     );
-    let _ = env.reset();
-    // Trace-replay workloads carry their arrivals in a file rather than a
-    // generator; inject them now so they ride the event queue like any
-    // other background traffic. All other workload shapes are sampled
-    // window-by-window inside `step`.
-    let replayed = env
-        .load_workload_trace()
-        .expect("workload trace file loads");
-    if replayed > 0 {
-        eprintln!("[workload] replaying {replayed} trace arrivals");
-    }
-    if let Some(b) = burst {
-        env.inject_burst(b);
-    }
     let mut records = Vec::with_capacity(steps);
-    let mut previous = None;
-    for step in 0..steps {
-        let wip: Vec<f64> = env.state();
-        let decision = policy.decide(&Observation::new(&wip, previous.as_ref(), step));
+    let replayed = run_episode(&mut env, burst, steps, policy, |obs, decision, out| {
         telemetry.observe("bench.decision_latency", decision.latency.as_secs_f64());
-        let m = decision.allocations;
-        let out = env.step(&m);
         records.push(StepRecord {
-            step,
+            step: obs.window_index,
             total_wip: out.metrics.total_wip(),
             reward: out.reward,
             response_secs: out.metrics.overall_mean_response_secs(),
             completions: out.metrics.completions.iter().sum(),
-            consumers_used: m.iter().sum(),
+            consumers_used: decision.allocations.iter().sum(),
         });
-        previous = Some(out.metrics);
+    })
+    .expect("workload trace file loads");
+    if replayed > 0 {
+        eprintln!("[workload] replayed {replayed} trace arrivals");
     }
     records
 }
@@ -497,7 +477,7 @@ pub fn train_miras(
     telemetry: &Telemetry,
 ) -> (Vec<IterationReport>, MirasAgent) {
     let iterations = args.resolved_iterations();
-    let cache = cache_path(kind, args.seed, iterations, args.paper);
+    let cache = cache_path(kind, args, iterations);
     if read_cache && !args.smoke {
         if let Some(agent) = load_cached_agent(&cache) {
             eprintln!("[cache] reusing trained agent from {}", cache.display());
@@ -531,11 +511,13 @@ pub fn train_miras(
     (reports, agent)
 }
 
-fn cache_path(kind: EnsembleKind, seed: u64, iterations: usize, paper: bool) -> PathBuf {
-    let scale = if paper { "paper" } else { "fast" };
+/// Where a non-smoke run caches its trained agent.
+fn cache_path(kind: EnsembleKind, args: &BenchArgs, iterations: usize) -> PathBuf {
     PathBuf::from("bench_artifacts").join(format!(
-        "miras_agent_{}_{scale}_seed{seed}_it{iterations}.json",
-        kind.name()
+        "miras_agent_{}_{}_seed{}_it{iterations}.json",
+        kind.name(),
+        args.scale(),
+        args.seed
     ))
 }
 
@@ -627,15 +609,27 @@ pub(crate) fn print_summaries(summaries: &[RunSummary]) {
 mod tests {
     use super::*;
 
+    fn flags(pairs: &[(&str, &str)]) -> Flags {
+        pairs
+            .iter()
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .collect()
+    }
+
+    /// `--ensemble` reads the one name table, exactly: no case folding and
+    /// no spelling aliases.
     #[test]
     fn ensemble_kind_round_trips() {
-        assert_eq!(EnsembleKind::parse("MSD"), Some(EnsembleKind::Msd));
-        assert_eq!(EnsembleKind::parse("ligo"), Some(EnsembleKind::Ligo));
-        assert_eq!(
-            EnsembleKind::parse("gpu-serve"),
-            Some(EnsembleKind::GpuServe)
-        );
-        assert_eq!(EnsembleKind::parse("bogus"), None);
+        for kind in EnsembleKind::ALL {
+            let args = BenchArgs::from_flags(&flags(&[("ensemble", kind.name())])).unwrap();
+            assert_eq!(args.ensemble, Some(kind));
+        }
+        assert_eq!(EnsembleKind::GpuServe.name(), "gpu-serve");
+        assert_eq!(BenchArgs::from_flags(&Flags::new()).unwrap().ensemble, None);
+        for name in ["MSD", "gpu_serve", "gpuserve", "bogus"] {
+            let err = BenchArgs::from_flags(&flags(&[("ensemble", name)])).unwrap_err();
+            assert!(err.contains(&format!("unknown ensemble '{name}'")), "{err}");
+        }
     }
 
     #[test]
@@ -682,6 +676,40 @@ mod tests {
         }
     }
 
+    /// Burst first, then trace: replaying the background a stationary run
+    /// samples, with the same burst on both runs, gives the same windows.
+    /// Every driver runs this order through `run_episode`.
+    #[test]
+    fn a_background_trace_with_a_burst_replays_to_the_stationary_run() {
+        let kind = EnsembleKind::Msd;
+        let steps = 8;
+        let stationary = EnvConfig::for_ensemble(&kind.ensemble()).with_seed(11);
+        let path = std::env::temp_dir().join(format!(
+            "miras_bench_trace_burst_{}.jsonl",
+            std::process::id()
+        ));
+        microsim::background_trace(&stationary, steps)
+            .save_jsonl(&path)
+            .unwrap();
+        let replay = EnvConfig {
+            workload: WorkloadSpec::TraceReplay {
+                path: path.display().to_string(),
+            },
+            ..stationary.clone()
+        };
+        let burst = &kind.burst_scenarios()[0];
+        let run = |config| {
+            let mut policy = by_name("stream", &PolicyConfig::new(&kind.ensemble())).unwrap();
+            let noop = Telemetry::noop();
+            run_allocator_configured(kind, config, Some(burst), steps, policy.as_mut(), &noop)
+        };
+        let plain = run(stationary);
+        let replayed = run(replay);
+        let _ = fs::remove_file(&path);
+        assert!(plain.iter().any(|r| r.completions > 0));
+        assert_eq!(replayed, plain);
+    }
+
     #[test]
     fn smoke_args_shrink_budgets() {
         let mut args = BenchArgs {
@@ -700,9 +728,30 @@ mod tests {
             args.miras_config(EnsembleKind::Msd),
             MirasConfig::smoke_test(1)
         );
+        assert_eq!(args.scale(), "smoke");
         args.smoke = false;
         assert_eq!(args.resolved_iterations(), 12);
         assert_eq!(args.comparison_steps(EnsembleKind::Msd), 25);
+        assert_eq!(args.scale(), "fast");
+        args.paper = true;
+        assert_eq!(args.scale(), "paper");
+    }
+
+    #[test]
+    fn flags_set_the_args_and_malformed_values_are_refused() {
+        let args = BenchArgs::from_flags(&flags(&[
+            ("seed", "7"),
+            ("iterations", "3"),
+            ("no-cache", "true"),
+            ("workload", "flash-crowd"),
+        ]))
+        .unwrap();
+        assert_eq!((args.seed, args.iterations), (7, Some(3)));
+        assert!(args.no_cache && !args.smoke && !args.paper && !args.steady);
+        assert_eq!(args.workload.name(), "flash-crowd");
+        for (flag, value) in [("seed", "x"), ("iterations", "-1"), ("workload", "sine")] {
+            assert!(BenchArgs::from_flags(&flags(&[(flag, value)])).is_err());
+        }
     }
 
     #[test]

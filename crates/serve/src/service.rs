@@ -442,9 +442,10 @@ pub fn replay_stream(policy: &mut dyn Policy, text: &str) -> Vec<DecisionRecord>
 
 /// Generates a realistic observation stream by driving the cluster
 /// emulator with `policy` for `windows` windows (optionally front-loading
-/// `burst`), exactly as the bench harness would. Each emitted observation
-/// carries the previous window's metrics, so replaying the stream gives
-/// adaptive baselines the same inputs they would see live.
+/// `burst`), through the same [`baselines::run_episode`] as the bench
+/// harness. Each emitted observation carries the previous window's
+/// metrics, so replaying the stream gives adaptive baselines the same
+/// inputs they would see live.
 #[must_use]
 pub fn record_stream(
     ensemble: &Ensemble,
@@ -457,23 +458,15 @@ pub fn record_stream(
 
     let config = EnvConfig::for_ensemble(ensemble).with_seed(seed);
     let mut env = MicroserviceEnv::new(ensemble.clone(), config);
-    let _ = env.reset();
-    if let Some(b) = burst {
-        env.inject_burst(b);
-    }
     let mut observations = Vec::with_capacity(windows);
-    let mut previous = None;
-    for window in 0..windows {
-        let obs = WindowObservation {
-            window,
-            wip: env.state(),
-            metrics: previous,
-        };
-        let decision = policy.decide(&obs.observation());
-        let out = env.step(&decision.allocations);
-        previous = Some(out.metrics);
-        observations.push(obs);
-    }
+    baselines::run_episode(&mut env, burst, windows, policy, |obs, _, _| {
+        observations.push(WindowObservation {
+            window: obs.window_index,
+            wip: obs.wip.to_vec(),
+            metrics: obs.previous.cloned(),
+        });
+    })
+    .expect("a stationary workload has no trace to load");
     observations
 }
 

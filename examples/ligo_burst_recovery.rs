@@ -29,13 +29,12 @@ fn main() {
         let r = trainer.run_iteration(&mut train_env);
         println!("  iter {}: eval return {:.1}", r.iteration, r.eval_return);
     }
-    let agent = trainer.agent();
+    let mut agent = trainer.agent();
 
     // Fresh environment, large burst.
     let config = EnvConfig::for_ensemble(&ensemble).with_seed(seed + 1);
     let mut env = MicroserviceEnv::new(ensemble.clone(), config);
-    let _ = env.reset();
-    env.inject_burst(&BurstSpec::new(vec![150, 150, 80, 50]));
+    let burst = BurstSpec::new(vec![150, 150, 80, 50]);
 
     println!("\nburst (150, 150, 80, 50) of DataFind/CAT/Full/Injection, C = 30:");
     println!("task types: {names:?}");
@@ -43,22 +42,26 @@ fn main() {
         "{:>5} {:>42} {:>42} {:>10}",
         "step", "allocation m(k)", "WIP w(k+1)", "resp(s)"
     );
-    for step in 0..30 {
-        let wip = env.state();
-        let m = agent.allocate(&wip);
-        let out = env.step(&m);
-        let resp = out
-            .metrics
-            .overall_mean_response_secs()
-            .map_or("-".to_string(), |r| format!("{r:.0}"));
-        println!(
-            "{:>5} {:>42} {:>42} {:>10}",
-            step,
-            format!("{m:?}"),
-            format!("{:?}", out.metrics.wip),
-            resp
-        );
-    }
+    run_episode(
+        &mut env,
+        Some(&burst),
+        30,
+        &mut agent,
+        |obs, decision, out| {
+            let resp = out
+                .metrics
+                .overall_mean_response_secs()
+                .map_or("-".to_string(), |r| format!("{r:.0}"));
+            println!(
+                "{:>5} {:>42} {:>42} {:>10}",
+                obs.window_index,
+                format!("{:?}", decision.allocations),
+                format!("{:?}", out.metrics.wip),
+                resp
+            );
+        },
+    )
+    .expect("a stationary workload has no trace to load");
 
     // How much attention did each microservice get in the first vs second
     // half of the recovery?

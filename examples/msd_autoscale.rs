@@ -15,21 +15,14 @@ fn run(policy: &mut dyn Policy, seed: u64, steps: usize) -> (Vec<usize>, usize) 
     let ensemble = Ensemble::msd();
     let config = EnvConfig::for_ensemble(&ensemble).with_seed(seed);
     let mut env = MicroserviceEnv::new(ensemble, config);
-    let _ = env.reset();
-    env.inject_burst(&BurstSpec::new(vec![300, 200, 300]));
+    let burst = BurstSpec::new(vec![300, 200, 300]);
     let mut wip_series = Vec::new();
     let mut completions = 0;
-    let mut prev: Option<WindowMetrics> = None;
-    for step in 0..steps {
-        let wip = env.state();
-        let m = policy
-            .decide(&Observation::new(&wip, prev.as_ref(), step))
-            .allocations;
-        let out = env.step(&m);
+    run_episode(&mut env, Some(&burst), steps, policy, |_, _, out| {
         wip_series.push(out.metrics.total_wip());
         completions += out.metrics.completions.iter().sum::<usize>();
-        prev = Some(out.metrics);
-    }
+    })
+    .expect("a stationary workload has no trace to load");
     (wip_series, completions)
 }
 

@@ -12,6 +12,10 @@
 //!   workload shape and write them as a JSONL trace, which `--trace` (and
 //!   `--workload trace:FILE` in the bench binaries) replays.
 //!
+//! `simulate` and `evaluate` run `baselines::run_episode`: a `--burst`
+//! goes in first, then a `--trace`. The usage follows only a flag error
+//! or an unknown command.
+//!
 //! Examples:
 //!
 //! ```text
@@ -28,7 +32,10 @@ use std::io::Write;
 use std::path::Path;
 use std::process::ExitCode;
 
-use miras::flags::{burst_from, ensemble_from, list, numeric, parse_flags, Flags};
+use miras::flags::{
+    burst_from, ensemble_choice, ensemble_from, list, numeric, parse_flags, workload_from, Flags,
+    ENSEMBLES,
+};
 use miras::miras_core::{decode_policy_line, read_policy_line, save_policy};
 use miras::prelude::*;
 
@@ -40,18 +47,19 @@ fn main() -> ExitCode {
     };
     let mut stdout = std::io::stdout().lock();
     let result = match COMMANDS.iter().find(|(name, ..)| name == command) {
-        Some((_, accepted, run)) => {
-            parse_flags(&format!("'{command}'"), accepted, rest).and_then(|f| run(&f, &mut stdout))
-        }
+        // Only a flag error or an unknown command earns the usage.
+        Some((_, accepted, run)) => parse_flags(&format!("'{command}'"), accepted, rest)
+            .map_err(|e| format!("{e}\n{USAGE}"))
+            .and_then(|f| run(&f, &mut stdout)),
         None if command == "--help" || command == "-h" => {
             writeln!(stdout, "{USAGE}").map_err(|e| e.to_string())
         }
-        None => Err(format!("unknown command '{command}'")),
+        None => Err(format!("unknown command '{command}'\n{USAGE}")),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            eprintln!("error: {e}\n{USAGE}");
+            eprintln!("error: {e}");
             ExitCode::FAILURE
         }
     }
@@ -64,7 +72,8 @@ commands:
   simulate  --ensemble msd|ligo|gpu-serve [--policy NAME] [--burst N,N,..]
             [--trace FILE] [--windows N] [--seed N]
             (NAME is any registry policy: uniform, wip-proportional,
-             stream/drs, heft, monad)
+             stream/drs, heft, monad; a --burst goes in before the
+             --trace, which replaces the sampled background)
   train     --ensemble msd|ligo|gpu-serve [--iterations N] [--paper] [--smoke]
             [--seed N] [--out FILE] [--lanes B]
             (--lanes B steps B synthetic rollouts in lockstep)
@@ -101,7 +110,8 @@ const COMMANDS: &[(&str, &str, Command)] = &[
     ("gen-trace", "ensemble out workload windows seed", gen_trace),
 ];
 
-/// Runs an allocation policy against the emulator, printing one row per
+/// Runs an allocation policy against the emulator through the one
+/// closed-loop episode (burst first, then the trace), printing one row per
 /// decision window.
 fn run_policy(
     ensemble: Ensemble,
@@ -123,56 +133,53 @@ fn run_policy(
         };
     }
     let mut env = MicroserviceEnv::new(ensemble, config);
-    let _ = env.reset();
-    if let Some(burst) = burst {
-        env.inject_burst(&burst);
-    }
+    let mut rows = Vec::with_capacity(windows);
+    let mut total_reward = 0.0;
+    let mut total_completions = 0usize;
+    let replayed = run_episode(
+        &mut env,
+        burst.as_ref(),
+        windows,
+        policy,
+        |obs, decision, out| {
+            total_reward += out.reward;
+            let completions: usize = out.metrics.completions.iter().sum();
+            total_completions += completions;
+            let resp = out
+                .metrics
+                .overall_mean_response_secs()
+                .map_or("-".to_string(), |r| format!("{r:.1}"));
+            rows.push(format!(
+                "{:>6} {:>10} {:>9.0} {:>13} {:>12} {:>24}",
+                obs.window_index,
+                out.metrics.total_wip(),
+                out.reward,
+                completions,
+                resp,
+                format!("{:?}", decision.allocations)
+            ));
+        },
+    )
+    // Only a trace can fail to load.
+    .map_err(|e| format!("loading {}: {e}", trace_path.unwrap_or_default()))?;
+    let write = |e: std::io::Error| e.to_string();
     if let Some(path) = trace_path {
-        let replayed = env
-            .load_workload_trace()
-            .map_err(|e| format!("loading {path}: {e}"))?;
-        writeln!(stdout, "replaying {replayed} arrivals from {path}").map_err(|e| e.to_string())?;
+        writeln!(stdout, "replaying {replayed} arrivals from {path}").map_err(write)?;
     }
     writeln!(
         stdout,
         "{:>6} {:>10} {:>9} {:>13} {:>12} {:>24}",
         "window", "total_wip", "reward", "completions", "resp_secs", "allocation"
     )
-    .map_err(|e| e.to_string())?;
-    let mut previous: Option<WindowMetrics> = None;
-    let mut total_reward = 0.0;
-    let mut total_completions = 0usize;
-    for w in 0..windows {
-        let wip = env.state();
-        let decision = policy.decide(&Observation::new(&wip, previous.as_ref(), w));
-        let m = decision.allocations;
-        let out = env.step(&m);
-        total_reward += out.reward;
-        let completions: usize = out.metrics.completions.iter().sum();
-        total_completions += completions;
-        let resp = out
-            .metrics
-            .overall_mean_response_secs()
-            .map_or("-".to_string(), |r| format!("{r:.1}"));
-        writeln!(
-            stdout,
-            "{:>6} {:>10} {:>9.0} {:>13} {:>12} {:>24}",
-            w,
-            out.metrics.total_wip(),
-            out.reward,
-            completions,
-            resp,
-            format!("{m:?}")
-        )
-        .map_err(|e| e.to_string())?;
-        previous = Some(out.metrics);
+    .map_err(write)?;
+    for row in rows {
+        writeln!(stdout, "{row}").map_err(write)?;
     }
     writeln!(
         stdout,
         "\ntotal reward {total_reward:.0}, total completions {total_completions}"
     )
-    .map_err(|e| e.to_string())?;
-    Ok(())
+    .map_err(write)
 }
 
 fn simulate(flags: &Flags, stdout: &mut dyn Write) -> Result<(), String> {
@@ -206,7 +213,8 @@ fn simulate(flags: &Flags, stdout: &mut dyn Write) -> Result<(), String> {
 }
 
 fn train(flags: &Flags, stdout: &mut dyn Write) -> Result<(), String> {
-    let ensemble = ensemble_from(flags)?;
+    let (_, build, fast, full) = ENSEMBLES[ensemble_choice(flags)?.unwrap_or(0)];
+    let ensemble = build();
     let seed = numeric(flags, "seed", 42u64)?;
     let iterations = numeric(flags, "iterations", 12usize)?;
     let paper = flags.contains_key("paper");
@@ -219,18 +227,11 @@ fn train(flags: &Flags, stdout: &mut dyn Write) -> Result<(), String> {
         .cloned()
         .unwrap_or_else(|| format!("miras_agent_{}.json", ensemble.name().to_lowercase()));
 
+    let scale = if paper { full } else { fast };
     let mut config = if smoke {
         MirasConfig::smoke_test(seed)
     } else {
-        match (ensemble.name(), paper) {
-            ("MSD", false) => MirasConfig::msd_fast(seed),
-            ("MSD", true) => MirasConfig::msd_paper(seed),
-            ("LIGO", false) => MirasConfig::ligo_fast(seed),
-            ("LIGO", true) => MirasConfig::ligo_paper(seed),
-            ("GPU-SERVE", false) => MirasConfig::gpu_serve_fast(seed),
-            ("GPU-SERVE", true) => MirasConfig::gpu_serve_paper(seed),
-            _ => MirasConfig::msd_fast(seed),
-        }
+        scale(seed)
     };
     if flags.contains_key("lanes") {
         let lanes = numeric(flags, "lanes", 1usize)?;
@@ -306,14 +307,11 @@ fn gen_trace(flags: &Flags, stdout: &mut dyn Write) -> Result<(), String> {
     let seed = numeric(flags, "seed", 42u64)?;
     let windows = numeric(flags, "windows", 120usize)?;
     let out = flags.get("out").ok_or("--out FILE is required")?;
-    let name = flags.get("workload").map_or("stationary", String::as_str);
-    let workload = match WorkloadSpec::parse(name) {
-        Some(WorkloadSpec::TraceReplay { .. }) => {
-            return Err("gen-trace samples a workload shape; a trace has nothing to sample".into())
-        }
-        Some(spec) => spec,
-        None => return Err(format!("unknown workload '{name}'")),
-    };
+    let workload = workload_from(flags)?;
+    if let WorkloadSpec::TraceReplay { .. } = workload {
+        return Err("gen-trace samples a workload shape; a trace has nothing to sample".into());
+    }
+    let name = workload.name();
     let config = EnvConfig {
         workload,
         ..EnvConfig::for_ensemble(&ensemble).with_seed(seed)

@@ -54,8 +54,8 @@ pub use workflow;
 /// Commonly used types, importable in one line.
 pub mod prelude {
     pub use baselines::{
-        Decision, DrsAllocator, HeftAllocator, ModelFreeDdpg, MonadAllocator, Observation, Policy,
-        PolicyConfig, PolicyError, UniformAllocator, WipProportionalAllocator,
+        run_episode, Decision, DrsAllocator, HeftAllocator, ModelFreeDdpg, MonadAllocator,
+        Observation, Policy, PolicyConfig, PolicyError, UniformAllocator, WipProportionalAllocator,
     };
     pub use desim::SimTime;
     pub use microsim::{

@@ -19,31 +19,26 @@ fn drive(
     let j = ensemble.num_task_types();
     let config = EnvConfig::for_ensemble(&ensemble).with_seed(seed);
     let mut env = MicroserviceEnv::new(ensemble, config);
-    let _ = env.reset();
-    if let Some(b) = burst {
-        env.inject_burst(&b);
-    }
-    let mut prev: Option<WindowMetrics> = None;
+    let name = allocator.name().to_string();
+    let budget = allocator.consumer_budget();
     let mut completions = 0;
     let mut final_wip = 0;
-    for step in 0..steps {
-        let wip = env.state();
-        let m = allocator
-            .decide(&Observation::new(&wip, prev.as_ref(), step))
-            .allocations;
-        assert_eq!(m.len(), j, "{} allocation length", allocator.name());
-        let total: usize = m.iter().sum();
-        assert!(
-            total <= allocator.consumer_budget(),
-            "{} exceeded budget: {m:?}",
-            allocator.name()
-        );
-        let out = env.step(&m);
-        assert!(!out.metrics.constraint_violated, "{}", allocator.name());
-        completions += out.metrics.completions.iter().sum::<usize>();
-        final_wip = out.metrics.total_wip();
-        prev = Some(out.metrics);
-    }
+    run_episode(
+        &mut env,
+        burst.as_ref(),
+        steps,
+        allocator,
+        |_, decision, out| {
+            let m = &decision.allocations;
+            assert_eq!(m.len(), j, "{name} allocation length");
+            let total: usize = m.iter().sum();
+            assert!(total <= budget, "{name} exceeded budget: {m:?}");
+            assert!(!out.metrics.constraint_violated, "{name}");
+            completions += out.metrics.completions.iter().sum::<usize>();
+            final_wip = out.metrics.total_wip();
+        },
+    )
+    .unwrap();
     (final_wip, completions)
 }
 

@@ -168,6 +168,9 @@ fn gen_trace_writes_a_trace_simulate_replays() {
 /// `simulate --trace` replays the file as the whole workload, with no
 /// background sampled on top: replaying `gen-trace`'s sample of a seed
 /// prints the same table as plain `simulate` at that seed.
+///
+/// The burst goes in before the trace, as it goes in before the background
+/// a plain run samples, so the same holds with a `--burst` on both runs.
 #[test]
 fn a_generated_trace_replays_to_the_plain_simulation() {
     let trace = std::env::temp_dir().join(format!(
@@ -175,21 +178,47 @@ fn a_generated_trace_replays_to_the_plain_simulation() {
         std::process::id()
     ));
     let path = trace.to_str().unwrap();
-    let run = ["--seed", "42", "--windows", "6"];
-    let out = miras_cli(&[&["gen-trace", "--out", path][..], &run].concat());
+    let out = miras_cli(&["gen-trace", "--seed", "42", "--windows", "6", "--out", path]);
     assert!(out.status.success(), "{out:?}");
-    let plain = miras_cli(&[&["simulate"][..], &run].concat());
-    let replayed = miras_cli(&[&["simulate", "--trace", path][..], &run].concat());
-    assert!(replayed.status.success(), "{replayed:?}");
-    let replayed = String::from_utf8(replayed.stdout).unwrap();
-    let (banner, rest) = replayed.split_once('\n').unwrap();
-    let (replaying, table) = rest.split_once('\n').unwrap();
-    assert!(replaying.starts_with("replaying "), "{replaying}");
-    assert_eq!(
-        format!("{banner}\n{table}"),
-        String::from_utf8(plain.stdout).unwrap()
-    );
+    for burst in [&[][..], &["--burst", "300,200,300"]] {
+        let run = [&["--seed", "42", "--windows", "6"][..], burst].concat();
+        let plain = miras_cli(&[&["simulate"][..], &run].concat());
+        let replayed = miras_cli(&[&["simulate", "--trace", path][..], &run].concat());
+        assert!(replayed.status.success(), "{replayed:?}");
+        let replayed = String::from_utf8(replayed.stdout).unwrap();
+        let (banner, rest) = replayed.split_once('\n').unwrap();
+        let (replaying, table) = rest.split_once('\n').unwrap();
+        assert!(replaying.starts_with("replaying "), "{replaying}");
+        assert_eq!(
+            format!("{banner}\n{table}"),
+            String::from_utf8(plain.stdout).unwrap(),
+            "{burst:?}"
+        );
+    }
     let _ = std::fs::remove_file(trace);
+}
+
+/// The usage follows a flag error or an unknown command only: a run that
+/// fails on its input (here a corrupt `--agent` file) names the fault
+/// alone.
+#[test]
+fn only_flag_errors_print_the_usage() {
+    let corrupt = temp_path("corrupt_agent");
+    std::fs::write(&corrupt, "{\"actor\":").unwrap();
+    let agent = corrupt.to_str().unwrap();
+    let out = miras_cli(&["allocate", "--agent", agent, "--wip", "1,2,3,4"]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let named = format!("error: loading {agent}: corrupt checkpoint");
+    assert!(stderr.starts_with(&named), "{stderr}");
+    assert!(!stderr.contains("usage:"), "{stderr}");
+    for args in [&["allocate", "--agents", agent][..], &["alocate"]] {
+        let out = miras_cli(args);
+        assert_eq!(out.status.code(), Some(1), "{out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("\nusage: miras-cli <command>"), "{stderr}");
+    }
+    let _ = std::fs::remove_file(corrupt);
 }
 
 /// A trace naming a workflow type the ensemble does not have is bad input:
