@@ -214,8 +214,12 @@ impl BenchArgs {
     ///
     /// # Errors
     ///
-    /// A message naming a flag whose value does not parse.
+    /// A message naming a flag whose value does not parse, or refusing
+    /// `--paper` with `--smoke`.
     pub fn from_flags(flags: &Flags) -> Result<Self, String> {
+        if flags.contains_key("paper") && flags.contains_key("smoke") {
+            return Err("--paper and --smoke are mutually exclusive".to_string());
+        }
         Ok(BenchArgs {
             ensemble: ensemble_choice(flags)?.map(|i| EnsembleKind::ALL[i]),
             seed: numeric(flags, "seed", 42)?,
@@ -303,11 +307,8 @@ pub fn command_line(accepted: &str) -> Result<Flags, String> {
 
 /// Opens the standard telemetry stream for a figure binary: a buffered
 /// [`JsonlSink`] at `results/<bin_name>.jsonl` (the directory is created;
-/// an existing file is truncated). The returned [`Telemetry`] handle is also
-/// installed as the `nn` crate's process-global recorder so GEMM and
-/// training-batch timings land in the same stream. Call
-/// [`Telemetry::flush`] before exiting to emit the aggregate
-/// counter/gauge/histogram summary rows.
+/// an existing file is truncated). Call [`Telemetry::flush`] before exiting
+/// to emit the aggregate counter/gauge/histogram summary rows.
 ///
 /// If the file cannot be created (e.g. a read-only working directory) the
 /// stream falls back to an in-memory buffer with a warning, so the figure
@@ -334,9 +335,7 @@ pub fn init_telemetry(bin_name: &str) -> (Telemetry, Arc<JsonlSink>) {
         "ddpg.critic_loss",
         &[1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6],
     );
-    let telemetry = Telemetry::new(sink.clone());
-    nn::telemetry::set_global(telemetry.clone());
-    (telemetry, sink)
+    (Telemetry::new(sink.clone()), sink)
 }
 
 /// One evaluated decision window of an allocator run.
@@ -866,6 +865,9 @@ pub fn fault_scenarios() -> Vec<FaultScenario> {
 /// prints a summary table per scenario; every run summary is also emitted
 /// as a `bench.summary` telemetry event with a string `scenario` field, so
 /// the JSONL stream segments per scenario.
+///
+/// Exits with status 1, before any training, if a trace-replay workload's
+/// trace does not load.
 pub fn run_resilience(
     kind: EnsembleKind,
     args: &BenchArgs,
@@ -994,11 +996,11 @@ struct GridRow {
 }
 
 /// The evaluation loop the comparison, resilience and workload grids share:
-/// trains (or loads) the learned policies, fans every row × `algorithms`
-/// cell out across worker threads (see `grid_cell` for the determinism
-/// contract), then summarises the rows in order, tagging each row's
-/// `bench.summary` events with `key: tag`. A row is its tag, environment
-/// config and optional burst.
+/// checks the rows' trace files ([`check_traces`]), trains (or loads) the
+/// learned policies, fans every row × `algorithms` cell out across worker
+/// threads (see `grid_cell` for the determinism contract), then summarises
+/// the rows in order, tagging each row's `bench.summary` events with
+/// `key: tag`. A row is its tag, environment config and optional burst.
 fn run_rows(
     kind: EnsembleKind,
     args: &BenchArgs,
@@ -1007,6 +1009,7 @@ fn run_rows(
     key: &str,
     rows: Vec<(Value, EnvConfig, Option<&BurstSpec>)>,
 ) -> Vec<GridRow> {
+    check_traces(kind, &rows);
     let policy_cfg = learned_policies(kind, args, telemetry);
     let steps = args.comparison_steps(kind);
     let enabled = telemetry.is_enabled();
@@ -1032,6 +1035,22 @@ fn run_rows(
             GridRow { cells, summaries }
         })
         .collect()
+}
+
+/// Loads each trace-replay row's trace into a throwaway environment, the
+/// check every grid cell's episode makes: a file that does not load, or an
+/// arrival whose workflow type `kind`'s ensemble lacks, prints `error: …`
+/// naming the file and exits with status 1, before any training.
+fn check_traces(kind: EnsembleKind, rows: &[(Value, EnvConfig, Option<&BurstSpec>)]) {
+    for (_, config, _) in rows {
+        if let WorkloadSpec::TraceReplay { path } = &config.workload {
+            let mut env = MicroserviceEnv::new(kind.ensemble(), config.clone());
+            if let Err(e) = env.load_workload_trace() {
+                eprintln!("error: workload trace {path}: {e}");
+                std::process::exit(1);
+            }
+        }
+    }
 }
 
 /// Trains (or loads) MIRAS, then trains the model-free DDPG baseline with
@@ -1069,6 +1088,9 @@ fn learned_policies(kind: EnsembleKind, args: &BenchArgs, telemetry: &Telemetry)
 /// burst scenarios. Returns `(scenario, algorithm, records)` tuples and
 /// prints tables along the way; every run summary is also emitted as a
 /// `bench.summary` telemetry event.
+///
+/// Exits with status 1, before any training, if a trace-replay workload's
+/// trace does not load.
 pub fn run_comparison(
     kind: EnsembleKind,
     args: &BenchArgs,
@@ -1170,6 +1192,9 @@ pub fn record_background_trace(
 /// Returns `(workload, algorithm, records)` tuples and prints a summary
 /// table per workload; every run summary is also emitted as a
 /// `bench.summary` telemetry event with a string `workload` field.
+///
+/// Exits with status 1, before any training, if a trace-replay workload's
+/// trace does not load.
 pub fn run_workload_grid(
     kind: EnsembleKind,
     args: &BenchArgs,

@@ -1,7 +1,9 @@
 //! Every bench binary but `telemetry_check` parses its command line through
 //! `miras::flags` against exactly the flags it reads: a flag it does not
 //! read is refused by name, with exit status 1, before any training or
-//! simulation starts (so nothing reaches stdout).
+//! simulation starts (so nothing reaches stdout). `--paper` with `--smoke`
+//! is refused the same way, and a `--workload trace:FILE` that does not
+//! load ends the run before any training.
 
 use std::process::Command;
 
@@ -68,11 +70,6 @@ const CASES: &[(&str, &str, &[&str])] = &[
         &["--smoke", "--steady"],
     ),
     ("sim_audit", env!("CARGO_BIN_EXE_sim_audit"), &["--paper"]),
-    (
-        "serve_chaos",
-        env!("CARGO_BIN_EXE_serve_chaos"),
-        &["--smoke", "--seed", "3"],
-    ),
 ];
 
 #[test]
@@ -109,4 +106,56 @@ fn an_ensemble_outside_the_name_table_is_refused() {
         );
         assert!(out.stdout.is_empty());
     }
+}
+
+#[test]
+fn paper_and_smoke_are_mutually_exclusive() {
+    let out = Command::new(env!("CARGO_BIN_EXE_fig7_msd_comparison"))
+        .args(["--smoke", "--paper", "--no-cache"])
+        .output()
+        .expect("running");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.starts_with("error: --paper and --smoke are mutually exclusive"),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty());
+}
+
+/// A missing trace, or one naming a workflow type MSD lacks (type 3 of
+/// MSD's three), exits 1 naming the file before MIRAS or the model-free
+/// baseline is trained.
+#[test]
+fn a_trace_that_does_not_load_ends_the_run_before_training() {
+    let dir = std::env::temp_dir().join(format!("miras_flag_refusal_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(
+        dir.join("ligo.jsonl"),
+        "{\"time_micros\":1000,\"workflow_type\":0}\n{\"time_micros\":2000,\"workflow_type\":3}\n",
+    )
+    .unwrap();
+    for (file, reason) in [
+        ("missing.jsonl", "No such file"),
+        (
+            "ligo.jsonl",
+            "workflow#3 is not one of the ensemble's 3 workflow types",
+        ),
+    ] {
+        // Run in a scratch directory, where the telemetry stream lands.
+        let out = Command::new(env!("CARGO_BIN_EXE_fig7_msd_comparison"))
+            .args(["--smoke", "--no-cache", "--workload"])
+            .arg(format!("trace:{file}"))
+            .current_dir(&dir)
+            .output()
+            .expect("running");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{file}: {stderr}");
+        assert!(
+            stderr.contains(&format!("error: workload trace {file}: {reason}")),
+            "{file}: {stderr}"
+        );
+        assert!(!stderr.contains("[train"), "{file} trained first: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

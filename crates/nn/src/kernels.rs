@@ -62,10 +62,8 @@ pub(crate) fn gemm<P: Fn(&mut [f64]) + Sync>(
         return;
     }
     let madds = m * k * n;
-    let timer = crate::telemetry::enabled().then(std::time::Instant::now);
     if m < PACK_MIN_ROWS || madds < STREAM_MIN_MADDS {
         gemm_small(a, m, k, &rhs, n, out, post);
-        record_gemm(timer, false);
         return;
     }
 
@@ -93,28 +91,10 @@ pub(crate) fn gemm<P: Fn(&mut [f64]) + Sync>(
                 scope.spawn(move || gemm_packed(a_chunk, take, k, packed_ref, n, out_chunk, post));
             }
         });
-        crate::scratch::recycle(packed);
-        record_gemm(timer, true);
     } else {
         gemm_packed(a, m, k, &packed, n, out, post);
-        crate::scratch::recycle(packed);
-        record_gemm(timer, false);
     }
-}
-
-/// Publishes one GEMM call's counters/timing to the crate-global telemetry
-/// slot. `timer` is `Some` only when telemetry was enabled at entry.
-fn record_gemm(timer: Option<std::time::Instant>, parallel: bool) {
-    if let Some(start) = timer {
-        let elapsed = start.elapsed().as_secs_f64();
-        crate::telemetry::with(|t| {
-            t.counter("nn.gemm_calls", 1);
-            if parallel {
-                t.counter("nn.gemm_parallel", 1);
-            }
-            t.observe("nn.gemm_secs", elapsed);
-        });
-    }
+    crate::scratch::recycle(packed);
 }
 
 /// Convenience wrapper for product-only call sites.

@@ -58,7 +58,6 @@ mod matrix;
 mod network;
 mod optimizer;
 mod scratch;
-pub mod telemetry;
 pub mod threads;
 
 pub use activation::Activation;

@@ -355,7 +355,6 @@ impl Mlp {
     pub fn train_mse(&mut self, x: &Matrix, y: &Matrix, opt: &mut Adam) -> f64 {
         assert_eq!(x.rows(), y.rows(), "sample count mismatch");
         assert_eq!(y.cols(), self.output_dim(), "target width mismatch");
-        let timer = crate::telemetry::enabled().then(std::time::Instant::now);
         let trace = self.forward_cached(x);
         let mut d_out = trace.output() - y;
         let n = (x.rows() * y.cols()) as f64;
@@ -364,14 +363,6 @@ impl Mlp {
         d_out.scale_in_place(2.0 / n);
         let mut grads = self.param_gradients(&trace, &d_out);
         self.apply_gradients(&mut grads, opt);
-        if let Some(start) = timer {
-            let elapsed = start.elapsed().as_secs_f64();
-            crate::telemetry::with(|t| {
-                t.counter("nn.train_batches", 1);
-                t.observe("nn.train_batch_secs", elapsed);
-                t.gauge("nn.last_batch_mse", loss);
-            });
-        }
         loss
     }
 

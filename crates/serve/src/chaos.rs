@@ -99,36 +99,6 @@ impl Default for ChaosConfig {
 }
 
 impl ChaosConfig {
-    /// Parses a `--chaos` spec: comma-separated `key=value` pairs over the
-    /// defaults, e.g. `seed=42,malformed=0.2,clients=4,burst=5`.
-    ///
-    /// # Errors
-    ///
-    /// A description of the first unparseable pair.
-    pub fn from_spec(spec: &str) -> Result<Self, String> {
-        let mut config = ChaosConfig::default();
-        for pair in spec.split(',').filter(|p| !p.trim().is_empty()) {
-            let (key, value) = pair
-                .split_once('=')
-                .ok_or_else(|| format!("chaos spec pair '{pair}' is not key=value"))?;
-            let (key, value) = (key.trim(), value.trim());
-            let bad = |e: &dyn std::fmt::Display| format!("chaos spec {key}={value}: {e}");
-            match key {
-                "seed" => config.seed = value.parse().map_err(|e| bad(&e))?,
-                "clients" => config.clients = value.parse().map_err(|e| bad(&e))?,
-                "malformed" => config.malformed = value.parse().map_err(|e| bad(&e))?,
-                "disconnect" => config.disconnect = value.parse().map_err(|e| bad(&e))?,
-                "stall" => config.stall = value.parse().map_err(|e| bad(&e))?,
-                "corrupt" => config.corrupt = value.parse().map_err(|e| bad(&e))?,
-                "burst" => config.burst = value.parse().map_err(|e| bad(&e))?,
-                other => return Err(format!("unknown chaos key '{other}'")),
-            }
-        }
-        config.clients = config.clients.max(1);
-        config.burst = config.burst.max(1);
-        Ok(config)
-    }
-
     /// A fault-free configuration (used by the chaos-off control run that
     /// must reproduce batch replay byte-for-byte).
     #[must_use]
@@ -505,20 +475,6 @@ mod tests {
         assert_ne!(xs[0], c.next_u64(), "adjacent seeds diverge immediately");
         let u = SplitMix64::new(3).unit();
         assert!((0.0..1.0).contains(&u));
-    }
-
-    #[test]
-    fn spec_parses_and_rejects() {
-        let c = ChaosConfig::from_spec("seed=42,malformed=0.5,clients=4,burst=5").unwrap();
-        assert_eq!(c.seed, 42);
-        assert_eq!(c.clients, 4);
-        assert_eq!(c.burst, 5);
-        assert!((c.malformed - 0.5).abs() < 1e-12);
-        assert!(ChaosConfig::from_spec("seed").is_err());
-        assert!(ChaosConfig::from_spec("frobnicate=1").is_err());
-        assert!(ChaosConfig::from_spec("seed=notanumber").is_err());
-        let d = ChaosConfig::from_spec("").unwrap();
-        assert_eq!(d, ChaosConfig::default());
     }
 
     #[test]

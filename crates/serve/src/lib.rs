@@ -51,7 +51,10 @@
 //! * **Chaos harness** ([`chaos`]): seeded fault schedules (malformed
 //!   lines, disconnects, stalls, overload bursts, checkpoint corruption)
 //!   replayed deterministically against the production components, with
-//!   machine-checked invariants ([`chaos::verify`]).
+//!   machine-checked invariants ([`chaos::verify`]). Its consumers are
+//!   the test suites: `tests/chaos_properties.rs` here, and
+//!   `crates/bench/tests/chaos_invariants.rs` against a trained, watched
+//!   checkpoint.
 //!
 //! # Examples
 //!

@@ -14,8 +14,7 @@
 //! a primary decision that overruns its budget is answered by the cheap
 //! deterministic fallback policy instead, stamped `degraded: true`.
 //! Malformed input lines are skipped and counted (`serve.wire_rejected`),
-//! never fatal. `--chaos` replays a seeded fault schedule against the
-//! same machinery and exits nonzero if any robustness invariant breaks.
+//! never fatal.
 //!
 //! Examples:
 //!
@@ -30,9 +29,6 @@
 //! miras-serve --checkpoint ckpt.json --listen tcp:0.0.0.0:7070 \
 //!             --clients 8 --max-inflight 64 --shed-policy drop-oldest \
 //!             --metrics 0.0.0.0:9090 --telemetry serve_telemetry.jsonl
-//!
-//! # Seeded chaos run (malformed lines, overload, stalls, corruption).
-//! miras-serve --checkpoint ckpt.json --chaos seed=42 --stream stream.jsonl
 //! ```
 
 use std::fs::File;
@@ -46,7 +42,6 @@ use miras::baselines::{by_name, fallback, Policy, PolicyConfig, FALLBACK_POLICY}
 use miras::flags::{burst_from, ensemble_from, numeric, parse_flags, Flags};
 use miras::prelude::Ensemble;
 use miras::telemetry::{FanoutRecorder, JsonlSink, Recorder, ScrapeRecorder, Telemetry};
-use serve::chaos::{generate_schedule, run_schedule, verify, ChaosConfig};
 use serve::{
     load_policy, record_stream, serve_clients, spawn_metrics_endpoint, AdmissionConfig,
     CheckpointWatcher, DecisionService, Listener, ServerConfig, ShedPolicy,
@@ -61,11 +56,6 @@ modes (default: serve observations from stdin, decisions to stdout):
   --replay FILE  batch-replay a recorded stream (the determinism
                  reference for shadow mode); noisy lines are skipped
                  and counted as in live mode
-  --chaos SPEC   replay a seeded fault schedule (malformed lines,
-                 disconnects, overload, stalls, checkpoint corruption)
-                 against the serving stack and verify the robustness
-                 invariants; SPEC is key=value pairs, e.g.
-                 seed=42,malformed=0.2,clients=4,burst=5
 
 policy source (default: --policy uniform):
   --checkpoint FILE  load the policy of a training checkpoint (or a
@@ -99,17 +89,15 @@ flags:
                         'none' serves late instead of degrading)
   --read-timeout-ms N   per-read socket timeout; timeouts get bounded
                         retry, then the client is disconnected
-  --stream FILE         base observation stream for --chaos (default:
-                        50 recorded windows)
   --metrics HOST:PORT   expose telemetry as a plaintext /metrics page
   --telemetry FILE      append telemetry records to a JSONL file
   --max-p99-us N        exit nonzero if p99 decision latency (admitted,
                         non-degraded windows) exceeds N";
 
 /// Every flag `miras-serve` reads; any other is refused by name.
-const FLAGS: &str = "record replay chaos checkpoint policy ensemble seed burst shadow \
-    listen clients max-inflight shed-policy deadline-us fallback read-timeout-ms stream \
-    metrics telemetry max-p99-us";
+const FLAGS: &str = "record replay checkpoint policy ensemble seed burst shadow listen \
+    clients max-inflight shed-policy deadline-us fallback read-timeout-ms metrics telemetry \
+    max-p99-us";
 
 /// Builds the policy and, for checkpoint-backed policies, returns the
 /// checkpoint path the hot-swap watcher should watch.
@@ -225,50 +213,6 @@ fn harden(
     Ok(svc)
 }
 
-/// `--chaos SPEC`: replay a seeded fault schedule and verify invariants.
-fn run_chaos(mut svc: DecisionService, flags: &Flags, spec: &str) -> Result<(), String> {
-    let config = ChaosConfig::from_spec(spec)?;
-    let base_lines: Vec<String> = match flags.get("stream") {
-        Some(path) => std::fs::read_to_string(path)
-            .map_err(|e| format!("reading {path}: {e}"))?
-            .lines()
-            .map(str::to_string)
-            .collect(),
-        None => {
-            let ensemble = ensemble_from(flags)?;
-            let seed = numeric(flags, "seed", 42u64)?;
-            let mut driver =
-                by_name("uniform", &PolicyConfig::new(&ensemble)).map_err(|e| e.to_string())?;
-            record_stream(&ensemble, seed, 50, None, driver.as_mut())
-                .iter()
-                .map(|obs| serde_json::to_string(obs).map_err(|e| e.to_string()))
-                .collect::<Result<_, _>>()?
-        }
-    };
-    let schedule = generate_schedule(&config, &base_lines);
-    let admission = admission_from(flags)?;
-    let checkpoint = flags.get("checkpoint").map(PathBuf::from);
-    let outcome = run_schedule(&mut svc, admission, &schedule, checkpoint.as_deref());
-    let verdict = verify(&outcome);
-    let summary = format!(
-        "{{\"chaos_seed\":{},\"events\":{},\"replies\":{},\"decisions\":{},\"shed\":{},\"degraded\":{},\"wire_rejected\":{},\"dropped_replies\":{},\"disconnects\":{},\"swaps\":{},\"verified\":{}}}",
-        config.seed,
-        schedule.events.len(),
-        outcome.replies.len(),
-        outcome.decisions(),
-        outcome.counters.shed,
-        outcome.counters.degraded,
-        outcome.counters.wire_rejected,
-        outcome.counters.dropped_replies,
-        outcome.counters.disconnects,
-        outcome.swaps,
-        verdict.is_ok(),
-    );
-    writeln!(std::io::stdout(), "{summary}").map_err(|e| e.to_string())?;
-    svc.finish();
-    verdict.map_err(|v| format!("chaos invariant violated (seed {}): {v}", config.seed))
-}
-
 /// Prints the latency/overload summary and enforces `--max-p99-us`.
 fn finish(svc: &DecisionService, flags: &Flags) -> Result<(), String> {
     svc.finish();
@@ -324,7 +268,6 @@ fn run(flags: &Flags) -> Result<(), String> {
     // Replay is a batch reference run: the checkpoint is pinned, never
     // swapped mid-stream, so it gets no watcher.
     let replaying = flags.contains_key("replay");
-    let chaos = flags.get("chaos").cloned();
     if let Some(path) = checkpoint {
         if !replaying {
             svc = svc.with_watcher(CheckpointWatcher::new_deployed(path));
@@ -332,9 +275,6 @@ fn run(flags: &Flags) -> Result<(), String> {
     }
     svc = harden(svc, flags, &ensemble, shadow || replaying)?;
 
-    if let Some(spec) = chaos {
-        return run_chaos(svc, flags, &spec);
-    }
     if !shadow {
         eprintln!(
             "serving '{}' v{} ({})",

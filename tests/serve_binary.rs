@@ -77,19 +77,27 @@ fn replay_from_a_checkpoint_its_first_line_and_its_legacy_layout_is_byte_identic
     }
 }
 
+/// `--chaos` and `--stream` are refused like any unknown flag: the chaos
+/// harness runs in the test suites, not in the binary.
 #[test]
 fn unknown_flags_are_refused_by_name() {
-    let out = Command::new(env!("CARGO_BIN_EXE_miras-serve"))
-        .args(["--bogus", "1", "--shadow"])
-        .output()
-        .expect("running miras-serve");
-    assert_eq!(out.status.code(), Some(1), "{out:?}");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("miras-serve does not take --bogus"),
-        "{stderr}"
-    );
-    assert!(out.stdout.is_empty());
+    for args in [
+        &["--bogus", "1", "--shadow"][..],
+        &["--chaos", "seed=1"],
+        &["--stream", "s.jsonl"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_miras-serve"))
+            .args(args)
+            .output()
+            .expect("running miras-serve");
+        assert_eq!(out.status.code(), Some(1), "{out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.starts_with(&format!("error: miras-serve does not take {}", args[0])),
+            "{stderr}"
+        );
+        assert!(out.stdout.is_empty());
+    }
 }
 
 #[test]
