@@ -16,6 +16,7 @@ use miras_bench::{run_comparison, BenchArgs, EnsembleKind};
 
 fn main() {
     let args = BenchArgs::parse("seed paper smoke iterations no-cache workload");
+    args.check_trace(&[EnsembleKind::Msd]);
     let (telemetry, _sink) = miras_bench::init_telemetry("fig7_msd_comparison");
     println!(
         "Fig. 7 reproduction — MSD comparison (seed {}, {} scale)",

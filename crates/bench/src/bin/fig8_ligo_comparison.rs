@@ -16,6 +16,7 @@ use miras_bench::{run_comparison, BenchArgs, EnsembleKind};
 
 fn main() {
     let args = BenchArgs::parse("seed paper smoke iterations no-cache workload");
+    args.check_trace(&[EnsembleKind::Ligo]);
     let (telemetry, _sink) = miras_bench::init_telemetry("fig8_ligo_comparison");
     println!(
         "Fig. 8 reproduction — LIGO comparison (seed {}, {} scale)",

@@ -21,6 +21,7 @@ use miras_bench::{run_resilience, BenchArgs};
 
 fn main() {
     let args = BenchArgs::parse("ensemble seed paper smoke iterations no-cache workload");
+    args.check_trace(&args.ensembles());
     let (telemetry, _sink) = miras_bench::init_telemetry("resilience_comparison");
     println!(
         "Resilience benchmark (seed {}, {} scale)",

@@ -18,6 +18,7 @@ use miras_bench::{record_background_trace, run_workload_grid, workload_zoo, Benc
 
 fn main() {
     let args = BenchArgs::parse("ensemble seed paper smoke iterations no-cache workload");
+    args.check_trace(&args.ensembles());
     let (telemetry, _sink) = miras_bench::init_telemetry("workload_grid");
     println!(
         "Workload grid — scenario zoo comparison (seed {}, {} scale)",

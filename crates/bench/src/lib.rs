@@ -235,6 +235,29 @@ impl BenchArgs {
         })
     }
 
+    /// Loads a trace-replay `--workload`'s trace into a throwaway
+    /// environment of each of `kinds`, the check every grid cell's episode
+    /// makes: a file that does not load, or an arrival whose workflow type
+    /// an ensemble lacks, prints `error: …` naming the file and exits with
+    /// status 1. The grid binaries call it before they open their telemetry
+    /// stream or print anything, so a refused run leaves no output.
+    pub fn check_trace(&self, kinds: &[EnsembleKind]) {
+        let WorkloadSpec::TraceReplay { path } = &self.workload else {
+            return;
+        };
+        for kind in kinds {
+            let ensemble = kind.ensemble();
+            let config = EnvConfig {
+                workload: self.workload.clone(),
+                ..EnvConfig::for_ensemble(&ensemble)
+            };
+            if let Err(e) = MicroserviceEnv::new(ensemble, config).load_workload_trace() {
+                eprintln!("error: workload trace {path}: {e}");
+                std::process::exit(1);
+            }
+        }
+    }
+
     /// The budget scale these arguments run: `smoke`, `paper` or `fast`,
     /// for banners and cache paths.
     #[must_use]
@@ -520,8 +543,8 @@ fn cache_path(kind: EnsembleKind, args: &BenchArgs, iterations: usize) -> PathBu
     ))
 }
 
-/// The cached agent at `path`, if it is there and decodes to an agent that
-/// can decide.
+/// The cached agent at `path`, if it is there and is a policy line whose
+/// agent can decide; a bare agent that older builds cached is retrained.
 fn load_cached_agent(path: &Path) -> Option<MirasAgent> {
     let line = read_policy_line(&fs::File::open(path).ok()?).ok()?;
     decode_policy_line(&line).ok().map(|(agent, _)| agent)
@@ -866,8 +889,10 @@ pub fn fault_scenarios() -> Vec<FaultScenario> {
 /// as a `bench.summary` telemetry event with a string `scenario` field, so
 /// the JSONL stream segments per scenario.
 ///
-/// Exits with status 1, before any training, if a trace-replay workload's
-/// trace does not load.
+/// # Panics
+///
+/// If a trace-replay workload's trace does not load, after training; the
+/// grid binaries refuse such a trace first ([`BenchArgs::check_trace`]).
 pub fn run_resilience(
     kind: EnsembleKind,
     args: &BenchArgs,
@@ -996,8 +1021,7 @@ struct GridRow {
 }
 
 /// The evaluation loop the comparison, resilience and workload grids share:
-/// checks the rows' trace files ([`check_traces`]), trains (or loads) the
-/// learned policies, fans every row × `algorithms` cell out across worker
+/// trains (or loads) the learned policies, fans every row × `algorithms` cell out across worker
 /// threads (see `grid_cell` for the determinism contract), then summarises
 /// the rows in order, tagging each row's `bench.summary` events with
 /// `key: tag`. A row is its tag, environment config and optional burst.
@@ -1009,7 +1033,6 @@ fn run_rows(
     key: &str,
     rows: Vec<(Value, EnvConfig, Option<&BurstSpec>)>,
 ) -> Vec<GridRow> {
-    check_traces(kind, &rows);
     let policy_cfg = learned_policies(kind, args, telemetry);
     let steps = args.comparison_steps(kind);
     let enabled = telemetry.is_enabled();
@@ -1035,22 +1058,6 @@ fn run_rows(
             GridRow { cells, summaries }
         })
         .collect()
-}
-
-/// Loads each trace-replay row's trace into a throwaway environment, the
-/// check every grid cell's episode makes: a file that does not load, or an
-/// arrival whose workflow type `kind`'s ensemble lacks, prints `error: …`
-/// naming the file and exits with status 1, before any training.
-fn check_traces(kind: EnsembleKind, rows: &[(Value, EnvConfig, Option<&BurstSpec>)]) {
-    for (_, config, _) in rows {
-        if let WorkloadSpec::TraceReplay { path } = &config.workload {
-            let mut env = MicroserviceEnv::new(kind.ensemble(), config.clone());
-            if let Err(e) = env.load_workload_trace() {
-                eprintln!("error: workload trace {path}: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
 }
 
 /// Trains (or loads) MIRAS, then trains the model-free DDPG baseline with
@@ -1089,8 +1096,10 @@ fn learned_policies(kind: EnsembleKind, args: &BenchArgs, telemetry: &Telemetry)
 /// prints tables along the way; every run summary is also emitted as a
 /// `bench.summary` telemetry event.
 ///
-/// Exits with status 1, before any training, if a trace-replay workload's
-/// trace does not load.
+/// # Panics
+///
+/// If a trace-replay workload's trace does not load, after training; the
+/// grid binaries refuse such a trace first ([`BenchArgs::check_trace`]).
 pub fn run_comparison(
     kind: EnsembleKind,
     args: &BenchArgs,
@@ -1193,8 +1202,10 @@ pub fn record_background_trace(
 /// table per workload; every run summary is also emitted as a
 /// `bench.summary` telemetry event with a string `workload` field.
 ///
-/// Exits with status 1, before any training, if a trace-replay workload's
-/// trace does not load.
+/// # Panics
+///
+/// If a trace-replay workload's trace does not load, after training; the
+/// grid binaries refuse such a trace first ([`BenchArgs::check_trace`]).
 pub fn run_workload_grid(
     kind: EnsembleKind,
     args: &BenchArgs,

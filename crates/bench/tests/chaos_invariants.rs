@@ -268,8 +268,7 @@ fn checkpoint_corruption_under_chaos_never_breaks_the_service() {
     let mut trainer = MirasTrainer::new(&env, MirasConfig::smoke_test(21));
     trainer.run_iteration(&mut env);
     let ckpt = temp_checkpoint("agent");
-    let agent_json = serde_json::to_string(&trainer.agent()).unwrap();
-    std::fs::write(&ckpt, &agent_json).unwrap();
+    save_policy(&ckpt, &trainer.agent(), 1).unwrap();
 
     let mut driver = by_name("uniform", &PolicyConfig::new(&ensemble)).unwrap();
     let base_lines: Vec<String> = record_stream(&ensemble, 23, 40, None, driver.as_mut())
@@ -321,7 +320,7 @@ fn checkpoint_corruption_under_chaos_never_breaks_the_service() {
     // And hot-swap still works after all that: write a *newer, valid*
     // checkpoint and confirm the watcher picks it up.
     trainer.run_iteration(&mut env);
-    std::fs::write(&ckpt, serde_json::to_string(&trainer.agent()).unwrap()).unwrap();
+    save_policy(&ckpt, &trainer.agent(), 2).unwrap();
     let swaps_before = svc.swaps();
     let _ = svc.handle(&probe);
     assert_eq!(

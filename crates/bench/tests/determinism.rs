@@ -1,11 +1,42 @@
 //! Telemetry must be observation-only: a figure run with a recording sink
 //! attached must produce bit-identical results to the same run with the
 //! no-op recorder. This is the repo's guard against instrumentation ever
-//! consuming randomness or perturbing the computation.
+//! consuming randomness or perturbing the computation. The Fig. 7 smoke
+//! run is also pinned: its per-window records hash to a committed constant.
 
 use microsim::WorkloadSpec;
-use miras_bench::{run_comparison, run_workload_grid, workload_zoo, BenchArgs, EnsembleKind};
+use miras_bench::{
+    run_comparison, run_workload_grid, workload_zoo, BenchArgs, EnsembleKind, StepRecord,
+};
 use telemetry::{JsonlSink, Telemetry};
+
+/// FNV-1a over every field of every record of the Fig. 7 smoke run at seed
+/// 5, scenario by scenario in algorithm order (see [`fold_records`]). It
+/// moves only when a number of Fig. 7's comparison moves: training,
+/// evaluation, the emulator or a baseline. It holds at any
+/// `NN_NUM_THREADS` and at baseline x86-64 vector width.
+const FIG7_SMOKE_BITS: u64 = 0x97ae_9b50_7dc1_0ae3;
+
+fn fnv1a(hash: &mut u64, word: u64) {
+    for b in word.to_le_bytes() {
+        *hash ^= u64::from(b);
+        *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+/// Folds one series' scenario and the bits of each record's fields into
+/// `hash`; a window with no completions folds `u64::MAX` as its response.
+fn fold_records(hash: &mut u64, scenario: usize, records: &[StepRecord]) {
+    fnv1a(hash, scenario as u64);
+    for r in records {
+        fnv1a(hash, r.step as u64);
+        fnv1a(hash, r.total_wip as u64);
+        fnv1a(hash, r.reward.to_bits());
+        fnv1a(hash, r.response_secs.map_or(u64::MAX, f64::to_bits));
+        fnv1a(hash, r.completions as u64);
+        fnv1a(hash, r.consumers_used as u64);
+    }
+}
 
 fn smoke_args(seed: u64) -> BenchArgs {
     BenchArgs {
@@ -36,6 +67,7 @@ fn fig7_smoke_run_is_bit_identical_with_recorder_attached() {
     telemetry.flush();
 
     assert_eq!(silent.len(), recorded.len());
+    let mut bits = 0xcbf2_9ce4_8422_2325;
     for ((scenario_a, name_a, records_a), (scenario_b, name_b, records_b)) in
         silent.iter().zip(&recorded)
     {
@@ -46,7 +78,12 @@ fn fig7_smoke_run_is_bit_identical_with_recorder_attached() {
         let json_a = serde_json::to_string(records_a).expect("serializable");
         let json_b = serde_json::to_string(records_b).expect("serializable");
         assert_eq!(json_a, json_b, "{name_a} diverged in scenario {scenario_a}");
+        fold_records(&mut bits, *scenario_a, records_a);
     }
+    assert_eq!(
+        bits, FIG7_SMOKE_BITS,
+        "the Fig. 7 smoke records moved: {bits:#018x}"
+    );
 
     // The recording run must actually have produced the stream the figure
     // binaries ship: per-window events from the environment and

@@ -125,7 +125,9 @@ fn paper_and_smoke_are_mutually_exclusive() {
 
 /// A missing trace, or one naming a workflow type MSD lacks (type 3 of
 /// MSD's three), exits 1 naming the file before MIRAS or the model-free
-/// baseline is trained.
+/// baseline is trained, and before the run prints a banner or opens its
+/// telemetry stream. Every grid binary refuses a missing trace the same
+/// way.
 #[test]
 fn a_trace_that_does_not_load_ends_the_run_before_training() {
     let dir = std::env::temp_dir().join(format!("miras_flag_refusal_{}", std::process::id()));
@@ -156,6 +158,31 @@ fn a_trace_that_does_not_load_ends_the_run_before_training() {
             "{file}: {stderr}"
         );
         assert!(!stderr.contains("[train"), "{file} trained first: {stderr}");
+        assert!(out.stdout.is_empty(), "{file}: {out:?}");
+        assert!(!dir.join("results").exists(), "{file} opened a stream");
+    }
+    for (bin, args) in [
+        (env!("CARGO_BIN_EXE_fig8_ligo_comparison"), &[][..]),
+        (
+            env!("CARGO_BIN_EXE_resilience_comparison"),
+            &["--ensemble", "msd"],
+        ),
+        (env!("CARGO_BIN_EXE_workload_grid"), &["--ensemble", "msd"]),
+    ] {
+        let out = Command::new(bin)
+            .args(["--smoke", "--no-cache", "--workload", "trace:missing.jsonl"])
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .expect("running");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{bin}: {stderr}");
+        assert!(
+            stderr.starts_with("error: workload trace missing.jsonl: "),
+            "{bin}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{bin}: {out:?}");
+        assert!(!dir.join("results").exists(), "{bin} opened a stream");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -83,11 +83,12 @@ fn truncated_checkpoints_are_rejected_at_every_cut() {
     std::fs::remove_file(&path).ok();
 }
 
-/// Garbage that is valid JSON but not a checkpoint is also rejected.
+/// Garbage that is valid JSON, laid out as a checkpoint of the current
+/// format version (2), but not a checkpoint is also rejected.
 #[test]
 fn foreign_json_is_rejected() {
     let path = temp_path("foreign");
-    std::fs::write(&path, "{\"version\":1,\"surprise\":true}").unwrap();
+    std::fs::write(&path, "{}\n{\"version\":2,\"surprise\":true}").unwrap();
     let err = MirasTrainer::resume(&path, Ensemble::msd()).unwrap_err();
     assert!(matches!(err, CheckpointError::Corrupt(_)), "got {err}");
     std::fs::remove_file(&path).ok();

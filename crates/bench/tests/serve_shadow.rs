@@ -1,8 +1,7 @@
 //! Shadow-mode determinism: the serving loop's decision stream is
 //! byte-identical to a batch replay of the same observations at the same
 //! checkpoint, and both match the bare agent's `allocate` — the serving
-//! layer adds no numerics of its own. Holds for current checkpoints (policy
-//! line first) and for legacy ones (training state alone).
+//! layer adds no numerics of its own.
 
 use std::path::PathBuf;
 
@@ -23,26 +22,16 @@ fn temp_checkpoint(tag: &str) -> PathBuf {
     ))
 }
 
-/// Rewrites the checkpoint at `path` in the layout saved before policy
-/// lines existed: the training-state line alone.
-fn strip_policy_line(path: &std::path::Path) {
-    let text = std::fs::read_to_string(path).unwrap();
-    let (_, state) = text.split_once('\n').expect("a policy line");
-    std::fs::write(path, state).unwrap();
-}
-
-fn shadow_equals_batch_replay(tag: &str, legacy: bool) {
+#[test]
+fn shadow_stream_is_byte_identical_to_batch_replay_and_the_bare_agent() {
     // Train a smoke-scale agent and persist the full checkpoint.
     let ensemble = Ensemble::msd();
     let env_config = EnvConfig::for_ensemble(&ensemble).with_seed(13);
     let mut env = ClusterEnvAdapter::new(MicroserviceEnv::new(ensemble.clone(), env_config));
     let mut trainer = MirasTrainer::new(&env, MirasConfig::smoke_test(13));
     trainer.run_iteration(&mut env);
-    let ckpt = temp_checkpoint(tag);
+    let ckpt = temp_checkpoint("current");
     trainer.save_checkpoint(&env, &ckpt).unwrap();
-    if legacy {
-        strip_policy_line(&ckpt);
-    }
 
     // A 50-window recorded stream, as the CI smoke uses.
     let mut driver = by_name("uniform", &PolicyConfig::new(&ensemble)).unwrap();
@@ -94,16 +83,6 @@ fn shadow_equals_batch_replay(tag: &str, legacy: bool) {
     );
 
     let _ = std::fs::remove_file(ckpt);
-}
-
-#[test]
-fn shadow_stream_is_byte_identical_to_batch_replay_and_the_bare_agent() {
-    shadow_equals_batch_replay("current", false);
-}
-
-#[test]
-fn shadow_on_a_legacy_checkpoint_is_byte_identical_to_batch_replay() {
-    shadow_equals_batch_replay("legacy", true);
 }
 
 #[test]

@@ -10,12 +10,13 @@
 //! `crates/bench/tests/resume.rs`).
 //!
 //! A checkpoint file is two lines. The first is the *policy line*: one
-//! compact JSON object holding the deployable agent and its policy version
-//! (the iteration), which is all serving reads ([`decode_policy_line`]);
-//! `head -n 1` of a checkpoint is therefore a servable policy file. The
-//! second is the training state, which only resume reads. Files written
-//! before policy lines existed hold the training state alone, on one line,
-//! and still load both ways.
+//! compact JSON object, `{"policy_version":N,"agent":{...}}`, holding the
+//! deployable agent and its policy version (the iteration), which is all
+//! serving reads ([`decode_policy_line`]); `head -n 1` of a checkpoint is
+//! therefore a servable policy file. The second is the training state,
+//! which only resume reads. A policy line is the one shape of deployable
+//! policy: a bare serialized agent, or a one-line version-1 checkpoint
+//! from before policy lines, is refused with [`CheckpointError::Corrupt`].
 //!
 //! [`save_policy`] writes a trained agent as a policy line alone, and
 //! [`read_policy_line`] is the one reader of that line in any of these
@@ -24,15 +25,10 @@
 //! Saves are atomic: the file is written to a `<path>.tmp` sibling,
 //! fsynced, then renamed over the target, so a crash mid-save can never
 //! leave a truncated file in place of a good one, and a checkpoint's two
-//! lines always come from the same save. Loads validate the format version
-//! and reject corrupt or truncated files with [`CheckpointError::Corrupt`]
-//! instead of panicking.
-//!
-//! Some config fields older builds wrote are now constants (see
-//! [`RETIRED_KEYS`]). Loading skips them like any unknown field, but a file
-//! that stores one with a value other than the constant was trained under
-//! behaviour this build no longer has, so it is refused with
-//! [`CheckpointError::Mismatch`] naming the key.
+//! lines always come from the same save. Loads check the training state's
+//! format version first, refusing any other one (version 1 included) with
+//! [`CheckpointError::Mismatch`], and reject corrupt or truncated files
+//! with [`CheckpointError::Corrupt`] instead of panicking.
 
 use std::fmt;
 use std::fs::File;
@@ -47,28 +43,9 @@ use crate::adapter::AdapterSnapshot;
 use crate::{DynamicsModel, MirasAgent, MirasConfig, TransitionDataset};
 
 /// Format version written into every checkpoint; bumped whenever the
-/// payload layout changes incompatibly.
-pub(crate) const CHECKPOINT_VERSION: u32 = 1;
-
-/// Config fields that older builds let a caller set and this build runs
-/// as constants: each key's dotted path from the root of a training state
-/// (or of a serialized [`MirasAgent`]), with the constant as those builds
-/// serialized it. The agent snapshot's copy of the DDPG config is not
-/// listed: a trainer always built it from `config.ddpg`.
-const RETIRED_KEYS: [(&str, &str); 12] = [
-    ("config.model_lr", "0.003"),
-    ("config.ddpg.grad_clip", "10.0"),
-    ("config.ddpg.reward_scale", "1.0"),
-    ("config.ddpg.twin_critic", "false"),
-    ("config.ddpg.exploration.ParamNoise.initial_sigma", "0.05"),
-    ("config.ddpg.exploration.ParamNoise.delta", "0.1"),
-    ("config.ddpg.exploration.ParamNoise.alpha", "1.01"),
-    ("adapter.env.config.clamp_actions", "true"),
-    ("adapter.env.config.reset_capacity_factor", "5"),
-    ("adapter.env.config.reset_max_windows", "40"),
-    ("adapter.env.config.reset_wip_threshold", "0"),
-    ("strict_floor", "false"),
-];
+/// payload layout changes incompatibly. Version 2 names the lane count
+/// `lanes`, where version 1 stored a `rollout_mode`.
+pub(crate) const CHECKPOINT_VERSION: u32 = 2;
 
 /// The value at `key` of a JSON object, if `value` is one and has it.
 fn field<'a>(value: &'a Value, key: &str) -> Option<&'a Value> {
@@ -78,21 +55,19 @@ fn field<'a>(value: &'a Value, key: &str) -> Option<&'a Value> {
     }
 }
 
-/// Refuses `root` if it stores any of [`RETIRED_KEYS`] with a value other
-/// than the constant this build runs with. An absent key passes.
-fn check_retired(root: &Value) -> Result<(), CheckpointError> {
-    for (path, constant) in RETIRED_KEYS {
-        let Some(found) = path.split('.').try_fold(root, field) else {
-            continue;
-        };
-        let found = serde_json::to_string(found).unwrap_or_default();
-        if found != constant {
-            return Err(CheckpointError::Mismatch(format!(
-                "`{path}` is {found}, but this build only runs with {constant}"
-            )));
-        }
+/// Refuses a serialized [`MirasAgent`] that stores `strict_floor`, the
+/// literal-floor rounding option older builds let a caller set, with any
+/// value but `false`: this build always rounds by largest remainder. A
+/// policy line carries no format version, so the key is checked by name;
+/// at `false` it is skipped like any unknown field.
+fn check_strict_floor(agent: &Value) -> Result<(), CheckpointError> {
+    match field(agent, "strict_floor") {
+        None | Some(Value::Bool(false)) => Ok(()),
+        Some(found) => Err(CheckpointError::Mismatch(format!(
+            "`strict_floor` is {}, but this build only runs with false",
+            serde_json::to_string(found).unwrap_or_default()
+        ))),
     }
-    Ok(())
 }
 
 /// Why a checkpoint could not be saved or loaded.
@@ -139,9 +114,6 @@ impl From<std::io::Error> for CheckpointError {
 /// Produced by [`crate::MirasTrainer::save_checkpoint`] and consumed by
 /// [`crate::MirasTrainer::resume`]; the fields are crate-private because
 /// the payload's only contract is bit-identical resume.
-///
-/// Loading skips fields this build no longer reads, such as the
-/// `last_schedule` that builds with an actor–learner engine wrote.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CheckpointPayload {
     pub(crate) version: u32,
@@ -221,10 +193,10 @@ pub fn save_policy(
     write_atomic(path, agent.clone(), policy_version, b"")
 }
 
-/// Reads line one of a policy file, without its `\n`: the whole deployable
-/// policy of every layout [`decode_policy_line`] accepts, so nothing that
-/// serves or evaluates a file reads past it. Takes an open file so that a
-/// caller can `stat` the handle it reads.
+/// Reads line one of a policy or checkpoint file, without its `\n`: the
+/// whole deployable policy, so nothing that serves or evaluates a file
+/// reads past it. Takes an open file so that a caller can `stat` the
+/// handle it reads.
 ///
 /// # Errors
 ///
@@ -280,62 +252,47 @@ impl CheckpointPayload {
     /// # Errors
     ///
     /// Returns [`CheckpointError::Io`] if the file cannot be read,
-    /// [`CheckpointError::Corrupt`] if it does not parse as a checkpoint
-    /// (e.g. it was truncated by a crash that beat the atomic-rename
-    /// protocol's temp file into place), and [`CheckpointError::Mismatch`]
-    /// if its format version differs from `CHECKPOINT_VERSION` or it stores
-    /// a retired config key with a value other than its constant.
+    /// [`CheckpointError::Mismatch`] if the training state's format version
+    /// is not `CHECKPOINT_VERSION` (checked before anything else in it is
+    /// decoded), and [`CheckpointError::Corrupt`] if the file does not parse
+    /// as a two-line checkpoint (e.g. it was truncated by a crash that beat
+    /// the atomic-rename protocol's temp file into place).
     pub fn load(path: &Path) -> Result<Self, CheckpointError> {
         let text = String::from_utf8(std::fs::read(path)?)
             .map_err(|e| CheckpointError::Corrupt(format!("not UTF-8: {e}")))?;
-        // A file without a newline predates policy lines: all of it is the
-        // training state.
-        let state = text
-            .split_once('\n')
-            .map_or(text.as_str(), |(_, state)| state);
+        // A one-line file is refused below, but a version-1 checkpoint from
+        // before policy lines is one line too, and is named as version 1.
+        let (policy, state) = text.split_once('\n').unwrap_or(("", &text));
         let value: Value = serde_json::from_str(state).map_err(parse_failed)?;
-        check_retired(&value)?;
-        from_value::<CheckpointPayload, _>(value)
-            .map_err(parse_failed)?
-            .checked()
-    }
-
-    /// The payload, if its format version is the one this build reads.
-    fn checked(self) -> Result<Self, CheckpointError> {
-        if self.version != CHECKPOINT_VERSION {
+        let version = match field(&value, "version") {
+            Some(Value::UInt(version)) => *version,
+            _ => return Err(CheckpointError::Corrupt("no format version".into())),
+        };
+        if version != u64::from(CHECKPOINT_VERSION) {
             return Err(CheckpointError::Mismatch(format!(
-                "checkpoint version {} (this build reads {})",
-                self.version, CHECKPOINT_VERSION
+                "checkpoint version {version} (this build reads {CHECKPOINT_VERSION})"
             )));
         }
-        Ok(self)
+        if policy.is_empty() {
+            return Err(CheckpointError::Corrupt("no policy line".into()));
+        }
+        from_value(value).map_err(parse_failed)
     }
 }
 
 /// Decodes the deployable policy from the first line of a policy file (as
-/// [`read_policy_line`] returns it) and returns it with its policy version.
-/// The line is parsed once and dispatched on its shape:
-///
-/// - a policy line, as every checkpoint starts with (or a `head -n 1` copy
-///   of one): the agent and the iteration it was saved after;
-/// - a bare serialized [`MirasAgent`]: version 0;
-/// - a checkpoint saved before policy lines existed, whose one line is the
-///   whole training state: its [`deployable_agent`] and iteration.
-///
-/// Only the last case parses training state; serving a current checkpoint
-/// never does. Whatever the shape, the agent is checked to be able to
-/// decide (well-formed actor and normaliser over one task-type count)
-/// before it is returned.
+/// [`read_policy_line`] returns it), `{"policy_version":N,"agent":{...}}`,
+/// and returns the agent with its policy version. The agent is checked to
+/// be able to decide (well-formed actor and normaliser over one task-type
+/// count) before it is returned.
 ///
 /// # Errors
 ///
-/// [`CheckpointError::Corrupt`] if the line is not UTF-8 or not one of
-/// those shapes (e.g. it was cut short) or its agent cannot decide, and
-/// [`CheckpointError::Mismatch`] for a legacy checkpoint of another format
-/// version, or for an agent stored with a retired key at a value other
-/// than its constant (`"strict_floor":true`).
-///
-/// [`deployable_agent`]: CheckpointPayload::deployable_agent
+/// [`CheckpointError::Corrupt`] if the line is not UTF-8, is not a policy
+/// line (e.g. it was cut short, or is a bare agent or a one-line version-1
+/// checkpoint) or its agent cannot decide, and
+/// [`CheckpointError::Mismatch`] for an agent stored with
+/// `"strict_floor":true`.
 pub fn decode_policy_line(line: &[u8]) -> Result<(MirasAgent, u64), CheckpointError> {
     let line = std::str::from_utf8(line)
         .map_err(|e| CheckpointError::Corrupt(format!("not UTF-8: {e}")))?;
@@ -346,28 +303,17 @@ pub fn decode_policy_line(line: &[u8]) -> Result<(MirasAgent, u64), CheckpointEr
             value.kind()
         )));
     }
-    let has = |key: &str| field(&value, key).is_some();
-    let (agent, version) = if has("policy_version") {
-        if let Some(agent) = field(&value, "agent") {
-            check_retired(agent)?;
-        }
-        let line: PolicyLine = from_value(value).map_err(parse_failed)?;
-        (line.agent, line.policy_version)
-    } else if has("actor") {
-        check_retired(&value)?;
-        (from_value(value).map_err(parse_failed)?, 0)
-    } else {
-        // The deployable agent is rebuilt from the actor and normaliser
-        // alone, so no retired training key changes what it decides.
-        let payload = from_value::<CheckpointPayload, _>(value)
-            .map_err(parse_failed)?
-            .checked()?;
-        (payload.deployable_agent(), payload.iteration as u64)
-    };
+    if let Some(agent) = field(&value, "agent") {
+        check_strict_floor(agent)?;
+    }
+    let PolicyLine {
+        policy_version,
+        agent,
+    } = from_value(value).map_err(parse_failed)?;
     agent
         .validate()
         .map_err(|e| CheckpointError::Corrupt(format!("unusable agent: {e}")))?;
-    Ok((agent, version))
+    Ok((agent, policy_version))
 }
 
 #[cfg(test)]
@@ -396,6 +342,10 @@ mod tests {
         serde_json::to_string(&MirasAgent::new(actor, 14)).unwrap()
     }
 
+    fn policy_line(agent: &str) -> String {
+        format!("{{\"policy_version\":3,\"agent\":{agent}}}")
+    }
+
     #[test]
     fn agents_that_cannot_decide_are_refused() {
         let agent = agent_json();
@@ -409,27 +359,38 @@ mod tests {
         let bias = agent.find("\"bias\":[").unwrap() + "\"bias\":[".len();
         let first_bias_end = bias + agent[bias..].find(',').unwrap();
         let infinite = format!("{}1e999{}", &agent[..bias], &agent[first_bias_end..]);
+        let line = policy_line(&agent);
         for (broken, why) in [
-            (infinite, "non-finite parameter"),
+            (policy_line(&infinite), "non-finite parameter"),
             (
-                agent.replacen("\"rows\":8", "\"rows\":9", 1),
+                policy_line(&agent.replacen("\"rows\":8", "\"rows\":9", 1)),
                 "9×4 weight matrix",
             ),
             (
-                agent.replacen("\"cols\":4", "\"cols\":8", 1),
+                policy_line(&agent.replacen("\"cols\":4", "\"cols\":8", 1)),
                 "holds 32 entries",
             ),
             (
-                "{\"actor\":{\"layers\":[]},\"obs_norm\":null,\"consumer_budget\":14}".to_string(),
+                policy_line("{\"actor\":{\"layers\":[]},\"obs_norm\":null,\"consumer_budget\":14}"),
                 "no layers",
             ),
             (
-                agent.replace("\"obs_norm\":null", &norm(3, "5.0")),
+                policy_line(&agent.replace("\"obs_norm\":null", &norm(3, "5.0"))),
                 "3 dimensions",
             ),
-            (agent.replace("\"obs_norm\":null", &norm(4, "-1.0")), "clip"),
+            (
+                policy_line(&agent.replace("\"obs_norm\":null", &norm(4, "-1.0"))),
+                "clip",
+            ),
             ("[1,2]".to_string(), "JSON object"),
-            (agent[..agent.len() / 2].to_string(), "parse failed"),
+            (line[..line.len() / 2].to_string(), "parse failed"),
+            // The layouts only older builds read: a bare agent, and a
+            // version-1 checkpoint's one line of training state.
+            (agent.clone(), "policy_version"),
+            (
+                "{\"version\":1,\"config\":{},\"iteration\":3}".to_string(),
+                "policy_version",
+            ),
         ] {
             match decode_policy_line(broken.as_bytes()) {
                 Err(CheckpointError::Corrupt(msg)) => assert!(msg.contains(why), "{msg}"),
@@ -439,26 +400,23 @@ mod tests {
     }
 
     /// Agents saved before the literal-floor option went: `false` decodes
-    /// as the current agent, `true` is refused naming the key, both as a
-    /// bare agent and inside a policy line.
+    /// as the current agent, `true` is refused naming the key.
     #[test]
     fn agents_stored_with_strict_floor_decode_only_at_false() {
         let agent = agent_json();
-        let current = decode_policy_line(agent.as_bytes()).unwrap();
+        let current = decode_policy_line(policy_line(&agent).as_bytes()).unwrap();
+        assert_eq!(current.1, 3);
         for floor in [false, true] {
             let stored = format!(
                 "{},\"strict_floor\":{floor}}}",
                 agent.strip_suffix('}').unwrap()
             );
-            let line = format!("{{\"policy_version\":3,\"agent\":{stored}}}");
-            for (text, version) in [(stored, 0), (line, 3)] {
-                match decode_policy_line(text.as_bytes()) {
-                    Ok(decoded) if !floor => assert_eq!(decoded, (current.0.clone(), version)),
-                    Err(CheckpointError::Mismatch(msg)) if floor => {
-                        assert!(msg.contains("`strict_floor` is true"), "{msg}");
-                    }
-                    other => panic!("strict_floor={floor}: got {other:?}"),
+            match decode_policy_line(policy_line(&stored).as_bytes()) {
+                Ok(decoded) if !floor => assert_eq!(decoded, current),
+                Err(CheckpointError::Mismatch(msg)) if floor => {
+                    assert!(msg.contains("`strict_floor` is true"), "{msg}");
                 }
+                other => panic!("strict_floor={floor}: got {other:?}"),
             }
         }
     }

@@ -4,51 +4,6 @@ use microsim::ConfigError;
 use rl::{DdpgConfig, Exploration};
 use serde::{Deserialize, Serialize};
 
-/// The rollout engine's lane count in its serialised/config form (see
-/// [`RolloutMode::lanes`]). The three variants are kept so every
-/// checkpoint and config ever written keeps loading; the engine only sees
-/// the lane count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum RolloutMode {
-    /// One rollout at a time: the engine at one lane, consuming every RNG
-    /// stream in the order of the textbook loop.
-    #[default]
-    Sequential,
-    /// `B` rollout lanes stepped in lockstep through batched model and
-    /// actor forwards (see
-    /// [`BatchedSyntheticEnv`](crate::BatchedSyntheticEnv)). Bit-stable at
-    /// any `B`; `B > 1` consumes exploration randomness in lane order, so
-    /// it is a *throughput* option, not a replay of the one-lane run.
-    Lockstep(usize),
-    /// Decode-only: written by builds that still had an actor–learner
-    /// engine (`workers ≥ 2` asynchronous rollout workers), so that their
-    /// configs and checkpoints keep decoding. Nothing builds it any more
-    /// ([`MirasConfig::try_with_distributed`] returns `Lockstep(lanes)`).
-    ///
-    /// `workers = 1` always ran inline, exactly as `Lockstep(lanes)`, and
-    /// still does: its checkpoints resume. A `workers ≥ 2` run's results
-    /// depended on a recorded version schedule that no engine can replay
-    /// now, so [`MirasTrainer::resume`](crate::MirasTrainer::resume)
-    /// refuses its checkpoints; their policies still serve.
-    Distributed {
-        /// Number of asynchronous rollout workers the run used.
-        workers: usize,
-        /// Lockstep lanes per worker.
-        lanes: usize,
-    },
-}
-
-impl RolloutMode {
-    /// The lane count the rollout engine runs at.
-    #[must_use]
-    pub fn lanes(self) -> usize {
-        match self {
-            RolloutMode::Sequential => 1,
-            RolloutMode::Lockstep(lanes) | RolloutMode::Distributed { lanes, .. } => lanes,
-        }
-    }
-}
-
 /// Hyper-parameters of the full MIRAS pipeline (model + policy + loop).
 ///
 /// [`MirasConfig::msd_paper`] and [`MirasConfig::ligo_paper`] mirror §VI-A3
@@ -107,11 +62,15 @@ pub struct MirasConfig {
     pub collect_burst_max: Option<Vec<usize>>,
     /// DDPG hyper-parameters.
     pub ddpg: DdpgConfig,
-    /// How the inner loop's synthetic rollouts execute. Defaults to
-    /// [`RolloutMode::Sequential`]; absent in older checkpoints/configs,
-    /// hence the serde default.
-    #[serde(default)]
-    pub rollout_mode: RolloutMode,
+    /// Synthetic rollouts the inner loop steps in lockstep, through batched
+    /// model and actor forwards (see
+    /// [`BatchedSyntheticEnv`](crate::BatchedSyntheticEnv)). Every preset
+    /// runs one lane, consuming the RNG streams in the order of the
+    /// textbook loop; [`try_with_lockstep`](MirasConfig::try_with_lockstep)
+    /// sets more. Bit-stable at any count, but more than one lane consumes
+    /// exploration randomness in lane order, so it is a *throughput*
+    /// option, not a replay of the one-lane run.
+    pub lanes: usize,
     /// Master seed.
     pub seed: u64,
 }
@@ -136,7 +95,7 @@ impl MirasConfig {
             random_action_fraction: 0.1,
             collect_burst_max: Some(vec![400, 250, 400]),
             ddpg: DdpgConfig::paper(256, seed),
-            rollout_mode: RolloutMode::Sequential,
+            lanes: 1,
             seed,
         }
     }
@@ -167,7 +126,7 @@ impl MirasConfig {
                 d.entropy_weight = 4.0;
                 d
             },
-            rollout_mode: RolloutMode::Sequential,
+            lanes: 1,
             seed,
         }
     }
@@ -240,7 +199,7 @@ impl MirasConfig {
             random_action_fraction: 0.1,
             collect_burst_max: None,
             ddpg: DdpgConfig::small_test(seed),
-            rollout_mode: RolloutMode::Sequential,
+            lanes: 1,
             seed,
         }
     }
@@ -255,11 +214,11 @@ impl MirasConfig {
     pub fn try_with_lockstep(mut self, lanes: usize) -> Result<Self, ConfigError> {
         if lanes == 0 {
             return Err(ConfigError::Miras {
-                field: "rollout_mode",
+                field: "lanes",
                 reason: "lockstep lane count must be positive",
             });
         }
-        self.rollout_mode = RolloutMode::Lockstep(lanes);
+        self.lanes = lanes;
         Ok(self)
     }
 
@@ -271,7 +230,9 @@ impl MirasConfig {
     ///
     /// # Errors
     ///
-    /// [`ConfigError::Miras`] if `workers` or `lanes` is zero.
+    /// [`ConfigError::Miras`] if `workers` or `lanes` is zero. Both errors
+    /// still name `rollout_mode`, the field this builder set before
+    /// [`lanes`](MirasConfig::lanes) replaced it.
     pub fn try_with_distributed(self, workers: usize, lanes: usize) -> Result<Self, ConfigError> {
         if workers == 0 {
             return Err(ConfigError::Miras {
@@ -371,24 +332,13 @@ mod tests {
         assert_eq!(
             err,
             ConfigError::Miras {
-                field: "rollout_mode",
+                field: "lanes",
                 reason: "lockstep lane count must be positive",
             }
         );
         assert!(err.to_string().starts_with("invalid MirasConfig."));
         let ok = MirasConfig::smoke_test(0).try_with_lockstep(4).unwrap();
-        assert_eq!(ok.rollout_mode, RolloutMode::Lockstep(4));
-    }
-
-    #[test]
-    fn every_mode_maps_to_one_engine_shape() {
-        assert_eq!(RolloutMode::Sequential.lanes(), 1);
-        assert_eq!(RolloutMode::Lockstep(3).lanes(), 3);
-        let mode = RolloutMode::Distributed {
-            workers: 2,
-            lanes: 16,
-        };
-        assert_eq!(mode.lanes(), 16);
+        assert_eq!(ok.lanes, 4);
     }
 
     #[test]
@@ -424,6 +374,6 @@ mod tests {
             .with_action_noise(0.15, 0.2)
             .try_with_distributed(2, 4)
             .unwrap();
-        assert_eq!(ok.rollout_mode, RolloutMode::Lockstep(4));
+        assert_eq!(ok.lanes, 4);
     }
 }

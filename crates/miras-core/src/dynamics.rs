@@ -44,19 +44,12 @@ pub struct DynamicsModel {
     target_scaler: Option<Standardizer>,
     /// Serialized so a resumed training run continues with the exact Adam
     /// moments of the interrupted one (bit-identical checkpoint/resume).
-    /// The default only applies to legacy payloads that predate optimizer
-    /// persistence.
-    #[serde(default = "default_adam")]
     optimizer: Adam,
     seed: u64,
 }
 
 /// Adam learning rate of the environment model.
 const MODEL_LR: f64 = 3e-3;
-
-fn default_adam() -> Adam {
-    Adam::new(1e-3)
-}
 
 impl DynamicsModel {
     /// Creates an untrained model for `state_dim`-dimensional systems using

@@ -65,7 +65,7 @@ pub use batch_env::BatchedSyntheticEnv;
 pub use checkpoint::{
     decode_policy_line, read_policy_line, save_policy, CheckpointError, CheckpointPayload,
 };
-pub use config::{MirasConfig, RolloutMode};
+pub use config::MirasConfig;
 pub use dataset::{Transition, TransitionDataset};
 pub use dynamics::DynamicsModel;
 pub use ensemble_model::EnsembleDynamics;

@@ -12,8 +12,7 @@ use serde::{Deserialize, Serialize};
 use crate::checkpoint::{CheckpointError, CheckpointPayload, CHECKPOINT_VERSION};
 use crate::rollout::{run_rollouts, RolloutParams};
 use crate::{
-    ClusterEnvAdapter, DynamicsModel, MirasAgent, MirasConfig, RefinedModel, RolloutMode,
-    TransitionDataset,
+    ClusterEnvAdapter, DynamicsModel, MirasAgent, MirasConfig, RefinedModel, TransitionDataset,
 };
 
 /// Why a self-healing training driver ultimately gave up.
@@ -256,7 +255,7 @@ impl MirasTrainer {
             .wrapping_add(0xBEEF)
             .wrapping_add(self.iteration as u64);
         let params = RolloutParams {
-            lanes: self.config.rollout_mode.lanes(),
+            lanes: self.config.lanes,
             rollout_len: self.config.rollout_len,
             rollouts: self.config.rollouts_per_iter,
             patience: self.config.inner_patience,
@@ -363,12 +362,10 @@ impl MirasTrainer {
     ///
     /// # Errors
     ///
-    /// Returns a [`CheckpointError`] if the file is missing, truncated,
-    /// corrupt, or from an incompatible format version, and
-    /// [`CheckpointError::Mismatch`] if it was written by a run on the
-    /// retired actor–learner engine ([`RolloutMode::Distributed`] with two
-    /// or more workers), whose remaining iterations no engine can
-    /// reproduce. Such a checkpoint's policy still serves.
+    /// Returns a [`CheckpointError`] if the file is missing, truncated or
+    /// corrupt, and [`CheckpointError::Mismatch`] if it is of another
+    /// format version than this build writes (a version-1 checkpoint's
+    /// policy line still serves).
     ///
     /// # Panics
     ///
@@ -377,16 +374,7 @@ impl MirasTrainer {
         path: &Path,
         ensemble: workflow::Ensemble,
     ) -> Result<(MirasTrainer, ClusterEnvAdapter), CheckpointError> {
-        let payload = CheckpointPayload::load(path)?;
-        if let RolloutMode::Distributed { workers, lanes } = payload.config.rollout_mode {
-            if workers >= 2 {
-                return Err(CheckpointError::Mismatch(format!(
-                    "written by the retired actor–learner engine ({workers} workers × {lanes} \
-                     lanes); its policy serves, but its training cannot resume"
-                )));
-            }
-        }
-        Ok(Self::restore(payload, ensemble))
+        Ok(Self::restore(CheckpointPayload::load(path)?, ensemble))
     }
 
     /// Materialises a trainer + adapter pair from a loaded payload.
@@ -700,88 +688,6 @@ mod tests {
         );
         // And the two environments are in identical simulator states.
         assert_eq!(env.snapshot(), ref_env.snapshot());
-        std::fs::remove_file(&path).ok();
-    }
-
-    /// Rewrites a `Lockstep(lanes)` checkpoint as one written by the
-    /// retired actor–learner engine at `workers` workers: its rollout mode
-    /// becomes `Distributed` and its training state gains the version
-    /// schedule those builds recorded. With `legacy`, the policy line is
-    /// dropped as well, giving the layout saved before policy lines.
-    fn as_actor_learner_checkpoint(
-        text: &str,
-        lanes: usize,
-        workers: usize,
-        legacy: bool,
-    ) -> String {
-        let (policy, state) = text.split_once('\n').expect("a policy line");
-        let mode = format!("\"rollout_mode\":{{\"Lockstep\":{lanes}}}");
-        assert_eq!(
-            state.matches(&mode).count(),
-            1,
-            "one rollout mode in the state"
-        );
-        let state = state.replace(
-            &mode,
-            &format!(
-                "\"rollout_mode\":{{\"Distributed\":{{\"workers\":{workers},\"lanes\":{lanes}}}}}"
-            ),
-        );
-        let state = format!(
-            "{},\"last_schedule\":{{\"workers\":{workers},\"lanes\":{lanes},\"entries\":\
-             [{{\"worker\":0,\"wave\":0,\"version\":0}},{{\"worker\":1,\"wave\":1,\"version\":0}}]}}}}",
-            state.strip_suffix('}').expect("a JSON object")
-        );
-        if legacy {
-            state
-        } else {
-            format!("{policy}\n{state}")
-        }
-    }
-
-    /// Checkpoints from the retired actor–learner engine: one worker always
-    /// ran inline as `Lockstep(lanes)`, so it resumes bit-identically to an
-    /// uninterrupted `Lockstep(lanes)` run; two workers needed a version
-    /// schedule no engine can replay, so resume refuses it with a typed
-    /// error. Both checkpoint layouts, each carrying a `last_schedule`.
-    #[test]
-    fn actor_learner_checkpoints_resume_only_at_one_worker() {
-        let lanes = 2;
-        let config = || {
-            MirasConfig::smoke_test(38)
-                .try_with_lockstep(lanes)
-                .unwrap()
-        };
-        let mut ref_env = real_env(37);
-        let mut reference = MirasTrainer::new(&ref_env, config());
-        let _ = reference.run_iteration(&mut ref_env);
-        let path = temp_checkpoint("actor_learner");
-        reference.save_checkpoint(&ref_env, &path).unwrap();
-        let saved = std::fs::read_to_string(&path).unwrap();
-        let ref_r2 = reference.run_iteration(&mut ref_env);
-
-        for legacy in [false, true] {
-            let refused = as_actor_learner_checkpoint(&saved, lanes, 2, legacy);
-            std::fs::write(&path, refused).unwrap();
-            match MirasTrainer::resume(&path, Ensemble::msd()) {
-                Err(CheckpointError::Mismatch(msg)) => assert!(msg.contains("2 workers"), "{msg}"),
-                other => panic!("legacy={legacy}: expected Mismatch, got {:?}", other.err()),
-            }
-
-            let inline = as_actor_learner_checkpoint(&saved, lanes, 1, legacy);
-            std::fs::write(&path, inline).unwrap();
-            let (mut resumed, mut env) = MirasTrainer::resume(&path, Ensemble::msd()).unwrap();
-            assert_eq!(
-                resumed.config.rollout_mode,
-                RolloutMode::Distributed { workers: 1, lanes }
-            );
-            assert_eq!(resumed.run_iteration(&mut env), ref_r2, "legacy={legacy}");
-            assert_eq!(
-                resumed.agent_mut().snapshot(),
-                reference.agent_mut().snapshot()
-            );
-            assert_eq!(env.snapshot(), ref_env.snapshot());
-        }
         std::fs::remove_file(&path).ok();
     }
 

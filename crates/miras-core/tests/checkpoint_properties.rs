@@ -1,10 +1,7 @@
 //! Property: checkpointing is invisible. For arbitrary seeds, interposing
 //! save → load between training iterations changes nothing — the resumed
 //! run's reports, agent state, and environment state are bit-identical to
-//! an uninterrupted run's. The same holds for checkpoints in the layout
-//! saved before policy lines existed.
-
-use std::path::Path;
+//! an uninterrupted run's.
 
 use microsim::{EnvConfig, MicroserviceEnv};
 use miras_core::{ClusterEnvAdapter, MirasConfig, MirasTrainer};
@@ -19,26 +16,11 @@ fn fresh(env_seed: u64, train_seed: u64) -> (MirasTrainer, ClusterEnvAdapter) {
     (trainer, env)
 }
 
-/// Rewrites the checkpoint at `path` in the layout saved before policy
-/// lines existed: the training-state line alone.
-fn strip_policy_line(path: &Path) {
-    let text = std::fs::read_to_string(path).unwrap();
-    let (_, state) = text.split_once('\n').expect("a policy line");
-    std::fs::write(path, state).unwrap();
-}
-
 /// Trains 1 + k iterations straight through and, separately, 1 iteration,
-/// save (in the legacy layout when `legacy`), resume, k iterations; the two
-/// must agree bit for bit.
-fn save_load_train_k(
-    env_seed: u64,
-    train_seed: u64,
-    k: usize,
-    legacy: bool,
-) -> Result<(), TestCaseError> {
-    let path = std::env::temp_dir().join(format!(
-        "miras_ckpt_prop_{env_seed}_{train_seed}_{k}_{legacy}.json"
-    ));
+/// save, resume, k iterations; the two must agree bit for bit.
+fn save_load_train_k(env_seed: u64, train_seed: u64, k: usize) -> Result<(), TestCaseError> {
+    let path =
+        std::env::temp_dir().join(format!("miras_ckpt_prop_{env_seed}_{train_seed}_{k}.json"));
 
     // Uninterrupted run: 1 + k iterations.
     let (mut ref_trainer, mut ref_env) = fresh(env_seed, train_seed);
@@ -52,9 +34,6 @@ fn save_load_train_k(
     let (mut trainer, mut env) = fresh(env_seed, train_seed);
     let _ = trainer.run_iteration(&mut env);
     trainer.save_checkpoint(&env, &path).unwrap();
-    if legacy {
-        strip_policy_line(&path);
-    }
     let (mut resumed, mut resumed_env) = MirasTrainer::resume(&path, Ensemble::msd()).unwrap();
     let mut reports = Vec::new();
     for _ in 0..k {
@@ -85,15 +64,6 @@ proptest! {
         train_seed in 0u64..1_000_000,
         k in 1usize..3,
     ) {
-        save_load_train_k(env_seed, train_seed, k, false)?;
-    }
-
-    #[test]
-    fn legacy_save_load_train_k_is_bit_identical(
-        env_seed in 0u64..1_000_000,
-        train_seed in 0u64..1_000_000,
-        k in 1usize..3,
-    ) {
-        save_load_train_k(env_seed, train_seed, k, true)?;
+        save_load_train_k(env_seed, train_seed, k)?;
     }
 }

@@ -40,8 +40,10 @@
 //!   `touch`, does not swap. [`load_policy`] reads the same line. A
 //!   background verifier re-hashes the policy line about once a second
 //!   and forces a re-probe when it changed, so same-length rewrites within
-//!   one timestamp tick are still caught. A file whose policy has a
-//!   different task-type count is refused like a corrupt one.
+//!   one timestamp tick are still caught. A file whose first line is not
+//!   a policy line (a bare agent, or a version-1 checkpoint's one line of
+//!   training state) is a failed swap, and so is one whose policy has a
+//!   different task-type count; either way the old policy keeps serving.
 //! * **Scrape endpoint** ([`spawn_metrics_endpoint`]): the telemetry
 //!   subsystem rendered as a plaintext `/metrics` page.
 //! * **Shadow mode / determinism proof** ([`replay_stream`]): decision

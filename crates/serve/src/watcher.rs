@@ -30,8 +30,8 @@ pub enum LoadError {
         /// The final attempt's error.
         last: std::io::Error,
     },
-    /// The file's first line is neither a policy line, a legacy
-    /// checkpoint nor a raw agent.
+    /// The file's first line is not a policy line (a bare agent, or a
+    /// version-1 checkpoint's one line of training state, is not one).
     Unusable(CheckpointError),
     /// The file loaded, but its policy allocates over a different number
     /// of task types than the one serving (e.g. a LIGO agent swapped in
@@ -95,20 +95,21 @@ impl Policy for CheckpointPolicy {
 /// Loads a deployable policy from `path`, reading only the file's first
 /// line.
 ///
-/// That line is a checkpoint's policy line; it is also the whole of a
-/// `head -n 1` policy file, of a checkpoint saved before policy lines
-/// existed, of a raw serialized [`MirasAgent`], and of the policy file
-/// `miras-cli train --out` and the `bench_artifacts/` cache write
-/// ([`miras_core::save_policy`]). Checkpoint and policy files are versioned
-/// with the iteration they were saved after, raw agents with 0. The line
-/// is read once ([`read_policy_line`]) and parsed once
-/// ([`decode_policy_line`]); a current checkpoint's training state is never
-/// read. Returns the boxed policy and its version.
+/// That line is a checkpoint's policy line,
+/// `{"policy_version":N,"agent":{...}}`; it is also the whole of a
+/// `head -n 1` policy file and of the policy file `miras-cli train --out`
+/// and the `bench_artifacts/` cache write ([`miras_core::save_policy`]),
+/// versioned with the iteration they were saved after. The line is read
+/// once ([`read_policy_line`]) and parsed once ([`decode_policy_line`]); a
+/// checkpoint's training state is never read. Returns the boxed policy and
+/// its version.
 ///
 /// # Errors
 ///
 /// [`LoadError::Io`] if the file cannot be read, [`LoadError::Unusable`]
-/// if its first line holds no policy (e.g. the file was cut inside it).
+/// if its first line is not a policy line (e.g. the file was cut inside
+/// it, or holds a bare serialized [`MirasAgent`] or a version-1
+/// checkpoint's one line of training state).
 pub fn load_policy(path: &Path) -> Result<(Box<dyn Policy>, u64), LoadError> {
     let file = File::open(path).map_err(LoadError::Io)?;
     decode(&read_policy_line(&file).map_err(LoadError::Io)?)
@@ -311,7 +312,7 @@ pub enum SwapOutcome {
     Swapped {
         /// The freshly loaded policy.
         policy: Box<dyn Policy>,
-        /// Its version (checkpoint iteration, or 0 for raw agents).
+        /// Its version (the iteration the file was saved after).
         version: u64,
     },
     /// The path changed but could not be read or loaded (or, as judged by
@@ -412,11 +413,12 @@ mod tests {
         std::env::temp_dir().join(format!("miras_watch_{name}_{}.json", std::process::id()))
     }
 
-    /// A loadable raw-agent file over MSD's four task types.
-    fn agent_json(seed: u64) -> String {
+    /// A loadable policy line at version 0 over MSD's four task types.
+    fn policy_line(seed: u64) -> String {
         let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
         let actor = Mlp::new(&[4, 8, 4], Activation::Relu, Activation::Softmax, &mut rng);
-        serde_json::to_string(&MirasAgent::new(actor, 14)).unwrap()
+        let agent = serde_json::to_string(&MirasAgent::new(actor, 14)).unwrap();
+        format!("{{\"policy_version\":0,\"agent\":{agent}}}")
     }
 
     #[test]
@@ -453,7 +455,7 @@ mod tests {
     fn a_new_training_state_behind_the_same_policy_line_does_not_swap() {
         let path = temp_path("same_line");
         let other = temp_path("same_line_other");
-        let line = agent_json(1);
+        let line = policy_line(1);
         std::fs::write(&path, format!("{line}\n{{\"state\":1}}")).unwrap();
         std::fs::write(&other, format!("{line}\n{{\"state\":[2,3,4]}}")).unwrap();
         let (_, a) = probe(&path).unwrap().unwrap();
@@ -467,7 +469,7 @@ mod tests {
         assert_eq!(watcher.key, StatKey::current(&path), "re-probed once");
 
         // The policy line itself changing still swaps.
-        std::fs::write(&path, format!("{}\n{{\"state\":1}}", agent_json(2))).unwrap();
+        std::fs::write(&path, format!("{}\n{{\"state\":1}}", policy_line(2))).unwrap();
         assert!(matches!(
             watcher.poll(),
             Some(SwapOutcome::Swapped { version: 0, .. })
@@ -480,7 +482,7 @@ mod tests {
     #[test]
     fn touching_an_unchanged_file_does_not_swap() {
         let path = temp_path("touch");
-        std::fs::write(&path, agent_json(1)).unwrap();
+        std::fs::write(&path, policy_line(1)).unwrap();
         let mut watcher = CheckpointWatcher::new_deployed(path.clone());
         let stamp = std::time::SystemTime::UNIX_EPOCH + Duration::from_secs(1_700_000_000);
         File::options()
@@ -498,13 +500,13 @@ mod tests {
     #[test]
     fn verifier_pass_flags_a_rewrite_the_stat_key_missed() {
         let path = temp_path("verify");
-        std::fs::write(&path, agent_json(1)).unwrap();
+        std::fs::write(&path, policy_line(1)).unwrap();
         let mut watcher = CheckpointWatcher::new_deployed(path.clone());
         assert!(watcher.poll().is_none(), "unchanged file");
 
         // A rewrite within one timestamp tick: the stored stat key matches
         // the new file, but the stored checksum is the old content's.
-        std::fs::write(&path, agent_json(2)).unwrap();
+        std::fs::write(&path, policy_line(2)).unwrap();
         watcher.key = StatKey::current(&path);
         assert!(watcher.poll().is_none(), "the stat check cannot see it");
 
@@ -526,7 +528,7 @@ mod tests {
     #[test]
     fn unreadable_checkpoint_is_reported_once_then_recovers() {
         let path = temp_path("unreadable");
-        std::fs::write(&path, agent_json(1)).unwrap();
+        std::fs::write(&path, policy_line(1)).unwrap();
         let mut watcher = CheckpointWatcher::new_deployed(path.clone());
         assert!(watcher.poll().is_none());
 
@@ -543,7 +545,7 @@ mod tests {
         }
 
         std::fs::remove_dir(&path).unwrap();
-        std::fs::write(&path, agent_json(2)).unwrap();
+        std::fs::write(&path, policy_line(2)).unwrap();
         assert!(matches!(watcher.poll(), Some(SwapOutcome::Swapped { .. })));
         let _ = std::fs::remove_file(&path);
     }

@@ -1,10 +1,7 @@
 //! Checkpoint hot-swap correctness: a mid-stream swap produces exactly the
 //! decisions of stopping the service, cold-restarting on the new
 //! checkpoint, and replaying the remainder — and a corrupt swap never
-//! dislodges the serving policy. Each holds for current checkpoints (policy
-//! line first) and for legacy ones (training state alone).
-
-mod common;
+//! dislodges the serving policy.
 
 use std::path::PathBuf;
 
@@ -14,7 +11,7 @@ use miras_core::{ClusterEnvAdapter, MirasConfig, MirasTrainer};
 use serve::{
     load_policy, record_stream, replay_stream, CheckpointWatcher, DecisionRecord, DecisionService,
 };
-use telemetry::Telemetry;
+use telemetry::{JsonlSink, Telemetry};
 use workflow::Ensemble;
 
 fn temp_path(name: &str) -> PathBuf {
@@ -25,8 +22,8 @@ fn temp_path(name: &str) -> PathBuf {
 }
 
 /// Trains a smoke-scale MIRAS run and saves checkpoints after iteration 1
-/// (`a`) and iteration 2 (`b`), in the legacy layout when `legacy`.
-fn two_checkpoints(tag: &str, legacy: bool) -> (PathBuf, PathBuf) {
+/// (`a`) and iteration 2 (`b`).
+fn two_checkpoints(tag: &str) -> (PathBuf, PathBuf) {
     let ensemble = Ensemble::msd();
     let env_config = EnvConfig::for_ensemble(&ensemble).with_seed(5);
     let mut env = ClusterEnvAdapter::new(MicroserviceEnv::new(ensemble, env_config));
@@ -37,10 +34,6 @@ fn two_checkpoints(tag: &str, legacy: bool) -> (PathBuf, PathBuf) {
     trainer.save_checkpoint(&env, &a).unwrap();
     trainer.run_iteration(&mut env);
     trainer.save_checkpoint(&env, &b).unwrap();
-    if legacy {
-        common::strip_policy_line(&a);
-        common::strip_policy_line(&b);
-    }
     (a, b)
 }
 
@@ -61,7 +54,10 @@ fn lines(records: &[DecisionRecord]) -> Vec<String> {
 
 /// Serves checkpoint A for four windows, swaps to B between windows and
 /// serves four more; the decisions must equal cold runs of A and then B.
-fn mid_stream_swap(tag: &str, ckpt_a: PathBuf, ckpt_b: PathBuf) {
+#[test]
+fn mid_stream_swap_equals_cold_restart_and_replay_of_remainder() {
+    let tag = "swap";
+    let (ckpt_a, ckpt_b) = two_checkpoints(tag);
     let serving = temp_path(&format!("{tag}_live"));
     std::fs::copy(&ckpt_a, &serving).unwrap();
 
@@ -98,67 +94,66 @@ fn mid_stream_swap(tag: &str, ckpt_a: PathBuf, ckpt_b: PathBuf) {
     }
 }
 
+/// Files that hold no policy line land on the watched path in turn: a
+/// cut-off JSON text, a bare serialized agent, and a file whose only line
+/// is a training state (as version-1 checkpoints were). Each is a failed swap, and the old policy
+/// keeps deciding until a good checkpoint appears.
 #[test]
-fn mid_stream_swap_equals_cold_restart_and_replay_of_remainder() {
-    let (ckpt_a, ckpt_b) = two_checkpoints("swap", false);
-    mid_stream_swap("swap", ckpt_a, ckpt_b);
-}
-
-#[test]
-fn mid_stream_swap_on_legacy_checkpoints() {
-    let (ckpt_a, ckpt_b) = two_checkpoints("swap_legacy", true);
-    mid_stream_swap("swap_legacy", ckpt_a, ckpt_b);
-}
-
-/// An upgrade in place: a server started on a legacy checkpoint swaps to
-/// the next one saved with its policy line.
-#[test]
-fn mid_stream_swap_from_a_legacy_checkpoint_to_a_current_one() {
-    let (ckpt_a, ckpt_b) = two_checkpoints("upgrade", false);
-    common::strip_policy_line(&ckpt_a);
-    mid_stream_swap("upgrade", ckpt_a, ckpt_b);
-}
-
-fn corrupt_swap(tag: &str, legacy: bool) {
-    let (ckpt_a, ckpt_b) = two_checkpoints(tag, legacy);
-    let serving = temp_path(&format!("{tag}_live"));
+fn corrupt_swap_keeps_the_old_policy_until_a_good_one_appears() {
+    let (ckpt_a, ckpt_b) = two_checkpoints("corrupt");
+    let serving = temp_path("corrupt_live");
     std::fs::copy(&ckpt_a, &serving).unwrap();
+    let saved = std::fs::read_to_string(&ckpt_a).unwrap();
+    let (policy_line, state) = saved.split_once('\n').unwrap();
+    let (agent, _) = miras_core::decode_policy_line(policy_line.as_bytes()).unwrap();
+    let corrupt = [
+        "{ this is not a checkpoint".to_string(),
+        serde_json::to_string(&agent).unwrap(),
+        state.to_string(),
+    ];
 
-    let text = stream(6);
+    let text = stream(2 + 2 * corrupt.len() + 2);
     let all: Vec<String> = text.lines().map(|l| format!("{l}\n")).collect();
+    let windows = |i: usize| all[2 * i..2 * i + 2].concat();
 
     let (policy, _) = load_policy(&serving).unwrap();
-    let mut svc = DecisionService::new(policy, Telemetry::noop())
+    let sink = JsonlSink::in_memory();
+    let mut svc = DecisionService::new(policy, Telemetry::new(sink.clone()))
         .with_watcher(CheckpointWatcher::new_deployed(serving.clone()));
-    let mut records = svc.handle_stream(&all[..2].concat());
+    let mut records = svc.handle_stream(&windows(0));
 
-    // A corrupt file lands on the watched path: the service must keep
+    // Each corrupt file lands on the watched path: the service must keep
     // deciding with the old policy.
-    std::fs::write(&serving, "{ this is not a checkpoint").unwrap();
-    records.extend(svc.handle_stream(&all[2..4].concat()));
-    assert_eq!(svc.swaps(), 0);
-    assert_eq!(svc.policy_version(), 1, "old policy still serving");
+    for (i, bad) in corrupt.iter().enumerate() {
+        std::fs::write(&serving, bad).unwrap();
+        records.extend(svc.handle_stream(&windows(i + 1)));
+        assert_eq!(svc.swaps(), 0, "input {i} swapped in");
+        assert_eq!(svc.policy_version(), 1, "old policy still serving");
+    }
+    assert_eq!(records.len(), 2 + 2 * corrupt.len(), "no window dropped");
     assert!(records.iter().all(|r| r.policy_version == 1));
 
     // A good checkpoint replaces it: the swap goes through.
     std::fs::copy(&ckpt_b, &serving).unwrap();
-    let rest = svc.handle_stream(&all[4..].concat());
+    let rest = svc.handle_stream(&windows(corrupt.len() + 1));
     assert_eq!(svc.swaps(), 1);
     assert!(rest.iter().all(|r| r.policy_version == 2));
+
+    svc.finish();
+    let out = String::from_utf8(sink.take_output()).unwrap();
+    let failed: Vec<&str> = out
+        .lines()
+        .filter(|l| l.contains("\"serve.swap_failed\""))
+        .collect();
+    assert_eq!(failed.len(), corrupt.len(), "one failed swap each: {out}");
+    assert!(
+        failed[1..].iter().all(|l| l.contains("policy_version")),
+        "{failed:?}"
+    );
 
     for p in [ckpt_a, ckpt_b, serving] {
         let _ = std::fs::remove_file(p);
     }
-}
-
-#[test]
-fn corrupt_swap_keeps_the_old_policy_until_a_good_one_appears() {
-    corrupt_swap("corrupt", false);
-}
-
-#[test]
-fn corrupt_swap_keeps_the_old_legacy_policy_until_a_good_one_appears() {
-    corrupt_swap("corrupt_legacy", true);
 }
 
 /// Regression test for the `(mtime, len)` fingerprint race: a checkpoint
@@ -167,8 +162,10 @@ fn corrupt_swap_keeps_the_old_legacy_policy_until_a_good_one_appears() {
 /// also hashes the content. Before the checksum, this exact scenario —
 /// two checkpoint saves within the filesystem's mtime granularity, fixed
 /// schema so equal length — left the stale policy serving silently.
-fn same_mtime_same_len_rewrite(tag: &str, legacy: bool) {
-    let (ckpt_a, ckpt_b) = two_checkpoints(tag, legacy);
+#[test]
+fn same_mtime_same_len_rewrite_still_swaps() {
+    let tag = "fingerprint_race";
+    let (ckpt_a, ckpt_b) = two_checkpoints(tag);
     let serving = temp_path(&format!("{tag}_live"));
 
     // Pad both checkpoints with trailing whitespace (JSON-harmless) to the
@@ -220,30 +217,4 @@ fn same_mtime_same_len_rewrite(tag: &str, legacy: bool) {
     for p in [ckpt_a, ckpt_b, serving] {
         let _ = std::fs::remove_file(p);
     }
-}
-
-#[test]
-fn same_mtime_same_len_rewrite_still_swaps() {
-    same_mtime_same_len_rewrite("fingerprint_race", false);
-}
-
-#[test]
-fn same_mtime_same_len_legacy_rewrite_still_swaps() {
-    same_mtime_same_len_rewrite("fingerprint_race_legacy", true);
-}
-
-#[test]
-fn raw_agent_json_loads_as_version_zero() {
-    let ensemble = Ensemble::msd();
-    let env_config = EnvConfig::for_ensemble(&ensemble).with_seed(3);
-    let mut env = ClusterEnvAdapter::new(MicroserviceEnv::new(ensemble, env_config));
-    let mut trainer = MirasTrainer::new(&env, MirasConfig::smoke_test(3));
-    trainer.run_iteration(&mut env);
-    let path = temp_path("raw_agent");
-    std::fs::write(&path, serde_json::to_string(&trainer.agent()).unwrap()).unwrap();
-
-    let (policy, version) = load_policy(&path).unwrap();
-    assert_eq!(version, 0, "raw agents are unversioned");
-    assert_eq!(policy.name(), "miras");
-    let _ = std::fs::remove_file(path);
 }

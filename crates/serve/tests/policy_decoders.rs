@@ -3,8 +3,6 @@
 //! bit-flipped files never panic either of them, and each reads only its own
 //! line.
 
-mod common;
-
 use std::path::PathBuf;
 use std::sync::OnceLock;
 
@@ -140,6 +138,31 @@ fn a_cut_policy_line_is_refused_and_the_previous_policy_keeps_serving() {
         load_policy(&cut_path),
         Err(LoadError::Unusable(CheckpointError::Corrupt(_)))
     ));
+    // Nor is a policy anything but a policy line: a bare serialized agent,
+    // or a file whose only line is a training state (as version-1
+    // checkpoints were), is refused with a typed error too.
+    let agent = CheckpointPayload::load(&serving)
+        .unwrap()
+        .deployable_agent();
+    let state = &first[policy_line_len(first) + 1..];
+    for (name, bytes) in [
+        (
+            "bare_agent",
+            serde_json::to_string(&agent).unwrap().into_bytes(),
+        ),
+        ("state_alone", state.to_vec()),
+    ] {
+        let path = temp_path(name);
+        std::fs::write(&path, bytes).unwrap();
+        match load_policy(&path) {
+            Err(LoadError::Unusable(CheckpointError::Corrupt(msg))) => {
+                assert!(msg.contains("policy_version"), "{name}: {msg}");
+            }
+            Err(e) => panic!("{name}: expected Corrupt, got {e}"),
+            Ok(_) => panic!("{name}: loaded"),
+        }
+        let _ = std::fs::remove_file(path);
+    }
 
     std::fs::write(&serving, cut).unwrap();
     let during = svc.handle_stream(STREAM);
@@ -170,7 +193,7 @@ fn a_garbage_training_state_still_serves_but_does_not_resume() {
     std::fs::write(&intact, checkpoint).unwrap();
     let garbage = temp_path("garbage_state");
     let mut bytes = checkpoint[..=policy_line_len(checkpoint)].to_vec();
-    bytes.extend_from_slice(b"{\"version\":1, this is not a training state");
+    bytes.extend_from_slice(b"{\"version\":2, this is not a training state");
     std::fs::write(&garbage, &bytes).unwrap();
 
     assert_eq!(load_policy(&garbage).unwrap().1, 1);
@@ -183,150 +206,59 @@ fn a_garbage_training_state_still_serves_but_does_not_resume() {
     }
 }
 
-/// The three files one iteration can be served from — the checkpoint, its
-/// first line alone (`head -n 1`), and the legacy layout — decide and stamp
-/// byte-identically.
+/// The two files one iteration can be served from — the checkpoint and its
+/// first line alone (`head -n 1`) — decide and stamp byte-identically.
 #[test]
-fn checkpoint_policy_line_and_legacy_layout_serve_identically() {
+fn a_checkpoint_and_its_policy_line_serve_identically() {
     let (checkpoint, _) = checkpoints();
     let full = temp_path("layout_full");
     std::fs::write(&full, checkpoint).unwrap();
     let head = temp_path("layout_head");
     std::fs::write(&head, &checkpoint[..=policy_line_len(checkpoint)]).unwrap();
-    let legacy = temp_path("layout_legacy");
-    std::fs::write(&legacy, checkpoint).unwrap();
-    common::strip_policy_line(&legacy);
 
     let reference = served(&full);
     assert!(reference.iter().all(|l| l.contains("\"policy_version\":1")));
     assert_eq!(served(&head), reference);
-    assert_eq!(served(&legacy), reference);
 
-    for p in [full, head, legacy] {
+    for p in [full, head] {
         let _ = std::fs::remove_file(p);
     }
 }
 
-/// Checkpoints written by the retired actor–learner engine, rebuilt from
-/// a real one by editing its text: the rollout mode becomes `Distributed`
-/// and the training state carries the version schedule those builds
-/// recorded. Whatever the worker count, and in both layouts, they serve
+/// A checkpoint as the previous format version wrote it, rebuilt from a
+/// fresh one by editing its training state: `"version":1`, and the lane
+/// count stored as a `rollout_mode`. Resume refuses it naming version 1
+/// before decoding the rest; its policy line is untouched, so it serves
 /// byte-identically to the unedited file.
 #[test]
-fn actor_learner_checkpoints_still_serve() {
+fn a_version_one_checkpoint_serves_but_does_not_resume() {
     let (checkpoint, _) = checkpoints();
-    let text = std::str::from_utf8(checkpoint).unwrap();
-    let full = temp_path("actor_learner_reference");
-    std::fs::write(&full, checkpoint).unwrap();
-    let reference = served(&full);
-
-    let mode = "\"rollout_mode\":\"Sequential\"";
-    assert_eq!(text.matches(mode).count(), 1, "one rollout mode");
-    for workers in [1, 2] {
-        let edited = text.replace(
-            mode,
-            &format!("\"rollout_mode\":{{\"Distributed\":{{\"workers\":{workers},\"lanes\":1}}}}"),
-        );
-        let edited = format!(
-            "{},\"last_schedule\":{{\"workers\":{workers},\"lanes\":1,\"entries\":\
-             [{{\"worker\":0,\"wave\":0,\"version\":0}}]}}}}",
-            edited.strip_suffix('}').expect("a JSON object")
-        );
-        let current = temp_path(&format!("actor_learner_{workers}"));
-        std::fs::write(&current, &edited).unwrap();
-        let legacy = temp_path(&format!("actor_learner_{workers}_legacy"));
-        std::fs::write(&legacy, &edited).unwrap();
-        common::strip_policy_line(&legacy);
-        assert!(std::fs::read_to_string(&legacy)
-            .unwrap()
-            .contains("\"Distributed\""));
-
-        assert_eq!(served(&current), reference, "workers={workers}");
-        assert_eq!(served(&legacy), reference, "workers={workers} legacy");
-        for p in [current, legacy] {
-            let _ = std::fs::remove_file(p);
-        }
-    }
-    let _ = std::fs::remove_file(full);
-}
-
-/// Checkpoints from builds whose configs still had the fields now run as
-/// constants, rebuilt from a real one by editing its text. With every
-/// retired key at its constant, the file resumes bit-identically. With a
-/// twin critic or strict budget mode, resume refuses it, naming the key.
-/// Either way, in both layouts, it serves byte-identically to the unedited
-/// file: the policy depends on none of these keys.
-#[test]
-fn checkpoints_with_retired_keys_resume_only_at_the_constants_and_serve() {
-    let (first, second) = checkpoints();
-    let original = temp_path("retired_original");
-    std::fs::write(&original, first).unwrap();
-    let reference = served(&original);
-
-    let (policy, state) = std::str::from_utf8(first)
+    let intact = temp_path("version_2");
+    std::fs::write(&intact, checkpoint).unwrap();
+    let (policy, state) = std::str::from_utf8(checkpoint)
         .unwrap()
         .split_once('\n')
         .unwrap();
-    let policy = format!(
-        "{},\"strict_floor\":false}}}}",
-        policy.strip_suffix("}}").unwrap()
-    );
     let mut state = state.to_string();
-    for (anchor, count, retired) in [
-        ("\"model_hidden\":", 1, "\"model_lr\":0.003,"),
-        (
-            "\"normalize_rewards\":",
-            2,
-            "\"grad_clip\":10.0,\"reward_scale\":1.0,\"twin_critic\":false,",
-        ),
-        (
-            "\"resample_every\":",
-            2,
-            "\"initial_sigma\":0.05,\"delta\":0.1,\"alpha\":1.01,",
-        ),
-        (
-            "\"workload\":",
-            1,
-            "\"clamp_actions\":true,\"reset_capacity_factor\":5,\"reset_max_windows\":40,\
-             \"reset_wip_threshold\":0,",
-        ),
+    for (current, previous) in [
+        ("\"version\":2,", "\"version\":1,"),
+        ("\"lanes\":1,", "\"rollout_mode\":\"Sequential\","),
     ] {
-        assert_eq!(state.matches(anchor).count(), count, "{anchor}");
-        state = state.replace(anchor, &format!("{retired}{anchor}"));
+        assert_eq!(state.matches(current).count(), 1, "{current}");
+        state = state.replace(current, previous);
     }
-    let current = temp_path("retired_current");
-    std::fs::write(&current, format!("{policy}\n{state}")).unwrap();
-    assert_eq!(served(&current), reference);
-    let (mut trainer, mut env) = MirasTrainer::resume(&current, Ensemble::msd()).unwrap();
-    trainer.run_iteration(&mut env);
-    trainer.save_checkpoint(&env, &current).unwrap();
-    assert_eq!(&std::fs::read(&current).unwrap(), second, "resume diverged");
+    let previous = temp_path("version_1");
+    std::fs::write(&previous, format!("{policy}\n{state}")).unwrap();
 
-    let legacy = temp_path("retired_legacy");
-    for (constant, other, key) in [
-        (
-            "\"twin_critic\":false",
-            "\"twin_critic\":true",
-            "config.ddpg.twin_critic",
-        ),
-        (
-            "\"clamp_actions\":true",
-            "\"clamp_actions\":false",
-            "adapter.env.config.clamp_actions",
-        ),
-    ] {
-        let edited = state.replacen(constant, other, 1);
-        std::fs::write(&current, format!("{policy}\n{edited}")).unwrap();
-        std::fs::write(&legacy, &edited).unwrap();
-        for path in [&current, &legacy] {
-            assert_eq!(served(path), reference, "{key}");
-            match MirasTrainer::resume(path, Ensemble::msd()) {
-                Err(CheckpointError::Mismatch(msg)) => assert!(msg.contains(key), "{msg}"),
-                other => panic!("{key}: expected Mismatch, got {:?}", other.err()),
-            }
+    match MirasTrainer::resume(&previous, Ensemble::msd()) {
+        Err(CheckpointError::Mismatch(msg)) => {
+            assert!(msg.contains("checkpoint version 1"), "{msg}");
         }
+        other => panic!("expected Mismatch, got {:?}", other.err()),
     }
-    for p in [original, current, legacy] {
+    assert_eq!(served(&previous), served(&intact));
+
+    for p in [intact, previous] {
         let _ = std::fs::remove_file(p);
     }
 }

@@ -1,16 +1,13 @@
 //! A hot swap to an agent over a different number of task types is a failed
 //! swap, not a crash: a LIGO-shaped agent (9 task types) written to the path
 //! an MSD service (4 task types) watches is refused and counted, and the
-//! old policy keeps serving. Holds for current checkpoints (policy line
-//! first) and for legacy ones (training state alone).
-
-mod common;
+//! old policy keeps serving.
 
 use std::path::PathBuf;
 
 use baselines::{by_name, PolicyConfig};
 use microsim::{EnvConfig, MicroserviceEnv};
-use miras_core::{ClusterEnvAdapter, MirasAgent, MirasConfig, MirasTrainer};
+use miras_core::{save_policy, ClusterEnvAdapter, MirasAgent, MirasConfig, MirasTrainer};
 use nn::{Activation, Mlp};
 use rand::SeedableRng;
 use serve::{load_policy, record_stream, CheckpointWatcher, DecisionService};
@@ -24,7 +21,8 @@ fn temp_path(name: &str) -> PathBuf {
     ))
 }
 
-fn nine_task_swap_under_a_four_task_service(tag: &str, legacy: bool) {
+#[test]
+fn swap_to_a_nine_task_checkpoint_under_a_four_task_service_fails_safely() {
     // MSD checkpoints after iterations 1 and 2.
     let ensemble = Ensemble::msd();
     let env_config = EnvConfig::for_ensemble(&ensemble).with_seed(5);
@@ -34,25 +32,18 @@ fn nine_task_swap_under_a_four_task_service(tag: &str, legacy: bool) {
         .iter()
         .map(|name| {
             trainer.run_iteration(&mut env);
-            let path = temp_path(&format!("{tag}_{name}"));
+            let path = temp_path(name);
             trainer.save_checkpoint(&env, &path).unwrap();
-            if legacy {
-                common::strip_policy_line(&path);
-            }
             path
         })
         .collect();
-    // An agent file as `miras-cli train --ensemble ligo` writes it.
+    // A policy file as `miras-cli train --ensemble ligo` writes it.
     let mut rng = rand::rngs::SmallRng::seed_from_u64(9);
     let actor = Mlp::new(&[9, 8, 9], Activation::Relu, Activation::Softmax, &mut rng);
-    let ligo = temp_path(&format!("{tag}_ligo"));
-    std::fs::write(
-        &ligo,
-        serde_json::to_string(&MirasAgent::new(actor, 30)).unwrap(),
-    )
-    .unwrap();
+    let ligo = temp_path("ligo");
+    save_policy(&ligo, &MirasAgent::new(actor, 30), 1).unwrap();
 
-    let serving = temp_path(&format!("{tag}_live"));
+    let serving = temp_path("live");
     std::fs::copy(&msd[0], &serving).unwrap();
     let (policy, version) = load_policy(&serving).unwrap();
     assert_eq!((policy.num_task_types(), version), (4, 1));
@@ -103,14 +94,4 @@ fn nine_task_swap_under_a_four_task_service(tag: &str, legacy: bool) {
     for p in msd.into_iter().chain([ligo, serving]) {
         let _ = std::fs::remove_file(p);
     }
-}
-
-#[test]
-fn swap_to_a_nine_task_checkpoint_under_a_four_task_service_fails_safely() {
-    nine_task_swap_under_a_four_task_service("current", false);
-}
-
-#[test]
-fn swap_to_a_nine_task_agent_under_a_legacy_checkpoint_fails_safely() {
-    nine_task_swap_under_a_four_task_service("legacy", true);
 }

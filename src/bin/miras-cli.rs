@@ -237,12 +237,8 @@ fn train(flags: &Flags, stdout: &mut dyn Write) -> Result<(), String> {
         let lanes = numeric(flags, "lanes", 1usize)?;
         config = config.try_with_lockstep(lanes).map_err(|e| e.to_string())?;
     }
-    writeln!(
-        stdout,
-        "rollout engine: inline, {} lane(s)",
-        config.rollout_mode.lanes()
-    )
-    .map_err(|e| e.to_string())?;
+    writeln!(stdout, "rollout engine: inline, {} lane(s)", config.lanes)
+        .map_err(|e| e.to_string())?;
     let env_config = EnvConfig::for_ensemble(&ensemble).with_seed(seed);
     let mut env = ClusterEnvAdapter::new(MicroserviceEnv::new(ensemble, env_config));
     let mut trainer = MirasTrainer::new(&env, config);
@@ -262,9 +258,9 @@ fn train(flags: &Flags, stdout: &mut dyn Write) -> Result<(), String> {
     Ok(())
 }
 
-/// The policy in `--agent FILE`: a saved agent, a policy line or a
-/// training checkpoint (of which only the first line is read), checked to
-/// be able to decide before it is used.
+/// The policy in `--agent FILE`: the policy line that starts a policy
+/// file or a training checkpoint (only that line is read), checked to be
+/// able to decide before it is used.
 fn load_agent(flags: &Flags) -> Result<MirasAgent, String> {
     let path = flags.get("agent").ok_or("--agent FILE is required")?;
     let line = File::open(path)

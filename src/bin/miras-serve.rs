@@ -58,12 +58,13 @@ modes (default: serve observations from stdin, decisions to stdout):
                  and counted as in live mode
 
 policy source (default: --policy uniform):
-  --checkpoint FILE  load the policy of a training checkpoint (or a
-                     `miras-cli train --out` policy file, or raw agent
-                     JSON) and hot-swap whenever its first line changes
-                     between windows; only that line is read, so
-                     `head -n 1 ckpt.json > policy.json` makes a
-                     servable policy file
+  --checkpoint FILE  load the policy of a training checkpoint (or of a
+                     `miras-cli train --out` policy file) and hot-swap
+                     whenever its first line changes between windows;
+                     only that line, {\"policy_version\":N,\"agent\":..},
+                     is read, so `head -n 1 ckpt.json > policy.json`
+                     makes a servable policy file; raw agent JSON and
+                     version-1 one-line checkpoints are refused
   --policy NAME      registry policy: uniform, wip-proportional, stream,
                      heft, monad
 

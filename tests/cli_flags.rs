@@ -77,10 +77,11 @@ fn train_smoke_at_three_lanes_still_succeeds() {
     let _ = std::fs::remove_file(agent);
 }
 
-/// `--agent` reads a saved agent, a policy line or a training checkpoint
-/// through the one agent decoder: a checkpoint allocates exactly as its
-/// first line does, and a malformed agent is refused with an error naming
-/// the file instead of panicking.
+/// `--agent` reads a policy file or a training checkpoint through the one
+/// policy-line decoder: a checkpoint allocates exactly as its first line
+/// does, and a malformed agent, a bare serialized agent or a file whose
+/// only line is a training state is refused with an error naming the file
+/// instead of panicking.
 #[test]
 fn agent_files_go_through_the_policy_decoder() {
     use miras::prelude::*;
@@ -93,12 +94,23 @@ fn agent_files_go_through_the_policy_decoder() {
     let checkpoint = temp_path("decoder_checkpoint");
     trainer.save_checkpoint(&env, &checkpoint).unwrap();
     let text = std::fs::read_to_string(&checkpoint).unwrap();
+    let (policy_line, state) = text.split_once('\n').unwrap();
     let head = temp_path("decoder_head");
-    std::fs::write(&head, text.lines().next().unwrap()).unwrap();
-    // One weight matrix claims a row it does not hold.
-    let agent = serde_json::to_string(&trainer.agent()).unwrap();
-    let malformed = temp_path("decoder_malformed");
-    std::fs::write(&malformed, agent.replacen("\"rows\":16", "\"rows\":17", 1)).unwrap();
+    std::fs::write(&head, policy_line).unwrap();
+    let refused = [
+        // One weight matrix claims a row it does not hold.
+        (
+            "malformed",
+            policy_line.replacen("\"rows\":16", "\"rows\":17", 1),
+        ),
+        ("bare", serde_json::to_string(&trainer.agent()).unwrap()),
+        ("state", state.to_string()),
+    ]
+    .map(|(name, content)| {
+        let path = temp_path(&format!("decoder_{name}"));
+        std::fs::write(&path, content).unwrap();
+        path
+    });
 
     let allocate = |path: &PathBuf| {
         let agent = path.to_str().unwrap();
@@ -107,12 +119,16 @@ fn agent_files_go_through_the_policy_decoder() {
     let from_checkpoint = allocate(&checkpoint);
     assert!(from_checkpoint.status.success(), "{from_checkpoint:?}");
     assert_eq!(allocate(&head).stdout, from_checkpoint.stdout);
-    let out = allocate(&malformed);
-    assert_eq!(out.status.code(), Some(1), "{out:?}");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    let named = format!("error: loading {}: corrupt checkpoint", malformed.display());
-    assert!(stderr.contains(&named), "{stderr}");
-    for p in [checkpoint, head, malformed] {
+    for path in refused {
+        let out = allocate(&path);
+        assert_eq!(out.status.code(), Some(1), "{out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let named = format!("error: loading {}: corrupt checkpoint", path.display());
+        assert!(stderr.contains(&named), "{stderr}");
+        assert!(out.stdout.is_empty());
+        let _ = std::fs::remove_file(path);
+    }
+    for p in [checkpoint, head] {
         let _ = std::fs::remove_file(p);
     }
 }

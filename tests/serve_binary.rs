@@ -1,7 +1,7 @@
-//! The real `miras-serve` binary decides identically from a checkpoint,
-//! from its first line alone (`head -n 1 ckpt.json`), and from the same
-//! checkpoint in the layout saved before policy lines existed; it refuses a
-//! flag it does not read; it serves a noisy stream from stdin exactly as
+//! The real `miras-serve` binary decides identically from a checkpoint
+//! and from its first line alone (`head -n 1 ckpt.json`), and refuses a
+//! file whose only line is a training state; it refuses a flag it does not
+//! read; it serves a noisy stream from stdin exactly as
 //! `--replay` does; and a closed stdout ends it with an error, not a panic.
 
 use std::fs::File;
@@ -41,7 +41,7 @@ fn replay(checkpoint: &Path, stream: &Path) -> String {
 }
 
 #[test]
-fn replay_from_a_checkpoint_its_first_line_and_its_legacy_layout_is_byte_identical() {
+fn replay_from_a_checkpoint_and_its_first_line_is_byte_identical() {
     let ensemble = Ensemble::msd();
     let env_config = EnvConfig::for_ensemble(&ensemble).with_seed(7);
     let mut env = ClusterEnvAdapter::new(MicroserviceEnv::new(ensemble, env_config));
@@ -54,8 +54,8 @@ fn replay_from_a_checkpoint_its_first_line_and_its_legacy_layout_is_byte_identic
     let (policy_line, state) = text.split_once('\n').expect("a policy line");
     let head = temp_path("head");
     std::fs::write(&head, format!("{policy_line}\n")).unwrap();
-    let legacy = temp_path("legacy");
-    std::fs::write(&legacy, state).unwrap();
+    let state_alone = temp_path("state_alone");
+    std::fs::write(&state_alone, state).unwrap();
 
     let stream = temp_path("stream");
     std::fs::write(
@@ -70,9 +70,23 @@ fn replay_from_a_checkpoint_its_first_line_and_its_legacy_layout_is_byte_identic
         .lines()
         .all(|l| l.contains("\"policy_version\":1")));
     assert_eq!(replay(&head, &stream), reference, "first line alone");
-    assert_eq!(replay(&legacy, &stream), reference, "legacy layout");
 
-    for p in [checkpoint, head, legacy, stream] {
+    // The training state alone (the layout of a version-1 checkpoint) holds
+    // no policy line: refused before any decision.
+    let out = Command::new(env!("CARGO_BIN_EXE_miras-serve"))
+        .args(["--checkpoint", state_alone.to_str().unwrap(), "--shadow"])
+        .stdin(Stdio::null())
+        .output()
+        .expect("running miras-serve");
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let named = format!("error: loading {}: ", state_alone.display());
+    assert!(
+        String::from_utf8_lossy(&out.stderr).starts_with(&named),
+        "{out:?}"
+    );
+    assert!(out.stdout.is_empty());
+
+    for p in [checkpoint, head, state_alone, stream] {
         let _ = std::fs::remove_file(p);
     }
 }
