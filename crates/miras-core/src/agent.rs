@@ -1,6 +1,6 @@
 //! The deployable MIRAS agent: state in, consumer allocation out.
 
-use nn::Mlp;
+use nn::{Mlp, PackedMlp};
 use rl::policy::allocation_largest_remainder;
 use rl::RunningNorm;
 use serde::{Deserialize, Serialize};
@@ -13,7 +13,13 @@ use serde::{Deserialize, Serialize};
 /// `m_j = ⌊C · a_j⌋` floor, plus the consumers the floor would discard), so
 /// the allocation always satisfies the budget.
 ///
-/// Agents serialize with serde for checkpointing.
+/// The actor is held only as a [`PackedMlp`], packed once when the agent
+/// is built or decoded, so every decision runs the tiled batch-1 forward;
+/// its decisions are bitwise those of the unpacked [`Mlp`].
+///
+/// Agents serialize with serde for checkpointing, the actor in its
+/// [`Mlp`] shape: the JSON is the same as an agent holding the [`Mlp`]
+/// would write.
 ///
 /// # Examples
 ///
@@ -30,13 +36,35 @@ use serde::{Deserialize, Serialize};
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MirasAgent {
-    actor: Mlp,
+    #[serde(with = "packed_actor")]
+    actor: PackedMlp,
     obs_norm: Option<RunningNorm>,
     consumer_budget: usize,
 }
 
+/// The actor's serde shape: written as the [`Mlp`] it was packed from,
+/// and read as an [`Mlp`] that must pass [`Mlp::validate`] before it is
+/// packed, so a malformed actor is a decode error, never a panic.
+mod packed_actor {
+    use nn::{Mlp, PackedMlp};
+    use serde::de::Error;
+    use serde::{Deserialize, Deserializer, Serialize, Serializer};
+
+    pub(super) fn serialize<S: Serializer>(actor: &PackedMlp, s: S) -> Result<S::Ok, S::Error> {
+        actor.unpack().serialize(s)
+    }
+
+    pub(super) fn deserialize<'de, D: Deserializer<'de>>(d: D) -> Result<PackedMlp, D::Error> {
+        let actor = Mlp::deserialize(d)?;
+        actor
+            .validate()
+            .map_err(|e| D::Error::custom(format!("unusable actor: {e}")))?;
+        Ok(PackedMlp::new(&actor))
+    }
+}
+
 impl MirasAgent {
-    /// Wraps a trained actor network.
+    /// Packs a trained actor network for deployment.
     ///
     /// # Panics
     ///
@@ -50,34 +78,33 @@ impl MirasAgent {
             "MIRAS actor maps J-dim WIP to J-dim allocation distribution"
         );
         MirasAgent {
-            actor,
+            actor: PackedMlp::new(&actor),
             obs_norm: None,
             consumer_budget,
         }
     }
 
-    /// Wraps a trained actor with the observation normaliser it was
+    /// Packs a trained actor with the observation normaliser it was
     /// trained with. Without it, raw WIP magnitudes would be far outside
     /// the input distribution the network saw during training. Unchecked:
     /// parts decoded from a file go through [`MirasAgent::validate`].
-    pub(crate) fn from_parts(actor: Mlp, obs_norm: RunningNorm, consumer_budget: usize) -> Self {
+    pub(crate) fn from_parts(actor: &Mlp, obs_norm: RunningNorm, consumer_budget: usize) -> Self {
         MirasAgent {
-            actor,
+            actor: PackedMlp::new(actor),
             obs_norm: Some(obs_norm),
             consumer_budget,
         }
     }
 
-    /// Checks that a deserialized agent can decide: a well-formed actor
-    /// mapping `J` task types to `J` allocation shares, and a well-formed
-    /// normaliser over the same `J`. [`MirasAgent::new`] asserts the same;
-    /// a decoded agent bypasses it.
+    /// Checks that a deserialized agent can decide: an actor (well formed,
+    /// as decoding checked before packing it) mapping `J` task types to `J`
+    /// allocation shares, and a well-formed normaliser over the same `J`.
+    /// [`MirasAgent::new`] asserts the same; a decoded agent bypasses it.
     ///
     /// # Errors
     ///
     /// Describes the first violation found.
     pub(crate) fn validate(&self) -> Result<(), String> {
-        self.actor.validate().map_err(|e| format!("actor: {e}"))?;
         let (input, output) = (self.actor.input_dim(), self.actor.output_dim());
         if input != output {
             return Err(format!("actor maps {input} task types to {output}"));

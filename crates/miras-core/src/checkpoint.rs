@@ -243,7 +243,7 @@ impl CheckpointPayload {
     #[must_use]
     pub fn deployable_agent(&self) -> MirasAgent {
         let (actor, obs_norm) = self.agent.greedy_policy();
-        MirasAgent::from_parts(actor.clone(), obs_norm.clone(), self.consumer_budget)
+        MirasAgent::from_parts(actor, obs_norm.clone(), self.consumer_budget)
     }
 
     /// Reads and validates a checkpoint from `path`, skipping its policy
@@ -256,7 +256,8 @@ impl CheckpointPayload {
     /// is not `CHECKPOINT_VERSION` (checked before anything else in it is
     /// decoded), and [`CheckpointError::Corrupt`] if the file does not parse
     /// as a two-line checkpoint (e.g. it was truncated by a crash that beat
-    /// the atomic-rename protocol's temp file into place).
+    /// the atomic-rename protocol's temp file into place) or its training
+    /// state runs zero rollout lanes.
     pub fn load(path: &Path) -> Result<Self, CheckpointError> {
         let text = String::from_utf8(std::fs::read(path)?)
             .map_err(|e| CheckpointError::Corrupt(format!("not UTF-8: {e}")))?;
@@ -276,7 +277,13 @@ impl CheckpointPayload {
         if policy.is_empty() {
             return Err(CheckpointError::Corrupt("no policy line".into()));
         }
-        from_value(value).map_err(parse_failed)
+        let payload: Self = from_value(value).map_err(parse_failed)?;
+        if payload.config.lanes == 0 {
+            return Err(CheckpointError::Corrupt(
+                "`lanes` is 0, but a run needs at least one rollout lane".into(),
+            ));
+        }
+        Ok(payload)
     }
 }
 
@@ -346,6 +353,21 @@ mod tests {
         format!("{{\"policy_version\":3,\"agent\":{agent}}}")
     }
 
+    /// An agent whose actor layers are each well formed but do not chain:
+    /// layer 0 gives 8 outputs and layer 1 takes 6.
+    fn disagreeing_widths_agent() -> String {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(1);
+        let mut layer = |fan_in: usize, fan_out: usize| {
+            let act = nn::Activation::Softmax;
+            let net = nn::Mlp::new(&[fan_in, fan_out], act, act, &mut rng);
+            let json = serde_json::to_string(&net).unwrap();
+            json["{\"layers\":[".len()..json.len() - "]}".len()].to_string()
+        };
+        let layers = [layer(4, 8), layer(6, 4)].join(",");
+        format!("{{\"actor\":{{\"layers\":[{layers}]}},\"obs_norm\":null,\"consumer_budget\":14}}")
+    }
+
     #[test]
     fn agents_that_cannot_decide_are_refused() {
         let agent = agent_json();
@@ -373,6 +395,10 @@ mod tests {
             (
                 policy_line("{\"actor\":{\"layers\":[]},\"obs_norm\":null,\"consumer_budget\":14}"),
                 "no layers",
+            ),
+            (
+                policy_line(&disagreeing_widths_agent()),
+                "layer 1 takes 6 inputs but layer 0 gives 8",
             ),
             (
                 policy_line(&agent.replace("\"obs_norm\":null", &norm(3, "5.0"))),

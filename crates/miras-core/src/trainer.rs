@@ -142,7 +142,7 @@ impl MirasTrainer {
     #[must_use]
     pub fn agent(&self) -> MirasAgent {
         MirasAgent::from_parts(
-            self.agent.actor().clone(),
+            self.agent.actor(),
             self.agent.obs_normalizer().clone(),
             self.consumer_budget,
         )

@@ -1,10 +1,11 @@
 //! Property: checkpointing is invisible. For arbitrary seeds, interposing
 //! save → load between training iterations changes nothing — the resumed
 //! run's reports, agent state, and environment state are bit-identical to
-//! an uninterrupted run's.
+//! an uninterrupted run's. And a checkpoint whose training state cannot
+//! run is refused at resume, not at the first iteration after it.
 
 use microsim::{EnvConfig, MicroserviceEnv};
-use miras_core::{ClusterEnvAdapter, MirasConfig, MirasTrainer};
+use miras_core::{CheckpointError, ClusterEnvAdapter, MirasConfig, MirasTrainer};
 use proptest::prelude::*;
 use workflow::Ensemble;
 
@@ -66,4 +67,25 @@ proptest! {
     ) {
         save_load_train_k(env_seed, train_seed, k)?;
     }
+}
+
+/// A fresh checkpoint edited to run zero rollout lanes resumes to a trainer
+/// whose first iteration would panic; resume refuses it as corrupt, naming
+/// the field.
+#[test]
+fn a_checkpoint_with_zero_lanes_is_refused_at_resume() {
+    let path = std::env::temp_dir().join(format!("miras_ckpt_lanes_{}.json", std::process::id()));
+    let (mut trainer, mut env) = fresh(3, 4);
+    let _ = trainer.run_iteration(&mut env);
+    trainer.save_checkpoint(&env, &path).unwrap();
+    let text = std::fs::read_to_string(&path).unwrap();
+    assert_eq!(text.matches("\"lanes\":1,").count(), 1);
+    std::fs::write(&path, text.replace("\"lanes\":1,", "\"lanes\":0,")).unwrap();
+
+    match MirasTrainer::resume(&path, Ensemble::msd()) {
+        Err(CheckpointError::Corrupt(msg)) => assert!(msg.contains("`lanes`"), "{msg}"),
+        Err(e) => panic!("expected Corrupt, got {e}"),
+        Ok(_) => panic!("a zero-lane checkpoint resumed"),
+    }
+    let _ = std::fs::remove_file(path);
 }

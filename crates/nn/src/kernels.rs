@@ -109,9 +109,11 @@ pub(crate) fn gemm_plain(
     gemm(a, m, k, rhs, n, out, &no_post);
 }
 
-/// Packs the RHS into zero-padded k-major column panels of width `NR`:
-/// `packed[p*k*NR + t*NR + jj] = B[t][p*NR + jj]`.
-fn pack_rhs(rhs: &RhsLayout<'_>, k: usize, n: usize, packed: &mut [f64]) {
+/// Packs the RHS into k-major column panels of width `NR`:
+/// `packed[p*k*NR + t*NR + jj] = B[t][p*NR + jj]`. Writes only the real
+/// columns, so `packed` must be zero-filled on entry for the padding of a
+/// last panel narrower than `NR` to be zero.
+pub(crate) fn pack_rhs(rhs: &RhsLayout<'_>, k: usize, n: usize, packed: &mut [f64]) {
     let panels = n.div_ceil(NR);
     for p in 0..panels {
         let j0 = p * NR;
@@ -170,8 +172,9 @@ fn micro_row(a_row: &[f64], panel: &[f64], acc: &mut [f64; NR]) {
 }
 
 /// Tiled product over a pre-packed RHS; writes (never accumulates into)
-/// `out` and runs `post` on each completed row.
-fn gemm_packed<P: Fn(&mut [f64]) + Sync>(
+/// `out` and runs `post` on each completed row. `PackedMlp` calls it with
+/// panels packed once at load; [`gemm`] with panels packed per call.
+pub(crate) fn gemm_packed<P: Fn(&mut [f64]) + Sync>(
     a: &[f64],
     m: usize,
     k: usize,

@@ -44,7 +44,27 @@ impl DenseGrads {
     }
 }
 
+/// The layer epilogue, run once on each finished row of `x · Wᵀ`: adds
+/// the bias, then applies the activation. Shared by [`Dense`] and
+/// `PackedMlp`, so both finish a row with the same operations.
+pub(crate) fn finish_row(row: &mut [f64], bias: &[f64], activation: Activation) {
+    for (v, &b) in row.iter_mut().zip(bias) {
+        *v += b;
+    }
+    activation.apply_row(row);
+}
+
 impl Dense {
+    /// Rebuilds a layer from its parts (the inverse of packing, see
+    /// `PackedMlp::unpack`).
+    pub(crate) fn from_parts(weights: Matrix, bias: Vec<f64>, activation: Activation) -> Self {
+        Dense {
+            weights,
+            bias,
+            activation,
+        }
+    }
+
     /// Creates a layer with `fan_in` inputs and `fan_out` outputs.
     ///
     /// # Panics
@@ -159,13 +179,8 @@ impl Dense {
     /// Panics if `x.cols() != self.fan_in()`.
     pub(crate) fn infer_into(&self, x: &Matrix, out: &mut Matrix) {
         assert_eq!(x.cols(), self.fan_in(), "input width mismatch");
-        let bias = &self.bias;
-        let activation = self.activation;
         x.matmul_transpose_fused_into(&self.weights, out, &|row: &mut [f64]| {
-            for (v, &b) in row.iter_mut().zip(bias) {
-                *v += b;
-            }
-            activation.apply_row(row);
+            finish_row(row, &self.bias, self.activation);
         });
     }
 

@@ -8,6 +8,8 @@
 //!   activations ([`Activation`]),
 //! * multi-layer perceptrons ([`Mlp`]) with forward, backward, and
 //!   mean-squared-error training,
+//! * an inference-only [`PackedMlp`] whose weights are packed into the
+//!   GEMM panel layout once, for bit-identical batch-1 forwards,
 //! * the [`Adam`] optimizer with global-norm gradient clipping,
 //! * parameter-space utilities used by DDPG: Gaussian parameter
 //!   perturbation ([`Mlp::add_parameter_noise`]) and Polyak soft target
@@ -57,6 +59,7 @@ mod layer;
 mod matrix;
 mod network;
 mod optimizer;
+mod packed;
 mod scratch;
 pub mod threads;
 
@@ -65,3 +68,4 @@ pub use layer::{Dense, DenseGrads};
 pub use matrix::Matrix;
 pub use network::{ForwardTrace, Mlp};
 pub use optimizer::Adam;
+pub use packed::PackedMlp;

@@ -109,6 +109,16 @@ impl Mlp {
         Mlp { layers }
     }
 
+    /// Wraps layers that chain (see [`Mlp::validate`]).
+    pub(crate) fn from_layers(layers: Vec<Dense>) -> Self {
+        Mlp { layers }
+    }
+
+    /// The layers, input side first.
+    pub(crate) fn layers(&self) -> &[Dense] {
+        &self.layers
+    }
+
     /// Input dimensionality.
     #[must_use]
     pub fn input_dim(&self) -> usize {

@@ -188,6 +188,36 @@ mod tests {
         assert_eq!(err.attempts, 1);
     }
 
+    /// `EINTR` reaches the serving loop as `Interrupted` from a socket
+    /// read with a read timeout set (`--read-timeout-ms`): Linux fails such
+    /// a `recv` with `EINTR` after a stop and continue, and `BufReader`
+    /// hands it on without retrying. It is retried like any transient.
+    #[test]
+    fn interrupted_reads_are_retried() {
+        let mut calls = 0;
+        let mut retries = 0;
+        let read = retry_with(
+            RetryPolicy {
+                attempts: 2,
+                base: Duration::from_micros(1),
+                max: Duration::from_micros(1),
+            },
+            "client_read",
+            io_transient,
+            |_| retries += 1,
+            || {
+                calls += 1;
+                if calls == 1 {
+                    Err(io::Error::from(io::ErrorKind::Interrupted))
+                } else {
+                    Ok(calls)
+                }
+            },
+        );
+        assert_eq!(read.unwrap(), 2);
+        assert_eq!(retries, 1);
+    }
+
     #[test]
     fn backoff_doubles_and_caps() {
         let p = RetryPolicy {

@@ -183,6 +183,44 @@ fn a_cut_policy_line_is_refused_and_the_previous_policy_keeps_serving() {
     }
 }
 
+/// A policy line whose actor layers are each well formed but do not chain
+/// (layer 0 gives 16 outputs, layer 1 takes 8) is refused as corrupt
+/// before the actor is packed for serving.
+#[test]
+fn an_actor_whose_layer_widths_disagree_is_refused() {
+    use nn::{Activation, Mlp};
+    use rand::SeedableRng;
+
+    let mut rng = rand::rngs::SmallRng::seed_from_u64(3);
+    let mut layer = |fan_in: usize, fan_out: usize| {
+        let act = Activation::Softmax;
+        let net = Mlp::new(&[fan_in, fan_out], act, act, &mut rng);
+        let json = serde_json::to_string(&net).unwrap();
+        json["{\"layers\":[".len()..json.len() - "]}".len()].to_string()
+    };
+    let layers = [layer(4, 16), layer(8, 4)].join(",");
+    let path = temp_path("widths_disagree");
+    std::fs::write(
+        &path,
+        format!(
+            "{{\"policy_version\":1,\"agent\":{{\"actor\":{{\"layers\":[{layers}]}},\
+             \"obs_norm\":null,\"consumer_budget\":14}}}}\n"
+        ),
+    )
+    .unwrap();
+    match load_policy(&path) {
+        Err(LoadError::Unusable(CheckpointError::Corrupt(msg))) => {
+            assert!(
+                msg.contains("layer 1 takes 8 inputs but layer 0 gives 16"),
+                "{msg}"
+            );
+        }
+        Err(e) => panic!("expected Corrupt, got {e}"),
+        Ok(_) => panic!("loaded"),
+    }
+    let _ = std::fs::remove_file(path);
+}
+
 /// Serving never parses the training state: a checkpoint whose second line
 /// is garbage serves exactly as the intact file does, while resume refuses
 /// it.

@@ -79,7 +79,8 @@ fn train_smoke_at_three_lanes_still_succeeds() {
 
 /// `--agent` reads a policy file or a training checkpoint through the one
 /// policy-line decoder: a checkpoint allocates exactly as its first line
-/// does, and a malformed agent, a bare serialized agent or a file whose
+/// does, and a malformed agent (a weight matrix short of a row, or layers
+/// whose widths do not chain), a bare serialized agent or a file whose
 /// only line is a training state is refused with an error naming the file
 /// instead of panicking.
 #[test]
@@ -103,6 +104,7 @@ fn agent_files_go_through_the_policy_decoder() {
             "malformed",
             policy_line.replacen("\"rows\":16", "\"rows\":17", 1),
         ),
+        ("widths", disagreeing_widths(policy_line)),
         ("bare", serde_json::to_string(&trainer.agent()).unwrap()),
         ("state", state.to_string()),
     ]
@@ -131,6 +133,21 @@ fn agent_files_go_through_the_policy_decoder() {
     for p in [checkpoint, head] {
         let _ = std::fs::remove_file(p);
     }
+}
+
+/// `line` with its actor's first layer widened from 16 outputs to 20: each
+/// layer is still well formed, but layer 1 takes 16 inputs and layer 0
+/// gives 20.
+fn disagreeing_widths(line: &str) -> String {
+    use rand::SeedableRng;
+    let mut rng = rand::rngs::SmallRng::seed_from_u64(9);
+    let act = nn::Activation::Relu;
+    let wide = serde_json::to_string(&nn::Mlp::new(&[4, 20], act, act, &mut rng)).unwrap();
+    let wide = &wide["{\"layers\":[".len()..wide.len() - "]}".len()];
+    let start = line.find("{\"weights\"").unwrap();
+    let end = start + line[start..].find("\"activation\":\"Relu\"}").unwrap();
+    let end = end + "\"activation\":\"Relu\"}".len();
+    format!("{}{wide}{}", &line[..start], &line[end..])
 }
 
 /// `gen-trace` writes the emulator's own background sample as JSONL and
