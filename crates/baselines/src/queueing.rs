@@ -2,8 +2,8 @@
 //!
 //! These are the steady-state predictions the DRS baseline optimises against
 //! ([`crate::DrsAllocator`]) and the reference values the simulator's
-//! differential validation harness (`sim_audit`, the `microsim` differential
-//! tests) cross-checks the emulator against: a single-task workflow under
+//! differential tests (`crates/microsim/tests/differential.rs`) cross-check
+//! the emulator against: a single-task workflow under
 //! Poisson arrivals with `c` consumers is exactly an M/G/c queue, and with
 //! the emulator's default log-normal service times at coefficient of
 //! variation 1 the Allen–Cunneen approximation collapses to plain Erlang-C.

@@ -9,6 +9,9 @@ use miras_bench::{
     run_comparison, run_workload_grid, workload_zoo, BenchArgs, EnsembleKind, StepRecord,
 };
 use telemetry::{JsonlSink, Telemetry};
+use telemetry_stream::{check_stream, Require};
+
+mod telemetry_stream;
 
 /// FNV-1a over every field of every record of the Fig. 7 smoke run at seed
 /// 5, scenario by scenario in algorithm order (see [`fold_records`]). It
@@ -85,27 +88,21 @@ fn fig7_smoke_run_is_bit_identical_with_recorder_attached() {
         "the Fig. 7 smoke records moved: {bits:#018x}"
     );
 
-    // The recording run must actually have produced the stream the figure
-    // binaries ship: per-window events from the environment and
-    // per-iteration events from Algorithm 2.
-    let stream = String::from_utf8(sink.take_output()).expect("utf-8 JSONL");
-    assert!(
-        stream.contains("\"name\":\"window\""),
-        "no window events in stream"
-    );
-    assert!(
-        stream.contains("\"name\":\"iteration\""),
-        "no iteration events in stream"
-    );
-    assert!(
-        stream.contains("\"name\":\"bench.summary\""),
-        "no summary events in stream"
-    );
+    // The recording run must have produced the stream the figure binaries
+    // ship, well formed: per-window events from the environment,
+    // per-iteration events from Algorithm 2 and the run summaries.
+    check_stream(
+        &sink.take_output(),
+        &[Require::Windows, Require::Iterations, Require::Summaries],
+    )
+    .unwrap_or_else(|e| panic!("Fig. 7 stream: {e}"));
 }
 
 /// The workload × algorithm grid must be byte-identical at any worker
 /// count: cells are independent (no shared RNG stream), so a sequential
-/// sweep and a multi-worker sweep produce the same records.
+/// sweep and a multi-worker sweep produce the same records. The
+/// multi-worker sweep records telemetry, whose stream must be well formed
+/// and carry the generator's per-window target rates.
 #[test]
 fn workload_grid_smoke_is_worker_count_invariant() {
     let args = smoke_args(9);
@@ -117,8 +114,21 @@ fn workload_grid_smoke_is_worker_count_invariant() {
     std::env::set_var("MIRAS_GRID_THREADS", "1");
     let sequential = run_workload_grid(EnsembleKind::Msd, &args, &workloads, &Telemetry::noop());
     std::env::set_var("MIRAS_GRID_THREADS", "4");
-    let parallel = run_workload_grid(EnsembleKind::Msd, &args, &workloads, &Telemetry::noop());
+    let sink = JsonlSink::in_memory();
+    let telemetry = Telemetry::new(sink.clone());
+    let parallel = run_workload_grid(EnsembleKind::Msd, &args, &workloads, &telemetry);
+    telemetry.flush();
     std::env::remove_var("MIRAS_GRID_THREADS");
+    check_stream(
+        &sink.take_output(),
+        &[
+            Require::Windows,
+            Require::Iterations,
+            Require::Summaries,
+            Require::WorkloadRates,
+        ],
+    )
+    .unwrap_or_else(|e| panic!("workload grid stream: {e}"));
 
     assert_eq!(sequential.len(), parallel.len());
     assert_eq!(sequential.len(), workloads.len() * 5);
@@ -134,4 +144,49 @@ fn workload_grid_smoke_is_worker_count_invariant() {
             "{name_a} diverged under workload {workload_a}"
         );
     }
+}
+
+/// Each stream rule refuses its breach: a minimal stream passes, and each
+/// one-line edit of it fails.
+#[test]
+fn the_stream_check_refuses_each_broken_rule() {
+    let window = r#"{"schema_version":1,"t":"event","seq":3,"name":"window","data":{"window_index":0,"wip":[2],"reward":-1.0,"arrivals":[1],"completions":[0]}}"#;
+    let rate = r#"{"schema_version":1,"t":"event","seq":4,"name":"workload.target_rate","data":{"window_index":0,"workload":"diurnal","factor":1.5,"rate_per_sec":0.3}}"#;
+    let pending = r#"{"schema_version":1,"t":"gauge","name":"desim.pending","value":7}"#;
+    let cascades = r#"{"schema_version":1,"t":"counter","name":"desim.wheel_cascades","value":0}"#;
+    let hist = r#"{"schema_version":1,"t":"hist","name":"h","count":1,"sum":0.5,"buckets":[{"le":1.0,"count":1},{"le":null,"count":1}]}"#;
+    let good = [window, rate, pending, cascades, hist];
+    let required = [Require::Windows, Require::WorkloadRates];
+    let stream = |lines: &[&str]| lines.join("\n").into_bytes();
+    check_stream(&stream(&good), &required).unwrap();
+
+    let edits: [(usize, &str, &str); 8] = [
+        (0, r#""schema_version":1"#, r#""schema_version":2"#),
+        (0, r#""t":"event""#, r#""t":"span""#),
+        (1, r#""seq":4"#, r#""seq":3"#),
+        (0, r#","reward":-1.0"#, ""),
+        (1, r#""factor":1.5"#, r#""factor":"high""#),
+        (2, r#""value":7"#, r#""value":"7""#),
+        (4, r#",{"le":null,"count":1}"#, ""),
+        (2, r#""desim.pending""#, r#""desim.queued""#),
+    ];
+    for (line, from, to) in edits {
+        let mut lines = good;
+        let edited = good[line].replace(from, to);
+        assert_ne!(edited, good[line], "{from}");
+        lines[line] = &edited;
+        assert!(
+            check_stream(&stream(&lines), &required).is_err(),
+            "{from} -> {to} passed"
+        );
+    }
+    for (drop, require) in [(1, Require::WorkloadRates), (0, Require::Windows)] {
+        let mut lines = good.to_vec();
+        lines.remove(drop);
+        assert!(
+            check_stream(&stream(&lines), &[require]).is_err(),
+            "{require:?}"
+        );
+    }
+    assert!(check_stream(&stream(&good), &[Require::Serve]).is_err());
 }

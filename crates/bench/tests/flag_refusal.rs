@@ -1,7 +1,7 @@
-//! Every bench binary but `telemetry_check` parses its command line through
-//! `miras::flags` against exactly the flags it reads: a flag it does not
-//! read is refused by name, with exit status 1, before any training or
-//! simulation starts (so nothing reaches stdout). `--paper` with `--smoke`
+//! Every bench binary parses its command line through `miras::flags`
+//! against exactly the flags it reads: a flag it does not read is refused
+//! by name, with exit status 1, before any training or simulation starts
+//! (so nothing reaches stdout). `--paper` with `--smoke`
 //! is refused the same way, and a `--workload trace:FILE` that does not
 //! load ends the run before any training.
 
@@ -69,7 +69,6 @@ const CASES: &[(&str, &str, &[&str])] = &[
         env!("CARGO_BIN_EXE_workload_grid"),
         &["--smoke", "--steady"],
     ),
-    ("sim_audit", env!("CARGO_BIN_EXE_sim_audit"), &["--paper"]),
 ];
 
 #[test]

@@ -3,6 +3,9 @@
 
 use miras_bench::{fault_scenarios, run_resilience, summarize, BenchArgs, EnsembleKind};
 use telemetry::{JsonlSink, Telemetry};
+use telemetry_stream::{check_stream, Require};
+
+mod telemetry_stream;
 
 #[test]
 fn resilience_smoke_covers_all_scenarios_and_algorithms() {
@@ -40,8 +43,14 @@ fn resilience_smoke_covers_all_scenarios_and_algorithms() {
         }
     }
 
-    // The JSONL stream segments per scenario via a string field.
+    // The JSONL stream is well formed and segments per scenario via a
+    // string field.
     let stream = String::from_utf8(sink.take_output()).unwrap();
+    check_stream(
+        stream.as_bytes(),
+        &[Require::Windows, Require::Iterations, Require::Summaries],
+    )
+    .unwrap_or_else(|e| panic!("resilience stream: {e}"));
     for scenario in &scenarios {
         assert!(
             stream.contains(&format!("\"scenario\":\"{}\"", scenario.name)),
@@ -49,7 +58,6 @@ fn resilience_smoke_covers_all_scenarios_and_algorithms() {
             scenario.name
         );
     }
-    assert!(stream.contains("\"name\":\"bench.summary\""));
 }
 
 /// Faults must actually bite: with the crash scenario's failure rate, the

@@ -990,18 +990,13 @@ impl Cluster {
         fresh.remaining_preds = remaining_preds;
         fresh.rng = SmallRng::from_state(snapshot.rng_state);
         fresh.config = snapshot.config;
-        // Files written before the totals existed carry none; they held a
-        // per-request record list instead, always empty at a window
-        // boundary, which is where an environment takes its snapshots.
-        if !snapshot.completion_totals.count.is_empty() {
-            let n = fresh.ensemble.num_workflow_types();
-            assert!(
-                snapshot.completion_totals.count.len() == n
-                    && snapshot.completion_totals.response_secs_sum.len() == n,
-                "snapshot completion totals need one entry per workflow type"
-            );
-            fresh.completion_totals = snapshot.completion_totals;
-        }
+        let n = fresh.ensemble.num_workflow_types();
+        assert!(
+            snapshot.completion_totals.count.len() == n
+                && snapshot.completion_totals.response_secs_sum.len() == n,
+            "snapshot completion totals need one entry per workflow type"
+        );
+        fresh.completion_totals = snapshot.completion_totals;
         fresh.tasks_completed = snapshot.tasks_completed;
         fresh.workflows_submitted = snapshot.workflows_submitted;
         fresh.workflows_completed = snapshot.workflows_completed;
@@ -1037,7 +1032,6 @@ pub(crate) struct ClusterSnapshot {
     free_instances: Vec<InstanceId>,
     rng_state: [u64; 4],
     config: SimConfig,
-    #[serde(default)]
     completion_totals: CompletionTotals,
     tasks_completed: Vec<u64>,
     workflows_submitted: Vec<u64>,

@@ -98,9 +98,8 @@ pub enum WorkloadSpec {
     /// [`MicroserviceEnv::load_workload_trace`](crate::MicroserviceEnv::load_workload_trace);
     /// background sampling is fully suppressed (factor 0, no RNG draws).
     TraceReplay {
-        /// Path to the trace file, in either layout
-        /// `workflow::ArrivalTrace::load` reads: JSONL, one arrival per
-        /// line, or the older `{"arrivals":[…]}` document.
+        /// Path to the trace file: JSONL, one arrival per line, as
+        /// `workflow::ArrivalTrace::load` reads it.
         path: String,
     },
 }

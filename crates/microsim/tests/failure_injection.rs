@@ -7,6 +7,10 @@ use microsim::{Cluster, SimConfig};
 use proptest::prelude::*;
 use workflow::{Ensemble, TaskTypeId, WorkflowTypeId};
 
+use fault_configs::fault_configs;
+
+mod fault_configs;
+
 fn faulty_cluster(seed: u64, failures_per_hour: f64) -> Cluster {
     let config = SimConfig {
         startup_min: SimTime::from_secs(5),
@@ -111,49 +115,16 @@ fn failures_slow_processing_down() {
 /// Every fault class must leave the simulator's invariants intact: runs
 /// with runtime auditing enabled record zero violations under consumer
 /// crashes, correlated node outages, stragglers, and delivery-delay spikes
-/// (the resilience benchmark's scenario rates). This is the in-tree
-/// counterpart of the `sim_audit` binary's scenario sweep.
+/// (the resilience benchmark's scenario rates). `workload_roundtrip.rs`
+/// audits the same configurations under non-stationary traffic and trace
+/// replay.
 #[test]
 fn fault_scenarios_run_audit_clean() {
     let base = SimConfig {
         audit: true,
         ..SimConfig::new(9)
     };
-    let scenarios: [(&str, SimConfig); 5] = [
-        ("healthy", base.clone()),
-        (
-            "crashes",
-            SimConfig {
-                failure_rate_per_hour: 20.0,
-                ..base.clone()
-            },
-        ),
-        (
-            "outages",
-            SimConfig {
-                node_count: 3,
-                node_outage_rate_per_hour: 2.0,
-                ..base.clone()
-            },
-        ),
-        (
-            "stragglers",
-            SimConfig {
-                straggler_prob: 0.05,
-                straggler_factor: 10.0,
-                ..base.clone()
-            },
-        ),
-        (
-            "delays",
-            SimConfig {
-                delivery_delay_prob: 0.10,
-                delivery_delay_max: SimTime::from_secs(10),
-                ..base
-            },
-        ),
-    ];
-    for (name, sim) in scenarios {
+    for (name, sim) in fault_configs(base) {
         let mut c = Cluster::new(Ensemble::msd(), sim);
         c.set_consumers(&[4, 4, 4, 2]);
         for i in 0..200 {

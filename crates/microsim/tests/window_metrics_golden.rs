@@ -130,8 +130,10 @@ fn sim_large_windows() {
 }
 
 /// An environment snapshot written mid-burst, with workflows in flight and
-/// events pending, by the build that kept one record per completed
-/// workflow: it must keep decoding and resume with the same metrics.
+/// events pending, by an earlier build; its empty per-request completion
+/// list (a snapshot is taken at a window boundary) was rewritten as
+/// `completion_totals` at zero. It must decode and resume with the same
+/// metrics as when that build wrote it.
 #[test]
 fn old_mid_burst_snapshot_resumes() {
     let json = include_str!("fixtures/msd_mid_burst_snapshot.json");

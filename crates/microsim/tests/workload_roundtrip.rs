@@ -1,8 +1,9 @@
 //! Workload-generator correctness: every generator kind survives a
 //! record → trace-replay round trip byte-identically, `background_trace`
 //! is exactly what a fresh environment records, arbitrary workload specs
-//! keep the simulator audit-clean and deterministic, and a damaged trace
-//! file loads or fails with a typed error.
+//! keep the simulator audit-clean (under every fault configuration, and
+//! again when their recorded trace is replayed) and deterministic, and a
+//! damaged trace file loads or fails with a typed error.
 //!
 //! The round trip is the strongest arrival-path check we have: it proves
 //! that window-by-window Poisson sampling (generator mode) and pre-queued
@@ -17,16 +18,28 @@ use microsim::{background_trace, EnvConfig, MicroserviceEnv, SimConfig, Workload
 use proptest::prelude::*;
 use workflow::{ArrivalTrace, BurstSpec, Ensemble};
 
+use fault_configs::fault_configs;
+
+mod fault_configs;
+
 const WINDOWS: usize = 4;
 const ACTION: [usize; 4] = [4, 4, 4, 2]; // MSD budget 14
 
 fn env_with(workload: WorkloadSpec, seed: u64) -> MicroserviceEnv {
+    env_under(workload, audited(seed))
+}
+
+fn audited(seed: u64) -> SimConfig {
+    SimConfig {
+        audit: true,
+        ..SimConfig::new(seed)
+    }
+}
+
+fn env_under(workload: WorkloadSpec, sim: SimConfig) -> MicroserviceEnv {
     let ensemble = Ensemble::msd();
     let config = EnvConfig {
-        sim: SimConfig {
-            audit: true,
-            ..SimConfig::new(seed)
-        },
+        sim,
         workload,
         ..EnvConfig::for_ensemble(&ensemble)
     };
@@ -199,20 +212,41 @@ fn arbitrary_workload() -> impl Strategy<Value = WorkloadSpec> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Any valid workload spec keeps the audited simulator clean.
+    /// Any valid workload spec keeps the audited simulator clean under any
+    /// of the fault configurations, and so does a replay of the trace it
+    /// recorded, under the same faults.
     #[test]
     fn random_workloads_are_audit_clean(
         spec in arbitrary_workload(),
+        fault in 0usize..5,
         seed in 0u64..1000,
     ) {
         prop_assert!(spec.validate().is_ok());
-        let mut env = env_with(spec, seed);
+        let (name, sim) = fault_configs(audited(seed))[fault].clone();
+        let mut env = env_under(spec, sim.clone());
         let _ = env.reset();
+        env.record_trace();
         for _ in 0..3 {
             let _ = env.step(&ACTION);
         }
         let violations = env.take_audit_violations();
-        prop_assert!(violations.is_empty(), "audit violations: {violations:?}");
+        prop_assert!(violations.is_empty(), "{}: audit violations: {:?}", name, violations);
+
+        let path = temp_path(&format!("audit_{fault}_{seed}.jsonl"));
+        env.take_recorded_trace().save_jsonl(&path).unwrap();
+        let replay_spec = WorkloadSpec::TraceReplay {
+            path: path.display().to_string(),
+        };
+        let mut replay = env_under(replay_spec, sim);
+        let _ = replay.reset();
+        let loaded = replay.load_workload_trace();
+        let _ = std::fs::remove_file(&path);
+        prop_assert!(loaded.is_ok(), "{:?}", loaded);
+        for _ in 0..3 {
+            let _ = replay.step(&ACTION);
+        }
+        let violations = replay.take_audit_violations();
+        prop_assert!(violations.is_empty(), "{} replay: audit violations: {:?}", name, violations);
     }
 
     /// Same spec + same seed → byte-identical trajectory.
@@ -238,11 +272,10 @@ proptest! {
     }
 }
 
-/// A real trace's bytes in both layouts: JSONL as `save_jsonl` writes it,
-/// and the older single-document `{"arrivals":[…]}` layout.
-fn trace_layouts() -> &'static [Vec<u8>; 2] {
-    static LAYOUTS: OnceLock<[Vec<u8>; 2]> = OnceLock::new();
-    LAYOUTS.get_or_init(|| {
+/// A real trace's bytes, as `save_jsonl` writes them.
+fn trace_bytes() -> &'static [u8] {
+    static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
+    BYTES.get_or_init(|| {
         let config = EnvConfig {
             workload: WorkloadSpec::parse("flash-crowd").unwrap(),
             ..EnvConfig::for_ensemble(&Ensemble::msd()).with_seed(5)
@@ -251,13 +284,10 @@ fn trace_layouts() -> &'static [Vec<u8>; 2] {
         assert!(trace.len() > 10, "a trace worth damaging");
         let path = temp_path("layout.jsonl");
         trace.save_jsonl(&path).unwrap();
-        let jsonl = std::fs::read(&path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
         let _ = std::fs::remove_file(&path);
-        let document = serde_json::to_string(&trace).unwrap().into_bytes();
-        for bytes in [&jsonl, &document] {
-            assert_eq!(load_bytes(bytes, "intact").unwrap(), trace);
-        }
-        [jsonl, document]
+        assert_eq!(load_bytes(&bytes, "intact").unwrap(), trace);
+        bytes
     })
 }
 
@@ -301,30 +331,26 @@ proptest! {
         }
     }
 
-    /// A real trace in either layout, cut at any byte or with any byte
-    /// flipped, loads or fails with `InvalidData`: `ArrivalTrace::load`
-    /// never panics and never reports a damaged file as another kind of
-    /// error.
+    /// A real trace, cut at any byte or with any byte flipped, loads or
+    /// fails with `InvalidData`: `ArrivalTrace::load` never panics and
+    /// never reports a damaged file as another kind of error.
     #[test]
     fn cut_or_flipped_traces_load_or_fail_as_invalid_data(
-        kind in 0u8..4,
+        flip in 0u8..2,
         at in 0u64..1_000_000,
         mask in 1u8..=255,
     ) {
-        // Even kinds damage the JSONL layout, odd kinds the document.
-        let intact = &trace_layouts()[usize::from(kind % 2)];
+        let intact = trace_bytes();
         let at = (at as usize) * intact.len() / 1_000_000;
-        let bytes = if kind < 2 {
-            intact[..at].to_vec()
-        } else {
-            let mut flipped = intact.clone();
+        let bytes = if flip == 1 {
+            let mut flipped = intact.to_vec();
             flipped[at] ^= mask;
             flipped
+        } else {
+            intact[..at].to_vec()
         };
         match load_bytes(&bytes, "damaged") {
             Ok(trace) => {
-                // Only the empty cut of the document is a (blank) trace.
-                prop_assert!(kind != 1 || at == 0, "a cut document loaded");
                 for pair in trace.arrivals().windows(2) {
                     prop_assert!(pair[0].time <= pair[1].time);
                 }

@@ -257,7 +257,7 @@ impl CheckpointPayload {
     /// decoded), and [`CheckpointError::Corrupt`] if the file does not parse
     /// as a two-line checkpoint (e.g. it was truncated by a crash that beat
     /// the atomic-rename protocol's temp file into place) or its training
-    /// state runs zero rollout lanes.
+    /// state's configuration fails [`MirasConfig::validate`].
     pub fn load(path: &Path) -> Result<Self, CheckpointError> {
         let text = String::from_utf8(std::fs::read(path)?)
             .map_err(|e| CheckpointError::Corrupt(format!("not UTF-8: {e}")))?;
@@ -278,11 +278,10 @@ impl CheckpointPayload {
             return Err(CheckpointError::Corrupt("no policy line".into()));
         }
         let payload: Self = from_value(value).map_err(parse_failed)?;
-        if payload.config.lanes == 0 {
-            return Err(CheckpointError::Corrupt(
-                "`lanes` is 0, but a run needs at least one rollout lane".into(),
-            ));
-        }
+        payload
+            .config
+            .validate()
+            .map_err(|e| CheckpointError::Corrupt(e.to_string()))?;
         Ok(payload)
     }
 }

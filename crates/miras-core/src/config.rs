@@ -204,6 +204,38 @@ impl MirasConfig {
         }
     }
 
+    /// Checks the counts a run divides or batches by; a training state
+    /// with one of them at zero would resume, then panic mid-iteration.
+    ///
+    /// # Errors
+    ///
+    /// [`ConfigError::Miras`] naming the first of `lanes`, `reset_every`,
+    /// `model_batch` and `ddpg.batch_size` that is zero.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let counts = [
+            ("lanes", self.lanes, "lockstep lane count must be positive"),
+            (
+                "reset_every",
+                self.reset_every,
+                "reset period must be positive",
+            ),
+            (
+                "model_batch",
+                self.model_batch,
+                "model minibatch size must be positive",
+            ),
+            (
+                "ddpg.batch_size",
+                self.ddpg.batch_size,
+                "DDPG minibatch size must be positive",
+            ),
+        ];
+        match counts.into_iter().find(|&(_, count, _)| count == 0) {
+            Some((field, _, reason)) => Err(ConfigError::Miras { field, reason }),
+            None => Ok(()),
+        }
+    }
+
     /// Returns a copy running the inner loop as `lanes` lockstep rollout
     /// lanes (batched model and actor forwards).
     ///
@@ -290,6 +322,18 @@ mod tests {
         assert_eq!(ligo.rollout_len, 10);
         assert_eq!(ligo.eval_steps, 100);
         assert_eq!(ligo.ddpg.hidden, vec![512, 512, 512]);
+
+        for preset in [
+            MirasConfig::msd_paper,
+            MirasConfig::ligo_paper,
+            MirasConfig::gpu_serve_paper,
+            MirasConfig::gpu_serve_fast,
+            MirasConfig::msd_fast,
+            MirasConfig::ligo_fast,
+            MirasConfig::smoke_test,
+        ] {
+            assert_eq!(preset(0).validate(), Ok(()));
+        }
     }
 
     #[test]

@@ -69,23 +69,58 @@ proptest! {
     }
 }
 
-/// A fresh checkpoint edited to run zero rollout lanes resumes to a trainer
-/// whose first iteration would panic; resume refuses it as corrupt, naming
+/// Sets every `"key":<count>` in `text` to `"key":0`; returns the new text
+/// and how many counts it zeroed.
+fn zero_counts(text: &str, key: &str) -> (String, usize) {
+    let pattern = format!("\"{key}\":");
+    let mut out = String::with_capacity(text.len());
+    let mut rest = text;
+    let mut zeroed = 0;
+    while let Some(at) = rest.find(&pattern) {
+        let (head, tail) = rest.split_at(at + pattern.len());
+        let digits = tail.len() - tail.trim_start_matches(|c: char| c.is_ascii_digit()).len();
+        out.push_str(head);
+        if digits > 0 {
+            out.push('0');
+            zeroed += 1;
+        }
+        rest = &tail[digits..];
+    }
+    out.push_str(rest);
+    (out, zeroed)
+}
+
+/// A fresh checkpoint edited to a zero count a run divides or batches by
+/// resumes to a trainer whose first iteration would panic (or, for
+/// `model_batch`, silently clamp); resume refuses each as corrupt, naming
 /// the field.
 #[test]
-fn a_checkpoint_with_zero_lanes_is_refused_at_resume() {
-    let path = std::env::temp_dir().join(format!("miras_ckpt_lanes_{}.json", std::process::id()));
+fn checkpoints_with_a_zero_count_are_refused_at_resume() {
+    let path = std::env::temp_dir().join(format!("miras_ckpt_counts_{}.json", std::process::id()));
     let (mut trainer, mut env) = fresh(3, 4);
     let _ = trainer.run_iteration(&mut env);
     trainer.save_checkpoint(&env, &path).unwrap();
     let text = std::fs::read_to_string(&path).unwrap();
-    assert_eq!(text.matches("\"lanes\":1,").count(), 1);
-    std::fs::write(&path, text.replace("\"lanes\":1,", "\"lanes\":0,")).unwrap();
 
-    match MirasTrainer::resume(&path, Ensemble::msd()) {
-        Err(CheckpointError::Corrupt(msg)) => assert!(msg.contains("`lanes`"), "{msg}"),
-        Err(e) => panic!("expected Corrupt, got {e}"),
-        Ok(_) => panic!("a zero-lane checkpoint resumed"),
+    // The DDPG batch size is stored twice: in the run's config and in the
+    // agent snapshot's.
+    for (key, copies, field) in [
+        ("lanes", 1, "lanes"),
+        ("reset_every", 1, "reset_every"),
+        ("model_batch", 1, "model_batch"),
+        ("batch_size", 2, "ddpg.batch_size"),
+    ] {
+        let (edited, zeroed) = zero_counts(&text, key);
+        assert_eq!(zeroed, copies, "{key}");
+        std::fs::write(&path, edited).unwrap();
+        match MirasTrainer::resume(&path, Ensemble::msd()) {
+            Err(CheckpointError::Corrupt(msg)) => assert!(
+                msg.contains(&format!("MirasConfig.{field}:")),
+                "{key}: {msg}"
+            ),
+            Err(e) => panic!("{key}: expected Corrupt, got {e}"),
+            Ok(_) => panic!("a checkpoint with zero `{key}` resumed"),
+        }
     }
     let _ = std::fs::remove_file(path);
 }

@@ -393,8 +393,8 @@ impl DecisionService {
 
     /// Publishes final latency gauges (`serve.latency_p99_us` et al.),
     /// forces the overload counters to appear in the output even when zero
-    /// (so `telemetry_check --require-serve` can assert their presence on
-    /// healthy runs too), and flushes the telemetry sink.
+    /// (so a stream check can assert their presence on healthy runs too),
+    /// and flushes the telemetry sink.
     pub fn finish(&self) {
         if let Some(stats) = self.latency_stats() {
             self.telemetry.gauge("serve.latency_p50_us", stats.p50_us);

@@ -48,10 +48,10 @@ use std::time::Instant;
 pub use serde::value::Value;
 
 /// Version of the telemetry record schema. Stamped as a `schema_version`
-/// field on every JSONL record [`JsonlSink`] writes and validated by
-/// `telemetry_check`, so the file sink and the scrape endpoint share one
-/// documented, versioned schema. Bump whenever a record shape changes
-/// incompatibly.
+/// field on every JSONL record [`JsonlSink`] writes and checked by the
+/// tests' stream-shape rules, so the file sink and the scrape endpoint
+/// share one documented, versioned schema. Bump whenever a record shape
+/// changes incompatibly.
 pub const SCHEMA_VERSION: u32 = 1;
 
 /// Sink interface implemented by telemetry back-ends.

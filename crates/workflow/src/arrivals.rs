@@ -80,28 +80,9 @@ impl<'de> Deserialize<'de> for Arrival {
 /// // Pushes keep the trace sorted.
 /// assert_eq!(trace.arrivals()[0].time, SimTime::from_secs(1));
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ArrivalTrace {
     arrivals: Vec<Arrival>,
-}
-
-// Deserialization re-establishes the sort invariant instead of trusting
-// the file's order: a hand-edited or externally recorded trace may be out
-// of order, and an unsorted `arrivals` vector would break `push`'s
-// partition-point insertion and the emulator's window attribution. The
-// sort is stable, so equal-time arrivals keep their file order.
-impl<'de> Deserialize<'de> for ArrivalTrace {
-    fn deserialize<D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        #[derive(Deserialize)]
-        struct Raw {
-            arrivals: Vec<Arrival>,
-        }
-        let mut raw = Raw::deserialize(d)?;
-        raw.arrivals.sort_by_key(|a| a.time);
-        Ok(ArrivalTrace {
-            arrivals: raw.arrivals,
-        })
-    }
 }
 
 impl ArrivalTrace {
@@ -159,44 +140,37 @@ impl ArrivalTrace {
         w.flush()
     }
 
-    /// Loads a trace in either of its two layouts: JSONL, one arrival
-    /// object per line (what [`ArrivalTrace::save_jsonl`] writes), or the
-    /// older single document `{"arrivals":[…]}`, so traces written before
-    /// the JSONL layout keep loading. The layout is read from the content,
-    /// not the file name: a document whose first key is `"arrivals"` is the
-    /// older layout. Blank lines are skipped and arrivals are re-sorted
-    /// (stably), so an out-of-order or hand-edited file replays identically
-    /// to its sorted form.
+    /// Loads a JSONL trace, one arrival object per line (what
+    /// [`ArrivalTrace::save_jsonl`] writes), reading it line by line. Blank
+    /// lines are skipped and arrivals are re-sorted (stably), so an
+    /// out-of-order or hand-edited file replays identically to its sorted
+    /// form.
     ///
     /// # Errors
     ///
     /// Returns an I/O error when the file cannot be read, or an
-    /// `InvalidData` error when it is not UTF-8 or does not parse as a
-    /// trace (naming the line, for JSONL).
+    /// `InvalidData` error naming the line when a line is not UTF-8 or does
+    /// not parse as an arrival.
     pub fn load<P: AsRef<Path>>(path: P) -> io::Result<Self> {
-        let text = std::fs::read_to_string(path)?;
-        let is_document = text
-            .trim_start()
-            .strip_prefix('{')
-            .is_some_and(|rest| rest.trim_start().starts_with("\"arrivals\""));
-        if is_document {
-            // `Deserialize` re-sorts, see above.
-            return serde_json::from_str(&text)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e));
-        }
+        use std::io::BufRead;
+        let reader = io::BufReader::new(std::fs::File::open(path)?);
         let mut arrivals = Vec::new();
-        for (lineno, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let arrival: Arrival = serde_json::from_str(line).map_err(|e| {
+        for (lineno, line) in reader.lines().enumerate() {
+            let invalid = |e: &dyn std::fmt::Display| {
                 io::Error::new(
                     io::ErrorKind::InvalidData,
                     format!("line {}: {e}", lineno + 1),
                 )
+            };
+            let line = line.map_err(|e| match e.kind() {
+                io::ErrorKind::InvalidData => invalid(&e),
+                _ => e,
             })?;
-            arrivals.push(arrival);
+            let line = line.trim();
+            if line.is_empty() {
+                continue;
+            }
+            arrivals.push(serde_json::from_str(line).map_err(|e| invalid(&e))?);
         }
         Ok(arrivals.into_iter().collect())
     }
@@ -344,20 +318,20 @@ mod tests {
         }
         let dir = std::env::temp_dir().join("miras_trace_test");
         std::fs::create_dir_all(&dir).unwrap();
-        // The older single-document layout, as its writer wrote it and
-        // spread over lines by hand; `load` reads it whatever the file name.
-        let document = serde_json::to_string(&t).unwrap();
-        assert!(document.starts_with("{\"arrivals\":["), "{document}");
-        for (name, text) in [
-            ("trace.json", document.clone()),
-            ("legacy.jsonl", format!(" \n{{\n  {}\n", &document[1..])),
-        ] {
-            let path = dir.join(name);
-            std::fs::write(&path, text).unwrap();
-            let back = ArrivalTrace::load(&path).unwrap();
-            assert_eq!(t, back, "{name}");
-            std::fs::remove_file(&path).ok();
-        }
+        // JSONL whatever the file name; a `{"arrivals":[…]}` document, the
+        // layout of builds before JSONL, is refused at its first line.
+        let path = dir.join("trace.json");
+        t.save_jsonl(&path).unwrap();
+        assert_eq!(ArrivalTrace::load(&path).unwrap(), t);
+        std::fs::write(
+            &path,
+            "{\"arrivals\":[{\"time_micros\":1000000,\"workflow_type\":0}]}\n",
+        )
+        .unwrap();
+        let err = ArrivalTrace::load(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().starts_with("line 1: "), "{err}");
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -401,23 +375,6 @@ mod tests {
     }
 
     #[test]
-    fn deserialized_trace_is_sorted_even_when_the_file_is_not() {
-        // Regression: the derived Deserialize used to trust the file's
-        // order, so an out-of-order trace violated the sorted contract
-        // that `push`'s partition-point insertion depends on.
-        let json = "{\"arrivals\":[\
-            {\"time_micros\":45000000,\"workflow_type\":1},\
-            {\"time_micros\":5000000,\"workflow_type\":0}]}";
-        let mut t: ArrivalTrace = serde_json::from_str(json).unwrap();
-        let times: Vec<u64> = t.arrivals().iter().map(|a| a.time.as_micros()).collect();
-        assert_eq!(times, vec![5_000_000, 45_000_000]);
-        // And push keeps working on the restored trace.
-        t.push(Arrival::new(SimTime::from_secs(20), WorkflowTypeId::new(2)));
-        let times: Vec<u64> = t.arrivals().iter().map(|a| a.time.as_micros()).collect();
-        assert_eq!(times, vec![5_000_000, 20_000_000, 45_000_000]);
-    }
-
-    #[test]
     fn load_json_rejects_garbage() {
         let dir = std::env::temp_dir().join("miras_trace_test");
         std::fs::create_dir_all(&dir).unwrap();
@@ -428,6 +385,10 @@ mod tests {
         std::fs::write(&path, "{\"arrivals\":[{\"time_micros\":1}]}").unwrap();
         let err = ArrivalTrace::load(&path).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        std::fs::write(&path, b"{\"time_micros\":1,\"workflow_type\":0}\n\xff\n").unwrap();
+        let err = ArrivalTrace::load(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().starts_with("line 2: "), "{err}");
         std::fs::remove_file(&path).ok();
     }
 

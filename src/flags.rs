@@ -1,7 +1,6 @@
 //! Command-line flags shared by every binary (`miras-cli`, `miras-serve`
-//! and the bench binaries but `telemetry_check`): one parser that refuses,
-//! by name, any flag its caller does not read, so a misspelt flag is never
-//! silently ignored.
+//! and the bench binaries): one parser that refuses, by name, any flag its
+//! caller does not read, so a misspelt flag is never silently ignored.
 
 use std::collections::HashMap;
 use std::str::FromStr;

@@ -2,13 +2,19 @@
 //! and from its first line alone (`head -n 1 ckpt.json`), and refuses a
 //! file whose only line is a training state; it refuses a flag it does not
 //! read; it serves a noisy stream from stdin exactly as
-//! `--replay` does; and a closed stdout ends it with an error, not a panic.
+//! `--replay` does, writing a well-formed `--telemetry` stream with the
+//! serving loop's rows; and a closed stdout ends it with an error, not a
+//! panic.
 
 use std::fs::File;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 
 use miras::prelude::*;
+use telemetry_stream::{check_stream, Require};
+
+#[path = "../crates/bench/tests/telemetry_stream/mod.rs"]
+mod telemetry_stream;
 
 fn temp_path(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!(
@@ -136,8 +142,10 @@ fn noisy_streams_are_served_identically_from_stdin_and_replay() {
     let stream = temp_path("noisy");
     std::fs::write(&stream, &noisy).unwrap();
 
+    let telemetry = temp_path("telemetry");
+    let _ = std::fs::remove_file(&telemetry);
     let shadow = Command::new(env!("CARGO_BIN_EXE_miras-serve"))
-        .arg("--shadow")
+        .args(["--shadow", "--telemetry", telemetry.to_str().unwrap()])
         .stdin(File::open(&stream).unwrap())
         .output()
         .expect("running miras-serve --shadow");
@@ -160,6 +168,17 @@ fn noisy_streams_are_served_identically_from_stdin_and_replay() {
         .collect();
     let expected: Vec<String> = (0..10).map(|w| format!("{{\"window\":{w}")).collect();
     assert_eq!(windows, expected);
+
+    let rows = std::fs::read(&telemetry).unwrap();
+    let _ = std::fs::remove_file(&telemetry);
+    check_stream(&rows, &[Require::Serve]).unwrap_or_else(|e| panic!("--telemetry: {e}"));
+    let rows = String::from_utf8(rows).unwrap();
+    for row in [
+        r#""name":"serve.decisions","value":10}"#,
+        r#""name":"serve.wire_rejected","value":3}"#,
+    ] {
+        assert!(rows.contains(row), "no {row} in {rows}");
+    }
 }
 
 #[test]
