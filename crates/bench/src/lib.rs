@@ -627,190 +627,6 @@ pub(crate) fn print_summaries(summaries: &[RunSummary]) {
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn flags(pairs: &[(&str, &str)]) -> Flags {
-        pairs
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.to_string()))
-            .collect()
-    }
-
-    /// `--ensemble` reads the one name table, exactly: no case folding and
-    /// no spelling aliases.
-    #[test]
-    fn ensemble_kind_round_trips() {
-        for kind in EnsembleKind::ALL {
-            let args = BenchArgs::from_flags(&flags(&[("ensemble", kind.name())])).unwrap();
-            assert_eq!(args.ensemble, Some(kind));
-        }
-        assert_eq!(EnsembleKind::GpuServe.name(), "gpu-serve");
-        assert_eq!(BenchArgs::from_flags(&Flags::new()).unwrap().ensemble, None);
-        for name in ["MSD", "gpu_serve", "gpuserve", "bogus"] {
-            let err = BenchArgs::from_flags(&flags(&[("ensemble", name)])).unwrap_err();
-            assert!(err.contains(&format!("unknown ensemble '{name}'")), "{err}");
-        }
-    }
-
-    #[test]
-    fn gpu_serve_kind_is_wired_like_the_paper_ensembles() {
-        let kind = EnsembleKind::GpuServe;
-        assert_eq!(kind.name(), "gpu-serve");
-        assert_eq!(kind.ensemble().num_workflow_types(), 3);
-        assert_eq!(kind.burst_scenarios().len(), 3);
-        for b in kind.burst_scenarios() {
-            assert_eq!(b.counts().len(), 3);
-        }
-        let cfg = kind.miras_config(5, false);
-        assert_eq!(cfg.collect_burst_max, Some(vec![300, 120, 40]));
-    }
-
-    #[test]
-    fn burst_scenarios_match_paper() {
-        let msd = EnsembleKind::Msd.burst_scenarios();
-        assert_eq!(msd[0].counts(), &[300, 200, 300]);
-        assert_eq!(msd[1].counts(), &[1000, 300, 400]);
-        assert_eq!(msd[2].counts(), &[500, 500, 500]);
-        let ligo = EnsembleKind::Ligo.burst_scenarios();
-        assert_eq!(ligo[0].counts(), &[100, 100, 50, 30]);
-        assert_eq!(ligo[1].counts(), &[150, 150, 80, 50]);
-        assert_eq!(ligo[2].counts(), &[80, 80, 80, 80]);
-    }
-
-    #[test]
-    fn run_allocator_produces_full_series() {
-        let mut policy =
-            by_name("uniform", &PolicyConfig::new(&EnsembleKind::Msd.ensemble())).unwrap();
-        let records = run_allocator_configured(
-            EnsembleKind::Msd,
-            EnvConfig::for_ensemble(&EnsembleKind::Msd.ensemble()).with_seed(7),
-            None,
-            5,
-            policy.as_mut(),
-            &Telemetry::noop(),
-        );
-        assert_eq!(records.len(), 5);
-        for (i, r) in records.iter().enumerate() {
-            assert_eq!(r.step, i);
-            assert!(r.consumers_used <= 14);
-        }
-    }
-
-    /// Burst first, then trace: replaying the background a stationary run
-    /// samples, with the same burst on both runs, gives the same windows.
-    /// Every driver runs this order through `run_episode`.
-    #[test]
-    fn a_background_trace_with_a_burst_replays_to_the_stationary_run() {
-        let kind = EnsembleKind::Msd;
-        let steps = 8;
-        let stationary = EnvConfig::for_ensemble(&kind.ensemble()).with_seed(11);
-        let path = std::env::temp_dir().join(format!(
-            "miras_bench_trace_burst_{}.jsonl",
-            std::process::id()
-        ));
-        microsim::background_trace(&stationary, steps)
-            .save_jsonl(&path)
-            .unwrap();
-        let replay = EnvConfig {
-            workload: WorkloadSpec::TraceReplay {
-                path: path.display().to_string(),
-            },
-            ..stationary.clone()
-        };
-        let burst = &kind.burst_scenarios()[0];
-        let run = |config| {
-            let mut policy = by_name("stream", &PolicyConfig::new(&kind.ensemble())).unwrap();
-            let noop = Telemetry::noop();
-            run_allocator_configured(kind, config, Some(burst), steps, policy.as_mut(), &noop)
-        };
-        let plain = run(stationary);
-        let replayed = run(replay);
-        let _ = fs::remove_file(&path);
-        assert!(plain.iter().any(|r| r.completions > 0));
-        assert_eq!(replayed, plain);
-    }
-
-    #[test]
-    fn smoke_args_shrink_budgets() {
-        let mut args = BenchArgs {
-            ensemble: None,
-            seed: 1,
-            paper: false,
-            iterations: None,
-            no_cache: false,
-            steady: false,
-            smoke: true,
-            workload: WorkloadSpec::Stationary,
-        };
-        assert_eq!(args.resolved_iterations(), 2);
-        assert_eq!(args.comparison_steps(EnsembleKind::Msd), 6);
-        assert_eq!(
-            args.miras_config(EnsembleKind::Msd),
-            MirasConfig::smoke_test(1)
-        );
-        assert_eq!(args.scale(), "smoke");
-        args.smoke = false;
-        assert_eq!(args.resolved_iterations(), 12);
-        assert_eq!(args.comparison_steps(EnsembleKind::Msd), 25);
-        assert_eq!(args.scale(), "fast");
-        args.paper = true;
-        assert_eq!(args.scale(), "paper");
-    }
-
-    #[test]
-    fn flags_set_the_args_and_malformed_values_are_refused() {
-        let args = BenchArgs::from_flags(&flags(&[
-            ("seed", "7"),
-            ("iterations", "3"),
-            ("no-cache", "true"),
-            ("workload", "flash-crowd"),
-        ]))
-        .unwrap();
-        assert_eq!((args.seed, args.iterations), (7, Some(3)));
-        assert!(args.no_cache && !args.smoke && !args.paper && !args.steady);
-        assert_eq!(args.workload.name(), "flash-crowd");
-        for (flag, value) in [("seed", "x"), ("iterations", "-1"), ("workload", "sine")] {
-            assert!(BenchArgs::from_flags(&flags(&[(flag, value)])).is_err());
-        }
-    }
-
-    #[test]
-    fn summary_aggregates_responses() {
-        let records = vec![
-            StepRecord {
-                step: 0,
-                total_wip: 10,
-                reward: -9.0,
-                response_secs: Some(20.0),
-                completions: 2,
-                consumers_used: 14,
-            },
-            StepRecord {
-                step: 1,
-                total_wip: 5,
-                reward: -4.0,
-                response_secs: None,
-                completions: 0,
-                consumers_used: 14,
-            },
-            StepRecord {
-                step: 2,
-                total_wip: 0,
-                reward: 1.0,
-                response_secs: Some(10.0),
-                completions: 3,
-                consumers_used: 14,
-            },
-        ];
-        let s = summarize("test", &records);
-        assert!((s.mean_response_secs - 15.0).abs() < 1e-12);
-        assert_eq!(s.total_completions, 5);
-        assert_eq!(s.final_wip, 0);
-    }
-}
-
 /// A named environment-fault configuration for the resilience benchmark.
 ///
 /// Applying a scenario to a [`SimConfig`] turns on its fault model while
@@ -1247,4 +1063,188 @@ pub fn run_workload_grid(
         }
     }
     results
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn flags(pairs: &[(&str, &str)]) -> Flags {
+        pairs
+            .iter()
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .collect()
+    }
+
+    /// `--ensemble` reads the one name table, exactly: no case folding and
+    /// no spelling aliases.
+    #[test]
+    fn ensemble_kind_round_trips() {
+        for kind in EnsembleKind::ALL {
+            let args = BenchArgs::from_flags(&flags(&[("ensemble", kind.name())])).unwrap();
+            assert_eq!(args.ensemble, Some(kind));
+        }
+        assert_eq!(EnsembleKind::GpuServe.name(), "gpu-serve");
+        assert_eq!(BenchArgs::from_flags(&Flags::new()).unwrap().ensemble, None);
+        for name in ["MSD", "gpu_serve", "gpuserve", "bogus"] {
+            let err = BenchArgs::from_flags(&flags(&[("ensemble", name)])).unwrap_err();
+            assert!(err.contains(&format!("unknown ensemble '{name}'")), "{err}");
+        }
+    }
+
+    #[test]
+    fn gpu_serve_kind_is_wired_like_the_paper_ensembles() {
+        let kind = EnsembleKind::GpuServe;
+        assert_eq!(kind.name(), "gpu-serve");
+        assert_eq!(kind.ensemble().num_workflow_types(), 3);
+        assert_eq!(kind.burst_scenarios().len(), 3);
+        for b in kind.burst_scenarios() {
+            assert_eq!(b.counts().len(), 3);
+        }
+        let cfg = kind.miras_config(5, false);
+        assert_eq!(cfg.collect_burst_max, Some(vec![300, 120, 40]));
+    }
+
+    #[test]
+    fn burst_scenarios_match_paper() {
+        let msd = EnsembleKind::Msd.burst_scenarios();
+        assert_eq!(msd[0].counts(), &[300, 200, 300]);
+        assert_eq!(msd[1].counts(), &[1000, 300, 400]);
+        assert_eq!(msd[2].counts(), &[500, 500, 500]);
+        let ligo = EnsembleKind::Ligo.burst_scenarios();
+        assert_eq!(ligo[0].counts(), &[100, 100, 50, 30]);
+        assert_eq!(ligo[1].counts(), &[150, 150, 80, 50]);
+        assert_eq!(ligo[2].counts(), &[80, 80, 80, 80]);
+    }
+
+    #[test]
+    fn run_allocator_produces_full_series() {
+        let mut policy =
+            by_name("uniform", &PolicyConfig::new(&EnsembleKind::Msd.ensemble())).unwrap();
+        let records = run_allocator_configured(
+            EnsembleKind::Msd,
+            EnvConfig::for_ensemble(&EnsembleKind::Msd.ensemble()).with_seed(7),
+            None,
+            5,
+            policy.as_mut(),
+            &Telemetry::noop(),
+        );
+        assert_eq!(records.len(), 5);
+        for (i, r) in records.iter().enumerate() {
+            assert_eq!(r.step, i);
+            assert!(r.consumers_used <= 14);
+        }
+    }
+
+    /// Burst first, then trace: replaying the background a stationary run
+    /// samples, with the same burst on both runs, gives the same windows.
+    /// Every driver runs this order through `run_episode`.
+    #[test]
+    fn a_background_trace_with_a_burst_replays_to_the_stationary_run() {
+        let kind = EnsembleKind::Msd;
+        let steps = 8;
+        let stationary = EnvConfig::for_ensemble(&kind.ensemble()).with_seed(11);
+        let path = std::env::temp_dir().join(format!(
+            "miras_bench_trace_burst_{}.jsonl",
+            std::process::id()
+        ));
+        microsim::background_trace(&stationary, steps)
+            .save_jsonl(&path)
+            .unwrap();
+        let replay = EnvConfig {
+            workload: WorkloadSpec::TraceReplay {
+                path: path.display().to_string(),
+            },
+            ..stationary.clone()
+        };
+        let burst = &kind.burst_scenarios()[0];
+        let run = |config| {
+            let mut policy = by_name("stream", &PolicyConfig::new(&kind.ensemble())).unwrap();
+            let noop = Telemetry::noop();
+            run_allocator_configured(kind, config, Some(burst), steps, policy.as_mut(), &noop)
+        };
+        let plain = run(stationary);
+        let replayed = run(replay);
+        let _ = fs::remove_file(&path);
+        assert!(plain.iter().any(|r| r.completions > 0));
+        assert_eq!(replayed, plain);
+    }
+
+    #[test]
+    fn smoke_args_shrink_budgets() {
+        let mut args = BenchArgs {
+            ensemble: None,
+            seed: 1,
+            paper: false,
+            iterations: None,
+            no_cache: false,
+            steady: false,
+            smoke: true,
+            workload: WorkloadSpec::Stationary,
+        };
+        assert_eq!(args.resolved_iterations(), 2);
+        assert_eq!(args.comparison_steps(EnsembleKind::Msd), 6);
+        assert_eq!(
+            args.miras_config(EnsembleKind::Msd),
+            MirasConfig::smoke_test(1)
+        );
+        assert_eq!(args.scale(), "smoke");
+        args.smoke = false;
+        assert_eq!(args.resolved_iterations(), 12);
+        assert_eq!(args.comparison_steps(EnsembleKind::Msd), 25);
+        assert_eq!(args.scale(), "fast");
+        args.paper = true;
+        assert_eq!(args.scale(), "paper");
+    }
+
+    #[test]
+    fn flags_set_the_args_and_malformed_values_are_refused() {
+        let args = BenchArgs::from_flags(&flags(&[
+            ("seed", "7"),
+            ("iterations", "3"),
+            ("no-cache", "true"),
+            ("workload", "flash-crowd"),
+        ]))
+        .unwrap();
+        assert_eq!((args.seed, args.iterations), (7, Some(3)));
+        assert!(args.no_cache && !args.smoke && !args.paper && !args.steady);
+        assert_eq!(args.workload.name(), "flash-crowd");
+        for (flag, value) in [("seed", "x"), ("iterations", "-1"), ("workload", "sine")] {
+            assert!(BenchArgs::from_flags(&flags(&[(flag, value)])).is_err());
+        }
+    }
+
+    #[test]
+    fn summary_aggregates_responses() {
+        let records = vec![
+            StepRecord {
+                step: 0,
+                total_wip: 10,
+                reward: -9.0,
+                response_secs: Some(20.0),
+                completions: 2,
+                consumers_used: 14,
+            },
+            StepRecord {
+                step: 1,
+                total_wip: 5,
+                reward: -4.0,
+                response_secs: None,
+                completions: 0,
+                consumers_used: 14,
+            },
+            StepRecord {
+                step: 2,
+                total_wip: 0,
+                reward: 1.0,
+                response_secs: Some(10.0),
+                completions: 3,
+                consumers_used: 14,
+            },
+        ];
+        let s = summarize("test", &records);
+        assert!((s.mean_response_secs - 15.0).abs() < 1e-12);
+        assert_eq!(s.total_completions, 5);
+        assert_eq!(s.final_wip, 0);
+    }
 }

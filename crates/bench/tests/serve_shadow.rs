@@ -72,8 +72,8 @@ fn shadow_stream_is_byte_identical_to_batch_replay_and_the_bare_agent() {
     }
 
     // Latency accounting covered every decision; report the percentiles so
-    // test logs document the serving overhead (the <1 ms budget is gated in
-    // release CI, not in this possibly-debug build).
+    // test logs document the serving overhead (the <1 ms budget is gated by
+    // `ci/gate.sh smoke` in release, not in this possibly-debug build).
     let stats = svc.latency_stats().unwrap();
     assert_eq!(stats.count, 50);
     assert!(stats.p50_us > 0.0 && stats.p99_us >= stats.p50_us && stats.max_us >= stats.p99_us);

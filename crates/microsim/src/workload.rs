@@ -232,61 +232,6 @@ impl WorkloadSpec {
         }
     }
 
-    /// The instantaneous rate multiplier at time `t` (time measured from
-    /// the start of the run): the reference the tests integrate to check
-    /// [`mean_factor`](WorkloadSpec::mean_factor), which the environment
-    /// consumes.
-    #[cfg(test)]
-    #[must_use]
-    pub(crate) fn factor(&self, t: SimTime) -> f64 {
-        let t = t.as_secs_f64();
-        match self {
-            WorkloadSpec::Stationary => 1.0,
-            WorkloadSpec::TraceReplay { .. } => 0.0,
-            WorkloadSpec::Diurnal { period, amplitude } => {
-                let p = period.as_secs_f64();
-                1.0 + amplitude * (std::f64::consts::TAU * t / p).sin()
-            }
-            WorkloadSpec::Trending {
-                from_factor,
-                to_factor,
-                duration,
-                exponential,
-            } => {
-                let d = duration.as_secs_f64();
-                let u = (t / d).min(1.0);
-                if *exponential {
-                    from_factor * (to_factor / from_factor).powf(u)
-                } else {
-                    from_factor + (to_factor - from_factor) * u
-                }
-            }
-            WorkloadSpec::FlashCrowd {
-                spike_seed,
-                mean_interval,
-                magnitude,
-                rise,
-                decay,
-            } => {
-                let rise_s = rise.as_secs_f64();
-                let decay_s = decay.as_secs_f64();
-                let mut f = 1.0;
-                for spike in spike_times(*spike_seed, *mean_interval) {
-                    if t < spike {
-                        break;
-                    }
-                    let dt = t - spike;
-                    f += if dt < rise_s {
-                        magnitude * dt / rise_s
-                    } else {
-                        magnitude * (-(dt - rise_s) / decay_s).exp()
-                    };
-                }
-                f
-            }
-        }
-    }
-
     /// The mean rate multiplier over the window `[start, end]`, i.e.
     /// `∫ factor(t) dt / (end − start)`, computed analytically per shape.
     /// The environment multiplies the window's Poisson mean by this, so
@@ -404,6 +349,63 @@ fn spike_integral(spike: f64, rise: f64, decay: f64, a: f64, b: f64) -> f64 {
         integral += decay * ((-(lo - peak) / decay).exp() - (-(b - peak) / decay).exp());
     }
     integral
+}
+
+#[cfg(test)]
+impl WorkloadSpec {
+    /// The instantaneous rate multiplier at time `t` (time measured from
+    /// the start of the run): the reference the tests integrate to check
+    /// [`mean_factor`](WorkloadSpec::mean_factor), which the environment
+    /// consumes.
+    #[must_use]
+    pub(crate) fn factor(&self, t: SimTime) -> f64 {
+        let t = t.as_secs_f64();
+        match self {
+            WorkloadSpec::Stationary => 1.0,
+            WorkloadSpec::TraceReplay { .. } => 0.0,
+            WorkloadSpec::Diurnal { period, amplitude } => {
+                let p = period.as_secs_f64();
+                1.0 + amplitude * (std::f64::consts::TAU * t / p).sin()
+            }
+            WorkloadSpec::Trending {
+                from_factor,
+                to_factor,
+                duration,
+                exponential,
+            } => {
+                let d = duration.as_secs_f64();
+                let u = (t / d).min(1.0);
+                if *exponential {
+                    from_factor * (to_factor / from_factor).powf(u)
+                } else {
+                    from_factor + (to_factor - from_factor) * u
+                }
+            }
+            WorkloadSpec::FlashCrowd {
+                spike_seed,
+                mean_interval,
+                magnitude,
+                rise,
+                decay,
+            } => {
+                let rise_s = rise.as_secs_f64();
+                let decay_s = decay.as_secs_f64();
+                let mut f = 1.0;
+                for spike in spike_times(*spike_seed, *mean_interval) {
+                    if t < spike {
+                        break;
+                    }
+                    let dt = t - spike;
+                    f += if dt < rise_s {
+                        magnitude * dt / rise_s
+                    } else {
+                        magnitude * (-(dt - rise_s) / decay_s).exp()
+                    };
+                }
+                f
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -113,7 +113,7 @@ fn synthetic_ensemble_windows() {
 
 /// `sim-large`'s ensemble, seed and allocation, as the benchmark builds it.
 #[test]
-#[ignore = "full-size: a few seconds in release; CI runs it with --ignored"]
+#[ignore = "full-size: a few seconds in release; `ci/gate.sh release` runs it with --ignored"]
 fn sim_large_windows() {
     let ensemble = Ensemble::synthetic(128, 64, 1024, 0.03);
     let (budget, j) = (

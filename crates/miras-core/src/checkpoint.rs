@@ -40,7 +40,7 @@ use serde::value::{from_value, Value};
 use serde::{Deserialize, Serialize};
 
 use crate::adapter::AdapterSnapshot;
-use crate::{DynamicsModel, MirasAgent, MirasConfig, TransitionDataset};
+use crate::{ConfigError, DynamicsModel, MirasAgent, MirasConfig, TransitionDataset};
 
 /// Format version written into every checkpoint; bumped whenever the
 /// payload layout changes incompatibly. Version 2 names the lane count
@@ -256,8 +256,9 @@ impl CheckpointPayload {
     /// is not `CHECKPOINT_VERSION` (checked before anything else in it is
     /// decoded), and [`CheckpointError::Corrupt`] if the file does not parse
     /// as a two-line checkpoint (e.g. it was truncated by a crash that beat
-    /// the atomic-rename protocol's temp file into place) or its training
-    /// state's configuration fails [`MirasConfig::validate`].
+    /// the atomic-rename protocol's temp file into place), its training
+    /// state's configuration fails [`MirasConfig::validate`], or the agent
+    /// snapshot's DDPG config is not the run's `ddpg` at the run's seed.
     pub fn load(path: &Path) -> Result<Self, CheckpointError> {
         let text = String::from_utf8(std::fs::read(path)?)
             .map_err(|e| CheckpointError::Corrupt(format!("not UTF-8: {e}")))?;
@@ -282,6 +283,17 @@ impl CheckpointPayload {
             .config
             .validate()
             .map_err(|e| CheckpointError::Corrupt(e.to_string()))?;
+        // The agent resumes with its snapshot's copy of the DDPG config, so
+        // it must be the one `MirasTrainer::new` built from the run's.
+        let mut ddpg = payload.config.ddpg.clone();
+        ddpg.seed = payload.config.seed;
+        if *payload.agent.config() != ddpg {
+            let e = ConfigError::Miras {
+                field: "ddpg",
+                reason: "the agent snapshot's DDPG config differs from the run's",
+            };
+            return Err(CheckpointError::Corrupt(e.to_string()));
+        }
         Ok(payload)
     }
 }

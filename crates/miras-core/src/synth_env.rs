@@ -108,15 +108,6 @@ impl SyntheticEnv {
             action_buf: Vec::with_capacity(j),
         }
     }
-
-    /// Number of Lend–Giveback trigger firings observed so far (state
-    /// dimensions entering a step below their `τ_j` refinement threshold,
-    /// summed over steps). Zero for an unrefined model.
-    #[cfg(test)]
-    #[must_use]
-    pub(crate) fn lend_triggers(&self) -> u64 {
-        self.lend_triggers
-    }
 }
 
 impl Environment for SyntheticEnv {
@@ -160,6 +151,17 @@ impl Environment for SyntheticEnv {
             next_state: next,
             reward,
         }
+    }
+}
+
+#[cfg(test)]
+impl SyntheticEnv {
+    /// Number of Lend–Giveback trigger firings observed so far (state
+    /// dimensions entering a step below their `τ_j` refinement threshold,
+    /// summed over steps). Zero for an unrefined model.
+    #[must_use]
+    pub(crate) fn lend_triggers(&self) -> u64 {
+        self.lend_triggers
     }
 }
 

@@ -101,8 +101,16 @@ pub struct MirasTrainer {
 
 impl MirasTrainer {
     /// Creates a trainer sized for the given real environment.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`ConfigError`](crate::ConfigError) text if
+    /// [`MirasConfig::validate`] rejects `config`.
     #[must_use]
     pub fn new(env: &ClusterEnvAdapter, config: MirasConfig) -> Self {
+        if let Err(e) = config.validate() {
+            panic!("{e}");
+        }
         let j = env.state_dim();
         let mut ddpg_config = config.ddpg.clone();
         ddpg_config.seed = config.seed;
@@ -579,6 +587,17 @@ mod tests {
         assert!(report.eval_return.is_finite());
         assert!(report.rollouts_run >= 1);
         assert!(report.exploration_sigma.is_some());
+    }
+
+    /// `Ddpg::new` refuses a zero batch size itself, but a zero lane count
+    /// would otherwise build a trainer whose first iteration panics.
+    #[test]
+    #[should_panic(expected = "invalid MirasConfig.lanes: lockstep lane count must be positive")]
+    fn a_config_that_fails_validate_panics_at_construction() {
+        let env = real_env(0);
+        let mut config = MirasConfig::smoke_test(1);
+        config.lanes = 0;
+        let _ = MirasTrainer::new(&env, config);
     }
 
     #[test]

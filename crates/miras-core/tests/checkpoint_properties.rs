@@ -102,17 +102,20 @@ fn checkpoints_with_a_zero_count_are_refused_at_resume() {
     trainer.save_checkpoint(&env, &path).unwrap();
     let text = std::fs::read_to_string(&path).unwrap();
 
-    // The DDPG batch size is stored twice: in the run's config and in the
-    // agent snapshot's.
-    for (key, copies, field) in [
-        ("lanes", 1, "lanes"),
-        ("reset_every", 1, "reset_every"),
-        ("model_batch", 1, "model_batch"),
-        ("batch_size", 2, "ddpg.batch_size"),
+    // The DDPG batch size is stored twice: in the run's config and, after
+    // it, in the agent snapshot's. Zeroing the snapshot's alone leaves a
+    // valid run config, but an agent that is not the one it builds.
+    let snapshot_at = text.find("\"batch_size\":").unwrap() + 1;
+    for (key, skip, copies, field) in [
+        ("lanes", 0, 1, "lanes"),
+        ("reset_every", 0, 1, "reset_every"),
+        ("model_batch", 0, 1, "model_batch"),
+        ("batch_size", 0, 2, "ddpg.batch_size"),
+        ("batch_size", snapshot_at, 1, "ddpg"),
     ] {
-        let (edited, zeroed) = zero_counts(&text, key);
+        let (edited, zeroed) = zero_counts(&text[skip..], key);
         assert_eq!(zeroed, copies, "{key}");
-        std::fs::write(&path, edited).unwrap();
+        std::fs::write(&path, format!("{}{edited}", &text[..skip])).unwrap();
         match MirasTrainer::resume(&path, Ensemble::msd()) {
             Err(CheckpointError::Corrupt(msg)) => assert!(
                 msg.contains(&format!("MirasConfig.{field}:")),

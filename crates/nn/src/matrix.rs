@@ -455,13 +455,6 @@ impl Matrix {
         }
     }
 
-    /// The Frobenius norm.
-    #[cfg(test)]
-    #[must_use]
-    pub(crate) fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|&x| x * x).sum::<f64>().sqrt()
-    }
-
     /// Concatenates matrices horizontally (same row count).
     ///
     /// # Panics
@@ -553,6 +546,15 @@ impl fmt::Display for Matrix {
             writeln!(f, "  ... ({} more rows)", self.rows - 8)?;
         }
         write!(f, "]")
+    }
+}
+
+#[cfg(test)]
+impl Matrix {
+    /// The Frobenius norm.
+    #[must_use]
+    pub(crate) fn frobenius_norm(&self) -> f64 {
+        self.data.iter().map(|&x| x * x).sum::<f64>().sqrt()
     }
 }
 

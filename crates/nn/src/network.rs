@@ -165,23 +165,16 @@ impl Mlp {
 
     /// Inference forward pass. Ping-pongs between two pooled buffers, so it
     /// performs no steady-state allocation beyond the returned matrix.
+    ///
+    /// Because every GEMM path accumulates each output element in
+    /// ascending-k order from `0.0`, row `i` of the result is bitwise-equal
+    /// to [`Mlp::forward_one`] of row `i`, whatever the batch size or kernel
+    /// dispatch.
     #[must_use]
     pub fn forward(&self, x: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(0, 0);
         self.forward_into(x, &mut out);
         out
-    }
-
-    /// Batched inference: one forward pass over a row-batch, one output row
-    /// per input row.
-    ///
-    /// This is the batched unification of [`Mlp::forward_one`]: because
-    /// every GEMM path accumulates each output element in ascending-k order
-    /// from `0.0`, row `i` of the result is bitwise-equal to
-    /// `forward_one(row_i)` regardless of the batch size or kernel dispatch.
-    #[must_use]
-    pub fn forward_batch(&self, x: &Matrix) -> Matrix {
-        self.forward(x)
     }
 
     /// Inference forward pass into `out`, reusing its buffer. Intermediate

@@ -17,7 +17,7 @@ fn build_net(sizes: &[usize], hidden: Activation, output: Activation, seed: u64)
 }
 
 proptest! {
-    /// `forward_batch` row `i` is bitwise-equal to `forward_one(row_i)`
+    /// Row `i` of `forward` is bitwise-equal to `forward_one(row_i)`
     /// across random shapes (including B = 1) and activations.
     #[test]
     fn forward_batch_rows_match_forward_one_bitwise(
@@ -39,7 +39,7 @@ proptest! {
             *v = data[i % data.len()];
         }
 
-        let batched = net.forward_batch(&x);
+        let batched = net.forward(&x);
         prop_assert_eq!((batched.rows(), batched.cols()), (batch, output_dim));
         for r in 0..batch {
             let single = net.forward_one(x.row(r));
@@ -57,7 +57,7 @@ proptest! {
 fn empty_batch_forward_is_well_defined() {
     let net = build_net(&[3, 8, 2], Activation::Relu, Activation::Linear, 42);
     let x = Matrix::zeros(0, 3);
-    let y = net.forward_batch(&x);
+    let y = net.forward(&x);
     assert_eq!((y.rows(), y.cols()), (0, 2));
 }
 
@@ -99,7 +99,7 @@ fn softmax_output_rows_match_single_forward_bitwise() {
     for (i, v) in x.as_mut_slice().iter_mut().enumerate() {
         *v = ((i * 7 % 13) as f64) - 6.0;
     }
-    let batched = net.forward_batch(&x);
+    let batched = net.forward(&x);
     for r in 0..x.rows() {
         assert_eq!(batched.row(r), net.forward_one(x.row(r)).as_slice());
     }

@@ -45,6 +45,13 @@ impl DdpgSnapshot {
     pub fn greedy_policy(&self) -> (&Mlp, &RunningNorm) {
         (&self.actor, &self.obs_norm)
     }
+
+    /// The hyper-parameters the agent was built with, which
+    /// [`Ddpg::from_snapshot`] restores it with.
+    #[must_use]
+    pub fn config(&self) -> &DdpgConfig {
+        &self.config
+    }
 }
 
 impl Ddpg {

@@ -15,6 +15,10 @@ use serde::{Deserialize, Serialize};
 
 use crate::WorkflowTypeId;
 
+/// The longest line [`ArrivalTrace::load`] reads. An arrival line is a few
+/// dozen bytes; the bound only stops one huge line being read whole.
+const MAX_TRACE_LINE_BYTES: usize = 1 << 16;
+
 /// One workflow-request arrival.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Arrival {
@@ -149,24 +153,34 @@ impl ArrivalTrace {
     /// # Errors
     ///
     /// Returns an I/O error when the file cannot be read, or an
-    /// `InvalidData` error naming the line when a line is not UTF-8 or does
-    /// not parse as an arrival.
+    /// `InvalidData` error naming the line when a line is longer than 64 KiB,
+    /// is not UTF-8 or does not parse as an arrival.
     pub fn load<P: AsRef<Path>>(path: P) -> io::Result<Self> {
-        use std::io::BufRead;
-        let reader = io::BufReader::new(std::fs::File::open(path)?);
+        use std::io::{BufRead, Read};
+        let mut reader = io::BufReader::new(std::fs::File::open(path)?);
         let mut arrivals = Vec::new();
-        for (lineno, line) in reader.lines().enumerate() {
+        let mut buf = Vec::new();
+        for lineno in 1.. {
             let invalid = |e: &dyn std::fmt::Display| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("line {}: {e}", lineno + 1),
-                )
+                io::Error::new(io::ErrorKind::InvalidData, format!("line {lineno}: {e}"))
             };
-            let line = line.map_err(|e| match e.kind() {
-                io::ErrorKind::InvalidData => invalid(&e),
-                _ => e,
-            })?;
-            let line = line.trim();
+            buf.clear();
+            // One byte past the bound tells a line at the bound from a
+            // longer one, without reading the rest of it.
+            let read = (&mut reader)
+                .take(MAX_TRACE_LINE_BYTES as u64 + 1)
+                .read_until(b'\n', &mut buf)?;
+            if read == 0 {
+                break;
+            }
+            if buf.last() == Some(&b'\n') {
+                buf.pop();
+            } else if read > MAX_TRACE_LINE_BYTES {
+                return Err(invalid(&format_args!(
+                    "longer than {MAX_TRACE_LINE_BYTES} bytes"
+                )));
+            }
+            let line = std::str::from_utf8(&buf).map_err(|e| invalid(&e))?.trim();
             if line.is_empty() {
                 continue;
             }
@@ -371,6 +385,29 @@ mod tests {
         let err = ArrivalTrace::load(&path).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("line 1"), "{err}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn load_refuses_a_line_past_the_bound_and_reads_one_at_it() {
+        let dir = std::env::temp_dir().join("miras_trace_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("long_line.jsonl");
+        let arrival = "{\"time_micros\":1,\"workflow_type\":0}";
+        // Trailing blanks pad a valid arrival to a line of `len` bytes.
+        let padded = |len: usize| format!("{arrival}{}\n", " ".repeat(len - arrival.len()));
+        let at_bound = padded(MAX_TRACE_LINE_BYTES);
+        std::fs::write(&path, format!("{at_bound}{arrival}\n")).unwrap();
+        assert_eq!(ArrivalTrace::load(&path).unwrap().len(), 2);
+
+        let past_bound = padded(MAX_TRACE_LINE_BYTES + 1);
+        std::fs::write(&path, format!("{past_bound}{arrival}\n")).unwrap();
+        let err = ArrivalTrace::load(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(
+            err.to_string(),
+            format!("line 1: longer than {MAX_TRACE_LINE_BYTES} bytes")
+        );
         std::fs::remove_file(&path).ok();
     }
 
